@@ -28,7 +28,6 @@ from .fileio import emit_graph, parse_graph
 from .graph import Graph, norm_edge
 from .pipeline import (
     RunReport,
-    SizeCaps,
     VerificationReport,
     run,
     solve_refined,
@@ -50,7 +49,6 @@ __all__ = [
     "ParseError",
     "PreconditionViolated",
     "RunReport",
-    "SizeCaps",
     "SizeCapExceeded",
     "TreeResult",
     "VerificationReport",

@@ -13,7 +13,7 @@ from .exact import TreeResult, opt_spanning_tree
 from .fileio import emit_graph, parse_graph
 from .generate import FAMILIES, make
 from .graph import Graph
-from .pipeline import SizeCaps, VerificationReport, run, verify_run
+from .pipeline import VerificationReport, run, verify_run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,19 +65,18 @@ def _edge_text(tree: TreeResult) -> str:
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.infile)
-    caps = SizeCaps()
     opt = None
     vrep: VerificationReport | None = None
     if args.algo == "exact":
-        tree = opt_spanning_tree(g, cap=caps.ost)
+        tree = opt_spanning_tree(g)
         upper = tree.weight
         if args.verify:
             opt = tree.weight
     else:
-        report = run(g, args.algo, caps, keep_state=args.verify)
+        report = run(g, args.algo, keep_state=args.verify)
         tree, upper = report.tree, report.upper_bound
         if args.verify:
-            vrep = verify_run(g, report, caps)
+            vrep = verify_run(g, report)
             opt = vrep.opt
     out: dict = {
         "n": g.n_alive(),

@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, PreconditionViolated
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, norm_edge, twin_groups
 
 
 class Cover:
@@ -228,14 +228,8 @@ def compute_pi_pairs(g: Graph, strict: bool = True) -> list[PiPair]:
     """
     if strict and g.n_alive() < 9:
         raise PreconditionViolated(f"needs at least 9 vertices, got {g.n_alive()}")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in g.alive_list():
-        if g.degree(v) == 2:
-            a, b = g.adj[v]
-            groups.setdefault((a, b), []).append(v)
     pairs = []
-    for key in sorted(groups):
-        twins = groups[key]
+    for key, twins in twin_groups(g):
         if len(twins) < 2:
             continue
         if strict and len(twins) >= 3:

@@ -18,6 +18,8 @@ from .errors import (
 )
 from .graph import Edge, Graph, norm_edge
 
+OST_CAP = 12  # largest order opt_spanning_tree searches exactly
+
 
 @dataclass(frozen=True)
 class TreeResult:
@@ -64,7 +66,7 @@ def tree_vertices(t: TreeResult) -> list[int]:
     return sorted(verts)
 
 
-def opt_spanning_tree(g: Graph, cap: int = 12) -> TreeResult:
+def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     """Spanning tree maximizing the number of internal vertices.
 
     Branch and bound over edges in sorted order: include (if acyclic)

@@ -10,6 +10,7 @@ package deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from typing import NamedTuple
 
 from .errors import InternalInvariant
 
@@ -153,17 +154,32 @@ def connected_components(g: Graph, blocked: frozenset[int] = frozenset()) -> lis
     return out
 
 
-def find_bridges(g: Graph) -> set[Edge]:
-    """All bridge edges, via an iterative lowpoint traversal."""
+class Separations(NamedTuple):
+    bridges: set[Edge]
+    pieces: dict[int, int]  # pieces[v]: number of components of g - v
+    parts: int  # number of components of g
+
+
+def separations(g: Graph) -> Separations:
+    """Bridges and, for every vertex v, the component count of g - v.
+
+    One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
+    each DFS child c with low[c] >= disc[v]; the rest of v's component is
+    one more piece unless v is the root of its DFS tree.
+    """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
+    split: dict[int, int] = {}  # DFS children cut off by removing the vertex
     bridges: set[Edge] = set()
+    roots = []
     timer = 0
     for root in g.alive_list():
         if root in disc:
             continue
+        roots.append(root)
         # stack holds (vertex, parent, iterator index into adj)
         disc[root] = low[root] = timer
+        split[root] = 0
         timer += 1
         stack = [(root, -1, 0)]
         while stack:
@@ -178,52 +194,41 @@ def find_bridges(g: Graph) -> set[Edge]:
                     low[u] = min(low[u], disc[v])
                 else:
                     disc[v] = low[v] = timer
+                    split[v] = 0
                     timer += 1
                     stack.append((v, u, 0))
-            else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[u])
+            elif parent != -1:
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    split[parent] += 1
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
-    return bridges
+    parts = len(roots)
+    pieces = {v: parts + k for v, k in split.items()}
+    for root in roots:
+        pieces[root] -= 1
+    return Separations(bridges, pieces, parts)
+
+
+def find_bridges(g: Graph) -> set[Edge]:
+    """All bridge edges."""
+    return separations(g).bridges
 
 
 def find_cutpoints(g: Graph) -> list[int]:
-    """Sorted list of cut vertices, via the same lowpoint traversal."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    cut: set[int] = set()
-    timer = 0
-    for root in g.alive_list():
-        if root in disc:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack = [(root, -1, 0)]
-        while stack:
-            u, parent, i = stack.pop()
-            if i < len(g.adj[u]):
-                stack.append((u, parent, i + 1))
-                v = g.adj[u][i]
-                if v == parent:
-                    continue
-                if v in disc:
-                    low[u] = min(low[u], disc[v])
-                else:
-                    if u == root:
-                        root_children += 1
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, 0))
-            else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if parent != root and low[u] >= disc[parent]:
-                        cut.add(parent)
-        if root_children >= 2:
-            cut.add(root)
-    return sorted(cut)
+    """Sorted list of cut vertices: those whose removal adds a component."""
+    sep = separations(g)
+    return [v for v in g.alive_list() if sep.pieces[v] > sep.parts]
+
+
+def twin_groups(g: Graph) -> list[tuple[Edge, list[int]]]:
+    """Degree-2 vertices grouped by neighborhood, sorted by neighborhood."""
+    groups: dict[Edge, list[int]] = {}
+    for v in g.alive_list():
+        if g.degree(v) == 2:
+            a, b = g.adj[v]
+            groups.setdefault((a, b), []).append(v)
+    return [(key, groups[key]) for key in sorted(groups)]
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
-from .errors import BadParams, DisconnectedInput, InternalInvariant
-from .exact import TreeResult, max_tfpcc_exact, opt_spanning_tree
+from .errors import BadParams, DisconnectedInput, InternalInvariant, SizeCapExceeded
+from .exact import OST_CAP, TreeResult, max_tfpcc_exact, opt_spanning_tree
 from .graph import Graph
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -33,12 +33,7 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class SizeCaps:
-    ost: int = 12  # exact spanning-tree search
-    ham: int = 10  # Hamiltonian-path search
-    tfpcc: int = 16  # exact cover search
-    base: int = 8  # leaves up to this order are solved exactly
+BASE_ORDER = 8  # leaves up to this order are solved exactly
 
 
 @dataclass
@@ -70,16 +65,20 @@ class RunReport:
     retained: bool
 
 
-def _solve_leaf(h: Graph, idx: int, mode: str, caps: SizeCaps, keep: bool) -> LeafSolve:
-    if h.n_alive() <= caps.base:
-        t = opt_spanning_tree(h, cap=caps.ost)
+def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
+    if h.n_alive() <= BASE_ORDER:
+        t = opt_spanning_tree(h)
         return LeafSolve(idx, h, "exact", t, 0)
     pairs = ()
     if mode == "refined":
         pairs = tuple(compute_pi_pairs(h, strict=True))
-        cover0 = preferred_tfpcc(h, cap=caps.tfpcc, strict=True)
-    else:
-        cover0 = max_tfpcc_exact(h, cap=caps.tfpcc)
+    try:
+        cover0 = preferred_tfpcc(h, strict=True) if mode == "refined" else max_tfpcc_exact(h)
+    except SizeCapExceeded as exc:
+        raise SizeCapExceeded(
+            f"trace node {idx}: irreducible core of {h.n_alive()} vertices"
+            f" is too large for the exact cover search ({exc})"
+        ) from exc
     e0 = cover0.edge_count()
     pre = preprocess(cover0, h, mode)
     if pre.edge_count() != e0:
@@ -102,7 +101,7 @@ def _solve_leaf(h: Graph, idx: int, mode: str, caps: SizeCaps, keep: bool) -> Le
     return leaf
 
 
-def run(g: Graph, mode: str, caps: SizeCaps = SizeCaps(), keep_state: bool = False) -> RunReport:
+def run(g: Graph, mode: str, keep_state: bool = False) -> RunReport:
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
     if g.n_alive() == 0:
@@ -113,7 +112,7 @@ def run(g: Graph, mode: str, caps: SizeCaps = SizeCaps(), keep_state: bool = Fal
     leaves = []
     leaf_trees = {}
     for idx in trace.leaves():
-        leaf = _solve_leaf(trace.nodes[idx].graph, idx, mode, caps, keep_state)
+        leaf = _solve_leaf(trace.nodes[idx].graph, idx, mode, keep_state)
         leaves.append(leaf)
         leaf_trees[idx] = leaf.tree
     tree = trace.lift_all(leaf_trees)
@@ -159,7 +158,7 @@ class VerificationReport:
 _RATIOS = {"simple": (3, 4), "refined": (13, 17)}
 
 
-def verify_run(g: Graph, report: RunReport, caps: SizeCaps = SizeCaps()) -> VerificationReport:
+def verify_run(g: Graph, report: RunReport) -> VerificationReport:
     """Re-check every guarantee a run makes, from its retained state."""
     if not report.retained:
         raise BadParams("verification needs a run with keep_state=True")
@@ -212,8 +211,8 @@ def verify_run(g: Graph, report: RunReport, caps: SizeCaps = SizeCaps()) -> Veri
                 )
         else:
             add(f"{tag}-cover-ratio", 4 * leaf.tree.weight >= 3 * leaf.cover_edges)
-        if h.n_alive() <= caps.ost:
-            opt_leaf = opt_spanning_tree(h, cap=caps.ost).weight
+        if h.n_alive() <= OST_CAP:
+            opt_leaf = opt_spanning_tree(h).weight
             add(f"{tag}-cover-bounds-opt", leaf.cover_edges >= opt_leaf)
             num, den = _RATIOS[report.mode]
             add(f"{tag}-ratio", den * leaf.tree.weight >= num * opt_leaf)
@@ -226,8 +225,8 @@ def verify_run(g: Graph, report: RunReport, caps: SizeCaps = SizeCaps()) -> Veri
                 )
 
     opt = None
-    if g.n_alive() <= caps.ost:
-        opt = opt_spanning_tree(g, cap=caps.ost).weight
+    if g.n_alive() <= OST_CAP:
+        opt = opt_spanning_tree(g).weight
         add("opt-below-upper-bound", opt <= report.upper_bound)
         add("weight-at-most-opt", tree.weight <= opt)
         num, den = _RATIOS[report.mode]

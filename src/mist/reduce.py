@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ArityMismatch, BadParams, InternalInvariant, StaleWitness
+from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
 from .exact import TreeResult, opt_spanning_tree, tree_result, tree_vertices, hamiltonian_path_between
 from .graph import (
     Edge,
     Graph,
+    Separations,
+    component_of,
     connected_components,
-    find_bridges,
-    find_cutpoints,
     induced_subgraph,
     norm_edge,
+    separations,
+    twin_groups,
 )
 
 RULESETS = {
@@ -58,20 +60,15 @@ class WeakReduction:
     outside: tuple[int, int] | None = None
 
 
-def _twin_groups(g: Graph) -> list[tuple[tuple[int, int], list[int]]]:
-    """Degree-2 vertices grouped by neighborhood, sorted by neighborhood."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in g.alive_list():
-        if g.degree(v) == 2:
-            a, b = g.adj[v]
-            groups.setdefault((a, b), []).append(v)
-    return [(key, groups[key]) for key in sorted(groups)]
-
-
 # -- strong reductions ----------------------------------------------------
+#
+# Every finder takes the graph, assumed connected, and optionally its
+# separations(g); the fixpoint driver computes that once per trace node.
+# In a connected graph, "g - u has a component without w" holds exactly
+# when u is a cut vertex, that is when g - u has at least two pieces.
 
 
-def find_op1(g: Graph) -> StrongReduction | None:
+def find_op1(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Two pendant vertices at the same support: drop the larger one."""
     if g.n_alive() <= 3:
         return None
@@ -84,40 +81,34 @@ def find_op1(g: Graph) -> StrongReduction | None:
     return None
 
 
-def find_op2(g: Graph) -> StrongReduction | None:
+def find_op2(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Cycle edge whose endpoints each cut the rest apart: delete it."""
-    bridges = find_bridges(g)
+    sep = sep or separations(g)
     for e in g.edge_list():
-        if e in bridges:
-            continue
         u1, u2 = e
-        comps1 = connected_components(g, blocked=frozenset((u1,)))
-        if not any(u2 not in k for k in comps1):
-            continue
-        comps2 = connected_components(g, blocked=frozenset((u2,)))
-        if any(u1 not in k for k in comps2):
+        if e not in sep.bridges and sep.pieces[u1] >= 2 and sep.pieces[u2] >= 2:
             return StrongReduction("op2", (), (e,), (), (u1, u2))
     return None
 
 
-def find_op8(g: Graph) -> StrongReduction | None:
+def find_op8(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Twin pair whose boundary vertex separates off the other boundary."""
-    for key, twins in _twin_groups(g):
+    sep = sep or separations(g)
+    for key, twins in twin_groups(g):
         if len(twins) < 2:
             continue
         u3, u4 = twins[0], twins[1]
         for u2 in key:
-            u1 = key[1] if u2 == key[0] else key[0]
-            comps = connected_components(g, blocked=frozenset((u2,)))
-            if any(u1 not in k for k in comps):
+            if sep.pieces[u2] >= 2:
+                u1 = key[1] if u2 == key[0] else key[0]
                 e = norm_edge(u2, u3)
                 return StrongReduction("op8", (), (e,), (), (u1, u2, u3, u4))
     return None
 
 
-def find_op9(g: Graph) -> StrongReduction | None:
+def find_op9(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Three twins over one boundary pair: drop one support edge."""
-    for key, twins in _twin_groups(g):
+    for key, twins in twin_groups(g):
         if len(twins) >= 3:
             u2, u1 = key[0], key[1]
             u3, u4, u5 = twins[0], twins[1], twins[2]
@@ -126,7 +117,7 @@ def find_op9(g: Graph) -> StrongReduction | None:
     return None
 
 
-def find_op10(g: Graph) -> StrongReduction | None:
+def find_op10(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Small separated block with a Hamiltonian path: keep only the path."""
     verts = g.alive_list()
     n = len(verts)
@@ -174,11 +165,11 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
         _check(g.has_edge(u1, v) and g.has_edge(u2, v), "support edges gone")
     elif r.kind == "op2":
         u1, u2 = r.witness
-        e = norm_edge(u1, u2)
-        _check(e not in find_bridges(g), "edge became a bridge")
-        for a, b in ((u1, u2), (u2, u1)):
-            comps = connected_components(g, blocked=frozenset((a,)))
-            _check(any(b not in k for k in comps), "separation condition gone")
+        sep = separations(g)
+        _check(norm_edge(u1, u2) not in sep.bridges, "edge became a bridge")
+        _check(
+            sep.pieces[u1] >= 2 and sep.pieces[u2] >= 2, "separation condition gone"
+        )
     elif r.kind in ("op8", "op9"):
         twins = r.witness[2:] if r.kind == "op8" else r.witness[2:5]
         u1, u2 = r.witness[0], r.witness[1]
@@ -188,12 +179,13 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
                 f"twin {t} changed",
             )
         if r.kind == "op8":
-            comps = connected_components(g, blocked=frozenset((u2,)))
-            _check(any(u1 not in k for k in comps), "separation condition gone")
+            _check(separations(g).pieces[u2] >= 2, "separation condition gone")
     elif r.kind == "op10":
         u, v, k_comp = r.witness
-        comps = connected_components(g, blocked=frozenset((u, v)))
-        _check(list(k_comp) in comps, "separated block changed")
+        block = component_of(g, k_comp[0], blocked=frozenset((u, v)))
+        _check(
+            g.is_alive(k_comp[0]) and block == list(k_comp), "separated block changed"
+        )
 
 
 def apply_strong_reduction(g: Graph, r: StrongReduction) -> Graph:
@@ -227,34 +219,30 @@ def lift_strong(r: StrongReduction, t: TreeResult) -> TreeResult:
 # -- weak reductions ------------------------------------------------------
 
 
-def find_op3(g: Graph) -> WeakReduction | None:
-    """Bridge whose endpoints are cut-points of their own sides: split."""
-    for e in sorted(find_bridges(g)):
+def find_op3(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
+    """Bridge whose endpoints are cut-points of their own sides: split.
+
+    A bridge endpoint cuts its own side exactly when removing it leaves the
+    other side plus at least two pieces of its own.
+    """
+    sep = sep or separations(g)
+    for e in sorted(sep.bridges):
         u1, u2 = e
-        scratch = g.copy()
-        scratch.remove_edge(u1, u2)
-        comps = connected_components(scratch)
-        if len(comps) != 2:
-            raise InternalInvariant("bridge removal must leave two parts")
-        side1 = next(k for k in comps if u1 in k)
-        side2 = next(k for k in comps if u2 in k)
-        ok = True
-        for side, ui in ((side1, u1), (side2, u2)):
-            sub, old = induced_subgraph(g, side)
-            cuts = {old[c] for c in find_cutpoints(sub)}
-            if ui not in cuts:
-                ok = False
-                break
-        if ok:
+        if sep.pieces[u1] >= 3 and sep.pieces[u2] >= 3:
+            side1 = component_of(g, u1, blocked=frozenset((u2,)))
+            side2 = component_of(g, u2, blocked=frozenset((u1,)))
             return WeakReduction(
                 "op3", 0, 2, bridge=e, sides=(tuple(side1), tuple(side2))
             )
     return None
 
 
-def find_op4(g: Graph) -> WeakReduction | None:
+def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     """Cut-point with a small hanging block: solve the block exactly."""
-    for v in find_cutpoints(g):
+    sep = sep or separations(g)
+    for v in g.alive_list():
+        if sep.pieces[v] <= sep.parts:
+            continue
         comps = connected_components(g, blocked=frozenset((v,)))
         for k_comp in comps:
             if not 2 <= len(k_comp) <= 8:
@@ -263,7 +251,7 @@ def find_op4(g: Graph) -> WeakReduction | None:
             pos = {x: idx for idx, x in enumerate(old)}
             pend = sub.add_vertex()
             sub.add_edge(pos[v], pend)
-            t = opt_spanning_tree(sub, cap=12)
+            t = opt_spanning_tree(sub)
             inner = tuple(
                 sorted(
                     norm_edge(old[a], old[b])
@@ -284,7 +272,7 @@ def find_op4(g: Graph) -> WeakReduction | None:
     return None
 
 
-def find_op11(g: Graph) -> WeakReduction | None:
+def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     """Edge between two degree-2 vertices: contract it."""
     for u1, u2 in g.edge_list():
         if g.degree(u1) == 2 and g.degree(u2) == 2:
@@ -407,17 +395,10 @@ _FINDERS = {
 }
 
 
-def find_strong_reduction(g: Graph, kinds) -> StrongReduction | None:
+def find_reduction(g: Graph, kinds, sep: Separations) -> StrongReduction | WeakReduction | None:
+    """First reduction of the given kinds that fires, in the order given."""
     for k in kinds:
-        r = _FINDERS[k](g)
-        if r is not None:
-            return r
-    return None
-
-
-def find_weak_reduction(g: Graph, kinds) -> WeakReduction | None:
-    for k in kinds:
-        r = _FINDERS[k](g)
+        r = _FINDERS[k](g, sep)
         if r is not None:
             return r
     return None
@@ -482,20 +463,23 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     """Apply reductions until none fires, strong ones first at every step."""
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
+    if not g.is_connected():
+        raise DisconnectedInput("input graph is not connected")
     strong_kinds, weak_kinds = RULESETS[mode]
     trace = ReductionTrace(mode)
     work = [trace.add_node(g.copy(), None)]
     while work:
         idx = work.pop(0)
         node = trace.nodes[idx]
-        r = find_strong_reduction(node.graph, strong_kinds)
+        sep = separations(node.graph)
+        r = find_reduction(node.graph, strong_kinds, sep)
         if r is not None:
             h = apply_strong_reduction(node.graph, r)
             node.applied = r
             node.children = [trace.add_node(h, idx)]
             work.append(node.children[0])
             continue
-        w = find_weak_reduction(node.graph, weak_kinds)
+        w = find_reduction(node.graph, weak_kinds, sep)
         if w is not None:
             parts = apply_weak_reduction(node.graph, w)
             node.applied = w

@@ -3,10 +3,13 @@
 Everything here trades speed for obviousness: removal-and-recount for
 bridges and cut-points, raw enumeration for optima.  None of it shares
 code with the library, so a bug cannot hide on both sides at once.
+The digest helpers at the end pin whole runs so that a refactor can be
+checked to keep every tree, bound and error unchanged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 from itertools import combinations, permutations
@@ -50,6 +53,11 @@ def naive_bridges(n, edges):
         for u, v in edges
         if _component_count(n, edges, skip_edge=(u, v)) > base
     }
+
+
+def naive_pieces(n, edges):
+    """For each vertex v, the number of components of the graph minus v."""
+    return {v: _component_count(n, edges, skip_vertex=v) for v in range(n)}
 
 
 def naive_cutpoints(n, edges):
@@ -193,3 +201,14 @@ def random_connected(n: int, p: float, rng: random.Random) -> Graph:
             if not g.has_edge(u, v) and rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def outcome_line(name: str, mode: str, outcome) -> str:
+    """A run's tree edges and upper bound, or the class of the error it raised."""
+    if isinstance(outcome, Exception):
+        return f"{name} {mode} {type(outcome).__name__}\n"
+    return f"{name} {mode} {outcome.tree.edges} {outcome.upper_bound}\n"
+
+
+def outcome_digest(lines) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()

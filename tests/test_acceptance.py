@@ -15,7 +15,7 @@ from mist import cli
 from mist.exact import opt_spanning_tree, path_cover_from_tree, tree_result
 from mist.fileio import emit_graph
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
-from mist.pipeline import SizeCaps, run
+from mist.pipeline import run
 from mist.preprocess import (
     check_dead_four_paths_pendant_ends,
     check_four_cycles_three_ports,
@@ -28,9 +28,13 @@ from mist.reduce import StrongReduction, WeakReduction, reduce_to_fixpoint
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import random_tree
+from helpers import outcome_digest, outcome_line, random_tree
 
 RANDOM_COUNT = 2000
+
+# sha256 over the outcome lines of every survey run; a change that keeps the
+# solver's behaviour must reproduce it exactly
+SURVEY_DIGEST = "e8f2e25e4a217a8b80bb65d91c9925df59b82e0bb0f9ac7f3705b56b2ee98bf7"
 
 
 def _report(label: str, checked: int, bad: list) -> None:
@@ -82,17 +86,19 @@ class Survey:
     cover_bound_bad: list = field(default_factory=list)
     predicate_bad: list = field(default_factory=list)
     counter_bad: list = field(default_factory=list)
+    outcomes: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="session")
 def survey():
-    caps = SizeCaps()
     s = Survey()
     for name, g in _corpus():
         opt = opt_spanning_tree(g).weight
-        refined = run(g, "refined", caps, keep_state=True)
-        simple = run(g, "simple", caps)
+        refined = run(g, "refined", keep_state=True)
+        simple = run(g, "simple")
         s.instances += 1
+        s.outcomes.append(outcome_line(name, "refined", refined))
+        s.outcomes.append(outcome_line(name, "simple", simple))
         if 17 * refined.tree.weight < 13 * opt:
             s.refined_ratio_bad.append(name)
         if 4 * simple.tree.weight < 3 * opt:
@@ -130,6 +136,15 @@ def test_corpus_is_complete(survey):
     assert survey.cover_leaves > 0
     assert survey.state_leaves > 0
     assert survey.stats_leaves > 0
+
+
+def test_trees_and_bounds_match_the_pinned_digest(survey):
+    got = outcome_digest(survey.outcomes)
+    _report(
+        "trees and upper bounds unchanged",
+        len(survey.outcomes),
+        [] if got == SURVEY_DIGEST else [got],
+    )
 
 
 def test_refined_tree_within_thirteen_seventeenths_of_optimum(survey):

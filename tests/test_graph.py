@@ -11,9 +11,10 @@ from mist.graph import (
     find_bridges,
     find_cutpoints,
     induced_subgraph,
+    separations,
 )
 
-from helpers import build_graph, naive_bridges, naive_cutpoints
+from helpers import build_graph, naive_bridges, naive_cutpoints, naive_pieces
 
 
 def test_norm_edge_orders_endpoints():
@@ -160,7 +161,9 @@ def test_bridges_match_removal_oracle(data):
 @given(small_graphs())
 def test_cutpoints_match_removal_oracle(data):
     n, edges = data
-    assert find_cutpoints(build_graph(n, edges)) == naive_cutpoints(n, edges)
+    g = build_graph(n, edges)
+    assert find_cutpoints(g) == naive_cutpoints(n, edges)
+    assert separations(g).pieces == naive_pieces(n, edges)
 
 
 @given(small_graphs())

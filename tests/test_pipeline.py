@@ -5,11 +5,15 @@ import dataclasses
 import pytest
 
 from mist import Graph, run, solve_refined, solve_simple, verify_run
-from mist.errors import BadParams, DisconnectedInput
+from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
 from mist.exact import TreeResult, opt_spanning_tree
-from mist.generate import gen_gnp
+from mist.generate import gen_cycle, gen_gnp, gen_theta, gen_twins
 
-from helpers import build_graph
+from helpers import build_graph, outcome_digest, outcome_line
+
+# sha256 over the outcome lines of every chain-family run below; a change to
+# the reduction engine that keeps its behaviour must reproduce it exactly
+CHAIN_DIGEST = "d18c5bd31281040966036ba3b3ca49f2638379661342a357ce8c7e82e2664588"
 
 
 def pedges(n):
@@ -84,6 +88,12 @@ def test_run_rejects_bad_inputs():
         run(build_graph(4, [(0, 1), (2, 3)]), "simple")
 
 
+def test_a_core_above_the_cover_cap_is_named_in_the_error():
+    # simple mode leaves an 18-cycle unreduced, so the root is the only leaf
+    with pytest.raises(SizeCapExceeded, match="trace node 0: .* of 18 vertices"):
+        run(gen_cycle(18), "simple")
+
+
 def test_verification_needs_retained_state():
     g = build_graph(5, pedges(5))
     report = run(g, "simple")
@@ -138,3 +148,20 @@ def test_ratio_guarantees_on_small_random_instances():
         opt = opt_spanning_tree(g).weight
         assert 4 * solve_simple(g).weight >= 3 * opt
         assert 17 * solve_refined(g).weight >= 13 * opt
+
+
+def test_chain_families_keep_their_trees_bounds_and_errors():
+    lines = []
+    for n in range(9, 25):
+        for name, g in (
+            (f"cycle-{n}", gen_cycle(n)),
+            (f"theta-{n}", gen_theta(n)),
+            (f"twins-{n}", gen_twins(n, 0)),
+        ):
+            for mode in ("refined", "simple"):
+                try:
+                    outcome = run(g, mode)
+                except MistError as exc:
+                    outcome = exc
+                lines.append(outcome_line(name, mode, outcome))
+    assert outcome_digest(lines) == CHAIN_DIGEST

@@ -301,3 +301,13 @@ def test_fixpoint_rejects_unknown_mode():
 
     with pytest.raises(BadParams):
         reduce_to_fixpoint(path(3), "fancy")
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_fixpoint_rejects_a_disconnected_graph_up_front(mode):
+    # the separation rules assume one component; two disjoint edges used to
+    # reach the bridge split and fail there with an internal error
+    from mist.errors import DisconnectedInput
+
+    with pytest.raises(DisconnectedInput):
+        reduce_to_fixpoint(build_graph(4, [(0, 1), (2, 3)]), mode)
