@@ -158,56 +158,68 @@ class Separations(NamedTuple):
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
+    order: list[int]  # DFS preorder; each DFS tree is a run led by its root
+    disc: list[int]  # disc[v]: position of v in order, -1 if not traversed
+    size: list[int]  # size[v]: number of vertices in v's DFS subtree
+    cut: dict[int, list[int]]  # cut[v]: DFS children cut off by removing v
 
 
-def separations(g: Graph) -> Separations:
+def separations(g: Graph, skip: int | None = None) -> Separations:
     """Bridges and, for every vertex v, the component count of g - v.
 
-    One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
-    each DFS child c with low[c] >= disc[v]; the rest of v's component is
-    one more piece unless v is the root of its DFS tree.
+    One iterative Hopcroft-Tarjan lowpoint traversal of g, or of g minus
+    the skip vertex.  Trees are rooted at the smallest unvisited vertex, so
+    each root is the smallest vertex of its component.  Removing v cuts off
+    each DFS child c with low[c] >= disc[v], whose subtree is then a
+    component of its own; the rest of v's component is one more piece
+    unless v is the root of its DFS tree.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    split: dict[int, int] = {}  # DFS children cut off by removing the vertex
+    order: list[int] = []
+    disc = [-1] * g.vertex_count
+    low = [0] * g.vertex_count
+    size = [0] * g.vertex_count
+    cut: dict[int, list[int]] = {}
     bridges: set[Edge] = set()
     roots = []
-    timer = 0
     for root in g.alive_list():
-        if root in disc:
+        if disc[root] >= 0 or root == skip:
             continue
         roots.append(root)
-        # stack holds (vertex, parent, iterator index into adj)
-        disc[root] = low[root] = timer
-        split[root] = 0
-        timer += 1
-        stack = [(root, -1, 0)]
+        disc[root] = low[root] = len(order)
+        size[root] = 1
+        order.append(root)
+        # stack holds (vertex, parent, iterator over the vertex's neighbours)
+        stack = [(root, -1, iter(g.adj[root]))]
         while stack:
-            u, parent, i = stack.pop()
-            if i < len(g.adj[u]):
-                stack.append((u, parent, i + 1))
-                v = g.adj[u][i]
-                if v == parent:
-                    # skip one parent occurrence; multigraphs never arise here
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
+                if v == parent or v == skip:
+                    # one parent occurrence is skipped; multigraphs never arise
                     continue
-                if v in disc:
-                    low[u] = min(low[u], disc[v])
-                else:
-                    disc[v] = low[v] = timer
-                    split[v] = 0
-                    timer += 1
-                    stack.append((v, u, 0))
-            elif parent != -1:
-                low[parent] = min(low[parent], low[u])
+                if disc[v] < 0:
+                    disc[v] = low[v] = len(order)
+                    size[v] = 1
+                    order.append(v)
+                    stack.append((v, u, iter(g.adj[v])))
+                    break
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if parent == -1:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                size[parent] += size[u]
                 if low[u] >= disc[parent]:
-                    split[parent] += 1
+                    cut.setdefault(parent, []).append(u)
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
     parts = len(roots)
-    pieces = {v: parts + k for v, k in split.items()}
+    pieces = {v: parts + len(cut.get(v, ())) for v in order}
     for root in roots:
         pieces[root] -= 1
-    return Separations(bridges, pieces, parts)
+    return Separations(bridges, pieces, parts, order, disc, size, cut)
 
 
 def find_bridges(g: Graph) -> set[Edge]:

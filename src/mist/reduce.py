@@ -118,34 +118,84 @@ def find_op9(g: Graph, sep: Separations | None = None) -> StrongReduction | None
 
 
 def find_op10(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
-    """Small separated block with a Hamiltonian path: keep only the path."""
-    verts = g.alive_list()
-    n = len(verts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = verts[i], verts[j]
-            comps = connected_components(g, blocked=frozenset((u, v)))
-            for k_comp in comps:
-                if not (len(k_comp) <= 6 and len(k_comp) + 2 < n):
+    """Small separated block with a Hamiltonian path: keep only the path.
+
+    The block K is a component of g - {u, v} with at most six vertices;
+    pairs u < v are tried in ascending order, the blocks of one pair by
+    smallest member.  A Hamiltonian u-v path through K needs both u and v
+    adjacent to K, so one lowpoint pass over g - u yields every candidate
+    for every v: the DFS subtree of each child that v cuts off, and the
+    rest of v's DFS tree, which holds its root.  The path uses |K| + 1
+    edges, so a block with no more edges than that has none to remove and
+    is never searched.
+    """
+    cap = min(6, g.n_alive() - 3)
+    if cap < 1:
+        return None
+    for u in g.alive_list():
+        s = separations(g, skip=u)
+        blocks = []
+        start = 0
+        while start < len(s.order):
+            root = s.order[start]
+            end = start + s.size[root]
+            for v in s.order[start:end]:
+                if v < u:
                     continue
-                sub, old = induced_subgraph(g, list(k_comp) + [u, v])
-                pos = {x: idx for idx, x in enumerate(old)}
-                path = hamiltonian_path_between(sub, pos[u], pos[v])
-                if path is None:
-                    continue
-                keep = {
-                    norm_edge(old[a], old[b]) for a, b in zip(path, path[1:])
-                }
-                extra = [
-                    norm_edge(old[a], old[b])
-                    for a, b in sub.edge_list()
-                    if norm_edge(old[a], old[b]) not in keep
-                ]
-                if extra:
-                    return StrongReduction(
-                        "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
-                    )
+                kids = s.cut.get(v, ())
+                for c in kids:
+                    if s.size[c] <= cap:
+                        blocks.append((v, s.order[s.disc[c] : s.disc[c] + s.size[c]]))
+                rest = end - start - 1 - sum(s.size[c] for c in kids)
+                if v != root and rest <= cap:
+                    blocks.append((v, _rest_of_tree(s, start, end, v, kids)))
+            start = end
+        found = sorted(
+            (v, sorted(k)) for v, k in blocks if _has_spare_edge(g, u, v, k)
+        )
+        for v, k_comp in found:
+            sub, old = induced_subgraph(g, k_comp + [u, v])
+            pos = {x: idx for idx, x in enumerate(old)}
+            path = hamiltonian_path_between(sub, pos[u], pos[v])
+            if path is None:
+                continue
+            keep = {norm_edge(old[a], old[b]) for a, b in zip(path, path[1:])}
+            extra = [
+                norm_edge(old[a], old[b])
+                for a, b in sub.edge_list()
+                if norm_edge(old[a], old[b]) not in keep
+            ]
+            return StrongReduction(
+                "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
+            )
     return None
+
+
+def _rest_of_tree(s: Separations, start: int, end: int, v: int, kids) -> list[int]:
+    """The DFS tree s.order[start:end] without v and the subtrees v cuts off."""
+    out = []
+    i = start
+    while i < end:
+        x = s.order[i]
+        if x in kids:
+            i += s.size[x]
+            continue
+        if x != v:
+            out.append(x)
+        i += 1
+    return out
+
+
+def _has_spare_edge(g: Graph, u: int, v: int, k: list[int]) -> bool:
+    """Whether K touches u and v and K + {u, v} has more than |K| + 1 edges.
+
+    K is a component of g - {u, v}, so its degree sum counts each inner
+    edge twice and each edge to u or v once.
+    """
+    to_u = sum(g.has_edge(x, u) for x in k)
+    to_v = sum(g.has_edge(x, v) for x in k)
+    edges = (sum(g.degree(x) for x in k) + to_u + to_v) // 2 + g.has_edge(u, v)
+    return to_u > 0 and to_v > 0 and edges > len(k) + 1
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -182,10 +232,12 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
             _check(separations(g).pieces[u2] >= 2, "separation condition gone")
     elif r.kind == "op10":
         u, v, k_comp = r.witness
+        _check(g.is_alive(u) and g.is_alive(v), f"boundary {u} or {v} gone")
+        _check(g.is_alive(k_comp[0]), f"block vertex {k_comp[0]} gone")
         block = component_of(g, k_comp[0], blocked=frozenset((u, v)))
-        _check(
-            g.is_alive(k_comp[0]) and block == list(k_comp), "separated block changed"
-        )
+        _check(block == list(k_comp), "separated block changed")
+        touched = {y for x in block for y in g.adj[x]} - set(block)
+        _check(touched == {u, v}, f"block neighbourhood is not exactly {{{u}, {v}}}")
 
 
 def apply_strong_reduction(g: Graph, r: StrongReduction) -> Graph:

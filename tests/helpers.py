@@ -1,8 +1,10 @@
 """Naive reference implementations the tests compare against.
 
 Everything here trades speed for obviousness: removal-and-recount for
-bridges and cut-points, raw enumeration for optima.  None of it shares
-code with the library, so a bug cannot hide on both sides at once.
+bridges and cut-points, raw enumeration for optima, the all-pairs scan
+for op10.  None of it shares code with the library beyond the Graph and
+StrongReduction containers and norm_edge, so a bug cannot hide on both
+sides at once.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -15,6 +17,7 @@ import random
 from itertools import combinations, permutations
 
 from mist import Graph, norm_edge
+from mist.reduce import StrongReduction
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -65,6 +68,51 @@ def naive_cutpoints(n, edges):
     return [
         v for v in range(n) if _component_count(n, edges, skip_vertex=v) > base
     ]
+
+
+def naive_components(g: Graph, blocked) -> list[list[int]]:
+    """Components of g minus the blocked vertices, sorted, by smallest member."""
+    seen = set(blocked)
+    out = []
+    for start in g.alive_list():
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in g.adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.append(sorted(comp))
+    return out
+
+
+def naive_op10(g: Graph) -> StrongReduction | None:
+    """op10 by the pair scan: for u < v and each component K of g - {u, v}
+    with |K| <= 6 and |K| + 2 < n, the first Hamiltonian u-v path through K
+    in lexicographic order; the first pair and block where such a path
+    exists and leaves an edge of K + {u, v} unused fire."""
+    verts = g.alive_list()
+    n = len(verts)
+    for u, v in combinations(verts, 2):
+        for k in naive_components(g, (u, v)):
+            if not (len(k) <= 6 and len(k) + 2 < n):
+                continue
+            inside = set(k) | {u, v}
+            edges = {norm_edge(x, y) for x in inside for y in g.adj[x] if y in inside}
+            if len(edges) <= len(k) + 1:
+                continue  # a Hamiltonian path would use every edge
+            for perm in permutations(k):
+                walk = (u, *perm, v)
+                if all(norm_edge(a, b) in edges for a, b in zip(walk, walk[1:])):
+                    used = {norm_edge(a, b) for a, b in zip(walk, walk[1:])}
+                    extra = tuple(sorted(edges - used))
+                    return StrongReduction("op10", (), extra, (), (u, v, tuple(k)))
+    return None
 
 
 def _internal_count(n, subset):

@@ -1,10 +1,15 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mist.reduce
 from mist import Graph, reduce_to_fixpoint
+from mist.errors import StaleWitness
 from mist.exact import opt_spanning_tree
+from mist.generate import gen_cycle, gen_path, gen_theta
 from mist.reduce import (
     RULESETS,
     StrongReduction,
@@ -23,7 +28,7 @@ from mist.reduce import (
 )
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import build_graph, random_connected
+from helpers import build_graph, naive_op10, random_connected
 
 import random
 
@@ -114,6 +119,114 @@ def test_op10_straightens_a_small_separated_block():
     h = apply_strong_reduction(g, r)
     assert alive_edges(h) == (6, [(0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (4, 5)])
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 4
+
+
+def test_op10_finds_a_block_under_a_cut_off_dfs_child():
+    # a 20-cycle through 1-8-9-2 with the chord (1, 2); the DFS of g - 1 runs
+    # from 0 down to 2, which cuts off its child 9 and with it the block {8, 9}
+    ring = [1, 8, 9, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 0, 14, 15, 16, 17, 18, 19]
+    g = build_graph(20, list(zip(ring, ring[1:] + ring[:1])) + [(1, 2)])
+    r = find_op10(g)
+    assert r == naive_op10(g)
+    assert r.witness == (1, 2, (8, 9))
+    assert r.removed_edges == ((1, 2),)
+
+
+def test_op10_finds_a_block_that_holds_the_dfs_root():
+    # block {0, 1} between 2 and 3 with the chord (2, 3), the rest a longer
+    # cycle 3-4-...-9-2; the DFS of g - 2 starts at 0 inside the block
+    ring = [(i, i + 1) for i in range(3, 9)] + [(9, 2)]
+    g = build_graph(10, [(0, 2), (0, 1), (1, 3), (2, 3)] + ring)
+    r = find_op10(g)
+    assert r == naive_op10(g)
+    assert r.witness == (2, 3, (0, 1))
+    assert r.removed_edges == ((2, 3),)
+
+
+def test_op10_never_searches_a_block_that_touches_one_boundary(monkeypatch):
+    # the clique on 5, 10, 11, 12 hangs off a 10-cycle at 5, so {10, 11, 12}
+    # is a piece of g - {0, 5} with edges to spare that only 5 touches; the
+    # rule fires inside the clique instead
+    clique = [(5, 10), (5, 11), (5, 12), (10, 11), (10, 12), (11, 12)]
+    g = build_graph(13, [(i, (i + 1) % 10) for i in range(10)] + clique)
+    searched = []
+    real = mist.reduce.induced_subgraph
+
+    def recording(h, vertices):
+        searched.append(sorted(vertices))
+        return real(h, vertices)
+
+    monkeypatch.setattr(mist.reduce, "induced_subgraph", recording)
+    r = find_op10(g)
+    assert r == naive_op10(g)
+    assert r.witness == (5, 10, (11, 12))
+    assert [0, 5, 10, 11, 12] not in searched
+
+
+def _op10_corpus():
+    # every connected graph on up to 7 vertices, then seeded random graphs
+    # and the chain families together with every graph of their refined runs
+    yield from connected_graphs_up_to_iso(7)
+    rng = random.Random(3)
+    roots = [random_connected(rng.randint(6, 20), 0.15, rng) for _ in range(500)]
+    roots += [f(n) for n in range(9, 31) for f in (gen_cycle, gen_theta, gen_path)]
+    for g in roots:
+        for node in reduce_to_fixpoint(g, "refined").nodes:
+            yield node.graph
+
+
+def test_op10_matches_the_pair_scan():
+    fired = 0
+    for g in _op10_corpus():
+        r = find_op10(g)
+        assert r == naive_op10(g), g
+        fired += r is not None
+    assert fired > 100
+
+
+@pytest.mark.parametrize("family", [gen_cycle, gen_path])
+def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family):
+    # no block of a chain has an edge to spare, so no path search runs, and
+    # each trace node makes its own lowpoint pass plus at most one per vertex
+    searches = []
+    passes = Counter()
+    real_search = mist.reduce.hamiltonian_path_between
+    real_pass = mist.reduce.separations
+
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return real_search(*args, **kwargs)
+
+    def counting_pass(h, *args, **kwargs):
+        passes[id(h)] += 1
+        return real_pass(h, *args, **kwargs)
+
+    monkeypatch.setattr(mist.reduce, "hamiltonian_path_between", counting_search)
+    monkeypatch.setattr(mist.reduce, "separations", counting_pass)
+    trace = reduce_to_fixpoint(family(40), "refined")
+    assert searches == []
+    assert set(passes) <= {id(node.graph) for node in trace.nodes}
+    for node in trace.nodes:
+        assert passes[id(node.graph)] <= node.graph.n_alive() + 1
+
+
+@pytest.mark.parametrize(
+    "edges, witness, message",
+    [
+        ([(0, 2), (2, 3)], (0, 1, (2, 3)), "boundary"),
+        ([(0, 1), (1, 3)], (0, 1, (2, 3)), "block vertex 2"),
+        ([(0, 2), (0, 1), (1, 3)], (0, 1, (2,)), "neighbourhood"),
+    ],
+    ids=["boundary-dead", "block-dead", "one-sided"],
+)
+def test_op10_revalidation_names_what_changed(edges, witness, message):
+    g = build_graph(4, edges)
+    dead = {0, 1, 2, 3} - {x for e in edges for x in e}
+    for x in dead:
+        g.remove_vertex(x)
+    r = StrongReduction("op10", (), (), (), witness)
+    with pytest.raises(StaleWitness, match=message):
+        apply_strong_reduction(g, r)
 
 
 def test_lift_strong_restores_removed_vertices():
