@@ -70,8 +70,21 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     """Spanning tree maximizing the number of internal vertices.
 
     Branch and bound over edges in sorted order: include (if acyclic)
-    before exclude (if the rest still spans).  The bound counts vertices
-    that can no longer reach degree 2.
+    before exclude (if the rest still spans).  The available graph, the
+    chosen plus the undecided edges, is connected at every node: it is at
+    the root, an include leaves it unchanged, and an exclude is taken only
+    when it stays connected.  So excluding (a, b) is allowed exactly when
+    b is still reachable from a once (a, b) is gone, which a search over
+    per-vertex neighbour bit masks answers.
+
+    Every spanning tree has 2 + sum(deg - 2) leaves, the sum taken over
+    its internal vertices, so a completion of the chosen edges has at
+    least 2 + excess leaves, excess = sum(max(tdeg - 2, 0)) over the
+    chosen tree degrees.  It also keeps as a leaf every vertex with at
+    most one available edge.  A subtree is cut when n minus the larger of
+    the two counts cannot beat the best weight strictly.  Since only a
+    strictly heavier tree replaces the best one, the answer is the first
+    optimum in include-first order, with or without the cuts.
     """
     verts = g.alive_list()
     n = len(verts)
@@ -94,44 +107,39 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
         return x
 
     tdeg = [0] * n
-    pdeg = [g.degree(v) for v in verts]  # tree degree plus undecided edges
+    nbrs = [0] * n  # neighbour bit masks over the chosen and undecided edges
+    for a, b in edges:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
     chosen: list[tuple[int, int]] = []
     best_w = -1
     best_edges: list[tuple[int, int]] = []
 
-    def spans_without(k):
-        p2 = list(range(n))
+    def reaches(a, b):
+        seen = frontier = 1 << a
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            if grown >> b & 1:
+                return True
+            frontier = grown & ~seen
+            seen |= frontier
+        return False
 
-        def f2(x):
-            while p2[x] != x:
-                x = p2[x]
-            return x
-
-        cnt = n
-        for a, b in chosen:
-            ra, rb = f2(a), f2(b)
-            if ra != rb:
-                p2[ra] = rb
-                cnt -= 1
-        for i in range(k, m):
-            ra, rb = f2(edges[i][0]), f2(edges[i][1])
-            if ra != rb:
-                p2[ra] = rb
-                cnt -= 1
-        return cnt == 1
-
-    def rec(k):
+    def rec(k, internal, excess, forced):
+        # internal, excess: over tdeg; forced: vertices with <= 1 neighbour
         nonlocal best_w, best_edges
         if len(chosen) == n - 1:
-            w = sum(1 for d in tdeg if d >= 2)
-            if w > best_w:
-                best_w = w
+            if internal > best_w:
+                best_w = internal
                 best_edges = list(chosen)
             return
         if k == m or m - k < (n - 1) - len(chosen):
             return
-        forced = sum(1 for d in pdeg if d <= 1)
-        if n - max(forced, 2) <= best_w:
+        if n - max(forced, 2 + excess) <= best_w:
             return
         a, b = edges[k]
         ra, rb = find(a), find(b)
@@ -139,20 +147,28 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
             parent[ra] = rb
             tdeg[a] += 1
             tdeg[b] += 1
+            da, db = tdeg[a], tdeg[b]
             chosen.append((a, b))
-            rec(k + 1)
+            rec(
+                k + 1,
+                internal + (da == 2) + (db == 2),
+                excess + (da > 2) + (db > 2),
+                forced,
+            )
             chosen.pop()
             tdeg[a] -= 1
             tdeg[b] -= 1
             parent[ra] = ra
-        pdeg[a] -= 1
-        pdeg[b] -= 1
-        if spans_without(k + 1):
-            rec(k + 1)
-        pdeg[a] += 1
-        pdeg[b] += 1
+        nbrs[a] ^= 1 << b
+        nbrs[b] ^= 1 << a
+        if reaches(a, b):
+            # both ends keep a neighbour, so one left means it just had two
+            left = (nbrs[a].bit_count() == 1) + (nbrs[b].bit_count() == 1)
+            rec(k + 1, internal, excess, forced + left)
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
 
-    rec(0)
+    rec(0, 0, 0, sum(1 for v in verts if g.degree(v) <= 1))
     if best_w < 0:
         raise InternalInvariant("no spanning tree found in a connected graph")
     return tree_result(verts, [(verts[a], verts[b]) for a, b in best_edges])
@@ -193,7 +209,10 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
     forced_leaves lists vertices whose cover degree must stay at most 1.
     Components track their size through union-find, so an edge closing a
     cycle is allowed only when the component already has 4 vertices or
-    more; all shorter cycles are rejected.
+    more; all shorter cycles are rejected.  A subtree is cut when half
+    the total room, min(degree limit - cover degree, undecided edges)
+    summed over the vertices and kept up to date per edge, cannot beat the
+    best cover.
     """
     verts = g.alive_list()
     n = len(verts)
@@ -222,19 +241,24 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
     best = -1
     best_set: list[tuple[int, int]] = []
 
-    def rec(k, cur):
+    def room(x):
+        return min(capv[x] - cdeg[x], avail[x])
+
+    def rec(k, cur, slack):
+        # slack: the sum of room(x) over every vertex
         nonlocal best, best_set
         if cur > best:
             best = cur
             best_set = list(chosen)
         if k == m:
             return
-        slack = sum(min(capv[x] - cdeg[x], avail[x]) for x in range(n))
         if cur + slack // 2 <= best:
             return
         a, b = edges[k]
+        slack -= room(a) + room(b)
         avail[a] -= 1
         avail[b] -= 1
+        slack += room(a) + room(b)
         if cdeg[a] < capv[a] and cdeg[b] < capv[b]:
             ra, rb = find(a), find(b)
             if ra != rb or size[ra] >= 4:
@@ -244,21 +268,22 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
                         ra, rb = rb, ra
                     parent[ra] = rb
                     size[rb] += size[ra]
+                before = room(a) + room(b)
                 cdeg[a] += 1
                 cdeg[b] += 1
                 chosen.append((a, b))
-                rec(k + 1, cur + 1)
+                rec(k + 1, cur + 1, slack + room(a) + room(b) - before)
                 chosen.pop()
                 cdeg[a] -= 1
                 cdeg[b] -= 1
                 if merged:
                     parent[ra] = ra
                     size[rb] -= size[ra]
-        rec(k + 1, cur)
+        rec(k + 1, cur, slack)
         avail[a] += 1
         avail[b] += 1
 
-    rec(0, 0)
+    rec(0, 0, sum(room(x) for x in range(n)))
     return Cover(g, [norm_edge(verts[a], verts[b]) for a, b in best_set])
 
 

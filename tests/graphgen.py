@@ -3,7 +3,8 @@
 Graphs are grown one vertex at a time: every class on n-1 vertices is
 extended by a new vertex with every possible neighborhood, and the
 results are deduplicated by their canonical form (the smallest edge
-bitmask over all vertex relabelings, computed with numpy in bulk).
+bitmask over all vertex relabelings, computed with numpy for all the
+extensions of one class at once).
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ def _to_matrix(code: int, n: int) -> np.ndarray:
     return a
 
 
-def _canonical(a: np.ndarray) -> int:
-    n = len(a)
+def _min_codes(a: np.ndarray) -> np.ndarray:
+    """Canonical code of each adjacency matrix in the stack a."""
+    n = a.shape[-1]
     p = _perms(n)
-    relabeled = a[p[:, :, None], p[:, None, :]]
     iu = np.triu_indices(n, 1)
-    codes = relabeled[:, iu[0], iu[1]] @ _bit_weights(n)
-    return int(codes.min())
+    relabeled = a[:, p[:, iu[0]], p[:, iu[1]]]
+    # einsum, not @: matmul has no fast path for bool times int64
+    return np.einsum("gpk,k->gp", relabeled, _bit_weights(n)).min(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -52,16 +54,15 @@ def _classes(n: int) -> tuple[int, ...]:
     """Canonical codes of every graph on n vertices, one per class."""
     if n == 1:
         return (0,)
+    nbhds = np.arange(1 << (n - 1))
+    rows = (nbhds[:, None] >> np.arange(n - 1) & 1).astype(bool)
+    a = np.zeros((len(nbhds), n, n), dtype=bool)
+    a[:, n - 1, : n - 1] = rows
+    a[:, : n - 1, n - 1] = rows
     seen = set()
-    a = np.zeros((n, n), dtype=bool)
     for parent in _classes(n - 1):
-        a[:] = False
-        a[: n - 1, : n - 1] = _to_matrix(parent, n - 1)
-        for nbhd in range(1 << (n - 1)):
-            row = (nbhd >> np.arange(n - 1) & 1).astype(bool)
-            a[n - 1, : n - 1] = row
-            a[: n - 1, n - 1] = row
-            seen.add(_canonical(a))
+        a[:, : n - 1, : n - 1] = _to_matrix(parent, n - 1)
+        seen.update(_min_codes(a).tolist())
     return tuple(sorted(seen))
 
 

@@ -17,6 +17,14 @@ import random
 from itertools import combinations, permutations
 
 from mist import Graph, norm_edge
+from mist.cover import Cover
+from mist.errors import (
+    DisconnectedInput,
+    InternalInvariant,
+    PreconditionViolated,
+    SizeCapExceeded,
+)
+from mist.exact import OST_CAP, TreeResult, tree_result
 from mist.reduce import StrongReduction
 
 
@@ -213,6 +221,175 @@ def brute_ham_path(n, edges, a=None, b=None):
         if all(norm_edge(perm[i], perm[i + 1]) in eset for i in range(n - 1)):
             return True
     return False
+
+
+def reference_opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
+    """Spanning tree maximizing the number of internal vertices: the search
+    mist.exact.opt_spanning_tree ran before its incremental rewrite.
+
+    Branch and bound over edges in sorted order: include (if acyclic)
+    before exclude (if the rest still spans).  The bound counts vertices
+    that can no longer reach degree 2.
+    """
+    verts = g.alive_list()
+    n = len(verts)
+    if n == 0:
+        raise PreconditionViolated("empty graph")
+    if n > cap:
+        raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
+    if not g.is_connected():
+        raise DisconnectedInput("opt_spanning_tree needs a connected graph")
+    if n == 1:
+        return TreeResult((), 0, (verts[0],))
+    pos = {v: i for i, v in enumerate(verts)}
+    edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
+    m = len(edges)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tdeg = [0] * n
+    pdeg = [g.degree(v) for v in verts]  # tree degree plus undecided edges
+    chosen: list[tuple[int, int]] = []
+    best_w = -1
+    best_edges: list[tuple[int, int]] = []
+
+    def spans_without(k):
+        p2 = list(range(n))
+
+        def f2(x):
+            while p2[x] != x:
+                x = p2[x]
+            return x
+
+        cnt = n
+        for a, b in chosen:
+            ra, rb = f2(a), f2(b)
+            if ra != rb:
+                p2[ra] = rb
+                cnt -= 1
+        for i in range(k, m):
+            ra, rb = f2(edges[i][0]), f2(edges[i][1])
+            if ra != rb:
+                p2[ra] = rb
+                cnt -= 1
+        return cnt == 1
+
+    def rec(k):
+        nonlocal best_w, best_edges
+        if len(chosen) == n - 1:
+            w = sum(1 for d in tdeg if d >= 2)
+            if w > best_w:
+                best_w = w
+                best_edges = list(chosen)
+            return
+        if k == m or m - k < (n - 1) - len(chosen):
+            return
+        forced = sum(1 for d in pdeg if d <= 1)
+        if n - max(forced, 2) <= best_w:
+            return
+        a, b = edges[k]
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            tdeg[a] += 1
+            tdeg[b] += 1
+            chosen.append((a, b))
+            rec(k + 1)
+            chosen.pop()
+            tdeg[a] -= 1
+            tdeg[b] -= 1
+            parent[ra] = ra
+        pdeg[a] -= 1
+        pdeg[b] -= 1
+        if spans_without(k + 1):
+            rec(k + 1)
+        pdeg[a] += 1
+        pdeg[b] += 1
+
+    rec(0)
+    if best_w < 0:
+        raise InternalInvariant("no spanning tree found in a connected graph")
+    return tree_result(verts, [(verts[a], verts[b]) for a, b in best_edges])
+
+
+def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
+    """Maximum triangle-free path-cycle cover by branch and bound: the
+    search mist.exact.max_tfpcc_exact ran before its slack became incremental.
+
+    forced_leaves lists vertices whose cover degree must stay at most 1.
+    Components track their size through union-find, so an edge closing a
+    cycle is allowed only when the component already has 4 vertices or
+    more; all shorter cycles are rejected.
+    """
+    verts = g.alive_list()
+    n = len(verts)
+    if n > cap:
+        raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
+    pos = {v: i for i, v in enumerate(verts)}
+    for v in forced_leaves:
+        if not g.is_alive(v):
+            raise PreconditionViolated(f"forced leaf {v} is not alive")
+    capv = [2] * n
+    for v in forced_leaves:
+        capv[pos[v]] = 1
+    edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
+    m = len(edges)
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    cdeg = [0] * n
+    avail = [g.degree(v) for v in verts]
+    chosen: list[tuple[int, int]] = []
+    best = -1
+    best_set: list[tuple[int, int]] = []
+
+    def rec(k, cur):
+        nonlocal best, best_set
+        if cur > best:
+            best = cur
+            best_set = list(chosen)
+        if k == m:
+            return
+        slack = sum(min(capv[x] - cdeg[x], avail[x]) for x in range(n))
+        if cur + slack // 2 <= best:
+            return
+        a, b = edges[k]
+        avail[a] -= 1
+        avail[b] -= 1
+        if cdeg[a] < capv[a] and cdeg[b] < capv[b]:
+            ra, rb = find(a), find(b)
+            if ra != rb or size[ra] >= 4:
+                merged = ra != rb
+                if merged:
+                    if size[ra] > size[rb]:
+                        ra, rb = rb, ra
+                    parent[ra] = rb
+                    size[rb] += size[ra]
+                cdeg[a] += 1
+                cdeg[b] += 1
+                chosen.append((a, b))
+                rec(k + 1, cur + 1)
+                chosen.pop()
+                cdeg[a] -= 1
+                cdeg[b] -= 1
+                if merged:
+                    parent[ra] = ra
+                    size[rb] -= size[ra]
+        rec(k + 1, cur)
+        avail[a] += 1
+        avail[b] += 1
+
+    rec(0, 0)
+    return Cover(g, [norm_edge(verts[a], verts[b]) for a, b in best_set])
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

@@ -1,6 +1,7 @@
 """Exact solvers: optimal spanning tree, Hamiltonian path, maximum cover."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from mist.exact import (
     tree_result,
     tree_vertices,
 )
+from mist.generate import gen_gnp
+from mist.graph import induced_subgraph
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
@@ -22,7 +25,11 @@ from helpers import (
     brute_opt_tree,
     brute_tfpcc,
     build_graph,
+    naive_components,
+    random_connected,
     random_tree,
+    reference_max_tfpcc,
+    reference_opt_spanning_tree,
 )
 
 
@@ -226,3 +233,105 @@ def test_path_cover_guarantees_on_random_trees():
             assert c.degree(v) <= 1
         for v in g.alive_list():
             assert c.degree(v) <= 2
+
+
+# the incremental searches against the searches they replaced: the same
+# tree and the same cover on every input, not only the same weight
+
+
+def _gnp_graphs():
+    return [gen_gnp(n, 0.3, seed) for n in range(8, 13) for seed in range(100)]
+
+
+def _op4_blocks():
+    """Every block op4 may solve: a component K of g - v, 2 <= |K| <= 8,
+    with v and a pendant at v, over sparse graphs with many cut vertices."""
+    rng = random.Random(44)
+    out = []
+    for _ in range(60):
+        g = random_connected(rng.randint(6, 16), 0.08, rng)
+        for v in g.alive_list():
+            comps = naive_components(g, (v,))
+            for k in comps if len(comps) > 1 else ():
+                if 2 <= len(k) <= 8:
+                    sub, old = induced_subgraph(g, k + [v])
+                    sub.add_edge(old.index(v), sub.add_vertex())
+                    out.append(sub)
+    return out
+
+
+def _forced(g, rng):
+    verts = g.alive_list()
+    return tuple(sorted(rng.sample(verts, rng.randint(0, len(verts) // 2))))
+
+
+def _same_cover(g, forced=()):
+    new = max_tfpcc_exact(g, forced_leaves=forced).edge_list()
+    return new == reference_max_tfpcc(g, forced_leaves=forced).edge_list()
+
+
+def test_opt_matches_the_reference_search_on_small_classes():
+    for g in connected_graphs_up_to_iso(7):
+        assert opt_spanning_tree(g) == reference_opt_spanning_tree(g), g
+
+
+def test_opt_matches_the_reference_search_on_random_graphs_and_op4_blocks():
+    graphs = _gnp_graphs() + _op4_blocks()
+    assert len(graphs) > 600
+    for g in graphs:
+        assert opt_spanning_tree(g) == reference_opt_spanning_tree(g), g
+
+
+def test_tfpcc_matches_the_reference_search_with_and_without_forced_leaves():
+    rng = random.Random(45)
+    for g in connected_graphs_up_to_iso(7) + _gnp_graphs() + _op4_blocks():
+        assert _same_cover(g), g
+        forced = _forced(g, rng)
+        assert _same_cover(g, forced), (g, forced)
+
+
+def _rec_calls(search, g):
+    """The result of search(g) and the number of branch-and-bound nodes."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = search(g)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # double star 0-1 with leaves 2-4 on 0 and 5-7 on 1, leaves matched across
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 5), (3, 6), (4, 7)],
+        # spider with four legs of length two, leg ends joined in a path
+        [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8),
+         (2, 4), (4, 6), (6, 8)],
+    ],
+)
+def test_leaf_excess_bound_prunes_and_keeps_the_first_optimum(edges):
+    # the include-first search meets high-degree centres before any good
+    # tree; the excess bound cuts those subtrees, the pdeg bound cannot
+    g = build_graph(1 + max(max(e) for e in edges), edges)
+    new, new_nodes = _rec_calls(opt_spanning_tree, g)
+    ref, ref_nodes = _rec_calls(reference_opt_spanning_tree, g)
+    assert new == ref
+    assert new.weight == brute_opt_tree(g.n_alive(), g.edge_list())
+    assert new_nodes < ref_nodes
+
+
+def test_opt_search_visits_no_more_nodes_than_the_reference():
+    # same branching order, an exact reachability test and a bound at least
+    # as tight: the new search tree is a subtree of the reference's
+    for g in connected_graphs_up_to_iso(6) + [gen_gnp(9, 0.3, s) for s in range(20)]:
+        new, new_nodes = _rec_calls(opt_spanning_tree, g)
+        ref, ref_nodes = _rec_calls(reference_opt_spanning_tree, g)
+        assert new == ref and new_nodes <= ref_nodes, g

@@ -14,6 +14,7 @@ from mist.graph import (
     separations,
 )
 
+from graphgen import ALL_COUNTS, CONNECTED_COUNTS, _classes, connected_graphs_up_to_iso
 from helpers import (
     build_graph,
     naive_bridges,
@@ -202,3 +203,10 @@ def test_induced_subgraph_unmaps_to_original_edges(data):
     unmapped = {norm_edge(old_ids[u], old_ids[v]) for u, v in sub.edge_list()}
     expected = {norm_edge(u, v) for u, v in edges if u in s and v in s}
     assert unmapped == expected
+
+
+def test_isomorphism_classes_match_the_known_counts():
+    # graphs on n vertices up to isomorphism (OEIS A000088, A001349)
+    assert [len(_classes(n)) for n in range(1, 8)] == list(ALL_COUNTS)
+    sizes = [g.n_alive() for g in connected_graphs_up_to_iso(7)]
+    assert [sizes.count(n) for n in range(1, 8)] == list(CONNECTED_COUNTS)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import mist.pipeline
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
 from mist.exact import TreeResult, opt_spanning_tree
@@ -76,6 +77,27 @@ def test_refined_handles_the_triple_twin_instance():
     vr = verify_run(g, report)
     assert vr.ok and vr.opt == 6
     assert 17 * report.tree.weight >= 13 * vr.opt
+
+
+@pytest.mark.parametrize(
+    "g, mode",
+    [(build_graph(9, cyc(9)), "simple"), (gen_gnp(10, 0.4, 7), "refined")],
+)
+def test_verification_solves_a_root_that_is_its_own_leaf_once(monkeypatch, g, mode):
+    report = run(g, mode, keep_state=True)
+    assert [(leaf.method, leaf.graph) for leaf in report.leaves] == [("cover", g)]
+    solved = []
+
+    def counted(h):
+        solved.append(h)
+        return opt_spanning_tree(h)
+
+    monkeypatch.setattr(mist.pipeline, "opt_spanning_tree", counted)
+    vr = verify_run(g, report)
+    assert solved == [g]
+    assert vr.ok and vr.opt == opt_spanning_tree(g).weight
+    names = [c.name for c in vr.checks]
+    assert "leaf0-cover-bounds-opt" in names and "leaf0-ratio" in names
 
 
 def test_run_rejects_bad_inputs():
