@@ -15,7 +15,7 @@ from mist import cli
 from mist.exact import opt_spanning_tree, path_cover_from_tree, tree_result
 from mist.fileio import emit_graph
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
-from mist.pipeline import run
+from mist.pipeline import run, verify_run
 from mist.preprocess import (
     check_dead_four_paths_pendant_ends,
     check_four_cycles_three_ports,
@@ -35,6 +35,12 @@ RANDOM_COUNT = 2000
 # sha256 over the outcome lines of every survey run; a change that keeps the
 # solver's behaviour must reproduce it exactly
 SURVEY_DIGEST = "e8f2e25e4a217a8b80bb65d91c9925df59b82e0bb0f9ac7f3705b56b2ee98bf7"
+
+# sha256 over the covers of every refined cover leaf (initial, preprocessed,
+# after stage 1 and after stage 2), their component counters, and every
+# verify_run check of the refined runs; a change to preprocessing or to the
+# stages that still ends at the same tree must reproduce it too
+COVER_DIGEST = "7f1cf643a4d3361af8a21cb189b79ae91544bda157d1d5dde15ee318a83d41ce"
 
 
 def _report(label: str, checked: int, bad: list) -> None:
@@ -87,6 +93,13 @@ class Survey:
     predicate_bad: list = field(default_factory=list)
     counter_bad: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)
+    cover_lines: list = field(default_factory=list)
+
+
+def _cover_line(tag: str, leaf) -> str:
+    st = leaf.state
+    covers = (leaf.base_cover, leaf.pre_cover, st.cover1, st.cover2)
+    return f"{tag} {[c.edge_list() for c in covers]} {st.stats}\n"
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +112,8 @@ def survey():
         s.instances += 1
         s.outcomes.append(outcome_line(name, "refined", refined))
         s.outcomes.append(outcome_line(name, "simple", simple))
+        checks = [(c.name, c.ok, c.detail) for c in verify_run(g, refined).checks]
+        s.cover_lines.append(f"{name} {checks}\n")
         if 17 * refined.tree.weight < 13 * opt:
             s.refined_ratio_bad.append(name)
         if 4 * simple.tree.weight < 3 * opt:
@@ -120,6 +135,7 @@ def survey():
                         s.leaf_slack_bad.append(tag)
                     continue
                 s.state_leaves += 1
+                s.cover_lines.append(_cover_line(tag, leaf))
                 probs = _leaf_predicates(leaf)
                 if probs:
                     s.predicate_bad.append(f"{tag}: {probs[0]}")
@@ -147,6 +163,15 @@ def test_trees_and_bounds_match_the_pinned_digest(survey):
         "trees and upper bounds unchanged",
         len(survey.outcomes),
         [] if got == SURVEY_DIGEST else [got],
+    )
+
+
+def test_covers_and_checks_match_the_pinned_digest(survey):
+    got = outcome_digest(survey.cover_lines)
+    _report(
+        "covers, counters and verification checks unchanged",
+        len(survey.cover_lines),
+        [] if got == COVER_DIGEST else [got],
     )
 
 
