@@ -51,8 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_graph(sys.stdin.read())
-    with open(path, "rb") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise BadParams(f"cannot read {path}: {exc.strerror}") from None
+    return parse_graph(data)
 
 
 def _ratio(weight: int, opt: int) -> Fraction:

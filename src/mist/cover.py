@@ -8,109 +8,49 @@ all three shapes.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, PreconditionViolated
-from .graph import Edge, Graph, norm_edge, twin_groups
+from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 
-class Cover:
-    __slots__ = ("graph", "cadj")
+class Cover(Graph):
+    """Spanning subgraph of a host graph, over the host's vertex ids."""
+
+    __slots__ = ("graph",)
 
     def __init__(self, graph: Graph, edges=()):
+        super().__init__(graph.vertex_count)
+        self.alive = list(graph.alive)
         self.graph = graph
-        self.cadj: dict[int, list[int]] = {v: [] for v in graph.alive_list()}
         for u, v in edges:
             self.add_edge(u, v)
-
-    def vertices(self) -> list[int]:
-        return sorted(self.cadj)
-
-    def degree(self, v: int) -> int:
-        return len(self.cadj[v])
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(self.cadj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.cadj[u]
 
     def add_edge(self, u: int, v: int) -> None:
         if not self.graph.has_edge(u, v):
             raise InternalInvariant(f"cover edge {u}-{v} is not a host edge")
-        if self.has_edge(u, v):
-            raise InternalInvariant(f"duplicate cover edge {u}-{v}")
-        insort(self.cadj[u], v)
-        insort(self.cadj[v], u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
-            raise InternalInvariant(f"missing cover edge {u}-{v}")
-        self.cadj[u].remove(v)
-        self.cadj[v].remove(u)
-
-    def edge_list(self) -> list[Edge]:
-        out = []
-        for u in sorted(self.cadj):
-            for v in self.cadj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
-
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.cadj.values()) // 2
+        super().add_edge(u, v)
 
     def copy(self) -> Cover:
         c = Cover(self.graph)
-        c.cadj = {v: list(row) for v, row in self.cadj.items()}
+        c.adj = [list(row) for row in self.adj]
         return c
-
-    def __eq__(self, other):
-        if not isinstance(other, Cover):
-            return NotImplemented
-        return self.cadj == other.cadj
 
     def __repr__(self):
         return f"Cover(edges={self.edge_list()})"
 
     def components(self) -> list[CoverComponent]:
         """Connected components ordered by smallest vertex."""
-        seen: set[int] = set()
-        out = []
-        for start in sorted(self.cadj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.cadj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen.update(comp)
-            out.append(self._make_component(comp))
-        return out
+        return [self._make_component(comp) for comp in connected_components(self)]
 
-    def component_of(self, v: int) -> CoverComponent:
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in self.cadj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        return self._make_component(comp)
-
-    def _make_component(self, comp: set[int]) -> CoverComponent:
-        vertices = tuple(sorted(comp))
+    def _make_component(self, comp: list[int]) -> CoverComponent:
+        vertices = tuple(comp)
+        inside = set(comp)
         edges = tuple(
-            (u, v) for u in vertices for v in self.cadj[u] if u < v and v in comp
+            (u, v) for u in vertices for v in self.adj[u] if u < v and v in inside
         )
         nv, ne = len(vertices), len(edges)
-        degs = [len(self.cadj[v]) for v in vertices]
+        degs = [len(self.adj[v]) for v in vertices]
         if ne == nv and all(d == 2 for d in degs):
             kind = "cycle"
             order = self._cycle_order(vertices[0])
@@ -126,19 +66,19 @@ class Cover:
         return CoverComponent(vertices, edges, kind, order, leaves, internal)
 
     def _cycle_order(self, start: int) -> tuple[int, ...]:
-        order = [start, self.cadj[start][0]]
+        order = [start, self.adj[start][0]]
         while True:
-            nbrs = self.cadj[order[-1]]
+            nbrs = self.adj[order[-1]]
             nxt = nbrs[0] if nbrs[0] != order[-2] else nbrs[1]
             if nxt == start:
                 return tuple(order)
             order.append(nxt)
 
     def _path_order(self, vertices: tuple[int, ...]) -> tuple[int, ...]:
-        ends = [v for v in vertices if len(self.cadj[v]) <= 1]
+        ends = [v for v in vertices if len(self.adj[v]) <= 1]
         order = [ends[0]]
         while len(order) < len(vertices):
-            nbrs = self.cadj[order[-1]]
+            nbrs = self.adj[order[-1]]
             prev = order[-2] if len(order) >= 2 else -1
             order.append(nbrs[0] if nbrs[0] != prev else nbrs[1])
         return tuple(order)
@@ -173,6 +113,11 @@ class CoverComponent:
         return frozenset(self.vertices)
 
 
+def component_index(comps) -> dict[int, CoverComponent]:
+    """Map every vertex to its component in the given component list."""
+    return {v: c for c in comps for v in c.vertices}
+
+
 def lower_edge_at(cover: Cover, v: int) -> Edge:
     """Smallest cover edge incident to v, as a (min, max) tuple."""
     return min(norm_edge(v, w) for w in cover.neighbors(v))
@@ -194,15 +139,17 @@ def path_is_dead(g: Graph, comp: CoverComponent) -> bool:
     )
 
 
-def validate_tfpcc(cover: Cover) -> None:
-    """Raise unless the cover is a triangle-free path-cycle cover of its host."""
-    alive = cover.graph.alive_list()
-    if sorted(cover.cadj) != alive:
+def validate_tfpcc(cover: Cover, comps: list[CoverComponent] | None = None) -> None:
+    """Raise unless the cover is a triangle-free path-cycle cover of its host.
+
+    comps, when given, is the cover's current component list.
+    """
+    if cover.alive != cover.graph.alive:
         raise InternalInvariant("cover does not span the alive vertices")
-    for v, row in cover.cadj.items():
-        if len(row) > 2:
-            raise InternalInvariant(f"cover degree {len(row)} at {v}")
-    for comp in cover.components():
+    for v in cover.alive_list():
+        if cover.degree(v) > 2:
+            raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
+    for comp in cover.components() if comps is None else comps:
         if comp.kind == "tree" and comp.length > 0:
             raise InternalInvariant(f"non-path tree component {comp.vertices}")
         if comp.kind == "cycle" and comp.length < 4:

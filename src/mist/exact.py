@@ -16,7 +16,7 @@ from .errors import (
     PreconditionViolated,
     SizeCapExceeded,
 )
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, find, norm_edge
 
 OST_CAP = 12  # largest order opt_spanning_tree searches exactly
 
@@ -37,17 +37,11 @@ def tree_result(vertices, edges) -> TreeResult:
     if len(edges) != n - 1:
         raise InternalInvariant(f"{len(edges)} edges for {n} vertices")
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     deg = [0] * n
     for u, v in edges:
         if u not in pos or v not in pos:
             raise InternalInvariant(f"edge {u}-{v} leaves the vertex set")
-        ru, rv = find(pos[u]), find(pos[v])
+        ru, rv = find(parent, pos[u]), find(parent, pos[v])
         if ru == rv:
             raise InternalInvariant("cycle in tree edges")
         parent[ru] = rv
@@ -100,12 +94,6 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
     m = len(edges)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     tdeg = [0] * n
     nbrs = [0] * n  # neighbour bit masks over the chosen and undecided edges
     for a, b in edges:
@@ -142,7 +130,7 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
         if n - max(forced, 2 + excess) <= best_w:
             return
         a, b = edges[k]
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[ra] = rb
             tdeg[a] += 1
@@ -229,12 +217,6 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
     m = len(edges)
     parent = list(range(n))
     size = [1] * n
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     cdeg = [0] * n
     avail = [g.degree(v) for v in verts]
     chosen: list[tuple[int, int]] = []
@@ -260,7 +242,7 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
         avail[b] -= 1
         slack += room(a) + room(b)
         if cdeg[a] < capv[a] and cdeg[b] < capv[b]:
-            ra, rb = find(a), find(b)
+            ra, rb = find(parent, a), find(parent, b)
             if ra != rb or size[ra] >= 4:
                 merged = ra != rb
                 if merged:

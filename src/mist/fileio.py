@@ -1,22 +1,25 @@
 """Reading and writing edge-list files.
 
 One header line "p mist <n> <m>", then m lines "e <u> <v>" with 1-based
-vertex ids.  Lines starting with "c" and blank lines are ignored.
+vertex ids.  Lines starting with "c" and blank lines are ignored.  The
+file is ASCII; any other character, in a comment too, is a parse error.
 """
 
 from __future__ import annotations
 
-from .errors import BadEdgeLine, BadHeader, DuplicateEdge, IdOutOfRange, SelfLoop
+from .errors import BadEdgeLine, BadHeader, DuplicateEdge, IdOutOfRange, ParseError, SelfLoop
 from .graph import Graph, norm_edge
 
 
 def parse_graph(data: str | bytes) -> Graph:
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        data = data.decode("ascii", "replace")
     n = m = 0
     header_line = None
     edges: list[tuple[int, int, int]] = []
     for line_no, raw in enumerate(data.splitlines(), start=1):
+        if not raw.isascii():
+            raise ParseError("non-ASCII character", line_no)
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

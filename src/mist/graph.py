@@ -233,6 +233,17 @@ def find_cutpoints(g: Graph) -> list[int]:
     return [v for v in g.alive_list() if sep.pieces[v] > sep.parts]
 
 
+def find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest given by parent pointers.
+
+    No path compression: the exact searches undo a union by resetting
+    the merged root's parent, which compression would invalidate.
+    """
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
 def twin_groups(g: Graph) -> list[tuple[Edge, list[int]]]:
     """Degree-2 vertices grouped by neighborhood, sorted by neighborhood."""
     groups: dict[Edge, list[int]] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, DisconnectedInput, InternalInvariant, SizeCapExceeded
 from .exact import OST_CAP, TreeResult, max_tfpcc_exact, opt_spanning_tree
-from .graph import Graph
+from .graph import Graph, find
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
     check_four_cycles_three_ports,
@@ -236,12 +236,15 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
 
 
 def _spans(t: TreeResult, g: Graph) -> bool:
-    verts = set(g.alive_list())
-    seen = set()
+    """True when the tree is n - 1 host edges closing no cycle: a spanning tree."""
+    if len(t.edges) != g.n_alive() - 1:
+        return False
+    parent = list(range(g.vertex_count))
     for u, v in t.edges:
         if not g.has_edge(u, v):
             return False
-        seen.update((u, v))
-    if len(t.edges) != len(verts) - 1:
-        return False
-    return len(verts) == 1 or seen == verts
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import Cover, component_ports, lower_edge_at, path_is_dead, validate_tfpcc
+from .cover import (
+    Cover,
+    CoverComponent,
+    component_index,
+    component_ports,
+    lower_edge_at,
+    path_is_dead,
+    validate_tfpcc,
+)
 from .errors import InternalInvariant, NonTermination
 from .exact import hamiltonian_path_between
 from .graph import Edge, Graph, induced_subgraph, norm_edge
@@ -29,18 +37,22 @@ class CoverRewrite:
     witness: tuple
 
 
-def measure(cover: Cover, g: Graph):
+# the cover's current component list, when the caller already has it
+Comps = list[CoverComponent] | None
+
+
+def measure(cover: Cover, g: Graph, comps: Comps = None):
     """Strictly increases with every rewrite; certifies termination."""
-    comps = cover.components()
+    comps = cover.components() if comps is None else comps
     paths = [c for c in comps if c.kind == "path"]
     dead = sum(1 for c in paths if path_is_dead(g, c))
     lengths = tuple(sorted((c.length for c in paths), reverse=True))
     return (cover.edge_count(), -len(comps), lengths, -dead)
 
 
-def find_op5(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op5(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Reroute a short dead path so one endpoint becomes a port."""
-    for comp in cover.components():
+    for comp in cover.components() if comps is None else comps:
         if comp.kind != "path" or not 2 <= comp.length <= 4:
             continue
         if not path_is_dead(g, comp):
@@ -74,16 +86,18 @@ def find_op5(cover: Cover, g: Graph) -> CoverRewrite | None:
     return None
 
 
-def find_op6(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op6(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Hook a path endpoint into an adjacent cycle, opening the cycle."""
-    for comp in cover.components():
+    comps = cover.components() if comps is None else comps
+    at = component_index(comps)
+    for comp in comps:
         if comp.kind != "path":
             continue
         for u in comp.endpoints:
             for v in g.adj[u]:
                 if v in comp.vertices:
                     continue
-                if cover.component_of(v).kind == "cycle":
+                if at[v].kind == "cycle":
                     drop = lower_edge_at(cover, v)
                     return CoverRewrite(
                         "op6", (drop,), (norm_edge(u, v),), (comp.key, u, v)
@@ -91,16 +105,18 @@ def find_op6(cover: Cover, g: Graph) -> CoverRewrite | None:
     return None
 
 
-def find_op7(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op7(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Regraft a path endpoint onto another path if the longest piece grows."""
-    for p1 in cover.components():
+    comps = cover.components() if comps is None else comps
+    at = component_index(comps)
+    for p1 in comps:
         if p1.kind != "path":
             continue
         for u1 in p1.endpoints:
             for u2 in g.adj[u1]:
                 if u2 in p1.vertices:
                     continue
-                p2 = cover.component_of(u2)
+                p2 = at[u2]
                 if p2.kind != "path" or cover.degree(u2) != 2:
                     continue
                 order = p2.order
@@ -125,9 +141,9 @@ def find_op7(cover: Cover, g: Graph) -> CoverRewrite | None:
     return None
 
 
-def find_op12(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op12(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Swap two parallel host edges across a cycle and another component."""
-    comps = cover.components()
+    comps = cover.components() if comps is None else comps
     for c1 in comps:
         if c1.kind != "cycle":
             continue
@@ -149,16 +165,18 @@ def find_op12(cover: Cover, g: Graph) -> CoverRewrite | None:
     return None
 
 
-def find_op13(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op13(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Concatenate two paths whose endpoints are adjacent in the host."""
-    for p1 in cover.components():
+    comps = cover.components() if comps is None else comps
+    at = component_index(comps)
+    for p1 in comps:
         if p1.kind != "path":
             continue
         for u1 in p1.endpoints:
             for u2 in g.adj[u1]:
                 if u2 in p1.vertices:
                     continue
-                p2 = cover.component_of(u2)
+                p2 = at[u2]
                 if p2.kind == "path" and u2 in p2.endpoints:
                     return CoverRewrite(
                         "op13", (), (norm_edge(u1, u2),), (p1.key, u1, u2)
@@ -166,9 +184,9 @@ def find_op13(cover: Cover, g: Graph) -> CoverRewrite | None:
     return None
 
 
-def find_op14(cover: Cover, g: Graph) -> CoverRewrite | None:
+def find_op14(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
     """Detour a path edge through an isolated common neighbor."""
-    for p in cover.components():
+    for p in cover.components() if comps is None else comps:
         if p.kind != "path" or p.length == 0:
             continue
         for u, v in p.edges:
@@ -194,34 +212,43 @@ _FINDERS = {
 }
 
 
-def find_cover_rewrite(cover: Cover, g: Graph, mode: str) -> CoverRewrite | None:
+def find_cover_rewrite(cover: Cover, g: Graph, mode: str, comps: Comps = None) -> CoverRewrite | None:
+    comps = cover.components() if comps is None else comps
     for kind in RULE_ORDER[mode]:
-        rw = _FINDERS[kind](cover, g)
+        rw = _FINDERS[kind](cover, g, comps)
         if rw is not None:
             return rw
     return None
 
 
-def apply_rewrite(cover: Cover, rw: CoverRewrite) -> None:
+def apply_rewrite(cover: Cover, rw: CoverRewrite) -> list[CoverComponent]:
+    """Apply the rewrite, check the result, and return its components."""
     for u, v in rw.removed:
         cover.remove_edge(u, v)
     for u, v in rw.added:
         cover.add_edge(u, v)
-    validate_tfpcc(cover)
+    comps = cover.components()
+    validate_tfpcc(cover, comps)
+    return comps
 
 
 def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
-    """Rewrite to fixpoint; returns a new cover, input left untouched."""
+    """Rewrite to fixpoint; returns a new cover, input left untouched.
+
+    One component list per step serves the finders, the measure after the
+    step and the next step's finders.
+    """
     work = cover.copy()
     budget = g.n_alive() * g.edge_count() + g.edge_count() + 16
     steps = 0
+    comps = work.components()
     while True:
-        rw = find_cover_rewrite(work, g, mode)
+        rw = find_cover_rewrite(work, g, mode, comps)
         if rw is None:
             return work
-        before = measure(work, g)
-        apply_rewrite(work, rw)
-        after = measure(work, g)
+        before = measure(work, g, comps)
+        comps = apply_rewrite(work, rw)
+        after = measure(work, g, comps)
         if not after > before:
             raise InternalInvariant(f"{rw.kind} did not raise the measure")
         steps += 1
@@ -245,7 +272,9 @@ def check_short_paths_alive(cover: Cover, g: Graph) -> list[str]:
 def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
     """Outside neighbors of alive path endpoints sit deep in long paths."""
     out = []
-    for comp in cover.components():
+    comps = cover.components()
+    at = component_index(comps)
+    for comp in comps:
         if comp.kind != "path":
             continue
         inside = comp.vertex_set()
@@ -253,7 +282,7 @@ def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
             for u in g.adj[v]:
                 if u in inside:
                     continue
-                q = cover.component_of(u)
+                q = at[u]
                 if q.kind != "path":
                     out.append(f"endpoint {v} sees {u} in a {q.kind}")
                 elif cover.degree(u) != 2:
@@ -268,8 +297,9 @@ def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
 
 def check_pairs_off_cycles(cover: Cover, pairs) -> list[str]:
     out = []
+    at = component_index(cover.components())
     for p in pairs:
-        if cover.component_of(p.u1).kind == "cycle":
+        if at[p.u1].kind == "cycle":
             out.append(f"pair vertex {p.u1} lies on a cycle")
     return out
 

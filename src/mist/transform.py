@@ -17,13 +17,14 @@ from fractions import Fraction
 from .cover import (
     Cover,
     CoverComponent,
+    component_index,
     component_ports,
     lower_edge_at,
     path_is_dead,
 )
 from .errors import InternalInvariant, NonTermination
 from .exact import TreeResult, tree_result
-from .graph import Edge, Graph, norm_edge
+from .graph import Edge, Graph, find, norm_edge
 
 
 # -- component quality ------------------------------------------------------
@@ -77,9 +78,9 @@ class ComponentStats:
         return 3 * self.c4 + 5 * self.c5 + 3 * self.p4 + 2 * self.g2 + 2 * self.g3
 
 
-def compute_stats(cover: Cover, base_edges) -> ComponentStats:
+def compute_stats(cover: Cover, base_edges, comps=None) -> ComponentStats:
     g2 = g3 = b2 = b3 = c4 = c5 = p4 = 0
-    for comp in cover.components():
+    for comp in cover.components() if comps is None else comps:
         info = classify_component(comp, base_edges)
         if comp.kind == "cycle":
             if comp.length == 4:
@@ -110,18 +111,12 @@ def _join_components(work: Cover, g: Graph) -> None:
     verts = g.alive_list()
     pos = {v: i for i, v in enumerate(verts)}
     parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     for u, v in work.edge_list():
-        ru, rv = find(pos[u]), find(pos[v])
+        ru, rv = find(parent, pos[u]), find(parent, pos[v])
         if ru != rv:
             parent[ru] = rv
     for u, v in g.edge_list():
-        ru, rv = find(pos[u]), find(pos[v])
+        ru, rv = find(parent, pos[u]), find(parent, pos[v])
         if ru != rv:
             parent[ru] = rv
             work.add_edge(u, v)
@@ -155,8 +150,7 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
         cycles = [c for c in comps if c.kind == "cycle"]
         if not cycles:
             break
-        vert2comp = {v: c for c in comps for v in c.vertices}
-        if _open_cycle_pair(work, g, cycles, vert2comp):
+        if _open_cycle_pair(work, g, cycles, component_index(comps)):
             continue
         if _open_cycle_escape(work, g, cycles):
             continue
@@ -168,11 +162,11 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
     return tree_result(g.alive_list(), work.edge_list())
 
 
-def _open_cycle_pair(work, g, cycles, vert2comp) -> bool:
+def _open_cycle_pair(work, g, cycles, at) -> bool:
     for c1 in cycles:
         for u1 in c1.vertices:
             for u2 in g.adj[u1]:
-                c2 = vert2comp[u2]
+                c2 = at[u2]
                 if c2.kind == "cycle" and c2.key != c1.key:
                     work.remove_edge(*lower_edge_at(work, u1))
                     work.remove_edge(*lower_edge_at(work, u2))
@@ -212,7 +206,7 @@ def stage1_connect(work: Cover, g: Graph, base_edges):
     """Attach each path with an outside neighbor to its longest target."""
     comps = work.components()
     by_key = {c.key: c for c in comps}
-    vert2key = {v: c.key for c in comps for v in c.vertices}
+    at = component_index(comps)
     gamma = set()
     for p in comps:
         if p.kind != "path" or p.length < 1:
@@ -222,7 +216,7 @@ def stage1_connect(work: Cover, g: Graph, base_edges):
             for u in g.adj[v]:
                 if u in inside:
                     continue
-                q = by_key[vert2key[u]]
+                q = at[u]
                 if q.kind != "path" or work.degree(u) != 2:
                     raise InternalInvariant(
                         f"endpoint {v} reaches {u} outside a long path interior"
@@ -268,42 +262,46 @@ def _leaf_total(comps) -> int:
     return sum(len(c.leaves) for c in comps)
 
 
-def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> None:
+def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> list[CoverComponent]:
+    """Merge components to a fixpoint; returns the final component list.
+
+    The list a step checks its result against is the next step's input.
+    """
     budget = g.n_alive() * g.edge_count() + g.edge_count() + 16
     steps = 0
+    comps = work.components()
+    infos = {c.key: classify_component(c, base_edges) for c in comps}
     while True:
-        comps = work.components()
-        infos = {c.key: classify_component(c, base_edges) for c in comps}
-        vert2key = {v: c.key for c in comps for v in c.vertices}
+        at = component_index(comps)
         bad_before = sum(1 for i in infos.values() if not i.good)
         cyc_before = sum(1 for c in comps if c.kind == "cycle")
         size_before = (len(comps), _leaf_total(comps))
         check = None
         for op in _STAGE2_OPS:
-            check = op(work, g, comps, infos, vert2key)
+            check = op(work, g, comps, infos, at)
             if check is not None:
                 break
         if check is None:
-            break
-        after = work.components()
-        touched = next(c for c in after if check in c.vertices)
-        if not classify_component(touched, base_edges).good:
+            return comps
+        comps = work.components()
+        infos = {c.key: classify_component(c, base_edges) for c in comps}
+        touched = next(c for c in comps if check in c.vertices)
+        if not infos[touched.key].good:
             raise InternalInvariant(
                 f"stage-2 step left a bad component at {touched.key}"
             )
-        infos_after = [classify_component(c, base_edges) for c in after]
-        if sum(1 for i in infos_after if not i.good) > bad_before:
+        if sum(1 for i in infos.values() if not i.good) > bad_before:
             raise InternalInvariant("stage-2 step created a bad component")
-        if sum(1 for c in after if c.kind == "cycle") > cyc_before:
+        if sum(1 for c in comps if c.kind == "cycle") > cyc_before:
             raise InternalInvariant("stage-2 step created a cycle")
-        if not (len(after), _leaf_total(after)) < size_before:
+        if not (len(comps), _leaf_total(comps)) < size_before:
             raise InternalInvariant("stage-2 step did not shrink the cover")
         steps += 1
         if steps > budget:
             raise NonTermination(f"stage 2 exceeded {budget} steps")
 
 
-def _op15(work, g, comps, infos, vert2key):
+def _op15(work, g, comps, infos, at):
     cycles = [c for c in comps if c.kind == "cycle"]
     for i, c1 in enumerate(cycles):
         for c2 in cycles[i + 1 :]:
@@ -320,21 +318,21 @@ def _op15(work, g, comps, infos, vert2key):
     return None
 
 
-def _op16(work, g, comps, infos, vert2key):
+def _op16(work, g, comps, infos, at):
     for c1 in comps:
         if c1.kind != "cycle" or c1.length < 5:
             continue
         inside = c1.vertex_set()
         for v in c1.vertices:
             for u in g.adj[v]:
-                if u not in inside and infos[vert2key[u]].good:
+                if u not in inside and infos[at[u].key].good:
                     work.remove_edge(*lower_edge_at(work, v))
                     work.add_edge(v, u)
                     return v
     return None
 
 
-def _op17(work, g, comps, infos, vert2key):
+def _op17(work, g, comps, infos, at):
     for c in comps:
         if c.kind != "cycle" or c.length < 6:
             continue
@@ -343,7 +341,7 @@ def _op17(work, g, comps, infos, vert2key):
             for u in g.adj[v]:
                 if u in inside:
                     continue
-                p = infos[vert2key[u]].comp
+                p = at[u]
                 if p.kind == "path" and p.length == 4:
                     work.remove_edge(*lower_edge_at(work, v))
                     work.add_edge(v, u)
@@ -351,7 +349,7 @@ def _op17(work, g, comps, infos, vert2key):
     return None
 
 
-def _op18(work, g, comps, infos, vert2key):
+def _op18(work, g, comps, infos, at):
     for c in comps:
         if c.kind != "path" or c.length != 0:
             continue
@@ -359,10 +357,10 @@ def _op18(work, g, comps, infos, vert2key):
         nbrs = g.adj[u]
         for i, v1 in enumerate(nbrs):
             for v2 in nbrs[i + 1 :]:
-                if vert2key[v1] == vert2key[v2]:
+                if at[v1] is at[v2]:
                     continue
                 for v in (v1, v2):
-                    if infos[vert2key[v]].comp.kind == "cycle":
+                    if at[v].kind == "cycle":
                         raise InternalInvariant(
                             f"isolated {u} is adjacent to a surviving cycle"
                         )
@@ -372,7 +370,7 @@ def _op18(work, g, comps, infos, vert2key):
     return None
 
 
-def _op19(work, g, comps, infos, vert2key):
+def _op19(work, g, comps, infos, at):
     for c1 in comps:
         if not infos[c1.key].good:
             continue
@@ -381,15 +379,14 @@ def _op19(work, g, comps, infos, vert2key):
             for v in g.adj[u]:
                 if v in inside:
                     continue
-                c2 = infos[vert2key[v]].comp
-                if c2.kind == "cycle":
+                if at[v].kind == "cycle":
                     work.remove_edge(*lower_edge_at(work, v))
                 work.add_edge(u, v)
                 return u
     return None
 
 
-def _op20(work, g, comps, infos, vert2key):
+def _op20(work, g, comps, infos, at):
     for c in comps:
         if c.kind != "cycle":
             continue
@@ -399,12 +396,12 @@ def _op20(work, g, comps, infos, vert2key):
             n2 = [u for u in g.adj[v2] if u not in inside]
             for u1 in n1:
                 for u2 in n2:
-                    if vert2key[u1] == vert2key[u2]:
+                    if at[u1] is at[u2]:
                         continue
                     work.remove_edge(v1, v2)
-                    if infos[vert2key[u1]].comp.kind == "cycle":
+                    if at[u1].kind == "cycle":
                         work.remove_edge(*lower_edge_at(work, u1))
-                    if infos[vert2key[u2]].comp.kind == "cycle":
+                    if at[u2].kind == "cycle":
                         work.remove_edge(*lower_edge_at(work, u2))
                     work.add_edge(v1, u1)
                     work.add_edge(v2, u2)
@@ -412,7 +409,7 @@ def _op20(work, g, comps, infos, vert2key):
     return None
 
 
-def _op21(work, g, comps, infos, vert2key):
+def _op21(work, g, comps, infos, at):
     for c in comps:
         if not infos[c.key].good or c.kind != "path" or c.length < 1:
             continue
@@ -431,15 +428,14 @@ def _op21(work, g, comps, infos, vert2key):
         work.remove_edge(*lower_edge_at(work, u))
         inside = c.vertex_set()
         v = next(x for x in g.adj[u] if x not in inside)
-        c2 = infos[vert2key[v]].comp
-        if c2.kind == "cycle":
+        if at[v].kind == "cycle":
             work.remove_edge(*lower_edge_at(work, v))
         work.add_edge(u, v)
         return u
     return None
 
 
-def _op22(work, g, comps, infos, vert2key):
+def _op22(work, g, comps, infos, at):
     for c in comps:
         if not infos[c.key].good or c.kind != "tree":
             continue
@@ -460,7 +456,7 @@ def _op22(work, g, comps, infos, vert2key):
     return None
 
 
-def _op23(work, g, comps, infos, vert2key):
+def _op23(work, g, comps, infos, at):
     for c1 in comps:
         if c1.kind != "path" or c1.length != 0:
             continue
@@ -472,10 +468,9 @@ def _op23(work, g, comps, infos, vert2key):
             if not (g.has_edge(v, u2) and g.has_edge(v, u4)):
                 continue
             for x in g.adj[u3]:
-                kx = vert2key[x]
-                if kx == c1.key or kx == p.key:
+                c2 = at[x]
+                if c2.key in (c1.key, p.key):
                     continue
-                c2 = infos[kx].comp
                 work.remove_edge(u2, u3)
                 if c2.kind == "cycle":
                     work.remove_edge(*lower_edge_at(work, x))
@@ -521,8 +516,14 @@ def _stage2_kind(info: ComponentInfo) -> str | None:
     return None
 
 
-def stage3_finish(work: Cover, g: Graph) -> TreeResult:
-    for c in work.components():
+def stage3_finish(work: Cover, g: Graph, comps=None) -> TreeResult:
+    """Open every surviving cycle towards a neighbour, then join the rest.
+
+    comps, when given, is the cover's current component list.
+    """
+    comps = work.components() if comps is None else comps
+    at = component_index(comps)
+    for c in comps:
         if c.kind != "cycle":
             continue
         ports = component_ports(g, c)
@@ -531,7 +532,8 @@ def stage3_finish(work: Cover, g: Graph) -> TreeResult:
         u = ports[0]
         inside = c.vertex_set()
         v = next(x for x in g.adj[u] if x not in inside)
-        if work.component_of(v).kind == "cycle":
+        # the cycles before c in the list are open by now
+        if at[v].kind == "cycle" and at[v].key > c.key:
             raise InternalInvariant("two surviving cycles are adjacent")
         work.remove_edge(*lower_edge_at(work, u))
         work.add_edge(u, v)
@@ -539,7 +541,7 @@ def stage3_finish(work: Cover, g: Graph) -> TreeResult:
     return tree_result(g.alive_list(), work.edge_list())
 
 
-def _finish_all_cycles(work: Cover, g: Graph) -> TreeResult:
+def _finish_all_cycles(work: Cover, g: Graph, comps) -> TreeResult:
     """Chain covers made of cycles only into a Hamiltonian path.
 
     When every component is a cycle they jointly span the graph, which
@@ -547,7 +549,6 @@ def _finish_all_cycles(work: Cover, g: Graph) -> TreeResult:
     4-cycle plus a 5-cycle.  Opening each cycle once at a connecting
     edge yields a spanning path, the best possible tree.
     """
-    comps = work.components()
     if len(comps) == 1:
         work.remove_edge(*comps[0].edges[0])
     elif len(comps) == 2:
@@ -577,24 +578,24 @@ def run_transform(cover: Cover, g: Graph) -> TransformState:
     work = cover.copy()
     gamma, gamma_prime, added = stage1_connect(work, g, base_edges)
     cover1 = work.copy()
-    stage2_fixpoint(work, g, base_edges)
-    if all(c.kind == "cycle" for c in work.components()):
+    comps = stage2_fixpoint(work, g, base_edges)
+    if all(c.kind == "cycle" for c in comps):
         cover2 = work.copy()
-        tree = _finish_all_cycles(work, g)
+        tree = _finish_all_cycles(work, g, comps)
         if tree.weight != g.n_alive() - 2:
             raise InternalInvariant("cycle chaining missed the spanning path")
         return TransformState(
             base_edges, gamma, gamma_prime, added, cover1, cover2, None, tree
         )
-    for comp in work.components():
+    for comp in comps:
         info = classify_component(comp, base_edges)
         if _stage2_kind(info) is None:
             raise InternalInvariant(
                 f"component at {comp.key} left over after stage 2"
             )
     cover2 = work.copy()
-    stats = compute_stats(cover2, base_edges)
-    tree = stage3_finish(work, g)
+    stats = compute_stats(cover2, base_edges, comps)
+    tree = stage3_finish(work, g, comps)
     if tree.weight < stats.tree_floor:
         raise InternalInvariant(
             f"tree weight {tree.weight} below floor {stats.tree_floor}"
@@ -612,7 +613,7 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
     out = []
     comps = cover2.components()
     infos = {c.key: classify_component(c, base_edges) for c in comps}
-    vert2key = {v: c.key for c in comps for v in c.vertices}
+    at = component_index(comps)
     kinds = {}
     for c in comps:
         kind = _stage2_kind(infos[c.key])
@@ -629,7 +630,7 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
         inside = c.vertex_set()
         if kind == "0-path":
             u = c.vertices[0]
-            targets = {vert2key[v] for v in g.adj[u]}
+            targets = {at[v].key for v in g.adj[u]}
             if len(targets) != 1:
                 out.append(f"isolated {u} reaches {len(targets)} components")
                 continue
@@ -648,7 +649,7 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
                 for v in g.adj[u]:
                     if g.degree(v) == 1:
                         continue
-                    kv = kinds[vert2key[v]]
+                    kv = kinds[at[v].key]
                     if kv == "5-cycle":
                         continue
                     if kv in ("4-path", "good") and _internal(v):
@@ -659,14 +660,14 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
                 for v in g.adj[u]:
                     if v in inside:
                         continue
-                    if kinds[vert2key[v]] != "good" or not _internal(v):
+                    if kinds[at[v].key] != "good" or not _internal(v):
                         out.append(f"4-cycle vertex {u} sees non-good-interior {v}")
         elif kind == "5-cycle":
             for u in c.vertices:
                 for v in g.adj[u]:
                     if v in inside:
                         continue
-                    if kinds[vert2key[v]] != "4-path" or not _internal(v):
+                    if kinds[at[v].key] != "4-path" or not _internal(v):
                         out.append(f"5-cycle vertex {u} sees {v} outside a 4-path interior")
         elif kind == "good":
             spanning_path = c.kind == "path" and len(c.vertices) == g.n_alive()
@@ -687,7 +688,7 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
         if c.length != 4:
             continue
         inside = c.vertex_set()
-        targets = {vert2key[v] for u in c.vertices for v in g.adj[u] if v not in inside}
+        targets = {at[v].key for u in c.vertices for v in g.adj[u] if v not in inside}
         if len(targets) > 1:
             out.append(f"4-cycle at {c.key} is adjacent to {len(targets)} components")
         for t in targets:

@@ -137,6 +137,24 @@ def test_parse_failures_exit_with_one(tmp_path, capsys):
     assert err.startswith("error: line 1:")
 
 
+def test_an_unreadable_input_exits_with_one(tmp_path, capsys):
+    missing = tmp_path / "missing.mist"
+    code = cli.main(["solve", "--algo", "simple", "--in", str(missing)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: BadParams: cannot read")
+    assert str(missing) in err
+
+
+def test_non_ascii_input_exits_with_one(tmp_path, capsys):
+    path = tmp_path / "accent.mist"
+    path.write_bytes("c café\np mist 2 1\ne 1 2\n".encode())
+    code = cli.main(["solve", "--algo", "simple", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 1:")
+
+
 def test_generator_failures_exit_with_one(capsys):
     code = cli.main(["gen", "--family", "cycle", "--n", "2"])
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ from mist import Graph, compute_pi_pairs, preferred_tfpcc
 from mist.cover import (
     Cover,
     build_augmented_graph,
+    component_index,
     component_ports,
     is_special,
     lower_edge_at,
@@ -53,10 +54,10 @@ def test_ports_and_dead_paths():
     # triangle hanging off a path: the 2-path over the triangle is dead
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
     c = Cover(g, [(0, 1), (1, 2), (3, 4)])
-    comp = c.component_of(0)
-    assert component_ports(g, comp) == [1]
-    assert path_is_dead(g, comp)
-    assert not path_is_dead(g, c.component_of(3))
+    at = component_index(c.components())
+    assert component_ports(g, at[0]) == [1]
+    assert path_is_dead(g, at[0])
+    assert not path_is_dead(g, at[3])
 
 
 def test_lower_edge_at_picks_smaller_neighbor():

@@ -92,6 +92,15 @@ def test_all_parse_failures_are_parse_errors():
             parse_graph(text)
 
 
+def test_non_ascii_text_is_a_parse_error_naming_its_line():
+    text = "p mist 2 1\nc café\ne 1 2\n"
+    for data in (text, text.encode()):
+        with pytest.raises(ParseError) as info:
+            parse_graph(data)
+        assert info.value.line_no == 2
+        assert str(info.value).startswith("line 2:")
+
+
 def test_emit_produces_the_canonical_form():
     g = build_graph(3, [(1, 2), (0, 1)])
     assert emit_graph(g) == "p mist 3 2\ne 1 2\ne 2 3\n"

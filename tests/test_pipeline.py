@@ -137,6 +137,15 @@ def test_verification_catches_a_corrupted_tree():
     assert [c.name for c in vr.failing()] == ["tree-spans-input"]
 
 
+def test_verification_rejects_a_cycle_plus_a_disjoint_edge():
+    # n - 1 host edges touching every vertex, yet a triangle and no tree
+    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    report = run(g, "simple", keep_state=True)
+    report.tree = TreeResult(((0, 1), (0, 2), (1, 2), (3, 4)), 3, (3, 4))
+    vr = verify_run(g, report)
+    assert "tree-spans-input" in [c.name for c in vr.failing()]
+
+
 def test_verification_catches_tampered_component_stats():
     g = gen_gnp(12, 0.25, 1)
     report = run(g, "refined", keep_state=True)

@@ -1,5 +1,6 @@
 """Cover rewrites: firing conditions, termination measure, postconditions."""
 
+import importlib
 import random
 
 from mist import Graph, reduce_to_fixpoint
@@ -180,6 +181,28 @@ def test_measure_rises_across_every_rewrite():
     assert fired  # the loop actually exercised some rewrites
 
 
+def test_preprocess_searches_components_once_per_step(monkeypatch):
+    # one component list per step serves the measure and the next finders
+    module = importlib.import_module("mist.preprocess")
+    g = gen_gnp(11, 0.3, 23)
+    cover = max_tfpcc_exact(g)
+    calls = {"components": 0, "steps": 0}
+    components, apply = Cover.components, module.apply_rewrite
+
+    def counted_components(self):
+        calls["components"] += 1
+        return components(self)
+
+    def counted_apply(c, rw):
+        calls["steps"] += 1
+        return apply(c, rw)
+
+    monkeypatch.setattr(Cover, "components", counted_components)
+    monkeypatch.setattr(module, "apply_rewrite", counted_apply)
+    preprocess(cover, g, "simple")
+    assert calls == {"components": 3, "steps": 2}
+
+
 def test_preprocess_returns_a_new_cover_of_equal_size():
     for seed in range(20):
         rng = random.Random(seed)
@@ -229,4 +252,4 @@ def test_cycle_port_report_flags_a_portless_cycle():
         [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (4, 5), (5, 6)],
     )
     c = Cover(g, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert cycle_port_properties(g, c.component_of(0)) == []
+    assert cycle_port_properties(g, c.components()[0]) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from mist import Graph
-from mist.cover import Cover, preferred_tfpcc
+from mist.cover import Cover, component_index, preferred_tfpcc
 from mist.errors import InternalInvariant
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
@@ -17,6 +17,7 @@ from mist.transform import (
     compute_stats,
     run_transform,
     stage1_connect,
+    stage2_fixpoint,
     stage3_finish,
     _op15,
     _op16,
@@ -45,8 +46,7 @@ def cyc(vs):
 def fire(work, g, base, op):
     comps = work.components()
     infos = {c.key: classify_component(c, base) for c in comps}
-    vert2key = {v: c.key for c in comps for v in c.vertices}
-    return op(work, g, comps, infos, vert2key)
+    return op(work, g, comps, infos, component_index(comps))
 
 
 def cover_on(n, host_edges, cover_edges=None):
@@ -246,6 +246,21 @@ def test_an_isolated_vertex_rewires_a_dead_4_path():
     assert {(0, 2), (0, 4), (3, 9)} <= set(edges)
 
 
+def test_stage2_searches_components_once_per_step(monkeypatch):
+    # two copies of the welding instance above, joined by one host edge
+    weld = cyc(range(0, 5)) + cyc(range(5, 10))
+    twin = cyc(range(10, 15)) + cyc(range(15, 20))
+    g, c = cover_on(20, weld + twin + [(0, 5), (10, 15), (2, 12)], weld + twin)
+    calls = []
+    components = Cover.components
+    monkeypatch.setattr(
+        Cover, "components", lambda self: calls.append(1) or components(self)
+    )
+    comps = stage2_fixpoint(c, g, tuple(c.edge_list()))
+    assert [(cc.kind, cc.length) for cc in comps] == [("path", 9), ("path", 9)]
+    assert len(calls) == 3  # once up front, once after each of the two welds
+
+
 # ---------------------------------------------------------- classification
 
 
@@ -290,6 +305,22 @@ def test_stats_reject_long_cycles():
 
 
 # --------------------------------------------------------------- stage 3
+
+
+def test_stage3_opens_a_cycle_onto_one_it_already_opened():
+    # 0-1-2-3 opens towards the path 8-9 first; 4-5-6-7 then reaches 1,
+    # whose cycle is open by now, so no two surviving cycles are adjacent
+    cycles = cyc(range(0, 4)) + cyc(range(4, 8))
+    g, c = cover_on(10, cycles + [(8, 9), (0, 8), (1, 4)], cycles + [(8, 9)])
+    t = stage3_finish(c, g)
+    assert {(0, 8), (1, 4)} <= set(t.edges)
+
+
+def test_stage3_rejects_a_cycle_next_to_a_surviving_cycle():
+    cycles = cyc(range(0, 4)) + cyc(range(4, 8))
+    g, c = cover_on(10, cycles + [(8, 9), (0, 4), (5, 8)], cycles + [(8, 9)])
+    with pytest.raises(InternalInvariant, match="two surviving cycles"):
+        stage3_finish(c, g)
 
 
 def test_stage3_keeps_a_spanning_path():
