@@ -16,6 +16,9 @@ from .graph import Graph
 from .pipeline import VerificationReport, run, verify_run
 
 
+P_HELP = "edge probability (gnp) or chords per vertex (sparse)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mist",
@@ -33,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance file on stdout")
     p_gen.add_argument("--family", choices=FAMILIES, required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--p", type=float, default=0.3)
+    p_gen.add_argument("--p", type=float, default=0.3, help=P_HELP)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -43,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--count", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--family", choices=FAMILIES, default="gnp")
-    p_sweep.add_argument("--p", type=float, default=0.3)
+    p_sweep.add_argument("--p", type=float, default=0.3, help=P_HELP)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

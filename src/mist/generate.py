@@ -7,7 +7,7 @@ import random
 from .errors import BadParams
 from .graph import Graph
 
-FAMILIES = ("gnp", "cycle", "path", "theta", "twins")
+FAMILIES = ("gnp", "cycle", "path", "theta", "twins", "sparse")
 
 _GNP_TRIES = 1000
 
@@ -90,6 +90,29 @@ def gen_twins(n: int, seed: int) -> Graph:
     return g
 
 
+def gen_sparse(n: int, extra: int, seed: int) -> Graph:
+    """Random spanning tree plus extra random chords: connected by construction.
+
+    Vertex v > 0 hangs off a uniform earlier vertex, then chords are drawn
+    uniformly among the missing edges.
+    """
+    if n < 1:
+        raise BadParams(f"sparse needs n >= 1, got {n}")
+    room = n * (n - 1) // 2 - (n - 1)
+    if not 0 <= extra <= room:
+        raise BadParams(f"sparse needs 0 <= extra <= {room} for n={n}, got {extra}")
+    rng = random.Random(seed)
+    g = Graph(n)
+    for v in range(1, n):
+        g.add_edge(v, rng.randrange(v))
+    while extra:
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+            extra -= 1
+    return g
+
+
 def make(family: str, n: int, p: float = 0.3, seed: int = 0) -> Graph:
     if family == "gnp":
         return gen_gnp(n, p, seed)
@@ -101,4 +124,6 @@ def make(family: str, n: int, p: float = 0.3, seed: int = 0) -> Graph:
         return gen_theta(n)
     if family == "twins":
         return gen_twins(n, seed)
+    if family == "sparse":
+        return gen_sparse(n, round(p * n), seed)
     raise BadParams(f"unknown family {family!r}")

@@ -158,48 +158,39 @@ class Separations(NamedTuple):
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
-    order: list[int]  # DFS preorder; each DFS tree is a run led by its root
-    disc: list[int]  # disc[v]: position of v in order, -1 if not traversed
-    size: list[int]  # size[v]: number of vertices in v's DFS subtree
-    cut: dict[int, list[int]]  # cut[v]: DFS children cut off by removing v
 
 
-def separations(g: Graph, skip: int | None = None) -> Separations:
+def separations(g: Graph) -> Separations:
     """Bridges and, for every vertex v, the component count of g - v.
 
-    One iterative Hopcroft-Tarjan lowpoint traversal of g, or of g minus
-    the skip vertex.  Trees are rooted at the smallest unvisited vertex, so
-    each root is the smallest vertex of its component.  Removing v cuts off
+    One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
     each DFS child c with low[c] >= disc[v], whose subtree is then a
     component of its own; the rest of v's component is one more piece
     unless v is the root of its DFS tree.
     """
-    order: list[int] = []
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
-    size = [0] * g.vertex_count
-    cut: dict[int, list[int]] = {}
+    cuts = [0] * g.vertex_count  # children cut off, -1 extra at each root
     bridges: set[Edge] = set()
-    roots = []
+    parts = count = 0
     for root in g.alive_list():
-        if disc[root] >= 0 or root == skip:
+        if disc[root] >= 0:
             continue
-        roots.append(root)
-        disc[root] = low[root] = len(order)
-        size[root] = 1
-        order.append(root)
+        parts += 1
+        cuts[root] = -1
+        disc[root] = low[root] = count
+        count += 1
         # stack holds (vertex, parent, iterator over the vertex's neighbours)
         stack = [(root, -1, iter(g.adj[root]))]
         while stack:
             u, parent, nbrs = stack[-1]
             for v in nbrs:
-                if v == parent or v == skip:
+                if v == parent:
                     # one parent occurrence is skipped; multigraphs never arise
                     continue
                 if disc[v] < 0:
-                    disc[v] = low[v] = len(order)
-                    size[v] = 1
-                    order.append(v)
+                    disc[v] = low[v] = count
+                    count += 1
                     stack.append((v, u, iter(g.adj[v])))
                     break
                 if disc[v] < low[u]:
@@ -210,16 +201,12 @@ def separations(g: Graph, skip: int | None = None) -> Separations:
                     continue
                 if low[u] < low[parent]:
                     low[parent] = low[u]
-                size[parent] += size[u]
                 if low[u] >= disc[parent]:
-                    cut.setdefault(parent, []).append(u)
+                    cuts[parent] += 1
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
-    parts = len(roots)
-    pieces = {v: parts + len(cut.get(v, ())) for v in order}
-    for root in roots:
-        pieces[root] -= 1
-    return Separations(bridges, pieces, parts, order, disc, size, cut)
+    pieces = {v: parts + cuts[v] for v in g.alive_list()}
+    return Separations(bridges, pieces, parts)
 
 
 def find_bridges(g: Graph) -> set[Edge]:

@@ -183,17 +183,18 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
             continue
         tag = f"leaf{leaf.node}"
         h, pre = leaf.graph, leaf.pre_cover
-        add(f"{tag}-short-paths-alive", check_short_paths_alive(pre, h))
-        add(f"{tag}-port-neighbor-growth", check_port_neighbor_growth(pre, h))
+        comps = pre.components()
+        add(f"{tag}-short-paths-alive", check_short_paths_alive(pre, h, comps))
+        add(f"{tag}-port-neighbor-growth", check_port_neighbor_growth(pre, h, comps))
         if report.mode == "refined":
-            add(f"{tag}-pairs-off-cycles", check_pairs_off_cycles(pre, leaf.pairs))
+            add(f"{tag}-pairs-off-cycles", check_pairs_off_cycles(pre, leaf.pairs, comps))
             add(
                 f"{tag}-dead-4-path-ends",
-                check_dead_four_paths_pendant_ends(pre, h),
+                check_dead_four_paths_pendant_ends(pre, h, comps),
             )
-            add(f"{tag}-4-cycle-ports", check_four_cycles_three_ports(pre, h))
+            add(f"{tag}-4-cycle-ports", check_four_cycles_three_ports(pre, h, comps))
             cyc = []
-            for comp in pre.components():
+            for comp in comps:
                 if comp.kind == "cycle":
                     cyc.extend(cycle_port_properties(h, comp))
             add(f"{tag}-cycle-ports", cyc)

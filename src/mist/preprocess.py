@@ -261,18 +261,18 @@ def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
 # Each check returns a list of violation strings; empty means it holds.
 
 
-def check_short_paths_alive(cover: Cover, g: Graph) -> list[str]:
+def check_short_paths_alive(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
     out = []
-    for comp in cover.components():
+    for comp in cover.components() if comps is None else comps:
         if comp.kind == "path" and comp.length <= 3 and path_is_dead(g, comp):
             out.append(f"dead path of length {comp.length} at {comp.key}")
     return out
 
 
-def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
+def check_port_neighbor_growth(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
     """Outside neighbors of alive path endpoints sit deep in long paths."""
     out = []
-    comps = cover.components()
+    comps = cover.components() if comps is None else comps
     at = component_index(comps)
     for comp in comps:
         if comp.kind != "path":
@@ -295,18 +295,18 @@ def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
     return out
 
 
-def check_pairs_off_cycles(cover: Cover, pairs) -> list[str]:
+def check_pairs_off_cycles(cover: Cover, pairs, comps: Comps = None) -> list[str]:
     out = []
-    at = component_index(cover.components())
+    at = component_index(cover.components() if comps is None else comps)
     for p in pairs:
         if at[p.u1].kind == "cycle":
             out.append(f"pair vertex {p.u1} lies on a cycle")
     return out
 
 
-def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph) -> list[str]:
+def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
     out = []
-    for comp in cover.components():
+    for comp in cover.components() if comps is None else comps:
         if comp.kind == "path" and comp.length == 4 and path_is_dead(g, comp):
             for v in comp.endpoints:
                 if g.degree(v) != 1:
@@ -314,9 +314,9 @@ def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph) -> list[str]:
     return out
 
 
-def check_four_cycles_three_ports(cover: Cover, g: Graph) -> list[str]:
+def check_four_cycles_three_ports(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
     out = []
-    for comp in cover.components():
+    for comp in cover.components() if comps is None else comps:
         if comp.kind == "cycle" and comp.length == 4:
             ports = component_ports(g, comp)
             if len(ports) < 3:

@@ -117,85 +117,112 @@ def find_op9(g: Graph, sep: Separations | None = None) -> StrongReduction | None
     return None
 
 
-def find_op10(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
+def find_op10(
+    g: Graph, sep: Separations | None = None, near: set[int] | None = None
+) -> StrongReduction | None:
     """Small separated block with a Hamiltonian path: keep only the path.
 
-    The block K is a component of g - {u, v} with at most six vertices;
-    pairs u < v are tried in ascending order, the blocks of one pair by
-    smallest member.  A Hamiltonian u-v path through K needs both u and v
-    adjacent to K, so one lowpoint pass over g - u yields every candidate
-    for every v: the DFS subtree of each child that v cuts off, and the
-    rest of v's DFS tree, which holds its root.  The path uses |K| + 1
-    edges, so a block with no more edges than that has none to remove and
-    is never searched.
+    A block K is a connected vertex set of at most cap = min(6, n - 3)
+    vertices whose neighbourhood is exactly two vertices u < v, so it is a
+    component of g - {u, v} touching both.  Blocks are tried in (u, v,
+    sorted K) order.  The path uses |K| + 1 edges, so a block with no more
+    edges than that in K + {u, v} has none to remove and is never searched.
+
+    Blocks are grown from single vertices over neighbour bit masks, each
+    set once, from the first start vertex it holds (ESU enumeration).  A
+    vertex of K has degree at most |K| + 1, so only vertices of degree at
+    most cap + 1 enter, and each added vertex removes at most one vertex
+    from N(K), so a set is dropped once |N(K)| - (cap - |K|) > 2.
+
+    With near=None every block is grown.  Otherwise only blocks that hold
+    a vertex of near or whose boundary {u, v} lies inside near are: this is
+    exact when no block fires in some trace ancestor and near holds every
+    vertex whose adjacency row changed since that ancestor.  Any other
+    block has the same neighbourhood, edges and Hamiltonian paths as it
+    had there, and no reduction increases n, so cap has not grown since.
     """
-    cap = min(6, g.n_alive() - 3)
+    alive = g.alive_list()
+    cap = min(6, len(alive) - 3)
     if cap < 1:
         return None
-    for u in g.alive_list():
-        s = separations(g, skip=u)
-        blocks = []
-        start = 0
-        while start < len(s.order):
-            root = s.order[start]
-            end = start + s.size[root]
-            for v in s.order[start:end]:
-                if v < u:
-                    continue
-                kids = s.cut.get(v, ())
-                for c in kids:
-                    if s.size[c] <= cap:
-                        blocks.append((v, s.order[s.disc[c] : s.disc[c] + s.size[c]]))
-                rest = end - start - 1 - sum(s.size[c] for c in kids)
-                if v != root and rest <= cap:
-                    blocks.append((v, _rest_of_tree(s, start, end, v, kids)))
-            start = end
-        found = sorted(
-            (v, sorted(k)) for v, k in blocks if _has_spare_edge(g, u, v, k)
-        )
-        for v, k_comp in found:
-            sub, old = induced_subgraph(g, k_comp + [u, v])
-            pos = {x: idx for idx, x in enumerate(old)}
-            path = hamiltonian_path_between(sub, pos[u], pos[v])
-            if path is None:
+    adj = g.adj
+    nb = [0] * g.vertex_count
+    eligible = 0
+    for x in alive:
+        nb[x] = sum(1 << y for y in adj[x])
+        if len(adj[x]) <= cap + 1:
+            eligible |= 1 << x
+    if near is None:
+        near_mask = -1
+        starts = alive
+    else:
+        near_mask = sum(1 << x for x in near)
+        zone = near_mask
+        for x in near:
+            zone |= nb[x]
+        starts = [x for x in alive if zone >> x & 1]
+    blocks = []
+
+    def grow(k, size, out, ext, deg_sum, inner):
+        # k is a connected block of size vertices with out = N(k), degree
+        # sum deg_sum and inner edges; ext holds the vertices that may join
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            w = bit.bit_length() - 1
+            k2 = k | bit
+            out2 = (out | nb[w]) & ~k2
+            bound = out2.bit_count()
+            if bound - (cap - size - 1) > 2:
                 continue
-            keep = {norm_edge(old[a], old[b]) for a, b in zip(path, path[1:])}
-            extra = [
-                norm_edge(old[a], old[b])
-                for a, b in sub.edge_list()
-                if norm_edge(old[a], old[b]) not in keep
-            ]
-            return StrongReduction(
-                "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
-            )
+            d2 = deg_sum + len(adj[w])
+            i2 = inner + (nb[w] & k).bit_count()
+            if bound == 2:
+                record(k2, out2, d2 - i2, size + 1)
+            if size + 1 < cap:
+                grow(k2, size + 1, out2, ext | nb[w] & allowed & ~k2 & ~out, d2, i2)
+
+    def record(k, out, edges, size):
+        # edges counts those of K and those from K to u and v
+        u = (out & -out).bit_length() - 1
+        v = out.bit_length() - 1
+        if edges + (nb[u] >> v & 1) > size + 1 and (k & near_mask or not out & ~near_mask):
+            blocks.append((u, v, _members(k)))
+
+    allowed = eligible
+    for s in starts:
+        if eligible >> s & 1:
+            allowed ^= 1 << s
+            if len(adj[s]) == 2:
+                record(1 << s, nb[s], 2, 1)
+            grow(1 << s, 1, nb[s], nb[s] & allowed, len(adj[s]), 0)
+    blocks.sort()
+    for u, v, k_comp in blocks:
+        sub, old = induced_subgraph(g, k_comp + [u, v])
+        pos = {x: idx for idx, x in enumerate(old)}
+        path = hamiltonian_path_between(sub, pos[u], pos[v])
+        if path is None:
+            continue
+        keep = {norm_edge(old[a], old[b]) for a, b in zip(path, path[1:])}
+        extra = [
+            norm_edge(old[a], old[b])
+            for a, b in sub.edge_list()
+            if norm_edge(old[a], old[b]) not in keep
+        ]
+        return StrongReduction(
+            "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
+        )
     return None
 
 
-def _rest_of_tree(s: Separations, start: int, end: int, v: int, kids) -> list[int]:
-    """The DFS tree s.order[start:end] without v and the subtrees v cuts off."""
+def _members(mask: int) -> list[int]:
+    """The vertices of a bit mask, ascending."""
     out = []
-    i = start
-    while i < end:
-        x = s.order[i]
-        if x in kids:
-            i += s.size[x]
-            continue
-        if x != v:
-            out.append(x)
-        i += 1
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
     return out
-
-
-def _has_spare_edge(g: Graph, u: int, v: int, k: list[int]) -> bool:
-    """Whether K touches u and v and K + {u, v} has more than |K| + 1 edges.
-
-    K is a component of g - {u, v}, so its degree sum counts each inner
-    edge twice and each edge to u or v once.
-    """
-    to_u = sum(g.has_edge(x, u) for x in k)
-    to_v = sum(g.has_edge(x, v) for x in k)
-    edges = (sum(g.degree(x) for x in k) + to_u + to_v) // 2 + g.has_edge(u, v)
-    return to_u > 0 and to_v > 0 and edges > len(k) + 1
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -447,10 +474,15 @@ _FINDERS = {
 }
 
 
-def find_reduction(g: Graph, kinds, sep: Separations) -> StrongReduction | WeakReduction | None:
-    """First reduction of the given kinds that fires, in the order given."""
+def find_reduction(
+    g: Graph, kinds, sep: Separations, near: set[int] | None = None
+) -> StrongReduction | WeakReduction | None:
+    """First reduction of the given kinds that fires, in the order given.
+
+    near goes to op10 only; see find_op10.
+    """
     for k in kinds:
-        r = _FINDERS[k](g, sep)
+        r = _FINDERS[k](g, sep, near) if k == "op10" else _FINDERS[k](g, sep)
         if r is not None:
             return r
     return None
@@ -519,22 +551,32 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         raise DisconnectedInput("input graph is not connected")
     strong_kinds, weak_kinds = RULESETS[mode]
     trace = ReductionTrace(mode)
-    work = [trace.add_node(g.copy(), None)]
+    # each queued node carries find_op10's near set: the vertices whose rows
+    # changed since the nearest ancestor where op10 found nothing, or None
+    # when there is no such ancestor
+    work = [(trace.add_node(g.copy(), None), None)]
     while work:
-        idx = work.pop(0)
+        idx, near = work.pop(0)
         node = trace.nodes[idx]
         sep = separations(node.graph)
-        r = find_reduction(node.graph, strong_kinds, sep)
+        r = find_reduction(node.graph, strong_kinds, sep, near)
         if r is not None:
             h = apply_strong_reduction(node.graph, r)
             node.applied = r
             node.children = [trace.add_node(h, idx)]
-            work.append(node.children[0])
+            work.append(
+                (node.children[0], None if near is None else near | _changed(node.graph, h))
+            )
             continue
         w = find_reduction(node.graph, weak_kinds, sep)
         if w is not None:
             parts = apply_weak_reduction(node.graph, w)
             node.applied = w
             node.children = [trace.add_node(h, idx) for h in parts]
-            work.extend(node.children)
+            work.extend((c, _changed(node.graph, h)) for c, h in zip(node.children, parts))
     return trace
+
+
+def _changed(g: Graph, h: Graph) -> set[int]:
+    """Vertices alive in h whose adjacency row differs from g's."""
+    return {x for x in h.alive_list() if x >= g.vertex_count or g.adj[x] != h.adj[x]}

@@ -131,7 +131,9 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
     spanning cycle is broken at its smallest edge.
     """
     work = cover.copy()
-    for comp in work.components():
+    comps = work.components()
+    attached = False
+    for comp in comps:
         if comp.kind == "path" and 1 <= comp.length <= 3:
             inside = comp.vertex_set()
             attach = None
@@ -145,19 +147,21 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
             if attach is None:
                 raise InternalInvariant(f"short path at {comp.key} has no way out")
             work.add_edge(*attach)
-    while True:
+            attached = True
+    if attached:
         comps = work.components()
+    while True:
         cycles = [c for c in comps if c.kind == "cycle"]
         if not cycles:
             break
-        if _open_cycle_pair(work, g, cycles, component_index(comps)):
-            continue
-        if _open_cycle_escape(work, g, cycles):
-            continue
-        if len(comps) == 1 and comps[0].kind == "cycle":
+        if not (
+            _open_cycle_pair(work, g, cycles, component_index(comps))
+            or _open_cycle_escape(work, g, cycles)
+        ):
+            if len(comps) != 1 or comps[0].kind != "cycle":
+                raise InternalInvariant("cycle with no way out in a connected graph")
             work.remove_edge(*comps[0].edges[0])
-            continue
-        raise InternalInvariant("cycle with no way out in a connected graph")
+        comps = work.components()
     _join_components(work, g)
     return tree_result(g.alive_list(), work.edge_list())
 

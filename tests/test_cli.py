@@ -91,6 +91,24 @@ def test_gen_gnp_is_deterministic(capsys):
     assert g.n_alive() == 10 and g.is_connected()
 
 
+def test_gen_sparse_is_a_connected_tree_plus_chords(capsys):
+    # --p counts chords per vertex for this family: 0.5 * 30 = 15 chords
+    argv = ["gen", "--family", "sparse", "--n", "30", "--p", "0.5", "--seed", "3"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    cli.main(argv)
+    assert capsys.readouterr().out == first
+    g = parse_graph(first)
+    assert g.n_alive() == 30 and g.edge_count() == 29 + 15 and g.is_connected()
+
+
+def test_gen_sparse_rejects_more_chords_than_missing_edges(capsys):
+    # a 4-vertex tree leaves room for 3 chords; --p 1 asks for 4
+    code = cli.main(["gen", "--family", "sparse", "--n", "4", "--p", "1"])
+    assert code == 1
+    assert "BadParams" in capsys.readouterr().err
+
+
 def test_sweep_emits_passing_rows(capsys):
     code = cli.main(
         ["sweep", "--algo", "refined", "--n-range", "9..11", "--count", "12",

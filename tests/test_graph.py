@@ -18,7 +18,6 @@ from graphgen import ALL_COUNTS, CONNECTED_COUNTS, _classes, connected_graphs_up
 from helpers import (
     build_graph,
     naive_bridges,
-    naive_components,
     naive_cutpoints,
     naive_pieces,
 )
@@ -171,27 +170,6 @@ def test_cutpoints_match_removal_oracle(data):
     g = build_graph(n, edges)
     assert find_cutpoints(g) == naive_cutpoints(n, edges)
     assert separations(g).pieces == naive_pieces(n, edges)
-
-
-@given(small_graphs())
-def test_pass_without_a_vertex_yields_the_pieces_of_every_pair(data):
-    # each DFS tree of g - u is a run of the order led by its smallest vertex,
-    # and the subtrees that v cuts off are components of g - {u, v}
-    n, edges = data
-    g = build_graph(n, edges)
-    for u in range(n):
-        s = separations(g, skip=u)
-        start = 0
-        for comp in naive_components(g, (u,)):
-            assert s.order[start] == comp[0]
-            assert sorted(s.order[start : start + s.size[comp[0]]]) == comp
-            start += len(comp)
-        assert start == len(s.order)
-        for v in s.order:
-            pieces = naive_components(g, (u, v))
-            assert s.pieces[v] == len(pieces)
-            for c in s.cut.get(v, ()):
-                assert sorted(s.order[s.disc[c] : s.disc[c] + s.size[c]]) in pieces
 
 
 @given(small_graphs())

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import mist.pipeline
+from mist.cover import Cover
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
 from mist.exact import TreeResult, opt_spanning_tree
@@ -98,6 +99,24 @@ def test_verification_solves_a_root_that_is_its_own_leaf_once(monkeypatch, g, mo
     assert vr.ok and vr.opt == opt_spanning_tree(g).weight
     names = [c.name for c in vr.checks]
     assert "leaf0-cover-bounds-opt" in names and "leaf0-ratio" in names
+
+
+@pytest.mark.parametrize(
+    "g, mode",
+    [(build_graph(9, cyc(9)), "simple"), (gen_gnp(10, 0.4, 7), "refined")],
+)
+def test_verification_searches_each_leaf_cover_once(monkeypatch, g, mode):
+    # the cover checks and the cycle-port loop share one component list
+    report = run(g, mode, keep_state=True)
+    covers = [leaf.pre_cover for leaf in report.leaves if leaf.method == "cover"]
+    assert covers
+    searched = []
+    components = Cover.components
+    monkeypatch.setattr(
+        Cover, "components", lambda self: searched.append(self) or components(self)
+    )
+    assert verify_run(g, report).ok
+    assert [id(c) for c in searched if any(c is p for p in covers)] == [id(c) for c in covers]
 
 
 def test_run_rejects_bad_inputs():

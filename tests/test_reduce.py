@@ -9,7 +9,7 @@ import mist.reduce
 from mist import Graph, reduce_to_fixpoint
 from mist.errors import StaleWitness
 from mist.exact import opt_spanning_tree
-from mist.generate import gen_cycle, gen_path, gen_theta
+from mist.generate import gen_cycle, gen_path, gen_sparse, gen_theta
 from mist.reduce import (
     RULESETS,
     StrongReduction,
@@ -24,8 +24,10 @@ from mist.reduce import (
     find_op9,
     find_op10,
     find_op11,
+    find_reduction,
     lift_strong,
 )
+from mist.graph import separations
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import build_graph, naive_op10, random_connected
@@ -122,8 +124,8 @@ def test_op10_straightens_a_small_separated_block():
 
 
 def test_op10_finds_a_block_under_a_cut_off_dfs_child():
-    # a 20-cycle through 1-8-9-2 with the chord (1, 2); the DFS of g - 1 runs
-    # from 0 down to 2, which cuts off its child 9 and with it the block {8, 9}
+    # a 20-cycle through 1-8-9-2 with the chord (1, 2): the block {8, 9}
+    # has larger ids than the ring vertices 3-7 that follow its boundary
     ring = [1, 8, 9, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 0, 14, 15, 16, 17, 18, 19]
     g = build_graph(20, list(zip(ring, ring[1:] + ring[:1])) + [(1, 2)])
     r = find_op10(g)
@@ -134,7 +136,7 @@ def test_op10_finds_a_block_under_a_cut_off_dfs_child():
 
 def test_op10_finds_a_block_that_holds_the_dfs_root():
     # block {0, 1} between 2 and 3 with the chord (2, 3), the rest a longer
-    # cycle 3-4-...-9-2; the DFS of g - 2 starts at 0 inside the block
+    # cycle 3-4-...-9-2; the block holds the smallest vertex of the graph
     ring = [(i, i + 1) for i in range(3, 9)] + [(9, 2)]
     g = build_graph(10, [(0, 2), (0, 1), (1, 3), (2, 3)] + ring)
     r = find_op10(g)
@@ -163,14 +165,17 @@ def test_op10_never_searches_a_block_that_touches_one_boundary(monkeypatch):
     assert [0, 5, 10, 11, 12] not in searched
 
 
+def _op10_roots():
+    rng = random.Random(3)
+    roots = [random_connected(rng.randint(6, 20), 0.15, rng) for _ in range(500)]
+    return roots + [f(n) for n in range(9, 31) for f in (gen_cycle, gen_theta, gen_path)]
+
+
 def _op10_corpus():
     # every connected graph on up to 7 vertices, then seeded random graphs
     # and the chain families together with every graph of their refined runs
     yield from connected_graphs_up_to_iso(7)
-    rng = random.Random(3)
-    roots = [random_connected(rng.randint(6, 20), 0.15, rng) for _ in range(500)]
-    roots += [f(n) for n in range(9, 31) for f in (gen_cycle, gen_theta, gen_path)]
-    for g in roots:
+    for g in _op10_roots():
         for node in reduce_to_fixpoint(g, "refined").nodes:
             yield node.graph
 
@@ -184,10 +189,93 @@ def test_op10_matches_the_pair_scan():
     assert fired > 100
 
 
+def _trace_lines(trace):
+    return repr(
+        [
+            (n.parent, n.children, n.applied, n.graph.alive_list(), n.graph.edge_list())
+            for n in trace.nodes
+        ]
+    )
+
+
+def test_op10_near_search_leaves_every_refined_trace_unchanged(monkeypatch):
+    # the engine hands op10 the vertices changed since its last empty search;
+    # a finder that ignores them and grows every block gives the same trace
+    roots = list(connected_graphs_up_to_iso(7)) + _op10_roots()
+    roots += [f(n) for n in range(9, 61) for f in (gen_cycle, gen_theta, gen_path)]
+    roots += [gen_sparse(n, n // 2, n) for n in range(20, 81)]
+    real = mist.reduce.find_op10
+    calls = Counter()
+
+    def recording(g, sep=None, near=None):
+        r = real(g, sep, near)
+        calls[near is None, r is None] += 1
+        return r
+
+    full = {}
+    monkeypatch.setitem(mist.reduce._FINDERS, "op10", lambda g, sep=None, near=None: real(g, sep))
+    for i, g in enumerate(roots):
+        full[i] = _trace_lines(reduce_to_fixpoint(g, "refined"))
+    monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
+    for i, g in enumerate(roots):
+        assert _trace_lines(reduce_to_fixpoint(g, "refined")) == full[i], g
+    # most searches are local, and local searches fire too
+    assert calls[False, True] > calls[True, True] and calls[False, False] > 0
+
+
+def test_op10_grows_a_block_outside_near_whose_boundary_is_inside():
+    # blocks {2, 3} and {4, 5} sit between 0 and 1, each a path; the edge
+    # (0, 1) gives both an edge to spare.  Adding that edge changes only the
+    # rows of 0 and 1, so near = {0, 1} must still find the first block
+    g = build_graph(6, [(0, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 0), (0, 1)])
+    r = find_op10(g)
+    assert r.witness == (0, 1, (2, 3)) and r.removed_edges == ((0, 1),)
+    assert find_op10(g, near={0, 1}) == r
+    assert find_op10(g, near={3}) == r  # the block holds 3
+    # near 4 alone, only blocks that hold 4 are grown, so {2, 3} is skipped
+    assert find_op10(g, near={4}).witness == (0, 1, (4, 5))
+
+
+def test_op10_after_op4_grows_the_blocks_that_hold_the_new_pendant(monkeypatch):
+    # 0 hangs the path 0-3-4 off a ring 1-6-...-12-2-5-1 through the
+    # chords (0, 5) and (0, 2); op4 puts the pendant 13 in place of {3, 4}.
+    # The child's near set is {0, 13}, and op10 there searches the blocks
+    # {0, 5, 13} and {0, 13}, which have edges to spare but no path
+    ring = [1, 6, 7, 8, 9, 10, 11, 12, 2, 5]
+    g = build_graph(
+        13,
+        list(zip(ring, ring[1:] + ring[:1])) + [(0, 5), (0, 2), (0, 3), (3, 4)],
+    )
+    real = mist.reduce.find_op10
+    nears = []
+
+    def recording(h, sep=None, near=None):
+        nears.append(near)
+        return real(h, sep, near)
+
+    monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
+    trace = reduce_to_fixpoint(g, "refined")
+    assert trace.nodes[0].applied.kind == "op4"
+    assert trace.nodes[0].applied.pendant == 13
+    assert nears[:2] == [None, {0, 13}]
+    child = trace.nodes[1].graph
+    searched = []
+    real_sub = mist.reduce.induced_subgraph
+
+    def recording_sub(h, vertices):
+        searched.append(sorted(vertices))
+        return real_sub(h, vertices)
+
+    monkeypatch.setattr(mist.reduce, "induced_subgraph", recording_sub)
+    assert real(child, near={0, 13}) is None
+    assert [0, 1, 2, 5, 13] in searched and [0, 2, 5, 13] in searched
+    assert real(child) is None
+
+
 @pytest.mark.parametrize("family", [gen_cycle, gen_path])
 def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family):
     # no block of a chain has an edge to spare, so no path search runs, and
-    # each trace node makes its own lowpoint pass plus at most one per vertex
+    # each trace node makes exactly one lowpoint pass
     searches = []
     passes = Counter()
     real_search = mist.reduce.hamiltonian_path_between
@@ -207,7 +295,18 @@ def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family)
     assert searches == []
     assert set(passes) <= {id(node.graph) for node in trace.nodes}
     for node in trace.nodes:
-        assert passes[id(node.graph)] <= node.graph.n_alive() + 1
+        assert passes[id(node.graph)] == 1
+
+
+def test_large_sparse_reduces_leave_no_rule_for_a_full_search():
+    # the engine's near searches must not stop early: at every leaf, a search
+    # of the whole graph finds no reduction either
+    strong, weak = RULESETS["refined"]
+    for g in (gen_cycle(200), gen_sparse(500, 250, 1)):
+        trace = reduce_to_fixpoint(g, "refined")
+        for i in trace.leaves():
+            leaf = trace.nodes[i].graph
+            assert find_reduction(leaf, strong + weak, separations(leaf), None) is None
 
 
 @pytest.mark.parametrize(

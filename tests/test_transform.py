@@ -82,6 +82,28 @@ def test_simple_route_attaches_a_short_path():
     assert 4 * t.weight >= 3 * 10  # ten cover edges
 
 
+@pytest.mark.parametrize(
+    "n, host, cover, searches",
+    [
+        (6, pedges(0, 5), None, 1),
+        (6, cyc(range(6)), None, 2),
+        (12, pedges(0, 8) + [(9, 10), (10, 11), (9, 4)], pedges(0, 8) + [(9, 10), (10, 11)], 2),
+    ],
+    ids=["path", "spanning-cycle", "short-path"],
+)
+def test_simple_route_searches_components_once_per_edit(monkeypatch, n, host, cover, searches):
+    # once up front, once after the short-path pass if it attached anything,
+    # and once after each opened cycle
+    g, c = cover_on(n, host, cover)
+    calls = []
+    components = Cover.components
+    monkeypatch.setattr(
+        Cover, "components", lambda self: calls.append(1) or components(self)
+    )
+    build_tree_simple(c, g)
+    assert len(calls) == searches
+
+
 # --------------------------------------------------------------- stage 1
 
 
