@@ -57,7 +57,7 @@ class LeafSolve:
 @dataclass
 class RunReport:
     mode: str
-    graph: Graph
+    graph: Graph  # the trace's root graph, the run's one copy of the input
     tree: TreeResult
     trace: ReductionTrace
     leaves: list[LeafSolve]
@@ -119,7 +119,7 @@ def run(g: Graph, mode: str, keep_state: bool = False) -> RunReport:
     upper = sum(leaf.bound for leaf in leaves) + trace.weak_constant_total()
     if tree.weight > upper:
         raise InternalInvariant(f"weight {tree.weight} above upper bound {upper}")
-    return RunReport(mode, g.copy(), tree, trace, leaves, upper, keep_state)
+    return RunReport(mode, trace.nodes[0].graph, tree, trace, leaves, upper, keep_state)
 
 
 def solve_simple(g: Graph) -> TreeResult:

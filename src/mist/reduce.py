@@ -9,10 +9,13 @@ trees of the parts, gaining at least c internal vertices.
 
 reduce_to_fixpoint applies these until none fires, recording every step
 in a trace forest so the leaf solutions can be lifted back to the root.
+The trace keeps the graphs of its root and leaves only; lifting rebuilds
+every other graph by undoing its step on the graphs of its children.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -56,6 +59,7 @@ class WeakReduction:
     pendant: int | None = None
     inner_tree: tuple[Edge, ...] | None = None
     inner_opt: int | None = None
+    block_edges: tuple[Edge, ...] | None = None  # G[K + {v}], put back when undoing op4
     merged: Edge | None = None
     outside: tuple[int, int] | None = None
 
@@ -230,7 +234,7 @@ def _check(cond: bool, msg: str) -> None:
         raise StaleWitness(msg)
 
 
-def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
+def _revalidate_strong(g: Graph, r: StrongReduction, sep: Separations | None) -> None:
     for u, v in r.removed_edges:
         _check(g.has_edge(u, v), f"edge {u}-{v} gone")
     for v in r.removed_vertices:
@@ -242,7 +246,7 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
         _check(g.has_edge(u1, v) and g.has_edge(u2, v), "support edges gone")
     elif r.kind == "op2":
         u1, u2 = r.witness
-        sep = separations(g)
+        sep = sep or separations(g)
         _check(norm_edge(u1, u2) not in sep.bridges, "edge became a bridge")
         _check(
             sep.pieces[u1] >= 2 and sep.pieces[u2] >= 2, "separation condition gone"
@@ -256,7 +260,7 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
                 f"twin {t} changed",
             )
         if r.kind == "op8":
-            _check(separations(g).pieces[u2] >= 2, "separation condition gone")
+            _check((sep or separations(g)).pieces[u2] >= 2, "separation condition gone")
     elif r.kind == "op10":
         u, v, k_comp = r.witness
         _check(g.is_alive(u) and g.is_alive(v), f"boundary {u} or {v} gone")
@@ -267,8 +271,11 @@ def _revalidate_strong(g: Graph, r: StrongReduction) -> None:
         _check(touched == {u, v}, f"block neighbourhood is not exactly {{{u}, {v}}}")
 
 
-def apply_strong_reduction(g: Graph, r: StrongReduction) -> Graph:
-    _revalidate_strong(g, r)
+def apply_strong_reduction(
+    g: Graph, r: StrongReduction, sep: Separations | None = None
+) -> Graph:
+    """The graph after the step; sep is separations(g), computed when None."""
+    _revalidate_strong(g, r, sep)
     h = g.copy()
     for u, v in r.removed_edges:
         h.remove_edge(u, v)
@@ -347,6 +354,9 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
                 pendant=g.vertex_count,
                 inner_tree=inner,
                 inner_opt=t.weight,
+                block_edges=tuple(
+                    norm_edge(old[a], old[b]) for a, b in sub.edge_list() if b != pend
+                ),
             )
     return None
 
@@ -491,7 +501,7 @@ def find_reduction(
 @dataclass
 class TraceNode:
     index: int
-    graph: Graph
+    graph: Graph | None  # kept at the root and the leaves only
     parent: int | None
     applied: StrongReduction | WeakReduction | None = None
     children: list[int] = field(default_factory=list)
@@ -502,7 +512,7 @@ class ReductionTrace:
         self.mode = mode
         self.nodes: list[TraceNode] = []
 
-    def add_node(self, graph: Graph, parent: int | None) -> int:
+    def add_node(self, graph: Graph | None, parent: int | None) -> int:
         idx = len(self.nodes)
         self.nodes.append(TraceNode(idx, graph, parent))
         return idx
@@ -518,21 +528,81 @@ class ReductionTrace:
         )
 
     def lift_all(self, leaf_trees: dict[int, TreeResult]) -> TreeResult:
+        """Lift the leaf trees to a spanning tree of the root graph.
+
+        Children come after their parent, so one reverse walk sees every
+        node after its children.  Each internal graph is rebuilt by undoing
+        the node's step on its children's graphs, starting from copies of
+        the leaf graphs, and every lifted tree must span its rebuilt graph.
+        A child's graph and tree are dropped once its parent has used them.
+        """
         trees: dict[int, TreeResult] = {}
+        graphs: dict[int, Graph] = {}
         for node in reversed(self.nodes):
             if not node.children:
                 if node.index not in leaf_trees:
                     raise InternalInvariant(f"no tree for leaf {node.index}")
                 t = leaf_trees[node.index]
+                h = node.graph.copy()
             else:
-                subs = [trees[c] for c in node.children]
+                subs = [trees.pop(c) for c in node.children]
+                parts = [graphs.pop(c) for c in node.children]
                 if isinstance(node.applied, StrongReduction):
                     t = lift_strong(node.applied, subs[0])
+                    h = _undo_strong(node.applied, parts[0])
                 else:
                     t = lift_tree(node.applied, subs)
-            _assert_spans(t, node.graph)
+                    h = _undo_weak(node.applied, parts)
+            _assert_spans(t, h)
             trees[node.index] = t
+            graphs[node.index] = h
+        root = self.nodes[0].graph
+        if graphs[0].alive != root.alive or graphs[0].adj != root.adj:
+            raise InternalInvariant("undoing the steps did not rebuild the input graph")
         return trees[0]
+
+
+def _undo_strong(r: StrongReduction, h: Graph) -> Graph:
+    """The graph r was applied to, rebuilt in place from its result h."""
+    for v in r.removed_vertices:
+        h.alive[v] = True
+    for u, v in r.removed_edges:
+        h.add_edge(u, v)
+    return h
+
+
+def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
+    """The graph r was applied to, rebuilt in place in its first part."""
+    h = parts[0]
+    if r.kind == "op3":
+        other = parts[1]
+        for x in r.sides[1]:
+            h.alive[x] = True
+            h.adj[x] = other.adj[x]
+        h.add_edge(*r.bridge)
+    elif r.kind == "op4":
+        # the pendant is the last id, added by the step
+        h.remove_edge(r.cut_vertex, r.pendant)
+        h.vertex_count -= 1
+        h.alive.pop()
+        h.adj.pop()
+        for x in r.component:
+            h.alive[x] = True
+        # the many block edges skip add_edge's checks: the root check covers them
+        for u, v in r.block_edges:
+            insort(h.adj[u], v)
+            insort(h.adj[v], u)
+    elif r.kind == "op11":
+        u1, u2 = r.merged
+        o1, o2 = r.outside
+        if o1 != o2:
+            h.remove_edge(u1, o2)
+        h.alive[u2] = True
+        h.add_edge(u1, u2)
+        h.add_edge(u2, o2)
+    else:
+        raise InternalInvariant(f"unknown weak reduction {r.kind}")
+    return h
 
 
 def _assert_spans(t: TreeResult, g: Graph) -> None:
@@ -544,36 +614,43 @@ def _assert_spans(t: TreeResult, g: Graph) -> None:
 
 
 def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
-    """Apply reductions until none fires, strong ones first at every step."""
+    """Apply reductions until none fires, strong ones first at every step.
+
+    Nodes are processed in index order, each with its graph; only the root
+    and the leaves keep theirs in the trace.
+    """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
     if not g.is_connected():
         raise DisconnectedInput("input graph is not connected")
     strong_kinds, weak_kinds = RULESETS[mode]
     trace = ReductionTrace(mode)
-    # each queued node carries find_op10's near set: the vertices whose rows
-    # changed since the nearest ancestor where op10 found nothing, or None
-    # when there is no such ancestor
-    work = [(trace.add_node(g.copy(), None), None)]
+    root = g.copy()
+    # each queued node carries its graph and find_op10's near set: the
+    # vertices whose rows changed since the nearest ancestor where op10
+    # found nothing, or None when there is no such ancestor
+    work = [(trace.add_node(root, None), root, None)]
     while work:
-        idx, near = work.pop(0)
+        idx, h, near = work.pop(0)
         node = trace.nodes[idx]
-        sep = separations(node.graph)
-        r = find_reduction(node.graph, strong_kinds, sep, near)
+        sep = separations(h)
+        r = find_reduction(h, strong_kinds, sep, near)
         if r is not None:
-            h = apply_strong_reduction(node.graph, r)
+            child = apply_strong_reduction(h, r, sep)
             node.applied = r
-            node.children = [trace.add_node(h, idx)]
+            node.children = [trace.add_node(None, idx)]
             work.append(
-                (node.children[0], None if near is None else near | _changed(node.graph, h))
+                (node.children[0], child, None if near is None else near | _changed(h, child))
             )
             continue
-        w = find_reduction(node.graph, weak_kinds, sep)
-        if w is not None:
-            parts = apply_weak_reduction(node.graph, w)
-            node.applied = w
-            node.children = [trace.add_node(h, idx) for h in parts]
-            work.extend((c, _changed(node.graph, h)) for c, h in zip(node.children, parts))
+        w = find_reduction(h, weak_kinds, sep)
+        if w is None:
+            node.graph = h
+            continue
+        parts = apply_weak_reduction(h, w)
+        node.applied = w
+        node.children = [trace.add_node(None, idx) for _ in parts]
+        work.extend((c, p, _changed(h, p)) for c, p in zip(node.children, parts))
     return trace
 
 

@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: removal-and-recount for
 bridges and cut-points, raw enumeration for optima, the all-pairs scan
 for op10.  None of it shares code with the library beyond the Graph and
 StrongReduction containers and norm_edge, so a bug cannot hide on both
-sides at once.
+sides at once.  The exception is replay, which rebuilds the graphs a
+reduction trace does not keep by applying its steps forward.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -25,7 +26,7 @@ from mist.errors import (
     SizeCapExceeded,
 )
 from mist.exact import OST_CAP, TreeResult, tree_result
-from mist.reduce import StrongReduction
+from mist.reduce import StrongReduction, apply_strong_reduction, apply_weak_reduction
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -426,6 +427,27 @@ def random_connected(n: int, p: float, rng: random.Random) -> Graph:
             if not g.has_edge(u, v) and rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def replay(trace) -> list[Graph]:
+    """The graph of every trace node, in index order.
+
+    The trace keeps the graphs of its root and leaves only; this applies
+    each node's step forward from the root, in index order, so every parent
+    is rebuilt before its children.
+    """
+    graphs = {0: trace.nodes[0].graph}
+    for node in trace.nodes:
+        r = node.applied
+        if r is None:
+            continue
+        g = graphs[node.index]
+        if isinstance(r, StrongReduction):
+            parts = [apply_strong_reduction(g, r)]
+        else:
+            parts = apply_weak_reduction(g, r)
+        graphs.update(zip(node.children, parts))
+    return [graphs[i] for i in range(len(trace.nodes))]
 
 
 def outcome_line(name: str, mode: str, outcome) -> str:

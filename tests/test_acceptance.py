@@ -28,7 +28,7 @@ from mist.reduce import StrongReduction, WeakReduction, reduce_to_fixpoint
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import outcome_digest, outcome_line, random_tree
+from helpers import outcome_digest, outcome_line, random_tree, replay
 
 RANDOM_COUNT = 2000
 
@@ -255,13 +255,14 @@ def safety():
     for name, g in _safety_corpus():
         for mode in ("simple", "refined"):
             tr = reduce_to_fixpoint(g, mode)
+            graphs = replay(tr)
             for node in tr.nodes:
                 red = node.applied
                 if red is None:
                     continue
                 tag = f"{name}/{mode}/{red.kind}"
-                parent_opt = opt_spanning_tree(node.graph).weight
-                kids = [tr.nodes[c].graph for c in node.children]
+                parent_opt = opt_spanning_tree(graphs[node.index]).weight
+                kids = [graphs[c] for c in node.children]
                 if isinstance(red, StrongReduction):
                     s.strong_steps += 1
                     if opt_spanning_tree(kids[0]).weight != parent_opt:

@@ -1,6 +1,7 @@
 """End-to-end runs: solve wrappers, reports, and run verification."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,27 @@ def test_refined_handles_the_triple_twin_instance():
     vr = verify_run(g, report)
     assert vr.ok and vr.opt == 6
     assert 17 * report.tree.weight >= 13 * vr.opt
+
+
+def test_the_report_holds_the_trace_root_as_its_graph():
+    # the input is copied once, into the trace root, and the report shares it
+    g = gen_gnp(10, 0.4, 7)
+    report = run(g, "refined")
+    assert report.graph is report.trace.nodes[0].graph
+    assert report.graph is not g and report.graph == g
+
+
+def test_a_refined_run_of_a_200_cycle_allocates_under_one_mib():
+    # the trace keeps one step per node and the graphs of its root and
+    # leaves; a graph per node peaked at about 4.5 MiB here
+    g = gen_cycle(200)
+    tracemalloc.start()
+    try:
+        run(g, "refined")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,16 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mist.reduce
-from mist import Graph, reduce_to_fixpoint
-from mist.errors import StaleWitness
-from mist.exact import opt_spanning_tree
-from mist.generate import gen_cycle, gen_path, gen_sparse, gen_theta
+from mist import Graph, norm_edge, reduce_to_fixpoint
+from mist.errors import InternalInvariant, StaleWitness
+from mist.exact import opt_spanning_tree, tree_result
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta
 from mist.reduce import (
     RULESETS,
     StrongReduction,
@@ -30,7 +31,7 @@ from mist.reduce import (
 from mist.graph import separations
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import build_graph, naive_op10, random_connected
+from helpers import build_graph, naive_op10, random_connected, replay
 
 import random
 
@@ -176,8 +177,7 @@ def _op10_corpus():
     # and the chain families together with every graph of their refined runs
     yield from connected_graphs_up_to_iso(7)
     for g in _op10_roots():
-        for node in reduce_to_fixpoint(g, "refined").nodes:
-            yield node.graph
+        yield from replay(reduce_to_fixpoint(g, "refined"))
 
 
 def test_op10_matches_the_pair_scan():
@@ -192,8 +192,8 @@ def test_op10_matches_the_pair_scan():
 def _trace_lines(trace):
     return repr(
         [
-            (n.parent, n.children, n.applied, n.graph.alive_list(), n.graph.edge_list())
-            for n in trace.nodes
+            (n.parent, n.children, n.applied, h.alive_list(), h.edge_list())
+            for n, h in zip(trace.nodes, replay(trace))
         ]
     )
 
@@ -258,7 +258,7 @@ def test_op10_after_op4_grows_the_blocks_that_hold_the_new_pendant(monkeypatch):
     assert trace.nodes[0].applied.kind == "op4"
     assert trace.nodes[0].applied.pendant == 13
     assert nears[:2] == [None, {0, 13}]
-    child = trace.nodes[1].graph
+    child = replay(trace)[1]
     searched = []
     real_sub = mist.reduce.induced_subgraph
 
@@ -277,25 +277,39 @@ def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family)
     # no block of a chain has an edge to spare, so no path search runs, and
     # each trace node makes exactly one lowpoint pass
     searches = []
-    passes = Counter()
-    real_search = mist.reduce.hamiltonian_path_between
+    monkeypatch.setattr(
+        mist.reduce, "hamiltonian_path_between", lambda *a: searches.append(a)
+    )
+    _assert_one_pass_per_node(monkeypatch, family(40), "refined")
+    assert searches == []
+
+
+def _assert_one_pass_per_node(monkeypatch, g, mode):
+    # the passes keep their graphs alive, so no two share an id
+    passed = []
     real_pass = mist.reduce.separations
 
-    def counting_search(*args, **kwargs):
-        searches.append(args)
-        return real_search(*args, **kwargs)
-
     def counting_pass(h, *args, **kwargs):
-        passes[id(h)] += 1
+        passed.append(h)
         return real_pass(h, *args, **kwargs)
 
-    monkeypatch.setattr(mist.reduce, "hamiltonian_path_between", counting_search)
-    monkeypatch.setattr(mist.reduce, "separations", counting_pass)
-    trace = reduce_to_fixpoint(family(40), "refined")
-    assert searches == []
-    assert set(passes) <= {id(node.graph) for node in trace.nodes}
-    for node in trace.nodes:
-        assert passes[id(node.graph)] == 1
+    with monkeypatch.context() as m:
+        m.setattr(mist.reduce, "separations", counting_pass)
+        trace = reduce_to_fixpoint(g, mode)
+    assert len({id(h) for h in passed}) == len(passed) == len(trace.nodes)
+    assert [(h.alive, h.adj) for h in passed] == [(h.alive, h.adj) for h in replay(trace)]
+    return trace
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_op2_and_op8_steps_reuse_their_nodes_lowpoint_pass(monkeypatch, mode):
+    # applying op2 or op8 checks the separation condition again, on the
+    # pass the engine made for that node, not on a second one
+    fired = Counter()
+    for seed in range(30):
+        trace = _assert_one_pass_per_node(monkeypatch, gen_gnp(10, 0.3, seed), mode)
+        fired.update(n.applied.kind for n in trace.nodes if n.applied is not None)
+    assert fired["op2"] > 0 and (mode == "simple" or fired["op8"] > 0)
 
 
 def test_large_sparse_reduces_leave_no_rule_for_a_full_search():
@@ -461,12 +475,13 @@ def walk_trace_checking_safety(g, mode):
     """Every strong step keeps opt; every weak step satisfies the
     constant-sum identity; the vertex+edge measure strictly drops."""
     tr = reduce_to_fixpoint(g, mode)
+    graphs = replay(tr)
     for node in tr.nodes:
         red = node.applied
         if red is None:
             continue
-        parent = node.graph
-        kids = [tr.nodes[c].graph for c in node.children]
+        parent = graphs[node.index]
+        kids = [graphs[c] for c in node.children]
         parent_opt = opt_spanning_tree(parent).weight
         if isinstance(red, StrongReduction):
             assert len(kids) == 1
@@ -482,6 +497,71 @@ def walk_trace_checking_safety(g, mode):
     lifted = tr.lift_all(leaf_trees)
     assert lifted.weight == opt_spanning_tree(g).weight
     return tr
+
+
+def _bfs_tree(h):
+    """Some spanning tree of h: every lift floor holds for any subtrees."""
+    start = h.alive_list()[0]
+    seen, edges, queue = {start}, [], [start]
+    for u in queue:
+        for v in h.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                edges.append(norm_edge(u, v))
+                queue.append(v)
+    return tree_result(seen, edges)
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mode):
+    # lifting undoes each step on the children's graphs; every graph a lifted
+    # tree is checked against equals the one the forward replay gives
+    checked = []
+    real = mist.reduce._assert_spans
+
+    def recording(t, h):
+        checked.append((list(h.alive), [list(row) for row in h.adj]))
+        real(t, h)
+
+    monkeypatch.setattr(mist.reduce, "_assert_spans", recording)
+    roots = list(connected_graphs_up_to_iso(7)) + _op10_roots()
+    roots += [f(n) for n in range(31, 49) for f in (gen_cycle, gen_theta, gen_path)]
+    for g in roots:
+        tr = reduce_to_fixpoint(g, mode)
+        kept = [n.index for n in tr.nodes if n.graph is not None]
+        assert kept == sorted({0, *tr.leaves()})
+        checked.clear()
+        tr.lift_all({i: _bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
+        assert checked == [(h.alive, h.adj) for h in reversed(replay(tr))], g
+
+
+def _lift_tampered(g, kind, **changes):
+    tr = reduce_to_fixpoint(g, "simple")
+    node = tr.nodes[0]
+    assert node.applied.kind == kind
+    node.applied = dataclasses.replace(node.applied, **changes)
+    leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
+    with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
+        tr.lift_all(leaf_trees)
+
+
+def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
+    # the triangle edge the inner tree leaves out is dropped from the step,
+    # so every tree still spans its graph and only the root check sees it
+    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    r = reduce_to_fixpoint(g, "simple").nodes[0].applied
+    spare = [e for e in r.block_edges if e not in r.inner_tree]
+    assert len(spare) == 1
+    _lift_tampered(g, "op4", block_edges=tuple(e for e in r.block_edges if e not in spare))
+
+
+def test_lift_rejects_an_op3_step_whose_bridge_moved():
+    # the bridge 2-4 becomes 3-4: the lifted tree still spans, the root does not match
+    g = build_graph(
+        8,
+        [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 6), (4, 7)],
+    )
+    _lift_tampered(g, "op3", bridge=(3, 4))
 
 
 def test_safety_exhaustive_small_graphs():
