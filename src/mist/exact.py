@@ -60,7 +60,19 @@ def tree_vertices(t: TreeResult) -> list[int]:
     return sorted(verts)
 
 
-def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
+def internal_bound(g: Graph) -> int:
+    """n - max(2, F), an upper bound on the internal vertices of any
+    spanning tree of g, where F counts the vertices of degree <= 1: each
+    is a leaf of every spanning tree, and a tree on n >= 3 vertices has at
+    least two leaves.  0 when n <= 2.
+    """
+    n = g.n_alive()
+    if n <= 2:
+        return 0
+    return n - max(2, sum(1 for v in g.alive_list() if g.degree(v) <= 1))
+
+
+def opt_spanning_tree(g: Graph, cap: int = OST_CAP, floor: int = 0) -> TreeResult:
     """Spanning tree maximizing the number of internal vertices.
 
     Branch and bound over edges in sorted order: include (if acyclic)
@@ -79,6 +91,10 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     the two counts cannot beat the best weight strictly.  Since only a
     strictly heavier tree replaces the best one, the answer is the first
     optimum in include-first order, with or without the cuts.
+
+    floor seeds the incumbent at floor - 1, so every subtree that cannot
+    reach floor is cut.  Any floor <= opt returns the same tree; a floor
+    above opt (or above internal_bound(g)) raises InternalInvariant.
     """
     verts = g.alive_list()
     n = len(verts)
@@ -88,6 +104,9 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
     if not g.is_connected():
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
+    # the search's root bound; unseeded calls (floor 0) cannot exceed it
+    if floor > 0 and floor > internal_bound(g):
+        raise InternalInvariant(f"floor {floor} above the leaf bound of g")
     if n == 1:
         return TreeResult((), 0, (verts[0],))
     pos = {v: i for i, v in enumerate(verts)}
@@ -100,8 +119,8 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
         nbrs[a] |= 1 << b
         nbrs[b] |= 1 << a
     chosen: list[tuple[int, int]] = []
-    best_w = -1
-    best_edges: list[tuple[int, int]] = []
+    best_w = floor - 1
+    best_edges: list[tuple[int, int]] | None = None
 
     def reaches(a, b):
         seen = frontier = 1 << a
@@ -157,8 +176,8 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
         nbrs[b] |= 1 << a
 
     rec(0, 0, 0, sum(1 for v in verts if g.degree(v) <= 1))
-    if best_w < 0:
-        raise InternalInvariant("no spanning tree found in a connected graph")
+    if best_edges is None:
+        raise InternalInvariant(f"no spanning tree with {floor} or more internal vertices")
     return tree_result(verts, [(verts[a], verts[b]) for a, b in best_edges])
 
 

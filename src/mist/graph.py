@@ -158,6 +158,7 @@ class Separations(NamedTuple):
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
+    sizes: dict[int, list[int]]  # sizes[v]: component sizes of g - v, cut vertices only
 
 
 def separations(g: Graph) -> Separations:
@@ -166,12 +167,17 @@ def separations(g: Graph) -> Separations:
     One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
     each DFS child c with low[c] >= disc[v], whose subtree is then a
     component of its own; the rest of v's component is one more piece
-    unless v is the root of its DFS tree.
+    unless v is the root of its DFS tree.  For every cut vertex the sizes
+    of those pieces (subtree sizes, the rest, and g's other components)
+    are kept too.
     """
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
     cuts = [0] * g.vertex_count  # children cut off, -1 extra at each root
+    kids: dict[int, list[int]] = {}  # sizes of the cut-off subtrees
     bridges: set[Edge] = set()
+    sizes: dict[int, list[int]] = {}
+    totals: list[int] = []  # component sizes of g
     parts = count = 0
     for root in g.alive_list():
         if disc[root] >= 0:
@@ -203,10 +209,30 @@ def separations(g: Graph) -> Separations:
                     low[parent] = low[u]
                 if low[u] >= disc[parent]:
                     cuts[parent] += 1
+                    # u's subtree was numbered last: disc[u] up to count
+                    if parent in kids:
+                        kids[parent].append(count - disc[u])
+                    else:
+                        kids[parent] = [count - disc[u]]
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
+        total = count - disc[root]
+        totals.append(total)
+        for cut_off in kids.values():
+            rest = total - 1 - sum(cut_off)
+            if rest:
+                cut_off.append(rest)
+        if cuts[root] == 0:
+            kids.pop(root, None)  # a root with one child cuts nothing off
+        sizes.update(kids)
+        kids.clear()
+    if parts > 1:
+        for own in sizes.values():
+            others = list(totals)
+            others.remove(sum(own) + 1)  # v's own component
+            own.extend(others)
     pieces = {v: parts + cuts[v] for v in g.alive_list()}
-    return Separations(bridges, pieces, parts)
+    return Separations(bridges, pieces, parts, sizes)
 
 
 def find_bridges(g: Graph) -> set[Edge]:

@@ -4,7 +4,8 @@ A run reduces the input to a trace of irreducible leaves, solves each
 leaf (exactly when small enough, through a path-cycle cover otherwise),
 and lifts the leaf trees back through the trace.  verify_run replays a
 retained run against the structural predicates and, when the pieces are
-small enough, against brute force.
+small enough, against the exact optimum, certified by the run's own tree
+where it meets the leaf bound and searched for otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, DisconnectedInput, InternalInvariant, SizeCapExceeded
-from .exact import OST_CAP, TreeResult, max_tfpcc_exact, opt_spanning_tree
+from .exact import OST_CAP, TreeResult, internal_bound, max_tfpcc_exact, opt_spanning_tree
 from .graph import Graph, find
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -171,12 +172,12 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
             ok, detail = violations, ""
         checks.append(Check(name, ok, detail))
 
-    # solved once up front: most cover leaves are the input graph itself
-    opt = opt_spanning_tree(g).weight if g.n_alive() <= OST_CAP else None
-
     tree = report.tree
-    add("tree-spans-input", _spans(tree, g))
+    spans = _spans(tree, g)
+    add("tree-spans-input", spans)
     add("weight-below-upper-bound", tree.weight <= report.upper_bound)
+    # certified once up front: most cover leaves are the input graph itself
+    opt = _certified_opt(g, tree if spans else None) if g.n_alive() <= OST_CAP else None
 
     for leaf in report.leaves:
         if leaf.method != "cover":
@@ -216,7 +217,10 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
         else:
             add(f"{tag}-cover-ratio", 4 * leaf.tree.weight >= 3 * leaf.cover_edges)
         if h.n_alive() <= OST_CAP:
-            opt_leaf = opt if h == g else opt_spanning_tree(h).weight
+            if h == g:
+                opt_leaf = opt
+            else:
+                opt_leaf = _certified_opt(h, leaf.tree if _spans(leaf.tree, h) else None)
             add(f"{tag}-cover-bounds-opt", leaf.cover_edges >= opt_leaf)
             num, den = _RATIOS[report.mode]
             add(f"{tag}-ratio", den * leaf.tree.weight >= num * opt_leaf)
@@ -234,6 +238,27 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
         num, den = _RATIOS[report.mode]
         add("ratio", den * tree.weight >= num * opt)
     return VerificationReport(tuple(checks), opt)
+
+
+def _certified_opt(h: Graph, t: TreeResult | None) -> int:
+    """Best spanning-tree weight of h, given a spanning tree t of h (None
+    when there is none to go by).
+
+    t's internal vertices, counted from its edges, never from t.weight, are
+    a lower bound w on the optimum and internal_bound(h) an upper bound;
+    when they meet, w is the optimum and no search runs.  Otherwise the
+    search starts from w, which leaves its answer unchanged.
+    """
+    if t is None:
+        return opt_spanning_tree(h).weight
+    deg = [0] * h.vertex_count
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
+    w = len(deg) - deg.count(0) - deg.count(1)  # tree degree >= 2
+    if w == internal_bound(h):
+        return w
+    return opt_spanning_tree(h, floor=w).weight
 
 
 def _spans(t: TreeResult, g: Graph) -> bool:

@@ -324,10 +324,14 @@ def find_op3(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
 
 
 def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
-    """Cut-point with a small hanging block: solve the block exactly."""
+    """Cut-point with a small hanging block: solve the block exactly.
+
+    The lowpoint pass gives the piece sizes of every cut vertex, so only
+    the first cut vertex with a piece of 2-8 vertices is searched.
+    """
     sep = sep or separations(g)
-    for v in g.alive_list():
-        if sep.pieces[v] <= sep.parts:
+    for v in sorted(sep.sizes):
+        if not any(2 <= k <= 8 for k in sep.sizes[v]):
             continue
         comps = connected_components(g, blocked=frozenset((v,)))
         for k_comp in comps:

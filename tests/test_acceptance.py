@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+import mist.pipeline
 from mist import cli
 from mist.exact import opt_spanning_tree, path_cover_from_tree, tree_result
 from mist.fileio import emit_graph
@@ -92,6 +93,7 @@ class Survey:
     cover_bound_bad: list = field(default_factory=list)
     predicate_bad: list = field(default_factory=list)
     counter_bad: list = field(default_factory=list)
+    certificate_bad: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)
     cover_lines: list = field(default_factory=list)
 
@@ -102,18 +104,32 @@ def _cover_line(tag: str, leaf) -> str:
     return f"{tag} {[c.edge_list() for c in covers]} {st.stats}\n"
 
 
+def _verdict(vr) -> tuple:
+    return vr.opt, [(c.name, c.ok, c.detail) for c in vr.checks]
+
+
+def _unseeded_verdict(g, report) -> tuple:
+    """verify_run's verdict when every optimum comes from an unseeded search."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mist.pipeline, "_certified_opt", lambda h, t: opt_spanning_tree(h).weight)
+        return _verdict(verify_run(g, report))
+
+
 @pytest.fixture(scope="session")
 def survey():
     s = Survey()
     for name, g in _corpus():
         opt = opt_spanning_tree(g).weight
         refined = run(g, "refined", keep_state=True)
-        simple = run(g, "simple")
+        simple = run(g, "simple", keep_state=True)
         s.instances += 1
         s.outcomes.append(outcome_line(name, "refined", refined))
         s.outcomes.append(outcome_line(name, "simple", simple))
-        checks = [(c.name, c.ok, c.detail) for c in verify_run(g, refined).checks]
-        s.cover_lines.append(f"{name} {checks}\n")
+        verdicts = [_verdict(verify_run(g, r)) for r in (refined, simple)]
+        s.cover_lines.append(f"{name} {verdicts[0][1]}\n")
+        for report, verdict in zip((refined, simple), verdicts):
+            if verdict != _unseeded_verdict(g, report):
+                s.certificate_bad.append(f"{name}/{report.mode}")
         if 17 * refined.tree.weight < 13 * opt:
             s.refined_ratio_bad.append(name)
         if 4 * simple.tree.weight < 3 * opt:
@@ -220,6 +236,14 @@ def test_component_counters_bound_the_leaf_optimum(survey):
         "counter caps bound opt on every stats leaf",
         survey.stats_leaves,
         survey.counter_bad,
+    )
+
+
+def test_certified_opt_and_checks_match_an_unseeded_search(survey):
+    _report(
+        "verify_run's opt and checks equal an unseeded search's, both modes",
+        2 * survey.instances,
+        survey.certificate_bad,
     )
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mist import Graph, norm_edge
-from mist.errors import DisconnectedInput, SizeCapExceeded
+from mist.errors import DisconnectedInput, InternalInvariant, SizeCapExceeded
 from mist.exact import (
     hamiltonian_path_between,
+    internal_bound,
     max_tfpcc_exact,
     opt_spanning_tree,
     path_cover_from_tree,
@@ -335,3 +336,25 @@ def test_opt_search_visits_no_more_nodes_than_the_reference():
         new, new_nodes = _rec_calls(opt_spanning_tree, g)
         ref, ref_nodes = _rec_calls(reference_opt_spanning_tree, g)
         assert new == ref and new_nodes <= ref_nodes, g
+
+
+def test_a_floor_up_to_opt_returns_the_same_tree_and_one_above_raises():
+    # only a strictly heavier tree replaces the incumbent, so starting it at
+    # floor - 1 <= opt - 1 still ends at the first optimum in include-first order
+    rng = random.Random(46)
+    gnp = [gen_gnp(rng.randint(8, 12), 0.3, seed) for seed in range(200)]
+    for g in connected_graphs_up_to_iso(7) + gnp:
+        want = opt_spanning_tree(g)
+        assert want.weight <= internal_bound(g), g
+        for floor in range(want.weight + 1):
+            assert opt_spanning_tree(g, floor=floor) == want, (g, floor)
+        with pytest.raises(InternalInvariant):
+            opt_spanning_tree(g, floor=want.weight + 1)
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [(Graph(1), 0), (path(2), 0), (path(5), 3), (star(6), 1), (cycle(6), 4), (complete(5), 3)],
+)
+def test_internal_bound_counts_two_leaves_or_every_low_degree_vertex(g, bound):
+    assert internal_bound(g) == bound

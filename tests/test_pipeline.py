@@ -9,7 +9,7 @@ import mist.pipeline
 from mist.cover import Cover
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
-from mist.exact import TreeResult, opt_spanning_tree
+from mist.exact import TreeResult, internal_bound, opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_theta, gen_twins
 
 from helpers import build_graph, outcome_digest, outcome_line
@@ -102,25 +102,50 @@ def test_a_refined_run_of_a_200_cycle_allocates_under_one_mib():
     assert peak < 1 << 20
 
 
+def _count_searches(monkeypatch):
+    """Record (graph, floor) for every opt_spanning_tree call verify_run makes."""
+    solved = []
+
+    def counted(h, floor=0):
+        solved.append((h, floor))
+        return opt_spanning_tree(h, floor=floor)
+
+    monkeypatch.setattr(mist.pipeline, "opt_spanning_tree", counted)
+    return solved
+
+
 @pytest.mark.parametrize(
     "g, mode",
     [(build_graph(9, cyc(9)), "simple"), (gen_gnp(10, 0.4, 7), "refined")],
 )
-def test_verification_solves_a_root_that_is_its_own_leaf_once(monkeypatch, g, mode):
+def test_verification_certifies_a_root_that_is_its_own_leaf_without_a_search(
+    monkeypatch, g, mode
+):
+    # the run's tree meets the leaf bound n - max(2, #degree <= 1), so it is
+    # optimal and the verifier needs no search (the 9-cycle's is a Hamiltonian path)
     report = run(g, mode, keep_state=True)
     assert [(leaf.method, leaf.graph) for leaf in report.leaves] == [("cover", g)]
-    solved = []
-
-    def counted(h):
-        solved.append(h)
-        return opt_spanning_tree(h)
-
-    monkeypatch.setattr(mist.pipeline, "opt_spanning_tree", counted)
+    assert report.tree.weight == internal_bound(g)
+    solved = _count_searches(monkeypatch)
     vr = verify_run(g, report)
-    assert solved == [g]
+    assert solved == []
     assert vr.ok and vr.opt == opt_spanning_tree(g).weight
     names = [c.name for c in vr.checks]
     assert "leaf0-cover-bounds-opt" in names and "leaf0-ratio" in names
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_verification_seeds_one_search_with_the_trees_weight(monkeypatch, mode):
+    # weight 8 against a leaf bound of 9: one search, floor 8, for the input
+    # and its own cover leaf together
+    g = gen_gnp(11, 0.3, 27)
+    report = run(g, mode, keep_state=True)
+    assert [(leaf.method, leaf.graph) for leaf in report.leaves] == [("cover", g)]
+    assert (report.tree.weight, internal_bound(g)) == (8, 9)
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == [(g, 8)]
+    assert vr.ok and vr.opt == opt_spanning_tree(g).weight == 8
 
 
 @pytest.mark.parametrize(
@@ -185,6 +210,74 @@ def test_verification_rejects_a_cycle_plus_a_disjoint_edge():
     report.tree = TreeResult(((0, 1), (0, 2), (1, 2), (3, 4)), 3, (3, 4))
     vr = verify_run(g, report)
     assert "tree-spans-input" in [c.name for c in vr.failing()]
+
+
+@pytest.mark.parametrize("n, seed, floors", [(10, 8, ()), (11, 82, (8, 7))])
+def test_verification_certifies_a_reduced_cover_leaf_with_its_own_tree(
+    monkeypatch, n, seed, floors
+):
+    # the leaf's tree certifies the leaf's optimum as the run's tree does the
+    # input's: no search when it meets the leaf bound, one seeded with it if
+    # not; floors lists the run's and the leaf's tree weights in that case
+    g = gen_gnp(n, 0.3, seed)
+    report = run(g, "refined", keep_state=True)
+    (leaf,) = [leaf for leaf in report.leaves if leaf.method == "cover"]
+    assert leaf.graph != g
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == list(zip((g, leaf.graph), floors))
+    assert floors in ((), (report.tree.weight, leaf.tree.weight))
+    assert vr.ok and vr.opt == opt_spanning_tree(g).weight
+    assert f"leaf{leaf.node}-ratio" in [c.name for c in vr.checks]
+
+
+def test_verification_falls_back_to_an_unseeded_search_for_a_tree_that_does_not_span(
+    monkeypatch,
+):
+    g = build_graph(9, cyc(9))
+    report = run(g, "simple", keep_state=True)
+    edges = list(report.tree.edges)
+    edges[0] = (0, 4)
+    report.tree = TreeResult(tuple(sorted(edges)), report.tree.weight, report.tree.leaves)
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == [(g, 0)]
+    assert vr.opt == 7
+    assert [c.name for c in vr.failing()] == ["tree-spans-input"]
+
+
+def test_verification_recounts_the_weight_instead_of_trusting_the_field(monkeypatch):
+    # an optimal tree claiming one internal vertex more: the certificate uses
+    # the recounted 7, so opt stays 7 and the claim fails against it
+    g = build_graph(9, cyc(9))
+    report = run(g, "simple", keep_state=True)
+    report.tree = dataclasses.replace(report.tree, weight=report.tree.weight + 1)
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == []
+    assert vr.opt == 7
+    assert [c.name for c in vr.failing()] == ["weight-at-most-opt"]
+
+
+def test_verification_seeds_one_search_with_a_worse_spanning_tree(monkeypatch):
+    g = gen_gnp(10, 0.4, 7)
+    report = run(g, "refined", keep_state=True)
+    hub = max(g.alive_list(), key=g.degree)
+    seen, order = {hub}, [hub]
+    edges = []
+    for u in order:  # breadth-first from the vertex of largest degree
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                edges.append((min(u, v), max(u, v)))
+    worse = tree_result(g.alive_list(), edges)
+    assert worse.weight < opt_spanning_tree(g).weight == 8
+    report.tree = worse
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == [(g, worse.weight)]
+    assert vr.opt == 8
 
 
 def test_verification_catches_tampered_component_stats():

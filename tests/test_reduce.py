@@ -384,6 +384,34 @@ def test_op3_ignores_bridges_without_the_cutpoint_condition():
     assert find_op3(g) is None
 
 
+def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
+    # the lowpoint pass's piece sizes pick the cut vertex to search; the
+    # witness is the one a search of every cut vertex in id order finds
+    searches = []
+    real = mist.reduce.connected_components
+
+    def counted(g, blocked=frozenset()):
+        searches.append(blocked)
+        return real(g, blocked)
+
+    monkeypatch.setattr(mist.reduce, "connected_components", counted)
+    rng = random.Random(47)
+    graphs = [gen_sparse(n, n // 4, seed) for n in (12, 30, 60) for seed in range(20)]
+    graphs += [random_connected(rng.randint(6, 16), 0.1, rng) for _ in range(60)]
+    fired = scanned = 0
+    for g in graphs:
+        sep = separations(g)
+        searches.clear()
+        r = find_op4(g, sep)
+        assert len(searches) <= 1, g
+        every = {v: [2] for v in g.alive_list() if sep.pieces[v] > sep.parts}
+        searches.clear()
+        assert find_op4(g, sep._replace(sizes=every)) == r, g
+        fired += r is not None
+        scanned += len(searches) > 1
+    assert fired > 80 and scanned > 20
+
+
 def test_op4_replaces_a_hanging_component_with_a_pendant():
     # cutpoint 2 hangs the triangle rump {0, 1}; the inner instance is the
     # triangle plus a fresh pendant, worth 2, so the carried constant is 1
