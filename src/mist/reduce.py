@@ -60,8 +60,8 @@ class WeakReduction:
     inner_tree: tuple[Edge, ...] | None = None
     inner_opt: int | None = None
     block_edges: tuple[Edge, ...] | None = None  # G[K + {v}], put back when undoing op4
-    merged: Edge | None = None
-    outside: tuple[int, int] | None = None
+    # op11: ((u1, u2), (o1, o2)) per contraction, in order; u2 merges into u1
+    contractions: tuple[tuple[Edge, tuple[int, int]], ...] | None = None
 
 
 # -- strong reductions ----------------------------------------------------
@@ -366,15 +366,38 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
 
 
 def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
-    """Edge between two degree-2 vertices: contract it."""
-    for u1, u2 in g.edge_list():
-        if g.degree(u1) == 2 and g.degree(u2) == 2:
-            o1 = next(x for x in g.adj[u1] if x != u2)
-            o2 = next(x for x in g.adj[u2] if x != u1)
-            return WeakReduction(
-                "op11", 1, 1, merged=(u1, u2), outside=(o1, o2)
-            )
-    return None
+    """Contract a run of degree-2 edges along one chain.
+
+    One step is k paper-op11 contractions, each with c = 1, so c = k.  The
+    first merges u2 into u1, where (u1, u2) is the first edge whose
+    endpoints both have degree 2, so u2 is u1's lowest-id degree-2
+    neighbour.  While u1 has degree 2, its lowest-id degree-2 neighbour is
+    merged into it again.  A contraction changes no degree unless it
+    closes a triangle, which leaves u1 at degree 1 and ends the run, so
+    each is the edge a search of the contracted graph would pick first;
+    other rules are tried only between steps.  Each contraction records its
+    merged pair and its outside pair (o1, o2), the other neighbours of u1
+    and u2.
+    """
+    for u1 in g.alive_list():
+        if g.degree(u1) == 2 and any(g.degree(x) == 2 for x in g.adj[u1]):
+            break
+    else:
+        return None
+    row = g.adj[u1]  # u1's neighbours after the contractions so far
+    gone: set[int] = set()
+    run = []
+    while len(row) == 2:
+        live = [x for x in row if g.degree(x) == 2]
+        if not live:
+            break
+        u2 = live[0]
+        o1 = row[1] if row[0] == u2 else row[0]
+        o2 = next(x for x in g.adj[u2] if x != u1 and x not in gone)
+        run.append(((u1, u2), (o1, o2)))
+        gone.add(u2)
+        row = sorted({o1, o2})
+    return WeakReduction("op11", len(run), 1, contractions=tuple(run))
 
 
 def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
@@ -409,15 +432,20 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
         h.add_edge(v, u)
         out = [h]
     elif r.kind == "op11":
-        u1, u2 = r.merged
-        o1, o2 = r.outside
-        _check(g.has_edge(u1, u2), "contracted edge gone")
-        _check(g.degree(u1) == 2 and g.degree(u2) == 2, "degrees changed")
-        _check(o1 in g.adj[u1] and o2 in g.adj[u2], "outside neighbors changed")
+        _check(r.c == len(r.contractions), "constant is not the contraction count")
         h = g.copy()
-        h.remove_vertex(u2)
-        if o1 != o2:
-            h.add_edge(u1, o2)
+        for (u1, u2), (o1, o2) in r.contractions:
+            _check(h.has_edge(u1, u2), f"contracted edge {u1}-{u2} gone")
+            _check(
+                h.degree(u1) == 2 and h.degree(u2) == 2, f"degrees at {u1}-{u2} changed"
+            )
+            _check(
+                o1 in h.adj[u1] and o2 in h.adj[u2],
+                f"outside neighbors of {u1}-{u2} changed",
+            )
+            h.remove_vertex(u2)
+            if o1 != o2:
+                h.add_edge(u1, o2)
         out = [h]
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
@@ -456,15 +484,15 @@ def lift_tree(r: WeakReduction, subtrees: list[TreeResult]) -> TreeResult:
             raise InternalInvariant("block lift must gain exactly c")
     elif r.kind == "op11":
         (t1,) = subtrees
-        u1, u2 = r.merged
-        o1, o2 = r.outside
         edges = set(t1.edges)
-        swap = norm_edge(u1, o2)
-        if swap in edges:
-            edges.remove(swap)
-            edges.add(norm_edge(u2, o2))
-        edges.add(norm_edge(u1, u2))
-        verts = set(tree_vertices(t1)) | {u2}
+        verts = set(tree_vertices(t1))
+        for (u1, u2), (o1, o2) in reversed(r.contractions):
+            swap = norm_edge(u1, o2)
+            if swap in edges:
+                edges.remove(swap)
+                edges.add(norm_edge(u2, o2))
+            edges.add(norm_edge(u1, u2))
+            verts.add(u2)
         lifted = tree_result(verts, edges)
         floor = t1.weight + r.c
     else:
@@ -597,13 +625,12 @@ def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
             insort(h.adj[u], v)
             insort(h.adj[v], u)
     elif r.kind == "op11":
-        u1, u2 = r.merged
-        o1, o2 = r.outside
-        if o1 != o2:
-            h.remove_edge(u1, o2)
-        h.alive[u2] = True
-        h.add_edge(u1, u2)
-        h.add_edge(u2, o2)
+        for (u1, u2), (o1, o2) in reversed(r.contractions):
+            if o1 != o2:
+                h.remove_edge(u1, o2)
+            h.alive[u2] = True
+            h.add_edge(u1, u2)
+            h.add_edge(u2, o2)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
     return h

@@ -6,6 +6,7 @@ vertices, plus two thousand seeded random graphs on eight to twelve)
 is solved once per session and every test inspects that single pass.
 """
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -15,7 +16,8 @@ import mist.pipeline
 from mist import cli
 from mist.exact import opt_spanning_tree, path_cover_from_tree, tree_result
 from mist.fileio import emit_graph
-from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
+from mist.errors import MistError
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
 from mist.pipeline import run, verify_run
 from mist.preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -25,7 +27,7 @@ from mist.preprocess import (
     check_short_paths_alive,
     cycle_port_properties,
 )
-from mist.reduce import StrongReduction, WeakReduction, reduce_to_fixpoint
+from mist.reduce import StrongReduction, WeakReduction, find_op11, reduce_to_fixpoint
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
@@ -35,13 +37,13 @@ RANDOM_COUNT = 2000
 
 # sha256 over the outcome lines of every survey run; a change that keeps the
 # solver's behaviour must reproduce it exactly
-SURVEY_DIGEST = "e8f2e25e4a217a8b80bb65d91c9925df59b82e0bb0f9ac7f3705b56b2ee98bf7"
+SURVEY_DIGEST = "1fc4c0d428a14ef9537f798f30b7c883846343a8010563a173c188976b8bb1b7"
 
 # sha256 over the covers of every refined cover leaf (initial, preprocessed,
 # after stage 1 and after stage 2), their component counters, and every
 # verify_run check of the refined runs; a change to preprocessing or to the
 # stages that still ends at the same tree must reproduce it too
-COVER_DIGEST = "7f1cf643a4d3361af8a21cb189b79ae91544bda157d1d5dde15ee318a83d41ce"
+COVER_DIGEST = "58e79f3721cf54f4ae095c33b3d2ffb4cf83e3824826a2114fa90ea1af515713"
 
 
 def _report(label: str, checked: int, bad: list) -> None:
@@ -245,6 +247,59 @@ def test_certified_opt_and_checks_match_an_unseeded_search(survey):
         2 * survey.instances,
         survey.certificate_bad,
     )
+
+
+# -- op11 runs against single contractions ---------------------------------
+
+
+def _first_contraction_only(g, sep=None):
+    """op11 cut down to the first contraction of its run: the single-edge rule."""
+    r = find_op11(g, sep)
+    return r and dataclasses.replace(r, c=1, contractions=r.contractions[:1])
+
+
+def _refined_outcome(g, op11):
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(mist.reduce._FINDERS, "op11", op11)
+        try:
+            report = run(g, "refined", keep_state=True)
+        except MistError as exc:
+            return type(exc).__name__, None
+    vr = verify_run(g, report)
+    return (report.tree.weight, report.upper_bound, vr.ok, vr.opt), report.tree.edges
+
+
+def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
+    # a run contracts the chain the single-edge rule would contract one node
+    # at a time, unless another rule fires partway along it; the trees may
+    # then differ, never the weight, the bound or the verdict
+    chains = [
+        (f"{family.__name__}-{n}", family(n))
+        for n in range(9, 61)
+        for family in (gen_cycle, gen_theta, gen_path)
+    ]
+    others = list(_corpus()) + [
+        (f"sparse-{n}-{seed}", gen_sparse(n, n // 10, seed))
+        for n in range(20, 81, 5)
+        for seed in range(3)
+    ]
+    chain_names = {name for name, _ in chains}
+    bad, trees_differ = [], 0
+    for name, g in chains + others:
+        single = _refined_outcome(g, _first_contraction_only)
+        whole = _refined_outcome(g, find_op11)
+        if single[0] != whole[0]:
+            bad.append(f"{name}: {single[0]} became {whole[0]}")
+        elif single[1] != whole[1]:
+            trees_differ += 1
+            if name in chain_names:
+                bad.append(f"{name}: tree changed")
+    _report(
+        f"op11 runs keep weight, bound and verdict ({trees_differ} trees differ)",
+        len(chains) + len(others),
+        bad,
+    )
+    assert trees_differ == 54
 
 
 # -- reduction safety on everything small enough to trace with the oracle ---

@@ -284,6 +284,13 @@ def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family)
     assert searches == []
 
 
+@pytest.mark.parametrize("family, nodes", [(gen_cycle, 2), (gen_theta, 7)])
+def test_refined_reduce_of_a_200_chain_takes_a_few_nodes(monkeypatch, family, nodes):
+    # op11 contracts a whole degree-2 run in one step
+    trace = _assert_one_pass_per_node(monkeypatch, family(200), "refined")
+    assert len(trace.nodes) == nodes
+
+
 def _assert_one_pass_per_node(monkeypatch, g, mode):
     # the passes keep their graphs alive, so no two share an id
     passed = []
@@ -431,23 +438,51 @@ def test_op4_replaces_a_hanging_component_with_a_pendant():
 
 
 def test_op11_contracts_a_degree_two_edge():
+    # the run starts at the first degree-2 edge, as the single contraction
+    # did, and merges vertex 0 with each next chain vertex until the cycle
+    # closes into one edge
     g = cycle(6)
     r = find_op11(g)
     assert r is not None and r.kind == "op11"
-    assert r.merged == (0, 1)
-    assert r.c == 1
+    assert r.contractions == (
+        ((0, 1), (5, 2)), ((0, 2), (5, 3)), ((0, 3), (5, 4)), ((0, 4), (5, 5))
+    )
+    assert r.c == 4
     parts = apply_weak_reduction(g, r)
     assert len(parts) == 1
-    assert alive_edges(parts[0]) == (5, [(0, 2), (0, 5), (2, 3), (3, 4), (4, 5)])
+    assert alive_edges(parts[0]) == (2, [(0, 5)])
     total = opt_spanning_tree(parts[0]).weight + r.c
     assert total == opt_spanning_tree(g).weight == 4
 
 
 def test_op11_needs_both_endpoints_at_degree_two():
-    # the middle edge of a 4-path qualifies; no star edge ever does
+    # the middle edge of a 4-path qualifies, and the run stops there since
+    # both outside neighbours are pendant; no star edge ever does
     r = find_op11(path(4))
-    assert r is not None and r.merged == (1, 2)
+    assert r is not None and r.contractions == (((1, 2), (0, 3)),)
     assert find_op11(build_graph(4, [(0, 1), (0, 2), (0, 3)])) is None
+
+
+def test_op11_rechecks_every_contraction_of_its_run():
+    g = cycle(8)
+    r = find_op11(g)
+    run = list(r.contractions)
+    run[1] = ((0, 2), (7, 4))  # 2's outside neighbour is 3
+    with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
+        apply_weak_reduction(g, dataclasses.replace(r, contractions=tuple(run)))
+
+
+def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
+    trace = reduce_to_fixpoint(cycle(10), "refined")
+    r = trace.nodes[0].applied
+    assert r.kind == "op11" and r.c == 8
+    leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
+    assert trace.lift_all(leaf_trees).weight == 8
+    trace.nodes[0].applied = dataclasses.replace(
+        r, c=r.c - 1, contractions=r.contractions[1:]
+    )
+    with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
+        trace.lift_all(leaf_trees)
 
 
 # ---------------------------------------------------------------- fixpoints
