@@ -48,18 +48,25 @@ class StrongReduction:
 
 
 @dataclass(frozen=True)
+class Peel:
+    """One op4 replacement: the block K hanging off v becomes a pendant at v."""
+
+    cut_vertex: int
+    component: tuple[int, ...]
+    pendant: int
+    inner_tree: tuple[Edge, ...]  # spans K + {v}; with the pendant edge, optimal
+    inner_opt: int
+    block_edges: tuple[Edge, ...]  # G[K + {v}], put back when undoing
+
+
+@dataclass(frozen=True)
 class WeakReduction:
     kind: str
     c: int
     parts: int
     bridge: Edge | None = None
     sides: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    cut_vertex: int | None = None
-    component: tuple[int, ...] | None = None
-    pendant: int | None = None
-    inner_tree: tuple[Edge, ...] | None = None
-    inner_opt: int | None = None
-    block_edges: tuple[Edge, ...] | None = None  # G[K + {v}], put back when undoing op4
+    peels: tuple[Peel, ...] | None = None  # op4, in order
     # op11: ((u1, u2), (o1, o2)) per contraction, in order; u2 merges into u1
     contractions: tuple[tuple[Edge, tuple[int, int]], ...] | None = None
 
@@ -324,45 +331,89 @@ def find_op3(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
 
 
 def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
-    """Cut-point with a small hanging block: solve the block exactly.
+    """Cut-points with small hanging blocks: peel them off one after another.
 
-    The lowpoint pass gives the piece sizes of every cut vertex, so only
-    the first cut vertex with a piece of 2-8 vertices is searched.
+    One peel solves K + {v} plus a pendant at v exactly and replaces K by
+    that pendant, with c = opt - 1; a step's c sums its peels'.  The first
+    peel is at the first cut vertex v whose g - v has a piece of 2-8
+    vertices (the lowpoint pass gives the piece sizes, so only v is
+    searched), and K is the first such piece in component order.
+
+    The run goes on with the peel of K' = {v, p} off w, where p is the
+    pendant just added, while v's neighbours are exactly {p, w}, v is the
+    only vertex left with an id below w and more than 10 vertices are
+    left.  That peel is then what find_reduction would return at the next
+    node, given that it found no strong rule and no op3 here, as it has
+    when the engine calls this:
+    - A peel keeps the bridges among the other vertices and the component
+      count of g - x for every x, and twin groups only lose members but
+      for v's new group {v}.  So op2, op3, op8 and op9 stay silent, the new
+      bridge v-p having the pendant p at one end, and op1 could fire only
+      at v, which has one pendant.
+    - An op10 block holding p has no Hamiltonian path, p having degree 1.
+      One holding v but not p, with the boundary {p, x}, is v plus a block
+      with the boundary {v, x} before the peel that has as many edges to
+      spare and paths; one holding neither was a block before the peel.
+      op10 found nothing then, and its size cap only shrinks.
+    - g - v has pieces of 1 and more than 8 vertices, so the first cut
+      vertex with a piece of 2-8 is w, and its first piece is {v, p}.
+    Pendant ids are the ones single steps would assign.
     """
     sep = sep or separations(g)
     for v in sorted(sep.sizes):
-        if not any(2 <= k <= 8 for k in sep.sizes[v]):
-            continue
-        comps = connected_components(g, blocked=frozenset((v,)))
-        for k_comp in comps:
-            if not 2 <= len(k_comp) <= 8:
-                continue
-            sub, old = induced_subgraph(g, list(k_comp) + [v])
-            pos = {x: idx for idx, x in enumerate(old)}
-            pend = sub.add_vertex()
-            sub.add_edge(pos[v], pend)
-            t = opt_spanning_tree(sub)
-            inner = tuple(
-                sorted(
-                    norm_edge(old[a], old[b])
-                    for a, b in t.edges
-                    if a != pend and b != pend
-                )
-            )
-            return WeakReduction(
-                "op4",
-                t.weight - 1,
-                1,
-                cut_vertex=v,
-                component=tuple(k_comp),
-                pendant=g.vertex_count,
-                inner_tree=inner,
-                inner_opt=t.weight,
-                block_edges=tuple(
-                    norm_edge(old[a], old[b]) for a, b in sub.edge_list() if b != pend
-                ),
-            )
-    return None
+        if any(2 <= k <= 8 for k in sep.sizes[v]):
+            comps = connected_components(g, blocked=frozenset((v,)))
+            small = [k for k in comps if 2 <= len(k) <= 8]
+            if small:
+                break
+    else:
+        return None
+    k_comp = small[0]
+    kv = {v, *k_comp}
+    block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
+    p = g.vertex_count
+    peels = [_peel(v, tuple(k_comp), p, block)]
+    gone = set(k_comp)  # vertices of g the run has removed
+    left = g.n_alive() - len(k_comp) + 1
+    low = 0  # every vertex of g below low is gone but v
+    while left > 10:
+        rest = [x for x in g.adj[v] if x not in gone]
+        if len(rest) != 1:
+            break
+        w = rest[0]
+        if w < v or any(g.alive[x] and x not in gone for x in range(low, w) if x != v):
+            break
+        gone.add(v)
+        low = w
+        peels.append(_peel(w, (v, p), p + 1, ((v, w), (v, p))))
+        v, p, left = w, p + 1, left - 1
+    return WeakReduction("op4", sum(s.inner_opt - 1 for s in peels), 1, peels=tuple(peels))
+
+
+def _peel(v: int, k_comp: tuple[int, ...], pendant: int, block: tuple[Edge, ...]) -> Peel:
+    """The peel of K = k_comp off v; block lists the edges of G[K + {v}] in order."""
+    t = _block_tree(v, k_comp, pendant, block)
+    inner = tuple(e for e in t.edges if e != (v, pendant))
+    return Peel(v, k_comp, pendant, inner, t.weight, block)
+
+
+def _block_tree(v: int, k_comp, pendant: int, block: tuple[Edge, ...]) -> TreeResult:
+    """opt_spanning_tree of G[K + {v}] plus a pendant at v, from its edges.
+
+    The pendant's id is above every other.  A block with |K| edges is a
+    tree, and with the pendant it is its own only spanning tree, so it is
+    not searched.
+    """
+    edges = [*block, (v, pendant)]
+    if len(block) == len(k_comp):
+        return tree_result([*k_comp, v, pendant], edges)
+    old = sorted([*k_comp, v, pendant])
+    pos = {x: i for i, x in enumerate(old)}
+    t = opt_spanning_tree(Graph(len(old), [(pos[a], pos[b]) for a, b in edges]))
+    # old is ascending, so the renamed edges stay sorted
+    return TreeResult(
+        tuple((old[a], old[b]) for a, b in t.edges), t.weight, tuple(old[x] for x in t.leaves)
+    )
 
 
 def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
@@ -420,16 +471,22 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
                 h.remove_vertex(x)
             out.append(h)
     elif r.kind == "op4":
-        v, k_comp = r.cut_vertex, r.component
-        _check(g.is_alive(v), "cut vertex gone")
-        comps = connected_components(g, blocked=frozenset((v,)))
-        _check(list(k_comp) in comps, "hanging block changed")
-        _check(r.pendant == g.vertex_count, "pendant id mismatch")
+        _check(r.c == sum(s.inner_opt - 1 for s in r.peels), "constant is not the peels' sum")
         h = g.copy()
-        for x in k_comp:
-            h.remove_vertex(x)
-        u = h.add_vertex()
-        h.add_edge(v, u)
+        for s in r.peels:
+            v, k_comp = s.cut_vertex, s.component
+            _check(h.is_alive(v), f"cut vertex {v} gone")
+            # K is a component of h - v exactly when it is its first member's
+            _check(
+                v not in k_comp
+                and h.is_alive(k_comp[0])
+                and component_of(h, k_comp[0], blocked=frozenset((v,))) == list(k_comp),
+                f"hanging block at {v} changed",
+            )
+            _check(s.pendant == h.vertex_count, f"pendant id at {v} mismatch")
+            for x in k_comp:
+                h.remove_vertex(x)
+            h.add_edge(v, h.add_vertex())
         out = [h]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
@@ -473,11 +530,16 @@ def lift_tree(r: WeakReduction, subtrees: list[TreeResult]) -> TreeResult:
         floor = t1.weight + t2.weight + r.c
     elif r.kind == "op4":
         (t1,) = subtrees
-        pe = norm_edge(r.cut_vertex, r.pendant)
-        if pe not in t1.edges:
-            raise InternalInvariant("pendant edge missing from subtree")
-        edges = [e for e in t1.edges if e != pe] + list(r.inner_tree)
-        verts = (set(tree_vertices(t1)) - {r.pendant}) | set(r.component)
+        edges = set(t1.edges)
+        verts = set(tree_vertices(t1))
+        for s in reversed(r.peels):
+            pe = (s.cut_vertex, s.pendant)  # the pendant's id is the larger
+            if pe not in edges:
+                raise InternalInvariant("pendant edge missing from subtree")
+            edges.remove(pe)
+            edges.update(s.inner_tree)
+            verts.remove(s.pendant)
+            verts.update(s.component)
         lifted = tree_result(verts, edges)
         floor = t1.weight + r.c
         if lifted.weight != floor:
@@ -613,17 +675,18 @@ def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
             h.adj[x] = other.adj[x]
         h.add_edge(*r.bridge)
     elif r.kind == "op4":
-        # the pendant is the last id, added by the step
-        h.remove_edge(r.cut_vertex, r.pendant)
-        h.vertex_count -= 1
-        h.alive.pop()
-        h.adj.pop()
-        for x in r.component:
-            h.alive[x] = True
-        # the many block edges skip add_edge's checks: the root check covers them
-        for u, v in r.block_edges:
-            insort(h.adj[u], v)
-            insort(h.adj[v], u)
+        for s in reversed(r.peels):
+            # the pendant is the last id, added by the peel
+            h.remove_edge(s.cut_vertex, s.pendant)
+            h.vertex_count -= 1
+            h.alive.pop()
+            h.adj.pop()
+            for x in s.component:
+                h.alive[x] = True
+            # the many block edges skip add_edge's checks: the root check covers them
+            for u, v in s.block_edges:
+                insort(h.adj[u], v)
+                insort(h.adj[v], u)
     elif r.kind == "op11":
         for (u1, u2), (o1, o2) in reversed(r.contractions):
             if o1 != o2:

@@ -8,6 +8,8 @@ is solved once per session and every test inspects that single pass.
 
 import dataclasses
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -27,7 +29,7 @@ from mist.preprocess import (
     check_short_paths_alive,
     cycle_port_properties,
 )
-from mist.reduce import StrongReduction, WeakReduction, find_op11, reduce_to_fixpoint
+from mist.reduce import StrongReduction, WeakReduction, find_op4, find_op11, reduce_to_fixpoint
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
@@ -300,6 +302,63 @@ def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
         bad,
     )
     assert trees_differ == 54
+
+
+# -- op4 runs against single peels -----------------------------------------
+
+
+def _first_peel_only(g, sep=None):
+    """op4 cut down to the first peel of its run: one block per step."""
+    r = find_op4(g, sep)
+    return r and dataclasses.replace(r, c=r.peels[0].inner_opt - 1, peels=r.peels[:1])
+
+
+def _outcome(g, mode, op4):
+    """The reductions a run makes, op4's peel by peel, and its tree, bound
+    and checks, leaf numbers aside: shorter traces number leaves differently."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(mist.reduce._FINDERS, "op4", op4)
+        try:
+            report = run(g, mode, keep_state=True)
+        except MistError as exc:
+            return type(exc).__name__
+    steps = Counter()
+    for node in report.trace.nodes:
+        r = node.applied
+        steps.update(r.peels if r is not None and r.kind == "op4" else [r])
+    opt, checks = _verdict(verify_run(g, report))
+    checks = [(re.sub(r"^leaf\d+-", "leaf-", name), ok, detail) for name, ok, detail in checks]
+    return steps, report.tree.edges, report.upper_bound, opt, checks
+
+
+def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
+    # a run is exactly the peels single steps would make, so no run differs,
+    # not even in the reductions it makes
+    chains = [
+        (f"{family.__name__}-{n}", family(n))
+        for n in range(9, 61)
+        for family in (gen_cycle, gen_theta, gen_path)
+    ]
+    others = list(_corpus()) + [
+        (f"sparse-{n}-{seed}", gen_sparse(n, n // 10, seed))
+        for n in range(20, 81, 5)
+        for seed in range(3)
+    ]
+    longest = Counter()
+
+    def counting(g, sep=None):
+        r = find_op4(g, sep)
+        longest[name] = max(longest[name], len(r.peels) if r else 0)
+        return r
+
+    bad = []
+    for name, g in chains + others:
+        for mode in ("simple", "refined"):
+            if _outcome(g, mode, _first_peel_only) != _outcome(g, mode, counting):
+                bad.append(f"{name}/{mode}")
+    _report("op4 runs keep trees, bounds and checks", 2 * len(chains + others), bad)
+    # every path from 12 vertices on, and 10 others, get a run of peels
+    assert sum(k > 1 for k in longest.values()) == 59
 
 
 # -- reduction safety on everything small enough to trace with the oracle ---

@@ -17,8 +17,9 @@ from mist.exact import (
     tree_result,
     tree_vertices,
 )
-from mist.generate import gen_gnp
+from mist.generate import gen_gnp, gen_path
 from mist.graph import induced_subgraph
+from mist.reduce import _block_tree, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
@@ -281,6 +282,42 @@ def test_opt_matches_the_reference_search_on_random_graphs_and_op4_blocks():
     assert len(graphs) > 600
     for g in graphs:
         assert opt_spanning_tree(g) == reference_opt_spanning_tree(g), g
+
+
+def _solved_by_op4(v, k_comp, pendant, block):
+    """opt_spanning_tree of the block plus its pendant, renumbered densely."""
+    old = sorted([*k_comp, v, pendant])
+    pos = {x: i for i, x in enumerate(old)}
+    sub = build_graph(len(old), [(pos[a], pos[b]) for a, b in [*block, (v, pendant)]])
+    t = opt_spanning_tree(sub)
+    return tree_result(old, [(old[a], old[b]) for a, b in t.edges])
+
+
+def test_op4_blocks_without_a_search_get_the_searched_tree():
+    # a tree block plus its pendant is its own only spanning tree, taken
+    # as it is; every other block is searched
+    trees = 0
+    for sub in _op4_blocks():
+        pend = sub.vertex_count - 1
+        (v,) = sub.adj[pend]
+        k_comp = [x for x in range(pend) if x != v]
+        block = [e for e in sub.edge_list() if pend not in e]
+        trees += len(block) == len(k_comp)
+        assert _block_tree(v, k_comp, pend, block) == opt_spanning_tree(sub), sub
+    peels = [
+        s
+        for n in range(12, 40)
+        for node in reduce_to_fixpoint(gen_path(n), "simple").nodes
+        if node.applied is not None
+        for s in node.applied.peels
+    ]
+    for s in peels:
+        t = _solved_by_op4(s.cut_vertex, s.component, s.pendant, s.block_edges)
+        assert _block_tree(s.cut_vertex, s.component, s.pendant, s.block_edges) == t
+        assert (s.inner_tree, s.inner_opt) == (
+            tuple(e for e in t.edges if s.pendant not in e), t.weight
+        )
+    assert trees == 56 and len(peels) == 462
 
 
 def test_tfpcc_matches_the_reference_search_with_and_without_forced_leaves():

@@ -10,7 +10,7 @@ from mist.cover import Cover
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
 from mist.exact import TreeResult, internal_bound, opt_spanning_tree, tree_result
-from mist.generate import gen_cycle, gen_gnp, gen_theta, gen_twins
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
 
 from helpers import build_graph, outcome_digest, outcome_line
 
@@ -66,6 +66,17 @@ def test_refined_solves_a_long_path_exactly():
     assert report.upper_bound == 7
     vr = verify_run(g, report)
     assert vr.ok and vr.opt == 7
+
+
+def test_a_refined_run_of_a_2000_path_spans_it_in_three_trace_nodes():
+    # op4 peels the path down to 10 vertices in one step, so the trace
+    # stays short and the lift linear at any length
+    g = gen_path(2000)
+    report = run(g, "refined", keep_state=True)
+    assert len(report.trace.nodes) == 3
+    assert report.tree.weight == report.upper_bound == 1998
+    checks = {c.name: c.ok for c in verify_run(g, report).checks}
+    assert checks["tree-spans-input"] and checks["weight-below-upper-bound"]
 
 
 def test_refined_handles_the_triple_twin_instance():

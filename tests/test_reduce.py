@@ -256,7 +256,7 @@ def test_op10_after_op4_grows_the_blocks_that_hold_the_new_pendant(monkeypatch):
     monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
     trace = reduce_to_fixpoint(g, "refined")
     assert trace.nodes[0].applied.kind == "op4"
-    assert trace.nodes[0].applied.pendant == 13
+    assert [s.pendant for s in trace.nodes[0].applied.peels] == [13]
     assert nears[:2] == [None, {0, 13}]
     child = replay(trace)[1]
     searched = []
@@ -289,6 +289,15 @@ def test_refined_reduce_of_a_200_chain_takes_a_few_nodes(monkeypatch, family, no
     # op11 contracts a whole degree-2 run in one step
     trace = _assert_one_pass_per_node(monkeypatch, family(200), "refined")
     assert len(trace.nodes) == nodes
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_reduce_of_a_200_path_takes_three_nodes(monkeypatch, mode):
+    # one op4 step peels the path down to 10 vertices, a second cuts off the
+    # 8-vertex end piece, and the 3-path left is the leaf
+    trace = _assert_one_pass_per_node(monkeypatch, gen_path(200), mode)
+    assert [len(node.applied.peels) for node in trace.nodes[:2]] == [190, 1]
+    assert len(trace.nodes) == 3
 
 
 def _assert_one_pass_per_node(monkeypatch, g, mode):
@@ -421,20 +430,86 @@ def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
 
 def test_op4_replaces_a_hanging_component_with_a_pendant():
     # cutpoint 2 hangs the triangle rump {0, 1}; the inner instance is the
-    # triangle plus a fresh pendant, worth 2, so the carried constant is 1
+    # triangle plus a fresh pendant, worth 2, so the carried constant is 1;
+    # the graph left is too small for the run to go on
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     assert find_op3(g) is None
     r = find_op4(g)
     assert r is not None and r.kind == "op4"
-    assert r.cut_vertex == 2
-    assert r.component == (0, 1)
+    (peel,) = r.peels
+    assert peel.cut_vertex == 2
+    assert peel.component == (0, 1)
+    assert peel.pendant == 5
+    assert peel.inner_opt == 2
     assert r.c == 1
-    assert r.inner_opt == 2
     parts = apply_weak_reduction(g, r)
     assert len(parts) == 1
     assert alive_edges(parts[0]) == (4, [(2, 3), (2, 5), (3, 4)])
     total = opt_spanning_tree(parts[0]).weight + r.c
     assert total == opt_spanning_tree(g).weight == 3
+
+
+def test_op4_peels_a_path_down_to_ten_vertices_in_one_step():
+    # the peels single steps would make: {0, 1} off 2, then each new
+    # pendant with the last cut vertex off the next path vertex
+    g = path(24)
+    r = find_op4(g)
+    assert [(s.cut_vertex, s.component, s.pendant) for s in r.peels] == [
+        (2, (0, 1), 24)
+    ] + [(v, (v - 1, v + 21), v + 22) for v in range(3, 16)]
+    assert [s.block_edges for s in r.peels[1:3]] == [((2, 3), (2, 24)), ((3, 4), (3, 25))]
+    assert all(s.inner_tree == s.block_edges and s.inner_opt == 2 for s in r.peels)
+    assert r.c == 14
+    (h,) = apply_weak_reduction(g, r)
+    assert alive_edges(h) == (10, sorted([(15, 37)] + [(v, v + 1) for v in range(15, 23)]))
+
+
+def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
+    # the finder searches g - v; applying the step re-checks each peel's
+    # block by a search of the block alone
+    searches = []
+    real = mist.reduce.connected_components
+
+    def counted(g, blocked=frozenset()):
+        searches.append(blocked)
+        return real(g, blocked)
+
+    monkeypatch.setattr(mist.reduce, "connected_components", counted)
+    for g, v, peels in (
+        (build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2, 1),
+        (path(24), 2, 14),
+    ):
+        searches.clear()
+        r = find_op4(g)
+        apply_weak_reduction(g, r)
+        assert len(r.peels) == peels
+        assert searches == [frozenset((v,))]
+
+
+def test_op4_rechecks_every_peel_of_its_run():
+    g = path(24)
+    r = find_op4(g)
+    peels = list(r.peels)
+    peels[2] = dataclasses.replace(peels[2], component=(3, 24))  # 24 went with peel 1
+    with pytest.raises(StaleWitness, match="hanging block at 4 changed"):
+        apply_weak_reduction(g, dataclasses.replace(r, peels=tuple(peels)))
+    peels = list(r.peels)
+    peels[5] = dataclasses.replace(peels[5], pendant=30)
+    with pytest.raises(StaleWitness, match="pendant id at 7 mismatch"):
+        apply_weak_reduction(g, dataclasses.replace(r, peels=tuple(peels)))
+    with pytest.raises(StaleWitness, match="constant"):
+        apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
+
+
+def test_lift_fails_its_root_check_when_a_peel_is_dropped():
+    trace = reduce_to_fixpoint(path(24), "simple")
+    r = trace.nodes[0].applied
+    assert r.kind == "op4" and len(r.peels) == 14
+    leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
+    assert trace.lift_all(leaf_trees).weight == 22
+    trace.nodes[0].applied = dataclasses.replace(r, c=r.c - 1, peels=r.peels[1:])
+    with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
+        trace.lift_all(leaf_trees)
 
 
 def test_op11_contracts_a_degree_two_edge():
@@ -613,9 +688,13 @@ def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
     # so every tree still spans its graph and only the root check sees it
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     r = reduce_to_fixpoint(g, "simple").nodes[0].applied
-    spare = [e for e in r.block_edges if e not in r.inner_tree]
+    (peel,) = r.peels
+    spare = [e for e in peel.block_edges if e not in peel.inner_tree]
     assert len(spare) == 1
-    _lift_tampered(g, "op4", block_edges=tuple(e for e in r.block_edges if e not in spare))
+    cut = dataclasses.replace(
+        peel, block_edges=tuple(e for e in peel.block_edges if e not in spare)
+    )
+    _lift_tampered(g, "op4", peels=(cut,))
 
 
 def test_lift_rejects_an_op3_step_whose_bridge_moved():
