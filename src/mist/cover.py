@@ -22,6 +22,7 @@ class Cover(Graph):
     def __init__(self, graph: Graph, edges=()):
         super().__init__(graph.vertex_count)
         self.alive = list(graph.alive)
+        self._order = graph.n_alive()
         self.graph = graph
         for u, v in edges:
             self.add_edge(u, v)
@@ -34,6 +35,7 @@ class Cover(Graph):
     def copy(self) -> Cover:
         c = Cover(self.graph)
         c.adj = [list(row) for row in self.adj]
+        c._size = self._size
         return c
 
     def __repr__(self):
@@ -216,15 +218,15 @@ def is_special(cover: Cover, pairs: list[PiPair]) -> bool:
     return all(cover.degree(p.u1) <= 1 for p in pairs)
 
 
-def preferred_tfpcc(g: Graph, *, cap: int = 16, strict: bool = True) -> Cover:
+def preferred_tfpcc(g: Graph, pairs: list[PiPair], *, cap: int = 16) -> Cover:
     """Maximum triangle-free path-cycle cover among the special ones.
 
-    Special means each twin pair keeps cover degree at most 1 at its
-    smaller vertex, which the solver enforces as a forced-leaf constraint.
+    Special means each twin pair of g (pairs, from compute_pi_pairs) keeps
+    cover degree at most 1 at its smaller vertex, which the solver enforces
+    as a forced-leaf constraint.
     """
     from .exact import max_tfpcc_exact
 
-    pairs = compute_pi_pairs(g, strict=strict)
     cover = max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs], cap=cap)
     if not is_special(cover, pairs):
         raise InternalInvariant("solver returned a non-special cover")

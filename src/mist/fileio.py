@@ -12,16 +12,24 @@ from .graph import Graph, norm_edge
 
 
 def parse_graph(data: str | bytes) -> Graph:
+    """The graph of a file; the first faulty line, in file order, raises.
+
+    A wrong edge count is reported before a repeated edge.  The edges are
+    collected first and the graph is built from them at once.
+    """
     if isinstance(data, bytes):
         data = data.decode("ascii", "replace")
+    checked = data.isascii()  # else each line is checked in turn
     n = m = 0
     header_line = None
-    edges: list[tuple[int, int, int]] = []
+    edges: set[tuple[int, int]] = set()
+    count = 0
+    repeat = None  # the first repeated edge: (line, u, v)
     for line_no, raw in enumerate(data.splitlines(), start=1):
-        if not raw.isascii():
+        if not checked and not raw.isascii():
             raise ParseError("non-ASCII character", line_no)
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
         parts = line.split()
         if header_line is None:
@@ -45,20 +53,20 @@ def parse_graph(data: str | bytes) -> Graph:
             raise SelfLoop(f"self-loop at {u}", line_no)
         if not (1 <= u <= n and 1 <= v <= n):
             raise IdOutOfRange(f"edge {u} {v} outside 1..{n}", line_no)
-        edges.append((line_no, u - 1, v - 1))
+        count += 1
+        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        if e not in edges:
+            edges.add(e)
+        elif repeat is None:
+            repeat = (line_no, u, v)
     if header_line is None:
         raise BadHeader("no 'p mist <n> <m>' line in file", 0)
-    if len(edges) != m:
-        raise BadHeader(f"header says {m} edges, file has {len(edges)}", header_line)
-    g = Graph(n)
-    seen = set()
-    for line_no, u, v in edges:
-        e = norm_edge(u, v)
-        if e in seen:
-            raise DuplicateEdge(f"edge {u + 1} {v + 1} appears twice", line_no)
-        seen.add(e)
-        g.add_edge(u, v)
-    return g
+    if count != m:
+        raise BadHeader(f"header says {m} edges, file has {count}", header_line)
+    if repeat is not None:
+        line_no, u, v = repeat
+        raise DuplicateEdge(f"edge {u} {v} appears twice", line_no)
+    return Graph(n, edges)
 
 
 def emit_graph(g: Graph) -> str:

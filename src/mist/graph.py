@@ -4,7 +4,8 @@ Vertices are integers 0..vertex_count-1 with an alive mask, so deletions
 keep the ids of the survivors stable and edge witnesses stay valid across
 reduction steps.  Adjacency lists are kept sorted; every traversal below
 visits vertices and edges in ascending order, which makes the whole
-package deterministic.
+package deterministic.  A graph counts its alive vertices and its edges as
+it changes, so n_alive and edge_count take constant time.
 """
 
 from __future__ import annotations
@@ -24,16 +25,33 @@ def norm_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    __slots__ = ("vertex_count", "alive", "adj")
+    __slots__ = ("vertex_count", "alive", "adj", "_order", "_size")
 
     def __init__(self, vertex_count: int, edges: list[Edge] | tuple = ()):
+        """The graph on vertex_count vertices with the given edges.
+
+        Each row is filled, then sorted once.
+        """
         if vertex_count < 0:
             raise InternalInvariant("negative vertex count")
         self.vertex_count = vertex_count
         self.alive = [True] * vertex_count
-        self.adj: list[list[int]] = [[] for _ in range(vertex_count)]
+        adj: list[list[int]] = [[] for _ in range(vertex_count)]
+        self.adj = adj
         for u, v in edges:
-            self.add_edge(u, v)
+            if u == v:
+                raise InternalInvariant(f"self loop at {u}")
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
+            adj[u].append(v)
+            adj[v].append(u)
+        for u, row in enumerate(adj):
+            row.sort()
+            if len(set(row)) < len(row):
+                v = next(b for a, b in zip(row, row[1:]) if a == b)
+                raise InternalInvariant(f"duplicate edge {u}-{v}")
+        self._order = vertex_count  # alive vertices
+        self._size = sum(map(len, adj)) // 2  # edges
 
     # -- basic queries ------------------------------------------------
 
@@ -44,7 +62,7 @@ class Graph:
         return [v for v in range(self.vertex_count) if self.alive[v]]
 
     def n_alive(self) -> int:
-        return sum(self.alive)
+        return self._order
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -66,7 +84,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+        return self._size
 
     # -- mutation ------------------------------------------------------
 
@@ -75,23 +93,44 @@ class Graph:
         self.vertex_count += 1
         self.alive.append(True)
         self.adj.append([])
+        self._order += 1
         return v
+
+    def pop_vertex(self) -> None:
+        """Undo add_vertex: delete the last vertex id and its edges."""
+        self.remove_vertex(self.vertex_count - 1)
+        self.vertex_count -= 1
+        self.alive.pop()
+        self.adj.pop()
+
+    def revive(self, v: int) -> None:
+        """Make the dead vertex v alive again, without edges."""
+        if self.alive[v] or self.adj[v]:
+            raise InternalInvariant(f"vertex {v} is not dead and bare")
+        self.alive[v] = True
+        self._order += 1
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise InternalInvariant(f"self loop at {u}")
         if not (self.is_alive(u) and self.is_alive(v)):
             raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
-        if self.has_edge(u, v):
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        if i < len(row) and row[i] == v:
             raise InternalInvariant(f"duplicate edge {u}-{v}")
-        insort(self.adj[u], v)
+        row.insert(i, v)
         insort(self.adj[v], u)
+        self._size += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
             raise InternalInvariant(f"missing edge {u}-{v}")
-        self.adj[u].remove(v)
+        del row[i]
         self.adj[v].remove(u)
+        self._size -= 1
 
     def remove_vertex(self, v: int) -> None:
         if not self.is_alive(v):
@@ -99,12 +138,15 @@ class Graph:
         for u in list(self.adj[v]):
             self.remove_edge(u, v)
         self.alive[v] = False
+        self._order -= 1
 
     def copy(self) -> Graph:
         g = Graph(0)
         g.vertex_count = self.vertex_count
         g.alive = list(self.alive)
         g.adj = [list(row) for row in self.adj]
+        g._order = self._order
+        g._size = self._size
         return g
 
     def __eq__(self, other) -> bool:
@@ -297,11 +339,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """
     old_ids = sorted(vertices)
     pos = {v: i for i, v in enumerate(old_ids)}
-    sub = Graph(len(old_ids))
     for v in old_ids:
         if not g.is_alive(v):
             raise InternalInvariant(f"vertex {v} not alive")
-        for u in g.adj[v]:
-            if v < u and u in pos:
-                sub.add_edge(pos[v], pos[u])
-    return sub, old_ids
+    edges = [(pos[v], pos[u]) for v in old_ids for u in g.adj[v] if v < u and u in pos]
+    return Graph(len(old_ids), edges), old_ids

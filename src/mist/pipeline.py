@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
-from .errors import BadParams, DisconnectedInput, InternalInvariant, SizeCapExceeded
+from .errors import BadParams, InternalInvariant, SizeCapExceeded
 from .exact import OST_CAP, TreeResult, internal_bound, max_tfpcc_exact, opt_spanning_tree
 from .graph import Graph, find
 from .preprocess import (
@@ -74,7 +74,7 @@ def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
     if mode == "refined":
         pairs = tuple(compute_pi_pairs(h, strict=True))
     try:
-        cover0 = preferred_tfpcc(h, strict=True) if mode == "refined" else max_tfpcc_exact(h)
+        cover0 = preferred_tfpcc(h, pairs) if mode == "refined" else max_tfpcc_exact(h)
     except SizeCapExceeded as exc:
         raise SizeCapExceeded(
             f"trace node {idx}: irreducible core of {h.n_alive()} vertices"
@@ -107,9 +107,7 @@ def run(g: Graph, mode: str, keep_state: bool = False) -> RunReport:
         raise BadParams(f"unknown mode {mode!r}")
     if g.n_alive() == 0:
         raise BadParams("empty graph")
-    if not g.is_connected():
-        raise DisconnectedInput("input graph is not connected")
-    trace = reduce_to_fixpoint(g, mode)
+    trace = reduce_to_fixpoint(g, mode)  # rejects a disconnected input
     leaves = []
     leaf_trees = {}
     for idx in trace.leaves():

@@ -15,7 +15,6 @@ every other graph by undoing its step on the graphs of its children.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -77,13 +76,30 @@ class WeakReduction:
 # separations(g); the fixpoint driver computes that once per trace node.
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
+#
+# op1, op9 and op10 also take near, the worklist the driver keeps for each:
+# None, or every vertex whose adjacency row changed since a trace ancestor
+# where the finder found nothing.  A site whose rows are all unchanged
+# since then did not fire there and does not fire now, so only sites at
+# near are searched, and the result is that of the whole-graph search.
 
 
-def find_op1(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
-    """Two pendant vertices at the same support: drop the larger one."""
+def find_op1(
+    g: Graph, sep: Separations | None = None, near: set[int] | None = None
+) -> StrongReduction | None:
+    """Two pendant vertices at the same support: drop the larger one.
+
+    The support is the first vertex with two pendant neighbours.  Its row
+    or a pendant's changes when it gains one, so with near given only near
+    and its neighbours are looked at.
+    """
     if g.n_alive() <= 3:
         return None
-    for v in g.alive_list():
+    if near is None:
+        sites = g.alive_list()
+    else:
+        sites = sorted({y for x in near if g.alive[x] for y in (x, *g.adj[x])})
+    for v in sites:
         leaves = [u for u in g.adj[v] if g.degree(u) == 1]
         if len(leaves) >= 2:
             u1, u2 = leaves[0], leaves[1]
@@ -117,9 +133,22 @@ def find_op8(g: Graph, sep: Separations | None = None) -> StrongReduction | None
     return None
 
 
-def find_op9(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
-    """Three twins over one boundary pair: drop one support edge."""
-    for key, twins in twin_groups(g):
+def find_op9(
+    g: Graph, sep: Separations | None = None, near: set[int] | None = None
+) -> StrongReduction | None:
+    """Three twins over one boundary pair: drop one support edge.
+
+    The pair is the first with three twins.  A twin joins a group only by a
+    change of its row, so with near given only the groups of degree-2
+    vertices of near are looked at.
+    """
+    if near is None:
+        groups = twin_groups(g)
+    else:
+        adj = g.adj
+        keys = sorted({tuple(adj[x]) for x in near if len(adj[x]) == 2})
+        groups = [((a, b), [y for y in adj[a] if adj[y] == [a, b]]) for a, b in keys]
+    for key, twins in groups:
         if len(twins) >= 3:
             u2, u1 = key[0], key[1]
             u3, u4, u5 = twins[0], twins[1], twins[2]
@@ -136,14 +165,27 @@ def find_op10(
     A block K is a connected vertex set of at most cap = min(6, n - 3)
     vertices whose neighbourhood is exactly two vertices u < v, so it is a
     component of g - {u, v} touching both.  Blocks are tried in (u, v,
-    sorted K) order.  The path uses |K| + 1 edges, so a block with no more
-    edges than that in K + {u, v} has none to remove and is never searched.
+    sorted K) order.  The path uses |K| + 1 edges, so only a block with an
+    edge to spare in K + {u, v} can fire, and the path passes through every
+    vertex of K, so each has degree 2 to |K| + 1.
 
-    Blocks are grown from single vertices over neighbour bit masks, each
-    set once, from the first start vertex it holds (ESU enumeration).  A
-    vertex of K has degree at most |K| + 1, so only vertices of degree at
-    most cap + 1 enter, and each added vertex removes at most one vertex
-    from N(K), so a set is dropped once |N(K)| - (cap - |K|) > 2.
+    If every vertex of a block has degree 2, the block is a path with
+    |K| + 1 edges at its vertices, so the spare edge is uv: K lies on a run
+    of degree-2 vertices, of at most cap + 1 of them, whose outside
+    neighbours are adjacent or equal.  So a block that can fire holds a
+    start vertex: one of degree 3 to cap + 1, or one of degree 2 on such a
+    run.  A run of more than cap + 1 vertices is long: a block meets it
+    only at its ends, and taking in a boundary vertex on it moves the
+    boundary one step along the run and keeps the spare edges and the
+    paths.  So every block is a core, its vertices off the long runs, with
+    its boundary moved along them.
+
+    Cores are grown from the start vertices over neighbour bit masks, each
+    set once, from the first start vertex it holds (ESU enumeration), and
+    each core with two boundary vertices and an edge to spare is recorded
+    with every move of its boundary.  A set is dropped when no core grown
+    from it can have two boundary vertices (_cannot_close), and when it
+    holds two degree-2 twins, as a path through both would close a cycle.
 
     With near=None every block is grown.  Otherwise only blocks that hold
     a vertex of near or whose boundary {u, v} lies inside near are: this is
@@ -151,62 +193,135 @@ def find_op10(
     vertex whose adjacency row changed since that ancestor.  Any other
     block has the same neighbourhood, edges and Hamiltonian paths as it
     had there, and no reduction increases n, so cap has not grown since.
+    Such a block holds a vertex x of near or next to near, and x or the end
+    of x's degree-2 run within cap steps is a start vertex it holds; only
+    those start vertices are grown from.
     """
-    alive = g.alive_list()
-    cap = min(6, len(alive) - 3)
+    cap = min(6, g.n_alive() - 3)
     if cap < 1:
         return None
     adj = g.adj
-    nb = [0] * g.vertex_count
-    eligible = 0
-    for x in alive:
-        nb[x] = sum(1 << y for y in adj[x])
-        if len(adj[x]) <= cap + 1:
-            eligible |= 1 << x
+    kind: dict[int, int] = {}
+    on_long: list[int] = []  # vertices seen on long runs
+
+    def classify(x):
+        # 2 for a start vertex, 1 for another vertex a core may hold, else 0
+        c = kind.get(x)
+        if c is None:
+            d = len(adj[x])
+            if d != 2:
+                c = kind[x] = 2 if 3 <= d <= cap + 1 else 0
+            else:
+                (a, b), run = _run_ends(adj, x, cap + 1)
+                if a is None or b is None or len(run) > cap + 1:
+                    c = 0
+                    on_long.extend(run)
+                else:
+                    c = 2 if a == b or g.has_edge(a, b) else 1
+                kind.update(dict.fromkeys(run, c))
+        return c
+
+    starts = set()
     if near is None:
         near_mask = -1
-        starts = alive
+        # a qualifying run ends at vertices of degree 3 or more, and a block
+        # on it holds the run vertex next to one of them
+        for x in g.alive_list():
+            if len(adj[x]) > 2:
+                starts.update(y for y in (x, *adj[x]) if classify(y) == 2)
     else:
-        near_mask = sum(1 << x for x in near)
-        zone = near_mask
-        for x in near:
-            zone |= nb[x]
-        starts = [x for x in alive if zone >> x & 1]
+        live = [x for x in near if g.alive[x]]
+        near_mask = _mask(live)
+        for x in {y for x in live for y in (x, *adj[x])}:
+            if classify(x) == 2:
+                starts.add(x)
+            elif len(adj[x]) == 2:
+                # a block that can fire and holds x holds an end of x's run
+                # within cap steps, and that end is a start vertex
+                ends, _ = _run_ends(adj, x, cap)
+                starts.update(e for e in ends if e is not None and classify(e) == 2)
+    starts = sorted(starts)
+    # neighbour masks of the vertices cores can hold, within cap - 1 of a start
+    nb = {x: _mask(adj[x]) for x in starts}
+    frontier = starts
+    for _ in range(cap - 1):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in nb and classify(y):
+                    nb[y] = _mask(adj[y])
+                    nxt.append(y)
+        frontier = nxt
+    allowed = _mask(nb)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for x in nb:
+        if len(adj[x]) == 2:
+            groups.setdefault(tuple(adj[x]), []).append(x)
+    twins = {x: _mask(t) ^ 1 << x for t in groups.values() if len(t) > 1 for x in t}
+    long_mask = _mask(set(on_long))
     blocks = []
 
-    def grow(k, size, out, ext, deg_sum, inner):
-        # k is a connected block of size vertices with out = N(k), degree
-        # sum deg_sum and inner edges; ext holds the vertices that may join
+    def grow(k, size, out, ext, edges):
+        # k is a connected core of size vertices with out = N(k) and edges
+        # edges in k or from k to out; ext holds the vertices that may join,
+        # and no other vertex of out ever does
+        if out.bit_count() == 2:
+            record(k, out, edges, size)
+        if size == cap:
+            return
         while ext:
             bit = ext & -ext
             ext ^= bit
             w = bit.bit_length() - 1
+            if twins and twins.get(w, 0) & k:
+                continue  # a path through k would close a cycle at the twins
             k2 = k | bit
             out2 = (out | nb[w]) & ~k2
             bound = out2.bit_count()
-            if bound - (cap - size - 1) > 2:
+            rest = cap - size - 1
+            if bound - rest > 2:
                 continue
-            d2 = deg_sum + len(adj[w])
-            i2 = inner + (nb[w] & k).bit_count()
-            if bound == 2:
-                record(k2, out2, d2 - i2, size + 1)
-            if size + 1 < cap:
-                grow(k2, size + 1, out2, ext | nb[w] & allowed & ~k2 & ~out, d2, i2)
+            ext2 = ext | nb[w] & allowed & ~k2 & ~out
+            stuck = out2 & ~ext2
+            if stuck and bound > 2:
+                n_stuck = stuck.bit_count()
+                if n_stuck > 2 or (n_stuck == 2 and long_mask or twins) and _cannot_close(
+                    out2, stuck, k2, rest, nb, long_mask, twins
+                ):
+                    continue
+            grow(k2, size + 1, out2, ext2, edges + len(adj[w]) - (nb[w] & k).bit_count())
 
     def record(k, out, edges, size):
-        # edges counts those of K and those from K to u and v
         u = (out & -out).bit_length() - 1
         v = out.bit_length() - 1
-        if edges + (nb[u] >> v & 1) > size + 1 and (k & near_mask or not out & ~near_mask):
-            blocks.append((u, v, _members(k)))
+        if edges + g.has_edge(u, v) <= size + 1:
+            return
+        room = cap - size
+        at_v = moves(v, k, room)
+        for i, (ku, u2) in enumerate(moves(u, k, room)):
+            for kv, v2 in at_v[: room - i + 1]:
+                k2 = k | ku | kv
+                if k2 & near_mask or (near_mask >> u2) & (near_mask >> v2) & 1:
+                    blocks.append((min(u2, v2), max(u2, v2), _members(k2)))
 
-    allowed = eligible
+    def moves(b, k, room):
+        # (absorbed vertices, new boundary vertex) for 0 to room steps from
+        # the boundary vertex b of the core k along a long run
+        out = [(0, b)]
+        if len(adj[b]) == 2 and not classify(b):
+            a, c = adj[b]
+            prev = a if k >> a & 1 else c
+            took = 0
+            for _ in range(room):
+                took |= 1 << b
+                a, c = adj[b]
+                prev, b = b, c if a == prev else a
+                out.append((took, b))
+        return out
+
     for s in starts:
-        if eligible >> s & 1:
-            allowed ^= 1 << s
-            if len(adj[s]) == 2:
-                record(1 << s, nb[s], 2, 1)
-            grow(1 << s, 1, nb[s], nb[s] & allowed, len(adj[s]), 0)
+        allowed ^= 1 << s
+        grow(1 << s, 1, nb[s], nb[s] & allowed, len(adj[s]))
     blocks.sort()
     for u, v, k_comp in blocks:
         sub, old = induced_subgraph(g, k_comp + [u, v])
@@ -224,6 +339,54 @@ def find_op10(
             "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
         )
     return None
+
+
+def _run_ends(adj: list[list[int]], x: int, limit: int) -> tuple[list, list[int]]:
+    """The ends of the degree-2 run through x, and the run's vertices seen.
+
+    The end on each side is the first vertex of another degree, or None
+    when it lies more than limit steps from x or the run closes a cycle.
+    """
+    ends = []
+    run = [x]
+    for cur in adj[x]:
+        prev, end = x, None
+        for _ in range(limit):
+            if len(adj[cur]) != 2:
+                end = cur
+                break
+            if cur == x:
+                break
+            run.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, b if a == prev else a
+        ends.append(end)
+    return ends, run
+
+
+def _cannot_close(out, stuck, k, rest, nb, long_mask, twins) -> bool:
+    """Whether no core grown from k with rest more vertices has two boundary vertices.
+
+    The vertices of out in stuck never join.  Neither does one whose twin
+    is in k; and with two that never join, one next to a long run, which
+    would put a run vertex in out for good, blocks every core it joins.
+    Each vertex that joins removes at most one vertex from out.
+    """
+    free = out & ~stuck
+    if twins:
+        for y in _members(free):
+            if twins.get(y, 0) & k:
+                stuck |= 1 << y
+        free = out & ~stuck
+    n_stuck = stuck.bit_count()
+    if n_stuck == 2 and any(nb[y] & long_mask & ~stuck for y in _members(free)):
+        return True
+    return n_stuck + max(0, free.bit_count() - rest) > 2
+
+
+def _mask(vertices) -> int:
+    """The bit mask of distinct vertices."""
+    return sum(1 << x for x in vertices)
 
 
 def _members(mask: int) -> list[int]:
@@ -293,8 +456,15 @@ def apply_strong_reduction(
         and h.n_alive() + h.edge_count() < g.n_alive() + g.edge_count()
     ):
         raise InternalInvariant(f"{r.kind} did not shrink the graph")
-    if not h.is_connected():
-        raise InternalInvariant(f"{r.kind} disconnected the graph")
+    # g is connected, so h is when the live ends of the removed edges still
+    # meet: op1's one end left is its support, op2's edge is no bridge of g
+    # (checked above), and op8, op9 and op10 keep a path among their witness
+    if r.kind in ("op8", "op9", "op10"):
+        within = {*r.witness[:2], *r.witness[2]} if r.kind == "op10" else set(r.witness)
+        fence = frozenset(y for x in within for y in h.adj[x]) - within
+        ends = {x for e in r.removed_edges for x in e}
+        if not ends <= set(component_of(h, min(ends), blocked=fence)):
+            raise InternalInvariant(f"{r.kind} disconnected the graph")
     return h
 
 
@@ -513,9 +683,10 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
         h.edge_count() for h in out
     ) > g.edge_count():
         raise InternalInvariant(f"{r.kind} grew a coordinate")
-    for h in out:
-        if not h.is_connected():
-            raise InternalInvariant(f"{r.kind} produced a disconnected part")
+    # every part is connected by the checks above: op3's sides are the
+    # components of g minus the bridge, an op4 block is a component of
+    # h - v, so h minus the block stays connected, and the pendant hangs
+    # off v, and an op11 contraction keeps u1 joined to both o1 and o2
     return out
 
 
@@ -576,17 +747,21 @@ _FINDERS = {
     "op4": find_op4,
     "op11": find_op11,
 }
+_LOCAL = ("op1", "op9", "op10")  # the finders that take a worklist
 
 
 def find_reduction(
-    g: Graph, kinds, sep: Separations, near: set[int] | None = None
+    g: Graph, kinds, sep: Separations, near: dict | None = None
 ) -> StrongReduction | WeakReduction | None:
     """First reduction of the given kinds that fires, in the order given.
 
-    near goes to op10 only; see find_op10.
+    near maps op1, op9 and op10 to their worklists; see find_op10.
     """
     for k in kinds:
-        r = _FINDERS[k](g, sep, near) if k == "op10" else _FINDERS[k](g, sep)
+        if k in _LOCAL:
+            r = _FINDERS[k](g, sep, None if near is None else near[k])
+        else:
+            r = _FINDERS[k](g, sep)
         if r is not None:
             return r
     return None
@@ -659,7 +834,7 @@ class ReductionTrace:
 def _undo_strong(r: StrongReduction, h: Graph) -> Graph:
     """The graph r was applied to, rebuilt in place from its result h."""
     for v in r.removed_vertices:
-        h.alive[v] = True
+        h.revive(v)
     for u, v in r.removed_edges:
         h.add_edge(u, v)
     return h
@@ -669,29 +844,25 @@ def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
     """The graph r was applied to, rebuilt in place in its first part."""
     h = parts[0]
     if r.kind == "op3":
-        other = parts[1]
         for x in r.sides[1]:
-            h.alive[x] = True
-            h.adj[x] = other.adj[x]
+            h.revive(x)
+        for u, v in parts[1].edge_list():
+            h.add_edge(u, v)
         h.add_edge(*r.bridge)
     elif r.kind == "op4":
         for s in reversed(r.peels):
             # the pendant is the last id, added by the peel
             h.remove_edge(s.cut_vertex, s.pendant)
-            h.vertex_count -= 1
-            h.alive.pop()
-            h.adj.pop()
+            h.pop_vertex()
             for x in s.component:
-                h.alive[x] = True
-            # the many block edges skip add_edge's checks: the root check covers them
+                h.revive(x)
             for u, v in s.block_edges:
-                insort(h.adj[u], v)
-                insort(h.adj[v], u)
+                h.add_edge(u, v)
     elif r.kind == "op11":
         for (u1, u2), (o1, o2) in reversed(r.contractions):
             if o1 != o2:
                 h.remove_edge(u1, o2)
-            h.alive[u2] = True
+            h.revive(u2)
             h.add_edge(u1, u2)
             h.add_edge(u2, o2)
     else:
@@ -718,12 +889,13 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     if not g.is_connected():
         raise DisconnectedInput("input graph is not connected")
     strong_kinds, weak_kinds = RULESETS[mode]
+    local = [k for k in strong_kinds if k in _LOCAL]
     trace = ReductionTrace(mode)
     root = g.copy()
-    # each queued node carries its graph and find_op10's near set: the
-    # vertices whose rows changed since the nearest ancestor where op10
-    # found nothing, or None when there is no such ancestor
-    work = [(trace.add_node(root, None), root, None)]
+    # each queued node carries its graph and the worklists of op1, op9 and
+    # op10: the vertices whose rows changed since the nearest ancestor where
+    # the finder found nothing, or None when there is no such ancestor
+    work = [(trace.add_node(root, None), root, dict.fromkeys(local))]
     while work:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
@@ -733,9 +905,14 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             child = apply_strong_reduction(h, r, sep)
             node.applied = r
             node.children = [trace.add_node(None, idx)]
-            work.append(
-                (node.children[0], child, None if near is None else near | _changed(h, child))
-            )
+            changed = _changed(h, child, r)
+            # the finders before r's searched the whole graph in vain
+            tried = strong_kinds[: strong_kinds.index(r.kind)]
+            near = {
+                k: changed if k in tried else None if w is None else w | changed
+                for k, w in near.items()
+            }
+            work.append((node.children[0], child, near))
             continue
         w = find_reduction(h, weak_kinds, sep)
         if w is None:
@@ -744,10 +921,25 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         parts = apply_weak_reduction(h, w)
         node.applied = w
         node.children = [trace.add_node(None, idx) for _ in parts]
-        work.extend((c, p, _changed(h, p)) for c, p in zip(node.children, parts))
+        for c, p in zip(node.children, parts):
+            work.append((c, p, dict.fromkeys(local, _changed(h, p, w))))
     return trace
 
 
-def _changed(g: Graph, h: Graph) -> set[int]:
-    """Vertices alive in h whose adjacency row differs from g's."""
-    return {x for x in h.alive_list() if x >= g.vertex_count or g.adj[x] != h.adj[x]}
+def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
+    """Vertices alive in h whose adjacency row differs from g's.
+
+    Only the rows of the vertices that r touches can differ.
+    """
+    if isinstance(r, StrongReduction):
+        touched = {x for e in r.removed_edges for x in e}
+        touched.update(y for x in r.removed_vertices for y in g.adj[x])
+    elif r.kind == "op3":
+        touched = set(r.bridge)
+    elif r.kind == "op4":
+        touched = {x for s in r.peels for x in (s.cut_vertex, s.pendant)}
+    else:
+        touched = {x for pair in r.contractions for x in (*pair[0], *pair[1])}
+    return {
+        x for x in touched if h.is_alive(x) and (x >= g.vertex_count or g.adj[x] != h.adj[x])
+    }

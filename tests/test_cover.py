@@ -175,15 +175,15 @@ def test_pairs_on_reduced_twin_instances_have_distinct_u1():
 
 
 def test_preferred_cover_of_c5_is_the_cycle():
-    c = preferred_tfpcc(cycle(5), strict=False)
+    c = preferred_tfpcc(cycle(5), compute_pi_pairs(cycle(5), strict=False))
     assert c.edge_count() == 5
 
 
 def test_preferred_cover_of_c4_gives_up_one_edge():
     # both opposite pairs are Pi pairs, so the full 4-cycle is not special
-    c = preferred_tfpcc(cycle(4), strict=False)
-    assert c.edge_count() == 3
     pairs = compute_pi_pairs(cycle(4), strict=False)
+    c = preferred_tfpcc(cycle(4), pairs)
+    assert c.edge_count() == 3
     assert is_special(c, pairs)
 
 
@@ -198,7 +198,7 @@ def test_preferred_cover_is_special_on_twin_instances():
     for seed in range(8):
         g = gen_twins(9 + seed % 3, seed)
         pairs = compute_pi_pairs(g, strict=False)
-        cover = preferred_tfpcc(g, strict=False)
+        cover = preferred_tfpcc(g, pairs)
         validate_tfpcc(cover)
         assert is_special(cover, pairs)
 
@@ -214,7 +214,7 @@ def test_augmented_route_matches_forced_leaves_route():
         pairs = compute_pi_pairs(g, strict=False)
         if len({p.u1 for p in pairs}) != len(pairs):
             continue
-        a = preferred_tfpcc(g, strict=False)
+        a = preferred_tfpcc(g, pairs)
         b = preferred_tfpcc_via_augmented(g, strict=False)
         assert a.edge_count() == b.edge_count()
         assert is_special(a, pairs) and is_special(b, pairs)
@@ -226,5 +226,5 @@ def test_preferred_cover_bounds_opt():
     instances = [gen_gnp(n, 0.3, s) for n in (9, 10, 11, 12) for s in range(5)]
     instances += [gen_twins(n, s) for n in (9, 11) for s in range(3)]
     for g in instances:
-        cover = preferred_tfpcc(g, strict=False)
+        cover = preferred_tfpcc(g, compute_pi_pairs(g, strict=False))
         assert cover.edge_count() >= opt_spanning_tree(g).weight

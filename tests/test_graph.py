@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mist import Graph, norm_edge
+from mist.cover import Cover
 from mist.errors import InternalInvariant
 from mist.graph import (
     connected_components,
@@ -73,6 +74,62 @@ def test_remove_and_add_edge_roundtrip():
     assert not g.has_edge(0, 1)
     g.add_edge(0, 1)
     assert g.has_edge(1, 0)
+
+
+def test_bulk_construction_matches_edge_by_edge_insertion():
+    edges = [(3, 1), (0, 4), (2, 1), (4, 3), (0, 1)]
+    one_by_one = Graph(5)
+    for u, v in edges:
+        one_by_one.add_edge(u, v)
+    bulk = Graph(5, edges)
+    assert (bulk.adj, bulk.n_alive(), bulk.edge_count()) == (one_by_one.adj, 5, 5)
+    for bad in ([(0, 1), (1, 0)], [(2, 2)], [(0, 5)]):
+        with pytest.raises(InternalInvariant):
+            Graph(5, bad)
+
+
+def _recount(g):
+    return sum(g.alive), sum(len(row) for row in g.adj) // 2
+
+
+# each step: (operation, a, b) on vertex ids taken modulo the vertex count
+_steps = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 20)), max_size=60
+)
+
+
+@given(_steps)
+def test_counters_match_a_recount_through_any_mutation(steps):
+    # n_alive and edge_count are kept as counters; every mutation, copy and
+    # Cover (which copies its host's alive mask) must keep them exact
+    g = Graph(6)
+    covers = []
+    for op, a, b in steps:
+        a, b = a % g.vertex_count, b % g.vertex_count
+        if op == 0 and a != b and g.alive[a] and g.alive[b] and not g.has_edge(a, b):
+            g.add_edge(a, b)
+        elif op == 1 and g.has_edge(a, b):
+            g.remove_edge(a, b)
+        elif op == 2 and g.alive[a] and g.n_alive() > 1:
+            g.remove_vertex(a)
+        elif op == 3:
+            g.add_vertex()
+        elif op == 4 and g.alive[-1] and g.vertex_count > 1:
+            g.pop_vertex()
+        elif op == 5 and not g.alive[a]:
+            g.revive(a)
+        elif op == 6:
+            g = g.copy()
+        elif op == 7:
+            c = Cover(g, g.edge_list()[b % 3 :: 3])
+            covers.append(c)
+            c = c.copy()
+            for u, v in c.edge_list()[:a % 3]:
+                c.remove_edge(u, v)
+            covers.append(c)
+        assert (g.n_alive(), g.edge_count()) == _recount(g)
+        for c in covers:
+            assert (c.n_alive(), c.edge_count()) == _recount(c)
 
 
 def test_copy_is_independent():

@@ -80,6 +80,31 @@ def test_duplicate_edges_are_rejected_in_both_orientations():
         parse_graph("p mist 3 2\ne 1 2\ne 2 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, error, line_no, message",
+    [
+        ("p mist 3 3\ne 1 2\ne 2 3\ne 2 1\n", DuplicateEdge, 4, "edge 2 1 appears twice"),
+        ("p mist 3 2\ne 1 2\ne 2 1\ne 1 3\n", BadHeader, 1, "header says 2 edges, file has 3"),
+        ("p mist 3 3\ne 1 2\ne 1 2\ne 3 3\n", SelfLoop, 4, "self-loop at 3"),
+        ("p mist 3 2\ne 1 2\ne 1 2\nc é\n", ParseError, 4, "non-ASCII"),
+        ("p mist 3 2\ne 1 2\ne 2 1\ne 2 1\n", BadHeader, 1, "file has 3"),
+    ],
+    ids=["repeat", "count-before-repeat", "loop-after-repeat", "ascii-after-repeat", "two-repeats"],
+)
+def test_the_first_fault_in_file_order_is_reported(text, error, line_no, message):
+    # a repeated edge is reported after the scan and the count check, so
+    # any other fault in the file comes first
+    with pytest.raises(error, match=message) as info:
+        parse_graph(text)
+    assert info.value.line_no == line_no
+
+
+def test_parsed_graphs_count_their_vertices_and_edges():
+    g = parse_graph("p mist 5 4\ne 4 1\ne 1 2\ne 5 4\ne 3 1\n")
+    assert g.adj == [[1, 2, 3], [0], [0], [0, 4], [3]]
+    assert (g.n_alive(), g.edge_count()) == (5, 4)
+
+
 def test_out_of_range_ids_are_rejected():
     for text in ("p mist 3 1\ne 0 2\n", "p mist 3 1\ne 1 4\n"):
         with pytest.raises(IdOutOfRange):

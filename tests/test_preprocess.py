@@ -228,7 +228,7 @@ def test_fixpoint_postconditions_on_reduced_leaves():
                 if h.n_alive() < 9:
                     continue
                 pairs = tuple(compute_pi_pairs(h, strict=True))
-                pre = preprocess(preferred_tfpcc(h, strict=True), h, "refined")
+                pre = preprocess(preferred_tfpcc(h, pairs), h, "refined")
                 assert check_short_paths_alive(pre, h) == []
                 assert check_port_neighbor_growth(pre, h) == []
                 assert check_dead_four_paths_pendant_ends(pre, h) == []

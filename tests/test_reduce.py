@@ -1,6 +1,7 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
@@ -198,12 +199,37 @@ def _trace_lines(trace):
     )
 
 
+def _near_roots(order=7):
+    roots = list(connected_graphs_up_to_iso(order)) + _op10_roots()
+    roots += [f(n) for n in range(9, 61) for f in (gen_cycle, gen_theta, gen_path)]
+    return roots + [gen_sparse(n, n // 2, n) for n in range(20, 81)]
+
+
+def _long_run_roots():
+    # a dense core with paths of 7-11 degree-2 vertices hung between core
+    # vertices or off one, ids shuffled, so that blocks of the core move
+    # their boundary along the paths and sort before the core's own
+    out = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        core = random_connected(rng.randint(4, 7), 0.6, rng)
+        n, edges = core.vertex_count, core.edge_list()
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randrange(core.vertex_count), rng.randrange(core.vertex_count)
+            k = rng.randint(7, 11)
+            run = [a, *range(n, n + k)] + ([b] if rng.random() < 0.8 else [])
+            n += k
+            edges += list(zip(run, run[1:]))
+        ids = list(range(n))
+        rng.shuffle(ids)
+        out.append(build_graph(n, [(ids[u], ids[v]) for u, v in edges]))
+    return out
+
+
 def test_op10_near_search_leaves_every_refined_trace_unchanged(monkeypatch):
     # the engine hands op10 the vertices changed since its last empty search;
     # a finder that ignores them and grows every block gives the same trace
-    roots = list(connected_graphs_up_to_iso(7)) + _op10_roots()
-    roots += [f(n) for n in range(9, 61) for f in (gen_cycle, gen_theta, gen_path)]
-    roots += [gen_sparse(n, n // 2, n) for n in range(20, 81)]
+    roots = _near_roots()
     real = mist.reduce.find_op10
     calls = Counter()
 
@@ -223,6 +249,104 @@ def test_op10_near_search_leaves_every_refined_trace_unchanged(monkeypatch):
     assert calls[False, True] > calls[True, True] and calls[False, False] > 0
 
 
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_op1_and_op9_worklists_leave_every_trace_unchanged(monkeypatch, mode):
+    # op1 and op9 look only at the rows changed since their last empty
+    # search; finders that ignore the worklist and scan the whole graph
+    # give the same trace
+    roots = _near_roots(order=6)
+    kinds = [k for k in ("op1", "op9") if k in RULESETS[mode][0]]
+    real = {k: mist.reduce._FINDERS[k] for k in kinds}
+    calls = Counter()
+
+    def recording(kind):
+        def finder(g, sep=None, near=None):
+            r = real[kind](g, sep, near)
+            calls[kind, near is None, r is None] += 1
+            return r
+
+        return finder
+
+    for k in kinds:
+        monkeypatch.setitem(
+            mist.reduce._FINDERS, k, lambda g, sep=None, near=None, k=k: real[k](g, sep)
+        )
+    full = [_trace_lines(reduce_to_fixpoint(g, mode)) for g in roots]
+    for k in kinds:
+        monkeypatch.setitem(mist.reduce._FINDERS, k, recording(k))
+    for g, lines in zip(roots, full):
+        assert _trace_lines(reduce_to_fixpoint(g, mode)) == lines, g
+    # many searches are local, and local searches fire too
+    for k in kinds:
+        assert calls[k, False, True] > 500 and calls[k, False, False] > 0, k
+
+
+def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
+    # every search the engine makes, with its near set and without, finds
+    # what the pair scan finds; on the long-run family some witnesses reach
+    # into a run of more than cap + 1 degree-2 vertices
+    roots = [f(n) for n in range(9, 61, 4) for f in (gen_cycle, gen_theta, gen_path)]
+    roots += [gen_sparse(n, n // 2, n) for n in range(20, 81, 10)] + _long_run_roots()
+    real = mist.reduce.find_op10
+    searches = []
+
+    def recording(g, sep=None, near=None):
+        searches.append((g.copy(), near))
+        return real(g, sep, near)
+
+    monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
+    for g in roots:
+        reduce_to_fixpoint(g, "refined")
+    fired = on_long_runs = 0
+    for g, near in searches:
+        r = naive_op10(g)
+        assert real(g, None, near) == r and real(g) == r, (g, near)
+        if r is not None:
+            fired += 1
+            cap = min(6, g.n_alive() - 3)
+            on_long_runs += any(_run_size(g, x) > cap + 1 for x in r.witness[2])
+    assert fired > 200 and on_long_runs > 10
+
+
+def _run_size(g, x):
+    """Vertices on the run of degree-2 vertices through x, 0 off runs."""
+    if g.degree(x) != 2:
+        return 0
+    seen, stack = {x}, [x]
+    while stack:
+        for y in g.adj[stack.pop()]:
+            if g.degree(y) == 2 and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)
+
+
+def _grown_blocks(g, mode):
+    """Sets of two or more vertices find_op10 grows in the reduce of g."""
+    grown = 0
+
+    def profile(frame, event, arg):
+        nonlocal grown
+        code = frame.f_code
+        if event == "call" and code.co_name == "grow" and code.co_filename == mist.reduce.__file__:
+            grown += frame.f_locals["size"] > 1
+
+    sys.setprofile(profile)
+    try:
+        reduce_to_fixpoint(g, mode)
+    finally:
+        sys.setprofile(None)
+    return grown
+
+
+@pytest.mark.parametrize("family", [gen_path, gen_cycle, gen_theta])
+def test_refined_reduce_of_a_200_chain_grows_no_block(family):
+    # a chain's degree-2 runs are long, a theta hub's arms end in long runs
+    # or in twins, so no set of two or more vertices is grown at any node
+    assert _grown_blocks(family(200), "refined") == 0
+    assert _grown_blocks(gen_gnp(10, 0.3, 1), "refined") > 0
+
+
 def test_op10_grows_a_block_outside_near_whose_boundary_is_inside():
     # blocks {2, 3} and {4, 5} sit between 0 and 1, each a path; the edge
     # (0, 1) gives both an edge to spare.  Adding that edge changes only the
@@ -236,11 +360,23 @@ def test_op10_grows_a_block_outside_near_whose_boundary_is_inside():
     assert find_op10(g, near={4}).witness == (0, 1, (4, 5))
 
 
-def test_op10_after_op4_grows_the_blocks_that_hold_the_new_pendant(monkeypatch):
+def test_op10_finds_a_block_whose_boundary_moved_along_a_long_run():
+    # the triangle 0-1-2 hangs a run 3-...-11 of nine degree-2 vertices back
+    # to 0.  A block holding the run vertex 5 is the core {1, 2} with its
+    # boundary 3 moved to 6 along the run; near = {5} reaches the core's
+    # start vertex 2 through the run, three steps away
+    g = build_graph(12, [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, 11)] + [(11, 0)])
+    r = find_op10(g, near={5})
+    assert r.witness == (0, 6, (1, 2, 3, 4, 5)) and r.removed_edges == ((0, 2),)
+    assert find_op10(g) == naive_op10(g) != r
+
+
+def test_op10_after_op4_skips_the_blocks_that_hold_the_new_pendant(monkeypatch):
     # 0 hangs the path 0-3-4 off a ring 1-6-...-12-2-5-1 through the
     # chords (0, 5) and (0, 2); op4 puts the pendant 13 in place of {3, 4}.
-    # The child's near set is {0, 13}, and op10 there searches the blocks
-    # {0, 5, 13} and {0, 13}, which have edges to spare but no path
+    # The child's near set is {0, 13}.  The blocks {0, 5, 13} and {0, 13}
+    # there have edges to spare, but no Hamiltonian path passes the pendant,
+    # so op10 searches neither
     ring = [1, 6, 7, 8, 9, 10, 11, 12, 2, 5]
     g = build_graph(
         13,
@@ -268,8 +404,9 @@ def test_op10_after_op4_grows_the_blocks_that_hold_the_new_pendant(monkeypatch):
 
     monkeypatch.setattr(mist.reduce, "induced_subgraph", recording_sub)
     assert real(child, near={0, 13}) is None
-    assert [0, 1, 2, 5, 13] in searched and [0, 2, 5, 13] in searched
     assert real(child) is None
+    assert naive_op10(child) is None
+    assert not any(13 in block for block in searched)
 
 
 @pytest.mark.parametrize("family", [gen_cycle, gen_path])
@@ -355,6 +492,29 @@ def test_op10_revalidation_names_what_changed(edges, witness, message):
         g.remove_vertex(x)
     r = StrongReduction("op10", (), (), (), witness)
     with pytest.raises(StaleWitness, match=message):
+        apply_strong_reduction(g, r)
+
+
+@pytest.mark.parametrize(
+    "edges, r",
+    [
+        # the block {2, 3} between 0 and 1 loses the path edge 2-3 as well
+        (
+            [(0, 2), (2, 3), (3, 1), (0, 3), (1, 4), (4, 5), (5, 0)],
+            StrongReduction("op10", (), ((0, 2), (2, 3)), (), (0, 1, (2, 3))),
+        ),
+        # the twin 2 over {0, 1} loses both its edges
+        (
+            [(0, 2), (1, 2), (1, 3), (0, 3), (1, 4)],
+            StrongReduction("op8", (), ((0, 2), (1, 2)), (), (0, 1, 2, 3)),
+        ),
+    ],
+    ids=["op10", "op8"],
+)
+def test_a_strong_step_that_disconnects_its_witness_is_rejected(edges, r):
+    # the check that the graph stays connected searches the witness only
+    g = build_graph(max(x for e in edges for x in e) + 1, edges)
+    with pytest.raises(InternalInvariant, match=f"{r.kind} disconnected the graph"):
         apply_strong_reduction(g, r)
 
 
@@ -653,12 +813,14 @@ def _bfs_tree(h):
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mode):
     # lifting undoes each step on the children's graphs; every graph a lifted
-    # tree is checked against equals the one the forward replay gives
+    # tree is checked against equals the one the forward replay gives, and
+    # keeps its vertex and edge counters right
     checked = []
     real = mist.reduce._assert_spans
 
     def recording(t, h):
         checked.append((list(h.alive), [list(row) for row in h.adj]))
+        assert (h.n_alive(), h.edge_count()) == (sum(h.alive), sum(map(len, h.adj)) // 2)
         real(t, h)
 
     monkeypatch.setattr(mist.reduce, "_assert_spans", recording)

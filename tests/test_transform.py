@@ -3,7 +3,7 @@
 import pytest
 
 from mist import Graph
-from mist.cover import Cover, component_index, preferred_tfpcc
+from mist.cover import Cover, compute_pi_pairs, component_index, preferred_tfpcc
 from mist.errors import InternalInvariant
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
@@ -380,7 +380,7 @@ def leaf_states(g):
         h = trace.nodes[idx].graph
         if h.n_alive() < 9:
             continue
-        pre = preprocess(preferred_tfpcc(h, strict=True), h, "refined")
+        pre = preprocess(preferred_tfpcc(h, compute_pi_pairs(h)), h, "refined")
         out.append((h, pre, run_transform(pre, h)))
     return out
 
