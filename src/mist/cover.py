@@ -202,23 +202,12 @@ def compute_pi_pairs(g: Graph, strict: bool = True) -> list[PiPair]:
     return pairs
 
 
-def build_augmented_graph(g: Graph, pairs: list[PiPair]) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """Copy of g with one pendant vertex attached to u1 of every pair."""
-    g2 = g.copy()
-    pendants = {}
-    for p in pairs:
-        x = g2.add_vertex()
-        g2.add_edge(p.u1, x)
-        pendants[(p.u1, p.u3)] = x
-    return g2, pendants
-
-
 def is_special(cover: Cover, pairs: list[PiPair]) -> bool:
     """True when every pair has cover degree at most 1 at u1."""
     return all(cover.degree(p.u1) <= 1 for p in pairs)
 
 
-def preferred_tfpcc(g: Graph, pairs: list[PiPair], *, cap: int = 16) -> Cover:
+def preferred_tfpcc(g: Graph, pairs: list[PiPair]) -> Cover:
     """Maximum triangle-free path-cycle cover among the special ones.
 
     Special means each twin pair of g (pairs, from compute_pi_pairs) keeps
@@ -227,55 +216,7 @@ def preferred_tfpcc(g: Graph, pairs: list[PiPair], *, cap: int = 16) -> Cover:
     """
     from .exact import max_tfpcc_exact
 
-    cover = max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs], cap=cap)
+    cover = max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs])
     if not is_special(cover, pairs):
         raise InternalInvariant("solver returned a non-special cover")
-    return cover
-
-
-def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = True) -> Cover:
-    """Preferred cover computed through the pendant-augmented graph.
-
-    Attach a pendant x to u1 of every pair, take a maximum cover of the
-    augmented graph, then repair: while some pendant is isolated, u1 must
-    have cover degree 2, so swap its lower cover edge for {x, u1}.
-    Stripping the pendant edges leaves a special cover of g with the same
-    number of non-pendant edges.
-    """
-    from .exact import max_tfpcc_exact
-
-    pairs = compute_pi_pairs(g, strict=strict)
-    g2, pendants = build_augmented_graph(g, pairs)
-    aug = max_tfpcc_exact(g2, cap=cap)
-    budget = len(pairs) + 1
-    while True:
-        stale = [
-            (key, x) for key, x in sorted(pendants.items()) if aug.degree(x) == 0
-        ]
-        if not stale:
-            break
-        budget -= 1
-        if budget < 0:
-            raise InternalInvariant("pendant repair loop did not settle")
-        (u1, _), x = stale[0]
-        if aug.degree(u1) != 2:
-            raise InternalInvariant(
-                f"isolated pendant {x} but u1={u1} has degree {aug.degree(u1)}"
-            )
-        before = aug.edge_count()
-        drop = min(norm_edge(u1, w) for w in aug.neighbors(u1))
-        aug.remove_edge(*drop)
-        aug.add_edge(u1, x)
-        if aug.edge_count() != before:
-            raise InternalInvariant("pendant swap changed the edge count")
-        validate_tfpcc(aug)
-    edges = []
-    pendant_ids = set(pendants.values())
-    for u, v in aug.edge_list():
-        if u in pendant_ids or v in pendant_ids:
-            continue
-        edges.append((u, v))
-    cover = Cover(g, edges)
-    if not is_special(cover, pairs):
-        raise InternalInvariant("augmented route produced a non-special cover")
     return cover

@@ -157,9 +157,6 @@ class Graph:
             and self.edge_list() == other.edge_list()
         )
 
-    def __hash__(self):
-        return hash((tuple(self.alive_list()), tuple(self.edge_list())))
-
     def __repr__(self):
         return f"Graph(alive={self.alive_list()}, edges={self.edge_list()})"
 

@@ -9,8 +9,9 @@ trees of the parts, gaining at least c internal vertices.
 
 reduce_to_fixpoint applies these until none fires, recording every step
 in a trace forest so the leaf solutions can be lifted back to the root.
-The trace keeps the graphs of its root and leaves only; lifting rebuilds
-every other graph by undoing its step on the graphs of its children.
+The trace keeps the graphs of its root and leaves only; lifting undoes
+each step once, rebuilding the graph and the tree of its node together
+from its children's.
 """
 
 from __future__ import annotations
@@ -468,17 +469,6 @@ def apply_strong_reduction(
     return h
 
 
-def lift_strong(r: StrongReduction, t: TreeResult) -> TreeResult:
-    if not r.restore_edges:
-        return t
-    verts = set(tree_vertices(t))
-    verts.update(r.removed_vertices)
-    lifted = tree_result(verts, list(t.edges) + list(r.restore_edges))
-    if lifted.weight < t.weight:
-        raise InternalInvariant("strong lift lost weight")
-    return lifted
-
-
 # -- weak reductions ------------------------------------------------------
 
 
@@ -561,29 +551,26 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
 
 
 def _peel(v: int, k_comp: tuple[int, ...], pendant: int, block: tuple[Edge, ...]) -> Peel:
-    """The peel of K = k_comp off v; block lists the edges of G[K + {v}] in order."""
-    t = _block_tree(v, k_comp, pendant, block)
-    inner = tuple(e for e in t.edges if e != (v, pendant))
-    return Peel(v, k_comp, pendant, inner, t.weight, block)
-
-
-def _block_tree(v: int, k_comp, pendant: int, block: tuple[Edge, ...]) -> TreeResult:
-    """opt_spanning_tree of G[K + {v}] plus a pendant at v, from its edges.
+    """The peel of K = k_comp off v; block lists the edges of G[K + {v}] in order.
 
     The pendant's id is above every other.  A block with |K| edges is a
     tree, and with the pendant it is its own only spanning tree, so it is
-    not searched.
+    taken without a search; any other block plus the pendant is solved by
+    opt_spanning_tree.
     """
-    edges = [*block, (v, pendant)]
     if len(block) == len(k_comp):
-        return tree_result([*k_comp, v, pendant], edges)
+        deg = dict.fromkeys(k_comp, 0)
+        deg[v] = 1  # the pendant edge
+        for a, b in block:
+            deg[a] += 1
+            deg[b] += 1
+        return Peel(v, k_comp, pendant, block, sum(d >= 2 for d in deg.values()), block)
     old = sorted([*k_comp, v, pendant])
     pos = {x: i for i, x in enumerate(old)}
-    t = opt_spanning_tree(Graph(len(old), [(pos[a], pos[b]) for a, b in edges]))
+    t = opt_spanning_tree(Graph(len(old), [(pos[a], pos[b]) for a, b in [*block, (v, pendant)]]))
     # old is ascending, so the renamed edges stay sorted
-    return TreeResult(
-        tuple((old[a], old[b]) for a, b in t.edges), t.weight, tuple(old[x] for x in t.leaves)
-    )
+    inner = tuple((old[a], old[b]) for a, b in t.edges if old[b] != pendant)
+    return Peel(v, k_comp, pendant, inner, t.weight, block)
 
 
 def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
@@ -690,51 +677,6 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
     return out
 
 
-def lift_tree(r: WeakReduction, subtrees: list[TreeResult]) -> TreeResult:
-    """Rebuild a spanning tree of the reduced graph's parent from part trees."""
-    if len(subtrees) != r.parts:
-        raise ArityMismatch(f"{r.kind} expects {r.parts} subtrees, got {len(subtrees)}")
-    if r.kind == "op3":
-        t1, t2 = subtrees
-        verts = set(tree_vertices(t1)) | set(tree_vertices(t2))
-        lifted = tree_result(verts, list(t1.edges) + list(t2.edges) + [r.bridge])
-        floor = t1.weight + t2.weight + r.c
-    elif r.kind == "op4":
-        (t1,) = subtrees
-        edges = set(t1.edges)
-        verts = set(tree_vertices(t1))
-        for s in reversed(r.peels):
-            pe = (s.cut_vertex, s.pendant)  # the pendant's id is the larger
-            if pe not in edges:
-                raise InternalInvariant("pendant edge missing from subtree")
-            edges.remove(pe)
-            edges.update(s.inner_tree)
-            verts.remove(s.pendant)
-            verts.update(s.component)
-        lifted = tree_result(verts, edges)
-        floor = t1.weight + r.c
-        if lifted.weight != floor:
-            raise InternalInvariant("block lift must gain exactly c")
-    elif r.kind == "op11":
-        (t1,) = subtrees
-        edges = set(t1.edges)
-        verts = set(tree_vertices(t1))
-        for (u1, u2), (o1, o2) in reversed(r.contractions):
-            swap = norm_edge(u1, o2)
-            if swap in edges:
-                edges.remove(swap)
-                edges.add(norm_edge(u2, o2))
-            edges.add(norm_edge(u1, u2))
-            verts.add(u2)
-        lifted = tree_result(verts, edges)
-        floor = t1.weight + r.c
-    else:
-        raise InternalInvariant(f"unknown weak reduction {r.kind}")
-    if lifted.weight < floor:
-        raise InternalInvariant(f"{r.kind} lift fell below its floor")
-    return lifted
-
-
 # -- fixpoint driver ------------------------------------------------------
 
 _FINDERS = {
@@ -800,9 +742,10 @@ class ReductionTrace:
         """Lift the leaf trees to a spanning tree of the root graph.
 
         Children come after their parent, so one reverse walk sees every
-        node after its children.  Each internal graph is rebuilt by undoing
-        the node's step on its children's graphs, starting from copies of
-        the leaf graphs, and every lifted tree must span its rebuilt graph.
+        node after its children.  Each internal node's graph and tree are
+        rebuilt together by undoing its step once on its children's
+        (_undo), starting from copies of the leaf graphs, and every lifted
+        tree must span its rebuilt graph.
         A child's graph and tree are dropped once its parent has used them.
         """
         trees: dict[int, TreeResult] = {}
@@ -816,12 +759,7 @@ class ReductionTrace:
             else:
                 subs = [trees.pop(c) for c in node.children]
                 parts = [graphs.pop(c) for c in node.children]
-                if isinstance(node.applied, StrongReduction):
-                    t = lift_strong(node.applied, subs[0])
-                    h = _undo_strong(node.applied, parts[0])
-                else:
-                    t = lift_tree(node.applied, subs)
-                    h = _undo_weak(node.applied, parts)
+                h, t = _undo(node.applied, parts, subs)
             _assert_spans(t, h)
             trees[node.index] = t
             graphs[node.index] = h
@@ -831,28 +769,49 @@ class ReductionTrace:
         return trees[0]
 
 
-def _undo_strong(r: StrongReduction, h: Graph) -> Graph:
-    """The graph r was applied to, rebuilt in place from its result h."""
-    for v in r.removed_vertices:
-        h.revive(v)
-    for u, v in r.removed_edges:
-        h.add_edge(u, v)
-    return h
+def _undo(
+    r: StrongReduction | WeakReduction, parts: list[Graph], subtrees: list[TreeResult]
+) -> tuple[Graph, TreeResult]:
+    """The graph r was applied to and its lifted tree, from the children's.
 
-
-def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
-    """The graph r was applied to, rebuilt in place in its first part."""
+    One reverse replay of the step rebuilds the graph in place in the first
+    part and edits the lifted tree's edge set beside it; the tree is then
+    built over the rebuilt graph's vertices and checked against the
+    step's floor.
+    """
     h = parts[0]
+    if isinstance(r, StrongReduction):
+        (t,) = subtrees
+        for v in r.removed_vertices:
+            h.revive(v)
+        for u, v in r.removed_edges:
+            h.add_edge(u, v)
+        if not r.restore_edges:
+            return h, t
+        lifted = tree_result(h.alive_list(), [*t.edges, *r.restore_edges])
+        if lifted.weight < t.weight:
+            raise InternalInvariant("strong lift lost weight")
+        return h, lifted
+    if len(subtrees) != r.parts:
+        raise ArityMismatch(f"{r.kind} expects {r.parts} subtrees, got {len(subtrees)}")
+    edges = set(subtrees[0].edges)
     if r.kind == "op3":
         for x in r.sides[1]:
             h.revive(x)
         for u, v in parts[1].edge_list():
             h.add_edge(u, v)
         h.add_edge(*r.bridge)
+        edges.update(subtrees[1].edges)
+        edges.add(r.bridge)
     elif r.kind == "op4":
         for s in reversed(r.peels):
+            pe = (s.cut_vertex, s.pendant)  # the pendant's id is the larger
+            if pe not in edges:
+                raise InternalInvariant("pendant edge missing from subtree")
+            edges.remove(pe)
+            edges.update(s.inner_tree)
             # the pendant is the last id, added by the peel
-            h.remove_edge(s.cut_vertex, s.pendant)
+            h.remove_edge(*pe)
             h.pop_vertex()
             for x in s.component:
                 h.revive(x)
@@ -860,6 +819,11 @@ def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
                 h.add_edge(u, v)
     elif r.kind == "op11":
         for (u1, u2), (o1, o2) in reversed(r.contractions):
+            swap = norm_edge(u1, o2)
+            if swap in edges:
+                edges.remove(swap)
+                edges.add(norm_edge(u2, o2))
+            edges.add(norm_edge(u1, u2))
             if o1 != o2:
                 h.remove_edge(u1, o2)
             h.revive(u2)
@@ -867,7 +831,13 @@ def _undo_weak(r: WeakReduction, parts: list[Graph]) -> Graph:
             h.add_edge(u2, o2)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
-    return h
+    lifted = tree_result(h.alive_list(), edges)
+    floor = sum(t.weight for t in subtrees) + r.c
+    if r.kind == "op4" and lifted.weight != floor:
+        raise InternalInvariant("block lift must gain exactly c")
+    if lifted.weight < floor:
+        raise InternalInvariant(f"{r.kind} lift fell below its floor")
+    return h, lifted
 
 
 def _assert_spans(t: TreeResult, g: Graph) -> None:

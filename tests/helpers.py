@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: removal-and-recount for
 bridges and cut-points, raw enumeration for optima, the all-pairs scan
 for op10.  None of it shares code with the library beyond the Graph and
 StrongReduction containers and norm_edge, so a bug cannot hide on both
-sides at once.  The exception is replay, which rebuilds the graphs a
-reduction trace does not keep by applying its steps forward.
+sides at once.  The exceptions are replay, which rebuilds the graphs a
+reduction trace does not keep by applying its steps forward, and the
+augmented-pendant route to a preferred cover, which checks the library's
+forced-leaf route against the library's unconstrained cover search.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -18,14 +20,14 @@ import random
 from itertools import combinations, permutations
 
 from mist import Graph, norm_edge
-from mist.cover import Cover
+from mist.cover import Cover, PiPair, compute_pi_pairs, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
     PreconditionViolated,
     SizeCapExceeded,
 )
-from mist.exact import OST_CAP, TreeResult, tree_result
+from mist.exact import OST_CAP, TreeResult, max_tfpcc_exact, tree_result
 from mist.reduce import StrongReduction, apply_strong_reduction, apply_weak_reduction
 
 
@@ -391,6 +393,64 @@ def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
 
     rec(0, 0)
     return Cover(g, [norm_edge(verts[a], verts[b]) for a, b in best_set])
+
+
+def build_augmented_graph(g: Graph, pairs: list[PiPair]) -> tuple[Graph, dict[tuple[int, int], int]]:
+    """Copy of g with one pendant vertex attached to u1 of every pair."""
+    g2 = g.copy()
+    pendants = {}
+    for p in pairs:
+        x = g2.add_vertex()
+        g2.add_edge(p.u1, x)
+        pendants[(p.u1, p.u3)] = x
+    return g2, pendants
+
+
+def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = True) -> Cover:
+    """Preferred cover computed through the pendant-augmented graph.
+
+    Attach a pendant x to u1 of every pair, take a maximum cover of the
+    augmented graph, then repair: while some pendant is isolated, u1 must
+    have cover degree 2, so swap its lower cover edge for {x, u1}.
+    Stripping the pendant edges leaves a special cover of g with the same
+    number of non-pendant edges.  mist.cover.preferred_tfpcc gets the same
+    edge count by forcing u1 to be a leaf instead.
+    """
+    pairs = compute_pi_pairs(g, strict=strict)
+    g2, pendants = build_augmented_graph(g, pairs)
+    aug = max_tfpcc_exact(g2, cap=cap)
+    budget = len(pairs) + 1
+    while True:
+        stale = [
+            (key, x) for key, x in sorted(pendants.items()) if aug.degree(x) == 0
+        ]
+        if not stale:
+            break
+        budget -= 1
+        if budget < 0:
+            raise InternalInvariant("pendant repair loop did not settle")
+        (u1, _), x = stale[0]
+        if aug.degree(u1) != 2:
+            raise InternalInvariant(
+                f"isolated pendant {x} but u1={u1} has degree {aug.degree(u1)}"
+            )
+        before = aug.edge_count()
+        drop = min(norm_edge(u1, w) for w in aug.neighbors(u1))
+        aug.remove_edge(*drop)
+        aug.add_edge(u1, x)
+        if aug.edge_count() != before:
+            raise InternalInvariant("pendant swap changed the edge count")
+        validate_tfpcc(aug)
+    edges = []
+    pendant_ids = set(pendants.values())
+    for u, v in aug.edge_list():
+        if u in pendant_ids or v in pendant_ids:
+            continue
+        edges.append((u, v))
+    cover = Cover(g, edges)
+    if not is_special(cover, pairs):
+        raise InternalInvariant("augmented route produced a non-special cover")
+    return cover
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

@@ -5,20 +5,18 @@ import pytest
 from mist import Graph, compute_pi_pairs, preferred_tfpcc
 from mist.cover import (
     Cover,
-    build_augmented_graph,
     component_index,
     component_ports,
     is_special,
     lower_edge_at,
     path_is_dead,
-    preferred_tfpcc_via_augmented,
     validate_tfpcc,
 )
 from mist.errors import InternalInvariant, PreconditionViolated
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
 
-from helpers import build_graph
+from helpers import build_augmented_graph, build_graph, preferred_tfpcc_via_augmented
 
 
 def cycle(n):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mist.reduce
 from mist import Graph, norm_edge, reduce_to_fixpoint
-from mist.errors import InternalInvariant, StaleWitness
+from mist.errors import ArityMismatch, InternalInvariant, StaleWitness
 from mist.exact import opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta
 from mist.reduce import (
@@ -27,7 +27,6 @@ from mist.reduce import (
     find_op10,
     find_op11,
     find_reduction,
-    lift_strong,
 )
 from mist.graph import separations
 
@@ -520,10 +519,9 @@ def test_a_strong_step_that_disconnects_its_witness_is_rejected(edges, r):
 
 def test_lift_strong_restores_removed_vertices():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    r = find_op1(g)
-    h = apply_strong_reduction(g, r)
-    t = opt_spanning_tree(h)
-    lifted = lift_strong(r, t)
+    tr = reduce_to_fixpoint(g, "simple")
+    assert [n.applied.kind for n in tr.nodes if n.applied is not None] == ["op1"]
+    lifted = tr.lift_all({i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()})
     assert lifted.weight == opt_spanning_tree(g).weight
     endpoints = [v for e in lifted.edges for v in e]
     assert endpoints.count(2) == 1  # the dropped twin reattaches as a leaf
@@ -835,13 +833,17 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
         assert checked == [(h.alive, h.adj) for h in reversed(replay(tr))], g
 
 
-def _lift_tampered(g, kind, **changes):
-    tr = reduce_to_fixpoint(g, "simple")
+def _lift_tampered(
+    g, mode, kind, tamper, exc=InternalInvariant, match="did not rebuild the input graph"
+):
+    # the root's step is changed after reducing, by the fields tamper maps
+    # it to; oracle leaf trees reach it intact, so the root's lift fails
+    tr = reduce_to_fixpoint(g, mode)
     node = tr.nodes[0]
     assert node.applied.kind == kind
-    node.applied = dataclasses.replace(node.applied, **changes)
+    node.applied = dataclasses.replace(node.applied, **tamper(node.applied))
     leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
-    with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
+    with pytest.raises(exc, match=match):
         tr.lift_all(leaf_trees)
 
 
@@ -856,7 +858,7 @@ def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
     cut = dataclasses.replace(
         peel, block_edges=tuple(e for e in peel.block_edges if e not in spare)
     )
-    _lift_tampered(g, "op4", peels=(cut,))
+    _lift_tampered(g, "simple", "op4", lambda r: {"peels": (cut,)})
 
 
 def test_lift_rejects_an_op3_step_whose_bridge_moved():
@@ -865,7 +867,35 @@ def test_lift_rejects_an_op3_step_whose_bridge_moved():
         8,
         [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 6), (4, 7)],
     )
-    _lift_tampered(g, "op3", bridge=(3, 4))
+    _lift_tampered(g, "simple", "op3", lambda r: {"bridge": (3, 4)})
+
+
+def _move_first_cut_vertex(r):
+    first = r.peels[0]
+    return {"peels": (dataclasses.replace(first, cut_vertex=first.cut_vertex + 5), *r.peels[1:])}
+
+
+_BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 6), (4, 7)]
+
+
+@pytest.mark.parametrize(
+    "g, mode, kind, tamper, exc, match",
+    [
+        (path(24), "simple", "op4", lambda r: {"c": r.c + 1}, InternalInvariant,
+         "block lift must gain exactly c"),
+        (cycle(24), "refined", "op11", lambda r: {"c": r.c + 1}, InternalInvariant,
+         "op11 lift fell below its floor"),
+        (build_graph(8, _BRIDGED_TRIANGLES), "simple", "op3", lambda r: {"c": r.c + 1},
+         InternalInvariant, "op3 lift fell below its floor"),
+        (path(24), "simple", "op4", lambda r: {"parts": 2}, ArityMismatch,
+         "op4 expects 2 subtrees, got 1"),
+        (path(24), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
+         "pendant edge missing from subtree"),
+    ],
+    ids=["op4-c", "op11-c", "op3-c", "op4-parts", "op4-cut-vertex"],
+)
+def test_lift_checks_the_step_it_undoes(g, mode, kind, tamper, exc, match):
+    _lift_tampered(g, mode, kind, tamper, exc, match)
 
 
 def test_safety_exhaustive_small_graphs():
