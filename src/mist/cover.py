@@ -122,7 +122,21 @@ def component_index(comps) -> dict[int, CoverComponent]:
 
 def lower_edge_at(cover: Cover, v: int) -> Edge:
     """Smallest cover edge incident to v, as a (min, max) tuple."""
-    return min(norm_edge(v, w) for w in cover.neighbors(v))
+    return norm_edge(v, cover.adj[v][0])
+
+
+def first_edge(g: Graph, sources, ok) -> Edge | None:
+    """First host edge (u, v) with ok(v), u in sources order and v ascending; or None."""
+    for u in sources:
+        for v in g.adj[u]:
+            if ok(v):
+                return u, v
+    return None
+
+
+def step_budget(g: Graph) -> int:
+    """Backstop on the number of steps of a fixpoint over g's covers."""
+    return g.n_alive() * g.edge_count() + g.edge_count() + 16
 
 
 def component_ports(g: Graph, comp: CoverComponent) -> list[int]:
@@ -136,9 +150,7 @@ def path_is_dead(g: Graph, comp: CoverComponent) -> bool:
     if comp.kind != "path":
         raise InternalInvariant("dead/alive applies to path components")
     inside = comp.vertex_set()
-    return not any(
-        any(u not in inside for u in g.adj[v]) for v in comp.endpoints
-    )
+    return first_edge(g, comp.endpoints, lambda u: u not in inside) is None
 
 
 def validate_tfpcc(cover: Cover, comps: list[CoverComponent] | None = None) -> None:

@@ -1,8 +1,10 @@
 """Exact solvers used as oracles and as the base case of the pipeline.
 
-All of them are exponential searches with pruning, guarded by explicit
-size caps.  They break ties toward smaller vertex ids so repeated runs
-return identical answers.
+The solvers (opt_spanning_tree, hamiltonian_path_between, max_tfpcc_exact)
+are exponential searches with pruning, guarded by explicit size caps.  They
+break ties toward smaller vertex ids so repeated runs return identical
+answers.  The tree helpers (tree_result, tree_vertices, internal_bound,
+path_cover_from_tree) take polynomial time.
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adj[u]
         i = bisect_left(row, v)

@@ -15,8 +15,10 @@ from .cover import (
     CoverComponent,
     component_index,
     component_ports,
+    first_edge,
     lower_edge_at,
     path_is_dead,
+    step_budget,
     validate_tfpcc,
 )
 from .errors import InternalInvariant, NonTermination
@@ -93,15 +95,11 @@ def find_op6(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None
     for comp in comps:
         if comp.kind != "path":
             continue
-        for u in comp.endpoints:
-            for v in g.adj[u]:
-                if v in comp.vertices:
-                    continue
-                if at[v].kind == "cycle":
-                    drop = lower_edge_at(cover, v)
-                    return CoverRewrite(
-                        "op6", (drop,), (norm_edge(u, v),), (comp.key, u, v)
-                    )
+        edge = first_edge(g, comp.endpoints, lambda v: at[v].kind == "cycle")
+        if edge:
+            u, v = edge
+            drop = lower_edge_at(cover, v)
+            return CoverRewrite("op6", (drop,), (norm_edge(u, v),), (comp.key, u, v))
     return None
 
 
@@ -172,15 +170,14 @@ def find_op13(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | Non
     for p1 in comps:
         if p1.kind != "path":
             continue
-        for u1 in p1.endpoints:
-            for u2 in g.adj[u1]:
-                if u2 in p1.vertices:
-                    continue
-                p2 = at[u2]
-                if p2.kind == "path" and u2 in p2.endpoints:
-                    return CoverRewrite(
-                        "op13", (), (norm_edge(u1, u2),), (p1.key, u1, u2)
-                    )
+        edge = first_edge(
+            g,
+            p1.endpoints,
+            lambda v: at[v] is not p1 and at[v].kind == "path" and v in at[v].endpoints,
+        )
+        if edge:
+            u1, u2 = edge
+            return CoverRewrite("op13", (), (norm_edge(u1, u2),), (p1.key, u1, u2))
     return None
 
 
@@ -239,7 +236,7 @@ def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
     step and the next step's finders.
     """
     work = cover.copy()
-    budget = g.n_alive() * g.edge_count() + g.edge_count() + 16
+    budget = step_budget(g)
     steps = 0
     comps = work.components()
     while True:

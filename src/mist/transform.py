@@ -1,16 +1,20 @@
 """Turning a preprocessed cover into a spanning tree.
 
-The simple route attaches short paths, opens cycles along host edges and
-joins what is left.  The refined route runs three stages: connect paths
-into trees along the growth structure left by preprocessing, then apply
-component-merging operations (op15 through op23) that keep every touched
-component "good", then break the surviving short cycles and join.
-Component quality is measured against b(C), the number of edges of the
-original cover lying inside the component, using exact rationals.
+The simple route attaches short paths, then one cycle opener opens the
+cycles along host edges and joins what is left.  The refined route runs
+three stages: connect paths into trees along the growth structure left by
+preprocessing, apply component-merging operations (op15 through op23)
+that keep every touched component "good", then break the surviving short
+cycles and join; a cover that stage 2 leaves all cycles goes to the same
+opener.  Every search for a host edge leaving a vertex set is
+`cover.first_edge`.  Component quality is measured against b(C), the
+number of edges of the original cover lying inside the component, using
+exact rationals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,9 +22,10 @@ from .cover import (
     Cover,
     CoverComponent,
     component_index,
-    component_ports,
+    first_edge,
     lower_edge_at,
     path_is_dead,
+    step_budget,
 )
 from .errors import InternalInvariant, NonTermination
 from .exact import TreeResult, tree_result
@@ -55,6 +60,20 @@ def classify_component(comp: CoverComponent, base_edges) -> ComponentInfo:
     return ComponentInfo(comp, b, label)
 
 
+_STAGE2_KINDS = ("4-cycle", "5-cycle", "0-path", "4-path", "good")
+
+
+def _stage2_kind(info: ComponentInfo) -> str | None:
+    comp = info.comp
+    if info.good:
+        return "good"
+    if comp.kind == "cycle" and comp.length in (4, 5):
+        return f"{comp.length}-cycle"
+    if comp.kind == "path" and comp.length in (0, 4):
+        return f"{comp.length}-path"
+    return None
+
+
 @dataclass(frozen=True)
 class ComponentStats:
     g2: int
@@ -78,57 +97,96 @@ class ComponentStats:
         return 3 * self.c4 + 5 * self.c5 + 3 * self.p4 + 2 * self.g2 + 2 * self.g3
 
 
-def compute_stats(cover: Cover, base_edges, comps=None) -> ComponentStats:
-    g2 = g3 = b2 = b3 = c4 = c5 = p4 = 0
-    for comp in cover.components() if comps is None else comps:
-        info = classify_component(comp, base_edges)
-        if comp.kind == "cycle":
-            if comp.length == 4:
-                c4 += 1
-            elif comp.length == 5:
-                c5 += 1
-            else:
-                raise InternalInvariant(f"cycle of length {comp.length} survived")
-        elif info.label == "c2":
-            g2 += len(comp.internal)
-            b2 += info.b
-        elif info.label == "c3":
-            g3 += len(comp.internal)
-            b3 += info.b
-        elif comp.kind == "path" and comp.length == 0:
-            pass
-        elif comp.kind == "path" and comp.length == 4:
-            p4 += 1
-        else:
-            raise InternalInvariant(f"bad component of unexpected shape at {comp.key}")
-    return ComponentStats(g2, g3, b2, b3, c4, c5, p4)
+def compute_stats(cover: Cover, base_edges, infos=None) -> ComponentStats:
+    """Tally the stage-2 kinds of the cover's components, classified by infos if given."""
+    if infos is None:
+        infos = [classify_component(c, base_edges) for c in cover.components()]
+    kinds = Counter()
+    good = {"c2": [0, 0], "c3": [0, 0]}  # internal vertices, base edges
+    for info in infos:
+        kind = _stage2_kind(info)
+        if kind is None:
+            raise InternalInvariant(
+                f"component at {info.comp.key} left over after stage 2"
+            )
+        kinds[kind] += 1
+        if kind == "good":
+            good[info.label][0] += len(info.comp.internal)
+            good[info.label][1] += info.b
+    (g2, b2), (g3, b3) = good["c2"], good["c3"]
+    return ComponentStats(g2, g3, b2, b3, kinds["4-cycle"], kinds["5-cycle"], kinds["4-path"])
 
 
-# -- simple transform -------------------------------------------------------
+# -- cover edits ------------------------------------------------------------
+
+
+def _open_at(work: Cover, at, x: int) -> None:
+    """Drop x's lower cover edge if x lies on a cycle of the index at."""
+    if at[x].kind == "cycle":
+        work.remove_edge(*lower_edge_at(work, x))
+
+
+def _link(work: Cover, at, u: int, v: int) -> int:
+    """Add the host edge uv, first opening the cycles at its ends; returns u."""
+    _open_at(work, at, u)
+    _open_at(work, at, v)
+    work.add_edge(u, v)
+    return u
 
 
 def _join_components(work: Cover, g: Graph) -> None:
-    verts = g.alive_list()
-    pos = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
+    if work.edge_count() == g.n_alive() - 1:
+        return  # the forest already spans g
+    parent = list(range(g.vertex_count))
     for u, v in work.edge_list():
-        ru, rv = find(parent, pos[u]), find(parent, pos[v])
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
     for u, v in g.edge_list():
-        ru, rv = find(parent, pos[u]), find(parent, pos[v])
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             work.add_edge(u, v)
+
+
+def _cycle_exit(g: Graph, cycles, at) -> Edge | None:
+    """First host edge between two cycles, else from a cycle to a non-cycle."""
+    for c in cycles:
+        edge = first_edge(g, c.vertices, lambda v: at[v].kind == "cycle" and at[v] is not c)
+        if edge:
+            return edge
+    # no cycle sees another one, so every edge leaving a cycle ends off the cycles
+    sources = [v for c in cycles for v in c.vertices]
+    return first_edge(g, sources, lambda v: at[v].kind != "cycle")
+
+
+def _open_cycles_and_join(work: Cover, g: Graph, comps) -> TreeResult:
+    """Open the cover's cycles one by one along host edges, then join the rest.
+
+    comps is the cover's current component list, searched again after each
+    opened cycle.  A cover that is one spanning cycle loses its smallest edge.
+    """
+    while cycles := [c for c in comps if c.kind == "cycle"]:
+        at = component_index(comps)
+        if len(comps) == 1:  # one spanning cycle, which no edge leaves
+            work.remove_edge(*comps[0].edges[0])
+        elif edge := _cycle_exit(g, cycles, at):
+            _link(work, at, *edge)
+        else:
+            raise InternalInvariant("cycle with no way out in a connected graph")
+        comps = work.components()
+    _join_components(work, g)
+    return tree_result(g.alive_list(), work.edge_list())
+
+
+# -- simple transform -------------------------------------------------------
 
 
 def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
     """Spanning tree with at least one internal vertex per cover edge ratio.
 
     Short paths (length 1 to 3) are attached to the rest through a host
-    edge at an endpoint, cycles are opened along host edges leaving them,
-    and the resulting tree components are joined.  A cover that is one
-    spanning cycle is broken at its smallest edge.
+    edge at an endpoint, then the cycles are opened and all joined.
     """
     work = cover.copy()
     comps = work.components()
@@ -136,59 +194,14 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
     for comp in comps:
         if comp.kind == "path" and 1 <= comp.length <= 3:
             inside = comp.vertex_set()
-            attach = None
-            for u in comp.endpoints:
-                for v in g.adj[u]:
-                    if v not in inside:
-                        attach = (u, v)
-                        break
-                if attach:
-                    break
-            if attach is None:
+            edge = first_edge(g, comp.endpoints, lambda v: v not in inside)
+            if edge is None:
                 raise InternalInvariant(f"short path at {comp.key} has no way out")
-            work.add_edge(*attach)
+            work.add_edge(*edge)
             attached = True
     if attached:
         comps = work.components()
-    while True:
-        cycles = [c for c in comps if c.kind == "cycle"]
-        if not cycles:
-            break
-        if not (
-            _open_cycle_pair(work, g, cycles, component_index(comps))
-            or _open_cycle_escape(work, g, cycles)
-        ):
-            if len(comps) != 1 or comps[0].kind != "cycle":
-                raise InternalInvariant("cycle with no way out in a connected graph")
-            work.remove_edge(*comps[0].edges[0])
-        comps = work.components()
-    _join_components(work, g)
-    return tree_result(g.alive_list(), work.edge_list())
-
-
-def _open_cycle_pair(work, g, cycles, at) -> bool:
-    for c1 in cycles:
-        for u1 in c1.vertices:
-            for u2 in g.adj[u1]:
-                c2 = at[u2]
-                if c2.kind == "cycle" and c2.key != c1.key:
-                    work.remove_edge(*lower_edge_at(work, u1))
-                    work.remove_edge(*lower_edge_at(work, u2))
-                    work.add_edge(u1, u2)
-                    return True
-    return False
-
-
-def _open_cycle_escape(work, g, cycles) -> bool:
-    for c in cycles:
-        inside = c.vertex_set()
-        for u in c.vertices:
-            for v in g.adj[u]:
-                if v not in inside:
-                    work.remove_edge(*lower_edge_at(work, u))
-                    work.add_edge(u, v)
-                    return True
-    return False
+    return _open_cycles_and_join(work, g, comps)
 
 
 # -- refined transform ------------------------------------------------------
@@ -215,10 +228,9 @@ def stage1_connect(work: Cover, g: Graph, base_edges):
     for p in comps:
         if p.kind != "path" or p.length < 1:
             continue
-        inside = p.vertex_set()
         for v in p.endpoints:
             for u in g.adj[v]:
-                if u in inside:
+                if at[u] is p:
                     continue
                 q = at[u]
                 if q.kind != "path" or work.degree(u) != 2:
@@ -238,16 +250,8 @@ def stage1_connect(work: Cover, g: Graph, base_edges):
         gamma_prime.append((pk, cands[0]))
     added = []
     for pk, qk in gamma_prime:
-        p, q = by_key[pk], by_key[qk]
-        target = q.vertex_set()
-        edge = None
-        for v in p.endpoints:
-            for u in g.adj[v]:
-                if u in target:
-                    edge = (v, u)
-                    break
-            if edge:
-                break
+        q = by_key[qk]
+        edge = first_edge(g, by_key[pk].endpoints, lambda u: at[u] is q)
         if edge is None:
             raise InternalInvariant(f"no edge realizes the pair ({pk}, {qk})")
         work.add_edge(*edge)
@@ -266,12 +270,12 @@ def _leaf_total(comps) -> int:
     return sum(len(c.leaves) for c in comps)
 
 
-def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> list[CoverComponent]:
-    """Merge components to a fixpoint; returns the final component list.
+def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> list[ComponentInfo]:
+    """Merge components to a fixpoint; returns the final components' infos in order.
 
     The list a step checks its result against is the next step's input.
     """
-    budget = g.n_alive() * g.edge_count() + g.edge_count() + 16
+    budget = step_budget(g)
     steps = 0
     comps = work.components()
     infos = {c.key: classify_component(c, base_edges) for c in comps}
@@ -286,7 +290,7 @@ def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> list[CoverComponent]:
             if check is not None:
                 break
         if check is None:
-            return comps
+            return list(infos.values())
         comps = work.components()
         infos = {c.key: classify_component(c, base_edges) for c in comps}
         touched = next(c for c in comps if check in c.vertices)
@@ -311,14 +315,9 @@ def _op15(work, g, comps, infos, at):
         for c2 in cycles[i + 1 :]:
             if c1.length + c2.length < 10:
                 continue
-            other = c2.vertex_set()
-            for v1 in c1.vertices:
-                for v2 in g.adj[v1]:
-                    if v2 in other:
-                        work.remove_edge(*lower_edge_at(work, v1))
-                        work.remove_edge(*lower_edge_at(work, v2))
-                        work.add_edge(v1, v2)
-                        return v1
+            edge = first_edge(g, c1.vertices, lambda v: at[v] is c2)
+            if edge:
+                return _link(work, at, *edge)
     return None
 
 
@@ -326,13 +325,10 @@ def _op16(work, g, comps, infos, at):
     for c1 in comps:
         if c1.kind != "cycle" or c1.length < 5:
             continue
-        inside = c1.vertex_set()
-        for v in c1.vertices:
-            for u in g.adj[v]:
-                if u not in inside and infos[at[u].key].good:
-                    work.remove_edge(*lower_edge_at(work, v))
-                    work.add_edge(v, u)
-                    return v
+        # a cycle is never good, so a good component lies outside c1
+        edge = first_edge(g, c1.vertices, lambda u: infos[at[u].key].good)
+        if edge:
+            return _link(work, at, *edge)
     return None
 
 
@@ -340,16 +336,11 @@ def _op17(work, g, comps, infos, at):
     for c in comps:
         if c.kind != "cycle" or c.length < 6:
             continue
-        inside = c.vertex_set()
-        for v in c.vertices:
-            for u in g.adj[v]:
-                if u in inside:
-                    continue
-                p = at[u]
-                if p.kind == "path" and p.length == 4:
-                    work.remove_edge(*lower_edge_at(work, v))
-                    work.add_edge(v, u)
-                    return v
+        edge = first_edge(
+            g, c.vertices, lambda u: at[u].kind == "path" and at[u].length == 4
+        )
+        if edge:
+            return _link(work, at, *edge)
     return None
 
 
@@ -378,15 +369,9 @@ def _op19(work, g, comps, infos, at):
     for c1 in comps:
         if not infos[c1.key].good:
             continue
-        inside = c1.vertex_set()
-        for u in c1.leaves:
-            for v in g.adj[u]:
-                if v in inside:
-                    continue
-                if at[v].kind == "cycle":
-                    work.remove_edge(*lower_edge_at(work, v))
-                work.add_edge(u, v)
-                return u
+        edge = first_edge(g, c1.leaves, lambda v: at[v] is not c1)
+        if edge:
+            return _link(work, at, *edge)
     return None
 
 
@@ -394,19 +379,16 @@ def _op20(work, g, comps, infos, at):
     for c in comps:
         if c.kind != "cycle":
             continue
-        inside = c.vertex_set()
         for v1, v2 in c.edges:
-            n1 = [u for u in g.adj[v1] if u not in inside]
-            n2 = [u for u in g.adj[v2] if u not in inside]
+            n1 = [u for u in g.adj[v1] if at[u] is not c]
+            n2 = [u for u in g.adj[v2] if at[u] is not c]
             for u1 in n1:
                 for u2 in n2:
                     if at[u1] is at[u2]:
                         continue
                     work.remove_edge(v1, v2)
-                    if at[u1].kind == "cycle":
-                        work.remove_edge(*lower_edge_at(work, u1))
-                    if at[u2].kind == "cycle":
-                        work.remove_edge(*lower_edge_at(work, u2))
+                    _open_at(work, at, u1)
+                    _open_at(work, at, u2)
                     work.add_edge(v1, u1)
                     work.add_edge(v2, u2)
                     return v1
@@ -424,16 +406,13 @@ def _op21(work, g, comps, infos, at):
         a, b = c.endpoints
         if not g.has_edge(a, b):
             continue
-        ports = component_ports(g, c)
-        if not ports:
+        edge = first_edge(g, c.vertices, lambda x: at[x] is not c)
+        if edge is None:
             raise InternalInvariant(f"component at {c.key} is sealed off")
-        u = ports[0]
+        u, v = edge
         work.add_edge(a, b)
         work.remove_edge(*lower_edge_at(work, u))
-        inside = c.vertex_set()
-        v = next(x for x in g.adj[u] if x not in inside)
-        if at[v].kind == "cycle":
-            work.remove_edge(*lower_edge_at(work, v))
+        _open_at(work, at, v)
         work.add_edge(u, v)
         return u
     return None
@@ -472,12 +451,10 @@ def _op23(work, g, comps, infos, at):
             if not (g.has_edge(v, u2) and g.has_edge(v, u4)):
                 continue
             for x in g.adj[u3]:
-                c2 = at[x]
-                if c2.key in (c1.key, p.key):
+                if at[x].key in (c1.key, p.key):
                     continue
                 work.remove_edge(u2, u3)
-                if c2.kind == "cycle":
-                    work.remove_edge(*lower_edge_at(work, x))
+                _open_at(work, at, x)
                 work.add_edge(v, u2)
                 work.add_edge(v, u4)
                 work.add_edge(u3, x)
@@ -491,11 +468,10 @@ _STAGE2_OPS = (_op15, _op16, _op17, _op18, _op19, _op20, _op21, _op22, _op23)
 def _tree_path(cover: Cover, u: int, v: int) -> list[int]:
     prev = {u: None}
     queue = [u]
-    while queue:
-        x = queue.pop(0)
+    for x in queue:  # the list grows behind the loop, a breadth-first queue
         if x == v:
             break
-        for y in cover.neighbors(x):
+        for y in cover.adj[x]:
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
@@ -504,20 +480,6 @@ def _tree_path(cover: Cover, u: int, v: int) -> list[int]:
         path.append(prev[path[-1]])
     path.reverse()
     return path
-
-
-_STAGE2_KINDS = ("4-cycle", "5-cycle", "0-path", "4-path", "good")
-
-
-def _stage2_kind(info: ComponentInfo) -> str | None:
-    comp = info.comp
-    if info.good:
-        return "good"
-    if comp.kind == "cycle" and comp.length in (4, 5):
-        return f"{comp.length}-cycle"
-    if comp.kind == "path" and comp.length in (0, 4):
-        return f"{comp.length}-path"
-    return None
 
 
 def stage3_finish(work: Cover, g: Graph, comps=None) -> TreeResult:
@@ -530,12 +492,10 @@ def stage3_finish(work: Cover, g: Graph, comps=None) -> TreeResult:
     for c in comps:
         if c.kind != "cycle":
             continue
-        ports = component_ports(g, c)
-        if not ports:
+        edge = first_edge(g, c.vertices, lambda x: at[x] is not c)
+        if edge is None:
             raise InternalInvariant(f"cycle at {c.key} is sealed off")
-        u = ports[0]
-        inside = c.vertex_set()
-        v = next(x for x in g.adj[u] if x not in inside)
+        u, v = edge
         # the cycles before c in the list are open by now
         if at[v].kind == "cycle" and at[v].key > c.key:
             raise InternalInvariant("two surviving cycles are adjacent")
@@ -545,65 +505,36 @@ def stage3_finish(work: Cover, g: Graph, comps=None) -> TreeResult:
     return tree_result(g.alive_list(), work.edge_list())
 
 
-def _finish_all_cycles(work: Cover, g: Graph, comps) -> TreeResult:
-    """Chain covers made of cycles only into a Hamiltonian path.
-
-    When every component is a cycle they jointly span the graph, which
-    happens only for a single spanning cycle or (at nine vertices) a
-    4-cycle plus a 5-cycle.  Opening each cycle once at a connecting
-    edge yields a spanning path, the best possible tree.
-    """
-    if len(comps) == 1:
-        work.remove_edge(*comps[0].edges[0])
-    elif len(comps) == 2:
-        c1, c2 = comps
-        other = c2.vertex_set()
-        link = None
-        for u in c1.vertices:
-            for v in g.adj[u]:
-                if v in other:
-                    link = (u, v)
-                    break
-            if link:
-                break
-        if link is None:
-            raise InternalInvariant("two cycle components with no connecting edge")
-        work.remove_edge(*lower_edge_at(work, link[0]))
-        work.remove_edge(*lower_edge_at(work, link[1]))
-        work.add_edge(*link)
-    else:
-        raise InternalInvariant(f"{len(comps)} cycle components left after stage 2")
-    return tree_result(g.alive_list(), work.edge_list())
-
-
 def run_transform(cover: Cover, g: Graph) -> TransformState:
-    """Run the three refined stages on a preprocessed cover."""
+    """Run the three refined stages on a preprocessed cover.
+
+    Cycles left alone by stage 2 span g: one spanning cycle or (at nine
+    vertices) a 4-cycle and a 5-cycle.  The shared opener turns them into a
+    spanning path, the best possible tree.
+    """
     base_edges = tuple(cover.edge_list())
     work = cover.copy()
     gamma, gamma_prime, added = stage1_connect(work, g, base_edges)
     cover1 = work.copy()
-    comps = stage2_fixpoint(work, g, base_edges)
+    infos = stage2_fixpoint(work, g, base_edges)
+    comps = [i.comp for i in infos]
+    cover2 = work.copy()
     if all(c.kind == "cycle" for c in comps):
-        cover2 = work.copy()
-        tree = _finish_all_cycles(work, g, comps)
+        if len(comps) > 2:
+            raise InternalInvariant(
+                f"{len(comps)} cycle components left after stage 2"
+            )
+        stats = None
+        tree = _open_cycles_and_join(work, g, comps)
         if tree.weight != g.n_alive() - 2:
             raise InternalInvariant("cycle chaining missed the spanning path")
-        return TransformState(
-            base_edges, gamma, gamma_prime, added, cover1, cover2, None, tree
-        )
-    for comp in comps:
-        info = classify_component(comp, base_edges)
-        if _stage2_kind(info) is None:
+    else:
+        stats = compute_stats(work, base_edges, infos)
+        tree = stage3_finish(work, g, comps)
+        if tree.weight < stats.tree_floor:
             raise InternalInvariant(
-                f"component at {comp.key} left over after stage 2"
+                f"tree weight {tree.weight} below floor {stats.tree_floor}"
             )
-    cover2 = work.copy()
-    stats = compute_stats(cover2, base_edges, comps)
-    tree = stage3_finish(work, g, comps)
-    if tree.weight < stats.tree_floor:
-        raise InternalInvariant(
-            f"tree weight {tree.weight} below floor {stats.tree_floor}"
-        )
     return TransformState(
         base_edges, gamma, gamma_prime, added, cover1, cover2, stats, tree
     )
@@ -685,14 +616,12 @@ def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
     cycles = [c for c in comps if c.kind == "cycle"]
     for i, c1 in enumerate(cycles):
         for c2 in cycles[i + 1 :]:
-            other = c2.vertex_set()
-            if any(v in other for u in c1.vertices for v in g.adj[u]):
+            if first_edge(g, c1.vertices, lambda v: at[v] is c2):
                 out.append(f"cycles at {c1.key} and {c2.key} are adjacent")
     for c in cycles:
         if c.length != 4:
             continue
-        inside = c.vertex_set()
-        targets = {at[v].key for u in c.vertices for v in g.adj[u] if v not in inside}
+        targets = {at[v].key for u in c.vertices for v in g.adj[u]} - {c.key}
         if len(targets) > 1:
             out.append(f"4-cycle at {c.key} is adjacent to {len(targets)} components")
         for t in targets:

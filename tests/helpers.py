@@ -435,7 +435,7 @@ def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = Tru
                 f"isolated pendant {x} but u1={u1} has degree {aug.degree(u1)}"
             )
         before = aug.edge_count()
-        drop = min(norm_edge(u1, w) for w in aug.neighbors(u1))
+        drop = min(norm_edge(u1, w) for w in aug.adj[u1])
         aug.remove_edge(*drop)
         aug.add_edge(u1, x)
         if aug.edge_count() != before:

@@ -35,7 +35,7 @@ def test_adjacency_stays_sorted():
     g.add_edge(0, 3)
     g.add_edge(0, 1)
     g.add_edge(0, 2)
-    assert g.neighbors(0) == [1, 2, 3]
+    assert g.adj[0] == [1, 2, 3]
     assert g.degree(0) == 3
 
 

@@ -62,7 +62,7 @@ def test_simple_route_keeps_a_hamiltonian_path():
     g, c = cover_on(6, pedges(0, 5))
     t = build_tree_simple(c, g)
     assert t.weight == 4
-    assert sorted(t.edges) == pedges(0, 5)
+    assert t.edges == tuple(pedges(0, 5))
 
 
 def test_simple_route_breaks_a_spanning_cycle():
@@ -70,6 +70,7 @@ def test_simple_route_breaks_a_spanning_cycle():
     t = build_tree_simple(c, g)
     assert t.weight == 4
     assert t.weight == opt_spanning_tree(g).weight
+    assert t.edges == ((0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_simple_route_attaches_a_short_path():
@@ -80,6 +81,7 @@ def test_simple_route_attaches_a_short_path():
     t = build_tree_simple(c, g)
     assert t.weight == 9
     assert 4 * t.weight >= 3 * 10  # ten cover edges
+    assert t.edges == tuple(sorted(pedges(0, 8) + [(4, 9), (9, 10), (10, 11)]))
 
 
 @pytest.mark.parametrize(
@@ -164,6 +166,9 @@ def test_two_long_cycles_weld_into_one_path():
     comps = work.components()
     assert [(cc.kind, cc.length) for cc in comps] == [("path", 9)]
     assert classify_component(comps[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (5, 9), (6, 7), (7, 8), (8, 9)
+    ]
 
 
 def test_a_long_cycle_opens_onto_a_good_component():
@@ -176,6 +181,10 @@ def test_a_long_cycle_opens_onto_a_good_component():
     comps = work.components()
     assert [cc.kind for cc in comps] == ["tree"]
     assert classify_component(comps[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 4), (0, 7), (1, 2), (2, 3), (3, 4),
+        (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+    ]
 
 
 def test_a_six_cycle_opens_onto_a_dead_4_path():
@@ -188,6 +197,10 @@ def test_a_six_cycle_opens_onto_a_dead_4_path():
     assert fire(work, g, base, _op17) is not None
     assert [cc.kind for cc in work.components()] == ["tree"]
     assert classify_component(work.components()[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 5), (0, 8), (1, 2), (2, 3), (3, 4), (4, 5),
+        (6, 7), (7, 8), (8, 9), (9, 10),
+    ]
 
 
 def test_an_isolated_vertex_bridges_two_components():
@@ -199,6 +212,10 @@ def test_an_isolated_vertex_bridges_two_components():
     comps = work.components()
     assert len(comps) == 1
     assert classify_component(comps[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 3), (0, 9), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+        (7, 8), (8, 9), (9, 10), (10, 11), (11, 12),
+    ]
 
 
 def test_a_good_leaf_swallows_an_adjacent_cycle():
@@ -209,6 +226,10 @@ def test_a_good_leaf_swallows_an_adjacent_cycle():
     assert fire(work, g, base, _op19) == 0
     comps = work.components()
     assert [(cc.kind, cc.length) for cc in comps] == [("path", 10)]
+    assert work.edge_list() == [
+        (0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5),
+        (6, 10), (7, 8), (8, 9), (9, 10),
+    ]
 
 
 def test_a_cycle_edge_splits_toward_two_components():
@@ -222,6 +243,11 @@ def test_a_cycle_edge_splits_toward_two_components():
     comps = work.components()
     assert len(comps) == 1
     assert classify_component(comps[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 3), (0, 6), (1, 2), (1, 12), (2, 3),
+        (4, 5), (5, 6), (6, 7), (7, 8), (8, 9),
+        (10, 11), (11, 12), (12, 13), (13, 14), (14, 15),
+    ]
 
 
 def test_a_dead_path_with_an_end_chord_rolls_and_escapes():
@@ -235,6 +261,10 @@ def test_a_dead_path_with_an_end_chord_rolls_and_escapes():
     comps = work.components()
     assert len(comps) == 1
     assert classify_component(comps[0], base).label == "c2"
+    assert work.edge_list() == [
+        (0, 1), (0, 5), (2, 3), (2, 8), (3, 4), (4, 5),
+        (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+    ]
 
 
 def test_a_tree_with_adjacent_leaves_loses_its_branch():
@@ -250,6 +280,10 @@ def test_a_tree_with_adjacent_leaves_loses_its_branch():
     assert [(cc.kind, cc.length) for cc in comps] == [("path", 10)]
     assert (0, 10) in work.edge_list()
     assert (3, 4) not in work.edge_list()
+    assert work.edge_list() == [
+        (0, 1), (0, 10), (1, 2), (2, 3), (4, 5),
+        (4, 9), (5, 6), (6, 7), (7, 8), (9, 10),
+    ]
 
 
 def test_an_isolated_vertex_rewires_a_dead_4_path():
@@ -266,6 +300,10 @@ def test_an_isolated_vertex_rewires_a_dead_4_path():
     edges = work.edge_list()
     assert (2, 3) not in edges
     assert {(0, 2), (0, 4), (3, 9)} <= set(edges)
+    assert edges == [
+        (0, 2), (0, 4), (1, 2), (3, 4), (3, 9), (4, 5),
+        (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+    ]
 
 
 def test_stage2_searches_components_once_per_step(monkeypatch):
@@ -278,8 +316,9 @@ def test_stage2_searches_components_once_per_step(monkeypatch):
     monkeypatch.setattr(
         Cover, "components", lambda self: calls.append(1) or components(self)
     )
-    comps = stage2_fixpoint(c, g, tuple(c.edge_list()))
-    assert [(cc.kind, cc.length) for cc in comps] == [("path", 9), ("path", 9)]
+    infos = stage2_fixpoint(c, g, tuple(c.edge_list()))
+    assert [(i.comp.kind, i.comp.length) for i in infos] == [("path", 9), ("path", 9)]
+    assert [i.label for i in infos] == ["c2", "c2"]
     assert len(calls) == 3  # once up front, once after each of the two welds
 
 
@@ -394,6 +433,19 @@ def test_all_cycle_covers_end_in_a_spanning_path():
                 assert state.tree.weight == h.n_alive() - 2
                 assert state.tree.weight == opt_spanning_tree(h).weight
     assert hit >= 2
+
+
+def test_two_adjacent_cycles_open_into_one_path():
+    # the only all-cycle cover with two components: a 4-cycle and a 5-cycle
+    # joined by one host edge, which both of them open at
+    cycles = cyc(range(0, 4)) + cyc(range(4, 9))
+    g, c = cover_on(9, cycles + [(0, 4)], cycles)
+    state = run_transform(c, g)
+    assert state.stats is None
+    assert state.tree.edges == (
+        (0, 3), (0, 4), (1, 2), (2, 3), (4, 8), (5, 6), (6, 7), (7, 8)
+    )
+    assert state.tree.weight == 7
 
 
 def test_transform_state_invariants_on_generated_instances():
