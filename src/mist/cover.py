@@ -15,15 +15,19 @@ from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 
 class Cover(Graph):
-    """Spanning subgraph of a host graph, over the host's vertex ids."""
+    """Spanning subgraph of a host graph, over the host's vertex ids.
 
-    __slots__ = ("graph",)
+    components() and index() are kept until the next edit; a copy shares them.
+    """
+
+    __slots__ = ("graph", "_comps", "_index")
 
     def __init__(self, graph: Graph, edges=()):
         super().__init__(graph.vertex_count)
         self.alive = list(graph.alive)
         self._order = graph.n_alive()
         self.graph = graph
+        self._comps = self._index = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -31,11 +35,21 @@ class Cover(Graph):
         if not self.graph.has_edge(u, v):
             raise InternalInvariant(f"cover edge {u}-{v} is not a host edge")
         super().add_edge(u, v)
+        self._comps = self._index = None
+
+    def remove_edge(self, u: int, v: int) -> None:
+        super().remove_edge(u, v)
+        self._comps = self._index = None
+
+    def remove_vertex(self, v: int) -> None:
+        super().remove_vertex(v)  # an isolated v changes no edge
+        self._comps = self._index = None
 
     def copy(self) -> Cover:
         c = Cover(self.graph)
         c.adj = [list(row) for row in self.adj]
         c._size = self._size
+        c._comps, c._index = self._comps, self._index
         return c
 
     def __repr__(self):
@@ -43,7 +57,15 @@ class Cover(Graph):
 
     def components(self) -> list[CoverComponent]:
         """Connected components ordered by smallest vertex."""
-        return [self._make_component(comp) for comp in connected_components(self)]
+        if self._comps is None:
+            self._comps = [self._make_component(c) for c in connected_components(self)]
+        return self._comps
+
+    def index(self) -> dict[int, CoverComponent]:
+        """Map every alive vertex to its component in components()."""
+        if self._index is None:
+            self._index = {v: c for c in self.components() for v in c.vertices}
+        return self._index
 
     def _make_component(self, comp: list[int]) -> CoverComponent:
         vertices = tuple(comp)
@@ -115,11 +137,6 @@ class CoverComponent:
         return frozenset(self.vertices)
 
 
-def component_index(comps) -> dict[int, CoverComponent]:
-    """Map every vertex to its component in the given component list."""
-    return {v: c for c in comps for v in c.vertices}
-
-
 def lower_edge_at(cover: Cover, v: int) -> Edge:
     """Smallest cover edge incident to v, as a (min, max) tuple."""
     return norm_edge(v, cover.adj[v][0])
@@ -153,17 +170,14 @@ def path_is_dead(g: Graph, comp: CoverComponent) -> bool:
     return first_edge(g, comp.endpoints, lambda u: u not in inside) is None
 
 
-def validate_tfpcc(cover: Cover, comps: list[CoverComponent] | None = None) -> None:
-    """Raise unless the cover is a triangle-free path-cycle cover of its host.
-
-    comps, when given, is the cover's current component list.
-    """
+def validate_tfpcc(cover: Cover) -> None:
+    """Raise unless the cover is a triangle-free path-cycle cover of its host."""
     if cover.alive != cover.graph.alive:
         raise InternalInvariant("cover does not span the alive vertices")
     for v in cover.alive_list():
         if cover.degree(v) > 2:
             raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
-    for comp in cover.components() if comps is None else comps:
+    for comp in cover.components():
         if comp.kind == "tree" and comp.length > 0:
             raise InternalInvariant(f"non-path tree component {comp.vertices}")
         if comp.kind == "cycle" and comp.length < 4:

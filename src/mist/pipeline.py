@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, InternalInvariant, SizeCapExceeded
-from .exact import OST_CAP, TreeResult, internal_bound, max_tfpcc_exact, opt_spanning_tree
+from .exact import OST_CAP, TreeResult, internal_bound, opt_spanning_tree
 from .graph import Graph, find
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -70,11 +70,9 @@ def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
     if h.n_alive() <= BASE_ORDER:
         t = opt_spanning_tree(h)
         return LeafSolve(idx, h, "exact", t, 0)
-    pairs = ()
-    if mode == "refined":
-        pairs = tuple(compute_pi_pairs(h, strict=True))
+    pairs = tuple(compute_pi_pairs(h, strict=True)) if mode == "refined" else ()
     try:
-        cover0 = preferred_tfpcc(h, pairs) if mode == "refined" else max_tfpcc_exact(h)
+        cover0 = preferred_tfpcc(h, pairs)
     except SizeCapExceeded as exc:
         raise SizeCapExceeded(
             f"trace node {idx}: irreducible core of {h.n_alive()} vertices"
@@ -182,18 +180,14 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
             continue
         tag = f"leaf{leaf.node}"
         h, pre = leaf.graph, leaf.pre_cover
-        comps = pre.components()
-        add(f"{tag}-short-paths-alive", check_short_paths_alive(pre, h, comps))
-        add(f"{tag}-port-neighbor-growth", check_port_neighbor_growth(pre, h, comps))
+        add(f"{tag}-short-paths-alive", check_short_paths_alive(pre, h))
+        add(f"{tag}-port-neighbor-growth", check_port_neighbor_growth(pre, h))
         if report.mode == "refined":
-            add(f"{tag}-pairs-off-cycles", check_pairs_off_cycles(pre, leaf.pairs, comps))
-            add(
-                f"{tag}-dead-4-path-ends",
-                check_dead_four_paths_pendant_ends(pre, h, comps),
-            )
-            add(f"{tag}-4-cycle-ports", check_four_cycles_three_ports(pre, h, comps))
+            add(f"{tag}-pairs-off-cycles", check_pairs_off_cycles(pre, leaf.pairs))
+            add(f"{tag}-dead-4-path-ends", check_dead_four_paths_pendant_ends(pre, h))
+            add(f"{tag}-4-cycle-ports", check_four_cycles_three_ports(pre, h))
             cyc = []
-            for comp in comps:
+            for comp in pre.components():
                 if comp.kind == "cycle":
                     cyc.extend(cycle_port_properties(h, comp))
             add(f"{tag}-cycle-ports", cyc)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .cover import (
     Cover,
-    CoverComponent,
-    component_index,
     component_ports,
     first_edge,
     lower_edge_at,
@@ -39,22 +37,18 @@ class CoverRewrite:
     witness: tuple
 
 
-# the cover's current component list, when the caller already has it
-Comps = list[CoverComponent] | None
-
-
-def measure(cover: Cover, g: Graph, comps: Comps = None):
+def measure(cover: Cover, g: Graph):
     """Strictly increases with every rewrite; certifies termination."""
-    comps = cover.components() if comps is None else comps
+    comps = cover.components()
     paths = [c for c in comps if c.kind == "path"]
     dead = sum(1 for c in paths if path_is_dead(g, c))
     lengths = tuple(sorted((c.length for c in paths), reverse=True))
     return (cover.edge_count(), -len(comps), lengths, -dead)
 
 
-def find_op5(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op5(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Reroute a short dead path so one endpoint becomes a port."""
-    for comp in cover.components() if comps is None else comps:
+    for comp in cover.components():
         if comp.kind != "path" or not 2 <= comp.length <= 4:
             continue
         if not path_is_dead(g, comp):
@@ -88,11 +82,10 @@ def find_op5(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None
     return None
 
 
-def find_op6(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op6(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Hook a path endpoint into an adjacent cycle, opening the cycle."""
-    comps = cover.components() if comps is None else comps
-    at = component_index(comps)
-    for comp in comps:
+    at = cover.index()
+    for comp in cover.components():
         if comp.kind != "path":
             continue
         edge = first_edge(g, comp.endpoints, lambda v: at[v].kind == "cycle")
@@ -103,11 +96,10 @@ def find_op6(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None
     return None
 
 
-def find_op7(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op7(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Regraft a path endpoint onto another path if the longest piece grows."""
-    comps = cover.components() if comps is None else comps
-    at = component_index(comps)
-    for p1 in comps:
+    at = cover.index()
+    for p1 in cover.components():
         if p1.kind != "path":
             continue
         for u1 in p1.endpoints:
@@ -139,9 +131,9 @@ def find_op7(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None
     return None
 
 
-def find_op12(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op12(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Swap two parallel host edges across a cycle and another component."""
-    comps = cover.components() if comps is None else comps
+    comps = cover.components()
     for c1 in comps:
         if c1.kind != "cycle":
             continue
@@ -163,11 +155,10 @@ def find_op12(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | Non
     return None
 
 
-def find_op13(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op13(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Concatenate two paths whose endpoints are adjacent in the host."""
-    comps = cover.components() if comps is None else comps
-    at = component_index(comps)
-    for p1 in comps:
+    at = cover.index()
+    for p1 in cover.components():
         if p1.kind != "path":
             continue
         edge = first_edge(
@@ -181,9 +172,9 @@ def find_op13(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | Non
     return None
 
 
-def find_op14(cover: Cover, g: Graph, comps: Comps = None) -> CoverRewrite | None:
+def find_op14(cover: Cover, g: Graph) -> CoverRewrite | None:
     """Detour a path edge through an isolated common neighbor."""
-    for p in cover.components() if comps is None else comps:
+    for p in cover.components():
         if p.kind != "path" or p.length == 0:
             continue
         for u, v in p.edges:
@@ -209,43 +200,39 @@ _FINDERS = {
 }
 
 
-def find_cover_rewrite(cover: Cover, g: Graph, mode: str, comps: Comps = None) -> CoverRewrite | None:
-    comps = cover.components() if comps is None else comps
+def find_cover_rewrite(cover: Cover, g: Graph, mode: str) -> CoverRewrite | None:
     for kind in RULE_ORDER[mode]:
-        rw = _FINDERS[kind](cover, g, comps)
+        rw = _FINDERS[kind](cover, g)
         if rw is not None:
             return rw
     return None
 
 
-def apply_rewrite(cover: Cover, rw: CoverRewrite) -> list[CoverComponent]:
-    """Apply the rewrite, check the result, and return its components."""
+def apply_rewrite(cover: Cover, rw: CoverRewrite) -> None:
+    """Apply the rewrite and check the result."""
     for u, v in rw.removed:
         cover.remove_edge(u, v)
     for u, v in rw.added:
         cover.add_edge(u, v)
-    comps = cover.components()
-    validate_tfpcc(cover, comps)
-    return comps
+    validate_tfpcc(cover)
 
 
 def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
     """Rewrite to fixpoint; returns a new cover, input left untouched.
 
-    One component list per step serves the finders, the measure after the
-    step and the next step's finders.
+    The cover searches its components once per step: the list serves the
+    check after the step, the measure and the next step's finders.
     """
     work = cover.copy()
     budget = step_budget(g)
     steps = 0
-    comps = work.components()
     while True:
-        rw = find_cover_rewrite(work, g, mode, comps)
+        rw = find_cover_rewrite(work, g, mode)
         if rw is None:
             return work
-        before = measure(work, g, comps)
-        comps = apply_rewrite(work, rw)
-        after = measure(work, g, comps)
+        before = measure(work, g)
+        apply_rewrite(work, rw)
+        after = measure(work, g)
         if not after > before:
             raise InternalInvariant(f"{rw.kind} did not raise the measure")
         steps += 1
@@ -258,20 +245,19 @@ def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
 # Each check returns a list of violation strings; empty means it holds.
 
 
-def check_short_paths_alive(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
+def check_short_paths_alive(cover: Cover, g: Graph) -> list[str]:
     out = []
-    for comp in cover.components() if comps is None else comps:
+    for comp in cover.components():
         if comp.kind == "path" and comp.length <= 3 and path_is_dead(g, comp):
             out.append(f"dead path of length {comp.length} at {comp.key}")
     return out
 
 
-def check_port_neighbor_growth(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
+def check_port_neighbor_growth(cover: Cover, g: Graph) -> list[str]:
     """Outside neighbors of alive path endpoints sit deep in long paths."""
     out = []
-    comps = cover.components() if comps is None else comps
-    at = component_index(comps)
-    for comp in comps:
+    at = cover.index()
+    for comp in cover.components():
         if comp.kind != "path":
             continue
         inside = comp.vertex_set()
@@ -292,18 +278,18 @@ def check_port_neighbor_growth(cover: Cover, g: Graph, comps: Comps = None) -> l
     return out
 
 
-def check_pairs_off_cycles(cover: Cover, pairs, comps: Comps = None) -> list[str]:
+def check_pairs_off_cycles(cover: Cover, pairs) -> list[str]:
     out = []
-    at = component_index(cover.components() if comps is None else comps)
+    at = cover.index()
     for p in pairs:
         if at[p.u1].kind == "cycle":
             out.append(f"pair vertex {p.u1} lies on a cycle")
     return out
 
 
-def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
+def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph) -> list[str]:
     out = []
-    for comp in cover.components() if comps is None else comps:
+    for comp in cover.components():
         if comp.kind == "path" and comp.length == 4 and path_is_dead(g, comp):
             for v in comp.endpoints:
                 if g.degree(v) != 1:
@@ -311,9 +297,9 @@ def check_dead_four_paths_pendant_ends(cover: Cover, g: Graph, comps: Comps = No
     return out
 
 
-def check_four_cycles_three_ports(cover: Cover, g: Graph, comps: Comps = None) -> list[str]:
+def check_four_cycles_three_ports(cover: Cover, g: Graph) -> list[str]:
     out = []
-    for comp in cover.components() if comps is None else comps:
+    for comp in cover.components():
         if comp.kind == "cycle" and comp.length == 4:
             ports = component_ports(g, comp)
             if len(ports) < 3:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .cover import (
     Cover,
     CoverComponent,
-    component_index,
     first_edge,
     lower_edge_at,
     path_is_dead,
@@ -97,10 +96,8 @@ class ComponentStats:
         return 3 * self.c4 + 5 * self.c5 + 3 * self.p4 + 2 * self.g2 + 2 * self.g3
 
 
-def compute_stats(cover: Cover, base_edges, infos=None) -> ComponentStats:
-    """Tally the stage-2 kinds of the cover's components, classified by infos if given."""
-    if infos is None:
-        infos = [classify_component(c, base_edges) for c in cover.components()]
+def compute_stats(infos) -> ComponentStats:
+    """Tally the stage-2 kinds of the classified components."""
     kinds = Counter()
     good = {"c2": [0, 0], "c3": [0, 0]}  # internal vertices, base edges
     for info in infos:
@@ -160,21 +157,20 @@ def _cycle_exit(g: Graph, cycles, at) -> Edge | None:
     return first_edge(g, sources, lambda v: at[v].kind != "cycle")
 
 
-def _open_cycles_and_join(work: Cover, g: Graph, comps) -> TreeResult:
+def _open_cycles_and_join(work: Cover, g: Graph) -> TreeResult:
     """Open the cover's cycles one by one along host edges, then join the rest.
 
-    comps is the cover's current component list, searched again after each
-    opened cycle.  A cover that is one spanning cycle loses its smallest edge.
+    The cover searches its components again after each opened cycle.  A
+    cover that is one spanning cycle loses its smallest edge.
     """
-    while cycles := [c for c in comps if c.kind == "cycle"]:
-        at = component_index(comps)
-        if len(comps) == 1:  # one spanning cycle, which no edge leaves
-            work.remove_edge(*comps[0].edges[0])
+    while cycles := [c for c in work.components() if c.kind == "cycle"]:
+        at = work.index()
+        if len(work.components()) == 1:  # one spanning cycle, which no edge leaves
+            work.remove_edge(*cycles[0].edges[0])
         elif edge := _cycle_exit(g, cycles, at):
             _link(work, at, *edge)
         else:
             raise InternalInvariant("cycle with no way out in a connected graph")
-        comps = work.components()
     _join_components(work, g)
     return tree_result(g.alive_list(), work.edge_list())
 
@@ -189,19 +185,14 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
     edge at an endpoint, then the cycles are opened and all joined.
     """
     work = cover.copy()
-    comps = work.components()
-    attached = False
-    for comp in comps:
+    for comp in work.components():
         if comp.kind == "path" and 1 <= comp.length <= 3:
             inside = comp.vertex_set()
             edge = first_edge(g, comp.endpoints, lambda v: v not in inside)
             if edge is None:
                 raise InternalInvariant(f"short path at {comp.key} has no way out")
             work.add_edge(*edge)
-            attached = True
-    if attached:
-        comps = work.components()
-    return _open_cycles_and_join(work, g, comps)
+    return _open_cycles_and_join(work, g)
 
 
 # -- refined transform ------------------------------------------------------
@@ -221,9 +212,8 @@ class TransformState:
 
 def stage1_connect(work: Cover, g: Graph, base_edges):
     """Attach each path with an outside neighbor to its longest target."""
-    comps = work.components()
+    comps, at = work.components(), work.index()
     by_key = {c.key: c for c in comps}
-    at = component_index(comps)
     gamma = set()
     for p in comps:
         if p.kind != "path" or p.length < 1:
@@ -280,7 +270,7 @@ def stage2_fixpoint(work: Cover, g: Graph, base_edges) -> list[ComponentInfo]:
     comps = work.components()
     infos = {c.key: classify_component(c, base_edges) for c in comps}
     while True:
-        at = component_index(comps)
+        at = work.index()
         bad_before = sum(1 for i in infos.values() if not i.good)
         cyc_before = sum(1 for c in comps if c.kind == "cycle")
         size_before = (len(comps), _leaf_total(comps))
@@ -482,14 +472,10 @@ def _tree_path(cover: Cover, u: int, v: int) -> list[int]:
     return path
 
 
-def stage3_finish(work: Cover, g: Graph, comps=None) -> TreeResult:
-    """Open every surviving cycle towards a neighbour, then join the rest.
-
-    comps, when given, is the cover's current component list.
-    """
-    comps = work.components() if comps is None else comps
-    at = component_index(comps)
-    for c in comps:
+def stage3_finish(work: Cover, g: Graph) -> TreeResult:
+    """Open every surviving cycle towards a neighbour, then join the rest."""
+    at = work.index()
+    for c in work.components():
         if c.kind != "cycle":
             continue
         edge = first_edge(g, c.vertices, lambda x: at[x] is not c)
@@ -517,20 +503,19 @@ def run_transform(cover: Cover, g: Graph) -> TransformState:
     gamma, gamma_prime, added = stage1_connect(work, g, base_edges)
     cover1 = work.copy()
     infos = stage2_fixpoint(work, g, base_edges)
-    comps = [i.comp for i in infos]
     cover2 = work.copy()
-    if all(c.kind == "cycle" for c in comps):
-        if len(comps) > 2:
+    if all(i.comp.kind == "cycle" for i in infos):
+        if len(infos) > 2:
             raise InternalInvariant(
-                f"{len(comps)} cycle components left after stage 2"
+                f"{len(infos)} cycle components left after stage 2"
             )
         stats = None
-        tree = _open_cycles_and_join(work, g, comps)
+        tree = _open_cycles_and_join(work, g)
         if tree.weight != g.n_alive() - 2:
             raise InternalInvariant("cycle chaining missed the spanning path")
     else:
-        stats = compute_stats(work, base_edges, infos)
-        tree = stage3_finish(work, g, comps)
+        stats = compute_stats(infos)
+        tree = stage3_finish(work, g)
         if tree.weight < stats.tree_floor:
             raise InternalInvariant(
                 f"tree weight {tree.weight} below floor {stats.tree_floor}"
@@ -546,9 +531,8 @@ def run_transform(cover: Cover, g: Graph) -> TransformState:
 def check_stage2_structure(cover2: Cover, g: Graph, base_edges) -> list[str]:
     """Violations of the component structure expected after stage 2."""
     out = []
-    comps = cover2.components()
+    comps, at = cover2.components(), cover2.index()
     infos = {c.key: classify_component(c, base_edges) for c in comps}
-    at = component_index(comps)
     kinds = {}
     for c in comps:
         kind = _stage2_kind(infos[c.key])

@@ -5,7 +5,6 @@ import pytest
 from mist import Graph, compute_pi_pairs, preferred_tfpcc
 from mist.cover import (
     Cover,
-    component_index,
     component_ports,
     is_special,
     lower_edge_at,
@@ -34,6 +33,55 @@ def test_cover_tracks_degrees_and_components():
     assert comps[0].endpoints == (0, 2)
 
 
+def test_cover_keeps_its_components_until_an_edit():
+    g = cycle(6)
+    c = Cover(g, [(0, 1), (1, 2), (3, 4)])
+    assert c.components() is c.components()
+    assert c.index() is c.index()
+
+
+def _assert_fresh(g, c):
+    fresh = Cover(g, c.edge_list())
+    assert c.components() == fresh.components()
+    assert c.index() == fresh.index()
+
+
+def test_every_edit_drops_the_kept_components():
+    g = cycle(6)
+    c = Cover(g, [(0, 1), (1, 2), (3, 4)])
+    c.index()
+    c.add_edge(2, 3)
+    _assert_fresh(g, c)
+    c.remove_edge(0, 1)
+    _assert_fresh(g, c)
+    for v in (4, 0):  # one vertex with cover edges, one without
+        g.remove_vertex(v)
+        c.remove_vertex(v)
+        _assert_fresh(g, c)
+
+
+def test_editing_a_copy_leaves_the_original_list():
+    g = cycle(6)
+    c = Cover(g, [(0, 1), (1, 2), (3, 4)])
+    comps = c.components()
+    snapshot = list(comps)
+    d = c.copy()
+    assert d.components() is comps  # shared until the copy is edited
+    d.add_edge(2, 3)
+    d.remove_edge(0, 1)
+    assert c.components() is comps and comps == snapshot
+    assert d.components() == Cover(g, d.edge_list()).components()
+
+
+def test_index_maps_every_alive_vertex_to_its_component():
+    g = gen_gnp(12, 0.3, 5)
+    c = Cover(g, [e for e in g.edge_list() if e[0] % 3 == 0][:5])
+    at = c.index()
+    assert sorted(at) == g.alive_list()
+    for v, comp in at.items():
+        assert v in comp.vertices and comp in c.components()
+
+
 def test_cover_rejects_non_host_edges():
     g = build_graph(3, [(0, 1), (1, 2)])
     c = Cover(g)
@@ -52,7 +100,7 @@ def test_ports_and_dead_paths():
     # triangle hanging off a path: the 2-path over the triangle is dead
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
     c = Cover(g, [(0, 1), (1, 2), (3, 4)])
-    at = component_index(c.components())
+    at = c.index()
     assert component_ports(g, at[0]) == [1]
     assert path_is_dead(g, at[0])
     assert not path_is_dead(g, at[3])

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 import mist.pipeline
-from mist.cover import Cover
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
 from mist.exact import TreeResult, internal_bound, opt_spanning_tree, tree_result
@@ -163,18 +162,20 @@ def test_verification_seeds_one_search_with_the_trees_weight(monkeypatch, mode):
     "g, mode",
     [(build_graph(9, cyc(9)), "simple"), (gen_gnp(10, 0.4, 7), "refined")],
 )
-def test_verification_searches_each_leaf_cover_once(monkeypatch, g, mode):
-    # the cover checks and the cycle-port loop share one component list
+def test_verification_searches_no_leaf_cover(cover_searches, g, mode):
+    # every retained cover keeps the component list the run searched
     report = run(g, mode, keep_state=True)
-    covers = [leaf.pre_cover for leaf in report.leaves if leaf.method == "cover"]
-    assert covers
-    searched = []
-    components = Cover.components
-    monkeypatch.setattr(
-        Cover, "components", lambda self: searched.append(self) or components(self)
-    )
+    assert any(leaf.method == "cover" for leaf in report.leaves)
+    cover_searches.clear()
     assert verify_run(g, report).ok
-    assert [id(c) for c in searched if any(c is p for p in covers)] == [id(c) for c in covers]
+    assert cover_searches == []
+
+
+def test_a_refined_leaf_searches_its_cover_once(cover_searches):
+    # preprocess fires no rewrite and stage 1 adds no edge here, so the one
+    # list serves preprocess, stage 1, its tree check and stage 2
+    run(gen_gnp(12, 0.3, 5), "refined")
+    assert len(cover_searches) == 1
 
 
 def test_run_rejects_bad_inputs():

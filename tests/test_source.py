@@ -3,6 +3,11 @@
 A module must use every name it imports (or re-export it in __all__), and
 every module-level private function must be referenced by some module of
 the package, so helpers left behind by a deletion show up here.
+
+A cover keeps its component list until an edit drops it, and only its
+edge and vertex edits do.  So only the graph and the reduction engine may
+add, pop or revive vertex ids, and only methods of Graph and Cover may
+assign a graph's adjacency, alive mask or kept components.
 """
 
 import ast
@@ -68,6 +73,59 @@ def unreferenced_private_functions(trees) -> list[str]:
     ]
 
 
+VERTEX_EDITS = {"add_vertex", "pop_vertex", "revive"}
+VERTEX_EDITORS = {"graph.py", "reduce.py"}
+GUARDED = {"adj", "alive", "_comps", "_index"}
+OWNERS = {"Graph", "Cover"}
+
+
+def _written(node) -> list[str]:
+    """Attributes an assignment or deletion writes, through any subscripts."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    out = []
+    for t in targets:
+        for e in t.elts if isinstance(t, ast.Tuple) else [t]:
+            while isinstance(e, ast.Subscript):
+                e = e.value
+            if isinstance(e, ast.Attribute):
+                out.append(e.attr)
+    return out
+
+
+def cover_edit_escapes(trees) -> list[str]:
+    """Edits that could change a cover without dropping its kept components."""
+    out = []
+    for name, tree in trees.items():
+        owned = {
+            id(n)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name in OWNERS
+            for n in ast.walk(c)
+        }
+        found = []
+        for node in ast.walk(tree):
+            if (
+                name not in VERTEX_EDITORS
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in VERTEX_EDITS
+            ):
+                found.append((node.lineno, f"{name}:{node.lineno}: {node.func.attr}"))
+            if id(node) not in owned:
+                found += [
+                    (node.lineno, f"{name}:{node.lineno}: assigns .{attr}")
+                    for attr in _written(node)
+                    if attr in GUARDED
+                ]
+        out += [msg for _, msg in sorted(found)]
+    return out
+
+
 def test_every_import_is_used_or_exported():
     assert unused_imports(_trees()) == []
 
@@ -80,3 +138,20 @@ def test_the_checks_catch_a_dead_import_and_a_dead_helper():
     tree = ast.parse("import os\nfrom .graph import Graph\n\ndef _dead():\n    return Graph\n")
     assert unused_imports({"m.py": tree}) == ["m.py: os"]
     assert unreferenced_private_functions({"m.py": tree}) == ["m.py: _dead"]
+
+
+def test_only_graph_and_cover_methods_edit_what_a_cover_keeps():
+    assert cover_edit_escapes(_trees()) == []
+
+
+def test_the_edit_check_catches_a_vertex_edit_and_a_raw_write():
+    tree = ast.parse(
+        "class Cover:\n    def ok(self):\n        self._comps = None\n\n"
+        "def bad(c, v):\n    c.revive(v)\n    c.alive[v] = False\n    c._comps, c.x = [], 1\n"
+    )
+    assert cover_edit_escapes({"m.py": tree}) == [
+        "m.py:6: revive",
+        "m.py:7: assigns .alive",
+        "m.py:8: assigns ._comps",
+    ]
+    assert cover_edit_escapes({"graph.py": ast.parse("g.revive(v)\n")}) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from mist import Graph
-from mist.cover import Cover, compute_pi_pairs, component_index, preferred_tfpcc
+from mist.cover import Cover, compute_pi_pairs, preferred_tfpcc
 from mist.errors import InternalInvariant
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
@@ -46,13 +46,19 @@ def cyc(vs):
 def fire(work, g, base, op):
     comps = work.components()
     infos = {c.key: classify_component(c, base) for c in comps}
-    return op(work, g, comps, infos, component_index(comps))
+    return op(work, g, comps, infos, work.index())
 
 
 def cover_on(n, host_edges, cover_edges=None):
     g = build_graph(n, host_edges)
     c = Cover(g, host_edges if cover_edges is None else cover_edges)
     return g, c
+
+
+def stats_of(c):
+    """Stage-2 stats of the cover, each component classified against its own edges."""
+    base = tuple(c.edge_list())
+    return compute_stats([classify_component(x, base) for x in c.components()])
 
 
 # ----------------------------------------------------------- simple route
@@ -93,17 +99,12 @@ def test_simple_route_attaches_a_short_path():
     ],
     ids=["path", "spanning-cycle", "short-path"],
 )
-def test_simple_route_searches_components_once_per_edit(monkeypatch, n, host, cover, searches):
+def test_simple_route_searches_components_once_per_edit(cover_searches, n, host, cover, searches):
     # once up front, once after the short-path pass if it attached anything,
     # and once after each opened cycle
     g, c = cover_on(n, host, cover)
-    calls = []
-    components = Cover.components
-    monkeypatch.setattr(
-        Cover, "components", lambda self: calls.append(1) or components(self)
-    )
     build_tree_simple(c, g)
-    assert len(calls) == searches
+    assert len(cover_searches) == searches
 
 
 # --------------------------------------------------------------- stage 1
@@ -306,20 +307,15 @@ def test_an_isolated_vertex_rewires_a_dead_4_path():
     ]
 
 
-def test_stage2_searches_components_once_per_step(monkeypatch):
+def test_stage2_searches_components_once_per_step(cover_searches):
     # two copies of the welding instance above, joined by one host edge
     weld = cyc(range(0, 5)) + cyc(range(5, 10))
     twin = cyc(range(10, 15)) + cyc(range(15, 20))
     g, c = cover_on(20, weld + twin + [(0, 5), (10, 15), (2, 12)], weld + twin)
-    calls = []
-    components = Cover.components
-    monkeypatch.setattr(
-        Cover, "components", lambda self: calls.append(1) or components(self)
-    )
     infos = stage2_fixpoint(c, g, tuple(c.edge_list()))
     assert [(i.comp.kind, i.comp.length) for i in infos] == [("path", 9), ("path", 9)]
     assert [i.label for i in infos] == ["c2", "c2"]
-    assert len(calls) == 3  # once up front, once after each of the two welds
+    assert len(cover_searches) == 3  # once up front, once after each of the two welds
 
 
 # ---------------------------------------------------------- classification
@@ -345,14 +341,14 @@ def test_classification_of_basic_shapes():
 
 def test_stats_tally_cycles_paths_and_good_components():
     g, c = cover_on(15, cyc(range(0, 4)) + pedges(4, 14))
-    st = compute_stats(c, tuple(c.edge_list()))
+    st = stats_of(c)
     assert st == ComponentStats(g2=9, g3=0, b2=10, b3=0, c4=1, c5=0, p4=0)
     assert st.tree_floor == 12
     assert st.opt_cap_edges == 14
     assert st.opt_cap_internal == 21
 
     g, c = cover_on(10, cyc(range(0, 5)) + pedges(5, 9))
-    st = compute_stats(c, tuple(c.edge_list()))
+    st = stats_of(c)
     assert st == ComponentStats(g2=0, g3=0, b2=0, b3=0, c4=0, c5=1, p4=1)
     assert st.tree_floor == 7
     assert st.opt_cap_edges == 9
@@ -362,7 +358,7 @@ def test_stats_tally_cycles_paths_and_good_components():
 def test_stats_reject_long_cycles():
     g, c = cover_on(6, cyc(range(6)))
     with pytest.raises(InternalInvariant):
-        compute_stats(c, tuple(c.edge_list()))
+        stats_of(c)
 
 
 # --------------------------------------------------------------- stage 3
@@ -394,7 +390,7 @@ def test_stage3_keeps_a_spanning_path():
 def test_stage3_opens_a_4_cycle_at_its_port():
     g, c = cover_on(10, cyc(range(0, 4)) + pedges(4, 9) + [(0, 6)],
                     cyc(range(0, 4)) + pedges(4, 9))
-    st = compute_stats(c, tuple(c.edge_list()))
+    st = stats_of(c)
     t = stage3_finish(c.copy(), g)
     assert t.weight == 7
     assert t.weight >= st.tree_floor == 7
@@ -403,7 +399,7 @@ def test_stage3_opens_a_4_cycle_at_its_port():
 def test_stage3_handles_a_5_cycle_and_a_4_path():
     g, c = cover_on(10, cyc(range(0, 5)) + pedges(5, 9) + [(0, 7)],
                     cyc(range(0, 5)) + pedges(5, 9))
-    st = compute_stats(c, tuple(c.edge_list()))
+    st = stats_of(c)
     t = stage3_finish(c.copy(), g)
     assert t.weight == 7 == st.tree_floor
 
