@@ -10,6 +10,7 @@ path_cover_from_tree) take polynomial time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .cover import Cover
 from .errors import (
@@ -31,26 +32,38 @@ class TreeResult:
 
 
 def tree_result(vertices, edges) -> TreeResult:
-    """Build a TreeResult, validating that edges form a spanning tree."""
+    """Build a TreeResult, validating that edges form a spanning tree.
+
+    The union-find and the degree count are lists indexed by vertex id
+    minus the smallest id; the degree of an id outside the set stays -1.
+    """
     verts = sorted(vertices)
-    pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    edges = sorted(norm_edge(u, v) for u, v in edges)
+    edges = sorted([(u, v) if u < v else (v, u) for u, v in edges])
     if len(edges) != n - 1:
         raise InternalInvariant(f"{len(edges)} edges for {n} vertices")
-    parent = list(range(n))
-    deg = [0] * n
+    lo = verts[0]
+    span = verts[-1] - lo + 1
+    deg = [-1] * span
+    for v in verts:
+        deg[v - lo] = 0
+    parent = list(range(span))
     for u, v in edges:
-        if u not in pos or v not in pos:
+        a, b = u - lo, v - lo  # a <= b
+        if a < 0 or b >= span or deg[a] < 0 or deg[b] < 0:
             raise InternalInvariant(f"edge {u}-{v} leaves the vertex set")
-        ru, rv = find(parent, pos[u]), find(parent, pos[v])
-        if ru == rv:
+        deg[a] += 1
+        deg[b] += 1
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             raise InternalInvariant("cycle in tree edges")
-        parent[ru] = rv
-        deg[pos[u]] += 1
-        deg[pos[v]] += 1
-    weight = sum(1 for d in deg if d >= 2)
-    leaves = tuple(v for v in verts if deg[pos[v]] <= 1)
+        parent[a] = b
+    # n - 1 acyclic edges within the set span n distinct ids
+    weight = n - deg.count(0) - deg.count(1)
+    leaves = tuple(compress(range(lo, lo + span), map((0, 1).__contains__, deg)))
     return TreeResult(tuple(edges), weight, leaves)
 
 

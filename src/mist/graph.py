@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalInvariant
@@ -59,7 +60,7 @@ class Graph:
         return 0 <= v < self.vertex_count and self.alive[v]
 
     def alive_list(self) -> list[int]:
-        return [v for v in range(self.vertex_count) if self.alive[v]]
+        return list(compress(range(self.vertex_count), self.alive))
 
     def n_alive(self) -> int:
         return self._order
@@ -102,31 +103,15 @@ class Graph:
 
     def revive(self, v: int) -> None:
         """Make the dead vertex v alive again, without edges."""
-        if self.alive[v] or self.adj[v]:
-            raise InternalInvariant(f"vertex {v} is not dead and bare")
-        self.alive[v] = True
+        revive_in(self.adj, self.alive, v)
         self._order += 1
 
     def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise InternalInvariant(f"self loop at {u}")
-        if not (self.is_alive(u) and self.is_alive(v)):
-            raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        if i < len(row) and row[i] == v:
-            raise InternalInvariant(f"duplicate edge {u}-{v}")
-        row.insert(i, v)
-        insort(self.adj[v], u)
+        add_edge_in(self.adj, self.alive, u, v)
         self._size += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
-            raise InternalInvariant(f"missing edge {u}-{v}")
-        del row[i]
-        self.adj[v].remove(u)
+        remove_edge_in(self.adj, u, v)
         self._size -= 1
 
     def remove_vertex(self, v: int) -> None:
@@ -137,11 +122,28 @@ class Graph:
         self.alive[v] = False
         self._order -= 1
 
+    def write_rows(self, adj: list[list[int]], alive: list[bool]) -> None:
+        """Take adj and alive as the graph's rows and alive mask.
+
+        This writes a run of edits made on private copies of them in one
+        go: the caller hands the lists over and keeps the rows sorted and
+        symmetric.  The vertex, alive and edge counts are recounted.
+        """
+        if len(adj) != len(alive):
+            raise InternalInvariant(f"{len(adj)} rows for {len(alive)} vertices")
+        ends = sum(map(len, adj))
+        if ends % 2:
+            raise InternalInvariant("rows written do not pair up")
+        self.vertex_count = len(adj)
+        self.adj, self.alive = adj, alive
+        self._order = sum(alive)
+        self._size = ends // 2
+
     def copy(self) -> Graph:
         g = Graph(0)
         g.vertex_count = self.vertex_count
         g.alive = list(self.alive)
-        g.adj = [list(row) for row in self.adj]
+        g.adj = list(map(list, self.adj))
         g._order = self._order
         g._size = self._size
         return g
@@ -164,6 +166,40 @@ class Graph:
         if len(verts) <= 1:
             return True
         return len(component_of(self, verts[0])) == len(verts)
+
+
+# The checked edits below work on bare rows and an alive mask, so a run of
+# them can be made on private copies and written back with
+# Graph.write_rows; Graph's methods of the same names make them on its own.
+
+
+def add_edge_in(adj: list[list[int]], alive: list[bool], u: int, v: int) -> None:
+    if u == v:
+        raise InternalInvariant(f"self loop at {u}")
+    n = len(alive)
+    if not (0 <= u < n and alive[u] and 0 <= v < n and alive[v]):
+        raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
+    row = adj[u]
+    i = bisect_left(row, v)
+    if i < len(row) and row[i] == v:
+        raise InternalInvariant(f"duplicate edge {u}-{v}")
+    row.insert(i, v)
+    insort(adj[v], u)
+
+
+def remove_edge_in(adj: list[list[int]], u: int, v: int) -> None:
+    row = adj[u]
+    i = bisect_left(row, v)
+    if i == len(row) or row[i] != v:
+        raise InternalInvariant(f"missing edge {u}-{v}")
+    del row[i]
+    adj[v].remove(u)
+
+
+def revive_in(adj: list[list[int]], alive: list[bool], v: int) -> None:
+    if alive[v] or adj[v]:
+        raise InternalInvariant(f"vertex {v} is not dead and bare")
+    alive[v] = True
 
 
 def component_of(g: Graph, start: int, blocked: frozenset[int] = frozenset()) -> list[int]:

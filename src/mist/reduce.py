@@ -24,10 +24,13 @@ from .graph import (
     Edge,
     Graph,
     Separations,
+    add_edge_in,
     component_of,
     connected_components,
     induced_subgraph,
     norm_edge,
+    remove_edge_in,
+    revive_in,
     separations,
     twin_groups,
 )
@@ -545,7 +548,10 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
             break
         gone.add(v)
         low = w
-        peels.append(_peel(w, (v, p), p + 1, ((v, w), (v, p))))
+        # K' + {w} is the path p-v-w, a tree: with the new pendant at w,
+        # its only spanning tree has v and w internal
+        block = ((v, w), (v, p))
+        peels.append(Peel(w, (v, p), p + 1, block, 2, block))
         v, p, left = w, p + 1, left - 1
     return WeakReduction("op4", sum(s.inner_opt - 1 for s in peels), 1, peels=tuple(peels))
 
@@ -587,21 +593,21 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     merged pair and its outside pair (o1, o2), the other neighbours of u1
     and u2.
     """
-    for u1 in g.alive_list():
-        if g.degree(u1) == 2 and any(g.degree(x) == 2 for x in g.adj[u1]):
+    adj = g.adj
+    for u1, row in enumerate(adj):  # a dead vertex's row is empty
+        if len(row) == 2 and (len(adj[row[0]]) == 2 or len(adj[row[1]]) == 2):
             break
     else:
         return None
-    row = g.adj[u1]  # u1's neighbours after the contractions so far
     gone: set[int] = set()
     run = []
-    while len(row) == 2:
-        live = [x for x in row if g.degree(x) == 2]
+    while len(row) == 2:  # row: u1's neighbours after the contractions so far
+        live = [x for x in row if len(adj[x]) == 2]
         if not live:
             break
         u2 = live[0]
         o1 = row[1] if row[0] == u2 else row[0]
-        o2 = next(x for x in g.adj[u2] if x != u1 and x not in gone)
+        o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
         run.append(((u1, u2), (o1, o2)))
         gone.add(u2)
         row = sorted({o1, o2})
@@ -629,37 +635,48 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             out.append(h)
     elif r.kind == "op4":
         _check(r.c == sum(s.inner_opt - 1 for s in r.peels), "constant is not the peels' sum")
-        h = g.copy()
+        rows, up = _rows_of(g)
         for s in r.peels:
             v, k_comp = s.cut_vertex, s.component
-            _check(h.is_alive(v), f"cut vertex {v} gone")
-            # K is a component of h - v exactly when it is its first member's
-            _check(
-                v not in k_comp
-                and h.is_alive(k_comp[0])
-                and component_of(h, k_comp[0], blocked=frozenset((v,))) == list(k_comp),
-                f"hanging block at {v} changed",
-            )
-            _check(s.pendant == h.vertex_count, f"pendant id at {v} mismatch")
+            if not (0 <= v < len(up) and up[v]):
+                raise StaleWitness(f"cut vertex {v} gone")
+            if v in k_comp or not _hangs(rows, up, k_comp, v):
+                raise StaleWitness(f"hanging block at {v} changed")
+            p = len(rows)
+            if s.pendant != p:
+                raise StaleWitness(f"pendant id at {v} mismatch")
+            # K goes; v is its only neighbour outside it, and gains the
+            # pendant, whose id is the largest
             for x in k_comp:
-                h.remove_vertex(x)
-            h.add_edge(v, h.add_vertex())
+                rows[x] = []
+                up[x] = False
+            rows[v] = [y for y in rows[v] if y not in k_comp] + [p]
+            rows.append([v])
+            up.append(True)
+        h = Graph(0)
+        h.write_rows(rows, up)
         out = [h]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
-        h = g.copy()
+        rows, up = _rows_of(g)
         for (u1, u2), (o1, o2) in r.contractions:
-            _check(h.has_edge(u1, u2), f"contracted edge {u1}-{u2} gone")
-            _check(
-                h.degree(u1) == 2 and h.degree(u2) == 2, f"degrees at {u1}-{u2} changed"
-            )
-            _check(
-                o1 in h.adj[u1] and o2 in h.adj[u2],
-                f"outside neighbors of {u1}-{u2} changed",
-            )
-            h.remove_vertex(u2)
+            r1 = rows[u1]
+            if u2 not in r1:
+                raise StaleWitness(f"contracted edge {u1}-{u2} gone")
+            r2 = rows[u2]
+            if len(r1) != 2 or len(r2) != 2:
+                raise StaleWitness(f"degrees at {u1}-{u2} changed")
+            if o1 not in r1 or o2 not in r2:
+                raise StaleWitness(f"outside neighbors of {u1}-{u2} changed")
+            # u2 goes with its edges, then u1 and o2 are joined unless o1 is o2
+            for y in r2:
+                rows[y].remove(u2)
+            rows[u2] = []
+            up[u2] = False
             if o1 != o2:
-                h.add_edge(u1, o2)
+                add_edge_in(rows, up, u1, o2)
+        h = Graph(0)
+        h.write_rows(rows, up)
         out = [h]
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
@@ -675,6 +692,41 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
     # h - v, so h minus the block stays connected, and the pendant hangs
     # off v, and an op11 contraction keeps u1 joined to both o1 and o2
     return out
+
+
+# An op4 or op11 step edits the same few rows once per record.  Its sweep
+# edits private copies of the graph's rows and alive mask, checking each
+# record against them as the records before it left them, and writes the
+# result back with one Graph.write_rows call.  Where a record stands for
+# Graph edits, the sweep makes them on the copies with the same checks and
+# messages (graph.add_edge_in, remove_edge_in and revive_in).
+
+
+def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: int) -> bool:
+    """Whether k_comp, ascending, is a component of the graph minus v.
+
+    The search stops at the first vertex outside k_comp, so a peel's check
+    costs the block, not the rest of the graph.
+    """
+    start = k_comp[0]
+    if not (0 <= start < len(up) and up[start]):
+        return False
+    inside = set(k_comp)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in rows[stack.pop()]:
+            if y != v and y not in seen:
+                if y not in inside:
+                    return False
+                seen.add(y)
+                stack.append(y)
+    return sorted(seen) == list(k_comp)
+
+
+def _rows_of(g: Graph) -> tuple[list[list[int]], list[bool]]:
+    """Private copies of g's rows and alive mask, for a sweep to edit."""
+    return list(map(list, g.adj)), list(g.alive)
 
 
 # -- fixpoint driver ------------------------------------------------------
@@ -804,31 +856,43 @@ def _undo(
         edges.update(subtrees[1].edges)
         edges.add(r.bridge)
     elif r.kind == "op4":
+        rows, up = _rows_of(h)
         for s in reversed(r.peels):
-            pe = (s.cut_vertex, s.pendant)  # the pendant's id is the larger
-            if pe not in edges:
+            v, p = s.cut_vertex, s.pendant  # the pendant's id is the larger
+            if (v, p) not in edges:
                 raise InternalInvariant("pendant edge missing from subtree")
-            edges.remove(pe)
+            edges.remove((v, p))
             edges.update(s.inner_tree)
-            # the pendant is the last id, added by the peel
-            h.remove_edge(*pe)
-            h.pop_vertex()
+            # the Graph edits undone: remove v-p, pop the last id (the
+            # pendant, added by the peel), revive K, add the block's edges
+            remove_edge_in(rows, v, p)
+            last = len(rows) - 1
+            if not (last >= 0 and up[last]):
+                raise InternalInvariant(f"vertex {last} already dead")
+            for y in rows.pop():
+                rows[y].remove(last)
+            up.pop()
             for x in s.component:
-                h.revive(x)
-            for u, v in s.block_edges:
-                h.add_edge(u, v)
+                revive_in(rows, up, x)
+            for a, b in s.block_edges:
+                add_edge_in(rows, up, a, b)
+        h.write_rows(rows, up)
     elif r.kind == "op11":
+        rows, up = _rows_of(h)
         for (u1, u2), (o1, o2) in reversed(r.contractions):
-            swap = norm_edge(u1, o2)
+            swap = (u1, o2) if u1 < o2 else (o2, u1)
             if swap in edges:
                 edges.remove(swap)
-                edges.add(norm_edge(u2, o2))
-            edges.add(norm_edge(u1, u2))
+                edges.add((u2, o2) if u2 < o2 else (o2, u2))
+            edges.add((u1, u2) if u1 < u2 else (u2, u1))
+            # the Graph edits undone: remove u1-o2 unless o1 is o2, revive
+            # u2, add u1-u2 and u2-o2
             if o1 != o2:
-                h.remove_edge(u1, o2)
-            h.revive(u2)
-            h.add_edge(u1, u2)
-            h.add_edge(u2, o2)
+                remove_edge_in(rows, u1, o2)
+            revive_in(rows, up, u2)
+            add_edge_in(rows, up, u1, u2)
+            add_edge_in(rows, up, u2, o2)
+        h.write_rows(rows, up)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
     lifted = tree_result(h.alive_list(), edges)
@@ -843,8 +907,9 @@ def _undo(
 def _assert_spans(t: TreeResult, g: Graph) -> None:
     if tree_vertices(t) != g.alive_list():
         raise InternalInvariant("tree does not span the graph")
+    adj = g.adj
     for u, v in t.edges:
-        if not g.has_edge(u, v):
+        if v not in adj[u]:
             raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
 
 

@@ -5,9 +5,11 @@ bridges and cut-points, raw enumeration for optima, the all-pairs scan
 for op10.  None of it shares code with the library beyond the Graph and
 StrongReduction containers and norm_edge, so a bug cannot hide on both
 sides at once.  The exceptions are replay, which rebuilds the graphs a
-reduction trace does not keep by applying its steps forward, and the
+reduction trace does not keep by applying its steps forward; the
 augmented-pendant route to a preferred cover, which checks the library's
-forced-leaf route against the library's unconstrained cover search.
+forced-leaf route against the library's unconstrained cover search; and
+the per-edit op4 and op11 loops, which apply and undo a run one checked
+Graph edit at a time, as the reference for the engine's one-write sweeps.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -17,18 +19,27 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
+import mist.reduce
 from mist import Graph, norm_edge
+from mist.graph import component_of
 from mist.cover import Cover, PiPair, compute_pi_pairs, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
     PreconditionViolated,
     SizeCapExceeded,
+    StaleWitness,
 )
 from mist.exact import OST_CAP, TreeResult, max_tfpcc_exact, tree_result
-from mist.reduce import StrongReduction, apply_strong_reduction, apply_weak_reduction
+from mist.reduce import (
+    StrongReduction,
+    WeakReduction,
+    apply_strong_reduction,
+    apply_weak_reduction,
+)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -508,6 +519,142 @@ def replay(trace) -> list[Graph]:
             parts = apply_weak_reduction(g, r)
         graphs.update(zip(node.children, parts))
     return [graphs[i] for i in range(len(trace.nodes))]
+
+
+def _check(cond: bool, msg: str) -> None:
+    if not cond:
+        raise StaleWitness(msg)
+
+
+def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
+    """An op4 or op11 step applied one checked Graph edit at a time.
+
+    The engine makes these edits on private copies of the rows and writes
+    them back at once; this makes them through Graph's own methods, with
+    the same checks and messages in the same order.
+    """
+    h = g.copy()
+    if r.kind == "op4":
+        _check(r.c == sum(s.inner_opt - 1 for s in r.peels), "constant is not the peels' sum")
+        for s in r.peels:
+            v, k_comp = s.cut_vertex, s.component
+            _check(h.is_alive(v), f"cut vertex {v} gone")
+            _check(
+                v not in k_comp
+                and h.is_alive(k_comp[0])
+                and component_of(h, k_comp[0], blocked=frozenset((v,))) == list(k_comp),
+                f"hanging block at {v} changed",
+            )
+            _check(s.pendant == h.vertex_count, f"pendant id at {v} mismatch")
+            for x in k_comp:
+                h.remove_vertex(x)
+            h.add_edge(v, h.add_vertex())
+    elif r.kind == "op11":
+        _check(r.c == len(r.contractions), "constant is not the contraction count")
+        for (u1, u2), (o1, o2) in r.contractions:
+            _check(h.has_edge(u1, u2), f"contracted edge {u1}-{u2} gone")
+            _check(h.degree(u1) == 2 and h.degree(u2) == 2, f"degrees at {u1}-{u2} changed")
+            _check(
+                o1 in h.adj[u1] and o2 in h.adj[u2],
+                f"outside neighbors of {u1}-{u2} changed",
+            )
+            h.remove_vertex(u2)
+            if o1 != o2:
+                h.add_edge(u1, o2)
+    else:
+        raise ValueError(f"not a run: {r.kind}")
+    return h
+
+
+def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph, TreeResult]:
+    """An op4 or op11 step undone on its child graph h, one Graph edit at a time.
+
+    h is edited in place and returned with the tree lifted from t, before
+    the lift's floor checks.
+    """
+    edges = set(t.edges)
+    if r.kind == "op4":
+        for s in reversed(r.peels):
+            pe = (s.cut_vertex, s.pendant)
+            if pe not in edges:
+                raise InternalInvariant("pendant edge missing from subtree")
+            edges.remove(pe)
+            edges.update(s.inner_tree)
+            h.remove_edge(*pe)
+            h.pop_vertex()
+            for x in s.component:
+                h.revive(x)
+            for u, v in s.block_edges:
+                h.add_edge(u, v)
+    elif r.kind == "op11":
+        for (u1, u2), (o1, o2) in reversed(r.contractions):
+            swap = norm_edge(u1, o2)
+            if swap in edges:
+                edges.remove(swap)
+                edges.add(norm_edge(u2, o2))
+            edges.add(norm_edge(u1, u2))
+            if o1 != o2:
+                h.remove_edge(u1, o2)
+            h.revive(u2)
+            h.add_edge(u1, u2)
+            h.add_edge(u2, o2)
+    else:
+        raise ValueError(f"not a run: {r.kind}")
+    return h, tree_result(h.alive_list(), edges)
+
+
+def graph_state(g: Graph) -> tuple:
+    """Everything a graph holds: rows, alive mask, id range and both counters."""
+    return g.adj, g.alive, g.vertex_count, g.n_alive(), g.edge_count()
+
+
+def bfs_tree(h: Graph) -> TreeResult:
+    """Some spanning tree of h: every lift floor holds for any subtrees."""
+    start = h.alive_list()[0]
+    seen, edges, queue = {start}, [], [start]
+    for u in queue:
+        for v in h.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                edges.append(norm_edge(u, v))
+                queue.append(v)
+    return tree_result(seen, edges)
+
+
+def check_runs_against_reference(monkeypatch, roots, modes=("simple", "refined")) -> Counter:
+    """Reduce and lift every root, checking each op4 and op11 step against the loops above.
+
+    Applying a step must give the graph reference_apply_run gives, and
+    undoing it the graph and tree reference_undo_run gives.  The leaves get
+    breadth-first trees.  Returns how many steps of each kind were checked.
+    """
+    seen: Counter = Counter()
+    real_apply, real_undo = mist.reduce.apply_weak_reduction, mist.reduce._undo
+
+    def apply(g, r):
+        parts = real_apply(g, r)
+        if r.kind in ("op4", "op11"):
+            assert [graph_state(h) for h in parts] == [graph_state(reference_apply_run(g, r))]
+            seen[f"{r.kind} apply"] += 1
+        return parts
+
+    def undo(r, parts, subtrees):
+        if r.kind not in ("op4", "op11"):
+            return real_undo(r, parts, subtrees)
+        want_h, want_t = reference_undo_run(r, parts[0].copy(), subtrees[0])
+        h, t = real_undo(r, parts, subtrees)
+        assert graph_state(h) == graph_state(want_h)
+        assert t == want_t
+        seen[f"{r.kind} undo"] += 1
+        return h, t
+
+    monkeypatch.setattr(mist.reduce, "apply_weak_reduction", apply)
+    monkeypatch.setattr(mist.reduce, "_undo", undo)
+    for g in roots:
+        for mode in modes:
+            tr = mist.reduce.reduce_to_fixpoint(g, mode)
+            tr.lift_all({i: bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
+    return seen
 
 
 def outcome_line(name: str, mode: str, outcome) -> str:

@@ -33,7 +33,7 @@ from mist.reduce import StrongReduction, WeakReduction, find_op4, find_op11, red
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import outcome_digest, outcome_line, random_tree, replay
+from helpers import check_runs_against_reference, outcome_digest, outcome_line, random_tree, replay
 
 RANDOM_COUNT = 2000
 
@@ -359,6 +359,13 @@ def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
     _report("op4 runs keep trees, bounds and checks", 2 * len(chains + others), bad)
     # every path from 12 vertices on, and 10 others, get a run of peels
     assert sum(k > 1 for k in longest.values()) == 59
+
+
+def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_the_survey_corpus(monkeypatch):
+    seen = check_runs_against_reference(monkeypatch, [g for _, g in _corpus()])
+    _report("op4 and op11 sweeps match the per-edit loops", sum(seen.values()), [])
+    assert seen["op4 apply"] == seen["op4 undo"] > 0
+    assert seen["op11 apply"] == seen["op11 undo"] > 0
 
 
 # -- reduction safety on everything small enough to trace with the oracle ---

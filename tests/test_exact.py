@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mist import Graph, norm_edge
 from mist.errors import DisconnectedInput, InternalInvariant, SizeCapExceeded
 from mist.exact import (
+    TreeResult,
     hamiltonian_path_between,
     internal_bound,
     max_tfpcc_exact,
@@ -85,6 +86,34 @@ def test_tree_result_counts_internals():
     assert t.weight == 1
     assert set(t.leaves) == {0, 2}
     assert tree_vertices(t) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, match",
+    [
+        ([0, 1, 2], [(0, 1), (1, 3)], "edge 1-3 leaves the vertex set"),
+        ([0, 2, 4], [(0, 2), (2, 3)], "edge 2-3 leaves the vertex set"),
+        # -1 must not wrap around to the largest id
+        ([0, 1, 2, 3], [(0, 1), (1, 2), (-1, 3)], "edge -1-3 leaves the vertex set"),
+        ([5, 6, 7], [(6, 7), (4, 5)], "edge 4-5 leaves the vertex set"),
+        ([0, 1, 2], [(0, 1), (1, 0)], "cycle in tree edges"),
+        ([0, 1, 2], [(1, 1), (0, 2)], "cycle in tree edges"),
+        ([0, 1, 2], [(0, 1)], "1 edges for 3 vertices"),
+        ([], [], "0 edges for 0 vertices"),
+    ],
+    ids=["above", "gap", "negative", "below", "repeated", "loop", "short", "empty"],
+)
+def test_tree_result_rejects_what_is_not_a_spanning_tree(vertices, edges, match):
+    with pytest.raises(InternalInvariant, match=match):
+        tree_result(vertices, edges)
+
+
+def test_tree_result_on_one_and_two_vertices():
+    assert tree_result([5], []) == TreeResult((), 0, (5,))
+    assert tree_result([7, 3], [(7, 3)]) == TreeResult(((3, 7),), 0, (3, 7))
+    assert tree_result([3, 9, 40], [(40, 9), (3, 9)]) == TreeResult(
+        ((3, 9), (9, 40)), 1, (3, 40)
+    )
 
 
 def test_ham_path_complete_graph():

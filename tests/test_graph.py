@@ -94,7 +94,7 @@ def _recount(g):
 
 # each step: (operation, a, b) on vertex ids taken modulo the vertex count
 _steps = st.lists(
-    st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 20)), max_size=60
+    st.tuples(st.integers(0, 8), st.integers(0, 20), st.integers(0, 20)), max_size=60
 )
 
 
@@ -120,6 +120,12 @@ def test_counters_match_a_recount_through_any_mutation(steps):
             g.revive(a)
         elif op == 6:
             g = g.copy()
+        elif op == 8 and g.has_edge(a, b):
+            # a run of edits on private copies, written at once
+            rows, alive = [list(row) for row in g.adj], list(g.alive)
+            rows[a].remove(b)
+            rows[b].remove(a)
+            g.write_rows(rows, alive)
         elif op == 7:
             c = Cover(g, g.edge_list()[b % 3 :: 3])
             covers.append(c)
@@ -130,6 +136,24 @@ def test_counters_match_a_recount_through_any_mutation(steps):
         assert (g.n_alive(), g.edge_count()) == _recount(g)
         for c in covers:
             assert (c.n_alive(), c.edge_count()) == _recount(c)
+
+
+def test_write_rows_takes_the_rows_and_recounts():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    rows, alive = [list(row) for row in g.adj], list(g.alive)
+    rows[2].remove(3)
+    rows[3] = []
+    alive[3] = False
+    rows.append([0])
+    rows[0].append(4)
+    alive.append(True)
+    g.write_rows(rows, alive)
+    assert (g.vertex_count, g.alive_list(), g.edge_list()) == (5, [0, 1, 2, 4], [(0, 1), (0, 4), (1, 2)])
+    assert (g.n_alive(), g.edge_count()) == _recount(g) == (4, 3)
+    with pytest.raises(InternalInvariant, match="rows written do not pair up"):
+        g.write_rows([[1], [0, 2], [1], [], [0]], [True] * 5)
+    with pytest.raises(InternalInvariant, match="5 rows for 4 vertices"):
+        g.write_rows([[], [], [], [], []], [True] * 4)
 
 
 def test_copy_is_independent():

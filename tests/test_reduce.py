@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mist.reduce
-from mist import Graph, norm_edge, reduce_to_fixpoint
+from mist import Graph, reduce_to_fixpoint
 from mist.errors import ArityMismatch, InternalInvariant, StaleWitness
-from mist.exact import opt_spanning_tree, tree_result
+from mist.exact import opt_spanning_tree
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta
 from mist.reduce import (
     RULESETS,
@@ -31,7 +31,14 @@ from mist.reduce import (
 from mist.graph import separations
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import build_graph, naive_op10, random_connected, replay
+from helpers import (
+    bfs_tree,
+    build_graph,
+    check_runs_against_reference,
+    naive_op10,
+    random_connected,
+    replay,
+)
 
 import random
 
@@ -705,6 +712,36 @@ def test_op11_rechecks_every_contraction_of_its_run():
         apply_weak_reduction(g, dataclasses.replace(r, contractions=tuple(run)))
 
 
+def _with_record(r, field, i, record):
+    records = list(getattr(r, field))
+    records[i] = record
+    return dataclasses.replace(r, **{field: tuple(records)})
+
+
+def test_op11_rechecks_each_middle_contraction_against_the_rows_so_far():
+    # after two contractions 0's row is [3, 7], so 5 is no longer next to it
+    g = cycle(8)
+    r = find_op11(g)
+    with pytest.raises(StaleWitness, match="contracted edge 0-5 gone"):
+        apply_weak_reduction(g, _with_record(r, "contractions", 2, ((0, 5), (7, 6))))
+    # the chord's end 2 has degree 3: the run goes round the other way, and
+    # a second contraction that takes 2 in is stale
+    g = build_graph(9, [(i, (i + 1) % 8) for i in range(8)] + [(2, 8)])
+    r = find_op11(g)
+    assert r.contractions[:2] == (((0, 1), (7, 2)), ((0, 7), (2, 6)))
+    with pytest.raises(StaleWitness, match="degrees at 0-2 changed"):
+        apply_weak_reduction(g, _with_record(r, "contractions", 1, ((0, 2), (7, 3))))
+
+
+def test_op4_rechecks_each_middle_cut_vertex_against_the_rows_so_far():
+    # the second peel took 2 away, so a fourth peel at 2 is stale
+    g = path(24)
+    r = find_op4(g)
+    peel = dataclasses.replace(r.peels[3], cut_vertex=2)
+    with pytest.raises(StaleWitness, match="cut vertex 2 gone"):
+        apply_weak_reduction(g, _with_record(r, "peels", 3, peel))
+
+
 def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
     trace = reduce_to_fixpoint(cycle(10), "refined")
     r = trace.nodes[0].applied
@@ -716,6 +753,35 @@ def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
     )
     with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
         trace.lift_all(leaf_trees)
+
+
+def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_chains(monkeypatch):
+    roots = [f(n) for n in range(4, 61) for f in (gen_path, gen_cycle)]
+    roots += [gen_theta(n) for n in range(5, 61)]
+    seen = check_runs_against_reference(monkeypatch, roots)
+    assert seen == {"op4 apply": 270, "op4 undo": 270, "op11 apply": 219, "op11 undo": 219}
+
+
+@pytest.mark.parametrize("family, mode", [(gen_cycle, "refined"), (gen_path, "simple"), (gen_path, "refined")])
+def test_reduce_and_lift_make_as_many_graph_edits_for_a_longer_chain(monkeypatch, family, mode):
+    # a run is written with one Graph.write_rows call, however long it is
+    counts = Counter()
+    for name in ("add_edge", "remove_edge", "remove_vertex"):
+
+        def counted(self, *args, _real=getattr(Graph, name), _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Graph, name, counted)
+
+    def edits(n):
+        g = family(n)
+        counts.clear()
+        tr = reduce_to_fixpoint(g, mode)
+        tr.lift_all({i: bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
+        return dict(counts)
+
+    assert edits(200) == edits(100)
 
 
 # ---------------------------------------------------------------- fixpoints
@@ -795,19 +861,6 @@ def walk_trace_checking_safety(g, mode):
     return tr
 
 
-def _bfs_tree(h):
-    """Some spanning tree of h: every lift floor holds for any subtrees."""
-    start = h.alive_list()[0]
-    seen, edges, queue = {start}, [], [start]
-    for u in queue:
-        for v in h.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                edges.append(norm_edge(u, v))
-                queue.append(v)
-    return tree_result(seen, edges)
-
-
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mode):
     # lifting undoes each step on the children's graphs; every graph a lifted
@@ -829,7 +882,7 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
         kept = [n.index for n in tr.nodes if n.graph is not None]
         assert kept == sorted({0, *tr.leaves()})
         checked.clear()
-        tr.lift_all({i: _bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
+        tr.lift_all({i: bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
         assert checked == [(h.alive, h.adj) for h in reversed(replay(tr))], g
 
 
@@ -896,6 +949,35 @@ _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4
 )
 def test_lift_checks_the_step_it_undoes(g, mode, kind, tamper, exc, match):
     _lift_tampered(g, mode, kind, tamper, exc, match)
+
+
+def _move_a_middle_cut_vertex(r):
+    # peel 5 is (7, (6, 28), 29); undoing peel 6 put the edge 7-29 back in
+    # the tree, not 8-29
+    peel = r.peels[5]
+    assert (peel.cut_vertex, peel.pendant) == (7, 29)
+    return {"peels": (*r.peels[:5], dataclasses.replace(peel, cut_vertex=8), *r.peels[6:])}
+
+
+def _merge_a_live_vertex(r):
+    # contraction 4 is ((0, 5), (9, 6)); by the time it is undone, 7 is alive
+    # again, so reviving it in 5's place is refused
+    assert r.contractions[4] == ((0, 5), (9, 6))
+    run = list(r.contractions)
+    run[4] = ((0, 7), (9, 6))
+    return {"contractions": tuple(run)}
+
+
+@pytest.mark.parametrize(
+    "g, mode, kind, tamper, match",
+    [
+        (path(24), "simple", "op4", _move_a_middle_cut_vertex, "pendant edge missing from subtree"),
+        (cycle(10), "refined", "op11", _merge_a_live_vertex, "vertex 7 is not dead and bare"),
+    ],
+    ids=["op4-pendant-edge", "op11-revive"],
+)
+def test_lift_checks_each_middle_record_against_the_rows_so_far(g, mode, kind, tamper, match):
+    _lift_tampered(g, mode, kind, tamper, InternalInvariant, match)
 
 
 def test_safety_exhaustive_small_graphs():

@@ -6,8 +6,9 @@ the package, so helpers left behind by a deletion show up here.
 
 A cover keeps its component list until an edit drops it, and only its
 edge and vertex edits do.  So only the graph and the reduction engine may
-add, pop or revive vertex ids, and only methods of Graph and Cover may
-assign a graph's adjacency, alive mask or kept components.
+add, pop or revive vertex ids, write rows wholesale or edit bare rows, and
+only methods of Graph and Cover may assign a graph's adjacency, alive mask
+or kept components.
 """
 
 import ast
@@ -73,7 +74,9 @@ def unreferenced_private_functions(trees) -> list[str]:
     ]
 
 
-VERTEX_EDITS = {"add_vertex", "pop_vertex", "revive"}
+VERTEX_EDITS = {
+    "add_vertex", "pop_vertex", "revive", "write_rows", "add_edge_in", "remove_edge_in", "revive_in"
+}
 VERTEX_EDITORS = {"graph.py", "reduce.py"}
 GUARDED = {"adj", "alive", "_comps", "_index"}
 OWNERS = {"Graph", "Cover"}
@@ -155,3 +158,5 @@ def test_the_edit_check_catches_a_vertex_edit_and_a_raw_write():
         "m.py:8: assigns ._comps",
     ]
     assert cover_edit_escapes({"graph.py": ast.parse("g.revive(v)\n")}) == []
+    tree = ast.parse("def bad(c, rows, alive):\n    c.write_rows(rows, alive)\n")
+    assert cover_edit_escapes({"m.py": tree, "reduce.py": tree}) == ["m.py:2: write_rows"]
