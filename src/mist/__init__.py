@@ -21,7 +21,6 @@ from .exact import (
     hamiltonian_path_between,
     max_tfpcc_exact,
     opt_spanning_tree,
-    path_cover_from_tree,
     tree_result,
 )
 from .fileio import emit_graph, parse_graph
@@ -60,7 +59,6 @@ __all__ = [
     "norm_edge",
     "opt_spanning_tree",
     "parse_graph",
-    "path_cover_from_tree",
     "preferred_tfpcc",
     "preprocess",
     "reduce_to_fixpoint",

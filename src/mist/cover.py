@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, PreconditionViolated
+from .exact import max_tfpcc_exact
 from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 
@@ -192,38 +193,33 @@ class PiPair:
     supports: tuple[Edge, ...]
 
 
-def compute_pi_pairs(g: Graph, strict: bool = True) -> list[PiPair]:
+def compute_pi_pairs(g: Graph) -> list[PiPair]:
     """Pairs of degree-2 vertices with identical neighborhoods.
 
-    With strict=True this also asserts the caller's preconditions: at
-    least nine vertices, no three such twins sharing a neighborhood, and
-    every shared neighbor of degree at least 3.  The latter two are
-    consequences of irreducibility; inputs violating any of them raise
-    PreconditionViolated.
+    This also asserts the caller's preconditions: at least nine vertices,
+    no three such twins sharing a neighborhood, and every shared neighbor
+    of degree at least 3.  The latter two are consequences of
+    irreducibility; inputs violating any of them raise
+    PreconditionViolated, so every twin group holds one pair.
     """
-    if strict and g.n_alive() < 9:
+    if g.n_alive() < 9:
         raise PreconditionViolated(f"needs at least 9 vertices, got {g.n_alive()}")
     pairs = []
     for key, twins in twin_groups(g):
         if len(twins) < 2:
             continue
-        if strict and len(twins) >= 3:
+        if len(twins) >= 3:
             raise PreconditionViolated(
                 f"three twins {twins[:3]} share neighborhood {key}"
             )
-        if strict:
-            for b in key:
-                if g.degree(b) < 3:
-                    raise PreconditionViolated(
-                        f"boundary vertex {b} has degree {g.degree(b)}"
-                    )
-        for i in range(len(twins)):
-            for j in range(i + 1, len(twins)):
-                u1, u3 = twins[i], twins[j]
-                supports = tuple(
-                    sorted(norm_edge(u, b) for u in (u1, u3) for b in key)
+        for b in key:
+            if g.degree(b) < 3:
+                raise PreconditionViolated(
+                    f"boundary vertex {b} has degree {g.degree(b)}"
                 )
-                pairs.append(PiPair(u1, u3, key, supports))
+        u1, u3 = twins
+        supports = tuple(sorted(norm_edge(u, b) for u in twins for b in key))
+        pairs.append(PiPair(u1, u3, key, supports))
     pairs.sort(key=lambda p: (p.u1, p.u3))
     return pairs
 
@@ -240,9 +236,7 @@ def preferred_tfpcc(g: Graph, pairs: list[PiPair]) -> Cover:
     cover degree at most 1 at its smaller vertex, which the solver enforces
     as a forced-leaf constraint.
     """
-    from .exact import max_tfpcc_exact
-
-    cover = max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs])
+    cover = Cover(g, max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs]))
     if not is_special(cover, pairs):
         raise InternalInvariant("solver returned a non-special cover")
     return cover

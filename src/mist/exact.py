@@ -1,18 +1,18 @@
 """Exact solvers used as oracles and as the base case of the pipeline.
 
 The solvers (opt_spanning_tree, hamiltonian_path_between, max_tfpcc_exact)
-are exponential searches with pruning, guarded by explicit size caps.  They
-break ties toward smaller vertex ids so repeated runs return identical
-answers.  The tree helpers (tree_result, tree_vertices, internal_bound,
-path_cover_from_tree) take polynomial time.
+are exponential searches with pruning, guarded by the size caps OST_CAP,
+HAM_CAP and TFPCC_CAP.  They break ties toward smaller vertex ids so
+repeated runs return identical answers.  tree_result and internal_bound
+take polynomial time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
-from .cover import Cover
 from .errors import (
     DisconnectedInput,
     InternalInvariant,
@@ -22,6 +22,8 @@ from .errors import (
 from .graph import Edge, Graph, find, norm_edge
 
 OST_CAP = 12  # largest order opt_spanning_tree searches exactly
+HAM_CAP = 10  # largest order hamiltonian_path_between searches
+TFPCC_CAP = 16  # largest order max_tfpcc_exact searches
 
 
 @dataclass(frozen=True)
@@ -31,48 +33,44 @@ class TreeResult:
     leaves: tuple[int, ...]
 
 
-def tree_result(vertices, edges) -> TreeResult:
-    """Build a TreeResult, validating that edges form a spanning tree.
+def tree_result(g: Graph, edges) -> TreeResult:
+    """The spanning tree of g with the given edges, checked.
 
-    The union-find and the degree count are lists indexed by vertex id
-    minus the smallest id; the degree of an id outside the set stays -1.
+    The edges must be n_alive - 1 edges of g, between ids 0..vertex_count-1,
+    that close no cycle; such a set spans g's alive vertices.  The
+    union-find and the degree count are lists indexed by vertex id.
     """
-    verts = sorted(vertices)
-    n = len(verts)
+    n = g.n_alive()
     edges = sorted([(u, v) if u < v else (v, u) for u, v in edges])
     if len(edges) != n - 1:
         raise InternalInvariant(f"{len(edges)} edges for {n} vertices")
-    lo = verts[0]
-    span = verts[-1] - lo + 1
-    deg = [-1] * span
-    for v in verts:
-        deg[v - lo] = 0
+    adj = g.adj
+    span = g.vertex_count
+    deg = [0] * span
     parent = list(range(span))
-    for u, v in edges:
-        a, b = u - lo, v - lo  # a <= b
-        if a < 0 or b >= span or deg[a] < 0 or deg[b] < 0:
+    for u, v in edges:  # u <= v
+        if u < 0 or v >= span:
             raise InternalInvariant(f"edge {u}-{v} leaves the vertex set")
-        deg[a] += 1
-        deg[b] += 1
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
+        row = adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
+        deg[u] += 1
+        deg[v] += 1
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
             raise InternalInvariant("cycle in tree edges")
-        parent[a] = b
-    # n - 1 acyclic edges within the set span n distinct ids
-    weight = n - deg.count(0) - deg.count(1)
-    leaves = tuple(compress(range(lo, lo + span), map((0, 1).__contains__, deg)))
+        parent[u] = v
+    if n == 1:
+        return TreeResult((), 0, tuple(g.alive_list()))
+    # with two or more vertices every alive vertex has a tree edge, and
+    # dead ones have none
+    weight = span - deg.count(0) - deg.count(1)
+    leaves = tuple(compress(range(span), map((1).__eq__, deg)))
     return TreeResult(tuple(edges), weight, leaves)
-
-
-def tree_vertices(t: TreeResult) -> list[int]:
-    verts = set(t.leaves)
-    for u, v in t.edges:
-        verts.add(u)
-        verts.add(v)
-    return sorted(verts)
 
 
 def internal_bound(g: Graph) -> int:
@@ -87,7 +85,7 @@ def internal_bound(g: Graph) -> int:
     return n - max(2, sum(1 for v in g.alive_list() if g.degree(v) <= 1))
 
 
-def opt_spanning_tree(g: Graph, cap: int = OST_CAP, floor: int = 0) -> TreeResult:
+def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
     """Spanning tree maximizing the number of internal vertices.
 
     Branch and bound over edges in sorted order: include (if acyclic)
@@ -103,9 +101,9 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP, floor: int = 0) -> TreeResul
     least 2 + excess leaves, excess = sum(max(tdeg - 2, 0)) over the
     chosen tree degrees.  It also keeps as a leaf every vertex with at
     most one available edge.  A subtree is cut when n minus the larger of
-    the two counts cannot beat the best weight strictly.  Since only a
-    strictly heavier tree replaces the best one, the answer is the first
-    optimum in include-first order, with or without the cuts.
+    the two counts cannot exceed the best weight.  Since only a heavier
+    tree, never an equal one, replaces the best one, the answer is the
+    first optimum in include-first order, with or without the cuts.
 
     floor seeds the incumbent at floor - 1, so every subtree that cannot
     reach floor is cut.  Any floor <= opt returns the same tree; a floor
@@ -115,15 +113,15 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP, floor: int = 0) -> TreeResul
     n = len(verts)
     if n == 0:
         raise PreconditionViolated("empty graph")
-    if n > cap:
-        raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
+    if n > OST_CAP:
+        raise SizeCapExceeded(f"{n} vertices exceeds cap {OST_CAP}")
     if not g.is_connected():
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
     # the search's root bound; unseeded calls (floor 0) cannot exceed it
     if floor > 0 and floor > internal_bound(g):
         raise InternalInvariant(f"floor {floor} above the leaf bound of g")
     if n == 1:
-        return TreeResult((), 0, (verts[0],))
+        return tree_result(g, ())
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
     m = len(edges)
@@ -193,15 +191,14 @@ def opt_spanning_tree(g: Graph, cap: int = OST_CAP, floor: int = 0) -> TreeResul
     rec(0, 0, 0, sum(1 for v in verts if g.degree(v) <= 1))
     if best_edges is None:
         raise InternalInvariant(f"no spanning tree with {floor} or more internal vertices")
-    return tree_result(verts, [(verts[a], verts[b]) for a, b in best_edges])
+    return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
 
 
-def hamiltonian_path_between(g: Graph, u: int, v: int, cap: int = 10) -> list[int] | None:
+def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
     """First Hamiltonian path from u to v in id order, or None."""
-    verts = g.alive_list()
-    n = len(verts)
-    if n > cap:
-        raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
+    n = g.n_alive()
+    if n > HAM_CAP:
+        raise SizeCapExceeded(f"{n} vertices exceeds cap {HAM_CAP}")
     if u == v or not (g.is_alive(u) and g.is_alive(v)):
         raise PreconditionViolated(f"bad endpoints {u}, {v}")
     path = [u]
@@ -225,8 +222,8 @@ def hamiltonian_path_between(g: Graph, u: int, v: int, cap: int = 10) -> list[in
     return list(path) if rec() else None
 
 
-def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
-    """Maximum triangle-free path-cycle cover by branch and bound.
+def max_tfpcc_exact(g: Graph, forced_leaves=()) -> list[Edge]:
+    """Edges of a maximum triangle-free path-cycle cover, by branch and bound.
 
     forced_leaves lists vertices whose cover degree must stay at most 1.
     Components track their size through union-find, so an edge closing a
@@ -238,8 +235,8 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
     """
     verts = g.alive_list()
     n = len(verts)
-    if n > cap:
-        raise SizeCapExceeded(f"{n} vertices exceeds cap {cap}")
+    if n > TFPCC_CAP:
+        raise SizeCapExceeded(f"{n} vertices exceeds cap {TFPCC_CAP}")
     pos = {v: i for i, v in enumerate(verts)}
     for v in forced_leaves:
         if not g.is_alive(v):
@@ -300,35 +297,4 @@ def max_tfpcc_exact(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
         avail[b] += 1
 
     rec(0, 0, sum(room(x) for x in range(n)))
-    return Cover(g, [norm_edge(verts[a], verts[b]) for a, b in best_set])
-
-
-def path_cover_from_tree(t: TreeResult, g: Graph) -> Cover:
-    """Path cover of g obtained by thinning a spanning tree.
-
-    Root the tree at the smallest internal vertex and keep, for every
-    vertex with children, only the edge to its smallest child.  The kept
-    edges form vertex-disjoint paths with as many edges as the tree has
-    internal vertices (or one more when the root is a leaf).
-    """
-    verts = tree_vertices(t)
-    if verts != g.alive_list():
-        raise InternalInvariant("tree does not span the host graph")
-    if not t.edges:
-        return Cover(g, ())
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    internal = [v for v in verts if len(adj[v]) >= 2]
-    root = internal[0] if internal else verts[0]
-    kept = []
-    stack = [(root, -1)]
-    while stack:
-        u, par = stack.pop()
-        children = sorted(w for w in adj[u] if w != par)
-        if children:
-            kept.append(norm_edge(u, children[0]))
-            for w in children:
-                stack.append((w, u))
-    return Cover(g, kept)
+    return [norm_edge(verts[a], verts[b]) for a, b in best_set]

@@ -86,21 +86,6 @@ class Graph:
 
     # -- mutation ------------------------------------------------------
 
-    def add_vertex(self) -> int:
-        v = self.vertex_count
-        self.vertex_count += 1
-        self.alive.append(True)
-        self.adj.append([])
-        self._order += 1
-        return v
-
-    def pop_vertex(self) -> None:
-        """Undo add_vertex: delete the last vertex id and its edges."""
-        self.remove_vertex(self.vertex_count - 1)
-        self.vertex_count -= 1
-        self.alive.pop()
-        self.adj.pop()
-
     def revive(self, v: int) -> None:
         """Make the dead vertex v alive again, without edges."""
         revive_in(self.adj, self.alive, v)

@@ -70,7 +70,7 @@ def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
     if h.n_alive() <= BASE_ORDER:
         t = opt_spanning_tree(h)
         return LeafSolve(idx, h, "exact", t, 0)
-    pairs = tuple(compute_pi_pairs(h, strict=True)) if mode == "refined" else ()
+    pairs = tuple(compute_pi_pairs(h)) if mode == "refined" else ()
     try:
         cover0 = preferred_tfpcc(h, pairs)
     except SizeCapExceeded as exc:
@@ -254,12 +254,15 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
 
 
 def _spans(t: TreeResult, g: Graph) -> bool:
-    """True when the tree is n - 1 host edges closing no cycle: a spanning tree."""
+    """True when the tree is n - 1 host edges closing no cycle: a spanning tree.
+
+    A negative id is refused before it can index a row from the end.
+    """
     if len(t.edges) != g.n_alive() - 1:
         return False
     parent = list(range(g.vertex_count))
     for u, v in t.edges:
-        if not g.has_edge(u, v):
+        if (u | v) < 0 or not g.has_edge(u, v):
             return False
         ru, rv = find(parent, u), find(parent, v)
         if ru == rv:

@@ -1,7 +1,7 @@
 """Cover rewrites that grow a termination measure until a fixpoint.
 
 Each rewrite keeps the cover a triangle-free path-cycle cover and never
-loses edges.  Termination is certified by a strictly increasing measure
+loses edges.  Termination is certified by a measure that rises at every step
 (edge count, then component merges, then path lengths, then dead paths
 coming alive), checked after every step, with a step budget as backstop.
 """

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
-from .exact import TreeResult, opt_spanning_tree, tree_result, tree_vertices, hamiltonian_path_between
+from .exact import TreeResult, hamiltonian_path_between, opt_spanning_tree, tree_result
 from .graph import (
     Edge,
     Graph,
@@ -796,8 +796,10 @@ class ReductionTrace:
         Children come after their parent, so one reverse walk sees every
         node after its children.  Each internal node's graph and tree are
         rebuilt together by undoing its step once on its children's
-        (_undo), starting from copies of the leaf graphs, and every lifted
-        tree must span its rebuilt graph.
+        (_undo), starting from copies of the leaf graphs.  Every leaf tree
+        must be the one tree_result gives for its edges on its leaf graph,
+        and _undo checks every lifted tree with tree_result on the graph it
+        rebuilt.
         A child's graph and tree are dropped once its parent has used them.
         """
         trees: dict[int, TreeResult] = {}
@@ -808,11 +810,12 @@ class ReductionTrace:
                     raise InternalInvariant(f"no tree for leaf {node.index}")
                 t = leaf_trees[node.index]
                 h = node.graph.copy()
+                if tree_result(h, t.edges) != t:
+                    raise InternalInvariant(f"tree of leaf {node.index} does not match its edges")
             else:
                 subs = [trees.pop(c) for c in node.children]
                 parts = [graphs.pop(c) for c in node.children]
                 h, t = _undo(node.applied, parts, subs)
-            _assert_spans(t, h)
             trees[node.index] = t
             graphs[node.index] = h
         root = self.nodes[0].graph
@@ -827,9 +830,9 @@ def _undo(
     """The graph r was applied to and its lifted tree, from the children's.
 
     One reverse replay of the step rebuilds the graph in place in the first
-    part and edits the lifted tree's edge set beside it; the tree is then
-    built over the rebuilt graph's vertices and checked against the
-    step's floor.
+    part and edits the lifted tree's edge set beside it; tree_result then
+    checks the tree on the rebuilt graph, and its weight is checked
+    against the step's floor.
     """
     h = parts[0]
     if isinstance(r, StrongReduction):
@@ -838,9 +841,7 @@ def _undo(
             h.revive(v)
         for u, v in r.removed_edges:
             h.add_edge(u, v)
-        if not r.restore_edges:
-            return h, t
-        lifted = tree_result(h.alive_list(), [*t.edges, *r.restore_edges])
+        lifted = tree_result(h, [*t.edges, *r.restore_edges])
         if lifted.weight < t.weight:
             raise InternalInvariant("strong lift lost weight")
         return h, lifted
@@ -895,22 +896,13 @@ def _undo(
         h.write_rows(rows, up)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
-    lifted = tree_result(h.alive_list(), edges)
+    lifted = tree_result(h, edges)
     floor = sum(t.weight for t in subtrees) + r.c
     if r.kind == "op4" and lifted.weight != floor:
         raise InternalInvariant("block lift must gain exactly c")
     if lifted.weight < floor:
         raise InternalInvariant(f"{r.kind} lift fell below its floor")
     return h, lifted
-
-
-def _assert_spans(t: TreeResult, g: Graph) -> None:
-    if tree_vertices(t) != g.alive_list():
-        raise InternalInvariant("tree does not span the graph")
-    adj = g.adj
-    for u, v in t.edges:
-        if v not in adj[u]:
-            raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
 
 
 def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:

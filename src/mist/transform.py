@@ -172,7 +172,7 @@ def _open_cycles_and_join(work: Cover, g: Graph) -> TreeResult:
         else:
             raise InternalInvariant("cycle with no way out in a connected graph")
     _join_components(work, g)
-    return tree_result(g.alive_list(), work.edge_list())
+    return tree_result(g, work.edge_list())
 
 
 # -- simple transform -------------------------------------------------------
@@ -488,7 +488,7 @@ def stage3_finish(work: Cover, g: Graph) -> TreeResult:
         work.remove_edge(*lower_edge_at(work, u))
         work.add_edge(u, v)
     _join_components(work, g)
-    return tree_result(g.alive_list(), work.edge_list())
+    return tree_result(g, work.edge_list())
 
 
 def run_transform(cover: Cover, g: Graph) -> TransformState:

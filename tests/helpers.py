@@ -10,6 +10,9 @@ augmented-pendant route to a preferred cover, which checks the library's
 forced-leaf route against the library's unconstrained cover search; and
 the per-edit op4 and op11 loops, which apply and undo a run one checked
 Graph edit at a time, as the reference for the engine's one-write sweeps.
+Some helpers serve tests only: twin pairs of graphs that break
+compute_pi_pairs' preconditions, the path cover of a thinned tree, and
+adding or popping the last vertex id of a graph.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -21,11 +24,13 @@ import heapq
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from unittest import mock
 
+import mist.exact
 import mist.reduce
 from mist import Graph, norm_edge
-from mist.graph import component_of
-from mist.cover import Cover, PiPair, compute_pi_pairs, is_special, validate_tfpcc
+from mist.graph import component_of, twin_groups
+from mist.cover import Cover, PiPair, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
@@ -327,7 +332,7 @@ def reference_opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     rec(0)
     if best_w < 0:
         raise InternalInvariant("no spanning tree found in a connected graph")
-    return tree_result(verts, [(verts[a], verts[b]) for a, b in best_edges])
+    return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
 
 
 def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
@@ -411,13 +416,13 @@ def build_augmented_graph(g: Graph, pairs: list[PiPair]) -> tuple[Graph, dict[tu
     g2 = g.copy()
     pendants = {}
     for p in pairs:
-        x = g2.add_vertex()
+        x = add_vertex(g2)
         g2.add_edge(p.u1, x)
         pendants[(p.u1, p.u3)] = x
     return g2, pendants
 
 
-def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = True) -> Cover:
+def preferred_tfpcc_via_augmented(g: Graph, pairs: list[PiPair]) -> Cover:
     """Preferred cover computed through the pendant-augmented graph.
 
     Attach a pendant x to u1 of every pair, take a maximum cover of the
@@ -425,11 +430,13 @@ def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = Tru
     have cover degree 2, so swap its lower cover edge for {x, u1}.
     Stripping the pendant edges leaves a special cover of g with the same
     number of non-pendant edges.  mist.cover.preferred_tfpcc gets the same
-    edge count by forcing u1 to be a leaf instead.
+    edge count by forcing u1 to be a leaf instead.  The pendants can take
+    the augmented graph past the cover search's cap, so the search runs
+    with a cap of 24.
     """
-    pairs = compute_pi_pairs(g, strict=strict)
     g2, pendants = build_augmented_graph(g, pairs)
-    aug = max_tfpcc_exact(g2, cap=cap)
+    with mock.patch.object(mist.exact, "TFPCC_CAP", 24):
+        aug = Cover(g2, max_tfpcc_exact(g2))
     budget = len(pairs) + 1
     while True:
         stale = [
@@ -462,6 +469,71 @@ def preferred_tfpcc_via_augmented(g: Graph, *, cap: int = 24, strict: bool = Tru
     if not is_special(cover, pairs):
         raise InternalInvariant("augmented route produced a non-special cover")
     return cover
+
+
+def twin_pairs(g: Graph) -> list[PiPair]:
+    """Every pair of degree-2 twins, as compute_pi_pairs gives them, but
+    without its preconditions on the vertex count, the twin group sizes
+    and the boundary degrees."""
+    pairs = []
+    for key, twins in twin_groups(g):
+        for u1, u3 in combinations(twins, 2):
+            supports = tuple(sorted(norm_edge(u, b) for u in (u1, u3) for b in key))
+            pairs.append(PiPair(u1, u3, key, supports))
+    pairs.sort(key=lambda p: (p.u1, p.u3))
+    return pairs
+
+
+def tree_vertices(t: TreeResult) -> list[int]:
+    verts = set(t.leaves)
+    for u, v in t.edges:
+        verts.add(u)
+        verts.add(v)
+    return sorted(verts)
+
+
+def path_cover_from_tree(t: TreeResult, g: Graph) -> Cover:
+    """Path cover of g obtained by thinning a spanning tree.
+
+    Root the tree at the smallest internal vertex and keep, for every
+    vertex with children, only the edge to its smallest child.  The kept
+    edges form vertex-disjoint paths with as many edges as the tree has
+    internal vertices (or one more when the root is a leaf).
+    """
+    verts = tree_vertices(t)
+    if verts != g.alive_list():
+        raise InternalInvariant("tree does not span the host graph")
+    if not t.edges:
+        return Cover(g, ())
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    internal = [v for v in verts if len(adj[v]) >= 2]
+    root = internal[0] if internal else verts[0]
+    kept = []
+    stack = [(root, -1)]
+    while stack:
+        u, par = stack.pop()
+        children = sorted(w for w in adj[u] if w != par)
+        if children:
+            kept.append(norm_edge(u, children[0]))
+            for w in children:
+                stack.append((w, u))
+    return Cover(g, kept)
+
+
+def add_vertex(g: Graph) -> int:
+    """Give g a new alive vertex id, one above the last, without edges."""
+    v = g.vertex_count
+    g.write_rows([*g.adj, []], [*g.alive, True])
+    return v
+
+
+def pop_vertex(g: Graph) -> None:
+    """Undo add_vertex: delete the last vertex id and its edges."""
+    g.remove_vertex(g.vertex_count - 1)
+    g.write_rows(g.adj[:-1], g.alive[:-1])
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -548,7 +620,7 @@ def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
             _check(s.pendant == h.vertex_count, f"pendant id at {v} mismatch")
             for x in k_comp:
                 h.remove_vertex(x)
-            h.add_edge(v, h.add_vertex())
+            h.add_edge(v, add_vertex(h))
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
         for (u1, u2), (o1, o2) in r.contractions:
@@ -581,7 +653,7 @@ def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph
             edges.remove(pe)
             edges.update(s.inner_tree)
             h.remove_edge(*pe)
-            h.pop_vertex()
+            pop_vertex(h)
             for x in s.component:
                 h.revive(x)
             for u, v in s.block_edges:
@@ -600,7 +672,7 @@ def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph
             h.add_edge(u2, o2)
     else:
         raise ValueError(f"not a run: {r.kind}")
-    return h, tree_result(h.alive_list(), edges)
+    return h, tree_result(h, edges)
 
 
 def graph_state(g: Graph) -> tuple:
@@ -618,7 +690,7 @@ def bfs_tree(h: Graph) -> TreeResult:
                 seen.add(v)
                 edges.append(norm_edge(u, v))
                 queue.append(v)
-    return tree_result(seen, edges)
+    return tree_result(h, edges)
 
 
 def check_runs_against_reference(monkeypatch, roots, modes=("simple", "refined")) -> Counter:

@@ -16,7 +16,7 @@ import pytest
 
 import mist.pipeline
 from mist import cli
-from mist.exact import opt_spanning_tree, path_cover_from_tree, tree_result
+from mist.exact import opt_spanning_tree, tree_result
 from mist.fileio import emit_graph
 from mist.errors import MistError
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
@@ -33,7 +33,14 @@ from mist.reduce import StrongReduction, WeakReduction, find_op4, find_op11, red
 from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import check_runs_against_reference, outcome_digest, outcome_line, random_tree, replay
+from helpers import (
+    check_runs_against_reference,
+    outcome_digest,
+    outcome_line,
+    path_cover_from_tree,
+    random_tree,
+    replay,
+)
 
 RANDOM_COUNT = 2000
 
@@ -454,7 +461,7 @@ def test_tree_thinning_keeps_weight_and_leaf_degrees():
     bad = []
     for i in range(1000):
         g = random_tree(rng.randint(1, 50), rng)
-        t = tree_result(g.alive_list(), g.edge_list())
+        t = tree_result(g, g.edge_list())
         c = path_cover_from_tree(t, g)
         if c.edge_count() < t.weight:
             bad.append(f"tree {i}: too few edges")

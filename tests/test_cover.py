@@ -15,7 +15,7 @@ from mist.errors import InternalInvariant, PreconditionViolated
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
 
-from helpers import build_augmented_graph, build_graph, preferred_tfpcc_via_augmented
+from helpers import build_augmented_graph, build_graph, preferred_tfpcc_via_augmented, twin_pairs
 
 
 def cycle(n):
@@ -114,14 +114,14 @@ def test_lower_edge_at_picks_smaller_neighbor():
 
 
 def test_pi_pairs_on_c4_without_strict_checks():
-    pairs = compute_pi_pairs(cycle(4), strict=False)
+    pairs = twin_pairs(cycle(4))
     assert [(p.u1, p.u3) for p in pairs] == [(0, 2), (1, 3)]
     assert pairs[0].boundary == (1, 3)
 
 
 def test_pi_pairs_empty_without_twins():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert compute_pi_pairs(g, strict=False) == []
+    assert twin_pairs(g) == []
 
 
 def test_pi_pairs_found_in_padded_k4_gadget():
@@ -133,6 +133,7 @@ def test_pi_pairs_found_in_padded_k4_gadget():
          (2, 6), (6, 7), (7, 8), (8, 3)],
     )
     pairs = compute_pi_pairs(g)
+    assert pairs == twin_pairs(g)
     assert [(p.u1, p.u3) for p in pairs] == [(4, 5)]
     assert pairs[0].boundary == (0, 1)
     assert set(pairs[0].supports) == {(0, 4), (1, 4), (0, 5), (1, 5)}
@@ -174,7 +175,7 @@ def test_augmented_graph_without_pairs_is_identity():
 
 def test_augmented_graph_adds_one_pendant_per_pair():
     g = cycle(4)
-    pairs = compute_pi_pairs(g, strict=False)
+    pairs = twin_pairs(g)
     aug, pendants = build_augmented_graph(g, pairs)
     assert aug.n_alive() == g.n_alive() + 2
     assert aug.edge_count() == g.edge_count() + 2
@@ -216,18 +217,19 @@ def test_pairs_on_reduced_twin_instances_have_distinct_u1():
             if h.n_alive() < 9:
                 continue
             pairs = compute_pi_pairs(h)
+            assert pairs == twin_pairs(h)
             u1s = [p.u1 for p in pairs]
             assert len(u1s) == len(set(u1s))
 
 
 def test_preferred_cover_of_c5_is_the_cycle():
-    c = preferred_tfpcc(cycle(5), compute_pi_pairs(cycle(5), strict=False))
+    c = preferred_tfpcc(cycle(5), twin_pairs(cycle(5)))
     assert c.edge_count() == 5
 
 
 def test_preferred_cover_of_c4_gives_up_one_edge():
     # both opposite pairs are Pi pairs, so the full 4-cycle is not special
-    pairs = compute_pi_pairs(cycle(4), strict=False)
+    pairs = twin_pairs(cycle(4))
     c = preferred_tfpcc(cycle(4), pairs)
     assert c.edge_count() == 3
     assert is_special(c, pairs)
@@ -235,7 +237,7 @@ def test_preferred_cover_of_c4_gives_up_one_edge():
 
 def test_special_rejects_covers_with_busy_lower_twins():
     g = cycle(4)
-    pairs = compute_pi_pairs(g, strict=False)
+    pairs = twin_pairs(g)
     full = Cover(g, g.edge_list())
     assert not is_special(full, pairs)
 
@@ -243,7 +245,7 @@ def test_special_rejects_covers_with_busy_lower_twins():
 def test_preferred_cover_is_special_on_twin_instances():
     for seed in range(8):
         g = gen_twins(9 + seed % 3, seed)
-        pairs = compute_pi_pairs(g, strict=False)
+        pairs = twin_pairs(g)
         cover = preferred_tfpcc(g, pairs)
         validate_tfpcc(cover)
         assert is_special(cover, pairs)
@@ -257,11 +259,11 @@ def test_augmented_route_matches_forced_leaves_route():
     instances += [cycle(4), cycle(5), cycle(8), two_gadget_graph()]
     checked = 0
     for g in instances:
-        pairs = compute_pi_pairs(g, strict=False)
+        pairs = twin_pairs(g)
         if len({p.u1 for p in pairs}) != len(pairs):
             continue
         a = preferred_tfpcc(g, pairs)
-        b = preferred_tfpcc_via_augmented(g, strict=False)
+        b = preferred_tfpcc_via_augmented(g, pairs)
         assert a.edge_count() == b.edge_count()
         assert is_special(a, pairs) and is_special(b, pairs)
         checked += 1
@@ -272,5 +274,5 @@ def test_preferred_cover_bounds_opt():
     instances = [gen_gnp(n, 0.3, s) for n in (9, 10, 11, 12) for s in range(5)]
     instances += [gen_twins(n, s) for n in (9, 11) for s in range(3)]
     for g in instances:
-        cover = preferred_tfpcc(g, compute_pi_pairs(g, strict=False))
+        cover = preferred_tfpcc(g, twin_pairs(g))
         assert cover.edge_count() >= opt_spanning_tree(g).weight

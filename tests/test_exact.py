@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from mist import Graph, norm_edge
 from mist.errors import DisconnectedInput, InternalInvariant, SizeCapExceeded
+import mist.exact
+from mist.cover import Cover
 from mist.exact import (
     TreeResult,
     hamiltonian_path_between,
     internal_bound,
     max_tfpcc_exact,
     opt_spanning_tree,
-    path_cover_from_tree,
     tree_result,
-    tree_vertices,
 )
 from mist.generate import gen_gnp, gen_path
 from mist.graph import induced_subgraph
@@ -24,15 +24,18 @@ from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
+    add_vertex,
     brute_ham_path,
     brute_opt_tree,
     brute_tfpcc,
     build_graph,
     naive_components,
+    path_cover_from_tree,
     random_connected,
     random_tree,
     reference_max_tfpcc,
     reference_opt_spanning_tree,
+    tree_vertices,
 )
 
 
@@ -75,45 +78,62 @@ def test_opt_rejects_disconnected():
         opt_spanning_tree(build_graph(4, [(0, 1), (2, 3)]))
 
 
-def test_opt_respects_cap():
+def test_opt_respects_cap(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         opt_spanning_tree(path(13))
-    assert opt_spanning_tree(path(13), cap=13).weight == 11
+    monkeypatch.setattr(mist.exact, "OST_CAP", 13)
+    assert opt_spanning_tree(path(13)).weight == 11
 
 
 def test_tree_result_counts_internals():
-    t = tree_result([0, 1, 2], [(0, 1), (1, 2)])
+    t = tree_result(path(3), [(0, 1), (1, 2)])
     assert t.weight == 1
     assert set(t.leaves) == {0, 2}
     assert tree_vertices(t) == [0, 1, 2]
 
 
+def on_ids(vertices, edges):
+    """The graph on ids 0..max(vertices) with the given edges, where only
+    the listed vertices are alive."""
+    g = Graph(max(vertices, default=-1) + 1, edges)
+    for x in set(range(g.vertex_count)) - set(vertices):
+        g.remove_vertex(x)
+    return g
+
+
 @pytest.mark.parametrize(
-    "vertices, edges, match",
+    "g, edges, match",
     [
-        ([0, 1, 2], [(0, 1), (1, 3)], "edge 1-3 leaves the vertex set"),
-        ([0, 2, 4], [(0, 2), (2, 3)], "edge 2-3 leaves the vertex set"),
+        (path(3), [(0, 1), (1, 3)], "edge 1-3 leaves the vertex set"),
+        (on_ids([0, 2, 4], [(0, 2), (2, 4)]), [(0, 2), (2, 3)],
+         "tree edge 2-3 is not a graph edge"),
         # -1 must not wrap around to the largest id
-        ([0, 1, 2, 3], [(0, 1), (1, 2), (-1, 3)], "edge -1-3 leaves the vertex set"),
-        ([5, 6, 7], [(6, 7), (4, 5)], "edge 4-5 leaves the vertex set"),
-        ([0, 1, 2], [(0, 1), (1, 0)], "cycle in tree edges"),
-        ([0, 1, 2], [(1, 1), (0, 2)], "cycle in tree edges"),
-        ([0, 1, 2], [(0, 1)], "1 edges for 3 vertices"),
-        ([], [], "0 edges for 0 vertices"),
+        (cycle(4), [(0, 1), (1, 2), (-1, 3)], "edge -1-3 leaves the vertex set"),
+        (on_ids([5, 6, 7], [(5, 6), (6, 7)]), [(6, 7), (4, 5)],
+         "tree edge 4-5 is not a graph edge"),
+        (path(3), [(0, 1), (1, 0)], "cycle in tree edges"),
+        (complete(3), [(1, 1), (0, 2)], "tree edge 1-1 is not a graph edge"),
+        (path(3), [(0, 1)], "1 edges for 3 vertices"),
+        (Graph(0), [], "0 edges for 0 vertices"),
+        (path(3), [(0, 2), (1, 2)], "tree edge 0-2 is not a graph edge"),
+        (build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), [(0, 1), (1, 2), (0, 2)],
+         "cycle in tree edges"),
     ],
-    ids=["above", "gap", "negative", "below", "repeated", "loop", "short", "empty"],
+    ids=[
+        "above", "gap", "negative", "below", "repeated", "loop", "short", "empty",
+        "non-edge", "triangle",
+    ],
 )
-def test_tree_result_rejects_what_is_not_a_spanning_tree(vertices, edges, match):
+def test_tree_result_rejects_what_is_not_a_spanning_tree(g, edges, match):
     with pytest.raises(InternalInvariant, match=match):
-        tree_result(vertices, edges)
+        tree_result(g, edges)
 
 
 def test_tree_result_on_one_and_two_vertices():
-    assert tree_result([5], []) == TreeResult((), 0, (5,))
-    assert tree_result([7, 3], [(7, 3)]) == TreeResult(((3, 7),), 0, (3, 7))
-    assert tree_result([3, 9, 40], [(40, 9), (3, 9)]) == TreeResult(
-        ((3, 9), (9, 40)), 1, (3, 40)
-    )
+    assert tree_result(on_ids([5], []), []) == TreeResult((), 0, (5,))
+    assert tree_result(on_ids([3, 7], [(3, 7)]), [(7, 3)]) == TreeResult(((3, 7),), 0, (3, 7))
+    g = on_ids([3, 9, 40], [(3, 9), (9, 40), (3, 40)])
+    assert tree_result(g, [(40, 9), (3, 9)]) == TreeResult(((3, 9), (9, 40)), 1, (3, 40))
 
 
 def test_ham_path_complete_graph():
@@ -137,22 +157,20 @@ def test_ham_path_respects_cap():
 
 
 def test_tfpcc_triangle_drops_to_two_edges():
-    assert max_tfpcc_exact(complete(3)).edge_count() == 2
+    assert len(max_tfpcc_exact(complete(3))) == 2
 
 
 def test_tfpcc_c5_keeps_the_cycle():
-    c = max_tfpcc_exact(cycle(5))
-    assert c.edge_count() == 5
+    assert max_tfpcc_exact(cycle(5)) == cycle(5).edge_list()
 
 
 def test_tfpcc_k4_four_cycle():
-    c = max_tfpcc_exact(complete(4))
-    assert c.edge_count() == 4
+    assert len(max_tfpcc_exact(complete(4))) == 4
     assert brute_tfpcc(4, complete(4).edge_list()) == 4
 
 
 def test_tfpcc_respects_forced_leaves():
-    c = max_tfpcc_exact(cycle(5), forced_leaves=(0,))
+    c = Cover(cycle(5), max_tfpcc_exact(cycle(5), forced_leaves=(0,)))
     assert c.degree(0) <= 1
     assert c.edge_count() == 4
 
@@ -165,7 +183,7 @@ def test_tfpcc_respects_cap():
 def test_tfpcc_matches_brute_force_exhaustively():
     for g in connected_graphs_up_to_iso(5):
         n, edges = g.n_alive(), g.edge_list()
-        assert max_tfpcc_exact(g).edge_count() == brute_tfpcc(n, edges)
+        assert len(max_tfpcc_exact(g)) == brute_tfpcc(n, edges)
 
 
 @st.composite
@@ -192,7 +210,7 @@ def test_opt_matches_brute_force(g):
 @given(connected_instances())
 def test_tfpcc_matches_brute_force(g):
     n, edges = g.n_alive(), g.edge_list()
-    assert max_tfpcc_exact(g).edge_count() == brute_tfpcc(n, edges)
+    assert len(max_tfpcc_exact(g)) == brute_tfpcc(n, edges)
 
 
 @settings(max_examples=40)
@@ -211,12 +229,12 @@ def test_ham_path_matches_permutation_oracle(g, pick):
 def test_tfpcc_never_below_opt_small():
     # the cover upper bound, checked on every class with up to 6 vertices
     for g in connected_graphs_up_to_iso(6):
-        assert max_tfpcc_exact(g).edge_count() >= opt_spanning_tree(g).weight
+        assert len(max_tfpcc_exact(g)) >= opt_spanning_tree(g).weight
 
 
 def test_tfpcc_shape_constraints():
     for g in connected_graphs_up_to_iso(5):
-        c = max_tfpcc_exact(g)
+        c = Cover(g, max_tfpcc_exact(g))
         for v in g.alive_list():
             assert c.degree(v) <= 2
         for comp in c.components():
@@ -257,7 +275,7 @@ def test_path_cover_guarantees_on_random_trees():
     rng = random.Random(7)
     for _ in range(200):
         g = random_tree(rng.randint(1, 30), rng)
-        t = tree_result(g.alive_list(), g.edge_list())
+        t = tree_result(g, g.edge_list())
         c = path_cover_from_tree(t, g)
         assert c.edge_count() >= t.weight
         for v in t.leaves:
@@ -286,7 +304,7 @@ def _op4_blocks():
             for k in comps if len(comps) > 1 else ():
                 if 2 <= len(k) <= 8:
                     sub, old = induced_subgraph(g, k + [v])
-                    sub.add_edge(old.index(v), sub.add_vertex())
+                    sub.add_edge(old.index(v), add_vertex(sub))
                     out.append(sub)
     return out
 
@@ -297,7 +315,7 @@ def _forced(g, rng):
 
 
 def _same_cover(g, forced=()):
-    new = max_tfpcc_exact(g, forced_leaves=forced).edge_list()
+    new = max_tfpcc_exact(g, forced_leaves=forced)
     return new == reference_max_tfpcc(g, forced_leaves=forced).edge_list()
 
 
@@ -319,7 +337,8 @@ def _solved_by_op4(v, k_comp, pendant, block):
     pos = {x: i for i, x in enumerate(old)}
     sub = build_graph(len(old), [(pos[a], pos[b]) for a, b in [*block, (v, pendant)]])
     t = opt_spanning_tree(sub)
-    return tree_result(old, [(old[a], old[b]) for a, b in t.edges])
+    host = on_ids(old, [*block, (v, pendant)])
+    return tree_result(host, [(old[a], old[b]) for a, b in t.edges])
 
 
 def test_op4_blocks_without_a_search_get_the_searched_tree():

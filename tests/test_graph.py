@@ -17,11 +17,13 @@ from mist.graph import (
 
 from graphgen import ALL_COUNTS, CONNECTED_COUNTS, _classes, connected_graphs_up_to_iso
 from helpers import (
+    add_vertex,
     build_graph,
     naive_bridges,
     naive_components,
     naive_cutpoints,
     naive_pieces,
+    pop_vertex,
 )
 
 
@@ -64,7 +66,7 @@ def test_remove_vertex_keeps_ids_stable():
     assert not g.is_alive(1)
     assert g.edge_list() == [(2, 3)]
     assert g.n_alive() == 3
-    v = g.add_vertex()
+    v = add_vertex(g)
     assert v == 4
 
 
@@ -113,9 +115,9 @@ def test_counters_match_a_recount_through_any_mutation(steps):
         elif op == 2 and g.alive[a] and g.n_alive() > 1:
             g.remove_vertex(a)
         elif op == 3:
-            g.add_vertex()
+            add_vertex(g)
         elif op == 4 and g.alive[-1] and g.vertex_count > 1:
-            g.pop_vertex()
+            pop_vertex(g)
         elif op == 5 and not g.alive[a]:
             g.revive(a)
         elif op == 6:

@@ -224,6 +224,17 @@ def test_verification_rejects_a_cycle_plus_a_disjoint_edge():
     assert "tree-spans-input" in [c.name for c in vr.failing()]
 
 
+def test_verification_rejects_a_tree_that_writes_the_last_vertex_as_minus_one():
+    # on the path 0-1-2, -1 would index vertex 2's row from the end: 2-1 is
+    # a host edge and the two edges close no cycle among 0, 1 and 2
+    g = build_graph(3, [(0, 1), (1, 2)])
+    report = run(g, "simple", keep_state=True)
+    report.tree = TreeResult(((-1, 1), (0, 1)), 1, (-1, 0))
+    vr = verify_run(g, report)
+    assert vr.opt == 1
+    assert [c.name for c in vr.failing()] == ["tree-spans-input"]
+
+
 @pytest.mark.parametrize("n, seed, floors", [(10, 8, ()), (11, 82, (8, 7))])
 def test_verification_certifies_a_reduced_cover_leaf_with_its_own_tree(
     monkeypatch, n, seed, floors
@@ -283,7 +294,7 @@ def test_verification_seeds_one_search_with_a_worse_spanning_tree(monkeypatch):
                 seen.add(v)
                 order.append(v)
                 edges.append((min(u, v), max(u, v)))
-    worse = tree_result(g.alive_list(), edges)
+    worse = tree_result(g, edges)
     assert worse.weight < opt_spanning_tree(g).weight == 8
     report.tree = worse
     solved = _count_searches(monkeypatch)

@@ -156,7 +156,7 @@ def test_maximum_covers_never_gain_edges():
     for g in connected_graphs_up_to_iso(6):
         if g.n_alive() < 2:
             continue
-        c = max_tfpcc_exact(g)
+        c = Cover(g, max_tfpcc_exact(g))
         assert find_op13(c, g) is None
         assert find_op14(c, g) is None
 
@@ -167,7 +167,7 @@ def test_measure_rises_across_every_rewrite():
         rng = random.Random(seed)
         g = random_connected(rng.randint(5, 9), 0.3, rng)
         for mode in ("simple", "refined"):
-            c = max_tfpcc_exact(g)
+            c = Cover(g, max_tfpcc_exact(g))
             prev = measure(c, g)
             while True:
                 rw = find_cover_rewrite(c, g, mode)
@@ -185,7 +185,7 @@ def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searche
     # one component list per step serves the measure and the next finders
     module = importlib.import_module("mist.preprocess")
     g = gen_gnp(11, 0.3, 23)
-    cover = max_tfpcc_exact(g)
+    cover = Cover(g, max_tfpcc_exact(g))
     cover_searches.clear()
     steps = []
     apply = module.apply_rewrite
@@ -198,7 +198,7 @@ def test_preprocess_returns_a_new_cover_of_equal_size():
     for seed in range(20):
         rng = random.Random(seed)
         g = random_connected(rng.randint(6, 10), 0.3, rng)
-        c = max_tfpcc_exact(g)
+        c = Cover(g, max_tfpcc_exact(g))
         snapshot = sorted(c.edge_list())
         for mode in ("simple", "refined"):
             pre = preprocess(c, g, mode)
@@ -218,7 +218,7 @@ def test_fixpoint_postconditions_on_reduced_leaves():
                 h = trace.nodes[idx].graph
                 if h.n_alive() < 9:
                     continue
-                pairs = tuple(compute_pi_pairs(h, strict=True))
+                pairs = tuple(compute_pi_pairs(h))
                 pre = preprocess(preferred_tfpcc(h, pairs), h, "refined")
                 assert check_short_paths_alive(pre, h) == []
                 assert check_port_neighbor_growth(pre, h) == []

@@ -863,18 +863,18 @@ def walk_trace_checking_safety(g, mode):
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mode):
-    # lifting undoes each step on the children's graphs; every graph a lifted
-    # tree is checked against equals the one the forward replay gives, and
-    # keeps its vertex and edge counters right
+    # lifting undoes each step on the children's graphs; every graph a leaf
+    # or lifted tree is checked against equals the one the forward replay
+    # gives, and keeps its vertex and edge counters right
     checked = []
-    real = mist.reduce._assert_spans
+    real = mist.reduce.tree_result
 
-    def recording(t, h):
+    def recording(h, edges):
         checked.append((list(h.alive), [list(row) for row in h.adj]))
         assert (h.n_alive(), h.edge_count()) == (sum(h.alive), sum(map(len, h.adj)) // 2)
-        real(t, h)
+        return real(h, edges)
 
-    monkeypatch.setattr(mist.reduce, "_assert_spans", recording)
+    monkeypatch.setattr(mist.reduce, "tree_result", recording)
     roots = list(connected_graphs_up_to_iso(7)) + _op10_roots()
     roots += [f(n) for n in range(31, 49) for f in (gen_cycle, gen_theta, gen_path)]
     for g in roots:
@@ -898,6 +898,16 @@ def _lift_tampered(
     leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
     with pytest.raises(exc, match=match):
         tr.lift_all(leaf_trees)
+
+
+def test_lift_rejects_a_leaf_tree_that_misreports_itself_or_does_not_span():
+    tr = reduce_to_fixpoint(cycle(10), "refined")
+    (leaf,) = tr.leaves()
+    t = opt_spanning_tree(tr.nodes[leaf].graph)
+    with pytest.raises(InternalInvariant, match=f"tree of leaf {leaf} does not match its edges"):
+        tr.lift_all({leaf: dataclasses.replace(t, weight=t.weight + 1)})
+    with pytest.raises(InternalInvariant, match="0 edges for 2 vertices"):
+        tr.lift_all({leaf: dataclasses.replace(t, edges=())})
 
 
 def test_lift_rejects_an_op4_step_that_lost_a_block_edge():

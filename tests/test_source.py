@@ -2,7 +2,9 @@
 
 A module must use every name it imports (or re-export it in __all__), and
 every module-level private function must be referenced by some module of
-the package, so helpers left behind by a deletion show up here.
+the package, so helpers left behind by a deletion show up here.  Imports
+sit at module level, never inside a function, and the exact oracles stand
+below the layers that use them: exact.py imports none of them.
 
 A cover keeps its component list until an edit drops it, and only its
 edge and vertex edits do.  So only the graph and the reduction engine may
@@ -74,6 +76,36 @@ def unreferenced_private_functions(trees) -> list[str]:
     ]
 
 
+def function_level_imports(trees) -> list[str]:
+    out = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    return sorted(set(out))
+
+
+ABOVE_EXACT = {"cover", "preprocess", "transform", "pipeline"}
+
+
+def upward_imports(trees, name="exact.py") -> list[str]:
+    """The modules of ABOVE_EXACT that the module name imports from."""
+    out = []
+    for node in ast.walk(trees[name]):
+        if isinstance(node, ast.ImportFrom):
+            mods = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            continue
+        out += [m for m in mods if m.rpartition(".")[2] in ABOVE_EXACT]
+    return out
+
+
 VERTEX_EDITS = {
     "add_vertex", "pop_vertex", "revive", "write_rows", "add_edge_in", "remove_edge_in", "revive_in"
 }
@@ -141,6 +173,30 @@ def test_the_checks_catch_a_dead_import_and_a_dead_helper():
     tree = ast.parse("import os\nfrom .graph import Graph\n\ndef _dead():\n    return Graph\n")
     assert unused_imports({"m.py": tree}) == ["m.py: os"]
     assert unreferenced_private_functions({"m.py": tree}) == ["m.py: _dead"]
+
+
+def test_no_function_imports_a_module():
+    assert function_level_imports(_trees()) == []
+
+
+def test_exact_imports_no_layer_above_it():
+    assert upward_imports(_trees()) == []
+
+
+def test_the_import_checks_catch_a_late_import_and_an_upward_one():
+    tree = ast.parse(
+        "from .graph import Graph\n\n"
+        "def f(g):\n    from .exact import tree_result\n    return tree_result(g, ())\n\n"
+        "class C:\n    def m(self):\n        import json\n        return json\n"
+    )
+    assert function_level_imports({"m.py": tree}) == ["m.py:4", "m.py:9"]
+    tree = ast.parse(
+        "from .graph import Graph\nfrom .cover import Cover\nfrom . import pipeline\n"
+        "import mist.transform\nfrom mist.preprocess import preprocess\n"
+    )
+    assert upward_imports({"exact.py": tree}) == [
+        "cover", "pipeline", "mist.transform", "mist.preprocess"
+    ]
 
 
 def test_only_graph_and_cover_methods_edit_what_a_cover_keeps():
