@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, PreconditionViolated
-from .exact import max_tfpcc_exact
+from .exact import TFPCC_CAP, max_tfpcc, max_tfpcc_exact
 from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 
@@ -109,7 +109,7 @@ class Cover(Graph):
         return tuple(order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverComponent:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -185,7 +185,7 @@ def validate_tfpcc(cover: Cover) -> None:
             raise InternalInvariant(f"cycle of length {comp.length}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiPair:
     u1: int
     u3: int
@@ -234,9 +234,12 @@ def preferred_tfpcc(g: Graph, pairs: list[PiPair]) -> Cover:
 
     Special means each twin pair of g (pairs, from compute_pi_pairs) keeps
     cover degree at most 1 at its smaller vertex, which the solver enforces
-    as a forced-leaf constraint.
+    as a forced-leaf constraint.  Up to TFPCC_CAP vertices the branch and
+    bound max_tfpcc_exact picks the cover, above it the 2-matching search
+    max_tfpcc.
     """
-    cover = Cover(g, max_tfpcc_exact(g, forced_leaves=[p.u1 for p in pairs]))
+    solve = max_tfpcc_exact if g.n_alive() <= TFPCC_CAP else max_tfpcc
+    cover = Cover(g, solve(g, forced_leaves=[p.u1 for p in pairs]))
     if not is_special(cover, pairs):
         raise InternalInvariant("solver returned a non-special cover")
     return cover

@@ -10,12 +10,13 @@ where it meets the leaf bound and searched for otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
-from .errors import BadParams, InternalInvariant, SizeCapExceeded
+from .errors import BadParams, InternalInvariant
 from .exact import OST_CAP, TreeResult, internal_bound, opt_spanning_tree
-from .graph import Graph, find
+from .graph import Graph
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
     check_four_cycles_three_ports,
@@ -37,7 +38,7 @@ from .transform import (
 BASE_ORDER = 8  # leaves up to this order are solved exactly
 
 
-@dataclass
+@dataclass(slots=True)
 class LeafSolve:
     node: int
     graph: Graph
@@ -55,7 +56,7 @@ class LeafSolve:
         return self.cover_edges if self.method == "cover" else self.tree.weight
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     mode: str
     graph: Graph  # the trace's root graph, the run's one copy of the input
@@ -71,13 +72,7 @@ def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
         t = opt_spanning_tree(h)
         return LeafSolve(idx, h, "exact", t, 0)
     pairs = tuple(compute_pi_pairs(h)) if mode == "refined" else ()
-    try:
-        cover0 = preferred_tfpcc(h, pairs)
-    except SizeCapExceeded as exc:
-        raise SizeCapExceeded(
-            f"trace node {idx}: irreducible core of {h.n_alive()} vertices"
-            f" is too large for the exact cover search ({exc})"
-        ) from exc
+    cover0 = preferred_tfpcc(h, pairs)
     e0 = cover0.edge_count()
     pre = preprocess(cover0, h, mode)
     if pre.edge_count() != e0:
@@ -132,14 +127,14 @@ def solve_refined(g: Graph) -> TreeResult:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     checks: tuple[Check, ...]
     opt: int | None
@@ -256,16 +251,27 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
 def _spans(t: TreeResult, g: Graph) -> bool:
     """True when the tree is n - 1 host edges closing no cycle: a spanning tree.
 
-    A negative id is refused before it can index a row from the end.
+    An id outside 0..vertex_count - 1 is refused before it can index a row.
+    The row search and the union-find's root walks are written out, as this
+    runs once per tree edge on every verified run.
     """
     if len(t.edges) != g.n_alive() - 1:
         return False
-    parent = list(range(g.vertex_count))
+    span = g.vertex_count
+    adj = g.adj
+    parent = list(range(span))
     for u, v in t.edges:
-        if (u | v) < 0 or not g.has_edge(u, v):
+        if not (0 <= u < span and 0 <= v < span):
             return False
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
+        row = adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
             return False
-        parent[ru] = rv
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
     return True

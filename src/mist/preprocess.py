@@ -29,7 +29,7 @@ RULE_ORDER = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverRewrite:
     kind: str
     removed: tuple[Edge, ...]

@@ -41,7 +41,7 @@ RULESETS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrongReduction:
     kind: str
     removed_vertices: tuple[int, ...]
@@ -50,7 +50,7 @@ class StrongReduction:
     witness: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Peel:
     """One op4 replacement: the block K hanging off v becomes a pendant at v."""
 
@@ -62,7 +62,7 @@ class Peel:
     block_edges: tuple[Edge, ...]  # G[K + {v}], put back when undoing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakReduction:
     kind: str
     c: int
@@ -70,8 +70,8 @@ class WeakReduction:
     bridge: Edge | None = None
     sides: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     peels: tuple[Peel, ...] | None = None  # op4, in order
-    # op11: ((u1, u2), (o1, o2)) per contraction, in order; u2 merges into u1
-    contractions: tuple[tuple[Edge, tuple[int, int]], ...] | None = None
+    # op11: (u1, u2, o1, o2) per contraction, in order; u2 merges into u1
+    contractions: tuple[tuple[int, int, int, int], ...] | None = None
 
 
 # -- strong reductions ----------------------------------------------------
@@ -265,36 +265,6 @@ def find_op10(
     long_mask = _mask(set(on_long))
     blocks = []
 
-    def grow(k, size, out, ext, edges):
-        # k is a connected core of size vertices with out = N(k) and edges
-        # edges in k or from k to out; ext holds the vertices that may join,
-        # and no other vertex of out ever does
-        if out.bit_count() == 2:
-            record(k, out, edges, size)
-        if size == cap:
-            return
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            w = bit.bit_length() - 1
-            if twins and twins.get(w, 0) & k:
-                continue  # a path through k would close a cycle at the twins
-            k2 = k | bit
-            out2 = (out | nb[w]) & ~k2
-            bound = out2.bit_count()
-            rest = cap - size - 1
-            if bound - rest > 2:
-                continue
-            ext2 = ext | nb[w] & allowed & ~k2 & ~out
-            stuck = out2 & ~ext2
-            if stuck and bound > 2:
-                n_stuck = stuck.bit_count()
-                if n_stuck > 2 or (n_stuck == 2 and long_mask or twins) and _cannot_close(
-                    out2, stuck, k2, rest, nb, long_mask, twins
-                ):
-                    continue
-            grow(k2, size + 1, out2, ext2, edges + len(adj[w]) - (nb[w] & k).bit_count())
-
     def record(k, out, edges, size):
         u = (out & -out).bit_length() - 1
         v = out.bit_length() - 1
@@ -325,7 +295,40 @@ def find_op10(
 
     for s in starts:
         allowed ^= 1 << s
-        grow(1 << s, 1, nb[s], nb[s] & allowed, len(adj[s]))
+        # each entry is a connected core k of size vertices with out = N(k)
+        # and edges edges in k or from k to out; ext holds the vertices that
+        # may join, and no other vertex of out ever does.  The cores are
+        # grown depth first; the blocks they give are sorted below.
+        cores = [(1 << s, 1, nb[s], nb[s] & allowed, len(adj[s]))]
+        while cores:
+            k, size, out, ext, edges = cores.pop()
+            if out.bit_count() == 2:
+                record(k, out, edges, size)
+            if size == cap:
+                continue
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                w = bit.bit_length() - 1
+                if twins and twins.get(w, 0) & k:
+                    continue  # a path through k would close a cycle at the twins
+                k2 = k | bit
+                out2 = (out | nb[w]) & ~k2
+                bound = out2.bit_count()
+                rest = cap - size - 1
+                if bound - rest > 2:
+                    continue
+                ext2 = ext | nb[w] & allowed & ~k2 & ~out
+                stuck = out2 & ~ext2
+                if stuck and bound > 2:
+                    n_stuck = stuck.bit_count()
+                    if n_stuck > 2 or (n_stuck == 2 and long_mask or twins) and _cannot_close(
+                        out2, stuck, k2, rest, nb, long_mask, twins
+                    ):
+                        continue
+                cores.append(
+                    (k2, size + 1, out2, ext2, edges + len(adj[w]) - (nb[w] & k).bit_count())
+                )
     blocks.sort()
     for u, v, k_comp in blocks:
         sub, old = induced_subgraph(g, k_comp + [u, v])
@@ -608,7 +611,7 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
         u2 = live[0]
         o1 = row[1] if row[0] == u2 else row[0]
         o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
-        run.append(((u1, u2), (o1, o2)))
+        run.append((u1, u2, o1, o2))
         gone.add(u2)
         row = sorted({o1, o2})
     return WeakReduction("op11", len(run), 1, contractions=tuple(run))
@@ -659,7 +662,7 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
         rows, up = _rows_of(g)
-        for (u1, u2), (o1, o2) in r.contractions:
+        for u1, u2, o1, o2 in r.contractions:
             r1 = rows[u1]
             if u2 not in r1:
                 raise StaleWitness(f"contracted edge {u1}-{u2} gone")
@@ -695,11 +698,13 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
 
 
 # An op4 or op11 step edits the same few rows once per record.  Its sweep
-# edits private copies of the graph's rows and alive mask, checking each
-# record against them as the records before it left them, and writes the
-# result back with one Graph.write_rows call.  Where a record stands for
-# Graph edits, the sweep makes them on the copies with the same checks and
-# messages (graph.add_edge_in, remove_edge_in and revive_in).
+# edits bare rows and an alive mask, checking each record against them as
+# the records before it left them, and has Graph.write_rows recount the
+# graph once at the end.  Applying a step edits private copies of the
+# parent's rows, which the parent keeps; undoing one edits the rows of the
+# child graph it rebuilds, which the lift owns.  Where a record stands for
+# Graph edits, the sweep makes them with the same checks and messages
+# (graph.add_edge_in, remove_edge_in and revive_in).
 
 
 def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: int) -> bool:
@@ -761,7 +766,7 @@ def find_reduction(
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceNode:
     index: int
     graph: Graph | None  # kept at the root and the leaves only
@@ -857,7 +862,7 @@ def _undo(
         edges.update(subtrees[1].edges)
         edges.add(r.bridge)
     elif r.kind == "op4":
-        rows, up = _rows_of(h)
+        rows, up = h.adj, h.alive
         for s in reversed(r.peels):
             v, p = s.cut_vertex, s.pendant  # the pendant's id is the larger
             if (v, p) not in edges:
@@ -879,8 +884,8 @@ def _undo(
                 add_edge_in(rows, up, a, b)
         h.write_rows(rows, up)
     elif r.kind == "op11":
-        rows, up = _rows_of(h)
-        for (u1, u2), (o1, o2) in reversed(r.contractions):
+        rows, up = h.adj, h.alive
+        for u1, u2, o1, o2 in reversed(r.contractions):
             swap = (u1, o2) if u1 < o2 else (o2, u1)
             if swap in edges:
                 edges.remove(swap)
@@ -966,7 +971,7 @@ def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]
     elif r.kind == "op4":
         touched = {x for s in r.peels for x in (s.cut_vertex, s.pendant)}
     else:
-        touched = {x for pair in r.contractions for x in (*pair[0], *pair[1])}
+        touched = {x for record in r.contractions for x in record}
     return {
         x for x in touched if h.is_alive(x) and (x >= g.vertex_count or g.adj[x] != h.adj[x])
     }

@@ -34,7 +34,7 @@ from .graph import Edge, Graph, find, norm_edge
 # -- component quality ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentInfo:
     comp: CoverComponent
     b: int
@@ -73,7 +73,7 @@ def _stage2_kind(info: ComponentInfo) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentStats:
     g2: int
     g3: int
@@ -198,7 +198,7 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
 # -- refined transform ------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TransformState:
     base_edges: tuple[Edge, ...]
     gamma: tuple[tuple[int, int], ...]

@@ -623,7 +623,7 @@ def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
             h.add_edge(v, add_vertex(h))
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
-        for (u1, u2), (o1, o2) in r.contractions:
+        for u1, u2, o1, o2 in r.contractions:
             _check(h.has_edge(u1, u2), f"contracted edge {u1}-{u2} gone")
             _check(h.degree(u1) == 2 and h.degree(u2) == 2, f"degrees at {u1}-{u2} changed")
             _check(
@@ -659,7 +659,7 @@ def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph
             for u, v in s.block_edges:
                 h.add_edge(u, v)
     elif r.kind == "op11":
-        for (u1, u2), (o1, o2) in reversed(r.contractions):
+        for u1, u2, o1, o2 in reversed(r.contractions):
             swap = norm_edge(u1, o2)
             if swap in edges:
                 edges.remove(swap)

@@ -16,7 +16,7 @@ import pytest
 
 import mist.pipeline
 from mist import cli
-from mist.exact import opt_spanning_tree, tree_result
+from mist.exact import TFPCC_CAP, opt_spanning_tree, tree_result
 from mist.fileio import emit_graph
 from mist.errors import MistError
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
@@ -256,6 +256,44 @@ def test_certified_opt_and_checks_match_an_unseeded_search(survey):
         2 * survey.instances,
         survey.certificate_bad,
     )
+
+
+# -- cores above the exact cover's cap ---------------------------------------
+
+
+def test_cores_above_the_exact_cover_cap_solve_and_verify_in_both_modes():
+    # above TFPCC_CAP a leaf's cover comes from max_tfpcc: every run
+    # completes and passes verify_run, whose checks there are structural
+    graphs = [
+        (f"{family.__name__}-{n}", family(n))
+        for n in range(17, 61, 3)
+        for family in (gen_cycle, gen_theta)
+    ]
+    graphs += [(f"twins-{n}-{seed}", gen_twins(n, seed)) for n in range(17, 61, 3) for seed in range(2)]
+    graphs += [
+        (f"gnp-{n}-{p}-{seed}", gen_gnp(n, p, seed))
+        for n in range(17, 41, 3)
+        for p in (0.15, 0.3)
+        for seed in range(2)
+    ]
+    graphs += [(f"sparse-{n}", gen_sparse(n, n // 2, 1)) for n in (100, 200, 300)]
+    bad, above = [], Counter()
+    for name, g in graphs:
+        for mode in ("simple", "refined"):
+            try:
+                report = run(g, mode, keep_state=True)
+                vr = verify_run(g, report)
+            except MistError as exc:
+                bad.append(f"{name}/{mode}: {type(exc).__name__}: {exc}")
+                continue
+            if not vr.ok:
+                bad.append(f"{name}/{mode}: {[c.name for c in vr.failing()]}")
+            above[mode] += any(leaf.graph.n_alive() > TFPCC_CAP for leaf in report.leaves)
+    _report("runs above the exact cover's cap verify", 2 * len(graphs), bad)
+    # op11 contracts refined cycles and thetas to small leaves, and
+    # gen_gnp(17, 0.15, 1) reduces to 15 and 14 vertices; every other run
+    # keeps a leaf above the cap
+    assert above == {"simple": 94, "refined": 64}
 
 
 # -- op11 runs against single contractions ---------------------------------

@@ -3,17 +3,20 @@
 import random
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mist import Graph, norm_edge
-from mist.errors import DisconnectedInput, InternalInvariant, SizeCapExceeded
+from mist.errors import DisconnectedInput, InternalInvariant, NonTermination, SizeCapExceeded
 import mist.exact
-from mist.cover import Cover
+from mist.cover import Cover, validate_tfpcc
 from mist.exact import (
     TreeResult,
+    _two_matching,
     hamiltonian_path_between,
     internal_bound,
+    max_tfpcc,
     max_tfpcc_exact,
     opt_spanning_tree,
     tree_result,
@@ -239,6 +242,96 @@ def test_tfpcc_shape_constraints():
             assert c.degree(v) <= 2
         for comp in c.components():
             assert comp.kind != "cycle" or comp.length >= 4
+
+
+# max_tfpcc: the 2-matching search for graphs above TFPCC_CAP, checked
+# against max_tfpcc_exact and, for the 2-matching alone, against networkx
+
+
+def _caps(g, forced):
+    cap = [2 if up else 0 for up in g.alive]
+    for v in forced:
+        cap[v] = 1
+    return cap
+
+
+def _check_tfpcc(g, edges, forced):
+    """edges are host edges, within the degree caps, with no triangle."""
+    c = Cover(g, edges)  # refuses a non-edge
+    validate_tfpcc(c)
+    assert all(c.degree(v) <= 1 for v in forced)
+
+
+def _gadget_matching(g, cap):
+    """A maximum matching of Tutte's gadget of g, built explicitly, by networkx."""
+    gadget = nx.Graph()
+    gadget.add_nodes_from(("copy", v, i) for v in g.alive_list() for i in range(cap[v]))
+    for u, v in g.edge_list():
+        gadget.add_edge(("half", u, v), ("half", v, u))
+        for a, b in ((u, v), (v, u)):
+            gadget.add_edges_from((("half", a, b), ("copy", a, i)) for i in range(cap[a]))
+    return nx.max_weight_matching(gadget, maxcardinality=True)
+
+
+def _random_graphs_with_forced_leaves(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_connected(rng.randint(4, 14), rng.choice((0.1, 0.3, 0.5)), rng)
+        yield g, _forced(g, rng)
+
+
+def test_max_tfpcc_matches_the_exact_search_with_forced_leaves():
+    gaps = 0
+    for g, forced in _random_graphs_with_forced_leaves(300, 46):
+        edges = max_tfpcc(g, forced_leaves=forced)
+        assert len(edges) == len(max_tfpcc_exact(g, forced_leaves=forced)), (g, forced)
+        _check_tfpcc(g, edges, forced)
+        gaps += len(edges) < len(_two_matching(g.adj, _caps(g, forced), frozenset()))
+    assert gaps > 0  # some draws need the target lowered
+
+
+def test_the_2_matching_matches_a_maximum_matching_of_the_gadget():
+    # the gadget's maximum matching matches every half-edge: one pair per
+    # edge of g, plus one per edge of the 2-matching
+    for g, forced in _random_graphs_with_forced_leaves(120, 47):
+        cap = _caps(g, forced)
+        two = _two_matching(g.adj, cap, frozenset())
+        assert len(_gadget_matching(g, cap)) == g.edge_count() + len(two), (g, forced)
+        deg = [0] * g.vertex_count
+        for u, v in two:
+            assert g.has_edge(u, v)
+            deg[u] += 1
+            deg[v] += 1
+        assert all(d <= c for d, c in zip(deg, cap))
+
+
+def test_max_tfpcc_repairs_a_triangle_in_the_first_2_matching():
+    # the greedy start takes the triangle 1-2-3 and 0-4.  Banning 1-2 leaves
+    # at most 3 edges, short of the target 4; banning 1-3 leaves the
+    # spanning path 0-4-3-2-1
+    g = build_graph(5, [(0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
+    first = _two_matching(g.adj, _caps(g, ()), frozenset())
+    assert first == [(0, 4), (1, 2), (1, 3), (2, 3)]
+    assert max_tfpcc(g) == [(0, 4), (1, 2), (2, 3), (3, 4)]
+
+
+def test_max_tfpcc_lowers_its_target_when_every_ban_falls_short():
+    # K3's only 2-matching of size 3 is the triangle: every ban gives 2,
+    # below the target 3, so the target drops to 2 and the first ban, of
+    # 0-1, gives the cover
+    g = complete(3)
+    assert len(_two_matching(g.adj, _caps(g, ()), frozenset())) == 3
+    assert max_tfpcc(g) == [(0, 2), (1, 2)]
+
+
+def test_max_tfpcc_gives_up_after_its_re_solve_budget(monkeypatch):
+    # K3 takes six 2-matchings: the first and its three bans at target 3,
+    # then the first and its first ban at target 2
+    monkeypatch.setattr(mist.exact, "TFPCC_RESOLVES", 5)
+    with pytest.raises(NonTermination, match="in 5 2-matchings"):
+        max_tfpcc(complete(3))
+    monkeypatch.setattr(mist.exact, "TFPCC_RESOLVES", 6)
+    assert len(max_tfpcc(complete(3))) == 2
 
 
 # path_cover_from_tree: |E(cover)| >= w(tree) with every tree leaf kept

@@ -1,13 +1,14 @@
 """End-to-end runs: solve wrappers, reports, and run verification."""
 
 import dataclasses
+import gc
 import tracemalloc
 
 import pytest
 
 import mist.pipeline
 from mist import Graph, run, solve_refined, solve_simple, verify_run
-from mist.errors import BadParams, DisconnectedInput, MistError, SizeCapExceeded
+from mist.errors import BadParams, DisconnectedInput, MistError
 from mist.exact import TreeResult, internal_bound, opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
 
@@ -15,7 +16,7 @@ from helpers import build_graph, outcome_digest, outcome_line
 
 # sha256 over the outcome lines of every chain-family run below; a change to
 # the reduction engine that keeps its behaviour must reproduce it exactly
-CHAIN_DIGEST = "d18c5bd31281040966036ba3b3ca49f2638379661342a357ce8c7e82e2664588"
+CHAIN_DIGEST = "0a013b7e3c537db8d8516ede9aed22ba7d14f8346217ff01e82f4b2260f23ef3"
 
 
 def pedges(n):
@@ -112,6 +113,20 @@ def test_a_refined_run_of_a_200_cycle_allocates_under_one_mib():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("g, mode", [(gen_theta(48), "refined"), (gen_cycle(48), "simple")])
+def test_a_run_and_its_verification_leave_no_cyclic_garbage(g, mode):
+    # a recursive closure refers to itself through its cell, so each call
+    # of its function would leave the closure, and the search state it
+    # holds, for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_run(g, run(g, mode, keep_state=True)).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _count_searches(monkeypatch):
     """Record (graph, floor) for every opt_spanning_tree call verify_run makes."""
     solved = []
@@ -188,10 +203,16 @@ def test_run_rejects_bad_inputs():
         run(build_graph(4, [(0, 1), (2, 3)]), "simple")
 
 
-def test_a_core_above_the_cover_cap_is_named_in_the_error():
-    # simple mode leaves an 18-cycle unreduced, so the root is the only leaf
-    with pytest.raises(SizeCapExceeded, match="trace node 0: .* of 18 vertices"):
-        run(gen_cycle(18), "simple")
+def test_a_simple_18_cycle_solves_and_verifies():
+    # simple mode leaves an 18-cycle unreduced, so the root is the only leaf,
+    # above TFPCC_CAP: max_tfpcc covers it with the whole cycle
+    g = gen_cycle(18)
+    report = run(g, "simple", keep_state=True)
+    assert [(leaf.method, leaf.graph.n_alive()) for leaf in report.leaves] == [("cover", 18)]
+    assert report.upper_bound == report.leaves[0].cover_edges == 18
+    assert report.tree.weight == 16
+    vr = verify_run(g, report)
+    assert vr.ok and vr.opt is None
 
 
 def test_verification_needs_retained_state():
@@ -230,6 +251,17 @@ def test_verification_rejects_a_tree_that_writes_the_last_vertex_as_minus_one():
     g = build_graph(3, [(0, 1), (1, 2)])
     report = run(g, "simple", keep_state=True)
     report.tree = TreeResult(((-1, 1), (0, 1)), 1, (-1, 0))
+    vr = verify_run(g, report)
+    assert vr.opt == 1
+    assert [c.name for c in vr.failing()] == ["tree-spans-input"]
+
+
+def test_verification_rejects_a_tree_with_an_id_past_the_last_vertex():
+    # 5 is past the path 0-1-2; written first, it would index a row that is
+    # not there
+    g = build_graph(3, [(0, 1), (1, 2)])
+    report = run(g, "simple", keep_state=True)
+    report.tree = TreeResult(((5, 1), (0, 1)), 1, (0, 5))
     vr = verify_run(g, report)
     assert vr.opt == 1
     assert [c.name for c in vr.failing()] == ["tree-spans-input"]

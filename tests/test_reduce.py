@@ -1,6 +1,7 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
 import dataclasses
+import inspect
 import sys
 from collections import Counter
 
@@ -328,20 +329,27 @@ def _run_size(g, x):
 
 
 def _grown_blocks(g, mode):
-    """Sets of two or more vertices find_op10 grows in the reduce of g."""
+    """Sets of two or more vertices find_op10 grows in the reduce of g.
+
+    find_op10 takes each core it grows off its stack in the line
+    `k, size, out, ext, edges = cores.pop()`; the line after it reads size.
+    """
+    code = mist.reduce.find_op10.__code__
+    lines, start = inspect.getsourcelines(code)
+    after_pop = start + 1 + next(i for i, text in enumerate(lines) if "= cores.pop()" in text)
     grown = 0
 
-    def profile(frame, event, arg):
+    def local(frame, event, arg):
         nonlocal grown
-        code = frame.f_code
-        if event == "call" and code.co_name == "grow" and code.co_filename == mist.reduce.__file__:
+        if event == "line" and frame.f_lineno == after_pop:
             grown += frame.f_locals["size"] > 1
+        return local
 
-    sys.setprofile(profile)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
         reduce_to_fixpoint(g, mode)
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
     return grown
 
 
@@ -684,9 +692,7 @@ def test_op11_contracts_a_degree_two_edge():
     g = cycle(6)
     r = find_op11(g)
     assert r is not None and r.kind == "op11"
-    assert r.contractions == (
-        ((0, 1), (5, 2)), ((0, 2), (5, 3)), ((0, 3), (5, 4)), ((0, 4), (5, 5))
-    )
+    assert r.contractions == ((0, 1, 5, 2), (0, 2, 5, 3), (0, 3, 5, 4), (0, 4, 5, 5))
     assert r.c == 4
     parts = apply_weak_reduction(g, r)
     assert len(parts) == 1
@@ -699,7 +705,7 @@ def test_op11_needs_both_endpoints_at_degree_two():
     # the middle edge of a 4-path qualifies, and the run stops there since
     # both outside neighbours are pendant; no star edge ever does
     r = find_op11(path(4))
-    assert r is not None and r.contractions == (((1, 2), (0, 3)),)
+    assert r is not None and r.contractions == ((1, 2, 0, 3),)
     assert find_op11(build_graph(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
@@ -707,7 +713,7 @@ def test_op11_rechecks_every_contraction_of_its_run():
     g = cycle(8)
     r = find_op11(g)
     run = list(r.contractions)
-    run[1] = ((0, 2), (7, 4))  # 2's outside neighbour is 3
+    run[1] = (0, 2, 7, 4)  # 2's outside neighbour is 3
     with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
         apply_weak_reduction(g, dataclasses.replace(r, contractions=tuple(run)))
 
@@ -723,14 +729,14 @@ def test_op11_rechecks_each_middle_contraction_against_the_rows_so_far():
     g = cycle(8)
     r = find_op11(g)
     with pytest.raises(StaleWitness, match="contracted edge 0-5 gone"):
-        apply_weak_reduction(g, _with_record(r, "contractions", 2, ((0, 5), (7, 6))))
+        apply_weak_reduction(g, _with_record(r, "contractions", 2, (0, 5, 7, 6)))
     # the chord's end 2 has degree 3: the run goes round the other way, and
     # a second contraction that takes 2 in is stale
     g = build_graph(9, [(i, (i + 1) % 8) for i in range(8)] + [(2, 8)])
     r = find_op11(g)
-    assert r.contractions[:2] == (((0, 1), (7, 2)), ((0, 7), (2, 6)))
+    assert r.contractions[:2] == ((0, 1, 7, 2), (0, 7, 2, 6))
     with pytest.raises(StaleWitness, match="degrees at 0-2 changed"):
-        apply_weak_reduction(g, _with_record(r, "contractions", 1, ((0, 2), (7, 3))))
+        apply_weak_reduction(g, _with_record(r, "contractions", 1, (0, 2, 7, 3)))
 
 
 def test_op4_rechecks_each_middle_cut_vertex_against_the_rows_so_far():
@@ -970,11 +976,11 @@ def _move_a_middle_cut_vertex(r):
 
 
 def _merge_a_live_vertex(r):
-    # contraction 4 is ((0, 5), (9, 6)); by the time it is undone, 7 is alive
+    # contraction 4 is (0, 5, 9, 6); by the time it is undone, 7 is alive
     # again, so reviving it in 5's place is refused
-    assert r.contractions[4] == ((0, 5), (9, 6))
+    assert r.contractions[4] == (0, 5, 9, 6)
     run = list(r.contractions)
-    run[4] = ((0, 7), (9, 6))
+    run[4] = (0, 7, 9, 6)
     return {"contractions": tuple(run)}
 
 
