@@ -3,9 +3,12 @@
 The solvers (opt_spanning_tree, hamiltonian_path_between, max_tfpcc_exact)
 are exponential searches with pruning, guarded by the size caps OST_CAP,
 HAM_CAP and TFPCC_CAP.  They break ties toward smaller vertex ids so
-repeated runs return identical answers.  max_tfpcc, the cover search
+repeated runs return identical answers.  opt_spanning_tree skips what a
+certificate settles: a tree input is its own answer, and the search stops
+once its best tree meets internal_bound.  max_tfpcc, the cover search
 above TFPCC_CAP, solves at most TFPCC_RESOLVES 2-matchings, each in
-polynomial time; tree_result and internal_bound take polynomial time.
+polynomial time; tree_result and the upper bounds internal_bound and
+cut_bound take polynomial time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     SizeCapExceeded,
 )
-from .graph import Edge, Graph, find, norm_edge
+from .graph import Edge, Graph, find, norm_edge, separations
 
 OST_CAP = 12  # largest order opt_spanning_tree searches exactly
 HAM_CAP = 10  # largest order hamiltonian_path_between searches
@@ -88,16 +91,30 @@ def internal_bound(g: Graph) -> int:
     return n - max(2, sum(1 for v in g.alive_list() if g.degree(v) <= 1))
 
 
+def cut_bound(g: Graph) -> int:
+    """n - 2 - sum(max(0, c(g - v) - 2)) over the vertices v of a connected
+    g, an upper bound on the internal vertices of any spanning tree of g.
+
+    A spanning tree T has 2 + sum(deg_T(v) - 2) leaves, the sum taken over
+    its internal vertices, and deg_T(v) >= c(g - v), the number of
+    components of g - v, since T - v has at least as many.  c is read from
+    separations(g).pieces.  0 when n <= 2.
+    """
+    pieces = separations(g).pieces.values()
+    return max(0, g.n_alive() - 2 - sum(c - 2 for c in pieces if c > 2))
+
+
 def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
     """Spanning tree maximizing the number of internal vertices.
 
-    Branch and bound over edges in sorted order: include (if acyclic)
-    before exclude (if the rest still spans).  The available graph, the
-    chosen plus the undecided edges, is connected at every node: it is at
-    the root, an include leaves it unchanged, and an exclude is taken only
-    when it stays connected.  So excluding (a, b) is allowed exactly when
-    b is still reachable from a once (a, b) is gone, which a search over
-    per-vertex neighbour bit masks answers.
+    A connected g with n - 1 edges is its own only spanning tree and is
+    returned as it is.  Otherwise, branch and bound over edges in sorted
+    order: include (if acyclic) before exclude (if the rest still spans).
+    The available graph, the chosen plus the undecided edges, is connected
+    at every node: it is at the root, an include leaves it unchanged, and
+    an exclude is taken only when it stays connected.  So excluding (a, b)
+    is allowed exactly when b is still reachable from a once (a, b) is
+    gone, which a search over per-vertex neighbour bit masks answers.
 
     Every spanning tree has 2 + sum(deg - 2) leaves, the sum taken over
     its internal vertices, so a completion of the chosen edges has at
@@ -106,11 +123,15 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
     most one available edge.  A subtree is cut when n minus the larger of
     the two counts cannot exceed the best weight.  Since only a heavier
     tree, never an equal one, replaces the best one, the answer is the
-    first optimum in include-first order, with or without the cuts.
+    first optimum in include-first order, with or without the cuts; and
+    once the best weight meets internal_bound(g) no heavier tree exists,
+    so the search stops there.
 
     floor seeds the incumbent at floor - 1, so every subtree that cannot
     reach floor is cut.  Any floor <= opt returns the same tree; a floor
     above opt (or above internal_bound(g)) raises InternalInvariant.
+    Without a floor, the weight of a greedy depth-first tree
+    (_greedy_weight), which is at most opt, seeds it.
     """
     verts = g.alive_list()
     n = len(verts)
@@ -120,11 +141,11 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {OST_CAP}")
     if not g.is_connected():
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
-    # the search's root bound; unseeded calls (floor 0) cannot exceed it
-    if floor > 0 and floor > internal_bound(g):
+    top = internal_bound(g)  # the search's root bound
+    if floor > top:
         raise InternalInvariant(f"floor {floor} above the leaf bound of g")
-    if n == 1:
-        return tree_result(g, ())
+    if g.edge_count() == n - 1:
+        return tree_result(g, g.edge_list())
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
     m = len(edges)
@@ -135,7 +156,7 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
         nbrs[a] |= 1 << b
         nbrs[b] |= 1 << a
     chosen: list[tuple[int, int]] = []
-    best_w = floor - 1
+    best_w = (floor or _greedy_weight(nbrs)) - 1
     best_edges: list[tuple[int, int]] | None = None
 
     def reaches(a, b):
@@ -182,6 +203,8 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
             tdeg[a] -= 1
             tdeg[b] -= 1
             parent[ra] = ra
+            if best_w == top:
+                return
         nbrs[a] ^= 1 << b
         nbrs[b] ^= 1 << a
         if reaches(a, b):
@@ -198,30 +221,69 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
     return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
 
 
-def hamiltonian_path_between(g: Graph, u: int, v: int) -> list[int] | None:
-    """First Hamiltonian path from u to v in id order, or None."""
-    n = g.n_alive()
+def _greedy_weight(nbrs: list[int]) -> int:
+    """Internal vertices of a greedy depth-first spanning tree of the
+    connected graph with neighbour bit masks nbrs.
+
+    The tree starts at a vertex of lowest degree and always steps to the
+    unvisited neighbour with the fewest unvisited neighbours, the lowest
+    index on ties, so it tends to a long path with few leaves.
+    """
+    start = min(range(len(nbrs)), key=lambda x: nbrs[x].bit_count())
+    free = ((1 << len(nbrs)) - 1) ^ (1 << start)
+    tdeg = [0] * len(nbrs)
+    path = [start]
+    while path:
+        x = path[-1]
+        step = nbrs[x] & free
+        if not step:
+            path.pop()
+            continue
+        best, fewest = -1, len(nbrs)
+        while step:
+            low = step & -step
+            step ^= low
+            y = low.bit_length() - 1
+            k = (nbrs[y] & free).bit_count()
+            if k < fewest:
+                best, fewest = y, k
+        free ^= 1 << best
+        tdeg[x] += 1
+        tdeg[best] += 1
+        path.append(best)
+    return len(nbrs) - tdeg.count(1)
+
+
+def hamiltonian_path_between(g: Graph, u: int, v: int, within=None) -> list[int] | None:
+    """First Hamiltonian path from u to v in id order, or None.
+
+    within, a set of alive vertices holding u and v, limits the search to
+    the subgraph g induces on it: the path found is that subgraph's first,
+    read from g's own rows.
+    """
+    free = set(g.alive_list() if within is None else within)  # off the path
+    n = len(free)
     if n > HAM_CAP:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {HAM_CAP}")
-    if u == v or not (g.is_alive(u) and g.is_alive(v)):
+    if u == v or not (g.is_alive(u) and g.is_alive(v) and u in free and v in free):
         raise PreconditionViolated(f"bad endpoints {u}, {v}")
     # depth first, with one neighbour iterator per path vertex; v is taken
     # exactly when it completes the path
     path = [u]
-    seen = {u}
+    free.discard(u)
     nexts = [iter(g.adj[u])]
     while nexts:
         for w in nexts[-1]:
-            if w not in seen and (w == v) == (len(path) == n - 1):
+            if w in free and (w == v) == (len(path) == n - 1):
                 path.append(w)
                 if w == v:
                     return path
-                seen.add(w)
+                free.discard(w)
                 nexts.append(iter(g.adj[w]))
                 break
         else:
             nexts.pop()
-            seen.discard(path.pop())
+            free.add(path.pop())
     return None
 
 

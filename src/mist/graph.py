@@ -346,16 +346,3 @@ def twin_groups(g: Graph) -> list[tuple[Edge, list[int]]]:
             groups.setdefault((a, b), []).append(v)
     return [(key, groups[key]) for key in sorted(groups)]
 
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
-    """Subgraph induced on the given vertices, renumbered densely.
-
-    Returns (subgraph, old_ids) where old_ids[new] is the original id.
-    """
-    old_ids = sorted(vertices)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    for v in old_ids:
-        if not g.is_alive(v):
-            raise InternalInvariant(f"vertex {v} not alive")
-    edges = [(pos[v], pos[u]) for v in old_ids for u in g.adj[v] if v < u and u in pos]
-    return Graph(len(old_ids), edges), old_ids

@@ -5,7 +5,8 @@ leaf (exactly when small enough, through a path-cycle cover otherwise),
 and lifts the leaf trees back through the trace.  verify_run replays a
 retained run against the structural predicates and, when the pieces are
 small enough, against the exact optimum, certified by the run's own tree
-where it meets the leaf bound and searched for otherwise.
+where it meets the leaf bound or the cut-vertex bound and searched for
+otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, InternalInvariant
-from .exact import OST_CAP, TreeResult, internal_bound, opt_spanning_tree
+from .exact import OST_CAP, TreeResult, cut_bound, internal_bound, opt_spanning_tree
 from .graph import Graph
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -232,9 +233,10 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
     when there is none to go by).
 
     t's internal vertices, counted from its edges, never from t.weight, are
-    a lower bound w on the optimum and internal_bound(h) an upper bound;
-    when they meet, w is the optimum and no search runs.  Otherwise the
-    search starts from w, which leaves its answer unchanged.
+    a lower bound w on the optimum, and internal_bound(h) and cut_bound(h)
+    are upper bounds; when w meets either, w is the optimum and no search
+    runs.  Otherwise the search starts from w, which leaves its answer
+    unchanged.
     """
     if t is None:
         return opt_spanning_tree(h).weight
@@ -243,7 +245,7 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
         deg[u] += 1
         deg[v] += 1
     w = len(deg) - deg.count(0) - deg.count(1)  # tree degree >= 2
-    if w == internal_bound(h):
+    if w == internal_bound(h) or w == cut_bound(h):
         return w
     return opt_spanning_tree(h, floor=w).weight
 

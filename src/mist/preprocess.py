@@ -21,7 +21,7 @@ from .cover import (
 )
 from .errors import InternalInvariant, NonTermination
 from .exact import hamiltonian_path_between
-from .graph import Edge, Graph, induced_subgraph, norm_edge
+from .graph import Edge, Graph, norm_edge
 
 RULE_ORDER = {
     "simple": ("op5", "op6", "op7"),
@@ -56,8 +56,6 @@ def find_op5(cover: Cover, g: Graph) -> CoverRewrite | None:
         ports = set(component_ports(g, comp))
         if not ports:
             continue
-        sub, old = induced_subgraph(g, comp.vertices)
-        pos = {x: i for i, x in enumerate(old)}
         p_edges = set(comp.edges)
         for a in comp.vertices:
             if a not in ports:
@@ -65,12 +63,10 @@ def find_op5(cover: Cover, g: Graph) -> CoverRewrite | None:
             for b in comp.vertices:
                 if b == a:
                     continue
-                path = hamiltonian_path_between(sub, pos[a], pos[b])
+                path = hamiltonian_path_between(g, a, b, comp.vertices)
                 if path is None:
                     continue
-                q_edges = {
-                    norm_edge(old[x], old[y]) for x, y in zip(path, path[1:])
-                }
+                q_edges = {norm_edge(x, y) for x, y in zip(path, path[1:])}
                 if q_edges == p_edges:
                     continue
                 return CoverRewrite(
@@ -329,7 +325,8 @@ def cycle_port_properties(g: Graph, comp) -> list[str]:
         if comp.length == 5:
             out.append("5-cycle with exactly two ports")
         if comp.length == 4:
-            sub, _ = induced_subgraph(g, comp.vertices)
-            if sub.edge_count() != 4:
+            # the cycle's 4 edges, each seen from both ends, and no more
+            inside = set(comp.vertices)
+            if sum(y in inside for x in comp.vertices for y in g.adj[x]) != 8:
                 out.append("4-cycle with two ports has a chord")
     return out

@@ -27,7 +27,6 @@ from .graph import (
     add_edge_in,
     component_of,
     connected_components,
-    induced_subgraph,
     norm_edge,
     remove_edge_in,
     revive_in,
@@ -331,20 +330,18 @@ def find_op10(
                 )
     blocks.sort()
     for u, v, k_comp in blocks:
-        sub, old = induced_subgraph(g, k_comp + [u, v])
-        pos = {x: idx for idx, x in enumerate(old)}
-        path = hamiltonian_path_between(sub, pos[u], pos[v])
+        inside = {*k_comp, u, v}
+        path = hamiltonian_path_between(g, u, v, inside)
         if path is None:
             continue
-        keep = {norm_edge(old[a], old[b]) for a, b in zip(path, path[1:])}
+        keep = {norm_edge(a, b) for a, b in zip(path, path[1:])}
         extra = [
-            norm_edge(old[a], old[b])
-            for a, b in sub.edge_list()
-            if norm_edge(old[a], old[b]) not in keep
+            (a, b)
+            for a in sorted(inside)
+            for b in adj[a]
+            if a < b and b in inside and (a, b) not in keep
         ]
-        return StrongReduction(
-            "op10", (), tuple(sorted(extra)), (), (u, v, tuple(k_comp))
-        )
+        return StrongReduction("op10", (), tuple(extra), (), (u, v, tuple(k_comp)))
     return None
 
 
@@ -914,12 +911,11 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     """Apply reductions until none fires, strong ones first at every step.
 
     Nodes are processed in index order, each with its graph; only the root
-    and the leaves keep theirs in the trace.
+    and the leaves keep theirs in the trace.  The root's lowpoint pass
+    rejects a disconnected input.
     """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
-    if not g.is_connected():
-        raise DisconnectedInput("input graph is not connected")
     strong_kinds, weak_kinds = RULESETS[mode]
     local = [k for k in strong_kinds if k in _LOCAL]
     trace = ReductionTrace(mode)
@@ -932,6 +928,8 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
         sep = separations(h)
+        if idx == 0 and sep.parts > 1:
+            raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near)
         if r is not None:
             child = apply_strong_reduction(h, r, sep)

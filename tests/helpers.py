@@ -11,8 +11,9 @@ forced-leaf route against the library's unconstrained cover search; and
 the per-edit op4 and op11 loops, which apply and undo a run one checked
 Graph edit at a time, as the reference for the engine's one-write sweeps.
 Some helpers serve tests only: twin pairs of graphs that break
-compute_pi_pairs' preconditions, the path cover of a thinned tree, and
-adding or popping the last vertex id of a graph.
+compute_pi_pairs' preconditions, the path cover of a thinned tree,
+adding or popping the last vertex id of a graph, and the subgraph induced
+on a vertex set.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -49,6 +50,20 @@ from mist.reduce import (
 
 def build_graph(n: int, edges) -> Graph:
     return Graph(n, [norm_edge(u, v) for u, v in edges])
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
+    """Subgraph induced on the given vertices, renumbered densely.
+
+    Returns (subgraph, old_ids) where old_ids[new] is the original id.
+    """
+    old_ids = sorted(vertices)
+    pos = {v: i for i, v in enumerate(old_ids)}
+    for v in old_ids:
+        if not g.is_alive(v):
+            raise InternalInvariant(f"vertex {v} not alive")
+    edges = [(pos[v], pos[u]) for v in old_ids for u in g.adj[v] if v < u and u in pos]
+    return Graph(len(old_ids), edges), old_ids
 
 
 def _component_count(n, edges, skip_vertex=None, skip_edge=None):

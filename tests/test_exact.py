@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mist import Graph, norm_edge
-from mist.errors import DisconnectedInput, InternalInvariant, NonTermination, SizeCapExceeded
+from mist.errors import (
+    DisconnectedInput,
+    InternalInvariant,
+    NonTermination,
+    PreconditionViolated,
+    SizeCapExceeded,
+)
 import mist.exact
 from mist.cover import Cover, validate_tfpcc
 from mist.exact import (
     TreeResult,
     _augment,
+    _greedy_weight,
     _two_matching,
+    cut_bound,
     hamiltonian_path_between,
     internal_bound,
     max_tfpcc,
@@ -23,7 +31,6 @@ from mist.exact import (
     tree_result,
 )
 from mist.generate import gen_gnp, gen_path
-from mist.graph import induced_subgraph
 from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
@@ -33,6 +40,7 @@ from helpers import (
     brute_opt_tree,
     brute_tfpcc,
     build_graph,
+    induced_subgraph,
     naive_components,
     path_cover_from_tree,
     random_connected,
@@ -559,3 +567,61 @@ def test_a_floor_up_to_opt_returns_the_same_tree_and_one_above_raises():
 )
 def test_internal_bound_counts_two_leaves_or_every_low_degree_vertex(g, bound):
     assert internal_bound(g) == bound
+
+
+def _masks(g):
+    """The neighbour bit masks opt_spanning_tree searches, by alive rank."""
+    pos = {v: i for i, v in enumerate(g.alive_list())}
+    return [sum(1 << pos[w] for w in g.adj[v]) for v in pos]
+
+
+def _bounded_graphs():
+    rng = random.Random(47)
+    gnp = [gen_gnp(rng.randint(8, 12), 0.3, seed) for seed in range(200)]
+    return connected_graphs_up_to_iso(7) + gnp
+
+
+def test_the_cut_bound_and_the_greedy_floor_hold_opt_between_them():
+    # greedy weight <= opt <= min(internal_bound, cut_bound); the cut bound
+    # is the tighter one on some graphs
+    tighter = 0
+    for g in _bounded_graphs():
+        opt = opt_spanning_tree(g).weight
+        assert opt <= cut_bound(g), g
+        if g.edge_count() >= g.n_alive():  # the search's case: not a tree
+            assert _greedy_weight(_masks(g)) <= opt, g
+        tighter += cut_bound(g) < internal_bound(g)
+    assert tighter > 50
+
+
+def test_a_tree_is_its_own_answer_without_a_search():
+    rng = random.Random(48)
+    for g in [path(2), path(7), star(6)] + [random_tree(n, rng) for n in range(3, 13)]:
+        t, nodes = _rec_calls(opt_spanning_tree, g)
+        assert nodes == 0
+        assert t == reference_opt_spanning_tree(g) == tree_result(g, g.edge_list())
+
+
+def test_the_search_stops_once_it_meets_the_leaf_bound():
+    # a Hamiltonian path meets n - 2, so nothing after the first one found
+    # is searched; the tree is still the reference's first optimum
+    for g in [cycle(9), complete(7), gen_gnp(10, 0.5, 3)]:
+        assert brute_ham_path(g.n_alive(), g.edge_list())
+        new, new_nodes = _rec_calls(opt_spanning_tree, g)
+        ref, ref_nodes = _rec_calls(reference_opt_spanning_tree, g)
+        assert new == ref and new.weight == internal_bound(g) == g.n_alive() - 2
+        assert new_nodes < ref_nodes
+
+
+def test_ham_path_within_a_vertex_set_is_the_induced_subgraphs_first_path():
+    rng = random.Random(49)
+    for _ in range(300):
+        g = random_connected(rng.randint(4, 14), 0.35, rng)
+        inside = rng.sample(g.alive_list(), rng.randint(2, min(8, g.n_alive())))
+        u, v = inside[:2]
+        sub, old = induced_subgraph(g, inside)
+        want = hamiltonian_path_between(sub, old.index(u), old.index(v))
+        got = hamiltonian_path_between(g, u, v, set(inside))
+        assert got == (None if want is None else [old[x] for x in want]), (g, inside)
+    with pytest.raises(PreconditionViolated):
+        hamiltonian_path_between(path(5), 0, 4, {0, 1, 2})

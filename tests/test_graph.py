@@ -11,7 +11,6 @@ from mist.graph import (
     component_of,
     find_bridges,
     find_cutpoints,
-    induced_subgraph,
     separations,
 )
 
@@ -19,6 +18,7 @@ from graphgen import ALL_COUNTS, CONNECTED_COUNTS, _classes, connected_graphs_up
 from helpers import (
     add_vertex,
     build_graph,
+    induced_subgraph,
     naive_bridges,
     naive_components,
     naive_cutpoints,

@@ -9,7 +9,7 @@ import pytest
 import mist.pipeline
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError
-from mist.exact import TreeResult, internal_bound, opt_spanning_tree, tree_result
+from mist.exact import TreeResult, cut_bound, internal_bound, opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
 
 from helpers import build_graph, outcome_digest, outcome_line
@@ -157,6 +157,24 @@ def test_verification_certifies_a_root_that_is_its_own_leaf_without_a_search(
     assert vr.ok and vr.opt == opt_spanning_tree(g).weight
     names = [c.name for c in vr.checks]
     assert "leaf0-cover-bounds-opt" in names and "leaf0-ratio" in names
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_verification_certifies_a_tree_that_meets_the_cut_bound_without_a_search(
+    monkeypatch, mode
+):
+    # a spider whose three legs end in triangles: no vertex has degree 1, so
+    # the leaf bound is 10 - 2 = 8, but the centre leaves three pieces, so
+    # every spanning tree has 3 leaves and the cut bound 7 is the optimum
+    legs = [(0, 1), (0, 4), (0, 7)]
+    triangles = [(a, b) for x in (1, 4, 7) for a, b in ((x, x + 1), (x + 1, x + 2), (x, x + 2))]
+    g = build_graph(10, legs + triangles)
+    report = run(g, mode, keep_state=True)
+    assert (internal_bound(g), cut_bound(g), report.tree.weight) == (8, 7, 7)
+    solved = _count_searches(monkeypatch)
+    vr = verify_run(g, report)
+    assert solved == []
+    assert vr.ok and vr.opt == opt_spanning_tree(g).weight == 7
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])

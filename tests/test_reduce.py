@@ -161,13 +161,13 @@ def test_op10_never_searches_a_block_that_touches_one_boundary(monkeypatch):
     clique = [(5, 10), (5, 11), (5, 12), (10, 11), (10, 12), (11, 12)]
     g = build_graph(13, [(i, (i + 1) % 10) for i in range(10)] + clique)
     searched = []
-    real = mist.reduce.induced_subgraph
+    real = mist.reduce.hamiltonian_path_between
 
-    def recording(h, vertices):
-        searched.append(sorted(vertices))
-        return real(h, vertices)
+    def recording(h, u, v, within):
+        searched.append(sorted(within))
+        return real(h, u, v, within)
 
-    monkeypatch.setattr(mist.reduce, "induced_subgraph", recording)
+    monkeypatch.setattr(mist.reduce, "hamiltonian_path_between", recording)
     r = find_op10(g)
     assert r == naive_op10(g)
     assert r.witness == (5, 10, (11, 12))
@@ -410,13 +410,13 @@ def test_op10_after_op4_skips_the_blocks_that_hold_the_new_pendant(monkeypatch):
     assert nears[:2] == [None, {0, 13}]
     child = replay(trace)[1]
     searched = []
-    real_sub = mist.reduce.induced_subgraph
+    real_ham = mist.reduce.hamiltonian_path_between
 
-    def recording_sub(h, vertices):
-        searched.append(sorted(vertices))
-        return real_sub(h, vertices)
+    def recording_ham(h, u, v, within):
+        searched.append(sorted(within))
+        return real_ham(h, u, v, within)
 
-    monkeypatch.setattr(mist.reduce, "induced_subgraph", recording_sub)
+    monkeypatch.setattr(mist.reduce, "hamiltonian_path_between", recording_ham)
     assert real(child, near={0, 13}) is None
     assert real(child) is None
     assert naive_op10(child) is None
