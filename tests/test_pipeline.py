@@ -165,7 +165,7 @@ def test_verification_certifies_a_tree_that_meets_the_cut_bound_without_a_search
 ):
     # a spider whose three legs end in triangles: no vertex has degree 1, so
     # the leaf bound is 10 - 2 = 8, but the centre leaves three pieces, so
-    # every spanning tree has 3 leaves and the cut bound 7 is the optimum
+    # every spanning tree has at least 3 leaves and the cut bound 7 is the optimum
     legs = [(0, 1), (0, 4), (0, 7)]
     triangles = [(a, b) for x in (1, 4, 7) for a, b in ((x, x + 1), (x + 1, x + 2), (x, x + 2))]
     g = build_graph(10, legs + triangles)
