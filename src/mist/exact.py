@@ -4,8 +4,10 @@ The solvers (opt_spanning_tree, hamiltonian_path_between, max_tfpcc_exact)
 are exponential searches with pruning, guarded by the size caps OST_CAP,
 HAM_CAP and TFPCC_CAP.  They break ties toward smaller vertex ids so
 repeated runs return identical answers.  opt_spanning_tree skips what a
-certificate settles: a tree input is its own answer, and the search stops
-once its best tree meets internal_bound.  max_tfpcc, the cover search
+certificate settles: a tree input is its own answer, the search stops
+once its best tree meets internal_bound, and its floor, the least weight
+wanted, cuts every subtree below it, so a proof that no tree beats a known
+weight w searches only for heavier trees.  max_tfpcc, the cover search
 above TFPCC_CAP, solves at most TFPCC_RESOLVES 2-matchings, each in
 polynomial time; tree_result and the upper bounds internal_bound and
 cut_bound take polynomial time.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from .errors import (
     DisconnectedInput,
@@ -72,11 +74,9 @@ def tree_result(g: Graph, edges) -> TreeResult:
         parent[u] = v
     if n == 1:
         return TreeResult((), 0, tuple(g.alive_list()))
-    # with two or more vertices every alive vertex has a tree edge, and
-    # dead ones have none
-    weight = span - deg.count(0) - deg.count(1)
-    leaves = tuple(compress(range(span), map((1).__eq__, deg)))
-    return TreeResult(tuple(edges), weight, leaves)
+    # with two or more vertices every alive vertex has a tree edge
+    leaves = tuple([v for v, d in enumerate(deg) if d == 1])
+    return TreeResult(tuple(edges), n - len(leaves), leaves)
 
 
 def internal_bound(g: Graph) -> int:
@@ -104,17 +104,21 @@ def cut_bound(g: Graph) -> int:
     return max(0, g.n_alive() - 2 - sum(c - 2 for c in pieces if c > 2))
 
 
-def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
-    """Spanning tree maximizing the number of internal vertices.
+def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
+    """Spanning tree maximizing the number of internal vertices, or None
+    when no spanning tree has floor or more.
 
-    A connected g with n - 1 edges is its own only spanning tree and is
+    The search runs on per-vertex neighbour bit masks over the alive
+    ranks, built from g's rows; they also answer connectivity, count the
+    vertices of degree <= 1 and give the root bound internal_bound(g).  A
+    connected g with n - 1 edges is its own only spanning tree and is
     returned as it is.  Otherwise, branch and bound over edges in sorted
     order: include (if acyclic) before exclude (if the rest still spans).
     The available graph, the chosen plus the undecided edges, is connected
     at every node: it is at the root, an include leaves it unchanged, and
     an exclude is taken only when it stays connected.  So excluding (a, b)
     is allowed exactly when b is still reachable from a once (a, b) is
-    gone, which a search over per-vertex neighbour bit masks answers.
+    gone, which a search over the masks answers, stopping at b.
 
     Every spanning tree has 2 + sum(deg - 2) leaves, the sum taken over
     its internal vertices, so a completion of the chosen edges has at
@@ -127,11 +131,11 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
     once the best weight meets internal_bound(g) no heavier tree exists,
     so the search stops there.
 
-    floor seeds the incumbent at floor - 1, so every subtree that cannot
-    reach floor is cut.  Any floor <= opt returns the same tree; a floor
-    above opt (or above internal_bound(g)) raises InternalInvariant.
-    Without a floor, the weight of a greedy depth-first tree
-    (_greedy_weight), which is at most opt, seeds it.
+    floor is the least weight wanted: it seeds the incumbent at floor - 1,
+    so every subtree that cannot reach floor is cut.  Any floor <= opt
+    returns the same tree, and a floor above opt returns None.  Without a
+    floor, the weight of a greedy depth-first tree (_greedy_weight), which
+    is at most opt, seeds it.
     """
     verts = g.alive_list()
     n = len(verts)
@@ -139,54 +143,54 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
         raise PreconditionViolated("empty graph")
     if n > OST_CAP:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {OST_CAP}")
-    if not g.is_connected():
+    adj = g.adj
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbrs = [sum(map(bit.__getitem__, adj[v])) for v in verts]
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = nbrs[low.bit_length() - 1] & ~seen
+        seen |= grown
+        frontier |= grown
+    if seen != (1 << n) - 1:
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
-    top = internal_bound(g)  # the search's root bound
-    if floor > top:
-        raise InternalInvariant(f"floor {floor} above the leaf bound of g")
     if g.edge_count() == n - 1:
-        return tree_result(g, g.edge_list())
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
+        t = tree_result(g, g.edge_list())
+        return t if t.weight >= floor else None
+    # the root bound, internal_bound(g): masks of at most one bit are the
+    # vertices of degree <= 1, and n >= 3 as g is connected and no tree
+    forced = sum(x & (x - 1) == 0 for x in nbrs)
+    top = n - max(2, forced)
+    if floor > top:
+        return None
+    edges = [(a, b) for a, x in enumerate(nbrs) for b in range(a + 1, n) if x >> b & 1]
     m = len(edges)
     parent = list(range(n))
     tdeg = [0] * n
-    nbrs = [0] * n  # neighbour bit masks over the chosen and undecided edges
-    for a, b in edges:
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
     chosen: list[tuple[int, int]] = []
     best_w = (floor or _greedy_weight(nbrs)) - 1
     best_edges: list[tuple[int, int]] | None = None
 
-    def reaches(a, b):
-        seen = frontier = 1 << a
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                grown |= nbrs[low.bit_length() - 1]
-                frontier ^= low
-            if grown >> b & 1:
-                return True
-            frontier = grown & ~seen
-            seen |= frontier
-        return False
-
-    def rec(k, internal, excess, forced):
-        # internal, excess: over tdeg; forced: vertices with <= 1 neighbour
+    def rec(k, need, internal, excess, forced):
+        # need: edges still to choose; internal, excess: over tdeg;
+        # forced: vertices with <= 1 neighbour
         nonlocal best_w, best_edges
-        if len(chosen) == n - 1:
+        if not need:
             if internal > best_w:
                 best_w = internal
                 best_edges = list(chosen)
             return
-        if k == m or m - k < (n - 1) - len(chosen):
+        if m - k < need:
             return
         if n - max(forced, 2 + excess) <= best_w:
             return
         a, b = edges[k]
-        ra, rb = find(parent, a), find(parent, b)
+        ra, rb = a, b
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[rb] != rb:
+            rb = parent[rb]
         if ra != rb:
             parent[ra] = rb
             tdeg[a] += 1
@@ -195,6 +199,7 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
             chosen.append((a, b))
             rec(
                 k + 1,
+                need - 1,
                 internal + (da == 2) + (db == 2),
                 excess + (da > 2) + (db > 2),
                 forced,
@@ -205,19 +210,29 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult:
             parent[ra] = ra
             if best_w == top:
                 return
-        nbrs[a] ^= 1 << b
-        nbrs[b] ^= 1 << a
-        if reaches(a, b):
-            # both ends keep a neighbour, so one left means it just had two
-            left = (nbrs[a].bit_count() == 1) + (nbrs[b].bit_count() == 1)
-            rec(k + 1, internal, excess, forced + left)
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
+        bit_a, bit_b = 1 << a, 1 << b
+        nbrs[a] ^= bit_b
+        nbrs[b] ^= bit_a
+        # is b still reachable from a?  stop as soon as it is
+        seen = frontier = bit_a
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = nbrs[low.bit_length() - 1] & ~seen
+            if grown & bit_b:
+                # both ends keep a neighbour, so one left means it just had two
+                left = (nbrs[a].bit_count() == 1) + (nbrs[b].bit_count() == 1)
+                rec(k + 1, need, internal, excess, forced + left)
+                break
+            seen |= grown
+            frontier |= grown
+        nbrs[a] |= bit_b
+        nbrs[b] |= bit_a
 
-    rec(0, 0, 0, sum(1 for v in verts if g.degree(v) <= 1))
+    rec(0, n - 1, 0, 0, forced)
     del rec  # its own cell holds it: emptying the cell frees the search state now
     if best_edges is None:
-        raise InternalInvariant(f"no spanning tree with {floor} or more internal vertices")
+        return None
     return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
 
 

@@ -235,8 +235,8 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
     t's internal vertices, counted from its edges, never from t.weight, are
     a lower bound w on the optimum, and internal_bound(h) and cut_bound(h)
     are upper bounds; when w meets either, w is the optimum and no search
-    runs.  Otherwise the search starts from w, which leaves its answer
-    unchanged.
+    runs.  Otherwise the search looks only for a tree heavier than w, and
+    finding none proves the optimum is w.
     """
     if t is None:
         return opt_spanning_tree(h).weight
@@ -247,7 +247,8 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
     w = len(deg) - deg.count(0) - deg.count(1)  # tree degree >= 2
     if w == internal_bound(h) or w == cut_bound(h):
         return w
-    return opt_spanning_tree(h, floor=w).weight
+    heavier = opt_spanning_tree(h, floor=w + 1)
+    return w if heavier is None else heavier.weight
 
 
 def _spans(t: TreeResult, g: Graph) -> bool:

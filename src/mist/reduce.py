@@ -76,7 +76,9 @@ class WeakReduction:
 # -- strong reductions ----------------------------------------------------
 #
 # Every finder takes the graph, assumed connected, and optionally its
-# separations(g); the fixpoint driver computes that once per trace node.
+# separations(g); the fixpoint driver computes that once for each trace
+# node it searches: the root, every node of four or more vertices, and in
+# refined mode a triangle (see reduce_to_fixpoint).
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
 #
@@ -912,7 +914,13 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
 
     Nodes are processed in index order, each with its graph; only the root
     and the leaves keep theirs in the trace.  The root's lowpoint pass
-    rejects a disconnected input.
+    rejects a disconnected input.  Any other node of at most 3 vertices is
+    a leaf with no lowpoint pass and no finder, except a triangle in
+    refined mode, which op11 contracts.  No other rule fires under four
+    vertices: op1 needs n > 3, op10's blocks have at most n - 3 vertices,
+    op8 and op9 need two twins beside their boundary pair, op4 a cut
+    vertex with a piece of 2 or more beside another piece, op3 a vertex of
+    degree 3, and op2 a cycle edge between two cut vertices.
     """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
@@ -927,6 +935,9 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     while work:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
+        if idx and h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds):
+            node.graph = h
+            continue
         sep = separations(h)
         if idx == 0 and sep.parts > 1:
             raise DisconnectedInput("input graph is not connected")

@@ -90,6 +90,18 @@ def test_opt_rejects_disconnected():
         opt_spanning_tree(build_graph(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize("ids", [(0, 1, 2, 3), (9, 2, 6, 4)])
+def test_opt_rejects_a_disconnected_graph_with_a_trees_edge_count(ids):
+    # a triangle and an isolated vertex: n - 1 edges, but no tree
+    a, b, c, lone = ids
+    g = build_graph(10, [(a, b), (b, c), (a, c)])
+    for v in set(range(10)) - set(ids):
+        g.remove_vertex(v)
+    assert (g.n_alive(), g.edge_count(), g.is_alive(lone)) == (4, 3, True)
+    with pytest.raises(DisconnectedInput):
+        opt_spanning_tree(g)
+
+
 def test_opt_respects_cap(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         opt_spanning_tree(path(13))
@@ -547,9 +559,10 @@ def test_opt_search_visits_no_more_nodes_than_the_reference():
         assert new == ref and new_nodes <= ref_nodes, g
 
 
-def test_a_floor_up_to_opt_returns_the_same_tree_and_one_above_raises():
+def test_a_floor_up_to_opt_returns_the_same_tree_and_one_above_returns_none():
     # only a strictly heavier tree replaces the incumbent, so starting it at
-    # floor - 1 <= opt - 1 still ends at the first optimum in include-first order
+    # floor - 1 <= opt - 1 still ends at the first optimum in include-first
+    # order; from opt on, no tree replaces it
     rng = random.Random(46)
     gnp = [gen_gnp(rng.randint(8, 12), 0.3, seed) for seed in range(200)]
     for g in connected_graphs_up_to_iso(7) + gnp:
@@ -557,8 +570,22 @@ def test_a_floor_up_to_opt_returns_the_same_tree_and_one_above_raises():
         assert want.weight <= internal_bound(g), g
         for floor in range(want.weight + 1):
             assert opt_spanning_tree(g, floor=floor) == want, (g, floor)
-        with pytest.raises(InternalInvariant):
-            opt_spanning_tree(g, floor=want.weight + 1)
+        assert opt_spanning_tree(g, floor=want.weight + 1) is None, g
+    assert opt_spanning_tree(path(5), floor=4) is None
+
+
+def test_a_floor_one_above_opt_searches_no_more_than_a_floor_at_opt():
+    # the proof that nothing beats opt is the search for opt with its last
+    # improvement cut, so it visits a subtree of that search's nodes
+    fewer = 0
+    for g in _bounded_graphs():
+        opt = opt_spanning_tree(g).weight
+        at, at_nodes = _rec_calls(lambda h: opt_spanning_tree(h, floor=opt), g)
+        above, above_nodes = _rec_calls(lambda h: opt_spanning_tree(h, floor=opt + 1), g)
+        assert at.weight == opt and above is None, g
+        assert above_nodes <= at_nodes, g
+        fewer += above_nodes < at_nodes
+    assert fewer > 50
 
 
 @pytest.mark.parametrize(

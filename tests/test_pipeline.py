@@ -179,15 +179,15 @@ def test_verification_certifies_a_tree_that_meets_the_cut_bound_without_a_search
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_verification_seeds_one_search_with_the_trees_weight(monkeypatch, mode):
-    # weight 8 against a leaf bound of 9: one search, floor 8, for the input
-    # and its own cover leaf together
+    # weight 8 against a leaf bound of 9: one search for a heavier tree,
+    # floor 9, for the input and its own cover leaf together
     g = gen_gnp(11, 0.3, 27)
     report = run(g, mode, keep_state=True)
     assert [(leaf.method, leaf.graph) for leaf in report.leaves] == [("cover", g)]
     assert (report.tree.weight, internal_bound(g)) == (8, 9)
     solved = _count_searches(monkeypatch)
     vr = verify_run(g, report)
-    assert solved == [(g, 8)]
+    assert solved == [(g, 9)]
     assert vr.ok and vr.opt == opt_spanning_tree(g).weight == 8
 
 
@@ -290,15 +290,15 @@ def test_verification_certifies_a_reduced_cover_leaf_with_its_own_tree(
     monkeypatch, n, seed, floors
 ):
     # the leaf's tree certifies the leaf's optimum as the run's tree does the
-    # input's: no search when it meets the leaf bound, one seeded with it if
-    # not; floors lists the run's and the leaf's tree weights in that case
+    # input's: no search when it meets the leaf bound, one for a heavier tree
+    # if not; floors lists the run's and the leaf's tree weights in that case
     g = gen_gnp(n, 0.3, seed)
     report = run(g, "refined", keep_state=True)
     (leaf,) = [leaf for leaf in report.leaves if leaf.method == "cover"]
     assert leaf.graph != g
     solved = _count_searches(monkeypatch)
     vr = verify_run(g, report)
-    assert solved == list(zip((g, leaf.graph), floors))
+    assert solved == list(zip((g, leaf.graph), [w + 1 for w in floors]))
     assert floors in ((), (report.tree.weight, leaf.tree.weight))
     assert vr.ok and vr.opt == opt_spanning_tree(g).weight
     assert f"leaf{leaf.node}-ratio" in [c.name for c in vr.checks]
@@ -349,7 +349,7 @@ def test_verification_seeds_one_search_with_a_worse_spanning_tree(monkeypatch):
     report.tree = worse
     solved = _count_searches(monkeypatch)
     vr = verify_run(g, report)
-    assert solved == [(g, worse.weight)]
+    assert solved == [(g, worse.weight + 1)]
     assert vr.opt == 8
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import sys
 from collections import Counter
 
@@ -243,17 +244,22 @@ def test_op10_near_search_leaves_every_refined_trace_unchanged(monkeypatch):
     def recording(g, sep=None, near=None):
         r = real(g, sep, near)
         calls[near is None, r is None] += 1
+        if g.n_alive() < 4 and g != root:
+            small.append(g)
         return r
 
+    small = []
     full = {}
     monkeypatch.setitem(mist.reduce._FINDERS, "op10", lambda g, sep=None, near=None: real(g, sep))
     for i, g in enumerate(roots):
         full[i] = _trace_lines(reduce_to_fixpoint(g, "refined"))
     monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
-    for i, g in enumerate(roots):
-        assert _trace_lines(reduce_to_fixpoint(g, "refined")) == full[i], g
-    # most searches are local, and local searches fire too
-    assert calls[False, True] > calls[True, True] and calls[False, False] > 0
+    for i, root in enumerate(roots):
+        assert _trace_lines(reduce_to_fixpoint(root, "refined")) == full[i], root
+    # local searches run and fire, and below the root no graph under four
+    # vertices is searched
+    assert calls[False, True] > 0 and calls[False, False] > 0
+    assert small == []
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
@@ -452,7 +458,9 @@ def test_reduce_of_a_200_path_takes_three_nodes(monkeypatch, mode):
 
 
 def _assert_one_pass_per_node(monkeypatch, g, mode):
-    # the passes keep their graphs alive, so no two share an id
+    # one pass for the root, for each node of four or more vertices and for
+    # a refined triangle, and none for any other node; the passes keep their
+    # graphs alive, so no two share an id
     passed = []
     real_pass = mist.reduce.separations
 
@@ -463,8 +471,15 @@ def _assert_one_pass_per_node(monkeypatch, g, mode):
     with monkeypatch.context() as m:
         m.setattr(mist.reduce, "separations", counting_pass)
         trace = reduce_to_fixpoint(g, mode)
-    assert len({id(h) for h in passed}) == len(passed) == len(trace.nodes)
-    assert [(h.alive, h.adj) for h in passed] == [(h.alive, h.adj) for h in replay(trace)]
+    searched = [
+        h
+        for i, h in enumerate(replay(trace))
+        if i == 0
+        or h.n_alive() >= 4
+        or mode == "refined" and (h.n_alive(), h.edge_count()) == (3, 3)
+    ]
+    assert len({id(h) for h in passed}) == len(passed) == len(searched)
+    assert [(h.alive, h.adj) for h in passed] == [(h.alive, h.adj) for h in searched]
     return trace
 
 
@@ -488,6 +503,32 @@ def test_large_sparse_reduces_leave_no_rule_for_a_full_search():
         for i in trace.leaves():
             leaf = trace.nodes[i].graph
             assert find_reduction(leaf, strong + weak, separations(leaf), None) is None
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_no_rule_but_op11_on_a_triangle_fires_under_four_vertices(mode):
+    # why reduce_to_fixpoint makes every other node under four vertices a
+    # leaf unsearched: on each connected graph of 1-3 vertices, with its ids
+    # in every order, dense or spread over 0..11, only refined op11 fires,
+    # and only on the triangle
+    strong, weak = RULESETS[mode]
+    tried = 0
+    for g in connected_graphs_up_to_iso(3):
+        k = g.n_alive()
+        for order in itertools.permutations(range(k)):
+            for span, at in ((k, order), (12, [4 + 3 * x for x in order])):
+                h = build_graph(span, [(at[u], at[v]) for u, v in g.edge_list()])
+                for v in set(range(span)) - set(at):
+                    h.remove_vertex(v)
+                fired = [
+                    kind
+                    for kind in strong + weak
+                    if find_reduction(h, (kind,), separations(h), None) is not None
+                ]
+                triangle = mode == "refined" and g.edge_count() == 3
+                assert fired == (["op11"] if triangle else []), h
+                tried += 1
+    assert tried == 2 * (1 + 2 + 6 + 6)
 
 
 @pytest.mark.parametrize(

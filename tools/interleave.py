@@ -1,0 +1,121 @@
+"""Time two source trees of mist against each other, one operation at a time.
+
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC --workload gate --seed 1 --scale 0.25 --reps 3
+
+PARENT_SRC and CHANGE_SRC are src/ directories that each hold a mist
+package.  Each is imported under its own package name, so both run in one
+process.  The operations of perfbench/corpus.build (parse_graph, run with
+keep_state=True, verify_run) run alternately on the two, the order flipped
+on every operation, so a drift in host speed falls on both sides alike;
+separate benchmark runs on a shared host can differ by 10 %, more than a
+change of a few per cent.  Any difference in the outputs (the tree, the
+upper bound, the trace steps, the verify checks and opt, or the error
+raised) stops the run with exit status 1.  Otherwise it prints, for each
+side, the total time and the median solve and verify times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus as corpus_mod  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load(src: str, name: str):
+    """The mist package under src, imported as the package name."""
+    init = Path(src) / "mist" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no mist package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int]:
+    """The operation's outputs as text, and its solve and verify times in ns."""
+    t0 = t1 = time.perf_counter_ns()
+    try:
+        g = mist.parse_graph(text)
+        t0 = time.perf_counter_ns()
+        report = mist.run(g, mode, keep_state=True)
+        t1 = time.perf_counter_ns()
+        vr = mist.verify_run(g, report)
+    except Exception as exc:  # compared across the sides like any output
+        t = time.perf_counter_ns()
+        return f"! {type(exc).__name__}: {exc}", t - t0, 0
+    t2 = time.perf_counter_ns()
+    steps = [(n.parent, n.children, repr(n.applied)) for n in report.trace.nodes]
+    out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
+    return out, t1 - t0, t2 - t1
+
+
+def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
+    """Per-side times, and a description of the first output difference."""
+    times = {side: {"total": 0, "solve": [], "verify": []} for side in SIDES}
+    flip = 0
+    for _ in range(reps):
+        for k, op in enumerate(corp.ops):
+            text = corp.instances[op.instance].text
+            order = SIDES if flip % 2 == 0 else SIDES[::-1]
+            flip += 1
+            outs = {}
+            for side in order:
+                t0 = time.perf_counter_ns()
+                outs[side], solve, verify = run_op(mists[side], text, op.mode)
+                times[side]["total"] += time.perf_counter_ns() - t0
+                times[side]["solve"].append(solve)
+                times[side]["verify"].append(verify)
+            if outs["parent"] != outs["change"]:
+                return times, f"op {k} ({op.mode}): {outs['parent']!r} != {outs['change']!r}"
+    return times, None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="src/ directory of the parent tree")
+    parser.add_argument("change", help="src/ directory of the changed tree")
+    parser.add_argument("--workload", choices=sorted(corpus_mod.WORKLOADS), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--reps", type=int, default=1)
+    args = parser.parse_args(argv)
+    names = {side: f"mist_{side}" for side in SIDES}
+    try:
+        mists = {side: load(src, names[side]) for side, src in zip(SIDES, (args.parent, args.change))}
+        corp = corpus_mod.build(args.workload, args.seed, args.scale)
+        times, diff = interleave(mists, corp, args.reps)
+    finally:
+        for name in names.values():
+            for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+                del sys.modules[key]
+    if diff is not None:
+        print(f"outputs differ: {diff}")
+        return 1
+    print(f"{args.workload} seed {args.seed} scale {args.scale}: {len(corp.ops)} ops x {args.reps}")
+    for side in SIDES:
+        t = times[side]
+        print(
+            f"{side:>6}: total {t['total'] / 1e9:.3f} s, "
+            f"solve p50 {statistics.median(t['solve']) / 1e6:.4f} ms, "
+            f"verify p50 {statistics.median(t['verify']) / 1e6:.4f} ms"
+        )
+    print(f"change/parent total: {times['change']['total'] / times['parent']['total']:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
