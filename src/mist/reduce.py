@@ -51,7 +51,11 @@ class StrongReduction:
 
 @dataclass(frozen=True, slots=True)
 class Peel:
-    """One op4 replacement: the block K hanging off v becomes a pendant at v."""
+    """One op4 replacement: the block K hanging off v becomes a pendant at v.
+
+    Only a step's first peel is kept as a Peel; the path peels after it are
+    implied by their cut vertices (WeakReduction.path).
+    """
 
     cut_vertex: int
     component: tuple[int, ...]
@@ -68,7 +72,11 @@ class WeakReduction:
     parts: int
     bridge: Edge | None = None
     sides: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    peels: tuple[Peel, ...] | None = None  # op4, in order
+    # op4: the first peel, then the cut vertex w_i of each path peel after
+    # it; w_i peels {w_(i-1), p + i - 1} with the pendant p + i, where w_0
+    # and p are the first peel's cut vertex and pendant
+    peel: Peel | None = None
+    path: tuple[int, ...] | None = None
     # op11: (u1, u2, o1, o2) per contraction, in order; u2 merges into u1
     contractions: tuple[tuple[int, int, int, int], ...] | None = None
 
@@ -522,7 +530,10 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
       op10 found nothing then, and its size cap only shrinks.
     - g - v has pieces of 1 and more than 8 vertices, so the first cut
       vertex with a piece of 2-8 is w, and its first piece is {v, p}.
-    Pendant ids are the ones single steps would assign.
+    Pendant ids are the ones single steps would assign.  Such a path peel
+    is recorded by w alone, appended to the step's path: K' + {w} is the
+    path p-v-w, a tree, so with the new pendant at w its only spanning tree
+    has v and w internal, and the peel adds 1 to c.
     """
     sep = sep or separations(g)
     for v in sorted(sep.sizes):
@@ -536,8 +547,8 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     k_comp = small[0]
     kv = {v, *k_comp}
     block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
-    p = g.vertex_count
-    peels = [_peel(v, tuple(k_comp), p, block)]
+    peel = _peel(v, tuple(k_comp), g.vertex_count, block)
+    path = []
     gone = set(k_comp)  # vertices of g the run has removed
     left = g.n_alive() - len(k_comp) + 1
     low = 0  # every vertex of g below low is gone but v
@@ -550,12 +561,9 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
             break
         gone.add(v)
         low = w
-        # K' + {w} is the path p-v-w, a tree: with the new pendant at w,
-        # its only spanning tree has v and w internal
-        block = ((v, w), (v, p))
-        peels.append(Peel(w, (v, p), p + 1, block, 2, block))
-        v, p, left = w, p + 1, left - 1
-    return WeakReduction("op4", sum(s.inner_opt - 1 for s in peels), 1, peels=tuple(peels))
+        path.append(w)
+        v, left = w, left - 1
+    return WeakReduction("op4", peel.inner_opt - 1 + len(path), 1, peel=peel, path=tuple(path))
 
 
 def _peel(v: int, k_comp: tuple[int, ...], pendant: int, block: tuple[Edge, ...]) -> Peel:
@@ -594,6 +602,11 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     other rules are tried only between steps.  Each contraction records its
     merged pair and its outside pair (o1, o2), the other neighbours of u1
     and u2.
+
+    The run is walked in g: u1's two current neighbours a < b are kept with
+    the vertex each was reached from (u1 itself, or the run vertex merged
+    before it), and a merged vertex's outside neighbour is its other
+    neighbour in g.
     """
     adj = g.adj
     for u1, row in enumerate(adj):  # a dead vertex's row is empty
@@ -601,18 +614,24 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
             break
     else:
         return None
-    gone: set[int] = set()
+    a, b = row
+    from_a = from_b = u1
     run = []
-    while len(row) == 2:  # row: u1's neighbours after the contractions so far
-        live = [x for x in row if len(adj[x]) == 2]
-        if not live:
-            break
-        u2 = live[0]
-        o1 = row[1] if row[0] == u2 else row[0]
-        o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
-        run.append((u1, u2, o1, o2))
-        gone.add(u2)
-        row = sorted({o1, o2})
+    while True:
+        if len(adj[a]) != 2:
+            if len(adj[b]) != 2:
+                break
+            a, from_a, b, from_b = b, from_b, a, from_a
+        # a merges into u1; b stays its neighbour, and a's other one joins it
+        x, y = adj[a]
+        o2 = y if x == from_a else x
+        run.append((u1, a, b, o2))
+        if o2 == b:
+            break  # a triangle closed: u1 is left with one neighbour
+        if o2 < b:
+            a, from_a = o2, a
+        else:
+            a, from_a, b, from_b = b, from_b, o2, a
     return WeakReduction("op11", len(run), 1, contractions=tuple(run))
 
 
@@ -636,25 +655,41 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
                 h.remove_vertex(x)
             out.append(h)
     elif r.kind == "op4":
-        _check(r.c == sum(s.inner_opt - 1 for s in r.peels), "constant is not the peels' sum")
+        s = r.peel
+        _check(r.c == s.inner_opt - 1 + len(r.path), "constant is not the peels' sum")
         rows, up = _rows_of(g)
-        for s in r.peels:
-            v, k_comp = s.cut_vertex, s.component
-            if not (0 <= v < len(up) and up[v]):
-                raise StaleWitness(f"cut vertex {v} gone")
-            if v in k_comp or not _hangs(rows, up, k_comp, v):
-                raise StaleWitness(f"hanging block at {v} changed")
-            p = len(rows)
-            if s.pendant != p:
-                raise StaleWitness(f"pendant id at {v} mismatch")
-            # K goes; v is its only neighbour outside it, and gains the
-            # pendant, whose id is the largest
-            for x in k_comp:
-                rows[x] = []
-                up[x] = False
-            rows[v] = [y for y in rows[v] if y not in k_comp] + [p]
-            rows.append([v])
+        v, k_comp = s.cut_vertex, s.component
+        if not (0 <= v < len(up) and up[v]):
+            raise StaleWitness(f"cut vertex {v} gone")
+        if v in k_comp or not _hangs(rows, up, k_comp, v):
+            raise StaleWitness(f"hanging block at {v} changed")
+        p = len(rows)
+        if s.pendant != p:
+            raise StaleWitness(f"pendant id at {v} mismatch")
+        # K goes; v is its only neighbour outside it, and gains the
+        # pendant, whose id is the largest
+        for x in k_comp:
+            rows[x] = []
+            up[x] = False
+        rows[v] = [y for y in rows[v] if y not in k_comp] + [p]
+        rows.append([v])
+        up.append(True)
+        for w in r.path:
+            # v's row ends with its pendant p, whose row is [v], so {v, p}
+            # is a component of the graph minus w exactly when w is neither
+            # and v has no neighbour besides w and p
+            if not (0 <= w < len(up) and up[w]):
+                raise StaleWitness(f"cut vertex {w} gone")
+            rest = rows[v][:-1]
+            if w == v or w == p or rest and rest != [w]:
+                raise StaleWitness(f"hanging block at {w} changed")
+            rows[v], rows[p] = [], []
+            up[v] = up[p] = False
+            p += 1
+            rows[w] = [y for y in rows[w] if y != v] + [p]
+            rows.append([w])
             up.append(True)
+            v = w
         h = Graph(0)
         h.write_rows(rows, up)
         out = [h]
@@ -696,14 +731,17 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
     return out
 
 
-# An op4 or op11 step edits the same few rows once per record.  Its sweep
-# edits bare rows and an alive mask, checking each record against them as
-# the records before it left them, and has Graph.write_rows recount the
-# graph once at the end.  Applying a step edits private copies of the
-# parent's rows, which the parent keeps; undoing one edits the rows of the
-# child graph it rebuilds, which the lift owns.  Where a record stands for
-# Graph edits, the sweep makes them with the same checks and messages
-# (graph.add_edge_in, remove_edge_in and revive_in).
+# An op4 or op11 step edits the same few rows once per peel or
+# contraction.  Its sweep edits bare rows and an alive mask, checking each
+# peel or contraction against them as the ones before it left them, and
+# has Graph.write_rows recount the graph once at the end.  Applying a step
+# edits private copies of the parent's rows, which the parent keeps;
+# undoing one edits the rows of the child graph it rebuilds, which the
+# lift owns.  Where a record stands for Graph edits, the sweep makes them
+# with the same checks and messages (graph.add_edge_in, remove_edge_in and
+# revive_in).  An op4 path peel has no record but its cut vertex: apply
+# checks its block {v, p} by v's row instead of a _hangs search, and undo
+# rebuilds the block's edges from v, w and p.
 
 
 def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: int) -> bool:
@@ -862,25 +900,15 @@ def _undo(
         edges.add(r.bridge)
     elif r.kind == "op4":
         rows, up = h.adj, h.alive
-        for s in reversed(r.peels):
-            v, p = s.cut_vertex, s.pendant  # the pendant's id is the larger
-            if (v, p) not in edges:
-                raise InternalInvariant("pendant edge missing from subtree")
-            edges.remove((v, p))
-            edges.update(s.inner_tree)
-            # the Graph edits undone: remove v-p, pop the last id (the
-            # pendant, added by the peel), revive K, add the block's edges
-            remove_edge_in(rows, v, p)
-            last = len(rows) - 1
-            if not (last >= 0 and up[last]):
-                raise InternalInvariant(f"vertex {last} already dead")
-            for y in rows.pop():
-                rows[y].remove(last)
-            up.pop()
-            for x in s.component:
-                revive_in(rows, up, x)
-            for a, b in s.block_edges:
-                add_edge_in(rows, up, a, b)
+        s, path = r.peel, r.path
+        for i in range(len(path), 0, -1):
+            # the path peel at w took {v, q - 1} off it, v the cut vertex
+            # before it; the block is the path (q - 1)-v-w, its own tree
+            w, q = path[i - 1], s.pendant + i
+            v = path[i - 2] if i > 1 else s.cut_vertex
+            block = ((v, w) if v < w else (w, v), (v, q - 1))
+            _undo_peel(rows, up, edges, w, (v, q - 1), q, block, block)
+        _undo_peel(rows, up, edges, s.cut_vertex, s.component, s.pendant, s.inner_tree, s.block_edges)
         h.write_rows(rows, up)
     elif r.kind == "op11":
         rows, up = h.adj, h.alive
@@ -907,6 +935,27 @@ def _undo(
     if lifted.weight < floor:
         raise InternalInvariant(f"{r.kind} lift fell below its floor")
     return h, lifted
+
+
+def _undo_peel(rows, up, edges, v, k_comp, p, inner_tree, block_edges) -> None:
+    """Undo the peel of k_comp off v with the pendant p, on bare rows and the tree's edges."""
+    if (v, p) not in edges:  # the pendant's id is the larger
+        raise InternalInvariant("pendant edge missing from subtree")
+    edges.remove((v, p))
+    edges.update(inner_tree)
+    # the Graph edits undone: remove v-p, pop the last id (the pendant,
+    # added by the peel), revive K, add the block's edges
+    remove_edge_in(rows, v, p)
+    last = len(rows) - 1
+    if not (last >= 0 and up[last]):
+        raise InternalInvariant(f"vertex {last} already dead")
+    for y in rows.pop():
+        rows[y].remove(last)
+    up.pop()
+    for x in k_comp:
+        revive_in(rows, up, x)
+    for a, b in block_edges:
+        add_edge_in(rows, up, a, b)
 
 
 def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
@@ -978,7 +1027,8 @@ def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]
     elif r.kind == "op3":
         touched = set(r.bridge)
     elif r.kind == "op4":
-        touched = {x for s in r.peels for x in (s.cut_vertex, s.pendant)}
+        # every cut vertex but the last, and every pendant but the last, is dead in h
+        touched = {r.path[-1] if r.path else r.peel.cut_vertex, r.peel.pendant + len(r.path)}
     else:
         touched = {x for record in r.contractions for x in record}
     return {

@@ -9,7 +9,12 @@ reduction trace does not keep by applying its steps forward; the
 augmented-pendant route to a preferred cover, which checks the library's
 forced-leaf route against the library's unconstrained cover search; and
 the per-edit op4 and op11 loops, which apply and undo a run one checked
-Graph edit at a time, as the reference for the engine's one-write sweeps.
+Graph edit at a time, as the reference for the engine's one-write sweeps;
+and the op4 and op11 finders written the plain way, as the reference for
+the engine's compact op4 records and walked op11 runs: op4 builds every
+peel as a Peel (the first through the library's _peel) over the library's
+separations, and op11 re-derives each contraction from the set of
+vertices merged so far.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -30,7 +35,7 @@ from unittest import mock
 import mist.exact
 import mist.reduce
 from mist import Graph, norm_edge
-from mist.graph import component_of, twin_groups
+from mist.graph import component_of, connected_components, separations, twin_groups
 from mist.cover import Cover, PiPair, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
@@ -41,8 +46,10 @@ from mist.errors import (
 )
 from mist.exact import OST_CAP, TreeResult, max_tfpcc_exact, tree_result
 from mist.reduce import (
+    Peel,
     StrongReduction,
     WeakReduction,
+    _peel,
     apply_strong_reduction,
     apply_weak_reduction,
 )
@@ -608,6 +615,87 @@ def replay(trace) -> list[Graph]:
     return [graphs[i] for i in range(len(trace.nodes))]
 
 
+def op4_peels(r: WeakReduction) -> list[Peel]:
+    """The peels an op4 step stands for: its first peel, then one per path vertex.
+
+    The path peel at w_i takes {w_(i-1), p + i - 1} off w_i with the pendant
+    p + i, its block the path (p + i - 1)-w_(i-1)-w_i and its own inner tree.
+    """
+    peels = [r.peel]
+    v, p = r.peel.cut_vertex, r.peel.pendant
+    for w in r.path:
+        block = (norm_edge(v, w), (v, p))
+        peels.append(Peel(w, (v, p), p + 1, block, 2, block))
+        v, p = w, p + 1
+    return peels
+
+
+def reference_find_op4(g: Graph) -> list[Peel] | None:
+    """The peels of find_op4's step on g, each built as a Peel.
+
+    The first peel is at the first cut vertex v with a piece of 2-8
+    vertices, and takes the first such piece; the run goes on at w while
+    v's neighbours left are the last pendant and w, w > v, every other
+    vertex below w is gone and more than 10 vertices are left.
+    """
+    sep = separations(g)
+    for v in sorted(sep.sizes):
+        if any(2 <= k <= 8 for k in sep.sizes[v]):
+            small = [k for k in connected_components(g, frozenset((v,))) if 2 <= len(k) <= 8]
+            if small:
+                break
+    else:
+        return None
+    k_comp = small[0]
+    kv = {v, *k_comp}
+    block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
+    p = g.vertex_count
+    peels = [_peel(v, tuple(k_comp), p, block)]
+    gone = set(k_comp)
+    left = g.n_alive() - len(k_comp) + 1
+    while left > 10:
+        rest = [x for x in g.adj[v] if x not in gone]
+        if len(rest) != 1:
+            break
+        w = rest[0]
+        if w < v or any(g.alive[x] and x not in gone for x in range(w) if x != v):
+            break
+        gone.add(v)
+        block = ((v, w), (v, p))
+        peels.append(Peel(w, (v, p), p + 1, block, 2, block))
+        v, p, left = w, p + 1, left - 1
+    return peels
+
+
+def reference_find_op11(g: Graph) -> tuple[tuple[int, int, int, int], ...] | None:
+    """The contractions of find_op11's step on g, re-derived from a gone set.
+
+    The run starts at the first edge whose ends both have degree 2 and,
+    while u1 has two neighbours, merges its lowest-id degree-2 neighbour u2
+    into it; o1 is u1's other neighbour and o2 u2's neighbour besides u1
+    and the vertices merged before.
+    """
+    adj = g.adj
+    for u1, row in enumerate(adj):
+        if len(row) == 2 and (len(adj[row[0]]) == 2 or len(adj[row[1]]) == 2):
+            break
+    else:
+        return None
+    gone: set[int] = set()
+    run = []
+    while len(row) == 2:
+        live = [x for x in row if len(adj[x]) == 2]
+        if not live:
+            break
+        u2 = live[0]
+        o1 = row[1] if row[0] == u2 else row[0]
+        o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
+        run.append((u1, u2, o1, o2))
+        gone.add(u2)
+        row = sorted({o1, o2})
+    return tuple(run)
+
+
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise StaleWitness(msg)
@@ -622,8 +710,9 @@ def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
     """
     h = g.copy()
     if r.kind == "op4":
-        _check(r.c == sum(s.inner_opt - 1 for s in r.peels), "constant is not the peels' sum")
-        for s in r.peels:
+        peels = op4_peels(r)
+        _check(r.c == sum(s.inner_opt - 1 for s in peels), "constant is not the peels' sum")
+        for s in peels:
             v, k_comp = s.cut_vertex, s.component
             _check(h.is_alive(v), f"cut vertex {v} gone")
             _check(
@@ -661,7 +750,7 @@ def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph
     """
     edges = set(t.edges)
     if r.kind == "op4":
-        for s in reversed(r.peels):
+        for s in reversed(op4_peels(r)):
             pe = (s.cut_vertex, s.pendant)
             if pe not in edges:
                 raise InternalInvariant("pendant edge missing from subtree")

@@ -35,6 +35,7 @@ from mist.transform import check_stage2_structure
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
     check_runs_against_reference,
+    op4_peels,
     outcome_digest,
     outcome_line,
     path_cover_from_tree,
@@ -355,7 +356,7 @@ def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
 def _first_peel_only(g, sep=None):
     """op4 cut down to the first peel of its run: one block per step."""
     r = find_op4(g, sep)
-    return r and dataclasses.replace(r, c=r.peels[0].inner_opt - 1, peels=r.peels[:1])
+    return r and dataclasses.replace(r, c=r.peel.inner_opt - 1, path=())
 
 
 def _outcome(g, mode, op4):
@@ -370,7 +371,7 @@ def _outcome(g, mode, op4):
     steps = Counter()
     for node in report.trace.nodes:
         r = node.applied
-        steps.update(r.peels if r is not None and r.kind == "op4" else [r])
+        steps.update(op4_peels(r) if r is not None and r.kind == "op4" else [r])
     opt, checks = _verdict(verify_run(g, report))
     checks = [(re.sub(r"^leaf\d+-", "leaf-", name), ok, detail) for name, ok, detail in checks]
     return steps, report.tree.edges, report.upper_bound, opt, checks
@@ -393,7 +394,7 @@ def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
 
     def counting(g, sep=None):
         r = find_op4(g, sep)
-        longest[name] = max(longest[name], len(r.peels) if r else 0)
+        longest[name] = max(longest[name], len(op4_peels(r)) if r else 0)
         return r
 
     bad = []

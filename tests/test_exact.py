@@ -42,6 +42,7 @@ from helpers import (
     build_graph,
     induced_subgraph,
     naive_components,
+    op4_peels,
     path_cover_from_tree,
     random_connected,
     random_tree,
@@ -494,7 +495,7 @@ def test_op4_blocks_without_a_search_get_the_searched_tree():
         for n in range(12, 40)
         for node in reduce_to_fixpoint(gen_path(n), "simple").nodes
         if node.applied is not None
-        for s in node.applied.peels
+        for s in op4_peels(node.applied)
     ]
     for s in peels:
         t = _solved_by_op4(s.cut_vertex, s.component, s.pendant, s.block_edges)

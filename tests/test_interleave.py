@@ -4,7 +4,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 import mist
+import mist.reduce
+from mist import norm_edge
+from mist.reduce import StrongReduction, find_op1
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -32,8 +36,48 @@ def test_an_output_difference_stops_the_run():
         report.upper_bound += mode == "refined"
         return report
 
-    changed = SimpleNamespace(parse_graph=mist.parse_graph, run=run, verify_run=mist.verify_run)
+    changed = SimpleNamespace(
+        parse_graph=mist.parse_graph, run=run, verify_run=mist.verify_run, reduce=mist.reduce
+    )
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
     first = next(k for k, op in enumerate(corp.ops) if op.mode == "refined")
     assert diff.startswith(f"op {first} (refined): ")
     assert len(times["parent"]["solve"]) == len(times["change"]["solve"]) == first + 1
+
+
+def _drop_the_other_pendant(g, sep=None, near=None):
+    # op1 keeps u2 and drops u1: the two are twins, so the tree, the bound
+    # and the step's kind and c come out the same, but the child graph not
+    r = find_op1(g, sep, near)
+    if r is None:
+        return None
+    u1, u2, v = r.witness
+    e = norm_edge(u1, v)
+    return StrongReduction("op1", (u1,), (e,), (e,), (u2, u1, v))
+
+
+def test_a_step_that_changes_a_different_graph_stops_the_run():
+    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+
+    def run(g, mode, keep_state=False):
+        with pytest.MonkeyPatch.context() as m:
+            m.setitem(mist.reduce._FINDERS, "op1", _drop_the_other_pendant)
+            return mist.run(g, mode, keep_state)
+
+    def has_op1(op):
+        report = mist.run(mist.parse_graph(corp.instances[op.instance].text), op.mode, True)
+        return any(n.applied is not None and n.applied.kind == "op1" for n in report.trace.nodes)
+
+    changed = SimpleNamespace(
+        parse_graph=mist.parse_graph, run=run, verify_run=mist.verify_run, reduce=mist.reduce
+    )
+    times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
+    first = next(k for k, op in enumerate(corp.ops) if has_op1(op))
+    op = corp.ops[first]
+    assert diff.startswith(f"op {first} ({op.mode}): ")
+    # only the replayed graphs tell the two apart
+    g = mist.parse_graph(corp.instances[op.instance].text)
+    reports = [mist.run(g, op.mode, True), run(g, op.mode, True)]
+    assert len({(r.tree, r.upper_bound) for r in reports}) == 1
+    steps = [interleave.replay_steps(mist.reduce, r.trace) for r in reports]
+    assert [s[:4] for s in steps[0]] == [s[:4] for s in steps[1]] and steps[0] != steps[1]

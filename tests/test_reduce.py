@@ -13,7 +13,7 @@ import mist.reduce
 from mist import Graph, reduce_to_fixpoint
 from mist.errors import ArityMismatch, InternalInvariant, StaleWitness
 from mist.exact import opt_spanning_tree
-from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
 from mist.reduce import (
     RULESETS,
     StrongReduction,
@@ -34,11 +34,15 @@ from mist.graph import separations
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
+    add_vertex,
     bfs_tree,
     build_graph,
     check_runs_against_reference,
     naive_op10,
+    op4_peels,
     random_connected,
+    reference_find_op4,
+    reference_find_op11,
     replay,
 )
 
@@ -412,7 +416,7 @@ def test_op10_after_op4_skips_the_blocks_that_hold_the_new_pendant(monkeypatch):
     monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
     trace = reduce_to_fixpoint(g, "refined")
     assert trace.nodes[0].applied.kind == "op4"
-    assert [s.pendant for s in trace.nodes[0].applied.peels] == [13]
+    assert [s.pendant for s in op4_peels(trace.nodes[0].applied)] == [13]
     assert nears[:2] == [None, {0, 13}]
     child = replay(trace)[1]
     searched = []
@@ -451,9 +455,11 @@ def test_refined_reduce_of_a_200_chain_takes_a_few_nodes(monkeypatch, family, no
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_reduce_of_a_200_path_takes_three_nodes(monkeypatch, mode):
     # one op4 step peels the path down to 10 vertices, a second cuts off the
-    # 8-vertex end piece, and the 3-path left is the leaf
+    # 8-vertex end piece, and the 3-path left is the leaf; the first step
+    # keeps one Peel and the 189 cut vertices of its path
     trace = _assert_one_pass_per_node(monkeypatch, gen_path(200), mode)
-    assert [len(node.applied.peels) for node in trace.nodes[:2]] == [190, 1]
+    assert [len(op4_peels(node.applied)) for node in trace.nodes[:2]] == [190, 1]
+    assert [len(node.applied.path) for node in trace.nodes[:2]] == [189, 0]
     assert len(trace.nodes) == 3
 
 
@@ -650,7 +656,7 @@ def test_op4_replaces_a_hanging_component_with_a_pendant():
     assert find_op3(g) is None
     r = find_op4(g)
     assert r is not None and r.kind == "op4"
-    (peel,) = r.peels
+    (peel,) = op4_peels(r)
     assert peel.cut_vertex == 2
     assert peel.component == (0, 1)
     assert peel.pendant == 5
@@ -668,11 +674,13 @@ def test_op4_peels_a_path_down_to_ten_vertices_in_one_step():
     # pendant with the last cut vertex off the next path vertex
     g = path(24)
     r = find_op4(g)
-    assert [(s.cut_vertex, s.component, s.pendant) for s in r.peels] == [
+    assert r.path == tuple(range(3, 16))
+    peels = op4_peels(r)
+    assert [(s.cut_vertex, s.component, s.pendant) for s in peels] == [
         (2, (0, 1), 24)
     ] + [(v, (v - 1, v + 21), v + 22) for v in range(3, 16)]
-    assert [s.block_edges for s in r.peels[1:3]] == [((2, 3), (2, 24)), ((3, 4), (3, 25))]
-    assert all(s.inner_tree == s.block_edges and s.inner_opt == 2 for s in r.peels)
+    assert [s.block_edges for s in peels[1:3]] == [((2, 3), (2, 24)), ((3, 4), (3, 25))]
+    assert all(s.inner_tree == s.block_edges and s.inner_opt == 2 for s in peels)
     assert r.c == 14
     (h,) = apply_weak_reduction(g, r)
     assert alive_edges(h) == (10, sorted([(15, 37)] + [(v, v + 1) for v in range(15, 23)]))
@@ -696,21 +704,20 @@ def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
         searches.clear()
         r = find_op4(g)
         apply_weak_reduction(g, r)
-        assert len(r.peels) == peels
+        assert len(op4_peels(r)) == peels
         assert searches == [frozenset((v,))]
 
 
 def test_op4_rechecks_every_peel_of_its_run():
     g = path(24)
     r = find_op4(g)
-    peels = list(r.peels)
-    peels[2] = dataclasses.replace(peels[2], component=(3, 24))  # 24 went with peel 1
-    with pytest.raises(StaleWitness, match="hanging block at 4 changed"):
-        apply_weak_reduction(g, dataclasses.replace(r, peels=tuple(peels)))
-    peels = list(r.peels)
-    peels[5] = dataclasses.replace(peels[5], pendant=30)
-    with pytest.raises(StaleWitness, match="pendant id at 7 mismatch"):
-        apply_weak_reduction(g, dataclasses.replace(r, peels=tuple(peels)))
+    # the path peel at 5 in place of 4: 3's row is [4, 25], so {3, 25} does
+    # not hang off 5 alone
+    with pytest.raises(StaleWitness, match="hanging block at 5 changed"):
+        apply_weak_reduction(g, _with_record(r, "path", 1, 5))
+    # only the first peel stores its pendant; the path's follow from it
+    with pytest.raises(StaleWitness, match="pendant id at 2 mismatch"):
+        apply_weak_reduction(g, dataclasses.replace(r, peel=dataclasses.replace(r.peel, pendant=30)))
     with pytest.raises(StaleWitness, match="constant"):
         apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
 
@@ -718,10 +725,13 @@ def test_op4_rechecks_every_peel_of_its_run():
 def test_lift_fails_its_root_check_when_a_peel_is_dropped():
     trace = reduce_to_fixpoint(path(24), "simple")
     r = trace.nodes[0].applied
-    assert r.kind == "op4" and len(r.peels) == 14
+    assert r.kind == "op4" and len(op4_peels(r)) == 14
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
     assert trace.lift_all(leaf_trees).weight == 22
-    trace.nodes[0].applied = dataclasses.replace(r, c=r.c - 1, peels=r.peels[1:])
+    # the second peel becomes the first, the rest of the path kept
+    trace.nodes[0].applied = dataclasses.replace(
+        r, c=r.c - 1, peel=op4_peels(r)[1], path=r.path[1:]
+    )
     with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
         trace.lift_all(leaf_trees)
 
@@ -757,6 +767,8 @@ def test_op11_rechecks_every_contraction_of_its_run():
     run[1] = (0, 2, 7, 4)  # 2's outside neighbour is 3
     with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
         apply_weak_reduction(g, dataclasses.replace(r, contractions=tuple(run)))
+    with pytest.raises(StaleWitness, match="constant is not the contraction count"):
+        apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
 
 
 def _with_record(r, field, i, record):
@@ -784,9 +796,20 @@ def test_op4_rechecks_each_middle_cut_vertex_against_the_rows_so_far():
     # the second peel took 2 away, so a fourth peel at 2 is stale
     g = path(24)
     r = find_op4(g)
-    peel = dataclasses.replace(r.peels[3], cut_vertex=2)
     with pytest.raises(StaleWitness, match="cut vertex 2 gone"):
-        apply_weak_reduction(g, _with_record(r, "peels", 3, peel))
+        apply_weak_reduction(g, _with_record(r, "path", 2, 2))
+
+
+def test_op4_undo_pops_only_a_live_last_id():
+    # the child gets a dead id 38 above its last pendant 37: undoing the
+    # last path peel removes the edge 15-37, then finds the last id dead
+    g = path(24)
+    r = find_op4(g)
+    (h,) = apply_weak_reduction(g, r)
+    t = bfs_tree(h)
+    h.remove_vertex(add_vertex(h))
+    with pytest.raises(InternalInvariant, match="vertex 38 already dead"):
+        mist.reduce._undo(r, [h], [t])
 
 
 def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
@@ -807,6 +830,38 @@ def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_chains(monkeypatch):
     roots += [gen_theta(n) for n in range(5, 61)]
     seen = check_runs_against_reference(monkeypatch, roots)
     assert seen == {"op4 apply": 270, "op4 undo": 270, "op11 apply": 219, "op11 undo": 219}
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
+    # every op4 step stands for the peels the reference finder builds one
+    # Peel each, and every op11 step holds the reference finder's records;
+    # a path keeps one Peel per op4 step however long its run
+    roots = [("path", n, gen_path(n)) for n in range(4, 201)]
+    roots += [("cycle", n, gen_cycle(n)) for n in range(4, 201)]
+    roots += [("theta", n, gen_theta(n)) for n in range(5, 201)]
+    roots += [("twins", n, gen_twins(n, n)) for n in range(9, 61)]
+    roots += [("sparse", n, gen_sparse(n, n // 10, n)) for n in range(20, 301, 10)]
+    built = []
+    real_peel = mist.reduce.Peel
+    monkeypatch.setattr(mist.reduce, "Peel", lambda *a: built.append(a) or real_peel(*a))
+    steps = Counter()
+    for name, n, g in roots:
+        built.clear()
+        trace = reduce_to_fixpoint(g, mode)
+        if (name, n) == ("path", 200):
+            assert len(built) == 2
+        for node, h in zip(trace.nodes, replay(trace)):
+            r = node.applied
+            if r is not None and r.kind == "op4":
+                assert op4_peels(r) == reference_find_op4(h), (name, n)
+                steps["path peels"] += len(r.path)
+            elif r is not None and r.kind == "op11":
+                assert r.contractions == reference_find_op11(h), (name, n)
+            steps[r and r.kind] += 1
+    assert (steps["op4"], steps["path peels"], steps["op11"]) == {
+        "simple": (1413, 17977, 0), "refined": (1612, 17977, 782)
+    }[mode]
 
 
 @pytest.mark.parametrize("family, mode", [(gen_cycle, "refined"), (gen_path, "simple"), (gen_path, "refined")])
@@ -962,13 +1017,13 @@ def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
     # so every tree still spans its graph and only the root check sees it
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     r = reduce_to_fixpoint(g, "simple").nodes[0].applied
-    (peel,) = r.peels
+    (peel,) = op4_peels(r)
     spare = [e for e in peel.block_edges if e not in peel.inner_tree]
     assert len(spare) == 1
     cut = dataclasses.replace(
         peel, block_edges=tuple(e for e in peel.block_edges if e not in spare)
     )
-    _lift_tampered(g, "simple", "op4", lambda r: {"peels": (cut,)})
+    _lift_tampered(g, "simple", "op4", lambda r: {"peel": cut})
 
 
 def test_lift_rejects_an_op3_step_whose_bridge_moved():
@@ -981,8 +1036,13 @@ def test_lift_rejects_an_op3_step_whose_bridge_moved():
 
 
 def _move_first_cut_vertex(r):
-    first = r.peels[0]
-    return {"peels": (dataclasses.replace(first, cut_vertex=first.cut_vertex + 5), *r.peels[1:])}
+    return {"peel": dataclasses.replace(r.peel, cut_vertex=r.peel.cut_vertex + 5)}
+
+
+def _move_last_path_vertex(r):
+    # the last path peel put the pendant 37 at 15, not at 16
+    assert r.path[-1] == 15
+    return {"path": (*r.path[:-1], 16)}
 
 
 _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 6), (4, 7)]
@@ -999,21 +1059,28 @@ _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4
          InternalInvariant, "op3 lift fell below its floor"),
         (path(24), "simple", "op4", lambda r: {"parts": 2}, ArityMismatch,
          "op4 expects 2 subtrees, got 1"),
-        (path(24), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
+        (path(11), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
          "pendant edge missing from subtree"),
+        (path(24), "simple", "op4", _move_last_path_vertex, InternalInvariant,
+         "pendant edge missing from subtree"),
+        # the first path peel takes {7, 24} off 3, and 7 is alive again by then
+        (path(24), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
+         "vertex 7 is not dead and bare"),
     ],
-    ids=["op4-c", "op11-c", "op3-c", "op4-parts", "op4-cut-vertex"],
+    ids=["op4-c", "op11-c", "op3-c", "op4-parts", "op4-cut-vertex", "op4-last-path-vertex",
+         "op4-cut-vertex-before-a-path"],
 )
 def test_lift_checks_the_step_it_undoes(g, mode, kind, tamper, exc, match):
     _lift_tampered(g, mode, kind, tamper, exc, match)
 
 
-def _move_a_middle_cut_vertex(r):
-    # peel 5 is (7, (6, 28), 29); undoing peel 6 put the edge 7-29 back in
-    # the tree, not 8-29
-    peel = r.peels[5]
-    assert (peel.cut_vertex, peel.pendant) == (7, 29)
-    return {"peels": (*r.peels[:5], dataclasses.replace(peel, cut_vertex=8), *r.peels[6:])}
+def _move_a_middle_path_vertex(r):
+    # peel 5 is at 7 with the pendant 29; with 8 in its place, the peel
+    # after it takes {8, 29} off 8, and undoing that revives 8, alive.  A
+    # middle path vertex is also the next peel's block vertex, so that
+    # revive comes before its own pendant edge is looked up
+    assert op4_peels(r)[5].pendant == 29 and r.path[4] == 7
+    return {"path": (*r.path[:4], 8, *r.path[5:])}
 
 
 def _merge_a_live_vertex(r):
@@ -1028,10 +1095,10 @@ def _merge_a_live_vertex(r):
 @pytest.mark.parametrize(
     "g, mode, kind, tamper, match",
     [
-        (path(24), "simple", "op4", _move_a_middle_cut_vertex, "pendant edge missing from subtree"),
+        (path(24), "simple", "op4", _move_a_middle_path_vertex, "vertex 8 is not dead and bare"),
         (cycle(10), "refined", "op11", _merge_a_live_vertex, "vertex 7 is not dead and bare"),
     ],
-    ids=["op4-pendant-edge", "op11-revive"],
+    ids=["op4-revive", "op11-revive"],
 )
 def test_lift_checks_each_middle_record_against_the_rows_so_far(g, mode, kind, tamper, match):
     _lift_tampered(g, mode, kind, tamper, InternalInvariant, match)

@@ -12,6 +12,13 @@ change of a few per cent.  Any difference in the outputs (the tree, the
 upper bound, the trace steps, the verify checks and opt, or the error
 raised) stops the run with exit status 1.  Otherwise it prints, for each
 side, the total time and the median solve and verify times.
+
+A trace step is compared by what it does, not by how its record is
+written: for every node, its parent and children, the step's kind and
+constant c, and the node's graph (alive vertices and edges) as that side's
+own apply_strong_reduction and apply_weak_reduction replay it from the
+root.  So two sides may store a step differently and still agree.  The
+replay runs after the timed part of the operation.
 """
 
 from __future__ import annotations
@@ -45,9 +52,32 @@ def load(src: str, name: str):
     return module
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int]:
-    """The operation's outputs as text, and its solve and verify times in ns."""
-    t0 = t1 = time.perf_counter_ns()
+def replay_steps(reduce, trace) -> list[tuple]:
+    """What each trace node's step does, replayed with the reduce module given.
+
+    Per node: parent, children, the step's kind and c (0 for a strong step,
+    None at a leaf), and the node's alive vertices and edges.
+    """
+    graphs = {0: trace.nodes[0].graph}
+    steps = []
+    for node in trace.nodes:
+        g, r = graphs.pop(node.index), node.applied
+        kind = None if r is None else r.kind
+        c = None if r is None else getattr(r, "c", 0)
+        steps.append((node.parent, node.children, kind, c, g.alive_list(), g.edge_list()))
+        if isinstance(r, reduce.StrongReduction):
+            graphs[node.children[0]] = reduce.apply_strong_reduction(g, r)
+        elif r is not None:
+            graphs.update(zip(node.children, reduce.apply_weak_reduction(g, r)))
+    return steps
+
+
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int]:
+    """The operation's outputs as text, and its solve, verify and total times in ns.
+
+    The total runs from parsing to the end of verify_run or the error.
+    """
+    start = t0 = t1 = time.perf_counter_ns()
     try:
         g = mist.parse_graph(text)
         t0 = time.perf_counter_ns()
@@ -56,11 +86,14 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int]:
         vr = mist.verify_run(g, report)
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
-        return f"! {type(exc).__name__}: {exc}", t - t0, 0
+        return f"! {type(exc).__name__}: {exc}", t - t0, 0, t - start
     t2 = time.perf_counter_ns()
-    steps = [(n.parent, n.children, repr(n.applied)) for n in report.trace.nodes]
+    try:
+        steps = replay_steps(mist.reduce, report.trace)
+    except Exception as exc:  # a step its own side cannot replay
+        steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, t2 - t1
+    return out, t1 - t0, t2 - t1, t2 - start
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
@@ -74,9 +107,8 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
             flip += 1
             outs = {}
             for side in order:
-                t0 = time.perf_counter_ns()
-                outs[side], solve, verify = run_op(mists[side], text, op.mode)
-                times[side]["total"] += time.perf_counter_ns() - t0
+                outs[side], solve, verify, total = run_op(mists[side], text, op.mode)
+                times[side]["total"] += total
                 times[side]["solve"].append(solve)
                 times[side]["verify"].append(verify)
             if outs["parent"] != outs["change"]:
