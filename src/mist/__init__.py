@@ -19,7 +19,7 @@ from .errors import (
 from .exact import (
     TreeResult,
     hamiltonian_path_between,
-    max_tfpcc_exact,
+    max_tfpcc,
     opt_spanning_tree,
     tree_result,
 )
@@ -55,7 +55,7 @@ __all__ = [
     "compute_pi_pairs",
     "emit_graph",
     "hamiltonian_path_between",
-    "max_tfpcc_exact",
+    "max_tfpcc",
     "norm_edge",
     "opt_spanning_tree",
     "parse_graph",

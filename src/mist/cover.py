@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, PreconditionViolated
-from .exact import TFPCC_CAP, max_tfpcc, max_tfpcc_exact
+from .exact import max_tfpcc
 from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 
@@ -234,12 +234,10 @@ def preferred_tfpcc(g: Graph, pairs: list[PiPair]) -> Cover:
 
     Special means each twin pair of g (pairs, from compute_pi_pairs) keeps
     cover degree at most 1 at its smaller vertex, which the solver enforces
-    as a forced-leaf constraint.  Up to TFPCC_CAP vertices the branch and
-    bound max_tfpcc_exact picks the cover, above it the 2-matching search
-    max_tfpcc.
+    as a forced-leaf constraint.  The 2-matching search max_tfpcc picks the
+    cover at every size.
     """
-    solve = max_tfpcc_exact if g.n_alive() <= TFPCC_CAP else max_tfpcc
-    cover = Cover(g, solve(g, forced_leaves=[p.u1 for p in pairs]))
+    cover = Cover(g, max_tfpcc(g, forced_leaves=[p.u1 for p in pairs]))
     if not is_special(cover, pairs):
         raise InternalInvariant("solver returned a non-special cover")
     return cover

@@ -1,16 +1,16 @@
 """Exact solvers used as oracles and as the base case of the pipeline.
 
-The solvers (opt_spanning_tree, hamiltonian_path_between, max_tfpcc_exact)
-are exponential searches with pruning, guarded by the size caps OST_CAP,
-HAM_CAP and TFPCC_CAP.  They break ties toward smaller vertex ids so
-repeated runs return identical answers.  opt_spanning_tree skips what a
-certificate settles: a tree input is its own answer, the search stops
-once its best tree meets internal_bound, and its floor, the least weight
-wanted, cuts every subtree below it, so a proof that no tree beats a known
-weight w searches only for heavier trees.  max_tfpcc, the cover search
-above TFPCC_CAP, solves at most TFPCC_RESOLVES 2-matchings, each in
-polynomial time; tree_result and the upper bounds internal_bound and
-cut_bound take polynomial time.
+The searches opt_spanning_tree and hamiltonian_path_between are
+exponential, with pruning, and refuse graphs above the size caps OST_CAP
+and HAM_CAP.  They break ties toward smaller vertex ids so repeated runs
+return identical answers.  opt_spanning_tree skips what a certificate
+settles: a tree input is its own answer, the search stops once its best
+tree meets internal_bound, and its floor, the least weight wanted, cuts
+every subtree below it, so a proof that no tree beats a known weight w
+searches only for heavier trees.  max_tfpcc, the one maximum-cover
+solver, has no size cap: it solves at most TFPCC_RESOLVES 2-matchings,
+each in polynomial time.  tree_result and the upper bounds internal_bound
+and cut_bound take polynomial time too.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .errors import (
     PreconditionViolated,
     SizeCapExceeded,
 )
-from .graph import Edge, Graph, find, norm_edge, separations
+from .graph import Edge, Graph, norm_edge, separations
 
 OST_CAP = 12  # largest order opt_spanning_tree searches exactly
 HAM_CAP = 10  # largest order hamiltonian_path_between searches
-TFPCC_CAP = 16  # largest order max_tfpcc_exact searches
 TFPCC_RESOLVES = 200  # 2-matchings max_tfpcc may solve before giving up
 
 
@@ -300,85 +299,6 @@ def hamiltonian_path_between(g: Graph, u: int, v: int, within=None) -> list[int]
             nexts.pop()
             free.add(path.pop())
     return None
-
-
-def max_tfpcc_exact(g: Graph, forced_leaves=()) -> list[Edge]:
-    """Edges of a maximum triangle-free path-cycle cover, by branch and bound.
-
-    forced_leaves lists vertices whose cover degree must stay at most 1.
-    Components track their size through union-find, so an edge closing a
-    cycle is allowed only when the component already has 4 vertices or
-    more; all shorter cycles are rejected.  A subtree is cut when half
-    the total room, min(degree limit - cover degree, undecided edges)
-    summed over the vertices and kept up to date per edge, cannot beat the
-    best cover.
-    """
-    verts = g.alive_list()
-    n = len(verts)
-    if n > TFPCC_CAP:
-        raise SizeCapExceeded(f"{n} vertices exceeds cap {TFPCC_CAP}")
-    pos = {v: i for i, v in enumerate(verts)}
-    for v in forced_leaves:
-        if not g.is_alive(v):
-            raise PreconditionViolated(f"forced leaf {v} is not alive")
-    capv = [2] * n
-    for v in forced_leaves:
-        capv[pos[v]] = 1
-    edges = [(pos[u], pos[v]) for u, v in g.edge_list()]
-    m = len(edges)
-    parent = list(range(n))
-    size = [1] * n
-    cdeg = [0] * n
-    avail = [g.degree(v) for v in verts]
-    chosen: list[tuple[int, int]] = []
-    best = -1
-    best_set: list[tuple[int, int]] = []
-
-    def room(x):
-        return min(capv[x] - cdeg[x], avail[x])
-
-    def rec(k, cur, slack):
-        # slack: the sum of room(x) over every vertex
-        nonlocal best, best_set
-        if cur > best:
-            best = cur
-            best_set = list(chosen)
-        if k == m:
-            return
-        if cur + slack // 2 <= best:
-            return
-        a, b = edges[k]
-        slack -= room(a) + room(b)
-        avail[a] -= 1
-        avail[b] -= 1
-        slack += room(a) + room(b)
-        if cdeg[a] < capv[a] and cdeg[b] < capv[b]:
-            ra, rb = find(parent, a), find(parent, b)
-            if ra != rb or size[ra] >= 4:
-                merged = ra != rb
-                if merged:
-                    if size[ra] > size[rb]:
-                        ra, rb = rb, ra
-                    parent[ra] = rb
-                    size[rb] += size[ra]
-                before = room(a) + room(b)
-                cdeg[a] += 1
-                cdeg[b] += 1
-                chosen.append((a, b))
-                rec(k + 1, cur + 1, slack + room(a) + room(b) - before)
-                chosen.pop()
-                cdeg[a] -= 1
-                cdeg[b] -= 1
-                if merged:
-                    parent[ra] = ra
-                    size[rb] -= size[ra]
-        rec(k + 1, cur, slack)
-        avail[a] += 1
-        avail[b] += 1
-
-    rec(0, 0, sum(room(x) for x in range(n)))
-    del rec  # as in opt_spanning_tree
-    return [norm_edge(verts[a], verts[b]) for a, b in best_set]
 
 
 def max_tfpcc(g: Graph, forced_leaves=()) -> list[Edge]:

@@ -30,9 +30,7 @@ import heapq
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from unittest import mock
 
-import mist.exact
 import mist.reduce
 from mist import Graph, norm_edge
 from mist.graph import component_of, connected_components, separations, twin_groups
@@ -44,7 +42,7 @@ from mist.errors import (
     SizeCapExceeded,
     StaleWitness,
 )
-from mist.exact import OST_CAP, TreeResult, max_tfpcc_exact, tree_result
+from mist.exact import OST_CAP, TreeResult, tree_result
 from mist.reduce import (
     Peel,
     StrongReduction,
@@ -358,8 +356,8 @@ def reference_opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
 
 
 def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
-    """Maximum triangle-free path-cycle cover by branch and bound: the
-    search mist.exact.max_tfpcc_exact ran before its slack became incremental.
+    """Maximum triangle-free path-cycle cover by branch and bound, an
+    oracle for mist.exact.max_tfpcc on graphs of up to cap vertices.
 
     forced_leaves lists vertices whose cover degree must stay at most 1.
     Components track their size through union-find, so an edge closing a
@@ -453,12 +451,11 @@ def preferred_tfpcc_via_augmented(g: Graph, pairs: list[PiPair]) -> Cover:
     Stripping the pendant edges leaves a special cover of g with the same
     number of non-pendant edges.  mist.cover.preferred_tfpcc gets the same
     edge count by forcing u1 to be a leaf instead.  The pendants can take
-    the augmented graph past the cover search's cap, so the search runs
-    with a cap of 24.
+    the augmented graph past the reference search's default cap, so it
+    runs with a cap of 24.
     """
     g2, pendants = build_augmented_graph(g, pairs)
-    with mock.patch.object(mist.exact, "TFPCC_CAP", 24):
-        aug = Cover(g2, max_tfpcc_exact(g2))
+    aug = reference_max_tfpcc(g2, cap=24)
     budget = len(pairs) + 1
     while True:
         stale = [

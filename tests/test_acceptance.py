@@ -16,7 +16,7 @@ import pytest
 
 import mist.pipeline
 from mist import cli
-from mist.exact import TFPCC_CAP, opt_spanning_tree, tree_result
+from mist.exact import opt_spanning_tree, tree_result
 from mist.fileio import emit_graph
 from mist.errors import MistError
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
@@ -47,13 +47,13 @@ RANDOM_COUNT = 2000
 
 # sha256 over the outcome lines of every survey run; a change that keeps the
 # solver's behaviour must reproduce it exactly
-SURVEY_DIGEST = "1fc4c0d428a14ef9537f798f30b7c883846343a8010563a173c188976b8bb1b7"
+SURVEY_DIGEST = "06d60f4c98c345fd3d2629c48444590f3c9bbc054cbc24efc7dd34614cd26b8c"
 
 # sha256 over the covers of every refined cover leaf (initial, preprocessed,
 # after stage 1 and after stage 2), their component counters, and every
 # verify_run check of the refined runs; a change to preprocessing or to the
 # stages that still ends at the same tree must reproduce it too
-COVER_DIGEST = "58e79f3721cf54f4ae095c33b3d2ffb4cf83e3824826a2114fa90ea1af515713"
+COVER_DIGEST = "c76c46a208ae7fe16eac84596369d9c53beb71a83812efbed944a719e77a6ac7"
 
 
 def _report(label: str, checked: int, bad: list) -> None:
@@ -259,12 +259,13 @@ def test_certified_opt_and_checks_match_an_unseeded_search(survey):
     )
 
 
-# -- cores above the exact cover's cap ---------------------------------------
+# -- cores above 16 vertices ------------------------------------------------
 
 
 def test_cores_above_the_exact_cover_cap_solve_and_verify_in_both_modes():
-    # above TFPCC_CAP a leaf's cover comes from max_tfpcc: every run
-    # completes and passes verify_run, whose checks there are structural
+    # above 16 vertices, past reference_max_tfpcc's default cap, no exact
+    # oracle checks a leaf's cover: every run completes and passes
+    # verify_run, whose checks there are structural
     graphs = [
         (f"{family.__name__}-{n}", family(n))
         for n in range(17, 61, 3)
@@ -289,11 +290,11 @@ def test_cores_above_the_exact_cover_cap_solve_and_verify_in_both_modes():
                 continue
             if not vr.ok:
                 bad.append(f"{name}/{mode}: {[c.name for c in vr.failing()]}")
-            above[mode] += any(leaf.graph.n_alive() > TFPCC_CAP for leaf in report.leaves)
-    _report("runs above the exact cover's cap verify", 2 * len(graphs), bad)
+            above[mode] += any(leaf.graph.n_alive() > 16 for leaf in report.leaves)
+    _report("runs on cores above 16 vertices verify", 2 * len(graphs), bad)
     # op11 contracts refined cycles and thetas to small leaves, and
     # gen_gnp(17, 0.15, 1) reduces to 15 and 14 vertices; every other run
-    # keeps a leaf above the cap
+    # keeps a leaf above 16 vertices
     assert above == {"simple": 94, "refined": 64}
 
 

@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps mist functions by name from outside the package.
 A renamed or removed target is recorded as absent and its metric reads 0,
-so a refactor that drops one must fail here rather than go unnoticed.  A
+so a refactor that drops one must fail here rather than go unnoticed: the
+only targets allowed to be absent are those named in REMOVED.  A
 target that still exists but that no module of the program calls any more
 reads 0 just as silently, so each target's name must also be read
 somewhere under src/mist.  These tests only read perfbench.
@@ -26,11 +27,17 @@ from spans import COUNTS, SPANS, Tracer  # noqa: E402
 # instead, and then this set must shrink to nothing
 UNCALLED = {"mist.graph:find_bridges", "mist.graph:find_cutpoints"}
 
+# targets the program no longer has, so their metrics read 0; the next
+# benchmark change should span mist.exact:max_tfpcc, the one cover solver,
+# instead (see the FOUND line on exact.tfpcc in CHANGES.md), and then this
+# set must be empty
+REMOVED = {"mist.exact:max_tfpcc_exact"}
+
 
 def test_every_benchmark_hook_target_exists():
     with Tracer() as tracer:
         pass
-    assert tracer.absent == []
+    assert set(tracer.absent) == REMOVED
 
 
 def _names_read() -> set[str]:
@@ -52,7 +59,7 @@ def test_every_benchmark_hook_target_is_called_by_the_program():
         for _, target in SPANS + COUNTS
         if target.partition(":")[2].rpartition(".")[2] not in read
     }
-    assert uncalled == UNCALLED
+    assert uncalled == UNCALLED | REMOVED
 
 
 def test_a_traced_run_counts_the_path_searches_of_op10():

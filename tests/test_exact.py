@@ -4,8 +4,11 @@ import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from mist import Graph, norm_edge
 from mist.errors import (
@@ -26,7 +29,6 @@ from mist.exact import (
     hamiltonian_path_between,
     internal_bound,
     max_tfpcc,
-    max_tfpcc_exact,
     opt_spanning_tree,
     tree_result,
 )
@@ -182,33 +184,28 @@ def test_ham_path_respects_cap():
 
 
 def test_tfpcc_triangle_drops_to_two_edges():
-    assert len(max_tfpcc_exact(complete(3))) == 2
+    assert len(max_tfpcc(complete(3))) == 2
 
 
 def test_tfpcc_c5_keeps_the_cycle():
-    assert max_tfpcc_exact(cycle(5)) == cycle(5).edge_list()
+    assert max_tfpcc(cycle(5)) == cycle(5).edge_list()
 
 
 def test_tfpcc_k4_four_cycle():
-    assert len(max_tfpcc_exact(complete(4))) == 4
+    assert len(max_tfpcc(complete(4))) == 4
     assert brute_tfpcc(4, complete(4).edge_list()) == 4
 
 
 def test_tfpcc_respects_forced_leaves():
-    c = Cover(cycle(5), max_tfpcc_exact(cycle(5), forced_leaves=(0,)))
+    c = Cover(cycle(5), max_tfpcc(cycle(5), forced_leaves=(0,)))
     assert c.degree(0) <= 1
     assert c.edge_count() == 4
 
 
-def test_tfpcc_respects_cap():
-    with pytest.raises(SizeCapExceeded):
-        max_tfpcc_exact(path(17))
-
-
 def test_tfpcc_matches_brute_force_exhaustively():
-    for g in connected_graphs_up_to_iso(5):
+    for g in connected_graphs_up_to_iso(6):
         n, edges = g.n_alive(), g.edge_list()
-        assert len(max_tfpcc_exact(g)) == brute_tfpcc(n, edges)
+        assert len(max_tfpcc(g)) == brute_tfpcc(n, edges), g
 
 
 @st.composite
@@ -235,7 +232,7 @@ def test_opt_matches_brute_force(g):
 @given(connected_instances())
 def test_tfpcc_matches_brute_force(g):
     n, edges = g.n_alive(), g.edge_list()
-    assert len(max_tfpcc_exact(g)) == brute_tfpcc(n, edges)
+    assert len(max_tfpcc(g)) == brute_tfpcc(n, edges)
 
 
 @settings(max_examples=40)
@@ -254,20 +251,21 @@ def test_ham_path_matches_permutation_oracle(g, pick):
 def test_tfpcc_never_below_opt_small():
     # the cover upper bound, checked on every class with up to 6 vertices
     for g in connected_graphs_up_to_iso(6):
-        assert len(max_tfpcc_exact(g)) >= opt_spanning_tree(g).weight
+        assert len(max_tfpcc(g)) >= opt_spanning_tree(g).weight
 
 
 def test_tfpcc_shape_constraints():
     for g in connected_graphs_up_to_iso(5):
-        c = Cover(g, max_tfpcc_exact(g))
+        c = Cover(g, max_tfpcc(g))
         for v in g.alive_list():
             assert c.degree(v) <= 2
         for comp in c.components():
             assert comp.kind != "cycle" or comp.length >= 4
 
 
-# max_tfpcc: the 2-matching search for graphs above TFPCC_CAP, checked
-# against max_tfpcc_exact and, for the 2-matching alone, against networkx
+# max_tfpcc, the 2-matching search: checked against the branch and bound
+# reference_max_tfpcc up to 14 vertices, against an integer program above
+# 16, and, for the 2-matching alone, against networkx
 
 
 def _caps(g, forced):
@@ -306,10 +304,54 @@ def test_max_tfpcc_matches_the_exact_search_with_forced_leaves():
     gaps = 0
     for g, forced in _random_graphs_with_forced_leaves(300, 46):
         edges = max_tfpcc(g, forced_leaves=forced)
-        assert len(edges) == len(max_tfpcc_exact(g, forced_leaves=forced)), (g, forced)
+        want = reference_max_tfpcc(g, forced_leaves=forced).edge_count()
+        assert len(edges) == want, (g, forced)
         _check_tfpcc(g, edges, forced)
         gaps += len(edges) < len(_two_matching(g.adj, _caps(g, forced), frozenset()))
     assert gaps > 0  # some draws need the target lowered
+
+
+def _ilp_tfpcc(g, forced):
+    """The size of a maximum triangle-free path-cycle cover of g, by scipy's
+    integer program solver: a 0/1 variable per edge, at most cap(v) chosen
+    edges at each vertex v and at most two on each triangle."""
+    edges = g.edge_list()
+    col = {e: i for i, e in enumerate(edges)}
+    cap = _caps(g, forced)
+    rows, ub = [], []
+    for v in g.alive_list():
+        rows.append([col[norm_edge(v, w)] for w in g.adj[v]])
+        ub.append(cap[v])
+    for u, v in edges:
+        for w in g.adj[v]:
+            if w > v and g.has_edge(u, w):
+                rows.append([col[(u, v)], col[(u, w)], col[(v, w)]])
+                ub.append(2)
+    a = csr_array(
+        (
+            np.ones(sum(map(len, rows))),
+            ([r for r, cols in enumerate(rows) for _ in cols], [c for cols in rows for c in cols]),
+        ),
+        shape=(len(rows), len(edges)),
+    )
+    m = len(edges)
+    res = milp(-np.ones(m), constraints=LinearConstraint(a, ub=ub), integrality=np.ones(m), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return round(-res.fun)
+
+
+def test_max_tfpcc_matches_an_integer_program_above_16_vertices():
+    repaired = 0
+    rng = random.Random(48)
+    for _ in range(20):
+        g = random_connected(rng.randint(17, 60), rng.choice((0.15, 0.3, 0.5)), rng)
+        forced = _forced(g, rng)
+        edges = max_tfpcc(g, forced_leaves=forced)
+        _check_tfpcc(g, edges, forced)
+        assert len(edges) == _ilp_tfpcc(g, forced), (g, forced)
+        first = _two_matching(g.adj, _caps(g, forced), frozenset())
+        repaired += first != edges
+    assert repaired > 0  # some first 2-matchings hold a triangle
 
 
 def test_the_2_matching_matches_a_maximum_matching_of_the_gadget():
@@ -448,11 +490,6 @@ def _forced(g, rng):
     return tuple(sorted(rng.sample(verts, rng.randint(0, len(verts) // 2))))
 
 
-def _same_cover(g, forced=()):
-    new = max_tfpcc_exact(g, forced_leaves=forced)
-    return new == reference_max_tfpcc(g, forced_leaves=forced).edge_list()
-
-
 def test_opt_matches_the_reference_search_on_small_classes():
     for g in connected_graphs_up_to_iso(7):
         assert opt_spanning_tree(g) == reference_opt_spanning_tree(g), g
@@ -503,14 +540,6 @@ def test_op4_blocks_without_a_search_get_the_searched_tree():
             tuple(e for e in t.edges if s.pendant not in e), t.weight
         )
     assert trees == 56 and len(peels) == 462
-
-
-def test_tfpcc_matches_the_reference_search_with_and_without_forced_leaves():
-    rng = random.Random(45)
-    for g in connected_graphs_up_to_iso(7) + _gnp_graphs() + _op4_blocks():
-        assert _same_cover(g), g
-        forced = _forced(g, rng)
-        assert _same_cover(g, forced), (g, forced)
 
 
 def _rec_calls(search, g):

@@ -16,7 +16,7 @@ from helpers import build_graph, outcome_digest, outcome_line
 
 # sha256 over the outcome lines of every chain-family run below; a change to
 # the reduction engine that keeps its behaviour must reproduce it exactly
-CHAIN_DIGEST = "0a013b7e3c537db8d8516ede9aed22ba7d14f8346217ff01e82f4b2260f23ef3"
+CHAIN_DIGEST = "597e6bce634e4e3b132d8b1233dd0bb79173e4b2aff09b5200de3c2f4607249e"
 
 
 def pedges(n):
@@ -222,8 +222,8 @@ def test_run_rejects_bad_inputs():
 
 
 def test_a_simple_18_cycle_solves_and_verifies():
-    # simple mode leaves an 18-cycle unreduced, so the root is the only leaf,
-    # above TFPCC_CAP: max_tfpcc covers it with the whole cycle
+    # simple mode leaves an 18-cycle unreduced, so the root is the only
+    # leaf: max_tfpcc covers it with the whole cycle
     g = gen_cycle(18)
     report = run(g, "simple", keep_state=True)
     assert [(leaf.method, leaf.graph.n_alive()) for leaf in report.leaves] == [("cover", 18)]

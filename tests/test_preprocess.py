@@ -5,7 +5,7 @@ import random
 
 from mist import Graph, reduce_to_fixpoint
 from mist.cover import Cover, compute_pi_pairs, preferred_tfpcc
-from mist.exact import max_tfpcc_exact
+from mist.exact import max_tfpcc
 from mist.generate import gen_gnp, gen_twins
 from mist.preprocess import (
     apply_rewrite,
@@ -27,7 +27,7 @@ from mist.preprocess import (
 )
 
 from graphgen import connected_graphs_up_to_iso
-from helpers import build_graph, random_connected
+from helpers import build_graph, random_connected, reference_max_tfpcc
 
 
 def test_spanning_cycle_cover_is_already_fixed():
@@ -156,7 +156,7 @@ def test_maximum_covers_never_gain_edges():
     for g in connected_graphs_up_to_iso(6):
         if g.n_alive() < 2:
             continue
-        c = Cover(g, max_tfpcc_exact(g))
+        c = Cover(g, max_tfpcc(g))
         assert find_op13(c, g) is None
         assert find_op14(c, g) is None
 
@@ -167,7 +167,7 @@ def test_measure_rises_across_every_rewrite():
         rng = random.Random(seed)
         g = random_connected(rng.randint(5, 9), 0.3, rng)
         for mode in ("simple", "refined"):
-            c = Cover(g, max_tfpcc_exact(g))
+            c = Cover(g, max_tfpcc(g))
             prev = measure(c, g)
             while True:
                 rw = find_cover_rewrite(c, g, mode)
@@ -182,10 +182,11 @@ def test_measure_rises_across_every_rewrite():
 
 
 def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searches):
-    # one component list per step serves the measure and the next finders
+    # one component list per step serves the measure and the next finders;
+    # the branch and bound's cover takes two steps, max_tfpcc's only one
     module = importlib.import_module("mist.preprocess")
     g = gen_gnp(11, 0.3, 23)
-    cover = Cover(g, max_tfpcc_exact(g))
+    cover = reference_max_tfpcc(g)
     cover_searches.clear()
     steps = []
     apply = module.apply_rewrite
@@ -198,7 +199,7 @@ def test_preprocess_returns_a_new_cover_of_equal_size():
     for seed in range(20):
         rng = random.Random(seed)
         g = random_connected(rng.randint(6, 10), 0.3, rng)
-        c = Cover(g, max_tfpcc_exact(g))
+        c = Cover(g, max_tfpcc(g))
         snapshot = sorted(c.edge_list())
         for mode in ("simple", "refined"):
             pre = preprocess(c, g, mode)
