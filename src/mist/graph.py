@@ -213,7 +213,7 @@ def connected_components(g: Graph, blocked: frozenset[int] = frozenset()) -> lis
 
 
 class PieceSizes(Mapping):
-    """sizes[v]: the component sizes of g - v, for cut vertices v only.
+    """sizes[v]: the component sizes of g - v, for cut vertices v only, in id order.
 
     Each list is read from the lowpoint pass when asked for.  v's cut-off
     DFS children are its neighbours c numbered after it whose subtree was
@@ -251,11 +251,27 @@ class PieceSizes(Mapping):
         return sum(1 for k in self._cuts if k > 0)
 
 
+class TwinGroups:
+    """twin_groups(g), grouped when first iterated.  Valid while g is unchanged."""
+
+    __slots__ = ("_g", "_groups")
+
+    def __init__(self, g: Graph):
+        self._g = g
+        self._groups: list[tuple[Edge, list[int]]] | None = None
+
+    def __iter__(self):
+        if self._groups is None:
+            self._groups = twin_groups(self._g)
+        return iter(self._groups)
+
+
 class Separations(NamedTuple):
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
     sizes: Mapping[int, list[int]]  # sizes[v]: component sizes of g - v, cut vertices only
+    twins: TwinGroups  # twin_groups(g), grouped when first iterated
 
 
 def separations(g: Graph) -> Separations:
@@ -266,7 +282,8 @@ def separations(g: Graph) -> Separations:
     component of its own; the rest of v's component is one more piece
     unless v is the root of its DFS tree.  The subtree size of every
     cut-off child is kept, so the piece sizes of any cut vertex can be
-    read off when asked for (PieceSizes).
+    read off when asked for (PieceSizes).  The twin groups come along
+    unbuilt, so the finders that read them share one grouping per graph.
     """
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
@@ -312,7 +329,8 @@ def separations(g: Graph) -> Separations:
                         bridges.add(norm_edge(parent, u))
     starts.append(count)
     pieces = {v: parts + cuts[v] for v in g.alive_list()}
-    return Separations(bridges, pieces, parts, PieceSizes(g.adj, disc, size, cuts, starts))
+    sizes = PieceSizes(g.adj, disc, size, cuts, starts)
+    return Separations(bridges, pieces, parts, sizes, TwinGroups(g))
 
 
 def find_bridges(g: Graph) -> set[Edge]:
@@ -338,11 +356,14 @@ def find(parent: list[int], x: int) -> int:
 
 
 def twin_groups(g: Graph) -> list[tuple[Edge, list[int]]]:
-    """Degree-2 vertices grouped by neighborhood, sorted by neighborhood."""
+    """Degree-2 vertices with the same two neighbours, in groups of two or
+    more, sorted by neighbourhood.
+
+    A dead vertex's row is empty, so the rows alone give the groups.
+    """
     groups: dict[Edge, list[int]] = {}
-    for v in g.alive_list():
-        if g.degree(v) == 2:
-            a, b = g.adj[v]
-            groups.setdefault((a, b), []).append(v)
-    return [(key, groups[key]) for key in sorted(groups)]
+    for v, row in enumerate(g.adj):
+        if len(row) == 2:
+            groups.setdefault(tuple(row), []).append(v)
+    return sorted([item for item in groups.items() if len(item[1]) > 1])
 

@@ -90,6 +90,12 @@ class WeakReduction:
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
 #
+# Each finder reads only its candidates: op1 the degree-1 rows, op2 the
+# rows of the cut vertices, op8 and op9 the twin grouping the node's
+# separations build on first use (one per node, shared), op4 the piece
+# sizes and then the pieces of one cut vertex, op3 the bridges, and op10
+# the vertices of degree 3 or more and the degree-2 runs next to them.
+#
 # op1, op9 and op10 also take near, the worklist the driver keeps for each:
 # None, or every vertex whose adjacency row changed since a trace ancestor
 # where the finder found nothing.  A site whose rows are all unchanged
@@ -102,41 +108,55 @@ def find_op1(
 ) -> StrongReduction | None:
     """Two pendant vertices at the same support: drop the larger one.
 
-    The support is the first vertex with two pendant neighbours.  Its row
-    or a pendant's changes when it gains one, so with near given only near
-    and its neighbours are looked at.
+    The support is the first vertex with two pendant neighbours, and u1 and
+    u2 are its first two.  Without near, the supports are read off the
+    degree-1 rows.  A support's row or a pendant's changes when it gains
+    one, so with near given only near and its neighbours are looked at.
     """
     if g.n_alive() <= 3:
         return None
+    adj = g.adj
     if near is None:
-        sites = g.alive_list()
+        pendants: dict[int, list[int]] = {}
+        for u, row in enumerate(adj):
+            if len(row) == 1:
+                pendants.setdefault(row[0], []).append(u)
+        v = min((v for v, leaves in pendants.items() if len(leaves) >= 2), default=None)
+        if v is None:
+            return None
+        u1, u2 = pendants[v][:2]
     else:
-        sites = sorted({y for x in near if g.alive[x] for y in (x, *g.adj[x])})
-    for v in sites:
-        leaves = [u for u in g.adj[v] if g.degree(u) == 1]
-        if len(leaves) >= 2:
-            u1, u2 = leaves[0], leaves[1]
-            e = norm_edge(u2, v)
-            return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
-    return None
+        for v in sorted({y for x in near if g.alive[x] for y in (x, *adj[x])}):
+            leaves = [u for u in adj[v] if len(adj[u]) == 1]
+            if len(leaves) >= 2:
+                u1, u2 = leaves[:2]
+                break
+        else:
+            return None
+    e = norm_edge(u2, v)
+    return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
 
 
 def find_op2(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
-    """Cycle edge whose endpoints each cut the rest apart: delete it."""
+    """Cycle edge whose endpoints each cut the rest apart: delete it.
+
+    The edge is the first in (u1, u2) order; only the rows of the cut
+    vertices are read, in id order.
+    """
     sep = sep or separations(g)
-    for e in g.edge_list():
-        u1, u2 = e
-        if e not in sep.bridges and sep.pieces[u1] >= 2 and sep.pieces[u2] >= 2:
-            return StrongReduction("op2", (), (e,), (), (u1, u2))
+    pieces = sep.pieces
+    for u1, k in pieces.items():  # the keys ascend
+        if k >= 2:
+            for u2 in g.adj[u1]:
+                if u2 > u1 and pieces[u2] >= 2 and (u1, u2) not in sep.bridges:
+                    return StrongReduction("op2", (), ((u1, u2),), (), (u1, u2))
     return None
 
 
 def find_op8(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Twin pair whose boundary vertex separates off the other boundary."""
     sep = sep or separations(g)
-    for key, twins in twin_groups(g):
-        if len(twins) < 2:
-            continue
+    for key, twins in sep.twins:
         u3, u4 = twins[0], twins[1]
         for u2 in key:
             if sep.pieces[u2] >= 2:
@@ -151,12 +171,13 @@ def find_op9(
 ) -> StrongReduction | None:
     """Three twins over one boundary pair: drop one support edge.
 
-    The pair is the first with three twins.  A twin joins a group only by a
+    The pair is the first with three twins.  Without near, the groups are
+    the node's grouping, which op8 shares.  A twin joins a group only by a
     change of its row, so with near given only the groups of degree-2
     vertices of near are looked at.
     """
     if near is None:
-        groups = twin_groups(g)
+        groups = sep.twins if sep else twin_groups(g)
     else:
         adj = g.adj
         keys = sorted({tuple(adj[x]) for x in near if len(adj[x]) == 2})
@@ -208,7 +229,9 @@ def find_op10(
     had there, and no reduction increases n, so cap has not grown since.
     Such a block holds a vertex x of near or next to near, and x or the end
     of x's degree-2 run within cap steps is a start vertex it holds; only
-    those start vertices are grown from.
+    those start vertices are grown from.  Each run is walked once per
+    search: a walk goes on past the vertices of near and next to near that
+    it meets, and stops at a vertex an earlier walk has seen (_walk_run).
     """
     cap = min(6, g.n_alive() - 3)
     if cap < 1:
@@ -216,6 +239,8 @@ def find_op10(
     adj = g.adj
     kind: dict[int, int] = {}
     on_long: list[int] = []  # vertices seen on long runs
+    marks: set[int] = set()  # the vertices of near and next to near
+    reach: dict[int, list] = {}  # the run ends within cap steps of each mark on a run
 
     def classify(x):
         # 2 for a start vertex, 1 for another vertex a core may hold, else 0
@@ -225,13 +250,16 @@ def find_op10(
             if d != 2:
                 c = kind[x] = 2 if 3 <= d <= cap + 1 else 0
             else:
-                (a, b), run = _run_ends(adj, x, cap + 1)
+                run, (a, b) = _walk_run(adj, x, cap + 1, marks, kind)
                 if a is None or b is None or len(run) > cap + 1:
                     c = 0
                     on_long.extend(run)
                 else:
                     c = 2 if a == b or g.has_edge(a, b) else 1
                 kind.update(dict.fromkeys(run, c))
+                for i, y in enumerate(run):
+                    if y in marks:
+                        reach[y] = [a if i < cap else None, b if len(run) - i <= cap else None]
         return c
 
     starts = set()
@@ -245,14 +273,14 @@ def find_op10(
     else:
         live = [x for x in near if g.alive[x]]
         near_mask = _mask(live)
-        for x in {y for x in live for y in (x, *adj[x])}:
+        marks.update(y for x in live for y in (x, *adj[x]))
+        for x in marks:
             if classify(x) == 2:
                 starts.add(x)
             elif len(adj[x]) == 2:
                 # a block that can fire and holds x holds an end of x's run
                 # within cap steps, and that end is a start vertex
-                ends, _ = _run_ends(adj, x, cap)
-                starts.update(e for e in ends if e is not None and classify(e) == 2)
+                starts.update(e for e in reach[x] if e is not None and classify(e) == 2)
     starts = sorted(starts)
     # neighbour masks of the vertices cores can hold, within cap - 1 of a start
     nb = {x: _mask(adj[x]) for x in starts}
@@ -355,27 +383,36 @@ def find_op10(
     return None
 
 
-def _run_ends(adj: list[list[int]], x: int, limit: int) -> tuple[list, list[int]]:
-    """The ends of the degree-2 run through x, and the run's vertices seen.
+def _walk_run(
+    adj: list[list[int]], x: int, limit: int, marks: set[int], walked: dict[int, int]
+) -> tuple[list[int], list]:
+    """The vertices of the degree-2 run through x seen, in order along it, and its ends.
 
-    The end on each side is the first vertex of another degree, or None
-    when it lies more than limit steps from x or the run closes a cycle.
+    Each side is walked while the next vertex lies within limit steps of x
+    or of a vertex of marks passed on the way.  The end on each side is the
+    first vertex of another degree, or None when the walk stops first: past
+    limit steps, back at x (the run closes a cycle), or at a vertex in
+    walked.  An earlier walk that saw such a vertex stopped after limit
+    steps past its last mark, so that end lies more than limit steps from
+    every vertex this walk sees.
     """
-    ends = []
-    run = [x]
-    for cur in adj[x]:
-        prev, end = x, None
-        for _ in range(limit):
+    sides: list[list[int]] = [[], []]
+    ends: list = [None, None]
+    for i in (0, 1):
+        prev, cur, left = x, adj[x][i], limit
+        while left and cur != x:
             if len(adj[cur]) != 2:
-                end = cur
+                ends[i] = cur
                 break
-            if cur == x:
+            if cur in walked:
                 break
-            run.append(cur)
+            sides[i].append(cur)
+            left = limit if cur in marks else left - 1
             a, b = adj[cur]
             prev, cur = cur, b if a == prev else a
-        ends.append(end)
-    return ends, run
+        if cur == x:
+            break  # the whole cycle lies on the first side
+    return [*reversed(sides[0]), x, *sides[1]], ends
 
 
 def _cannot_close(out, stuck, k, rest, nb, long_mask, twins) -> bool:
@@ -510,7 +547,8 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     that pendant, with c = opt - 1; a step's c sums its peels'.  The first
     peel is at the first cut vertex v whose g - v has a piece of 2-8
     vertices (the lowpoint pass gives the piece sizes, so only v is
-    searched), and K is the first such piece in component order.
+    searched), and K is the first such piece in component order, found by
+    searches from v's neighbours that stop past 8 vertices (_small_piece).
 
     The run goes on with the peel of K' = {v, p} off w, where p is the
     pendant just added, while v's neighbours are exactly {p, w}, v is the
@@ -536,15 +574,13 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     has v and w internal, and the peel adds 1 to c.
     """
     sep = sep or separations(g)
-    for v in sorted(sep.sizes):
+    for v in sep.sizes:  # the cut vertices, in id order
         if any(2 <= k <= 8 for k in sep.sizes[v]):
-            comps = connected_components(g, blocked=frozenset((v,)))
-            small = [k for k in comps if 2 <= len(k) <= 8]
-            if small:
+            k_comp = _small_piece(g.adj, v)
+            if k_comp:
                 break
     else:
         return None
-    k_comp = small[0]
     kv = {v, *k_comp}
     block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
     peel = _peel(v, tuple(k_comp), g.vertex_count, block)
@@ -564,6 +600,30 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
         path.append(w)
         v, left = w, left - 1
     return WeakReduction("op4", peel.inner_opt - 1 + len(path), 1, peel=peel, path=tuple(path))
+
+
+def _small_piece(adj: list[list[int]], v: int) -> list[int] | None:
+    """The component of 2-8 vertices of the connected graph minus v with
+    the least member, ascending, or None.
+
+    Every component holds a neighbour of v, so each is searched from one,
+    and a search is abandoned once it passes 8 vertices.
+    """
+    seen = {v}
+    small = []
+    for x in adj[v]:
+        if x in seen:
+            continue
+        piece, stack = {x}, [x]
+        while stack and len(piece) <= 8:
+            for y in adj[stack.pop()]:
+                if y != v and y not in piece:
+                    piece.add(y)
+                    stack.append(y)
+        seen |= piece
+        if 2 <= len(piece) <= 8:  # a search that stops past 8 has more
+            small.append(sorted(piece))
+    return min(small, default=None)
 
 
 def _peel(v: int, k_comp: tuple[int, ...], pendant: int, block: tuple[Edge, ...]) -> Peel:

@@ -14,7 +14,9 @@ and the op4 and op11 finders written the plain way, as the reference for
 the engine's compact op4 records and walked op11 runs: op4 builds every
 peel as a Peel (the first through the library's _peel) over the library's
 separations, and op11 re-derives each contraction from the set of
-vertices merged so far.
+vertices merged so far; and the op1, op2, op8 and op9 finders written as
+whole-graph scans, as the reference for the finders that read only their
+candidates (op2 and op8 over the library's separations).
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -662,6 +664,64 @@ def reference_find_op4(g: Graph) -> list[Peel] | None:
         peels.append(Peel(w, (v, p), p + 1, block, 2, block))
         v, p, left = w, p + 1, left - 1
     return peels
+
+
+def reference_find_op1(g: Graph) -> StrongReduction | None:
+    """find_op1 the plain way: the first vertex, in id order, with two
+    neighbours of degree 1, found by looking at every neighbour of every
+    vertex."""
+    if g.n_alive() <= 3:
+        return None
+    for v in g.alive_list():
+        leaves = [u for u in g.adj[v] if g.degree(u) == 1]
+        if len(leaves) >= 2:
+            u1, u2 = leaves[:2]
+            e = norm_edge(u2, v)
+            return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
+    return None
+
+
+def reference_find_op2(g: Graph) -> StrongReduction | None:
+    """find_op2 the plain way: the first edge of edge_list that is no
+    bridge and whose ends both cut g, over the library's separations."""
+    sep = separations(g)
+    for u1, u2 in g.edge_list():
+        if (u1, u2) not in sep.bridges and sep.pieces[u1] >= 2 and sep.pieces[u2] >= 2:
+            return StrongReduction("op2", (), ((u1, u2),), (), (u1, u2))
+    return None
+
+
+def _plain_twin_groups(g: Graph) -> list[tuple[tuple[int, int], list[int]]]:
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in g.alive_list():
+        if g.degree(v) == 2:
+            groups.setdefault(tuple(g.adj[v]), []).append(v)
+    return [(key, groups[key]) for key in sorted(groups)]
+
+
+def reference_find_op8(g: Graph) -> StrongReduction | None:
+    """find_op8 the plain way: the first twin group of two or more, by
+    neighbourhood, with a boundary vertex that cuts g, over a twin grouping
+    of its own and the library's separations."""
+    sep = separations(g)
+    for key, twins in _plain_twin_groups(g):
+        if len(twins) >= 2:
+            for u2 in key:
+                if sep.pieces[u2] >= 2:
+                    u1 = key[1] if u2 == key[0] else key[0]
+                    e = norm_edge(u2, twins[0])
+                    return StrongReduction("op8", (), (e,), (), (u1, u2, *twins[:2]))
+    return None
+
+
+def reference_find_op9(g: Graph) -> StrongReduction | None:
+    """find_op9 the plain way: the first twin group of three or more, by
+    neighbourhood, over a twin grouping of its own."""
+    for (u2, u1), twins in _plain_twin_groups(g):
+        if len(twins) >= 3:
+            e = norm_edge(u2, twins[0])
+            return StrongReduction("op9", (), (e,), (), (u1, u2, *twins[:3]))
+    return None
 
 
 def reference_find_op11(g: Graph) -> tuple[tuple[int, int, int, int], ...] | None:

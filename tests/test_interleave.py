@@ -1,5 +1,6 @@
 """tools/interleave.py, the paired timing of two source trees."""
 
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,8 +24,10 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "gate seed 3 scale 0.01: 66 ops x 2"
     assert [line.split(":")[0].strip() for line in out[1:]] == [
-        "parent", "change", "change/parent total"
+        "parent", "change", "change/parent total", "change/parent per rep"
     ]
+    ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
+    assert sum(float(r) < 1 for r in ratios.split()) == int(won)
     assert not any(k.startswith(("mist_parent", "mist_change")) for k in sys.modules)
 
 
@@ -43,6 +46,8 @@ def test_an_output_difference_stops_the_run():
     first = next(k for k, op in enumerate(corp.ops) if op.mode == "refined")
     assert diff.startswith(f"op {first} (refined): ")
     assert len(times["parent"]["solve"]) == len(times["change"]["solve"]) == first + 1
+    # the rep cut short holds the time of the operations run
+    assert all(len(t["reps"]) == 1 and t["reps"][0] > 0 for t in times.values())
 
 
 def _drop_the_other_pendant(g, sep=None, near=None):

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mist.graph
 import mist.reduce
 from mist import Graph, reduce_to_fixpoint
 from mist.errors import ArityMismatch, InternalInvariant, StaleWitness
@@ -38,10 +39,15 @@ from helpers import (
     bfs_tree,
     build_graph,
     check_runs_against_reference,
+    naive_components,
     naive_op10,
     op4_peels,
     random_connected,
+    reference_find_op1,
+    reference_find_op2,
     reference_find_op4,
+    reference_find_op8,
+    reference_find_op9,
     reference_find_op11,
     replay,
 )
@@ -298,6 +304,67 @@ def test_op1_and_op9_worklists_leave_every_trace_unchanged(monkeypatch, mode):
         assert calls[k, False, True] > 500 and calls[k, False, False] > 0, k
 
 
+def test_candidate_finders_match_the_whole_graph_scans_at_every_node(monkeypatch):
+    # op1, op2, op8 and op9 read only their candidates: pendant rows, the
+    # rows of cut vertices, the node's one twin grouping, and the worklists;
+    # at every node the engine searches, each finds what a scan of the
+    # whole graph finds
+    refs = {
+        "op1": reference_find_op1,
+        "op2": reference_find_op2,
+        "op8": reference_find_op8,
+        "op9": reference_find_op9,
+    }
+    roots = list(connected_graphs_up_to_iso(7))
+    roots += [gen_sparse(n, n // 2, n) for n in range(20, 301, 20)]
+    roots += [gen_twins(n, n) for n in range(9, 61, 3)]
+    roots += [f(n) for n in range(9, 61, 3) for f in (gen_cycle, gen_theta, gen_path)]
+    real = mist.reduce.find_reduction
+    fired = Counter()
+
+    def checking(g, kinds, sep, near=None):
+        if "op1" in kinds:
+            for k, ref in refs.items():
+                finder = mist.reduce._FINDERS[k]
+                if k in ("op1", "op9"):
+                    r = finder(g, sep, None if near is None else near.get(k))
+                else:
+                    r = finder(g, sep)
+                assert r == ref(g), (k, g, near)
+                fired[k, near is not None and near.get(k) is not None] += r is not None
+        return real(g, kinds, sep, near)
+
+    monkeypatch.setattr(mist.reduce, "find_reduction", checking)
+    for mode in RULESETS:
+        for g in roots:
+            reduce_to_fixpoint(g, mode)
+    # every finder fires, and op1 and op9 fire with a worklist and without
+    assert all(fired[k, False] > 50 for k in refs), fired
+    assert fired["op1", True] > 50 and fired["op9", True] > 50, fired
+
+
+def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
+    # op8 and op9 share the grouping their node's lowpoint pass carries;
+    # no graph is grouped twice, and every grouping is of a searched node
+    grouped = []
+    real = mist.graph.twin_groups
+    for module in (mist.graph, mist.reduce):
+        monkeypatch.setattr(module, "twin_groups", lambda h: grouped.append(h) or real(h))
+    roots = [gen_gnp(10, 0.3, seed) for seed in range(30)]
+    roots += [gen_twins(n, n) for n in range(9, 40)] + [gen_sparse(200, 100, 1)]
+    fired = Counter()
+    groupings = 0
+    for g in roots:
+        grouped.clear()
+        trace = _assert_one_pass_per_node(monkeypatch, g, "refined")
+        states = [(h.alive, h.adj) for h in replay(trace)]
+        assert len({id(h) for h in grouped}) == len(grouped), g
+        assert all((h.alive, h.adj) in states for h in grouped), g
+        fired.update(n.applied.kind for n in trace.nodes if n.applied is not None)
+        groupings += len(grouped)
+    assert fired["op8"] > 0 and fired["op9"] > 0 and groupings > 100
+
+
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
     # every search the engine makes, with its near set and without, finds
     # what the pair scan finds; on the long-run family some witnesses reach
@@ -361,6 +428,95 @@ def _grown_blocks(g, mode):
     finally:
         sys.settrace(None)
     return grown
+
+
+def _plain_starts(g, near):
+    """The start vertices of find_op10's search of g with near, found by
+    walking every run in full from each vertex of near and next to near."""
+    adj, cap = g.adj, min(6, g.n_alive() - 3)
+
+    def walk(x, limit):
+        # the vertices of x's run within limit steps, and the end on each
+        # side within limit steps, or None
+        run, ends = [x], []
+        for cur in adj[x]:
+            prev, end = x, None
+            for _ in range(limit):
+                if len(adj[cur]) != 2:
+                    end = cur
+                    break
+                if cur == x:
+                    break
+                run.append(cur)
+                prev, cur = cur, next(y for y in adj[cur] if y != prev)
+            ends.append(end)
+        return run, ends
+
+    def is_start(x):
+        if len(adj[x]) != 2:
+            return 3 <= len(adj[x]) <= cap + 1
+        run, (a, b) = walk(x, g.vertex_count)
+        return a is not None and b is not None and len(set(run)) <= cap + 1 and (
+            a == b or g.has_edge(a, b)
+        )
+
+    out = set()
+    for x in {y for x in near if g.alive[x] for y in (x, *adj[x])}:
+        if is_start(x):
+            out.add(x)
+        elif len(adj[x]) == 2:
+            out.update(e for e in walk(x, cap)[1] if e is not None and is_start(e))
+    return sorted(out)
+
+
+def test_op10_near_search_starts_from_the_run_ends_within_cap_of_near(monkeypatch):
+    # a local search walks each run once, however many vertices of near
+    # lie on it, and grows from the start vertices a walk of every run from
+    # each vertex of near and next to near finds
+    code = mist.reduce.find_op10.__code__
+    seen = []
+    walks = []
+    real_walk = mist.reduce._walk_run
+
+    def walk(*args):
+        run, ends = real_walk(*args)
+        walks[-1].extend(set(run))
+        return run, ends
+
+    monkeypatch.setattr(mist.reduce, "_walk_run", walk)
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        walks.append([])
+        near = frame.f_locals["near"]
+        graph = frame.f_locals["g"].copy()
+        return lambda f, e, a: e == "return" and "starts" in f.f_locals and seen.append(
+            (graph, near, f.f_locals["starts"])
+        )
+
+    # a triangle 0-1-2 hangs a long run 3-...-k back to 0; near holds two
+    # vertices of the run, or one of the run and one of the triangle
+    hangs = [
+        build_graph(k + 1, [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, k)] + [(k, 0)])
+        for k in (11, 14, 20)
+    ]
+    sys.settrace(tracer)
+    try:
+        for g in _near_roots(order=6) + _long_run_roots():
+            reduce_to_fixpoint(g, "refined")
+        for g in hangs:
+            for near in itertools.combinations(range(1, g.vertex_count), 2):
+                find_op10(g, near=set(near))
+    finally:
+        sys.settrace(None)
+    local = [(g, near, starts) for g, near, starts in seen if near is not None]
+    for g, near, starts in local:
+        assert starts == _plain_starts(g, near), (g, near)
+    assert len(local) > 1000 and sum(bool(starts) for _, _, starts in local) > 500
+    # no vertex is walked twice in one search
+    assert all(len(w) == len(set(w)) for w in walks) and sum(map(len, walks)) > 10000
 
 
 @pytest.mark.parametrize("family", [gen_path, gen_cycle, gen_theta])
@@ -620,19 +776,36 @@ def test_op3_ignores_bridges_without_the_cutpoint_condition():
     assert find_op3(g) is None
 
 
+class _CountingRows(list):
+    """Rows that count how many are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
-    # the lowpoint pass's piece sizes pick the cut vertex to search; the
-    # witness is the one a search of every cut vertex in id order finds
+    # the lowpoint pass's piece sizes pick the cut vertex v, and one search
+    # of the pieces of g - v finds the first of 2-8 vertices, reading at
+    # most 8 rows per neighbour of v; the witness is the one a search of
+    # every cut vertex in id order finds
     searches = []
-    real = mist.reduce.connected_components
+    real = mist.reduce._small_piece
 
-    def counted(g, blocked=frozenset()):
-        searches.append(blocked)
-        return real(g, blocked)
+    def counted(adj, v):
+        searches.append(v)
+        rows = _CountingRows(adj)
+        piece = real(rows, v)
+        small = [k for k in naive_components(g, {v}) if 2 <= len(k) <= 8]
+        assert piece == (small[0] if small else None), (g, v)
+        assert rows.reads <= 1 + 8 * len(adj[v]), (g, v)
+        return piece
 
-    monkeypatch.setattr(mist.reduce, "connected_components", counted)
+    monkeypatch.setattr(mist.reduce, "_small_piece", counted)
     rng = random.Random(47)
-    graphs = [gen_sparse(n, n // 4, seed) for n in (12, 30, 60) for seed in range(20)]
+    graphs = [gen_sparse(n, n // 4, seed) for n in (12, 30, 60, 300) for seed in range(20)]
     graphs += [random_connected(rng.randint(6, 16), 0.1, rng) for _ in range(60)]
     fired = scanned = 0
     for g in graphs:
@@ -645,7 +818,7 @@ def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
         assert find_op4(g, sep._replace(sizes=every)) == r, g
         fired += r is not None
         scanned += len(searches) > 1
-    assert fired > 80 and scanned > 20
+    assert fired > 90 and scanned > 40
 
 
 def test_op4_replaces_a_hanging_component_with_a_pendant():
@@ -687,16 +860,15 @@ def test_op4_peels_a_path_down_to_ten_vertices_in_one_step():
 
 
 def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
-    # the finder searches g - v; applying the step re-checks each peel's
-    # block by a search of the block alone
+    # the finder searches the pieces of g - v once, and no whole-graph
+    # component pass runs; applying the step re-checks each peel's block by
+    # a search of the block alone
     searches = []
-    real = mist.reduce.connected_components
-
-    def counted(g, blocked=frozenset()):
-        searches.append(blocked)
-        return real(g, blocked)
-
-    monkeypatch.setattr(mist.reduce, "connected_components", counted)
+    real = mist.reduce._small_piece
+    monkeypatch.setattr(
+        mist.reduce, "_small_piece", lambda adj, v: searches.append(v) or real(adj, v)
+    )
+    monkeypatch.setattr(mist.reduce, "connected_components", lambda *a: searches.append(a))
     for g, v, peels in (
         (build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2, 1),
         (path(24), 2, 14),
@@ -705,7 +877,7 @@ def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
         r = find_op4(g)
         apply_weak_reduction(g, r)
         assert len(op4_peels(r)) == peels
-        assert searches == [frozenset((v,))]
+        assert searches == [v]
 
 
 def test_op4_rechecks_every_peel_of_its_run():

@@ -11,7 +11,9 @@ separate benchmark runs on a shared host can differ by 10 %, more than a
 change of a few per cent.  Any difference in the outputs (the tree, the
 upper bound, the trace steps, the verify checks and opt, or the error
 raised) stops the run with exit status 1.  Otherwise it prints, for each
-side, the total time and the median solve and verify times.
+side, the total time and the median solve and verify times, then each
+rep's change/parent ratio of total time and the number of reps the change
+won, so one run shows whether it won nine reps in ten.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -97,10 +99,16 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int]:
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
-    """Per-side times, and a description of the first output difference."""
-    times = {side: {"total": 0, "solve": [], "verify": []} for side in SIDES}
+    """Per-side times, and a description of the first output difference.
+
+    A side's reps list holds the total time of each rep, the last one cut
+    short at a difference.
+    """
+    times = {side: {"reps": [], "solve": [], "verify": []} for side in SIDES}
     flip = 0
     for _ in range(reps):
+        for side in SIDES:
+            times[side]["reps"].append(0)
         for k, op in enumerate(corp.ops):
             text = corp.instances[op.instance].text
             order = SIDES if flip % 2 == 0 else SIDES[::-1]
@@ -108,7 +116,7 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
             outs = {}
             for side in order:
                 outs[side], solve, verify, total = run_op(mists[side], text, op.mode)
-                times[side]["total"] += total
+                times[side]["reps"][-1] += total
                 times[side]["solve"].append(solve)
                 times[side]["verify"].append(verify)
             if outs["parent"] != outs["change"]:
@@ -138,14 +146,20 @@ def main(argv=None) -> int:
         print(f"outputs differ: {diff}")
         return 1
     print(f"{args.workload} seed {args.seed} scale {args.scale}: {len(corp.ops)} ops x {args.reps}")
+    totals = {side: sum(times[side]["reps"]) for side in SIDES}
     for side in SIDES:
         t = times[side]
         print(
-            f"{side:>6}: total {t['total'] / 1e9:.3f} s, "
+            f"{side:>6}: total {totals[side] / 1e9:.3f} s, "
             f"solve p50 {statistics.median(t['solve']) / 1e6:.4f} ms, "
             f"verify p50 {statistics.median(t['verify']) / 1e6:.4f} ms"
         )
-    print(f"change/parent total: {times['change']['total'] / times['parent']['total']:.4f}")
+    print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
+    ratios = [c / p for p, c in zip(times["parent"]["reps"], times["change"]["reps"])]
+    print(
+        f"change/parent per rep: {' '.join(f'{r:.4f}' for r in ratios)} "
+        f"(change won {sum(r < 1 for r in ratios)} of {len(ratios)})"
+    )
     return 0
 
 
