@@ -43,7 +43,7 @@ class Graph:
             if u == v:
                 raise InternalInvariant(f"self loop at {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
+                raise InternalInvariant(f"edge {u}-{v} outside 0..{vertex_count - 1}")
             adj[u].append(v)
             adj[v].append(u)
         for u, row in enumerate(adj):

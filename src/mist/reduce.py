@@ -96,43 +96,27 @@ class WeakReduction:
 # sizes and then the pieces of one cut vertex, op3 the bridges, and op10
 # the vertices of degree 3 or more and the degree-2 runs next to them.
 #
-# op1, op9 and op10 also take near, the worklist the driver keeps for each:
-# None, or every vertex whose adjacency row changed since a trace ancestor
-# where the finder found nothing.  A site whose rows are all unchanged
-# since then did not fire there and does not fire now, so only sites at
-# near are searched, and the result is that of the whole-graph search.
+# op10 alone also takes near, the refined driver's worklist (see find_op10
+# and reduce_to_fixpoint): the other finders' candidates cost less than the
+# node's lowpoint pass, so a second, local search would not pay for itself.
 
 
-def find_op1(
-    g: Graph, sep: Separations | None = None, near: set[int] | None = None
-) -> StrongReduction | None:
+def find_op1(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Two pendant vertices at the same support: drop the larger one.
 
-    The support is the first vertex with two pendant neighbours, and u1 and
-    u2 are its first two.  Without near, the supports are read off the
-    degree-1 rows.  A support's row or a pendant's changes when it gains
-    one, so with near given only near and its neighbours are looked at.
+    The support is the first vertex with two pendant neighbours, read off
+    the degree-1 rows, and u1 and u2 are its first two.
     """
     if g.n_alive() <= 3:
         return None
-    adj = g.adj
-    if near is None:
-        pendants: dict[int, list[int]] = {}
-        for u, row in enumerate(adj):
-            if len(row) == 1:
-                pendants.setdefault(row[0], []).append(u)
-        v = min((v for v, leaves in pendants.items() if len(leaves) >= 2), default=None)
-        if v is None:
-            return None
-        u1, u2 = pendants[v][:2]
-    else:
-        for v in sorted({y for x in near if g.alive[x] for y in (x, *adj[x])}):
-            leaves = [u for u in adj[v] if len(adj[u]) == 1]
-            if len(leaves) >= 2:
-                u1, u2 = leaves[:2]
-                break
-        else:
-            return None
+    pendants: dict[int, list[int]] = {}
+    for u, row in enumerate(g.adj):
+        if len(row) == 1:
+            pendants.setdefault(row[0], []).append(u)
+    v = min((v for v, leaves in pendants.items() if len(leaves) >= 2), default=None)
+    if v is None:
+        return None
+    u1, u2 = pendants[v][:2]
     e = norm_edge(u2, v)
     return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
 
@@ -166,23 +150,13 @@ def find_op8(g: Graph, sep: Separations | None = None) -> StrongReduction | None
     return None
 
 
-def find_op9(
-    g: Graph, sep: Separations | None = None, near: set[int] | None = None
-) -> StrongReduction | None:
+def find_op9(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Three twins over one boundary pair: drop one support edge.
 
-    The pair is the first with three twins.  Without near, the groups are
-    the node's grouping, which op8 shares.  A twin joins a group only by a
-    change of its row, so with near given only the groups of degree-2
-    vertices of near are looked at.
+    The pair is the first with three twins in the node's grouping, which
+    op8 shares.
     """
-    if near is None:
-        groups = sep.twins if sep else twin_groups(g)
-    else:
-        adj = g.adj
-        keys = sorted({tuple(adj[x]) for x in near if len(adj[x]) == 2})
-        groups = [((a, b), [y for y in adj[a] if adj[y] == [a, b]]) for a, b in keys]
-    for key, twins in groups:
+    for key, twins in sep.twins if sep else twin_groups(g):
         if len(twins) >= 3:
             u2, u1 = key[0], key[1]
             u3, u4, u5 = twins[0], twins[1], twins[2]
@@ -843,21 +817,17 @@ _FINDERS = {
     "op4": find_op4,
     "op11": find_op11,
 }
-_LOCAL = ("op1", "op9", "op10")  # the finders that take a worklist
 
 
 def find_reduction(
-    g: Graph, kinds, sep: Separations, near: dict | None = None
+    g: Graph, kinds, sep: Separations, near: set[int] | None = None
 ) -> StrongReduction | WeakReduction | None:
     """First reduction of the given kinds that fires, in the order given.
 
-    near maps op1, op9 and op10 to their worklists; see find_op10.
+    near is op10's worklist; see find_op10.
     """
     for k in kinds:
-        if k in _LOCAL:
-            r = _FINDERS[k](g, sep, None if near is None else near[k])
-        else:
-            r = _FINDERS[k](g, sep)
+        r = _FINDERS[k](g, sep, near) if k == "op10" else _FINDERS[k](g, sep)
         if r is not None:
             return r
     return None
@@ -1030,17 +1000,20 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     op8 and op9 need two twins beside their boundary pair, op4 a cut
     vertex with a piece of 2 or more beside another piece, op3 a vertex of
     degree 3, and op2 a cycle edge between two cut vertices.
+
+    In refined mode each node carries op10's worklist near: the vertices
+    _changed since the nearest ancestor where op10 found nothing, or None
+    while there is none.  A strong step adds what it changed (op10, the
+    last strong rule, fired or was not searched); each part of a weak step
+    starts from what the step changed in it.
     """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
     strong_kinds, weak_kinds = RULESETS[mode]
-    local = [k for k in strong_kinds if k in _LOCAL]
+    has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
     root = g.copy()
-    # each queued node carries its graph and the worklists of op1, op9 and
-    # op10: the vertices whose rows changed since the nearest ancestor where
-    # the finder found nothing, or None when there is no such ancestor
-    work = [(trace.add_node(root, None), root, dict.fromkeys(local))]
+    work = [(trace.add_node(root, None), root, None)]
     while work:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
@@ -1055,13 +1028,8 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             child = apply_strong_reduction(h, r, sep)
             node.applied = r
             node.children = [trace.add_node(None, idx)]
-            changed = _changed(h, child, r)
-            # the finders before r's searched the whole graph in vain
-            tried = strong_kinds[: strong_kinds.index(r.kind)]
-            near = {
-                k: changed if k in tried else None if w is None else w | changed
-                for k, w in near.items()
-            }
+            if near is not None:
+                near = near | _changed(h, child, r)
             work.append((node.children[0], child, near))
             continue
         w = find_reduction(h, weak_kinds, sep)
@@ -1072,14 +1040,15 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         node.applied = w
         node.children = [trace.add_node(None, idx) for _ in parts]
         for c, p in zip(node.children, parts):
-            work.append((c, p, dict.fromkeys(local, _changed(h, p, w))))
+            work.append((c, p, _changed(h, p, w) if has_op10 else None))
     return trace
 
 
 def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
-    """Vertices alive in h whose adjacency row differs from g's.
+    """The vertices alive in h that r touches, h being a child of g by r.
 
-    Only the rows of the vertices that r touches can differ.
+    They include every vertex of h whose adjacency row differs from g's or
+    whose id is new in h, so no row is compared.
     """
     if isinstance(r, StrongReduction):
         touched = {x for e in r.removed_edges for x in e}
@@ -1091,6 +1060,4 @@ def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]
         touched = {r.path[-1] if r.path else r.peel.cut_vertex, r.peel.pendant + len(r.path)}
     else:
         touched = {x for record in r.contractions for x in record}
-    return {
-        x for x in touched if h.is_alive(x) and (x >= g.vertex_count or g.adj[x] != h.adj[x])
-    }
+    return {x for x in touched if h.is_alive(x)}

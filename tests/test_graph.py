@@ -90,6 +90,15 @@ def test_bulk_construction_matches_edge_by_edge_insertion():
             Graph(5, bad)
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (7, 1)])
+def test_bulk_construction_names_the_id_range_of_an_edge_outside_it(edge):
+    # every vertex is alive when the graph is built, so the message names
+    # the range of ids, not a dead vertex
+    u, v = edge
+    with pytest.raises(InternalInvariant, match=rf"^edge {u}-{v} outside 0\.\.4$"):
+        Graph(5, [(0, 1), edge])
+
+
 def _recount(g):
     return sum(g.alive), sum(len(row) for row in g.adj) // 2
 

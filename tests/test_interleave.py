@@ -9,6 +9,7 @@ import pytest
 import mist
 import mist.reduce
 from mist import norm_edge
+from mist.generate import gen_sparse
 from mist.reduce import StrongReduction, find_op1
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +32,25 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     assert not any(k.startswith(("mist_parent", "mist_change")) for k in sys.modules)
 
 
+def test_a_sparse_graph_runs_in_both_modes_on_both_trees(capsys):
+    argv = [SRC, SRC, "--sparse", "60", "--reps", "3"]
+    assert interleave.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sparse 60: 2 ops x 3"
+    assert re.fullmatch(r"change/parent per rep: \S+ \S+ \S+ \(change won \d of 3\)", out[4])
+    corp = interleave.sparse_corpus(mist, 60)
+    assert [op.mode for op in corp.ops] == ["simple", "refined"]
+    g = mist.parse_graph(corp.instances[0].text)
+    assert g.edge_list() == gen_sparse(60, 30, 1).edge_list()
+
+
+def test_a_workload_needs_a_seed_and_excludes_a_sparse_graph(capsys):
+    for extra in ([], ["--seed", "1", "--sparse", "60"]):
+        with pytest.raises(SystemExit):
+            interleave.main([SRC, SRC, "--workload", "gate", *extra])
+    assert "--workload needs --seed" in capsys.readouterr().err
+
+
 def test_an_output_difference_stops_the_run():
     corp = interleave.corpus_mod.build("chains", 3, 0.05)
 
@@ -50,10 +70,10 @@ def test_an_output_difference_stops_the_run():
     assert all(len(t["reps"]) == 1 and t["reps"][0] > 0 for t in times.values())
 
 
-def _drop_the_other_pendant(g, sep=None, near=None):
+def _drop_the_other_pendant(g, sep=None):
     # op1 keeps u2 and drops u1: the two are twins, so the tree, the bound
     # and the step's kind and c come out the same, but the child graph not
-    r = find_op1(g, sep, near)
+    r = find_op1(g, sep)
     if r is None:
         return None
     u1, u2, v = r.witness

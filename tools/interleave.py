@@ -1,19 +1,22 @@
 """Time two source trees of mist against each other, one operation at a time.
 
     python3 tools/interleave.py PARENT_SRC CHANGE_SRC --workload gate --seed 1 --scale 0.25 --reps 3
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC --sparse 2000 --reps 8
 
 PARENT_SRC and CHANGE_SRC are src/ directories that each hold a mist
 package.  Each is imported under its own package name, so both run in one
-process.  The operations of perfbench/corpus.build (parse_graph, run with
-keep_state=True, verify_run) run alternately on the two, the order flipped
-on every operation, so a drift in host speed falls on both sides alike;
-separate benchmark runs on a shared host can differ by 10 %, more than a
-change of a few per cent.  Any difference in the outputs (the tree, the
-upper bound, the trace steps, the verify checks and opt, or the error
-raised) stops the run with exit status 1.  Otherwise it prints, for each
-side, the total time and the median solve and verify times, then each
-rep's change/parent ratio of total time and the number of reps the change
-won, so one run shows whether it won nine reps in ten.
+process.  The operations are those of perfbench/corpus.build, or with
+--sparse N the graph gen_sparse(N, N // 2, 1) of the parent tree's
+generator, emitted as text and solved in both modes.  Each (parse_graph,
+run with keep_state=True, verify_run) runs alternately on the two, the
+order flipped on every operation, so a drift in host speed falls on both
+sides alike; separate benchmark runs on a shared host can differ by 10 %,
+more than a change of a few per cent.  Any difference in the outputs (the
+tree, the upper bound, the trace steps, the verify checks and opt, or the
+error raised) stops the run with exit status 1.  Otherwise it prints, for
+each side, the total time and the median solve and verify times, then
+each rep's change/parent ratio of total time and the number of reps the
+change won, so one run shows whether it won nine reps in ten.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -124,19 +127,35 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
     return times, None
 
 
+def sparse_corpus(mist, n: int):
+    """A corpus of gen_sparse(n, n // 2, 1) from the package mist, in both modes."""
+    g = importlib.import_module(f"{mist.__name__}.generate").gen_sparse(n, n // 2, 1)
+    inst = corpus_mod.Instance("sparse", n, tuple(g.edge_list()), mist.emit_graph(g))
+    return corpus_mod.Corpus((inst,), tuple(corpus_mod.Op(0, mode) for mode in corpus_mod.MODES))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="src/ directory of the parent tree")
     parser.add_argument("change", help="src/ directory of the changed tree")
-    parser.add_argument("--workload", choices=sorted(corpus_mod.WORKLOADS), required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=sorted(corpus_mod.WORKLOADS))
+    what.add_argument("--sparse", type=int, metavar="N", help="time gen_sparse(N, N // 2, 1)")
+    parser.add_argument("--seed", type=int, help="the workload's seed")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--reps", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.workload and args.seed is None:
+        parser.error("--workload needs --seed")
     names = {side: f"mist_{side}" for side in SIDES}
     try:
         mists = {side: load(src, names[side]) for side, src in zip(SIDES, (args.parent, args.change))}
-        corp = corpus_mod.build(args.workload, args.seed, args.scale)
+        if args.sparse is None:
+            corp = corpus_mod.build(args.workload, args.seed, args.scale)
+            title = f"{args.workload} seed {args.seed} scale {args.scale}"
+        else:
+            corp = sparse_corpus(mists["parent"], args.sparse)
+            title = f"sparse {args.sparse}"
         times, diff = interleave(mists, corp, args.reps)
     finally:
         for name in names.values():
@@ -145,7 +164,7 @@ def main(argv=None) -> int:
     if diff is not None:
         print(f"outputs differ: {diff}")
         return 1
-    print(f"{args.workload} seed {args.seed} scale {args.scale}: {len(corp.ops)} ops x {args.reps}")
+    print(f"{title}: {len(corp.ops)} ops x {args.reps}")
     totals = {side: sum(times[side]["reps"]) for side in SIDES}
     for side in SIDES:
         t = times[side]
