@@ -107,22 +107,26 @@ class Graph:
         self.alive[v] = False
         self._order -= 1
 
-    def write_rows(self, adj: list[list[int]], alive: list[bool]) -> None:
+    def write_rows(
+        self, adj: list[list[int]], alive: list[bool], counts: tuple[int, int] | None = None
+    ) -> None:
         """Take adj and alive as the graph's rows and alive mask.
 
         This writes a run of edits made on private copies of them in one
         go: the caller hands the lists over and keeps the rows sorted and
-        symmetric.  The vertex, alive and edge counts are recounted.
+        symmetric.  The alive and edge counts are recounted, unless the
+        caller kept them as it edited and passes them as counts.
         """
         if len(adj) != len(alive):
             raise InternalInvariant(f"{len(adj)} rows for {len(alive)} vertices")
-        ends = sum(map(len, adj))
-        if ends % 2:
-            raise InternalInvariant("rows written do not pair up")
+        if counts is None:
+            ends = sum(map(len, adj))
+            if ends % 2:
+                raise InternalInvariant("rows written do not pair up")
+            counts = sum(alive), ends // 2
         self.vertex_count = len(adj)
         self.adj, self.alive = adj, alive
-        self._order = sum(alive)
-        self._size = ends // 2
+        self._order, self._size = counts
 
     def copy(self) -> Graph:
         g = Graph(0)

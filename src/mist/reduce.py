@@ -11,11 +11,16 @@ reduce_to_fixpoint applies these until none fires, recording every step
 in a trace forest so the leaf solutions can be lifted back to the root.
 The trace keeps the graphs of its root and leaves only; lifting undoes
 each step once, rebuilding the graph and the tree of its node together
-from its children's.
+from its children's.  An undone step checks only what it edits: the tree
+edges it adds must be edges of the rebuilt graph, the ones it removes
+must be in the tree, the tree keeps n - 1 edges and its weight meets the
+step's floor.  One tree_result call at the root checks the whole lifted
+tree, after one per leaf.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -77,7 +82,8 @@ class WeakReduction:
     # and p are the first peel's cut vertex and pendant
     peel: Peel | None = None
     path: tuple[int, ...] | None = None
-    # op11: (u1, u2, o1, o2) per contraction, in order; u2 merges into u1
+    # op11: (u1, u2, o1, o2) per contraction, in order; u2 merges into u1,
+    # the same u1 for every contraction of the step
     contractions: tuple[tuple[int, int, int, int], ...] | None = None
 
 
@@ -90,11 +96,12 @@ class WeakReduction:
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
 #
-# Each finder reads only its candidates: op1 the degree-1 rows, op2 the
-# rows of the cut vertices, op8 and op9 the twin grouping the node's
-# separations build on first use (one per node, shared), op4 the piece
-# sizes and then the pieces of one cut vertex, op3 the bridges, and op10
-# the vertices of degree 3 or more and the degree-2 runs next to them.
+# Each finder reads only its candidates: op1 the rows of the vertices
+# whose removal leaves three or more pieces, op2 the rows of the cut
+# vertices, op8 and op9 the twin grouping the node's separations build on
+# first use (one per node, shared), op4 the piece sizes and then the
+# pieces of one cut vertex, op3 the bridges, and op10 the vertices of
+# degree 3 or more and the degree-2 runs next to them.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
 # and reduce_to_fixpoint): the other finders' candidates cost less than the
@@ -104,21 +111,22 @@ class WeakReduction:
 def find_op1(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
     """Two pendant vertices at the same support: drop the larger one.
 
-    The support is the first vertex with two pendant neighbours, read off
-    the degree-1 rows, and u1 and u2 are its first two.
+    The support is the first vertex with two pendant neighbours, and u1
+    and u2 are its first two.  With more than 3 vertices, removing such a
+    support leaves both pendants and the rest, so only the rows of the
+    vertices the lowpoint pass gives three or more pieces are read.
     """
     if g.n_alive() <= 3:
         return None
-    pendants: dict[int, list[int]] = {}
-    for u, row in enumerate(g.adj):
-        if len(row) == 1:
-            pendants.setdefault(row[0], []).append(u)
-    v = min((v for v, leaves in pendants.items() if len(leaves) >= 2), default=None)
-    if v is None:
-        return None
-    u1, u2 = pendants[v][:2]
-    e = norm_edge(u2, v)
-    return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
+    adj = g.adj
+    for v, k in (sep or separations(g)).pieces.items():  # the keys ascend
+        if k >= 3:
+            leaves = [u for u in adj[v] if len(adj[u]) == 1]
+            if len(leaves) >= 2:
+                u1, u2 = leaves[:2]
+                e = norm_edge(u2, v)
+                return StrongReduction("op1", (u2,), (e,), (e,), (u1, u2, v))
+    return None
 
 
 def find_op2(g: Graph, sep: Separations | None = None) -> StrongReduction | None:
@@ -729,6 +737,10 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
         out = [h]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
+        _check(
+            all(c[0] == r.contractions[0][0] for c in r.contractions),
+            "the contractions of a run merge into more than one vertex",
+        )
         rows, up = _rows_of(g)
         for u1, u2, o1, o2 in r.contractions:
             r1 = rows[u1]
@@ -766,16 +778,18 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
 
 
 # An op4 or op11 step edits the same few rows once per peel or
-# contraction.  Its sweep edits bare rows and an alive mask, checking each
-# peel or contraction against them as the ones before it left them, and
-# has Graph.write_rows recount the graph once at the end.  Applying a step
-# edits private copies of the parent's rows, which the parent keeps;
-# undoing one edits the rows of the child graph it rebuilds, which the
-# lift owns.  Where a record stands for Graph edits, the sweep makes them
-# with the same checks and messages (graph.add_edge_in, remove_edge_in and
-# revive_in).  An op4 path peel has no record but its cut vertex: apply
-# checks its block {v, p} by v's row instead of a _hangs search, and undo
-# rebuilds the block's edges from v, w and p.
+# contraction.  Applying one sweeps private copies of the parent's rows
+# and alive mask, which the parent keeps, checking each peel or
+# contraction against them as the ones before it left them, and has
+# Graph.write_rows recount the graph once at the end.  Where a record
+# stands for Graph edits, the sweep makes them with the same checks and
+# messages (graph.add_edge_in, remove_edge_in and revive_in).  An op4 path
+# peel has no record but its cut vertex: apply checks its block {v, p} by
+# v's row instead of a _hangs search.
+#
+# Undoing a step edits the rows of the child graph it rebuilds, which the
+# lift owns, by the step's net edit only, and hands Graph.write_rows the
+# counts it kept (see _undo and _undo_peel).
 
 
 def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: int) -> bool:
@@ -842,6 +856,30 @@ class TraceNode:
     children: list[int] = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class Lifted:
+    """A trace node's rebuilt graph and the tree lifted onto it.
+
+    edges is the tree's edge set, deg the tree degree of every vertex id,
+    and weight the number of vertices of tree degree 2 or more, the tree's
+    internal count.  _undo edits all four in place.
+    """
+
+    graph: Graph
+    edges: set[Edge]
+    deg: list[int]
+    weight: int
+
+    @classmethod
+    def of(cls, g: Graph, t: TreeResult) -> Lifted:
+        """g with its spanning tree t, taken as checked."""
+        deg = [0] * g.vertex_count
+        for u, v in t.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return cls(g, set(t.edges), deg, t.weight)
+
+
 class ReductionTrace:
     def __init__(self, mode: str):
         self.mode = mode
@@ -868,124 +906,284 @@ class ReductionTrace:
         Children come after their parent, so one reverse walk sees every
         node after its children.  Each internal node's graph and tree are
         rebuilt together by undoing its step once on its children's
-        (_undo), starting from copies of the leaf graphs.  Every leaf tree
-        must be the one tree_result gives for its edges on its leaf graph,
-        and _undo checks every lifted tree with tree_result on the graph it
-        rebuilt.
-        A child's graph and tree are dropped once its parent has used them.
+        (_undo), starting from copies of the leaf graphs; a child's state
+        is dropped once its parent has used it.  Every leaf tree must be
+        the one tree_result gives for its edges on its leaf graph.  An
+        undone step checks only what it edits, so the root gets the one
+        whole-graph check: the rebuilt graph must equal the input, and
+        tree_result of the lifted edges on it must have the weight the
+        steps kept.
         """
-        trees: dict[int, TreeResult] = {}
-        graphs: dict[int, Graph] = {}
+        lifted: dict[int, Lifted] = {}
         for node in reversed(self.nodes):
-            if not node.children:
-                if node.index not in leaf_trees:
-                    raise InternalInvariant(f"no tree for leaf {node.index}")
-                t = leaf_trees[node.index]
-                h = node.graph.copy()
-                if tree_result(h, t.edges) != t:
-                    raise InternalInvariant(f"tree of leaf {node.index} does not match its edges")
-            else:
-                subs = [trees.pop(c) for c in node.children]
-                parts = [graphs.pop(c) for c in node.children]
-                h, t = _undo(node.applied, parts, subs)
-            trees[node.index] = t
-            graphs[node.index] = h
-        root = self.nodes[0].graph
-        if graphs[0].alive != root.alive or graphs[0].adj != root.adj:
+            if node.children:
+                lifted[node.index] = _undo(node.applied, [lifted.pop(c) for c in node.children])
+                continue
+            if node.index not in leaf_trees:
+                raise InternalInvariant(f"no tree for leaf {node.index}")
+            t = leaf_trees[node.index]
+            if tree_result(node.graph, t.edges) != t:
+                raise InternalInvariant(f"tree of leaf {node.index} does not match its edges")
+            if node.parent is None:
+                return t
+            lifted[node.index] = Lifted.of(node.graph.copy(), t)
+        root, top = self.nodes[0], lifted[0]
+        if top.graph.alive != root.graph.alive or top.graph.adj != root.graph.adj:
             raise InternalInvariant("undoing the steps did not rebuild the input graph")
-        return trees[0]
+        t = tree_result(root.graph, top.edges)
+        if t.weight != top.weight:
+            raise InternalInvariant(f"the steps kept weight {top.weight}, the root tree has {t.weight}")
+        return t
 
 
-def _undo(
-    r: StrongReduction | WeakReduction, parts: list[Graph], subtrees: list[TreeResult]
-) -> tuple[Graph, TreeResult]:
+def _undo(r: StrongReduction | WeakReduction, parts: list[Lifted]) -> Lifted:
     """The graph r was applied to and its lifted tree, from the children's.
 
-    One reverse replay of the step rebuilds the graph in place in the first
-    part and edits the lifted tree's edge set beside it; tree_result then
-    checks the tree on the rebuilt graph, and its weight is checked
-    against the step's floor.
+    One reverse replay of the step rebuilds the graph in place in the
+    first part and edits its tree beside it, so a step costs its own
+    edits, not the graph's size.  Every tree edge it adds must be an edge
+    of the rebuilt rows and every one it removes must be in the tree; the
+    tree keeps n - 1 edges, and its weight, kept from the degrees the step
+    changed, must meet the step's floor.  op3 takes in its second part's
+    rows, tree edges and degrees.
     """
-    h = parts[0]
     if isinstance(r, StrongReduction):
-        (t,) = subtrees
+        (t,) = parts
+        floor, h = t.weight, t.graph
         for v in r.removed_vertices:
             h.revive(v)
         for u, v in r.removed_edges:
             h.add_edge(u, v)
-        lifted = tree_result(h, [*t.edges, *r.restore_edges])
-        if lifted.weight < t.weight:
+        _add_tree_edges(t, r.restore_edges)
+        _check_size(t)
+        if t.weight < floor:
             raise InternalInvariant("strong lift lost weight")
-        return h, lifted
-    if len(subtrees) != r.parts:
-        raise ArityMismatch(f"{r.kind} expects {r.parts} subtrees, got {len(subtrees)}")
-    edges = set(subtrees[0].edges)
+        return t
+    if len(parts) != r.parts:
+        raise ArityMismatch(f"{r.kind} expects {r.parts} subtrees, got {len(parts)}")
+    floor = sum([p.weight for p in parts]) + r.c
+    t = parts[0]
     if r.kind == "op3":
-        for x in r.sides[1]:
+        t2 = parts[1]
+        h, deg = t.graph, t.deg
+        side, rows2, deg2 = r.sides[1], t2.graph.adj, t2.deg
+        for x in side:
             h.revive(x)
-        for u, v in parts[1].edge_list():
-            h.add_edge(u, v)
+            deg[x] = deg2[x]
+        for x in side:
+            for y in rows2[x]:
+                if x < y:
+                    h.add_edge(x, y)
         h.add_edge(*r.bridge)
-        edges.update(subtrees[1].edges)
-        edges.add(r.bridge)
+        t.edges |= t2.edges
+        t.weight += t2.weight
+        _add_tree_edges(t, (r.bridge,))
     elif r.kind == "op4":
-        rows, up = h.adj, h.alive
-        s, path = r.peel, r.path
-        for i in range(len(path), 0, -1):
-            # the path peel at w took {v, q - 1} off it, v the cut vertex
-            # before it; the block is the path (q - 1)-v-w, its own tree
-            w, q = path[i - 1], s.pendant + i
-            v = path[i - 2] if i > 1 else s.cut_vertex
-            block = ((v, w) if v < w else (w, v), (v, q - 1))
-            _undo_peel(rows, up, edges, w, (v, q - 1), q, block, block)
-        _undo_peel(rows, up, edges, s.cut_vertex, s.component, s.pendant, s.inner_tree, s.block_edges)
-        h.write_rows(rows, up)
+        _undo_peel(t, r.peel, r.path)
     elif r.kind == "op11":
-        rows, up = h.adj, h.alive
-        for u1, u2, o1, o2 in reversed(r.contractions):
-            swap = (u1, o2) if u1 < o2 else (o2, u1)
-            if swap in edges:
-                edges.remove(swap)
-                edges.add((u2, o2) if u2 < o2 else (o2, u2))
-            edges.add((u1, u2) if u1 < u2 else (u2, u1))
-            # the Graph edits undone: remove u1-o2 unless o1 is o2, revive
-            # u2, add u1-u2 and u2-o2
-            if o1 != o2:
-                remove_edge_in(rows, u1, o2)
-            revive_in(rows, up, u2)
-            add_edge_in(rows, up, u1, u2)
-            add_edge_in(rows, up, u2, o2)
-        h.write_rows(rows, up)
+        _undo_run(t, r.contractions)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
-    lifted = tree_result(h, edges)
-    floor = sum(t.weight for t in subtrees) + r.c
-    if r.kind == "op4" and lifted.weight != floor:
+    _check_size(t)
+    if r.kind == "op4" and t.weight != floor:
         raise InternalInvariant("block lift must gain exactly c")
-    if lifted.weight < floor:
+    if t.weight < floor:
         raise InternalInvariant(f"{r.kind} lift fell below its floor")
-    return h, lifted
+    return t
 
 
-def _undo_peel(rows, up, edges, v, k_comp, p, inner_tree, block_edges) -> None:
-    """Undo the peel of k_comp off v with the pendant p, on bare rows and the tree's edges."""
-    if (v, p) not in edges:  # the pendant's id is the larger
+def _undo_peel(t: Lifted, s: Peel, path: tuple[int, ...]) -> None:
+    """Undo an op4 step on t: its path peels, last first, then its first peel.
+
+    Path peel i took {w_(i-1), p + i - 1} off w_i with the pendant p + i,
+    w_0 and p being the first peel's cut vertex and pendant.  Undone one
+    at a time, each peel would revive the pendant of the peel before it
+    and join it to w_(i-1), only for that peel's undo to take the edge out
+    and pop the id again.  So the step is undone as its net edit: the last
+    pendant edge leaves the tree and the rows, every pendant id is popped,
+    each w_(i-1) is revived and joined to w_i, and K is revived with its
+    block edges and inner tree.
+
+    The last pendant edge must be in the tree and the last id alive, and
+    every other pendant dead and bare, as the peel after it left it.  The
+    revives and joins are checked in peel order with the messages of the
+    Graph edits they stand for, and the inner tree must be a tree on
+    K + {w_0}.  The rest of each peel's checks hold by construction: its
+    pendant edge is the one the peel after it added.
+    """
+    h, edges, deg = t.graph, t.edges, t.deg
+    rows, up = h.adj, h.alive
+    cuts = (s.cut_vertex, *path)
+    w, p = cuts[-1], s.pendant + len(path)
+    if (w, p) not in edges:  # the pendant's id is the larger
         raise InternalInvariant("pendant edge missing from subtree")
-    edges.remove((v, p))
-    edges.update(inner_tree)
-    # the Graph edits undone: remove v-p, pop the last id (the pendant,
-    # added by the peel), revive K, add the block's edges
-    remove_edge_in(rows, v, p)
+    edges.remove((w, p))
+    t.weight -= deg[w] == 2
+    deg[w] -= 1
+    remove_edge_in(rows, w, p)
     last = len(rows) - 1
     if not (last >= 0 and up[last]):
         raise InternalInvariant(f"vertex {last} already dead")
+    size = h.edge_count() - 1 - len(rows[last])
     for y in rows.pop():
         rows[y].remove(last)
     up.pop()
-    for x in k_comp:
+    deg.pop()
+    if any(up[s.pendant : last]) or any(rows[s.pendant : last]):
+        x = next(x for x in range(s.pendant, last) if up[x] or rows[x])
+        raise InternalInvariant(f"vertex {x} is not dead and bare")
+    del rows[s.pendant :], up[s.pendant :], deg[s.pendant :]
+    weight = t.weight
+    for v, w in zip(cuts[-2::-1], cuts[:0:-1]):
+        # revive w_(i-1) and join it to w_i, with the checks and messages of
+        # revive_in and add_edge_in; v is bare, so the join is no duplicate
+        if up[v] or rows[v]:
+            raise InternalInvariant(f"vertex {v} is not dead and bare")
+        up[v] = True
+        e = (v, w) if v < w else (w, v)
+        if v == w:
+            raise InternalInvariant(f"self loop at {v}")
+        if not up[w]:
+            raise InternalInvariant(f"edge {e[0]}-{e[1]} touches a dead vertex")
+        rows[v].append(w)
+        insort(rows[w], v)
+        edges.add(e)
+        deg[v] += 1
+        d = deg[w] = deg[w] + 1
+        weight += d == 2
+    t.weight = weight
+    for x in s.component:
         revive_in(rows, up, x)
-    for a, b in block_edges:
+    for a, b in s.block_edges:
         add_edge_in(rows, up, a, b)
+    order = h.n_alive() - 1 + len(path) + len(s.component)
+    h.write_rows(rows, up, (order, size + len(path) + len(s.block_edges)))
+    if not _is_tree_on((s.cut_vertex, *s.component), s.inner_tree):
+        raise InternalInvariant(f"inner tree at {s.cut_vertex} is not a tree on its block")
+    _add_tree_edges(t, s.inner_tree)
+
+
+def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
+    """Undo an op11 run on t, its contractions last first, as one net edit.
+
+    Undoing a contraction puts u2 back on the edge u1-o2, or beside it when
+    o1 is o2, so undone one at a time each would join u1 to u2, only for
+    the contraction before it to take that edge out again when it puts its
+    own u2 there.  Every contraction merges into the run's one u1, so the
+    sweep keeps only u1's row and tree neighbours, checking each
+    contraction against them with the messages of the Graph edits it
+    stands for (remove u1-o2 unless o1 is o2, revive u2, add u1-u2 and
+    u2-o2), and writes each row it touched once, at the end.
+    """
+    h, edges, deg = t.graph, t.edges, t.deg
+    rows, up = h.adj, h.alive
+    n = len(up)
+    u1 = run[0][0]
+    if any(c[0] != u1 for c in run):
+        raise InternalInvariant("the contractions of a run merge into more than one vertex")
+    r1 = rows[u1][:]  # u1's row as the undo goes
+    t1 = [x for x in r1 if ((u1, x) if u1 < x else (x, u1)) in edges]  # its tree neighbours
+    for x in t1:
+        edges.remove((u1, x) if u1 < x else (x, u1))
+    work: dict[int, list[int]] = {}  # the other rows the run touched, unsorted
+    weight, size = t.weight, h.edge_count() + 2 * len(run)
+    for _, u2, o1, o2 in reversed(run):
+        if o1 != o2:
+            if o2 not in r1:
+                raise InternalInvariant(f"missing edge {u1}-{o2}")
+            r1.remove(o2)
+            size -= 1
+        if up[u2] or rows[u2]:
+            raise InternalInvariant(f"vertex {u2} is not dead and bare")
+        up[u2] = True
+        if u1 == u2 or not up[u1] or u2 == o2 or not (0 <= o2 < n and up[o2]) or o2 == u1:
+            _refuse_joins(up, u1, u2, o2)
+        r1.append(u2)
+        work[u2] = [u1, o2]
+        ro = work.get(o2)
+        if ro is None:
+            ro = work[o2] = rows[o2][:]
+        if o1 != o2:
+            ro[ro.index(u1)] = u2
+        else:
+            ro.append(u2)
+        # the tree: u2 takes u1's tree edge to o2, if there is one, and joins u1
+        if o2 in t1:
+            t1[t1.index(o2)] = u2
+            edges.add((u2, o2) if u2 < o2 else (o2, u2))
+            deg[u2] += 2
+            weight += deg[u2] == 2
+        else:
+            t1.append(u2)
+            deg[u2] += 1
+            deg[u1] += 1
+            weight += deg[u1] == 2
+    edges.update([(u1, x) if u1 < x else (x, u1) for x in t1])
+    r1.sort()
+    rows[u1] = r1
+    for x, row in work.items():
+        row.sort()
+        rows[x] = row
+    h.write_rows(rows, up, (h.n_alive() + len(run), size))
+    t.weight = weight
+
+
+def _refuse_joins(up: list[bool], u1: int, u2: int, o2: int) -> None:
+    """Raise what add_edge_in(u1, u2) and then add_edge_in(u2, o2) raise, u2 new and bare."""
+    n = len(up)
+    if u1 == u2:
+        raise InternalInvariant(f"self loop at {u1}")
+    if not up[u1]:
+        raise InternalInvariant(f"edge {u1}-{u2} touches a dead vertex")
+    if u2 == o2:
+        raise InternalInvariant(f"self loop at {u2}")
+    if not (0 <= o2 < n and up[o2]):
+        raise InternalInvariant(f"edge {u2}-{o2} touches a dead vertex")
+    raise InternalInvariant(f"duplicate edge {u2}-{o2}")  # o2 is u1
+
+
+def _is_tree_on(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> bool:
+    """Whether edges are a tree on vertices: one fewer, between them, none closing a cycle.
+
+    The cycle check is a union-find over the vertices alone.
+    """
+    parent = dict.fromkeys(vertices)  # a root's parent is None
+    if len(edges) != len(parent) - 1:
+        return False
+    for a, b in edges:
+        if a not in parent or b not in parent:
+            return False
+        while (up := parent[a]) is not None:
+            a = up
+        while (up := parent[b]) is not None:
+            b = up
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+def _add_tree_edges(t: Lifted, edges) -> None:
+    """Add edges to t's tree; each must be an edge of t's graph."""
+    rows, tree, deg = t.graph.adj, t.edges, t.deg
+    weight = t.weight
+    for u, v in edges:
+        u, v = (u, v) if u < v else (v, u)
+        row = rows[u] if 0 <= u and v < len(rows) else ()
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
+        tree.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        weight += (deg[u] == 2) + (deg[v] == 2)
+    t.weight = weight
+
+
+def _check_size(t: Lifted) -> None:
+    n = t.graph.n_alive()
+    if len(t.edges) != n - 1:
+        raise InternalInvariant(f"{len(t.edges)} edges for {n} vertices")
 
 
 def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:

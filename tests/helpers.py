@@ -799,13 +799,13 @@ def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
     return h
 
 
-def reference_undo_run(r: WeakReduction, h: Graph, t: TreeResult) -> tuple[Graph, TreeResult]:
+def reference_undo_run(r: WeakReduction, h: Graph, edges: set) -> tuple[Graph, TreeResult]:
     """An op4 or op11 step undone on its child graph h, one Graph edit at a time.
 
-    h is edited in place and returned with the tree lifted from t, before
-    the lift's floor checks.
+    h and the child tree's edge set are edited in place; h is returned
+    with the lifted tree as tree_result checks it, before the lift's floor
+    checks.
     """
-    edges = set(t.edges)
     if r.kind == "op4":
         for s in reversed(op4_peels(r)):
             pe = (s.cut_vertex, s.pendant)
@@ -858,8 +858,9 @@ def check_runs_against_reference(monkeypatch, roots, modes=("simple", "refined")
     """Reduce and lift every root, checking each op4 and op11 step against the loops above.
 
     Applying a step must give the graph reference_apply_run gives, and
-    undoing it the graph and tree reference_undo_run gives.  The leaves get
-    breadth-first trees.  Returns how many steps of each kind were checked.
+    undoing it the graph, tree edges, weight and tree degrees
+    reference_undo_run gives.  The leaves get breadth-first trees.  Returns
+    how many steps of each kind were checked.
     """
     seen: Counter = Counter()
     real_apply, real_undo = mist.reduce.apply_weak_reduction, mist.reduce._undo
@@ -871,15 +872,16 @@ def check_runs_against_reference(monkeypatch, roots, modes=("simple", "refined")
             seen[f"{r.kind} apply"] += 1
         return parts
 
-    def undo(r, parts, subtrees):
+    def undo(r, parts):
         if r.kind not in ("op4", "op11"):
-            return real_undo(r, parts, subtrees)
-        want_h, want_t = reference_undo_run(r, parts[0].copy(), subtrees[0])
-        h, t = real_undo(r, parts, subtrees)
-        assert graph_state(h) == graph_state(want_h)
-        assert t == want_t
+            return real_undo(r, parts)
+        want_h, want_t = reference_undo_run(r, parts[0].graph.copy(), set(parts[0].edges))
+        t = real_undo(r, parts)
+        assert graph_state(t.graph) == graph_state(want_h)
+        assert (t.edges, t.weight) == (set(want_t.edges), want_t.weight)
+        assert t.deg == mist.reduce.Lifted.of(want_h, want_t).deg
         seen[f"{r.kind} undo"] += 1
-        return h, t
+        return t
 
     monkeypatch.setattr(mist.reduce, "apply_weak_reduction", apply)
     monkeypatch.setattr(mist.reduce, "_undo", undo)

@@ -27,6 +27,10 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     assert [line.split(":")[0].strip() for line in out[1:]] == [
         "parent", "change", "change/parent total", "change/parent per rep"
     ]
+    for line in out[1:3]:
+        assert re.fullmatch(
+            r" *\w+: total \S+ s, solve p50 \S+ ms, lift p50 \S+ ms, verify p50 \S+ ms", line
+        )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
     assert sum(float(r) < 1 for r in ratios.split()) == int(won)
     assert not any(k.startswith(("mist_parent", "mist_change")) for k in sys.modules)
@@ -66,6 +70,9 @@ def test_an_output_difference_stops_the_run():
     first = next(k for k, op in enumerate(corp.ops) if op.mode == "refined")
     assert diff.startswith(f"op {first} (refined): ")
     assert len(times["parent"]["solve"]) == len(times["change"]["solve"]) == first + 1
+    # every operation lifts its trace once, inside its solve time
+    for t in times.values():
+        assert all(0 < lift < solve for lift, solve in zip(t["lift"], t["solve"]))
     # the rep cut short holds the time of the operations run
     assert all(len(t["reps"]) == 1 and t["reps"][0] > 0 for t in times.values())
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import operator
 import sys
 from collections import Counter
 
@@ -17,6 +18,7 @@ from mist.exact import opt_spanning_tree
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
 from mist.reduce import (
     RULESETS,
+    Lifted,
     StrongReduction,
     WeakReduction,
     apply_strong_reduction,
@@ -933,6 +935,19 @@ def test_op11_rechecks_every_contraction_of_its_run():
         apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
 
 
+def test_an_op11_run_merges_into_one_vertex():
+    # a second contraction into 5, not 0, is refused when applying the run
+    # and when undoing it
+    g = cycle(8)
+    r = find_op11(g)
+    (h,) = apply_weak_reduction(g, r)
+    mixed = _with_record(r, "contractions", 1, (5, 6, 4, 7))
+    with pytest.raises(StaleWitness, match="merge into more than one vertex"):
+        apply_weak_reduction(g, mixed)
+    with pytest.raises(InternalInvariant, match="merge into more than one vertex"):
+        mist.reduce._undo(mixed, [Lifted.of(h, bfs_tree(h))])
+
+
 def _with_record(r, field, i, record):
     records = list(getattr(r, field))
     records[i] = record
@@ -971,7 +986,7 @@ def test_op4_undo_pops_only_a_live_last_id():
     t = bfs_tree(h)
     h.remove_vertex(add_vertex(h))
     with pytest.raises(InternalInvariant, match="vertex 38 already dead"):
-        mist.reduce._undo(r, [h], [t])
+        mist.reduce._undo(r, [Lifted.of(h, t)])
 
 
 def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
@@ -1127,18 +1142,28 @@ def walk_trace_checking_safety(g, mode):
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mode):
-    # lifting undoes each step on the children's graphs; every graph a leaf
-    # or lifted tree is checked against equals the one the forward replay
-    # gives, and keeps its vertex and edge counters right
+    # lifting undoes each step on the children's graphs; every leaf graph
+    # tree_result checks and every graph _undo rebuilds equals the one the
+    # forward replay gives, and keeps its vertex and edge counters right;
+    # the root's tree_result check comes last
     checked = []
-    real = mist.reduce.tree_result
+    real_check, real_undo = mist.reduce.tree_result, mist.reduce._undo
 
-    def recording(h, edges):
+    def record(h):
         checked.append((list(h.alive), [list(row) for row in h.adj]))
         assert (h.n_alive(), h.edge_count()) == (sum(h.alive), sum(map(len, h.adj)) // 2)
-        return real(h, edges)
 
-    monkeypatch.setattr(mist.reduce, "tree_result", recording)
+    def checking(h, edges):
+        record(h)
+        return real_check(h, edges)
+
+    def undoing(r, parts):
+        t = real_undo(r, parts)
+        record(t.graph)
+        return t
+
+    monkeypatch.setattr(mist.reduce, "tree_result", checking)
+    monkeypatch.setattr(mist.reduce, "_undo", undoing)
     roots = list(connected_graphs_up_to_iso(7)) + _op10_roots()
     roots += [f(n) for n in range(31, 49) for f in (gen_cycle, gen_theta, gen_path)]
     for g in roots:
@@ -1147,7 +1172,78 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
         assert kept == sorted({0, *tr.leaves()})
         checked.clear()
         tr.lift_all({i: bfs_tree(tr.nodes[i].graph) for i in tr.leaves()})
-        assert checked == [(h.alive, h.adj) for h in reversed(replay(tr))], g
+        want = [(h.alive, h.adj) for h in reversed(replay(tr))]
+        assert checked == want + want[-1:] * (len(tr.nodes) > 1), g
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_lift_checks_each_leaf_and_then_the_root_once(monkeypatch, mode):
+    # every undone step checks only what it edits, so tree_result runs on
+    # each leaf graph and then once on the root's, unless the root is a leaf
+    checked = []
+    real = mist.reduce.tree_result
+    monkeypatch.setattr(mist.reduce, "tree_result", lambda h, edges: checked.append(h) or real(h, edges))
+    roots = list(connected_graphs_up_to_iso(6))
+    roots += [f(n) for n in range(5, 49) for f in (gen_cycle, gen_theta, gen_path)]
+    for g in roots:
+        tr = reduce_to_fixpoint(g, mode)
+        leaf_trees = {i: bfs_tree(tr.nodes[i].graph) for i in tr.leaves()}
+        checked.clear()
+        tr.lift_all(leaf_trees)
+        want = [tr.nodes[i].graph for i in reversed(tr.leaves())]
+        if tr.nodes[0].children:
+            want.append(tr.nodes[0].graph)
+        assert len(checked) == len(want) and all(map(operator.is_, checked, want)), g
+
+
+class _CountedRow(list):
+    """A list that adds each edit made to it to _CountedRow.edits."""
+
+    edits = 0
+
+    def _count(self):
+        _CountedRow.edits += 1
+
+    def __setitem__(self, *args):
+        self._count()
+        super().__setitem__(*args)
+
+    def __delitem__(self, *args):
+        self._count()
+        super().__delitem__(*args)
+
+    def append(self, *args):
+        self._count()
+        super().append(*args)
+
+    def insert(self, *args):
+        self._count()
+        super().insert(*args)
+
+    def pop(self, *args):
+        self._count()
+        return super().pop(*args)
+
+    def remove(self, *args):
+        self._count()
+        super().remove(*args)
+
+
+def test_undoing_a_path_makes_at_most_two_row_edits_per_peel():
+    # one peel at a time, a path peel would also take out, pop and put back
+    # its pendant edge and id; the net edit revives each cut vertex on its
+    # own row and joins it to the next, and the rest is the last pendant
+    # (2 edits for its edge, 1 for its id and 1 for the ids below it) and
+    # the first peel's block edges (2 each)
+    g = gen_path(200)
+    r = reduce_to_fixpoint(g, "simple").nodes[0].applied
+    assert r.kind == "op4" and len(r.path) > 180
+    (h,) = apply_weak_reduction(g, r)
+    t = Lifted.of(h, bfs_tree(h))
+    h.write_rows(_CountedRow(map(_CountedRow, h.adj)), h.alive)
+    _CountedRow.edits = 0
+    assert mist.reduce._undo(r, [t]).graph == g
+    assert _CountedRow.edits <= 2 * len(r.path) + 4 + 2 * len(r.peel.block_edges)
 
 
 def _lift_tampered(
@@ -1264,6 +1360,57 @@ def _merge_a_live_vertex(r):
 )
 def test_lift_checks_each_middle_record_against_the_rows_so_far(g, mode, kind, tamper, match):
     _lift_tampered(g, mode, kind, tamper, InternalInvariant, match)
+
+
+def _restore_between_the_pendants(r):
+    # op1 dropped 10, the second of the pendants 4 and 10 at 9; 4-10 is no edge
+    assert r.witness == (4, 10, 9)
+    return {"restore_edges": ((4, 10),)}
+
+
+def _inner_tree_with_a_cycle(r):
+    # the block K + {5} keeps its 7 edges, but 1-7-6-2-8-1 closes a cycle
+    # and 5 is left out
+    assert r.peel.cut_vertex == 5 and len(r.peel.component) == 7
+    cycle_tree = ((0, 8), (1, 7), (1, 8), (2, 6), (2, 8), (3, 7), (6, 7))
+    assert set(cycle_tree) <= set(r.peel.block_edges)
+    return {"peel": dataclasses.replace(r.peel, inner_tree=cycle_tree)}
+
+
+_PENDANT_AT_9 = [(0, 1), (0, 3), (0, 9), (1, 7), (1, 9), (2, 5), (2, 9), (3, 6), (3, 7), (3, 8),
+                 (4, 9), (5, 9), (6, 7), (6, 8), (7, 8)]
+_BLOCK_AT_5 = [(0, 8), (1, 5), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8), (3, 7), (4, 9), (5, 6),
+               (5, 8), (5, 9), (6, 7), (7, 8), (8, 9)]
+
+
+@pytest.mark.parametrize(
+    "g, mode, index, kind, tamper, match",
+    [
+        (gen_theta(12), "refined", 1, "op11", lambda r: {"c": r.c + 1},
+         "op11 lift fell below its floor"),
+        (build_graph(10, _PENDANT_AT_9), "simple", 1, "op1", _restore_between_the_pendants,
+         "tree edge 4-10 is not a graph edge"),
+        (build_graph(10, _BLOCK_AT_5), "simple", 3, "op4", _inner_tree_with_a_cycle,
+         "inner tree at 5 is not a tree on its block"),
+    ],
+    ids=["op11-c", "op1-restore-edge", "op4-inner-tree"],
+)
+def test_lift_checks_a_step_below_the_root_where_it_is_undone(
+    monkeypatch, g, mode, index, kind, tamper, match
+):
+    # a step below the root is changed after reducing; the lift fails at
+    # that step, before the root's tree_result check would run
+    tr = reduce_to_fixpoint(g, mode)
+    node = tr.nodes[index]
+    assert node.parent is not None and node.applied.kind == kind
+    node.applied = dataclasses.replace(node.applied, **tamper(node.applied))
+    leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
+    checked = []
+    real = mist.reduce.tree_result
+    monkeypatch.setattr(mist.reduce, "tree_result", lambda h, edges: checked.append(h) or real(h, edges))
+    with pytest.raises(InternalInvariant, match=match):
+        tr.lift_all(leaf_trees)
+    assert checked and not any(h is tr.nodes[0].graph for h in checked)
 
 
 def test_safety_exhaustive_small_graphs():

@@ -14,9 +14,10 @@ sides alike; separate benchmark runs on a shared host can differ by 10 %,
 more than a change of a few per cent.  Any difference in the outputs (the
 tree, the upper bound, the trace steps, the verify checks and opt, or the
 error raised) stops the run with exit status 1.  Otherwise it prints, for
-each side, the total time and the median solve and verify times, then
-each rep's change/parent ratio of total time and the number of reps the
-change won, so one run shows whether it won nine reps in ten.
+each side, the total time and the median solve, lift and verify times
+(the lift time is the time run spends inside ReductionTrace.lift_all),
+then each rep's change/parent ratio of total time and the number of reps
+the change won, so one run shows whether it won nine reps in ten.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -77,11 +78,23 @@ def replay_steps(reduce, trace) -> list[tuple]:
     return steps
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int]:
-    """The operation's outputs as text, and its solve, verify and total times in ns.
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int]:
+    """The operation's outputs as text, and its solve, lift, verify and total times in ns.
 
-    The total runs from parsing to the end of verify_run or the error.
+    The total runs from parsing to the end of verify_run or the error.  The
+    lift time is read by wrapping ReductionTrace.lift_all for the operation.
     """
+    trace_cls = mist.reduce.ReductionTrace
+    lift_all, lift = trace_cls.lift_all, [0]
+
+    def timed_lift(trace, leaf_trees):
+        t = time.perf_counter_ns()
+        try:
+            return lift_all(trace, leaf_trees)
+        finally:
+            lift[0] += time.perf_counter_ns() - t
+
+    trace_cls.lift_all = timed_lift
     start = t0 = t1 = time.perf_counter_ns()
     try:
         g = mist.parse_graph(text)
@@ -91,14 +104,16 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int]:
         vr = mist.verify_run(g, report)
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
-        return f"! {type(exc).__name__}: {exc}", t - t0, 0, t - start
+        return f"! {type(exc).__name__}: {exc}", t - t0, lift[0], 0, t - start
+    finally:
+        trace_cls.lift_all = lift_all
     t2 = time.perf_counter_ns()
     try:
         steps = replay_steps(mist.reduce, report.trace)
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, t2 - t1, t2 - start
+    return out, t1 - t0, lift[0], t2 - t1, t2 - start
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
@@ -107,7 +122,7 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
     A side's reps list holds the total time of each rep, the last one cut
     short at a difference.
     """
-    times = {side: {"reps": [], "solve": [], "verify": []} for side in SIDES}
+    times = {side: {"reps": [], "solve": [], "lift": [], "verify": []} for side in SIDES}
     flip = 0
     for _ in range(reps):
         for side in SIDES:
@@ -118,9 +133,10 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
             flip += 1
             outs = {}
             for side in order:
-                outs[side], solve, verify, total = run_op(mists[side], text, op.mode)
+                outs[side], solve, lift, verify, total = run_op(mists[side], text, op.mode)
                 times[side]["reps"][-1] += total
                 times[side]["solve"].append(solve)
+                times[side]["lift"].append(lift)
                 times[side]["verify"].append(verify)
             if outs["parent"] != outs["change"]:
                 return times, f"op {k} ({op.mode}): {outs['parent']!r} != {outs['change']!r}"
@@ -171,6 +187,7 @@ def main(argv=None) -> int:
         print(
             f"{side:>6}: total {totals[side] / 1e9:.3f} s, "
             f"solve p50 {statistics.median(t['solve']) / 1e6:.4f} ms, "
+            f"lift p50 {statistics.median(t['lift']) / 1e6:.4f} ms, "
             f"verify p50 {statistics.median(t['verify']) / 1e6:.4f} ms"
         )
     print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
