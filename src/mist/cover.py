@@ -8,7 +8,7 @@ all three shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariant, PreconditionViolated
 from .exact import max_tfpcc
@@ -109,8 +109,7 @@ class Cover(Graph):
         return tuple(order)
 
 
-@dataclass(frozen=True, slots=True)
-class CoverComponent:
+class CoverComponent(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     kind: str  # "path" | "cycle" | "tree"
@@ -185,8 +184,7 @@ def validate_tfpcc(cover: Cover) -> None:
             raise InternalInvariant(f"cycle of length {comp.length}")
 
 
-@dataclass(frozen=True, slots=True)
-class PiPair:
+class PiPair(NamedTuple):
     u1: int
     u3: int
     boundary: tuple[int, int]

@@ -16,8 +16,8 @@ and cut_bound take polynomial time too.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedInput,
@@ -33,8 +33,7 @@ HAM_CAP = 10  # largest order hamiltonian_path_between searches
 TFPCC_RESOLVES = 200  # 2-matchings max_tfpcc may solve before giving up
 
 
-@dataclass(frozen=True, slots=True)
-class TreeResult:
+class TreeResult(NamedTuple):
     edges: tuple[Edge, ...]
     weight: int  # number of internal (degree >= 2) vertices
     leaves: tuple[int, ...]
@@ -107,11 +106,13 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
     """Spanning tree maximizing the number of internal vertices, or None
     when no spanning tree has floor or more.
 
-    The search runs on per-vertex neighbour bit masks over the alive
-    ranks, built from g's rows; they also answer connectivity, count the
-    vertices of degree <= 1 and give the root bound internal_bound(g).  A
-    connected g with n - 1 edges is its own only spanning tree and is
-    returned as it is.  Otherwise, branch and bound over edges in sorted
+    A g with n - 1 edges goes to tree_result before anything else is
+    built: it is its own only spanning tree, returned as it is, unless its
+    edges close a cycle, which n - 1 edges do exactly when g is
+    disconnected.  Otherwise the search runs on per-vertex neighbour bit
+    masks over the alive ranks, built from g's rows; they also answer
+    connectivity, count the vertices of degree <= 1 and give the root
+    bound internal_bound(g).  It is a branch and bound over edges in sorted
     order: include (if acyclic) before exclude (if the rest still spans).
     The available graph, the chosen plus the undecided edges, is connected
     at every node: it is at the root, an include leaves it unchanged, and
@@ -142,6 +143,12 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
         raise PreconditionViolated("empty graph")
     if n > OST_CAP:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {OST_CAP}")
+    if g.edge_count() == n - 1:
+        try:
+            t = tree_result(g, g.edge_list())
+        except InternalInvariant:  # a cycle: the only error n - 1 graph edges can raise
+            raise DisconnectedInput("opt_spanning_tree needs a connected graph") from None
+        return t if t.weight >= floor else None
     adj = g.adj
     bit = {v: 1 << i for i, v in enumerate(verts)}
     nbrs = [sum(map(bit.__getitem__, adj[v])) for v in verts]
@@ -154,9 +161,6 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
         frontier |= grown
     if seen != (1 << n) - 1:
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
-    if g.edge_count() == n - 1:
-        t = tree_result(g, g.edge_list())
-        return t if t.weight >= floor else None
     # the root bound, internal_bound(g): masks of at most one bit are the
     # vertices of degree <= 1, and n >= 3 as g is connected and no tree
     forced = sum(x & (x - 1) == 0 for x in nbrs)

@@ -12,7 +12,7 @@ otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, InternalInvariant
@@ -39,17 +39,32 @@ from .transform import (
 BASE_ORDER = 8  # leaves up to this order are solved exactly
 
 
-@dataclass(slots=True)
 class LeafSolve:
-    node: int
-    graph: Graph
-    method: str  # "exact" | "cover"
-    tree: TreeResult
-    cover_edges: int
-    pairs: tuple = ()
-    base_cover: Cover | None = None
-    pre_cover: Cover | None = None
-    state: TransformState | None = None
+    __slots__ = (
+        "node", "graph", "method", "tree", "cover_edges", "pairs", "base_cover", "pre_cover", "state"
+    )
+
+    def __init__(
+        self,
+        node: int,
+        graph: Graph,
+        method: str,  # "exact" | "cover"
+        tree: TreeResult,
+        cover_edges: int,
+        pairs: tuple = (),
+        base_cover: Cover | None = None,
+        pre_cover: Cover | None = None,
+        state: TransformState | None = None,
+    ):
+        self.node = node
+        self.graph = graph
+        self.method = method
+        self.tree = tree
+        self.cover_edges = cover_edges
+        self.pairs = pairs
+        self.base_cover = base_cover
+        self.pre_cover = pre_cover
+        self.state = state
 
     @property
     def bound(self) -> int:
@@ -57,15 +72,26 @@ class LeafSolve:
         return self.cover_edges if self.method == "cover" else self.tree.weight
 
 
-@dataclass(slots=True)
 class RunReport:
-    mode: str
-    graph: Graph  # the trace's root graph, the run's one copy of the input
-    tree: TreeResult
-    trace: ReductionTrace
-    leaves: list[LeafSolve]
-    upper_bound: int
-    retained: bool
+    __slots__ = ("mode", "graph", "tree", "trace", "leaves", "upper_bound", "retained")
+
+    def __init__(
+        self,
+        mode: str,
+        graph: Graph,  # the trace's root graph, the run's one copy of the input
+        tree: TreeResult,
+        trace: ReductionTrace,
+        leaves: list[LeafSolve],
+        upper_bound: int,
+        retained: bool,
+    ):
+        self.mode = mode
+        self.graph = graph
+        self.tree = tree
+        self.trace = trace
+        self.leaves = leaves
+        self.upper_bound = upper_bound
+        self.retained = retained
 
 
 def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
@@ -128,15 +154,13 @@ def solve_refined(g: Graph) -> TreeResult:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
     opt: int | None
 

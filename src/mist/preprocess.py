@@ -8,7 +8,7 @@ coming alive), checked after every step, with a step budget as backstop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import (
     Cover,
@@ -29,8 +29,7 @@ RULE_ORDER = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class CoverRewrite:
+class CoverRewrite(NamedTuple):
     kind: str
     removed: tuple[Edge, ...]
     added: tuple[Edge, ...]

@@ -21,7 +21,7 @@ tree, after one per leaf.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
 from .exact import TreeResult, hamiltonian_path_between, opt_spanning_tree, tree_result
@@ -45,8 +45,7 @@ RULESETS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class StrongReduction:
+class StrongReduction(NamedTuple):
     kind: str
     removed_vertices: tuple[int, ...]
     removed_edges: tuple[Edge, ...]
@@ -54,8 +53,7 @@ class StrongReduction:
     witness: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Peel:
+class Peel(NamedTuple):
     """One op4 replacement: the block K hanging off v becomes a pendant at v.
 
     Only a step's first peel is kept as a Peel; the path peels after it are
@@ -70,8 +68,7 @@ class Peel:
     block_edges: tuple[Edge, ...]  # G[K + {v}], put back when undoing
 
 
-@dataclass(frozen=True, slots=True)
-class WeakReduction:
+class WeakReduction(NamedTuple):
     kind: str
     c: int
     parts: int
@@ -847,16 +844,24 @@ def find_reduction(
     return None
 
 
-@dataclass(slots=True)
 class TraceNode:
-    index: int
-    graph: Graph | None  # kept at the root and the leaves only
-    parent: int | None
-    applied: StrongReduction | WeakReduction | None = None
-    children: list[int] = field(default_factory=list)
+    __slots__ = ("index", "graph", "parent", "applied", "children")
+
+    def __init__(
+        self,
+        index: int,
+        graph: Graph | None,  # kept at the root and the leaves only
+        parent: int | None,
+        applied: StrongReduction | WeakReduction | None = None,
+        children: list[int] | None = None,  # a new empty list when None
+    ):
+        self.index = index
+        self.graph = graph
+        self.parent = parent
+        self.applied = applied
+        self.children = [] if children is None else children
 
 
-@dataclass(slots=True)
 class Lifted:
     """A trace node's rebuilt graph and the tree lifted onto it.
 
@@ -865,10 +870,13 @@ class Lifted:
     internal count.  _undo edits all four in place.
     """
 
-    graph: Graph
-    edges: set[Edge]
-    deg: list[int]
-    weight: int
+    __slots__ = ("graph", "edges", "deg", "weight")
+
+    def __init__(self, graph: Graph, edges: set[Edge], deg: list[int], weight: int):
+        self.graph = graph
+        self.edges = edges
+        self.deg = deg
+        self.weight = weight
 
     @classmethod
     def of(cls, g: Graph, t: TreeResult) -> Lifted:

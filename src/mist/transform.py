@@ -15,8 +15,8 @@ exact rationals.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cover import (
     Cover,
@@ -34,8 +34,7 @@ from .graph import Edge, Graph, find, norm_edge
 # -- component quality ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     comp: CoverComponent
     b: int
     label: str  # "c2" | "c3" | "bad"
@@ -73,8 +72,7 @@ def _stage2_kind(info: ComponentInfo) -> str | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentStats:
+class ComponentStats(NamedTuple):
     g2: int
     g3: int
     b2: int
@@ -198,16 +196,30 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
 # -- refined transform ------------------------------------------------------
 
 
-@dataclass(slots=True)
 class TransformState:
-    base_edges: tuple[Edge, ...]
-    gamma: tuple[tuple[int, int], ...]
-    gamma_prime: tuple[tuple[int, int], ...]
-    stage1_added: tuple[Edge, ...]
-    cover1: Cover
-    cover2: Cover
-    stats: ComponentStats | None  # None when the cover was all cycles
-    tree: TreeResult
+    __slots__ = (
+        "base_edges", "gamma", "gamma_prime", "stage1_added", "cover1", "cover2", "stats", "tree"
+    )
+
+    def __init__(
+        self,
+        base_edges: tuple[Edge, ...],
+        gamma: tuple[tuple[int, int], ...],
+        gamma_prime: tuple[tuple[int, int], ...],
+        stage1_added: tuple[Edge, ...],
+        cover1: Cover,
+        cover2: Cover,
+        stats: ComponentStats | None,  # None when the cover was all cycles
+        tree: TreeResult,
+    ):
+        self.base_edges = base_edges
+        self.gamma = gamma
+        self.gamma_prime = gamma_prime
+        self.stage1_added = stage1_added
+        self.cover1 = cover1
+        self.cover2 = cover2
+        self.stats = stats
+        self.tree = tree
 
 
 def stage1_connect(work: Cover, g: Graph, base_edges):

@@ -6,7 +6,6 @@ vertices, plus two thousand seeded random graphs on eight to twelve)
 is solved once per session and every test inspects that single pass.
 """
 
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -304,7 +303,7 @@ def test_cores_above_the_exact_cover_cap_solve_and_verify_in_both_modes():
 def _first_contraction_only(g, sep=None):
     """op11 cut down to the first contraction of its run: the single-edge rule."""
     r = find_op11(g, sep)
-    return r and dataclasses.replace(r, c=1, contractions=r.contractions[:1])
+    return r and r._replace(c=1, contractions=r.contractions[:1])
 
 
 def _refined_outcome(g, op11):
@@ -357,7 +356,7 @@ def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
 def _first_peel_only(g, sep=None):
     """op4 cut down to the first peel of its run: one block per step."""
     r = find_op4(g, sep)
-    return r and dataclasses.replace(r, c=r.peel.inner_opt - 1, path=())
+    return r and r._replace(c=r.peel.inner_opt - 1, path=())
 
 
 def _outcome(g, mode, op4):

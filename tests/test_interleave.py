@@ -48,6 +48,25 @@ def test_a_sparse_graph_runs_in_both_modes_on_both_trees(capsys):
     assert g.edge_list() == gen_sparse(60, 30, 1).edge_list()
 
 
+def test_setup_reimports_both_trees_from_fresh_modules_in_turn(capsys, monkeypatch):
+    loaded = []
+    load = interleave.load
+    monkeypatch.setattr(interleave, "load", lambda src, name: loaded.append(load(src, name)) or loaded[-1])
+    assert interleave.main([SRC, SRC, "--setup", "--reps", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "setup: 2 imports per side"
+    assert re.fullmatch(r"parent: import p50 \S+ ms", out[1])
+    assert re.fullmatch(r"change: import p50 \S+ ms", out[2])
+    ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[3]).groups()
+    assert sum(float(r) < 1 for r in ratios.split()) == int(won)
+    # one untimed import of each, then the order flips on every rep
+    assert [m.__name__ for m in loaded] == [f"mist_{side}" for side in (
+        "parent", "change", "parent", "change", "change", "parent"
+    )]
+    assert len({id(m.reduce.TraceNode) for m in loaded}) == 6
+    assert not any(k.startswith(("mist_parent", "mist_change")) for k in sys.modules)
+
+
 def test_a_workload_needs_a_seed_and_excludes_a_sparse_graph(capsys):
     for extra in ([], ["--seed", "1", "--sparse", "60"]):
         with pytest.raises(SystemExit):

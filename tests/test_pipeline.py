@@ -1,6 +1,5 @@
 """End-to-end runs: solve wrappers, reports, and run verification."""
 
-import dataclasses
 import gc
 import tracemalloc
 
@@ -324,7 +323,7 @@ def test_verification_recounts_the_weight_instead_of_trusting_the_field(monkeypa
     # the recounted 7, so opt stays 7 and the claim fails against it
     g = build_graph(9, cyc(9))
     report = run(g, "simple", keep_state=True)
-    report.tree = dataclasses.replace(report.tree, weight=report.tree.weight + 1)
+    report.tree = report.tree._replace(weight=report.tree.weight + 1)
     solved = _count_searches(monkeypatch)
     vr = verify_run(g, report)
     assert solved == []
@@ -361,7 +360,7 @@ def test_verification_catches_tampered_component_stats():
         if l.method == "cover" and l.state is not None and l.state.stats is not None
     )
     stats = leaf.state.stats
-    leaf.state.stats = dataclasses.replace(stats, c4=stats.c4 + 5)
+    leaf.state.stats = stats._replace(c4=stats.c4 + 5)
     vr = verify_run(g, report)
     assert not vr.ok
     assert all(c.name.endswith("stage2-floor") for c in vr.failing())

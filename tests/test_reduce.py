@@ -1,6 +1,5 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
-import dataclasses
 import inspect
 import itertools
 import operator
@@ -881,9 +880,9 @@ def test_op4_rechecks_every_peel_of_its_run():
         apply_weak_reduction(g, _with_record(r, "path", 1, 5))
     # only the first peel stores its pendant; the path's follow from it
     with pytest.raises(StaleWitness, match="pendant id at 2 mismatch"):
-        apply_weak_reduction(g, dataclasses.replace(r, peel=dataclasses.replace(r.peel, pendant=30)))
+        apply_weak_reduction(g, r._replace(peel=r.peel._replace(pendant=30)))
     with pytest.raises(StaleWitness, match="constant"):
-        apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
+        apply_weak_reduction(g, r._replace(c=r.c + 1))
 
 
 def test_lift_fails_its_root_check_when_a_peel_is_dropped():
@@ -893,8 +892,8 @@ def test_lift_fails_its_root_check_when_a_peel_is_dropped():
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
     assert trace.lift_all(leaf_trees).weight == 22
     # the second peel becomes the first, the rest of the path kept
-    trace.nodes[0].applied = dataclasses.replace(
-        r, c=r.c - 1, peel=op4_peels(r)[1], path=r.path[1:]
+    trace.nodes[0].applied = r._replace(
+        c=r.c - 1, peel=op4_peels(r)[1], path=r.path[1:]
     )
     with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
         trace.lift_all(leaf_trees)
@@ -930,9 +929,9 @@ def test_op11_rechecks_every_contraction_of_its_run():
     run = list(r.contractions)
     run[1] = (0, 2, 7, 4)  # 2's outside neighbour is 3
     with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
-        apply_weak_reduction(g, dataclasses.replace(r, contractions=tuple(run)))
+        apply_weak_reduction(g, r._replace(contractions=tuple(run)))
     with pytest.raises(StaleWitness, match="constant is not the contraction count"):
-        apply_weak_reduction(g, dataclasses.replace(r, c=r.c + 1))
+        apply_weak_reduction(g, r._replace(c=r.c + 1))
 
 
 def test_an_op11_run_merges_into_one_vertex():
@@ -951,7 +950,7 @@ def test_an_op11_run_merges_into_one_vertex():
 def _with_record(r, field, i, record):
     records = list(getattr(r, field))
     records[i] = record
-    return dataclasses.replace(r, **{field: tuple(records)})
+    return r._replace(**{field: tuple(records)})
 
 
 def test_op11_rechecks_each_middle_contraction_against_the_rows_so_far():
@@ -995,8 +994,8 @@ def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
     assert r.kind == "op11" and r.c == 8
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
     assert trace.lift_all(leaf_trees).weight == 8
-    trace.nodes[0].applied = dataclasses.replace(
-        r, c=r.c - 1, contractions=r.contractions[1:]
+    trace.nodes[0].applied = r._replace(
+        c=r.c - 1, contractions=r.contractions[1:]
     )
     with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
         trace.lift_all(leaf_trees)
@@ -1254,7 +1253,7 @@ def _lift_tampered(
     tr = reduce_to_fixpoint(g, mode)
     node = tr.nodes[0]
     assert node.applied.kind == kind
-    node.applied = dataclasses.replace(node.applied, **tamper(node.applied))
+    node.applied = node.applied._replace(**tamper(node.applied))
     leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
     with pytest.raises(exc, match=match):
         tr.lift_all(leaf_trees)
@@ -1265,9 +1264,9 @@ def test_lift_rejects_a_leaf_tree_that_misreports_itself_or_does_not_span():
     (leaf,) = tr.leaves()
     t = opt_spanning_tree(tr.nodes[leaf].graph)
     with pytest.raises(InternalInvariant, match=f"tree of leaf {leaf} does not match its edges"):
-        tr.lift_all({leaf: dataclasses.replace(t, weight=t.weight + 1)})
+        tr.lift_all({leaf: t._replace(weight=t.weight + 1)})
     with pytest.raises(InternalInvariant, match="0 edges for 2 vertices"):
-        tr.lift_all({leaf: dataclasses.replace(t, edges=())})
+        tr.lift_all({leaf: t._replace(edges=())})
 
 
 def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
@@ -1278,8 +1277,8 @@ def test_lift_rejects_an_op4_step_that_lost_a_block_edge():
     (peel,) = op4_peels(r)
     spare = [e for e in peel.block_edges if e not in peel.inner_tree]
     assert len(spare) == 1
-    cut = dataclasses.replace(
-        peel, block_edges=tuple(e for e in peel.block_edges if e not in spare)
+    cut = peel._replace(
+        block_edges=tuple(e for e in peel.block_edges if e not in spare)
     )
     _lift_tampered(g, "simple", "op4", lambda r: {"peel": cut})
 
@@ -1294,7 +1293,7 @@ def test_lift_rejects_an_op3_step_whose_bridge_moved():
 
 
 def _move_first_cut_vertex(r):
-    return {"peel": dataclasses.replace(r.peel, cut_vertex=r.peel.cut_vertex + 5)}
+    return {"peel": r.peel._replace(cut_vertex=r.peel.cut_vertex + 5)}
 
 
 def _move_last_path_vertex(r):
@@ -1374,7 +1373,7 @@ def _inner_tree_with_a_cycle(r):
     assert r.peel.cut_vertex == 5 and len(r.peel.component) == 7
     cycle_tree = ((0, 8), (1, 7), (1, 8), (2, 6), (2, 8), (3, 7), (6, 7))
     assert set(cycle_tree) <= set(r.peel.block_edges)
-    return {"peel": dataclasses.replace(r.peel, inner_tree=cycle_tree)}
+    return {"peel": r.peel._replace(inner_tree=cycle_tree)}
 
 
 _PENDANT_AT_9 = [(0, 1), (0, 3), (0, 9), (1, 7), (1, 9), (2, 5), (2, 9), (3, 6), (3, 7), (3, 8),
@@ -1403,7 +1402,7 @@ def test_lift_checks_a_step_below_the_root_where_it_is_undone(
     tr = reduce_to_fixpoint(g, mode)
     node = tr.nodes[index]
     assert node.parent is not None and node.applied.kind == kind
-    node.applied = dataclasses.replace(node.applied, **tamper(node.applied))
+    node.applied = node.applied._replace(**tamper(node.applied))
     leaf_trees = {i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()}
     checked = []
     real = mist.reduce.tree_result

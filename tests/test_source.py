@@ -4,7 +4,9 @@ A module must use every name it imports (or re-export it in __all__), and
 every module-level private function must be referenced by some module of
 the package, so helpers left behind by a deletion show up here.  Imports
 sit at module level, never inside a function, and the exact oracles stand
-below the layers that use them: exact.py imports none of them.
+below the layers that use them: exact.py imports none of them.  Importing
+the package and its CLI loads neither dataclasses nor inspect, whose code
+generation and import cost every `mist` call would pay again.
 
 A cover keeps its component list until an edit drops it, and only its
 edge and vertex edits do.  So only the graph and the reduction engine may
@@ -14,6 +16,9 @@ or kept components.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mist"
@@ -197,6 +202,19 @@ def test_the_import_checks_catch_a_late_import_and_an_upward_one():
     assert upward_imports({"exact.py": tree}) == [
         "cover", "pipeline", "mist.transform", "mist.preprocess"
     ]
+
+
+def test_importing_mist_loads_neither_dataclasses_nor_inspect():
+    # -S: no site-packages, whose .pth files might import either module
+    probe = "import sys, mist, mist.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_only_graph_and_cover_methods_edit_what_a_cover_keeps():

@@ -2,6 +2,7 @@
 
     python3 tools/interleave.py PARENT_SRC CHANGE_SRC --workload gate --seed 1 --scale 0.25 --reps 3
     python3 tools/interleave.py PARENT_SRC CHANGE_SRC --sparse 2000 --reps 8
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC --setup --reps 20
 
 PARENT_SRC and CHANGE_SRC are src/ directories that each hold a mist
 package.  Each is imported under its own package name, so both run in one
@@ -25,6 +26,14 @@ constant c, and the node's graph (alive vertices and edges) as that side's
 own apply_strong_reduction and apply_weak_reduction replay it from the
 root.  So two sides may store a step differently and still agree.  The
 replay runs after the timed part of the operation.
+
+--setup times imports instead of operations.  Each rep re-imports each
+tree's package from fresh module objects, as perfbench/run.py's set-up
+does, the order of the sides flipped on every rep, after one untimed
+import of each.  It prints each side's median import time, then each rep's
+change/parent ratio and the number of reps the change won.  A tree with
+__pycache__ directories is imported from its bytecode; to time compiling
+too, run python3 -B on trees that have none.
 """
 
 from __future__ import annotations
@@ -56,6 +65,37 @@ def load(src: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def drop(name: str) -> None:
+    """Remove the package name and its submodules from sys.modules."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def time_imports(srcs: dict, names: dict, reps: int) -> dict:
+    """Per side, the ns each rep's import of its package takes.
+
+    Every import starts from fresh module objects: the side's modules are
+    dropped from sys.modules first.
+    """
+    times = {side: [] for side in SIDES}
+    for rep in range(reps):
+        for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
+            drop(names[side])
+            t = time.perf_counter_ns()
+            load(srcs[side], names[side])
+            times[side].append(time.perf_counter_ns() - t)
+    return times
+
+
+def print_reps(parent: list, change: list) -> None:
+    """Each rep's change/parent ratio, and the reps the change won."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    print(
+        f"change/parent per rep: {' '.join(f'{r:.4f}' for r in ratios)} "
+        f"(change won {sum(r < 1 for r in ratios)} of {len(ratios)})"
+    )
 
 
 def replay_steps(reduce, trace) -> list[tuple]:
@@ -157,6 +197,7 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", choices=sorted(corpus_mod.WORKLOADS))
     what.add_argument("--sparse", type=int, metavar="N", help="time gen_sparse(N, N // 2, 1)")
+    what.add_argument("--setup", action="store_true", help="time importing each package")
     parser.add_argument("--seed", type=int, help="the workload's seed")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--reps", type=int, default=1)
@@ -164,19 +205,28 @@ def main(argv=None) -> int:
     if args.workload and args.seed is None:
         parser.error("--workload needs --seed")
     names = {side: f"mist_{side}" for side in SIDES}
+    srcs = dict(zip(SIDES, (args.parent, args.change)))
     try:
-        mists = {side: load(src, names[side]) for side, src in zip(SIDES, (args.parent, args.change))}
-        if args.sparse is None:
-            corp = corpus_mod.build(args.workload, args.seed, args.scale)
-            title = f"{args.workload} seed {args.seed} scale {args.scale}"
+        mists = {side: load(srcs[side], names[side]) for side in SIDES}
+        if args.setup:
+            imports = time_imports(srcs, names, args.reps)
         else:
-            corp = sparse_corpus(mists["parent"], args.sparse)
-            title = f"sparse {args.sparse}"
-        times, diff = interleave(mists, corp, args.reps)
+            if args.sparse is None:
+                corp = corpus_mod.build(args.workload, args.seed, args.scale)
+                title = f"{args.workload} seed {args.seed} scale {args.scale}"
+            else:
+                corp = sparse_corpus(mists["parent"], args.sparse)
+                title = f"sparse {args.sparse}"
+            times, diff = interleave(mists, corp, args.reps)
     finally:
         for name in names.values():
-            for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-                del sys.modules[key]
+            drop(name)
+    if args.setup:
+        print(f"setup: {args.reps} imports per side")
+        for side in SIDES:
+            print(f"{side:>6}: import p50 {statistics.median(imports[side]) / 1e6:.3f} ms")
+        print_reps(imports["parent"], imports["change"])
+        return 0
     if diff is not None:
         print(f"outputs differ: {diff}")
         return 1
@@ -191,11 +241,7 @@ def main(argv=None) -> int:
             f"verify p50 {statistics.median(t['verify']) / 1e6:.4f} ms"
         )
     print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
-    ratios = [c / p for p, c in zip(times["parent"]["reps"], times["change"]["reps"])]
-    print(
-        f"change/parent per rep: {' '.join(f'{r:.4f}' for r in ratios)} "
-        f"(change won {sum(r < 1 for r in ratios)} of {len(ratios)})"
-    )
+    print_reps(times["parent"]["reps"], times["change"]["reps"])
     return 0
 
 
