@@ -76,36 +76,29 @@ class Cover(Graph):
         )
         nv, ne = len(vertices), len(edges)
         degs = [len(self.adj[v]) for v in vertices]
+        leaves = tuple(v for v, d in zip(vertices, degs) if d <= 1)
+        internal = tuple(v for v, d in zip(vertices, degs) if d >= 2)
         if ne == nv and all(d == 2 for d in degs):
             kind = "cycle"
-            order = self._cycle_order(vertices[0])
+            order = self._walk(vertices[0], nv)
         elif ne == nv - 1:
             kind = "path" if all(d <= 2 for d in degs) else "tree"
-            order = self._path_order(vertices) if kind == "path" else ()
+            order = self._walk(leaves[0], nv) if kind == "path" else ()
         else:
             raise InternalInvariant(
                 f"component {vertices} has {ne} edges; not a path, cycle or tree"
             )
-        leaves = tuple(v for v, d in zip(vertices, degs) if d <= 1)
-        internal = tuple(v for v, d in zip(vertices, degs) if d >= 2)
         return CoverComponent(vertices, edges, kind, order, leaves, internal)
 
-    def _cycle_order(self, start: int) -> tuple[int, ...]:
-        order = [start, self.adj[start][0]]
-        while True:
-            nbrs = self.adj[order[-1]]
-            nxt = nbrs[0] if nbrs[0] != order[-2] else nbrs[1]
-            if nxt == start:
-                return tuple(order)
-            order.append(nxt)
-
-    def _path_order(self, vertices: tuple[int, ...]) -> tuple[int, ...]:
-        ends = [v for v in vertices if len(self.adj[v]) <= 1]
-        order = [ends[0]]
-        while len(order) < len(vertices):
-            nbrs = self.adj[order[-1]]
-            prev = order[-2] if len(order) >= 2 else -1
-            order.append(nbrs[0] if nbrs[0] != prev else nbrs[1])
+    def _walk(self, first: int, length: int) -> tuple[int, ...]:
+        """The first length vertices of a path or cycle walked from first: its
+        first neighbour, then at each vertex the neighbour not come from.
+        """
+        order, prev, cur = [first], -1, first
+        for _ in range(length - 1):
+            nbrs = self.adj[cur]
+            prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
+            order.append(cur)
         return tuple(order)
 
 
@@ -203,9 +196,7 @@ def compute_pi_pairs(g: Graph) -> list[PiPair]:
     if g.n_alive() < 9:
         raise PreconditionViolated(f"needs at least 9 vertices, got {g.n_alive()}")
     pairs = []
-    for key, twins in twin_groups(g):
-        if len(twins) < 2:
-            continue
+    for key, twins in twin_groups(g):  # groups of two or more
         if len(twins) >= 3:
             raise PreconditionViolated(
                 f"three twins {twins[:3]} share neighborhood {key}"

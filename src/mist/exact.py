@@ -9,8 +9,8 @@ tree meets internal_bound, and its floor, the least weight wanted, cuts
 every subtree below it, so a proof that no tree beats a known weight w
 searches only for heavier trees.  max_tfpcc, the one maximum-cover
 solver, has no size cap: it solves at most TFPCC_RESOLVES 2-matchings,
-each in polynomial time.  tree_result and the upper bounds internal_bound
-and cut_bound take polynomial time too.
+each in polynomial time.  spanning_fault, tree_result and the upper
+bounds internal_bound and cut_bound take polynomial time too.
 """
 
 from __future__ import annotations
@@ -39,42 +39,50 @@ class TreeResult(NamedTuple):
     leaves: tuple[int, ...]
 
 
-def tree_result(g: Graph, edges) -> TreeResult:
-    """The spanning tree of g with the given edges, checked.
+def spanning_fault(g: Graph, edges) -> str | None:
+    """Why edges are not a spanning tree of g, or None when they are.
 
-    The edges must be n_alive - 1 edges of g, between ids 0..vertex_count-1,
-    that close no cycle; such a set spans g's alive vertices.  The
-    union-find and the degree count are lists indexed by vertex id.
+    They must be n_alive - 1 edges of g, between ids 0..vertex_count-1,
+    that close no cycle; such a set spans g's alive vertices.  The first
+    fault in their order is told.  The root walks are written out and a row
+    is scanned, not bisected, as this runs on every lift and verified run.
     """
     n = g.n_alive()
-    edges = sorted([(u, v) if u < v else (v, u) for u, v in edges])
     if len(edges) != n - 1:
-        raise InternalInvariant(f"{len(edges)} edges for {n} vertices")
-    adj = g.adj
-    span = g.vertex_count
-    deg = [0] * span
+        return f"{len(edges)} edges for {n} vertices"
+    adj, span = g.adj, g.vertex_count
     parent = list(range(span))
-    for u, v in edges:  # u <= v
-        if u < 0 or v >= span:
-            raise InternalInvariant(f"edge {u}-{v} leaves the vertex set")
-        row = adj[u]
-        i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
-            raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
-        deg[u] += 1
-        deg[v] += 1
+    for u, v in edges:
+        if not (0 <= u < span and 0 <= v < span):
+            return f"edge {min(u, v)}-{max(u, v)} leaves the vertex set"
+        if v not in adj[u]:
+            return f"tree edge {min(u, v)}-{max(u, v)} is not a graph edge"
         while parent[u] != u:
             u = parent[u]
         while parent[v] != v:
             v = parent[v]
         if u == v:
-            raise InternalInvariant("cycle in tree edges")
+            return "cycle in tree edges"
         parent[u] = v
-    if n == 1:
+    return None
+
+
+def tree_result(g: Graph, edges) -> TreeResult:
+    """The spanning tree of g with the given edges, each written smaller id
+    first, sorted and checked by spanning_fault.
+    """
+    edges = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+    if fault := spanning_fault(g, edges):
+        raise InternalInvariant(fault)
+    if not edges:
         return TreeResult((), 0, tuple(g.alive_list()))
     # with two or more vertices every alive vertex has a tree edge
+    deg = [0] * g.vertex_count
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
     leaves = tuple([v for v, d in enumerate(deg) if d == 1])
-    return TreeResult(tuple(edges), n - len(leaves), leaves)
+    return TreeResult(tuple(edges), len(edges) + 1 - len(leaves), leaves)
 
 
 def internal_bound(g: Graph) -> int:
@@ -118,7 +126,9 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
     at every node: it is at the root, an include leaves it unchanged, and
     an exclude is taken only when it stays connected.  So excluding (a, b)
     is allowed exactly when b is still reachable from a once (a, b) is
-    gone, which a search over the masks answers, stopping at b.
+    gone, which a search over the masks answers, stopping at b.  The
+    forest of chosen edges is the search's own union-find, its root walks
+    written out: the search undoes each union on backtrack.
 
     Every spanning tree has 2 + sum(deg - 2) leaves, the sum taken over
     its internal vertices, so a completion of the chosen edges has at

@@ -348,11 +348,9 @@ def find_cutpoints(g: Graph) -> list[int]:
     return [v for v in g.alive_list() if sep.pieces[v] > sep.parts]
 
 
-def find(parent: list[int], x: int) -> int:
-    """Root of x in a union-find forest given by parent pointers.
-
-    No path compression: the exact searches undo a union by resetting
-    the merged root's parent, which compression would invalidate.
+def find(parent: list[int] | dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest given by parent pointers, a list or
+    a dict; there is no path compression, so a walk leaves the forest as it is.
     """
     while parent[x] != x:
         x = parent[x]

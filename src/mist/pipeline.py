@@ -11,12 +11,13 @@ otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, InternalInvariant
-from .exact import OST_CAP, TreeResult, cut_bound, internal_bound, opt_spanning_tree
+from .exact import (
+    OST_CAP, TreeResult, cut_bound, internal_bound, opt_spanning_tree, spanning_fault
+)
 from .graph import Graph
 from .preprocess import (
     check_dead_four_paths_pendant_ends,
@@ -189,7 +190,7 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
         checks.append(Check(name, ok, detail))
 
     tree = report.tree
-    spans = _spans(tree, g)
+    spans = spanning_fault(g, tree.edges) is None
     add("tree-spans-input", spans)
     add("weight-below-upper-bound", tree.weight <= report.upper_bound)
     # certified once up front: most cover leaves are the input graph itself
@@ -232,7 +233,8 @@ def verify_run(g: Graph, report: RunReport) -> VerificationReport:
             if h == g:
                 opt_leaf = opt
             else:
-                opt_leaf = _certified_opt(h, leaf.tree if _spans(leaf.tree, h) else None)
+                t = None if spanning_fault(h, leaf.tree.edges) else leaf.tree
+                opt_leaf = _certified_opt(h, t)
             add(f"{tag}-cover-bounds-opt", leaf.cover_edges >= opt_leaf)
             num, den = _RATIOS[report.mode]
             add(f"{tag}-ratio", den * leaf.tree.weight >= num * opt_leaf)
@@ -274,31 +276,3 @@ def _certified_opt(h: Graph, t: TreeResult | None) -> int:
     heavier = opt_spanning_tree(h, floor=w + 1)
     return w if heavier is None else heavier.weight
 
-
-def _spans(t: TreeResult, g: Graph) -> bool:
-    """True when the tree is n - 1 host edges closing no cycle: a spanning tree.
-
-    An id outside 0..vertex_count - 1 is refused before it can index a row.
-    The row search and the union-find's root walks are written out, as this
-    runs once per tree edge on every verified run.
-    """
-    if len(t.edges) != g.n_alive() - 1:
-        return False
-    span = g.vertex_count
-    adj = g.adj
-    parent = list(range(span))
-    for u, v in t.edges:
-        if not (0 <= u < span and 0 <= v < span):
-            return False
-        row = adj[u]
-        i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
-            return False
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True

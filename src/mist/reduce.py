@@ -20,7 +20,7 @@ tree, after one per leaf.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import NamedTuple
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -32,6 +32,7 @@ from .graph import (
     add_edge_in,
     component_of,
     connected_components,
+    find,
     norm_edge,
     remove_edge_in,
     revive_in,
@@ -95,9 +96,9 @@ class WeakReduction(NamedTuple):
 #
 # Each finder reads only its candidates: op1 the rows of the vertices
 # whose removal leaves three or more pieces, op2 the rows of the cut
-# vertices, op8 and op9 the twin grouping the node's separations build on
-# first use (one per node, shared), op4 the piece sizes and then the
-# pieces of one cut vertex, op3 the bridges, and op10 the vertices of
+# vertices, op8, op9 and op10 the twin grouping the node's separations
+# build on first use (one per node, shared), op4 the piece sizes and then
+# the pieces of one cut vertex, op3 the bridges, and op10 the vertices of
 # degree 3 or more and the degree-2 runs next to them.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
@@ -198,7 +199,9 @@ def find_op10(
     each core with two boundary vertices and an edge to spare is recorded
     with every move of its boundary.  A set is dropped when no core grown
     from it can have two boundary vertices (_cannot_close), and when it
-    holds two degree-2 twins, as a path through both would close a cycle.
+    holds two degree-2 twins, as a path through both would close a cycle;
+    the twins are the node's grouping, sep.twins, cut to the vertices the
+    search reaches.
 
     With near=None every block is grown.  Otherwise only blocks that hold
     a vertex of near or whose boundary {u, v} lies inside near are: this is
@@ -273,11 +276,11 @@ def find_op10(
                     nxt.append(y)
         frontier = nxt
     allowed = _mask(nb)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for x in nb:
-        if len(adj[x]) == 2:
-            groups.setdefault(tuple(adj[x]), []).append(x)
-    twins = {x: _mask(t) ^ 1 << x for t in groups.values() if len(t) > 1 for x in t}
+    twins = {}  # each twin among the reached vertices: the mask of its others
+    for _, group in sep.twins if sep else twin_groups(g):
+        t = [x for x in group if x in nb]
+        if len(t) > 1:
+            twins.update((x, _mask(t) ^ 1 << x) for x in t)
     long_mask = _mask(set(on_long))
     blocks = []
 
@@ -1014,10 +1017,11 @@ def _undo_peel(t: Lifted, s: Peel, path: tuple[int, ...]) -> None:
 
     The last pendant edge must be in the tree and the last id alive, and
     every other pendant dead and bare, as the peel after it left it.  The
-    revives and joins are checked in peel order with the messages of the
-    Graph edits they stand for, and the inner tree must be a tree on
-    K + {w_0}.  The rest of each peel's checks hold by construction: its
-    pendant edge is the one the peel after it added.
+    revives and joins copy the checks and messages of revive_in and
+    add_edge_in, as a call per peel makes a path's lift a sixth slower.
+    The inner tree must be a tree on K + {w_0}.  The rest of each peel's
+    checks hold by construction: its pendant edge is the one the peel
+    after it added, and the bare w_(i-1) cannot gain a duplicate edge.
     """
     h, edges, deg = t.graph, t.edges, t.deg
     rows, up = h.adj, h.alive
@@ -1042,9 +1046,7 @@ def _undo_peel(t: Lifted, s: Peel, path: tuple[int, ...]) -> None:
         raise InternalInvariant(f"vertex {x} is not dead and bare")
     del rows[s.pendant :], up[s.pendant :], deg[s.pendant :]
     weight = t.weight
-    for v, w in zip(cuts[-2::-1], cuts[:0:-1]):
-        # revive w_(i-1) and join it to w_i, with the checks and messages of
-        # revive_in and add_edge_in; v is bare, so the join is no duplicate
+    for v, w in zip(cuts[-2::-1], cuts[:0:-1]):  # revive w_(i-1) and join it to w_i
         if up[v] or rows[v]:
             raise InternalInvariant(f"vertex {v} is not dead and bare")
         up[v] = True
@@ -1101,9 +1103,7 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
                 raise InternalInvariant(f"missing edge {u1}-{o2}")
             r1.remove(o2)
             size -= 1
-        if up[u2] or rows[u2]:
-            raise InternalInvariant(f"vertex {u2} is not dead and bare")
-        up[u2] = True
+        revive_in(rows, up, u2)
         if u1 == u2 or not up[u1] or u2 == o2 or not (0 <= o2 < n and up[o2]) or o2 == u1:
             _refuse_joins(up, u1, u2, o2)
         r1.append(u2)
@@ -1137,7 +1137,10 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
 
 
 def _refuse_joins(up: list[bool], u1: int, u2: int, o2: int) -> None:
-    """Raise what add_edge_in(u1, u2) and then add_edge_in(u2, o2) raise, u2 new and bare."""
+    """Raise what add_edge_in(u1, u2) and then add_edge_in(u2, o2) raise, u2 new and bare.
+
+    A copy of add_edge_in's checks: _undo_run builds its rows off to the side.
+    """
     n = len(up)
     if u1 == u2:
         raise InternalInvariant(f"self loop at {u1}")
@@ -1155,16 +1158,13 @@ def _is_tree_on(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> bool:
 
     The cycle check is a union-find over the vertices alone.
     """
-    parent = dict.fromkeys(vertices)  # a root's parent is None
+    parent = {v: v for v in vertices}
     if len(edges) != len(parent) - 1:
         return False
     for a, b in edges:
         if a not in parent or b not in parent:
             return False
-        while (up := parent[a]) is not None:
-            a = up
-        while (up := parent[b]) is not None:
-            b = up
+        a, b = find(parent, a), find(parent, b)
         if a == b:
             return False
         parent[a] = b
@@ -1172,14 +1172,15 @@ def _is_tree_on(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> bool:
 
 
 def _add_tree_edges(t: Lifted, edges) -> None:
-    """Add edges to t's tree; each must be an edge of t's graph."""
+    """Add edges to t's tree; each must be an edge of t's graph.
+
+    spanning_fault's row search, written out: this is the lift's hot path.
+    """
     rows, tree, deg = t.graph.adj, t.edges, t.deg
     weight = t.weight
     for u, v in edges:
         u, v = (u, v) if u < v else (v, u)
-        row = rows[u] if 0 <= u and v < len(rows) else ()
-        i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
+        if not (0 <= u and v < len(rows) and v in rows[u]):
             raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
         tree.add((u, v))
         deg[u] += 1

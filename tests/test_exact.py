@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
-from mist import Graph, norm_edge
+from mist import Graph, norm_edge, run, verify_run
 from mist.errors import (
+    BadParams,
     DisconnectedInput,
     InternalInvariant,
     NonTermination,
@@ -30,6 +31,7 @@ from mist.exact import (
     internal_bound,
     max_tfpcc,
     opt_spanning_tree,
+    spanning_fault,
     tree_result,
 )
 from mist.generate import gen_gnp, gen_path
@@ -154,6 +156,15 @@ def on_ids(vertices, edges):
 def test_tree_result_rejects_what_is_not_a_spanning_tree(g, edges, match):
     with pytest.raises(InternalInvariant, match=match):
         tree_result(g, edges)
+    # the one check behind tree_result and verify_run's tree-spans-input
+    assert spanning_fault(g, edges) == match
+    if not g.n_alive():
+        with pytest.raises(BadParams, match="empty graph"):
+            run(g, "simple", keep_state=True)  # so no report to tamper with
+        return
+    report = run(g, "simple", keep_state=True)
+    report.tree = report.tree._replace(edges=tuple(edges))
+    assert "tree-spans-input" in [c.name for c in verify_run(g, report).failing()]
 
 
 def test_tree_result_on_one_and_two_vertices():

@@ -1,6 +1,8 @@
 """tools/interleave.py, the paired timing of two source trees."""
 
+import compileall
 import re
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -132,3 +134,20 @@ def test_a_step_that_changes_a_different_graph_stops_the_run():
     assert len({(r.tree, r.upper_bound) for r in reports}) == 1
     steps = [interleave.replay_steps(mist.reduce, r.trace) for r in reports]
     assert [s[:4] for s in steps[0]] == [s[:4] for s in steps[1]] and steps[0] != steps[1]
+
+
+def test_setup_refuses_trees_in_different_bytecode_states(tmp_path):
+    # bytecode is read without compiling: timing it against a tree that
+    # compiles on every import reads the difference as the change's
+    srcs = [tmp_path / side / "src" for side in ("plain", "compiled")]
+    for src in srcs:
+        shutil.copytree(ROOT / "src" / "mist", src / "mist", ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(str(srcs[1] / "mist"), quiet=1)
+    for argv, have, lack in ((srcs, "change", "parent"), (srcs[::-1], "parent", "change")):
+        with pytest.raises(SystemExit) as exc:
+            interleave.main([*map(str, argv), "--setup", "--reps", "1"])
+        assert str(exc.value) == (
+            f"error: the {have} tree {srcs[1]} has mist bytecode for this interpreter "
+            f"and the {lack} tree {srcs[0]} has none; compile both or neither"
+        )
+    assert not any(k.startswith(("mist_parent", "mist_change")) for k in sys.modules)

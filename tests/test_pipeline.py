@@ -7,7 +7,7 @@ import pytest
 
 import mist.pipeline
 from mist import Graph, run, solve_refined, solve_simple, verify_run
-from mist.errors import BadParams, DisconnectedInput, MistError
+from mist.errors import BadParams, DisconnectedInput, MistError, NonTermination
 from mist.exact import TreeResult, cut_bound, internal_bound, opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
 
@@ -402,3 +402,31 @@ def test_chain_families_keep_their_trees_bounds_and_errors():
                     outcome = exc
                 lines.append(outcome_line(name, mode, outcome))
     assert outcome_digest(lines) == CHAIN_DIGEST
+
+
+def two_hub_triangles(k):
+    """Hubs 0 and 1 and k triangles {a, b, c}, each a joined to 0 and each b to 1."""
+    edges = []
+    for a in range(2, 3 * k + 2, 3):
+        b, c = a + 1, a + 2
+        edges += [(a, b), (b, c), (a, c), (0, a), (1, b)]
+    return build_graph(3 * k + 2, edges)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonTermination,
+    reason="max_tfpcc bans triangle edges one at a time and gives up after 200 2-matchings",
+)
+def test_simple_mode_covers_the_two_hub_triangles():
+    g = two_hub_triangles(5)  # 17 vertices
+    report = run(g, "simple", keep_state=True)
+    assert verify_run(g, report).ok
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_refined_mode_solves_the_two_hub_triangles(k):
+    g = two_hub_triangles(k)
+    report = run(g, "refined", keep_state=True)
+    assert verify_run(g, report).ok
+    assert report.tree.weight == report.upper_bound == 2 * k + 3

@@ -13,6 +13,11 @@ edge and vertex edits do.  So only the graph and the reduction engine may
 add, pop or revive vertex ids, write rows wholesale or edit bare rows, and
 only methods of Graph and Cover may assign a graph's adjacency, alive mask
 or kept components.
+
+A union-find's root walk, a while loop that compares parent[x] with x or
+with None, is written out only in exact.spanning_fault, the one
+spanning-tree check, in exact.opt_spanning_tree, whose search undoes its
+unions, and in graph.find, which every other union-find calls.
 """
 
 import ast
@@ -234,3 +239,63 @@ def test_the_edit_check_catches_a_vertex_edit_and_a_raw_write():
     assert cover_edit_escapes({"graph.py": ast.parse("g.revive(v)\n")}) == []
     tree = ast.parse("def bad(c, rows, alive):\n    c.write_rows(rows, alive)\n")
     assert cover_edit_escapes({"m.py": tree, "reduce.py": tree}) == ["m.py:2: write_rows"]
+
+
+ROOT_WALKERS = {
+    "exact.py": {"spanning_fault", "opt_spanning_tree"},
+    "graph.py": {"find"},
+}
+
+
+def _is_root_walk(loop) -> bool:
+    """Whether a while loop's test compares parent[x] with x or with None.
+
+    x is a bare name: a walk back along a search's parent pointers, such as
+    prev[path[-1]], is not a union-find's.
+    """
+    test = loop.test
+    if not (isinstance(test, ast.Compare) and len(test.comparators) == 1):
+        return False
+    left, right = test.left, test.comparators[0]
+    if isinstance(left, ast.NamedExpr):
+        left = left.value
+    if not (isinstance(left, ast.Subscript) and isinstance(left.slice, ast.Name)):
+        return False
+    if isinstance(right, ast.Constant):
+        return right.value is None
+    return isinstance(right, ast.Name) and right.id == left.slice.id
+
+
+def stray_root_walks(trees) -> list[str]:
+    """Union-find root walks outside the functions allowed one.
+
+    A walk is told by the module-level function or class it sits in.
+    """
+    out = []
+    for name, tree in trees.items():
+        allowed = ROOT_WALKERS.get(name, set())
+        for top in tree.body:
+            if getattr(top, "name", None) in allowed:
+                continue
+            out += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.While) and _is_root_walk(node)
+            ]
+    return out
+
+
+def test_only_the_union_find_helpers_walk_to_a_root():
+    assert stray_root_walks(_trees()) == []
+
+
+def test_the_walk_check_catches_a_copied_root_walk():
+    tree = ast.parse(
+        "def find(parent, x):\n    while parent[x] != x:\n        x = parent[x]\n    return x\n\n"
+        "def bad(parent, a, up):\n    while parent[a] != a:\n        a = parent[a]\n"
+        "    while (up := parent[a]) is not None:\n        a = up\n"
+        "    while stack[-1] != a:\n        stack.pop()\n"
+        "    while prev[path[-1]] is not None:\n        path.append(prev[path[-1]])\n"
+    )
+    assert stray_root_walks({"graph.py": tree}) == ["graph.py:7", "graph.py:9"]
+    assert stray_root_walks({"m.py": tree}) == ["m.py:2", "m.py:7", "m.py:9"]

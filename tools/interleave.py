@@ -33,7 +33,9 @@ does, the order of the sides flipped on every rep, after one untimed
 import of each.  It prints each side's median import time, then each rep's
 change/parent ratio and the number of reps the change won.  A tree with
 __pycache__ directories is imported from its bytecode; to time compiling
-too, run python3 -B on trees that have none.
+too, run python3 -B on trees that have none.  The two trees must be in the
+same state: when one has mist bytecode for the running interpreter and the
+other has none, --setup stops with an error that names both.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ def load(src: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def has_bytecode(src: str) -> bool:
+    """Whether the mist package under src has bytecode for the running interpreter."""
+    sources = (Path(src) / "mist").glob("*.py")
+    return any(Path(importlib.util.cache_from_source(str(p))).is_file() for p in sources)
 
 
 def drop(name: str) -> None:
@@ -206,6 +214,14 @@ def main(argv=None) -> int:
         parser.error("--workload needs --seed")
     names = {side: f"mist_{side}" for side in SIDES}
     srcs = dict(zip(SIDES, (args.parent, args.change)))
+    if args.setup:
+        compiled = {side: has_bytecode(srcs[side]) for side in SIDES}
+        if compiled["parent"] != compiled["change"]:
+            have, lack = SIDES if compiled["parent"] else SIDES[::-1]
+            raise SystemExit(
+                f"error: the {have} tree {srcs[have]} has mist bytecode for this interpreter "
+                f"and the {lack} tree {srcs[lack]} has none; compile both or neither"
+            )
     try:
         mists = {side: load(srcs[side], names[side]) for side in SIDES}
         if args.setup:
