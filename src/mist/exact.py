@@ -44,8 +44,8 @@ def spanning_fault(g: Graph, edges) -> str | None:
 
     They must be n_alive - 1 edges of g, between ids 0..vertex_count-1,
     that close no cycle; such a set spans g's alive vertices.  The first
-    fault in their order is told.  The root walks are written out and a row
-    is scanned, not bisected, as this runs on every lift and verified run.
+    fault in their order is told.  Its row search and root walks are
+    written out: they run per tree edge on every lift and verified run.
     """
     n = g.n_alive()
     if len(edges) != n - 1:
@@ -55,7 +55,9 @@ def spanning_fault(g: Graph, edges) -> str | None:
     for u, v in edges:
         if not (0 <= u < span and 0 <= v < span):
             return f"edge {min(u, v)}-{max(u, v)} leaves the vertex set"
-        if v not in adj[u]:
+        row = adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
             return f"tree edge {min(u, v)}-{max(u, v)} is not a graph edge"
         while parent[u] != u:
             u = parent[u]

@@ -20,7 +20,7 @@ tree, after one per leaf.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import NamedTuple
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -1105,7 +1105,8 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
             size -= 1
         revive_in(rows, up, u2)
         if u1 == u2 or not up[u1] or u2 == o2 or not (0 <= o2 < n and up[o2]) or o2 == u1:
-            _refuse_joins(up, u1, u2, o2)
+            add_edge_in(rows, up, u1, u2)  # a join that fails: let the Graph edits
+            add_edge_in(rows, up, u2, o2)  # raise, on rows the failed lift drops
         r1.append(u2)
         work[u2] = [u1, o2]
         ro = work.get(o2)
@@ -1136,23 +1137,6 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
     t.weight = weight
 
 
-def _refuse_joins(up: list[bool], u1: int, u2: int, o2: int) -> None:
-    """Raise what add_edge_in(u1, u2) and then add_edge_in(u2, o2) raise, u2 new and bare.
-
-    A copy of add_edge_in's checks: _undo_run builds its rows off to the side.
-    """
-    n = len(up)
-    if u1 == u2:
-        raise InternalInvariant(f"self loop at {u1}")
-    if not up[u1]:
-        raise InternalInvariant(f"edge {u1}-{u2} touches a dead vertex")
-    if u2 == o2:
-        raise InternalInvariant(f"self loop at {u2}")
-    if not (0 <= o2 < n and up[o2]):
-        raise InternalInvariant(f"edge {u2}-{o2} touches a dead vertex")
-    raise InternalInvariant(f"duplicate edge {u2}-{o2}")  # o2 is u1
-
-
 def _is_tree_on(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> bool:
     """Whether edges are a tree on vertices: one fewer, between them, none closing a cycle.
 
@@ -1180,7 +1164,9 @@ def _add_tree_edges(t: Lifted, edges) -> None:
     weight = t.weight
     for u, v in edges:
         u, v = (u, v) if u < v else (v, u)
-        if not (0 <= u and v < len(rows) and v in rows[u]):
+        row = rows[u] if 0 <= u and v < len(rows) else ()
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
             raise InternalInvariant(f"tree edge {u}-{v} is not a graph edge")
         tree.add((u, v))
         deg[u] += 1

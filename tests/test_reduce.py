@@ -1302,6 +1302,17 @@ def _move_last_path_vertex(r):
     return {"path": (*r.path[:-1], 16)}
 
 
+def _rejoin_last_contraction(o2):
+    # the last contraction of the run on a 10-cycle, (0, 8, 9, 9), is undone
+    # first; with o1 and o2 both made o2 it revives 8 and joins it to 0 and
+    # then to o2, no edge 0-o2 being looked up first
+    def tamper(r):
+        assert r.contractions[-1] == (0, 8, 9, 9)
+        return {"contractions": (*r.contractions[:-1], (0, 8, o2, o2))}
+
+    return tamper
+
+
 _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 6), (4, 7)]
 
 
@@ -1323,9 +1334,16 @@ _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4
         # the first path peel takes {7, 24} off 3, and 7 is alive again by then
         (path(24), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
          "vertex 7 is not dead and bare"),
+        (cycle(10), "refined", "op11", _rejoin_last_contraction(0), InternalInvariant,
+         "duplicate edge 8-0"),
+        (cycle(10), "refined", "op11", _rejoin_last_contraction(8), InternalInvariant,
+         "self loop at 8"),
+        (cycle(10), "refined", "op11", _rejoin_last_contraction(99), InternalInvariant,
+         "edge 8-99 touches a dead vertex"),
     ],
     ids=["op4-c", "op11-c", "op3-c", "op4-parts", "op4-cut-vertex", "op4-last-path-vertex",
-         "op4-cut-vertex-before-a-path"],
+         "op4-cut-vertex-before-a-path", "op11-join-to-u1", "op11-join-to-u2",
+         "op11-join-to-a-dead-vertex"],
 )
 def test_lift_checks_the_step_it_undoes(g, mode, kind, tamper, exc, match):
     _lift_tampered(g, mode, kind, tamper, exc, match)
