@@ -10,8 +10,7 @@ it changes, so n_alive and edge_count take constant time.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Mapping
+from bisect import bisect_left, insort
 from itertools import compress
 from typing import NamedTuple
 
@@ -216,45 +215,6 @@ def connected_components(g: Graph, blocked: frozenset[int] = frozenset()) -> lis
     return out
 
 
-class PieceSizes(Mapping):
-    """sizes[v]: the component sizes of g - v, for cut vertices v only, in id order.
-
-    Each list is read from the lowpoint pass when asked for.  v's cut-off
-    DFS children are its neighbours c numbered after it whose subtree was
-    cut off from its parent (size[c] > 0): a later-numbered neighbour is a
-    descendant, and one below a child of v reaches back to v, so its own
-    subtree is never cut off.  The rest of v's component is one more piece
-    unless v is its DFS root, and g's other components follow.  Valid while
-    g is unchanged.
-    """
-
-    def __init__(self, adj, disc, size, cuts, starts):
-        self._adj = adj
-        self._disc = disc
-        self._size = size  # subtree size of each cut-off DFS child, else 0
-        self._cuts = cuts  # children cut off, -1 extra at each root
-        self._starts = starts  # first number of each DFS tree, then the count
-
-    def __getitem__(self, v: int) -> list[int]:
-        if not 0 <= v < len(self._cuts) or self._cuts[v] <= 0:
-            raise KeyError(v)
-        d, size, starts = self._disc[v], self._size, self._starts
-        out = [size[c] for c in self._adj[v] if size[c] and self._disc[c] > d]
-        own = bisect_right(starts, d) - 1
-        if d != starts[own]:
-            out.append(starts[own + 1] - starts[own] - 1 - sum(out))
-        for i in range(len(starts) - 1):
-            if i != own:
-                out.append(starts[i + 1] - starts[i])
-        return out
-
-    def __iter__(self):
-        return (v for v, k in enumerate(self._cuts) if k > 0)
-
-    def __len__(self) -> int:
-        return sum(1 for k in self._cuts if k > 0)
-
-
 class TwinGroups:
     """twin_groups(g), grouped when first iterated.  Valid while g is unchanged."""
 
@@ -274,7 +234,6 @@ class Separations(NamedTuple):
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
-    sizes: Mapping[int, list[int]]  # sizes[v]: component sizes of g - v, cut vertices only
     twins: TwinGroups  # twin_groups(g), grouped when first iterated
 
 
@@ -284,24 +243,19 @@ def separations(g: Graph) -> Separations:
     One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
     each DFS child c with low[c] >= disc[v], whose subtree is then a
     component of its own; the rest of v's component is one more piece
-    unless v is the root of its DFS tree.  The subtree size of every
-    cut-off child is kept, so the piece sizes of any cut vertex can be
-    read off when asked for (PieceSizes).  The twin groups come along
+    unless v is the root of its DFS tree.  The twin groups come along
     unbuilt, so the finders that read them share one grouping per graph.
     """
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
     cuts = [0] * g.vertex_count  # children cut off, -1 extra at each root
-    size = [0] * g.vertex_count  # subtree sizes of the cut-off children
     bridges: set[Edge] = set()
-    starts: list[int] = []  # first number of each DFS tree
     parts = count = 0
     for root in g.alive_list():
         if disc[root] >= 0:
             continue
         parts += 1
         cuts[root] = -1
-        starts.append(count)
         disc[root] = low[root] = count
         count += 1
         # stack holds (vertex, parent, iterator over the vertex's neighbours)
@@ -327,14 +281,10 @@ def separations(g: Graph) -> Separations:
                     low[parent] = low[u]
                 if low[u] >= disc[parent]:
                     cuts[parent] += 1
-                    # u's subtree was numbered last: disc[u] up to count
-                    size[u] = count - disc[u]
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
-    starts.append(count)
     pieces = {v: parts + cuts[v] for v in g.alive_list()}
-    sizes = PieceSizes(g.adj, disc, size, cuts, starts)
-    return Separations(bridges, pieces, parts, sizes, TwinGroups(g))
+    return Separations(bridges, pieces, parts, TwinGroups(g))
 
 
 def find_bridges(g: Graph) -> set[Edge]:

@@ -97,9 +97,9 @@ class WeakReduction(NamedTuple):
 # Each finder reads only its candidates: op1 the rows of the vertices
 # whose removal leaves three or more pieces, op2 the rows of the cut
 # vertices, op8, op9 and op10 the twin grouping the node's separations
-# build on first use (one per node, shared), op4 the piece sizes and then
-# the pieces of one cut vertex, op3 the bridges, and op10 the vertices of
-# degree 3 or more and the degree-2 runs next to them.
+# build on first use (one per node, shared), op4 the pieces of the cut
+# vertices that can hang a small one, op3 the bridges, and op10 the
+# vertices of degree 3 or more and the degree-2 runs next to them.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
 # and reduce_to_fixpoint): the other finders' candidates cost less than the
@@ -197,8 +197,9 @@ def find_op10(
     Cores are grown from the start vertices over neighbour bit masks, each
     set once, from the first start vertex it holds (ESU enumeration), and
     each core with two boundary vertices and an edge to spare is recorded
-    with every move of its boundary.  A set is dropped when no core grown
-    from it can have two boundary vertices (_cannot_close), and when it
+    with every move of its boundary.  A set is dropped when more than two
+    of its neighbours can never join it, when it has more neighbours than
+    the vertices it may still take in can bring down to two, and when it
     holds two degree-2 twins, as a path through both would close a cycle;
     the twins are the node's grouping, sep.twins, cut to the vertices the
     search reaches.
@@ -220,7 +221,6 @@ def find_op10(
         return None
     adj = g.adj
     kind: dict[int, int] = {}
-    on_long: list[int] = []  # vertices seen on long runs
     marks: set[int] = set()  # the vertices of near and next to near
     reach: dict[int, list] = {}  # the run ends within cap steps of each mark on a run
 
@@ -235,7 +235,6 @@ def find_op10(
                 run, (a, b) = _walk_run(adj, x, cap + 1, marks, kind)
                 if a is None or b is None or len(run) > cap + 1:
                     c = 0
-                    on_long.extend(run)
                 else:
                     c = 2 if a == b or g.has_edge(a, b) else 1
                 kind.update(dict.fromkeys(run, c))
@@ -281,7 +280,6 @@ def find_op10(
         t = [x for x in group if x in nb]
         if len(t) > 1:
             twins.update((x, _mask(t) ^ 1 << x) for x in t)
-    long_mask = _mask(set(on_long))
     blocks = []
 
     def record(k, out, edges, size):
@@ -338,13 +336,8 @@ def find_op10(
                 if bound - rest > 2:
                     continue
                 ext2 = ext | nb[w] & allowed & ~k2 & ~out
-                stuck = out2 & ~ext2
-                if stuck and bound > 2:
-                    n_stuck = stuck.bit_count()
-                    if n_stuck > 2 or (n_stuck == 2 and long_mask or twins) and _cannot_close(
-                        out2, stuck, k2, rest, nb, long_mask, twins
-                    ):
-                        continue
+                if (out2 & ~ext2).bit_count() > 2:
+                    continue  # more than two vertices of out2 never join
                 cores.append(
                     (k2, size + 1, out2, ext2, edges + len(adj[w]) - (nb[w] & k).bit_count())
                 )
@@ -395,26 +388,6 @@ def _walk_run(
         if cur == x:
             break  # the whole cycle lies on the first side
     return [*reversed(sides[0]), x, *sides[1]], ends
-
-
-def _cannot_close(out, stuck, k, rest, nb, long_mask, twins) -> bool:
-    """Whether no core grown from k with rest more vertices has two boundary vertices.
-
-    The vertices of out in stuck never join.  Neither does one whose twin
-    is in k; and with two that never join, one next to a long run, which
-    would put a run vertex in out for good, blocks every core it joins.
-    Each vertex that joins removes at most one vertex from out.
-    """
-    free = out & ~stuck
-    if twins:
-        for y in _members(free):
-            if twins.get(y, 0) & k:
-                stuck |= 1 << y
-        free = out & ~stuck
-    n_stuck = stuck.bit_count()
-    if n_stuck == 2 and any(nb[y] & long_mask & ~stuck for y in _members(free)):
-        return True
-    return n_stuck + max(0, free.bit_count() - rest) > 2
 
 
 def _mask(vertices) -> int:
@@ -528,9 +501,11 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     One peel solves K + {v} plus a pendant at v exactly and replaces K by
     that pendant, with c = opt - 1; a step's c sums its peels'.  The first
     peel is at the first cut vertex v whose g - v has a piece of 2-8
-    vertices (the lowpoint pass gives the piece sizes, so only v is
-    searched), and K is the first such piece in component order, found by
+    vertices, and K is the first such piece in component order, found by
     searches from v's neighbours that stop past 8 vertices (_small_piece).
+    The cut vertices are searched in id order, skipping those whose g - v
+    is k - 1 pendants and one more piece, for k = pieces[v]: that piece
+    has n - k vertices, so with n - k > 8 there is no piece to find.
 
     The run goes on with the peel of K' = {v, p} off w, where p is the
     pendant just added, while v's neighbours are exactly {p, w}, v is the
@@ -555,10 +530,10 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     path p-v-w, a tree, so with the new pendant at w its only spanning tree
     has v and w internal, and the peel adds 1 to c.
     """
-    sep = sep or separations(g)
-    for v in sep.sizes:  # the cut vertices, in id order
-        if any(2 <= k <= 8 for k in sep.sizes[v]):
-            k_comp = _small_piece(g.adj, v)
+    adj, n = g.adj, g.n_alive()
+    for v, k in (sep or separations(g)).pieces.items():  # the keys ascend
+        if k >= 2 and (n - k <= 8 or sum(len(adj[u]) == 1 for u in adj[v]) != k - 1):
+            k_comp = _small_piece(adj, v)
             if k_comp:
                 break
     else:

@@ -12,8 +12,8 @@ the per-edit op4 and op11 loops, which apply and undo a run one checked
 Graph edit at a time, as the reference for the engine's one-write sweeps;
 and the op4 and op11 finders written the plain way, as the reference for
 the engine's compact op4 records and walked op11 runs: op4 builds every
-peel as a Peel (the first through the library's _peel) over the library's
-separations, and op11 re-derives each contraction from the set of
+peel as a Peel (the first through the library's _peel) from the
+components of g - v for every v, and op11 re-derives each contraction from the set of
 vertices merged so far; and the op1, op2, op8 and op9 finders written as
 whole-graph scans, as the reference for the finders that read only their
 candidates (op2 and op8 over the library's separations).
@@ -635,14 +635,14 @@ def reference_find_op4(g: Graph) -> list[Peel] | None:
     The first peel is at the first cut vertex v with a piece of 2-8
     vertices, and takes the first such piece; the run goes on at w while
     v's neighbours left are the last pendant and w, w > v, every other
-    vertex below w is gone and more than 10 vertices are left.
+    vertex below w is gone and more than 10 vertices are left.  The cut
+    vertices and their pieces are read off a search of g - v for every v.
     """
-    sep = separations(g)
-    for v in sorted(sep.sizes):
-        if any(2 <= k <= 8 for k in sep.sizes[v]):
-            small = [k for k in connected_components(g, frozenset((v,))) if 2 <= len(k) <= 8]
-            if small:
-                break
+    for v in g.alive_list():
+        pieces = connected_components(g, frozenset((v,)))
+        small = [k for k in pieces if 2 <= len(k) <= 8]
+        if len(pieces) >= 2 and small:
+            break
     else:
         return None
     k_comp = small[0]

@@ -20,7 +20,6 @@ from helpers import (
     build_graph,
     induced_subgraph,
     naive_bridges,
-    naive_components,
     naive_cutpoints,
     naive_pieces,
     pop_vertex,
@@ -263,16 +262,6 @@ def test_cutpoints_match_removal_oracle(data):
     g = build_graph(n, edges)
     assert find_cutpoints(g) == naive_cutpoints(n, edges)
     assert separations(g).pieces == naive_pieces(n, edges)
-
-
-@given(small_graphs())
-def test_piece_sizes_match_the_components_left_by_each_cut_vertex(data):
-    n, edges = data
-    g = build_graph(n, edges)
-    sep = separations(g)
-    assert sorted(sep.sizes) == naive_cutpoints(n, edges)
-    for v, sizes in sep.sizes.items():
-        assert sorted(sizes) == sorted(len(c) for c in naive_components(g, (v,))), v
 
 
 @given(small_graphs())

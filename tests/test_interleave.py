@@ -31,7 +31,8 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     ]
     for line in out[1:3]:
         assert re.fullmatch(
-            r" *\w+: total \S+ s, solve p50 \S+ ms, lift p50 \S+ ms, verify p50 \S+ ms", line
+            r" *\w+: total \S+ s, solve p50 \S+ ms, reduce p50 \S+ ms, lift p50 \S+ ms, verify p50 \S+ ms",
+            line,
         )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
     assert sum(float(r) < 1 for r in ratios.split()) == int(won)
@@ -85,7 +86,11 @@ def test_an_output_difference_stops_the_run():
         return report
 
     changed = SimpleNamespace(
-        parse_graph=mist.parse_graph, run=run, verify_run=mist.verify_run, reduce=mist.reduce
+        parse_graph=mist.parse_graph,
+        run=run,
+        verify_run=mist.verify_run,
+        reduce=mist.reduce,
+        pipeline=mist.pipeline,
     )
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
     first = next(k for k, op in enumerate(corp.ops) if op.mode == "refined")
@@ -96,6 +101,21 @@ def test_an_output_difference_stops_the_run():
         assert all(0 < lift < solve for lift, solve in zip(t["lift"], t["solve"]))
     # the rep cut short holds the time of the operations run
     assert all(len(t["reps"]) == 1 and t["reps"][0] > 0 for t in times.values())
+
+
+def test_the_reduce_and_lift_times_are_parts_of_the_solve_time():
+    # run's reduce_to_fixpoint and lift_all are timed apart, each inside
+    # its solve time; the wrappers are gone once the operation is over
+    corp = interleave.corpus_mod.build("chains", 3, 0.05)
+    reduce_to_fixpoint, lift_all = mist.pipeline.reduce_to_fixpoint, mist.reduce.ReductionTrace.lift_all
+    times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 1)
+    assert diff is None
+    for t in times.values():
+        assert len(t["reduce"]) == len(corp.ops)
+        for solve, reduce, lift in zip(t["solve"], t["reduce"], t["lift"]):
+            assert 0 < reduce and 0 < lift and reduce + lift < solve
+    assert mist.pipeline.reduce_to_fixpoint is reduce_to_fixpoint
+    assert mist.reduce.ReductionTrace.lift_all is lift_all
 
 
 def _drop_the_other_pendant(g, sep=None):
@@ -122,7 +142,11 @@ def test_a_step_that_changes_a_different_graph_stops_the_run():
         return any(n.applied is not None and n.applied.kind == "op1" for n in report.trace.nodes)
 
     changed = SimpleNamespace(
-        parse_graph=mist.parse_graph, run=run, verify_run=mist.verify_run, reduce=mist.reduce
+        parse_graph=mist.parse_graph,
+        run=run,
+        verify_run=mist.verify_run,
+        reduce=mist.reduce,
+        pipeline=mist.pipeline,
     )
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
     first = next(k for k, op in enumerate(corp.ops) if has_op1(op))

@@ -1,6 +1,7 @@
 """End-to-end runs: solve wrappers, reports, and run verification."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
@@ -421,6 +422,42 @@ def two_hub_triangles(k):
 def test_simple_mode_covers_the_two_hub_triangles():
     g = two_hub_triangles(5)  # 17 vertices
     report = run(g, "simple", keep_state=True)
+    assert verify_run(g, report).ok
+
+
+def necklace(seed):
+    """h = 2-4 hubs and t = 4-9 triangles {a, b, c}, each a and b joined to
+    two distinct hubs drawn at random."""
+    rng = random.Random(seed)
+    h, t = rng.randint(2, 4), rng.randint(4, 9)
+    edges = []
+    for a in range(h, h + 3 * t, 3):
+        x, y = rng.sample(range(h), 2)
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2), (x, a), (y, a + 1)]
+    return build_graph(h + 3 * t, edges)
+
+
+# the seeds whose necklace is connected and raises in simple mode
+NECKLACE_SEEDS = [0, 1, 3, 4, 8, 9, 11, 12, 14, 16]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonTermination,
+    reason="max_tfpcc bans triangle edges one at a time and gives up after 200 2-matchings",
+)
+@pytest.mark.parametrize("seed", NECKLACE_SEEDS)
+def test_simple_mode_covers_a_necklace(seed):
+    g = necklace(seed)
+    assert g.is_connected() and 20 <= g.n_alive() <= 27
+    report = run(g, "simple", keep_state=True)
+    assert verify_run(g, report).ok
+
+
+@pytest.mark.parametrize("seed", NECKLACE_SEEDS)
+def test_refined_mode_solves_a_necklace(seed):
+    g = necklace(seed)
+    report = run(g, "refined", keep_state=True)
     assert verify_run(g, report).ok
 
 

@@ -64,6 +64,22 @@ def path(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def pendant_cycle(n):
+    """The n-cycle 0..n-1 with the pendant n + i at each vertex i."""
+    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)])
+
+
+def caterpillar(n):
+    """The path 0..n-1 with a leg of 1 + i % 3 vertices hanging off each vertex i."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    top = n
+    for i in range(n):
+        leg = list(range(top, top + 1 + i % 3))
+        edges += list(zip([i, *leg], leg))
+        top += len(leg)
+    return build_graph(top, edges)
+
+
 def alive_edges(g):
     return (g.n_alive(), sorted(g.edge_list()))
 
@@ -510,12 +526,18 @@ def test_op10_near_search_starts_from_the_run_ends_within_cap_of_near(monkeypatc
     assert all(len(w) == len(set(w)) for w in walks) and sum(map(len, walks)) > 10000
 
 
-@pytest.mark.parametrize("family", [gen_path, gen_cycle, gen_theta])
+@pytest.mark.parametrize("family", [gen_path, gen_cycle])
 def test_refined_reduce_of_a_200_chain_grows_no_block(family):
-    # a chain's degree-2 runs are long, a theta hub's arms end in long runs
-    # or in twins, so no set of two or more vertices is grown at any node
+    # a chain's degree-2 runs are long, so no set of two or more vertices
+    # is grown at any node
     assert _grown_blocks(family(200), "refined") == 0
     assert _grown_blocks(gen_gnp(10, 0.3, 1), "refined") > 0
+
+
+def test_refined_reduce_of_a_theta_grows_as_many_blocks_at_any_length():
+    # a theta hub's arms end in long runs or in twins, so the sets grown
+    # next to the hubs do not depend on how long the arms are
+    assert _grown_blocks(gen_theta(200), "refined") == _grown_blocks(gen_theta(400), "refined")
 
 
 def test_op10_grows_a_block_outside_near_whose_boundary_is_inside():
@@ -777,11 +799,12 @@ class _CountingRows(list):
         return super().__getitem__(i)
 
 
-def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
-    # the lowpoint pass's piece sizes pick the cut vertex v, and one search
-    # of the pieces of g - v finds the first of 2-8 vertices, reading at
-    # most 8 rows per neighbour of v; the witness is the one a search of
-    # every cut vertex in id order finds
+def test_op4_searches_the_cut_vertices_in_order_but_those_hanging_only_pendants(monkeypatch):
+    # the cut vertices are searched in id order up to the first with a
+    # piece of 2-8 vertices, each search reading at most 8 rows per
+    # neighbour of v; a cut vertex whose g - v is pendants and one piece of
+    # more than 8 vertices has no such piece and is not searched.  The
+    # witness is the reference finder's
     searches = []
     real = mist.reduce._small_piece
 
@@ -798,18 +821,34 @@ def test_op4_makes_at_most_one_component_search_per_call(monkeypatch):
     rng = random.Random(47)
     graphs = [gen_sparse(n, n // 4, seed) for n in (12, 30, 60, 300) for seed in range(20)]
     graphs += [random_connected(rng.randint(6, 16), 0.1, rng) for _ in range(60)]
-    fired = scanned = 0
+    graphs += [pendant_cycle(n) for n in (3, 5, 9, 20)] + [caterpillar(n) for n in (2, 4, 8, 20)]
+    # k 10-cycles in a row, each sharing a vertex with the next, and a
+    # triangle hanging off the last: k - 1 cut vertices split g into two
+    # pieces of 9 or more vertices each, and each is searched in vain
+    for k in range(1, 8):
+        t = 9 * k
+        beads = [(i, i + 1) for i in range(t)] + [(9 * i + 9, 9 * i) for i in range(k)]
+        graphs.append(build_graph(t + 3, beads + [(t, t + 1), (t + 1, t + 2), (t + 2, t)]))
+    fired = skipped = scanned = 0
     for g in graphs:
-        sep = separations(g)
         searches.clear()
-        r = find_op4(g, sep)
-        assert len(searches) <= 1, g
-        every = {v: [2] for v in g.alive_list() if sep.pieces[v] > sep.parts}
-        searches.clear()
-        assert find_op4(g, sep._replace(sizes=every)) == r, g
+        r = find_op4(g)
+        assert (r and op4_peels(r)) == reference_find_op4(g), g
+        expected = []
+        for v in g.alive_list():
+            if r is not None and v > r.peel.cut_vertex:
+                break
+            sizes = [len(k) for k in naive_components(g, {v})]
+            if len(sizes) < 2:
+                continue
+            if sizes.count(1) == len(sizes) - 1 and max(sizes) > 8:
+                skipped += 1
+            else:
+                expected.append(v)
+        assert searches == expected, g
         fired += r is not None
         scanned += len(searches) > 1
-    assert fired > 90 and scanned > 40
+    assert fired > 110 and skipped > 150 and scanned >= 7
 
 
 def test_op4_replaces_a_hanging_component_with_a_pendant():
@@ -1018,11 +1057,18 @@ def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
     roots += [("theta", n, gen_theta(n)) for n in range(5, 201)]
     roots += [("twins", n, gen_twins(n, n)) for n in range(9, 61)]
     roots += [("sparse", n, gen_sparse(n, n // 10, n)) for n in range(20, 301, 10)]
+    # a pendant at every cycle vertex, where find_op4 searches no cut
+    # vertex of a root of more than 10 vertices, and legs of 1-3 vertices,
+    # where it searches only some; their steps are counted apart
+    pendants = [("pendant cycle", n, pendant_cycle(n)) for n in range(3, 61)]
+    pendants += [("caterpillar", n, caterpillar(n)) for n in range(2, 61)]
+    roots += pendants
     built = []
     real_peel = mist.reduce.Peel
     monkeypatch.setattr(mist.reduce, "Peel", lambda *a: built.append(a) or real_peel(*a))
-    steps = Counter()
+    steps, pendant_steps = Counter(), Counter()
     for name, n, g in roots:
+        tally = pendant_steps if name in ("pendant cycle", "caterpillar") else steps
         built.clear()
         trace = reduce_to_fixpoint(g, mode)
         if (name, n) == ("path", 200):
@@ -1031,13 +1077,14 @@ def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
             r = node.applied
             if r is not None and r.kind == "op4":
                 assert op4_peels(r) == reference_find_op4(h), (name, n)
-                steps["path peels"] += len(r.path)
+                tally["path peels"] += len(r.path)
             elif r is not None and r.kind == "op11":
                 assert r.contractions == reference_find_op11(h), (name, n)
-            steps[r and r.kind] += 1
+            tally[r and r.kind] += 1
     assert (steps["op4"], steps["path peels"], steps["op11"]) == {
         "simple": (1413, 17977, 0), "refined": (1612, 17977, 782)
     }[mode]
+    assert (pendant_steps["op4"], pendant_steps["path peels"], pendant_steps["op11"]) == (2379, 0, 0)
 
 
 @pytest.mark.parametrize("family, mode", [(gen_cycle, "refined"), (gen_path, "simple"), (gen_path, "refined")])

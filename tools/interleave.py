@@ -15,10 +15,11 @@ sides alike; separate benchmark runs on a shared host can differ by 10 %,
 more than a change of a few per cent.  Any difference in the outputs (the
 tree, the upper bound, the trace steps, the verify checks and opt, or the
 error raised) stops the run with exit status 1.  Otherwise it prints, for
-each side, the total time and the median solve, lift and verify times
-(the lift time is the time run spends inside ReductionTrace.lift_all),
-then each rep's change/parent ratio of total time and the number of reps
-the change won, so one run shows whether it won nine reps in ten.
+each side, the total time and the median solve, reduce, lift and verify
+times (the reduce time is the time run spends inside reduce_to_fixpoint,
+the lift time the time it spends inside ReductionTrace.lift_all), then
+each rep's change/parent ratio of total time and the number of reps the
+change won, so one run shows whether it won nine reps in ten.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -53,6 +54,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
+LAYERS = ("solve", "reduce", "lift", "verify")  # the times run_op reports, in its order
 
 
 def load(src: str, name: str):
@@ -126,23 +128,33 @@ def replay_steps(reduce, trace) -> list[tuple]:
     return steps
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int]:
-    """The operation's outputs as text, and its solve, lift, verify and total times in ns.
+def timed(owner, name: str, spent: list):
+    """Wrap owner.name so each call adds its ns to spent[0]; return the original."""
+    real = getattr(owner, name)
 
-    The total runs from parsing to the end of verify_run or the error.  The
-    lift time is read by wrapping ReductionTrace.lift_all for the operation.
-    """
-    trace_cls = mist.reduce.ReductionTrace
-    lift_all, lift = trace_cls.lift_all, [0]
-
-    def timed_lift(trace, leaf_trees):
+    def wrapper(*args):
         t = time.perf_counter_ns()
         try:
-            return lift_all(trace, leaf_trees)
+            return real(*args)
         finally:
-            lift[0] += time.perf_counter_ns() - t
+            spent[0] += time.perf_counter_ns() - t
 
-    trace_cls.lift_all = timed_lift
+    setattr(owner, name, wrapper)
+    return real
+
+
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int]:
+    """The operation's outputs as text, and its solve, reduce, lift, verify and total times in ns.
+
+    The total runs from parsing to the end of verify_run or the error.  The
+    reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
+    calls, the lift time by wrapping ReductionTrace.lift_all, for the
+    operation.
+    """
+    trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
+    reduce, lift = [0], [0]
+    reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
+    lift_all = timed(trace_cls, "lift_all", lift)
     start = t0 = t1 = time.perf_counter_ns()
     try:
         g = mist.parse_graph(text)
@@ -152,16 +164,17 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int]:
         vr = mist.verify_run(g, report)
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
-        return f"! {type(exc).__name__}: {exc}", t - t0, lift[0], 0, t - start
+        return f"! {type(exc).__name__}: {exc}", t - t0, reduce[0], lift[0], 0, t - start
     finally:
         trace_cls.lift_all = lift_all
+        pipeline.reduce_to_fixpoint = reduce_to_fixpoint
     t2 = time.perf_counter_ns()
     try:
         steps = replay_steps(mist.reduce, report.trace)
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, lift[0], t2 - t1, t2 - start
+    return out, t1 - t0, reduce[0], lift[0], t2 - t1, t2 - start
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
@@ -170,7 +183,7 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
     A side's reps list holds the total time of each rep, the last one cut
     short at a difference.
     """
-    times = {side: {"reps": [], "solve": [], "lift": [], "verify": []} for side in SIDES}
+    times = {side: {"reps": [], **{layer: [] for layer in LAYERS}} for side in SIDES}
     flip = 0
     for _ in range(reps):
         for side in SIDES:
@@ -181,11 +194,10 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
             flip += 1
             outs = {}
             for side in order:
-                outs[side], solve, lift, verify, total = run_op(mists[side], text, op.mode)
+                outs[side], *spent, total = run_op(mists[side], text, op.mode)
                 times[side]["reps"][-1] += total
-                times[side]["solve"].append(solve)
-                times[side]["lift"].append(lift)
-                times[side]["verify"].append(verify)
+                for layer, ns in zip(LAYERS, spent):
+                    times[side][layer].append(ns)
             if outs["parent"] != outs["change"]:
                 return times, f"op {k} ({op.mode}): {outs['parent']!r} != {outs['change']!r}"
     return times, None
@@ -249,13 +261,10 @@ def main(argv=None) -> int:
     print(f"{title}: {len(corp.ops)} ops x {args.reps}")
     totals = {side: sum(times[side]["reps"]) for side in SIDES}
     for side in SIDES:
-        t = times[side]
-        print(
-            f"{side:>6}: total {totals[side] / 1e9:.3f} s, "
-            f"solve p50 {statistics.median(t['solve']) / 1e6:.4f} ms, "
-            f"lift p50 {statistics.median(t['lift']) / 1e6:.4f} ms, "
-            f"verify p50 {statistics.median(t['verify']) / 1e6:.4f} ms"
+        p50s = (
+            f"{layer} p50 {statistics.median(times[side][layer]) / 1e6:.4f} ms" for layer in LAYERS
         )
+        print(f"{side:>6}: total {totals[side] / 1e9:.3f} s, {', '.join(p50s)}")
     print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
     print_reps(times["parent"]["reps"], times["change"]["reps"])
     return 0
