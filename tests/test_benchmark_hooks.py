@@ -23,7 +23,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from spans import COUNTS, SPANS, Tracer  # noqa: E402
 
 # targets no module of the program calls since the one lowpoint pass
-# replaced them; ROADMAP item 5's benchmark change wraps graph.separations
+# replaced them; ROADMAP item 2's benchmark change wraps graph.separations
 # instead, and then this set must shrink to nothing
 UNCALLED = {"mist.graph:find_bridges", "mist.graph:find_cutpoints"}
 

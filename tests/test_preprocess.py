@@ -3,11 +3,15 @@
 import importlib
 import random
 
-from mist import Graph, reduce_to_fixpoint
+import pytest
+
+from mist import Graph, reduce_to_fixpoint, run
 from mist.cover import Cover, compute_pi_pairs, preferred_tfpcc
+from mist.errors import InternalInvariant
 from mist.exact import max_tfpcc
 from mist.generate import gen_gnp, gen_twins
 from mist.preprocess import (
+    CoverRewrite,
     apply_rewrite,
     check_dead_four_paths_pendant_ends,
     check_four_cycles_three_ports,
@@ -20,8 +24,6 @@ from mist.preprocess import (
     find_op6,
     find_op7,
     find_op12,
-    find_op13,
-    find_op14,
     measure,
     preprocess,
 )
@@ -50,9 +52,9 @@ def test_dead_short_path_reroutes_onto_a_port():
     before = measure(c, g)
     apply_rewrite(c, rw)
     after = measure(c, g)
-    # same edges, same components, same lengths: only the dead count moved
+    # same components, same lengths: only the dead count moved
     assert after > before
-    assert after[:3] == before[:3]
+    assert after[:2] == before[:2]
     assert check_short_paths_alive(c, g) == []
     assert find_cover_rewrite(c, g, "simple") is None
 
@@ -114,51 +116,81 @@ def test_cycle_pair_swaps_through_a_host_ladder():
     assert find_cover_rewrite(c, g, "refined") is None
 
 
-def test_adjacent_path_ends_join_in_refined_mode_only():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    c = Cover(g, [(0, 1), (2, 3)])
-    assert find_cover_rewrite(c, g, "simple") is None
-    rw = find_cover_rewrite(c, g, "refined")
-    assert rw is not None and rw.kind == "op13"
-    assert rw.removed == ()
-    assert rw.added == ((1, 2),)
-    apply_rewrite(c, rw)
-    assert c.edge_count() == 3
+def _could_grow(cover: Cover, g: Graph) -> bool:
+    """Whether one host edge could be added to the cover, or one path edge
+    traded for two: two different paths have adjacent ends, or a path
+    edge's ends share a neighbour that the cover leaves isolated."""
+    at = cover.index()
+    for p in cover.components():
+        if p.kind != "path":
+            continue
+        for u in p.endpoints:
+            for v in g.adj[u]:
+                q = at[v]
+                if q.key != p.key and q.kind == "path" and v in q.endpoints:
+                    return True
+        for u, v in p.edges:
+            if any(cover.degree(x) == 0 for x in set(g.adj[u]) & set(g.adj[v])):
+                return True
+    return False
 
 
-def test_interior_edge_detours_through_an_isolated_vertex():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)])
-    c = Cover(g, [(0, 1), (1, 2), (2, 3)])
-    for fn in (find_op5, find_op6, find_op7, find_op12, find_op13):
-        assert fn(c, g) is None
-    rw = find_op14(c, g)
-    assert rw is not None and rw.kind == "op14"
-    assert rw.removed == ((1, 2),)
-    assert rw.added == ((1, 4), (2, 4))
-    apply_rewrite(c, rw)
-    assert c.edge_count() == 4  # net gain of one edge
-    comps = c.components()
-    assert [comp.order for comp in comps] == [(0, 1, 4, 2, 3)]
-    assert find_cover_rewrite(c, g, "refined") is None
-
-
-def test_endpoint_join_preempts_the_detour_on_a_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    c = Cover(g, [(0, 1)])
-    rw = find_cover_rewrite(c, g, "refined")
-    assert rw is not None and rw.kind == "op13"
-    assert rw.added == ((0, 2),)
+def _corpus():
+    for make in (lambda s: gen_twins(11, s), lambda s: gen_gnp(12, 0.25, s)):
+        for seed in range(40):
+            yield make(seed)
 
 
 def test_maximum_covers_never_gain_edges():
-    # the two edge-adding rewrites would contradict maximality, so they
-    # must stay quiet on every exact cover
+    # a cover that could gain an edge is not maximum, so preprocessing needs
+    # no rewrite that adds one: not on exact covers, nor on the refined
+    # leaves' preferred covers, nor after any step preprocessing takes
     for g in connected_graphs_up_to_iso(6):
         if g.n_alive() < 2:
             continue
-        c = Cover(g, max_tfpcc(g))
-        assert find_op13(c, g) is None
-        assert find_op14(c, g) is None
+        assert not _could_grow(Cover(g, max_tfpcc(g)), g)
+    steps = 0
+    for g in _corpus():
+        for leaf in run(g, "refined", keep_state=True).leaves:
+            if leaf.method != "cover":
+                continue
+            h, c = leaf.graph, leaf.base_cover.copy()
+            assert c.edge_count() == leaf.cover_edges
+            assert not _could_grow(c, h)
+            while (rw := find_cover_rewrite(c, h, "refined")) is not None:
+                apply_rewrite(c, rw)
+                assert not _could_grow(c, h), rw.kind
+                steps += 1
+            assert sorted(c.edge_list()) == sorted(leaf.pre_cover.edge_list())
+    assert steps  # some leaf took a step
+
+
+def test_every_applied_rewrite_is_an_exchange(monkeypatch):
+    module = importlib.import_module("mist.preprocess")
+    apply = module.apply_rewrite
+    fired = set()
+
+    def checked(c, rw):
+        before = c.edge_count()
+        apply(c, rw)
+        assert len(rw.added) == len(rw.removed), rw
+        assert c.edge_count() == before, rw
+        fired.add(rw.kind)
+
+    monkeypatch.setattr(module, "apply_rewrite", checked)
+    for g in _corpus():
+        for mode in ("simple", "refined"):
+            run(g, mode)
+    assert fired >= {"op6", "op7", "op12"}
+
+
+def test_a_rewrite_that_changes_the_cover_size_is_refused():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    c = Cover(g, [(0, 1), (2, 3)])
+    rw = CoverRewrite("op6", (), ((1, 2),), ())
+    with pytest.raises(InternalInvariant, match="op6 would change the cover size"):
+        apply_rewrite(c, rw)
+    assert sorted(c.edge_list()) == [(0, 1), (2, 3)]
 
 
 def test_measure_rises_across_every_rewrite():

@@ -18,9 +18,14 @@ A union-find's root walk, a while loop that compares parent[x] with x or
 with None, is written out only in exact.spanning_fault, the one
 spanning-tree check, in exact.opt_spanning_tree, whose search undoes its
 unions, and in graph.find, which every other union-find calls.
+
+Every rule a finder table registers is run by some mode, and every rule a
+mode runs is registered: a finder left behind by a deletion, or a rule
+listed with no finder, shows up here.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -299,3 +304,12 @@ def test_the_walk_check_catches_a_copied_root_walk():
     )
     assert stray_root_walks({"graph.py": tree}) == ["graph.py:7", "graph.py:9"]
     assert stray_root_walks({"m.py": tree}) == ["m.py:2", "m.py:7", "m.py:9"]
+
+
+def test_every_registered_rule_runs_and_every_listed_rule_is_registered():
+    preprocess = importlib.import_module("mist.preprocess")
+    reduce = importlib.import_module("mist.reduce")
+    listed = set().union(*preprocess.RULE_ORDER.values())
+    assert set(preprocess._FINDERS) == listed
+    listed = {kind for kinds in reduce.RULESETS.values() for group in kinds for kind in group}
+    assert set(reduce._FINDERS) == listed
