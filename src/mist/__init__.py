@@ -33,7 +33,6 @@ from .pipeline import (
     solve_simple,
     verify_run,
 )
-from .preprocess import preprocess
 from .reduce import reduce_to_fixpoint
 from .transform import build_tree_simple, run_transform
 
@@ -60,7 +59,6 @@ __all__ = [
     "opt_spanning_tree",
     "parse_graph",
     "preferred_tfpcc",
-    "preprocess",
     "reduce_to_fixpoint",
     "run",
     "run_transform",

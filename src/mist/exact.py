@@ -16,7 +16,7 @@ bounds internal_bound and cut_bound take polynomial time too.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .errors import (
@@ -128,20 +128,26 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
     at every node: it is at the root, an include leaves it unchanged, and
     an exclude is taken only when it stays connected.  So excluding (a, b)
     is allowed exactly when b is still reachable from a once (a, b) is
-    gone, which a search over the masks answers, stopping at b.  The
-    forest of chosen edges is the search's own union-find, its root walks
-    written out: the search undoes each union on backtrack.
+    gone.  It is not when a or b has no other available neighbour, as
+    (a, b) is then a bridge; it is when a and b share one; otherwise a
+    search over the masks answers, stopping at b.  The forest of chosen
+    edges is the search's own union-find, its root walks written out: the
+    search undoes each union on backtrack, and the chosen edges are marked
+    in a list of flags, copied only when they make a heavier tree.
 
     Every spanning tree has 2 + sum(deg - 2) leaves, the sum taken over
     its internal vertices, so a completion of the chosen edges has at
     least 2 + excess leaves, excess = sum(max(tdeg - 2, 0)) over the
     chosen tree degrees.  It also keeps as a leaf every vertex with at
     most one available edge.  A subtree is cut when n minus the larger of
-    the two counts cannot exceed the best weight.  Since only a heavier
-    tree, never an equal one, replaces the best one, the answer is the
-    first optimum in include-first order, with or without the cuts; and
-    once the best weight meets internal_bound(g) no heavier tree exists,
-    so the search stops there.
+    the two counts cannot exceed the best weight, or when fewer undecided
+    edges are left than edges still to choose.  Both cuts are tested
+    before descending, on either branch, so a cut child costs no call, and
+    the include that completes a tree is scored where it is made.  Since
+    only a heavier tree, never an equal one, replaces the best one, the
+    answer is the first optimum in include-first order, with or without
+    the cuts; and once the best weight meets internal_bound(g) no heavier
+    tree exists, so the search stops there.
 
     floor is the least weight wanted: it seeds the incumbent at floor - 1,
     so every subtree that cannot reach floor is cut.  Any floor <= opt
@@ -162,8 +168,19 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
             raise DisconnectedInput("opt_spanning_tree needs a connected graph") from None
         return t if t.weight >= floor else None
     adj = g.adj
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    nbrs = [sum(map(bit.__getitem__, adj[v])) for v in verts]
+    rank = {v: i for i, v in enumerate(verts)}
+    nbrs = []
+    ea: list[int] = []  # the edges in sorted order, as two rank arrays
+    eb: list[int] = []
+    for a, v in enumerate(verts):
+        x = 0
+        for w in adj[v]:
+            b = rank[w]
+            x |= 1 << b
+            if b > a:
+                ea.append(a)
+                eb.append(b)
+        nbrs.append(x)
     seen = frontier = 1
     while frontier:
         low = frontier & -frontier
@@ -175,80 +192,84 @@ def opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
         raise DisconnectedInput("opt_spanning_tree needs a connected graph")
     # the root bound, internal_bound(g): masks of at most one bit are the
     # vertices of degree <= 1, and n >= 3 as g is connected and no tree
-    forced = sum(x & (x - 1) == 0 for x in nbrs)
+    forced = [x & (x - 1) for x in nbrs].count(0)
     top = n - max(2, forced)
     if floor > top:
         return None
-    edges = [(a, b) for a, x in enumerate(nbrs) for b in range(a + 1, n) if x >> b & 1]
-    m = len(edges)
+    m = len(ea)
     parent = list(range(n))
     tdeg = [0] * n
-    chosen: list[tuple[int, int]] = []
+    chosen = [False] * m
     best_w = (floor or _greedy_weight(nbrs)) - 1
-    best_edges: list[tuple[int, int]] | None = None
+    best_edges: list[int] | None = None
 
     def rec(k, need, internal, excess, forced):
-        # need: edges still to choose; internal, excess: over tdeg;
-        # forced: vertices with <= 1 neighbour
+        # decide edge k; need: edges still to choose, at least one and at
+        # most m - k; internal, excess: over tdeg; forced: vertices with
+        # <= 1 neighbour.  The caller saw n - max(forced, 2 + excess) beat
+        # best_w, so an include child, with the same forced, tests only its
+        # own excess.
         nonlocal best_w, best_edges
-        if not need:
-            if internal > best_w:
-                best_w = internal
-                best_edges = list(chosen)
-            return
-        if m - k < need:
-            return
-        if n - max(forced, 2 + excess) <= best_w:
-            return
-        a, b = edges[k]
+        a, b = ea[k], eb[k]
         ra, rb = a, b
         while parent[ra] != ra:
             ra = parent[ra]
         while parent[rb] != rb:
             rb = parent[rb]
         if ra != rb:
-            parent[ra] = rb
             tdeg[a] += 1
             tdeg[b] += 1
             da, db = tdeg[a], tdeg[b]
-            chosen.append((a, b))
-            rec(
-                k + 1,
-                need - 1,
-                internal + (da == 2) + (db == 2),
-                excess + (da > 2) + (db > 2),
-                forced,
-            )
-            chosen.pop()
+            inner = internal + (da == 2) + (db == 2)
+            over = excess + (da > 2) + (db > 2)
+            if need == 1:
+                if inner > best_w:
+                    best_w = inner
+                    best_edges = [*compress(range(k), chosen), k]
+            elif n - 2 - over > best_w:
+                parent[ra] = rb
+                chosen[k] = True
+                rec(k + 1, need - 1, inner, over, forced)
+                chosen[k] = False
+                parent[ra] = ra
             tdeg[a] -= 1
             tdeg[b] -= 1
-            parent[ra] = ra
             if best_w == top:
                 return
+        if m - k <= need:
+            return  # too few edges would be left
         bit_a, bit_b = 1 << a, 1 << b
-        nbrs[a] ^= bit_b
-        nbrs[b] ^= bit_a
-        # is b still reachable from a?  stop as soon as it is
-        seen = frontier = bit_a
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown = nbrs[low.bit_length() - 1] & ~seen
-            if grown & bit_b:
-                # both ends keep a neighbour, so one left means it just had two
-                left = (nbrs[a].bit_count() == 1) + (nbrs[b].bit_count() == 1)
-                rec(k + 1, need, internal, excess, forced + left)
-                break
-            seen |= grown
-            frontier |= grown
-        nbrs[a] |= bit_b
-        nbrs[b] |= bit_a
+        na = nbrs[a] ^ bit_b
+        nb = nbrs[b] ^ bit_a
+        if not na or not nb:
+            return  # ab is a bridge: an end has no other neighbour
+        # both ends keep a neighbour, so one left means it just had two
+        left = (na & (na - 1) == 0) + (nb & (nb - 1) == 0)
+        if n - forced - left <= best_w or n - 2 - excess <= best_w:
+            return
+        nbrs[a], nbrs[b] = na, nb
+        if na & nb:  # a common neighbour still joins the ends
+            rec(k + 1, need, internal, excess, forced + left)
+        else:
+            # is b still reachable from a?  stop as soon as it is
+            seen = frontier = bit_a
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = nbrs[low.bit_length() - 1] & ~seen
+                if grown & bit_b:
+                    rec(k + 1, need, internal, excess, forced + left)
+                    break
+                seen |= grown
+                frontier |= grown
+        nbrs[a] = na | bit_b
+        nbrs[b] = nb | bit_a
 
     rec(0, n - 1, 0, 0, forced)
     del rec  # its own cell holds it: emptying the cell frees the search state now
     if best_edges is None:
         return None
-    return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
+    return tree_result(g, [(verts[ea[i]], verts[eb[i]]) for i in best_edges])
 
 
 def _greedy_weight(nbrs: list[int]) -> int:
@@ -259,29 +280,30 @@ def _greedy_weight(nbrs: list[int]) -> int:
     unvisited neighbour with the fewest unvisited neighbours, the lowest
     index on ties, so it tends to a long path with few leaves.
     """
-    start = min(range(len(nbrs)), key=lambda x: nbrs[x].bit_count())
+    counts = [x.bit_count() for x in nbrs]
+    start = counts.index(min(counts))
     free = ((1 << len(nbrs)) - 1) ^ (1 << start)
-    tdeg = [0] * len(nbrs)
-    path = [start]
-    while path:
-        x = path[-1]
+    parents = kids = 0  # the vertices given a child, and start's children
+    path = [x := start]
+    while free:  # once every vertex is on the tree, backing up adds nothing
         step = nbrs[x] & free
         if not step:
             path.pop()
+            x = path[-1]
             continue
-        best, fewest = -1, len(nbrs)
+        fewest = len(nbrs)
         while step:
             low = step & -step
             step ^= low
-            y = low.bit_length() - 1
-            k = (nbrs[y] & free).bit_count()
+            k = (nbrs[low.bit_length() - 1] & free).bit_count()
             if k < fewest:
-                best, fewest = y, k
-        free ^= 1 << best
-        tdeg[x] += 1
-        tdeg[best] += 1
-        path.append(best)
-    return len(nbrs) - tdeg.count(1)
+                best, fewest = low, k
+        free ^= best
+        parents |= 1 << x
+        kids += x == start
+        path.append(x := best.bit_length() - 1)
+    # a vertex other than start is internal when it has a child, start when it has two
+    return (parents & ~(1 << start)).bit_count() + (kids > 1)
 
 
 def hamiltonian_path_between(g: Graph, u: int, v: int, within=None) -> list[int] | None:

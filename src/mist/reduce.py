@@ -247,10 +247,15 @@ def find_op10(
     if near is None:
         near_mask = -1
         # a qualifying run ends at vertices of degree 3 or more, and a block
-        # on it holds the run vertex next to one of them
-        for x in g.alive_list():
-            if len(adj[x]) > 2:
-                starts.update(y for y in (x, *adj[x]) if classify(y) == 2)
+        # on it holds the run vertex next to one of them; a dead row is empty
+        for x, row in enumerate(adj):
+            if len(row) > 2:
+                if len(row) <= cap + 1:
+                    starts.add(x)
+                for y in row:
+                    d = len(adj[y])
+                    if 3 <= d <= cap + 1 or d == 2 and classify(y) == 2:
+                        starts.add(y)
     else:
         live = [x for x in near if g.alive[x]]
         near_mask = _mask(live)
@@ -285,15 +290,18 @@ def find_op10(
     def record(k, out, edges, size):
         u = (out & -out).bit_length() - 1
         v = out.bit_length() - 1
-        if edges + g.has_edge(u, v) <= size + 1:
-            return
-        room = cap - size
-        at_v = moves(v, k, room)
-        for i, (ku, u2) in enumerate(moves(u, k, room)):
-            for kv, v2 in at_v[: room - i + 1]:
-                k2 = k | ku | kv
-                if k2 & near_mask or (near_mask >> u2) & (near_mask >> v2) & 1:
-                    blocks.append((min(u2, v2), max(u2, v2), _members(k2)))
+        if edges == size + 1 and not g.has_edge(u, v):
+            return  # no edge to spare: k is connected and touches u and v, so edges > size
+        if len(adj[u]) == 2 and not classify(u) or len(adj[v]) == 2 and not classify(v):
+            room = cap - size
+            at_v = moves(v, k, room)
+            for i, (ku, u2) in enumerate(moves(u, k, room)):
+                for kv, v2 in at_v[: room - i + 1]:
+                    k2 = k | ku | kv
+                    if k2 & near_mask or (near_mask >> u2) & (near_mask >> v2) & 1:
+                        blocks.append((min(u2, v2), max(u2, v2), _members(k2)))
+        elif k & near_mask or (near_mask >> u) & (near_mask >> v) & 1:
+            blocks.append((u, v, _members(k)))  # neither boundary vertex is on a long run
 
     def moves(b, k, room):
         # (absorbed vertices, new boundary vertex) for 0 to room steps from
@@ -323,23 +331,23 @@ def find_op10(
                 record(k, out, edges, size)
             if size == cap:
                 continue
+            rest = cap - size - 1  # the vertices a child may still take in
             while ext:
                 bit = ext & -ext
                 ext ^= bit
                 w = bit.bit_length() - 1
                 if twins and twins.get(w, 0) & k:
                     continue  # a path through k would close a cycle at the twins
+                nbw = nb[w]
                 k2 = k | bit
-                out2 = (out | nb[w]) & ~k2
-                bound = out2.bit_count()
-                rest = cap - size - 1
-                if bound - rest > 2:
+                out2 = (out | nbw) & ~k2
+                if out2.bit_count() - rest > 2:
                     continue
-                ext2 = ext | nb[w] & allowed & ~k2 & ~out
+                ext2 = ext | nbw & allowed & ~(k2 | out)
                 if (out2 & ~ext2).bit_count() > 2:
                     continue  # more than two vertices of out2 never join
                 cores.append(
-                    (k2, size + 1, out2, ext2, edges + len(adj[w]) - (nb[w] & k).bit_count())
+                    (k2, size + 1, out2, ext2, edges + len(adj[w]) - (nbw & k).bit_count())
                 )
     blocks.sort()
     for u, v, k_comp in blocks:
@@ -391,8 +399,11 @@ def _walk_run(
 
 
 def _mask(vertices) -> int:
-    """The bit mask of distinct vertices."""
-    return sum(1 << x for x in vertices)
+    """The bit mask of vertices."""
+    mask = 0
+    for x in vertices:
+        mask |= 1 << x
+    return mask
 
 
 def _members(mask: int) -> list[int]:

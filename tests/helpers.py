@@ -16,7 +16,9 @@ peel as a Peel (the first through the library's _peel) from the
 components of g - v for every v, and op11 re-derives each contraction from the set of
 vertices merged so far; and the op1, op2, op8 and op9 finders written as
 whole-graph scans, as the reference for the finders that read only their
-candidates (op2 and op8 over the library's separations).
+candidates (op2 and op8 over the library's separations); and the exact
+search with its cuts tested on entry to each node, whose node counts bound
+the search that tests them before descending.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -355,6 +357,116 @@ def reference_opt_spanning_tree(g: Graph, cap: int = OST_CAP) -> TreeResult:
     if best_w < 0:
         raise InternalInvariant("no spanning tree found in a connected graph")
     return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
+
+
+def entry_cut_opt_spanning_tree(g: Graph, floor: int = 0) -> TreeResult | None:
+    """mist.exact.opt_spanning_tree as it ran before its cuts moved ahead of
+    the descent: every node, the last include's too, is a call of rec that
+    tests its own edge count and bound on entry, and every exclude floods
+    the masks.  The same branching order, bounds and incumbent seed
+    (entry_cut_greedy_weight), so the same first optimum; the node counts
+    are the measure the pre-descent cuts are checked against.  g must be
+    connected.
+    """
+    verts = g.alive_list()
+    n = len(verts)
+    if g.edge_count() == n - 1:
+        t = tree_result(g, g.edge_list())
+        return t if t.weight >= floor else None
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbrs = [sum(map(bit.__getitem__, g.adj[v])) for v in verts]
+    forced = sum(x & (x - 1) == 0 for x in nbrs)
+    top = n - max(2, forced)
+    if floor > top:
+        return None
+    edges = [(a, b) for a, x in enumerate(nbrs) for b in range(a + 1, n) if x >> b & 1]
+    m = len(edges)
+    parent = list(range(n))
+    tdeg = [0] * n
+    chosen: list[tuple[int, int]] = []
+    best_w = (floor or entry_cut_greedy_weight(nbrs)) - 1
+    best_edges: list[tuple[int, int]] | None = None
+
+    def rec(k, need, internal, excess, forced):
+        nonlocal best_w, best_edges
+        if not need:
+            if internal > best_w:
+                best_w = internal
+                best_edges = list(chosen)
+            return
+        if m - k < need:
+            return
+        if n - max(forced, 2 + excess) <= best_w:
+            return
+        a, b = edges[k]
+        ra, rb = a, b
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[rb] != rb:
+            rb = parent[rb]
+        if ra != rb:
+            parent[ra] = rb
+            tdeg[a] += 1
+            tdeg[b] += 1
+            da, db = tdeg[a], tdeg[b]
+            chosen.append((a, b))
+            rec(
+                k + 1,
+                need - 1,
+                internal + (da == 2) + (db == 2),
+                excess + (da > 2) + (db > 2),
+                forced,
+            )
+            chosen.pop()
+            tdeg[a] -= 1
+            tdeg[b] -= 1
+            parent[ra] = ra
+            if best_w == top:
+                return
+        bit_a, bit_b = 1 << a, 1 << b
+        nbrs[a] ^= bit_b
+        nbrs[b] ^= bit_a
+        seen = frontier = bit_a
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = nbrs[low.bit_length() - 1] & ~seen
+            if grown & bit_b:
+                left = (nbrs[a].bit_count() == 1) + (nbrs[b].bit_count() == 1)
+                rec(k + 1, need, internal, excess, forced + left)
+                break
+            seen |= grown
+            frontier |= grown
+        nbrs[a] |= bit_b
+        nbrs[b] |= bit_a
+
+    rec(0, n - 1, 0, 0, forced)
+    if best_edges is None:
+        return None
+    return tree_result(g, [(verts[a], verts[b]) for a, b in best_edges])
+
+
+def entry_cut_greedy_weight(nbrs: list[int]) -> int:
+    """mist.exact._greedy_weight written the plain way: a greedy depth-first
+    tree from a lowest-degree vertex that always steps to the unvisited
+    neighbour with the fewest unvisited neighbours, lowest index on ties,
+    its internal vertices counted from its degrees."""
+    start = min(range(len(nbrs)), key=lambda x: nbrs[x].bit_count())
+    free = ((1 << len(nbrs)) - 1) ^ (1 << start)
+    tdeg = [0] * len(nbrs)
+    path = [start]
+    while path:
+        x = path[-1]
+        step = [y for y in range(len(nbrs)) if (nbrs[x] & free) >> y & 1]
+        if not step:
+            path.pop()
+            continue
+        best = min(step, key=lambda y: (nbrs[y] & free).bit_count())
+        free ^= 1 << best
+        tdeg[x] += 1
+        tdeg[best] += 1
+        path.append(best)
+    return len(nbrs) - tdeg.count(1)
 
 
 def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:

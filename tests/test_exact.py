@@ -44,6 +44,8 @@ from helpers import (
     brute_opt_tree,
     brute_tfpcc,
     build_graph,
+    entry_cut_greedy_weight,
+    entry_cut_opt_spanning_tree,
     induced_subgraph,
     naive_components,
     op4_peels,
@@ -647,6 +649,24 @@ def _bounded_graphs():
     rng = random.Random(47)
     gnp = [gen_gnp(rng.randint(8, 12), 0.3, seed) for seed in range(200)]
     return connected_graphs_up_to_iso(7) + gnp
+
+
+def test_cuts_ahead_of_the_descent_visit_fewer_nodes_for_the_same_tree():
+    # a node tests its children's edge count and bound before calling
+    # them, records the last include itself and answers most excludes
+    # without a flood: the same tree as the search that tests every node on
+    # entry, from no more nodes, with no floor and with the floor above opt
+    fewer = 0
+    for g in _bounded_graphs():
+        if g.edge_count() >= g.n_alive():  # the search's case: not a tree
+            assert _greedy_weight(_masks(g)) == entry_cut_greedy_weight(_masks(g)), g
+        opt = opt_spanning_tree(g).weight
+        for floor in (0, opt + 1):
+            new, new_nodes = _rec_calls(lambda h: opt_spanning_tree(h, floor), g)
+            old, old_nodes = _rec_calls(lambda h: entry_cut_opt_spanning_tree(h, floor), g)
+            assert new == old and new_nodes <= old_nodes, (g, floor)
+            fewer += new_nodes < old_nodes
+    assert fewer > 1000
 
 
 def test_the_cut_bound_and_the_greedy_floor_hold_opt_between_them():

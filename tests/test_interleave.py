@@ -31,7 +31,8 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     ]
     for line in out[1:3]:
         assert re.fullmatch(
-            r" *\w+: total \S+ s, solve p50 \S+ ms, reduce p50 \S+ ms, lift p50 \S+ ms, verify p50 \S+ ms",
+            r" *\w+: total \S+ s, solve p50 \S+ ms, reduce p50 \S+ ms, lift p50 \S+ ms, "
+            r"exact p50 \S+ ms, verify p50 \S+ ms",
             line,
         )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
@@ -116,6 +117,22 @@ def test_the_reduce_and_lift_times_are_parts_of_the_solve_time():
             assert 0 < reduce and 0 < lift and reduce + lift < solve
     assert mist.pipeline.reduce_to_fixpoint is reduce_to_fixpoint
     assert mist.reduce.ReductionTrace.lift_all is lift_all
+
+
+def test_the_exact_time_is_the_time_spent_in_the_oracle_by_run_and_verify_run():
+    # most gate operations call opt_spanning_tree, from run's leaves, op4's
+    # peels or verify_run's proof; its time fits in the operation's, and
+    # the wrappers are gone once the operation is over
+    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+    search = mist.exact.opt_spanning_tree
+    times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 1)
+    assert diff is None
+    for t in times.values():
+        assert len(t["exact"]) == len(corp.ops)
+        spent = list(zip(t["solve"], t["exact"], t["verify"]))
+        assert all(exact < solve + verify for solve, exact, verify in spent)
+        assert sum(exact > 0 for _, exact, _ in spent) > len(corp.ops) // 2
+    assert mist.reduce.opt_spanning_tree is mist.pipeline.opt_spanning_tree is search
 
 
 def _drop_the_other_pendant(g, sep=None):

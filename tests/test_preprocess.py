@@ -1,10 +1,12 @@
 """Cover rewrites: firing conditions, termination measure, postconditions."""
 
-import importlib
 import random
+from pathlib import Path
 
 import pytest
 
+import mist
+import mist.preprocess as pp
 from mist import Graph, reduce_to_fixpoint, run
 from mist.cover import Cover, compute_pi_pairs, preferred_tfpcc
 from mist.errors import InternalInvariant
@@ -30,6 +32,15 @@ from mist.preprocess import (
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import build_graph, random_connected, reference_max_tfpcc
+
+
+def test_a_submodule_import_binds_the_module():
+    # the package re-exports no function under a submodule's name, so
+    # `import mist.preprocess as pp` gives the module with its rewrites
+    assert pp.apply_rewrite is apply_rewrite and pp.preprocess is preprocess
+    package = Path(pp.__file__).parent
+    names = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    assert "preprocess" in names and not names & set(mist.__all__)
 
 
 def test_spanning_cycle_cover_is_already_fixed():
@@ -166,8 +177,7 @@ def test_maximum_covers_never_gain_edges():
 
 
 def test_every_applied_rewrite_is_an_exchange(monkeypatch):
-    module = importlib.import_module("mist.preprocess")
-    apply = module.apply_rewrite
+    apply = pp.apply_rewrite
     fired = set()
 
     def checked(c, rw):
@@ -177,7 +187,7 @@ def test_every_applied_rewrite_is_an_exchange(monkeypatch):
         assert c.edge_count() == before, rw
         fired.add(rw.kind)
 
-    monkeypatch.setattr(module, "apply_rewrite", checked)
+    monkeypatch.setattr(pp, "apply_rewrite", checked)
     for g in _corpus():
         for mode in ("simple", "refined"):
             run(g, mode)
@@ -216,13 +226,12 @@ def test_measure_rises_across_every_rewrite():
 def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searches):
     # one component list per step serves the measure and the next finders;
     # the branch and bound's cover takes two steps, max_tfpcc's only one
-    module = importlib.import_module("mist.preprocess")
     g = gen_gnp(11, 0.3, 23)
     cover = reference_max_tfpcc(g)
     cover_searches.clear()
     steps = []
-    apply = module.apply_rewrite
-    monkeypatch.setattr(module, "apply_rewrite", lambda c, rw: steps.append(rw) or apply(c, rw))
+    apply = pp.apply_rewrite
+    monkeypatch.setattr(pp, "apply_rewrite", lambda c, rw: steps.append(rw) or apply(c, rw))
     preprocess(cover, g, "simple")
     assert (len(cover_searches), len(steps)) == (3, 2)
 

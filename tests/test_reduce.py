@@ -375,9 +375,12 @@ def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
     # every search the engine makes, with its near set and without, finds
     # what the pair scan finds; on the long-run family some witnesses reach
-    # into a run of more than cap + 1 degree-2 vertices
+    # into a run of more than cap + 1 degree-2 vertices, and on the gate's
+    # G(8-10, 0.3) op10 fires on blocks of 4 to 6 vertices
+    rng = random.Random(50)
     roots = [f(n) for n in range(9, 61, 4) for f in (gen_cycle, gen_theta, gen_path)]
     roots += [gen_sparse(n, n // 2, n) for n in range(20, 81, 10)] + _long_run_roots()
+    roots += [gen_gnp(rng.randint(8, 10), 0.3, seed) for seed in range(200)]
     real = mist.reduce.find_op10
     searches = []
 
@@ -388,7 +391,7 @@ def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch
     monkeypatch.setitem(mist.reduce._FINDERS, "op10", recording)
     for g in roots:
         reduce_to_fixpoint(g, "refined")
-    fired = on_long_runs = 0
+    fired = on_long_runs = large = 0
     for g, near in searches:
         r = naive_op10(g)
         assert real(g, None, near) == r and real(g) == r, (g, near)
@@ -396,7 +399,8 @@ def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch
             fired += 1
             cap = min(6, g.n_alive() - 3)
             on_long_runs += any(_run_size(g, x) > cap + 1 for x in r.witness[2])
-    assert fired > 200 and on_long_runs > 10
+            large += len(r.witness[2]) >= 4
+    assert fired > 400 and on_long_runs > 10 and large > 200
 
 
 def _run_size(g, x):

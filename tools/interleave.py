@@ -15,9 +15,11 @@ sides alike; separate benchmark runs on a shared host can differ by 10 %,
 more than a change of a few per cent.  Any difference in the outputs (the
 tree, the upper bound, the trace steps, the verify checks and opt, or the
 error raised) stops the run with exit status 1.  Otherwise it prints, for
-each side, the total time and the median solve, reduce, lift and verify
-times (the reduce time is the time run spends inside reduce_to_fixpoint,
-the lift time the time it spends inside ReductionTrace.lift_all), then
+each side, the total time and the median solve, reduce, lift, exact and
+verify times (the reduce time is the time run spends inside
+reduce_to_fixpoint, the lift time the time it spends inside
+ReductionTrace.lift_all, the exact time the time run and verify_run spend
+inside opt_spanning_tree, op4's searches within reduce included), then
 each rep's change/parent ratio of total time and the number of reps the
 change won, so one run shows whether it won nine reps in ten.
 
@@ -54,7 +56,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
-LAYERS = ("solve", "reduce", "lift", "verify")  # the times run_op reports, in its order
+LAYERS = ("solve", "reduce", "lift", "exact", "verify")  # the times run_op reports, in its order
 
 
 def load(src: str, name: str):
@@ -132,10 +134,10 @@ def timed(owner, name: str, spent: list):
     """Wrap owner.name so each call adds its ns to spent[0]; return the original."""
     real = getattr(owner, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         t = time.perf_counter_ns()
         try:
-            return real(*args)
+            return real(*args, **kwargs)
         finally:
             spent[0] += time.perf_counter_ns() - t
 
@@ -143,18 +145,21 @@ def timed(owner, name: str, spent: list):
     return real
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int]:
-    """The operation's outputs as text, and its solve, reduce, lift, verify and total times in ns.
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, int]:
+    """The operation's outputs as text, and its solve, reduce, lift, exact,
+    verify and total times in ns.
 
     The total runs from parsing to the end of verify_run or the error.  The
     reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
-    calls, the lift time by wrapping ReductionTrace.lift_all, for the
-    operation.
+    calls, the lift time by wrapping ReductionTrace.lift_all, and the exact
+    time by wrapping the opt_spanning_tree that mist.reduce and mist.pipeline
+    call, for the operation.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
-    reduce, lift = [0], [0]
+    reduce, lift, exact = [0], [0], [0]
     reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
     lift_all = timed(trace_cls, "lift_all", lift)
+    searches = [timed(owner, "opt_spanning_tree", exact) for owner in (mist.reduce, pipeline)]
     start = t0 = t1 = time.perf_counter_ns()
     try:
         g = mist.parse_graph(text)
@@ -164,17 +169,18 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int]:
         vr = mist.verify_run(g, report)
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
-        return f"! {type(exc).__name__}: {exc}", t - t0, reduce[0], lift[0], 0, t - start
+        return f"! {type(exc).__name__}: {exc}", t - t0, reduce[0], lift[0], exact[0], 0, t - start
     finally:
         trace_cls.lift_all = lift_all
         pipeline.reduce_to_fixpoint = reduce_to_fixpoint
+        mist.reduce.opt_spanning_tree, pipeline.opt_spanning_tree = searches
     t2 = time.perf_counter_ns()
     try:
         steps = replay_steps(mist.reduce, report.trace)
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, reduce[0], lift[0], t2 - t1, t2 - start
+    return out, t1 - t0, reduce[0], lift[0], exact[0], t2 - t1, t2 - start
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
