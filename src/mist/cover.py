@@ -24,13 +24,26 @@ class Cover(Graph):
     __slots__ = ("graph", "_comps", "_index")
 
     def __init__(self, graph: Graph, edges=()):
-        super().__init__(graph.vertex_count)
-        self.alive = list(graph.alive)
-        self._order = graph.n_alive()
+        """The cover of graph with the given edges, each checked in list order
+        as add_edge checks it and appended to both rows, each row sorted once."""
+        n = self.vertex_count = graph.vertex_count
+        alive = self.alive = list(graph.alive)
+        adj = self.adj = [[] for _ in range(n)]
+        has_edge = graph.has_edge
+        for u, v in edges:
+            if not has_edge(u, v):
+                raise InternalInvariant(f"cover edge {u}-{v} is not a host edge")
+            if not (0 <= u < n and alive[u] and 0 <= v < n and alive[v]):
+                raise InternalInvariant(f"edge {u}-{v} touches a dead vertex")
+            if v in adj[u]:
+                raise InternalInvariant(f"duplicate edge {u}-{v}")
+            adj[u].append(v)
+            adj[v].append(u)
+        for row in adj:
+            row.sort()
+        self._order, self._size = graph.n_alive(), sum(map(len, adj)) // 2
         self.graph = graph
         self._comps = self._index = None
-        for u, v in edges:
-            self.add_edge(u, v)
 
     def add_edge(self, u: int, v: int) -> None:
         if not self.graph.has_edge(u, v):
@@ -47,10 +60,8 @@ class Cover(Graph):
         self._comps = self._index = None
 
     def copy(self) -> Cover:
-        c = Cover(self.graph)
-        c.adj = [list(row) for row in self.adj]
-        c._size = self._size
-        c._comps, c._index = self._comps, self._index
+        c = super().copy()  # rows, alive mask and counts: the cover's own
+        c.graph, c._comps, c._index = self.graph, self._comps, self._index
         return c
 
     def __repr__(self):
@@ -70,10 +81,7 @@ class Cover(Graph):
 
     def _make_component(self, comp: list[int]) -> CoverComponent:
         vertices = tuple(comp)
-        inside = set(comp)
-        edges = tuple(
-            (u, v) for u in vertices for v in self.adj[u] if u < v and v in inside
-        )
+        edges = tuple((u, v) for u in vertices for v in self.adj[u] if u < v)
         nv, ne = len(vertices), len(edges)
         degs = [len(self.adj[v]) for v in vertices]
         leaves = tuple(v for v, d in zip(vertices, degs) if d <= 1)
@@ -167,9 +175,9 @@ def validate_tfpcc(cover: Cover) -> None:
     """Raise unless the cover is a triangle-free path-cycle cover of its host."""
     if cover.alive != cover.graph.alive:
         raise InternalInvariant("cover does not span the alive vertices")
-    for v in cover.alive_list():
-        if cover.degree(v) > 2:
-            raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
+    if max(map(len, cover.adj), default=0) > 2:  # a dead vertex's row is empty
+        v = next(v for v, row in enumerate(cover.adj) if len(row) > 2)
+        raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
     for comp in cover.components():
         if comp.kind == "tree" and comp.length > 0:
             raise InternalInvariant(f"non-path tree component {comp.vertices}")

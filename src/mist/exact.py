@@ -408,13 +408,12 @@ def _two_matching(adj: list[list[int]], cap: list[int], banned) -> list[Edge]:
     The start, a greedy 2-matching taking edges by lowest degree sum with
     every other half-edge matched to its partner, matches every half-edge,
     and augmenting keeps them matched; one search from each exposed copy
-    then leaves no augmenting path (_augment).
+    then leaves no augmenting path (_augment).  When the greedy fills every
+    cap, no copy is exposed, so by Berge's lemma it is maximum as it stands
+    and is returned without building the gadget's matching (every cycle
+    takes this exit).
     """
     n = len(adj)
-    copy = list(accumulate(cap, initial=0))
-    ncopies = copy[-1]
-    half = list(accumulate(map(len, adj), initial=ncopies))
-    match = [-1] * half[-1]
     room = list(cap)
     order = sorted(
         (len(adj[v]) + len(adj[w]), v, w)
@@ -422,13 +421,24 @@ def _two_matching(adj: list[list[int]], cap: list[int], banned) -> list[Edge]:
         for w in adj[v]
         if v < w and (v, w) not in banned
     )
+    greedy = []
     for _, v, w in order:
         if room[v] and room[w]:
             room[v] -= 1
             room[w] -= 1
-            for a, b in ((v, w), (w, v)):
-                x, c = half[a] + bisect_left(adj[a], b), copy[a] + room[a]
-                match[x], match[c] = c, x
+            greedy.append((v, w))
+    if not any(room):
+        return sorted(greedy)
+    copy = list(accumulate(cap, initial=0))
+    ncopies = copy[-1]
+    half = list(accumulate(map(len, adj), initial=ncopies))
+    match = [-1] * half[-1]
+    room = list(cap)  # as in the greedy: the k-th edge at a takes copy copy[a] + cap[a] - k
+    for v, w in greedy:
+        for a, b in ((v, w), (w, v)):
+            room[a] -= 1
+            x, c = half[a] + bisect_left(adj[a], b), copy[a] + room[a]
+            match[x], match[c] = c, x
     for v in range(n):
         for j, w in enumerate(adj[v]):
             x = half[v] + j

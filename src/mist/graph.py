@@ -128,7 +128,7 @@ class Graph:
         self._order, self._size = counts
 
     def copy(self) -> Graph:
-        g = Graph(0)
+        g = object.__new__(type(self))  # a subclass's copy adds its own fields
         g.vertex_count = self.vertex_count
         g.alive = list(self.alive)
         g.adj = list(map(list, self.adj))
@@ -204,13 +204,22 @@ def component_of(g: Graph, start: int, blocked: frozenset[int] = frozenset()) ->
 
 
 def connected_components(g: Graph, blocked: frozenset[int] = frozenset()) -> list[list[int]]:
-    """Components of g minus the blocked vertices, ordered by smallest member."""
+    """Components of g minus the blocked vertices (ids of g), ordered by
+    smallest member, each sorted once it is complete."""
+    reached = [not a for a in g.alive]  # dead and blocked vertices count as reached
+    for v in blocked:
+        reached[v] = True
     out = []
-    seen: set[int] = set()
-    for v in range(g.vertex_count):
-        if g.alive[v] and v not in seen and v not in blocked:
-            comp = component_of(g, v, blocked)
-            seen.update(comp)
+    for v, done in enumerate(reached):
+        if not done:
+            reached[v] = True
+            comp = [v]
+            for u in comp:  # grows as the search does
+                for w in g.adj[u]:
+                    if not reached[w]:
+                        reached[w] = True
+                        comp.append(w)
+            comp.sort()
             out.append(comp)
     return out
 

@@ -18,7 +18,10 @@ vertices merged so far; and the op1, op2, op8 and op9 finders written as
 whole-graph scans, as the reference for the finders that read only their
 candidates (op2 and op8 over the library's separations); and the exact
 search with its cuts tested on entry to each node, whose node counts bound
-the search that tests them before descending.
+the search that tests them before descending; a cover built one checked
+add_edge at a time, as the reference for Cover's one-pass construction;
+and the 2-matching that always runs the blossom search, as the reference
+for the one that returns a greedy start which fills every cap.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -32,8 +35,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import mist.reduce
 from mist import Graph, norm_edge
@@ -46,7 +50,7 @@ from mist.errors import (
     SizeCapExceeded,
     StaleWitness,
 )
-from mist.exact import OST_CAP, TreeResult, tree_result
+from mist.exact import OST_CAP, TreeResult, _augment, tree_result
 from mist.reduce import (
     Peel,
     StrongReduction,
@@ -467,6 +471,70 @@ def entry_cut_greedy_weight(nbrs: list[int]) -> int:
         tdeg[best] += 1
         path.append(best)
     return len(nbrs) - tdeg.count(1)
+
+
+def per_edge_cover(g: Graph, edges) -> Cover:
+    """The cover of g with the given edges, added one checked add_edge at a
+    time in list order: the first faulty edge raises add_edge's error."""
+    c = Cover(g)
+    for u, v in edges:
+        c.add_edge(u, v)
+    return c
+
+
+def search_always_two_matching(adj: list[list[int]], cap: list[int], banned) -> list[tuple[int, int]]:
+    """mist.exact._two_matching without its exit after a greedy start that
+    fills every cap: the start is always completed to a matching of Tutte's
+    gadget and searched from every exposed copy."""
+    n = len(adj)
+    copy = list(accumulate(cap, initial=0))
+    ncopies = copy[-1]
+    half = list(accumulate(map(len, adj), initial=ncopies))
+    match = [-1] * half[-1]
+    room = list(cap)
+    order = sorted(
+        (len(adj[v]) + len(adj[w]), v, w)
+        for v in range(n)
+        for w in adj[v]
+        if v < w and (v, w) not in banned
+    )
+    for _, v, w in order:
+        if room[v] and room[w]:
+            room[v] -= 1
+            room[w] -= 1
+            for a, b in ((v, w), (w, v)):
+                x, c = half[a] + bisect_left(adj[a], b), copy[a] + room[a]
+                match[x], match[c] = c, x
+    for v in range(n):
+        for j, w in enumerate(adj[v]):
+            x = half[v] + j
+            if match[x] < 0:
+                y = half[w] + bisect_left(adj[w], v)
+                match[x], match[y] = y, x
+
+    def nbrs(x):
+        if x < ncopies:
+            v = bisect_right(copy, x) - 1
+            h = half[v]
+            return [h + j for j, w in enumerate(adj[v]) if norm_edge(v, w) not in banned]
+        v = bisect_right(half, x) - 1
+        w = adj[v][x - half[v]]
+        mate = half[w] + bisect_left(adj[w], v)
+        if norm_edge(v, w) in banned:
+            return (mate,)
+        return [*range(copy[v], copy[v + 1]), mate]
+
+    parent = [-1] * len(match)
+    base = list(range(len(match)))
+    for root in range(ncopies):
+        if match[root] < 0:
+            _augment(root, match, parent, base, nbrs)
+    return [
+        (v, w)
+        for v in range(n)
+        for j, w in enumerate(adj[v])
+        if v < w and match[half[v] + j] < ncopies
+    ]
 
 
 def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:

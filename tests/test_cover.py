@@ -1,6 +1,9 @@
 """Pi pairs, augmented graph, preferred covers."""
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from mist import Graph, compute_pi_pairs, preferred_tfpcc
 from mist.cover import (
@@ -15,7 +18,13 @@ from mist.errors import InternalInvariant, PreconditionViolated
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_gnp, gen_twins
 
-from helpers import build_augmented_graph, build_graph, preferred_tfpcc_via_augmented, twin_pairs
+from helpers import (
+    build_augmented_graph,
+    build_graph,
+    per_edge_cover,
+    preferred_tfpcc_via_augmented,
+    twin_pairs,
+)
 
 
 def cycle(n):
@@ -71,6 +80,140 @@ def test_editing_a_copy_leaves_the_original_list():
     d.remove_edge(0, 1)
     assert c.components() is comps and comps == snapshot
     assert d.components() == Cover(g, d.edge_list()).components()
+
+
+def test_a_copy_keeps_a_vertex_removed_from_the_cover_alone_dead():
+    g = cycle(6)
+    c = Cover(g, [(0, 1), (1, 2), (3, 4)])
+    c.remove_vertex(5)
+    d = c.copy()
+    assert d.alive == c.alive and d.n_alive() == c.n_alive() == 5
+    d.add_edge(2, 3)  # so the copy searches its own components
+    assert [comp.vertices for comp in d.components()] == [(0, 1, 2, 3, 4)]
+    assert 5 not in d.index()
+
+
+def test_the_search_counter_records_each_search_and_no_kept_list(cover_searches):
+    # the pipeline's tests count searches with this fixture; a hook that
+    # went silent would pass every "no search" test
+    c = Cover(cycle(6), [(0, 1), (1, 2), (3, 4)])
+    assert cover_searches == []
+    c.components()
+    assert cover_searches == [c]
+    c.components(), c.index(), c.copy().components()
+    assert cover_searches == [c]
+    d = c.copy()
+    d.add_edge(2, 3)
+    d.index()
+    assert cover_searches == [c, d]
+
+
+def _raised(build, g, edges):
+    try:
+        build(g, edges)
+    except Exception as exc:  # the type and message are compared
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _state(c):
+    return c.adj, c.alive, c.n_alive(), c.edge_count()
+
+
+def test_one_pass_construction_raises_what_the_first_faulty_add_edge_raises():
+    # host: 0..7 with 7 removed; each fault is seeded among valid edges,
+    # alone and after another fault
+    g = build_graph(8, [(i, i + 1) for i in range(7)] + [(0, 3), (2, 5), (4, 6), (1, 7)])
+    g.remove_vertex(7)
+    valid = [(0, 1), (2, 3), (4, 5), (5, 6), (0, 3)]
+    faults = [
+        [(1, 4)],  # not a host edge
+        [(6, 7)],  # a dead end
+        [(-2, 5)],  # a negative id reads row 6, which holds 5: only the dead-end test refuses it
+        [(3, 3)],  # a self loop
+        [(2, 5), (5, 2)],  # a duplicate, written the other way round
+        [(4, 6), (4, 6)],  # a duplicate
+        [(2, 8)],  # an id past the last vertex
+        [(9, 2)],  # an id past the last vertex, first
+    ]
+    messages = ("is not a host edge", "touches a dead vertex", "duplicate edge")
+    rng = random.Random(50)
+    seen = set()
+    for first in faults:
+        for second in [None] + faults:
+            for _ in range(4):
+                edges = list(valid)
+                rng.shuffle(edges)
+                for fault in (first, second):
+                    if fault is not None:
+                        at = rng.randint(0, len(edges))
+                        edges[at:at] = fault
+                want = _raised(per_edge_cover, g, edges)
+                assert want is not None and _raised(Cover, g, edges) == want, edges
+                seen.add(next((m for m in messages if m in want[1]), want[0]))
+    assert seen == {*messages, "IndexError"}, seen
+    for k in range(len(valid) + 1):
+        assert _state(Cover(g, valid[:k])) == _state(per_edge_cover(g, valid[:k]))
+
+
+def _assert_as_fresh(c):
+    """c's kept components and index equal a fresh cover's with its edges
+    and its alive vertices."""
+    fresh = Cover(c.graph, c.edge_list())
+    for v in c.graph.alive_list():
+        if not c.alive[v]:
+            fresh.remove_vertex(v)
+    assert _state(c) == _state(fresh)
+    assert c.components() == fresh.components()
+    assert c.index() == fresh.index()
+
+
+def _edit(c, draw):
+    """One edit of c drawn from draw: add a host edge that keeps every
+    component a path, cycle or tree (it joins two components that are not
+    cycles, or closes a path into a cycle), remove a cover edge, or remove
+    a vertex."""
+    kind = draw(st.sampled_from(("add", "remove", "vertex")))
+    alive = c.alive_list()
+    if kind == "vertex" and alive:
+        c.remove_vertex(draw(st.sampled_from(alive)))
+    elif kind == "remove" and c.edge_count():
+        c.remove_edge(*draw(st.sampled_from(c.edge_list())))
+    else:
+        at = Cover(c.graph, c.edge_list()).index()  # not c's: its kept list stays
+        open_ = [
+            (u, v)
+            for u, v in c.graph.edge_list()
+            if c.alive[u] and c.alive[v] and not c.has_edge(u, v)
+            and (
+                at[u] is not at[v] and "cycle" not in (at[u].kind, at[v].kind)  # joins two
+                or at[u].kind == "path" and c.degree(u) < 2 and c.degree(v) < 2  # closes one
+            )
+        ]
+        if open_:
+            c.add_edge(*draw(st.sampled_from(open_)))
+
+
+@given(st.data())
+def test_covers_edited_and_copied_match_a_fresh_cover(data):
+    draw = data.draw
+    n = draw(st.integers(2, 11))
+    g = gen_gnp(n, draw(st.sampled_from((0.3, 0.5, 0.8))), draw(st.integers(0, 10**6)))
+    host = g.edge_list()
+    c = Cover(g, draw(st.lists(st.sampled_from(host), unique=True, max_size=3)) if host else ())
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):  # edit a copy and go on with it
+            before = c.components()
+            d = c.copy()
+            assert _state(d) == _state(c)
+            _edit(d, draw)
+            _assert_as_fresh(d)
+            assert c.components() is before
+            _assert_as_fresh(c)
+            c = d
+        else:
+            _edit(c, draw)
+            _assert_as_fresh(c)
 
 
 def test_index_maps_every_alive_vertex_to_its_component():

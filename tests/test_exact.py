@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -34,7 +35,7 @@ from mist.exact import (
     spanning_fault,
     tree_result,
 )
-from mist.generate import gen_gnp, gen_path
+from mist.generate import gen_cycle, gen_gnp, gen_path
 from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
@@ -54,6 +55,7 @@ from helpers import (
     random_tree,
     reference_max_tfpcc,
     reference_opt_spanning_tree,
+    search_always_two_matching,
     tree_vertices,
 )
 
@@ -649,6 +651,50 @@ def _bounded_graphs():
     rng = random.Random(47)
     gnp = [gen_gnp(rng.randint(8, 12), 0.3, seed) for seed in range(200)]
     return connected_graphs_up_to_iso(7) + gnp
+
+
+def _greedy_exit(adj, cap, banned):
+    """_two_matching's edges, and whether it returned its greedy start
+    before building the gadget's matching."""
+    exits = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is _two_matching.__code__:
+            exits.append("match" not in frame.f_locals)
+
+    sys.setprofile(watch)
+    try:
+        edges = _two_matching(adj, cap, banned)
+    finally:
+        sys.setprofile(None)
+    assert len(exits) == 1
+    return edges, exits[0]
+
+
+def test_a_greedy_2_matching_that_fills_every_cap_is_returned_as_the_search_leaves_it():
+    # no copy of the gadget is exposed, so no augmenting path starts at
+    # one: the same edges in the same order as the search that always runs,
+    # with forced-leaf caps and with each single edge banned
+    rng = random.Random(49)
+    exits = Counter()
+    for g in _bounded_graphs():
+        caps = (_caps(g, ()), _caps(g, _forced(g, rng)))
+        for cap in caps:
+            edges, exited = _greedy_exit(g.adj, cap, frozenset())
+            assert edges == search_always_two_matching(g.adj, cap, frozenset()), (g, cap)
+            assert not exited or 2 * len(edges) == sum(cap)
+            exits[exited] += 1
+        for e in g.edge_list():
+            cap, banned = rng.choice(caps), frozenset((e,))
+            assert _two_matching(g.adj, cap, banned) == search_always_two_matching(
+                g.adj, cap, banned
+            ), (g, cap, banned)
+    assert exits[True] > 300 and exits[False] > 300, exits
+    # a cycle's greedy takes every edge
+    for n in range(3, 60):
+        g = gen_cycle(n)
+        edges, exited = _greedy_exit(g.adj, _caps(g, ()), frozenset())
+        assert exited and edges == g.edge_list()
 
 
 def test_cuts_ahead_of_the_descent_visit_fewer_nodes_for_the_same_tree():

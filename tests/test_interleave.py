@@ -31,8 +31,9 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     ]
     for line in out[1:3]:
         assert re.fullmatch(
-            r" *\w+: total \S+ s, solve p50 \S+ ms, reduce p50 \S+ ms, lift p50 \S+ ms, "
-            r"exact p50 \S+ ms, verify p50 \S+ ms",
+            r" *\w+: total \S+ s, solve p50 \S+ ms sum \S+ ms, reduce p50 \S+ ms sum \S+ ms, "
+            r"lift p50 \S+ ms sum \S+ ms, leaf p50 \S+ ms sum \S+ ms, "
+            r"exact p50 \S+ ms sum \S+ ms, verify p50 \S+ ms sum \S+ ms",
             line,
         )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
@@ -133,6 +134,21 @@ def test_the_exact_time_is_the_time_spent_in_the_oracle_by_run_and_verify_run():
         assert all(exact < solve + verify for solve, exact, verify in spent)
         assert sum(exact > 0 for _, exact, _ in spent) > len(corp.ops) // 2
     assert mist.reduce.opt_spanning_tree is mist.pipeline.opt_spanning_tree is search
+
+
+def test_the_leaf_time_is_the_part_of_the_solve_time_spent_solving_leaves():
+    # every operation solves at least one leaf inside run; the leaf solves
+    # and the reduction are apart, and the wrapper is gone once the
+    # operation is over
+    corp = interleave.corpus_mod.build("chains", 3, 0.05)
+    solve_leaf = mist.pipeline._solve_leaf
+    times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 1)
+    assert diff is None
+    for t in times.values():
+        assert len(t["leaf"]) == len(corp.ops)
+        for solve, reduce, leaf in zip(t["solve"], t["reduce"], t["leaf"]):
+            assert 0 < leaf and reduce + leaf < solve
+    assert mist.pipeline._solve_leaf is solve_leaf
 
 
 def _drop_the_other_pendant(g, sep=None):

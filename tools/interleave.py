@@ -15,13 +15,15 @@ sides alike; separate benchmark runs on a shared host can differ by 10 %,
 more than a change of a few per cent.  Any difference in the outputs (the
 tree, the upper bound, the trace steps, the verify checks and opt, or the
 error raised) stops the run with exit status 1.  Otherwise it prints, for
-each side, the total time and the median solve, reduce, lift, exact and
-verify times (the reduce time is the time run spends inside
-reduce_to_fixpoint, the lift time the time it spends inside
-ReductionTrace.lift_all, the exact time the time run and verify_run spend
+each side, the total time and the median and summed solve, reduce, lift,
+leaf, exact and verify times (the reduce time is the time run spends
+inside reduce_to_fixpoint, the lift time the time it spends inside
+ReductionTrace.lift_all, the leaf time the time it spends solving leaves
+in pipeline._solve_leaf, the exact time the time run and verify_run spend
 inside opt_spanning_tree, op4's searches within reduce included), then
 each rep's change/parent ratio of total time and the number of reps the
-change won, so one run shows whether it won nine reps in ten.
+change won, so one run shows whether it won nine reps in ten.  A sum shows
+a saving that only some operations make, which their median can hide.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -56,7 +58,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
-LAYERS = ("solve", "reduce", "lift", "exact", "verify")  # the times run_op reports, in its order
+LAYERS = ("solve", "reduce", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
 
 
 def load(src: str, name: str):
@@ -145,20 +147,22 @@ def timed(owner, name: str, spent: list):
     return real
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, int]:
-    """The operation's outputs as text, and its solve, reduce, lift, exact,
-    verify and total times in ns.
+def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, int, int]:
+    """The operation's outputs as text, and its solve, reduce, lift, leaf,
+    exact, verify and total times in ns.
 
     The total runs from parsing to the end of verify_run or the error.  The
     reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
-    calls, the lift time by wrapping ReductionTrace.lift_all, and the exact
-    time by wrapping the opt_spanning_tree that mist.reduce and mist.pipeline
-    call, for the operation.
+    calls, the lift time by wrapping ReductionTrace.lift_all, the leaf time
+    by wrapping mist.pipeline's _solve_leaf, and the exact time by wrapping
+    the opt_spanning_tree that mist.reduce and mist.pipeline call, for the
+    operation.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
-    reduce, lift, exact = [0], [0], [0]
+    reduce, lift, leaf, exact = [0], [0], [0], [0]
     reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
     lift_all = timed(trace_cls, "lift_all", lift)
+    solve_leaf = timed(pipeline, "_solve_leaf", leaf)
     searches = [timed(owner, "opt_spanning_tree", exact) for owner in (mist.reduce, pipeline)]
     start = t0 = t1 = time.perf_counter_ns()
     try:
@@ -169,10 +173,12 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, in
         vr = mist.verify_run(g, report)
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
-        return f"! {type(exc).__name__}: {exc}", t - t0, reduce[0], lift[0], exact[0], 0, t - start
+        failed = f"! {type(exc).__name__}: {exc}"
+        return failed, t - t0, reduce[0], lift[0], leaf[0], exact[0], 0, t - start
     finally:
         trace_cls.lift_all = lift_all
         pipeline.reduce_to_fixpoint = reduce_to_fixpoint
+        pipeline._solve_leaf = solve_leaf
         mist.reduce.opt_spanning_tree, pipeline.opt_spanning_tree = searches
     t2 = time.perf_counter_ns()
     try:
@@ -180,7 +186,7 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, in
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, reduce[0], lift[0], exact[0], t2 - t1, t2 - start
+    return out, t1 - t0, reduce[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
@@ -267,10 +273,12 @@ def main(argv=None) -> int:
     print(f"{title}: {len(corp.ops)} ops x {args.reps}")
     totals = {side: sum(times[side]["reps"]) for side in SIDES}
     for side in SIDES:
-        p50s = (
-            f"{layer} p50 {statistics.median(times[side][layer]) / 1e6:.4f} ms" for layer in LAYERS
+        spent = (
+            f"{layer} p50 {statistics.median(times[side][layer]) / 1e6:.4f} ms "
+            f"sum {sum(times[side][layer]) / 1e6:.1f} ms"
+            for layer in LAYERS
         )
-        print(f"{side:>6}: total {totals[side] / 1e9:.3f} s, {', '.join(p50s)}")
+        print(f"{side:>6}: total {totals[side] / 1e9:.3f} s, {', '.join(spent)}")
     print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
     print_reps(times["parent"]["reps"], times["change"]["reps"])
     return 0
