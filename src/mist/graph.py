@@ -111,10 +111,10 @@ class Graph:
     ) -> None:
         """Take adj and alive as the graph's rows and alive mask.
 
-        This writes a run of edits made on private copies of them in one
-        go: the caller hands the lists over and keeps the rows sorted and
-        symmetric.  The alive and edge counts are recounted, unless the
-        caller kept them as it edited and passes them as counts.
+        This ends a run of edits made on the bare lists, the graph's own or
+        new ones: the caller keeps the rows sorted and symmetric.  The alive
+        and edge counts are recounted, unless the caller kept them as it
+        edited and passes them as counts.
         """
         if len(adj) != len(alive):
             raise InternalInvariant(f"{len(adj)} rows for {len(alive)} vertices")
@@ -157,8 +157,8 @@ class Graph:
 
 
 # The checked edits below work on bare rows and an alive mask, so a run of
-# them can be made on private copies and written back with
-# Graph.write_rows; Graph's methods of the same names make them on its own.
+# them can skip the counts and end with Graph.write_rows; Graph's methods
+# of the same names make them on its own.
 
 
 def add_edge_in(adj: list[list[int]], alive: list[bool], u: int, v: int) -> None:

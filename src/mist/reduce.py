@@ -9,13 +9,15 @@ trees of the parts, gaining at least c internal vertices.
 
 reduce_to_fixpoint applies these until none fires, recording every step
 in a trace forest so the leaf solutions can be lifted back to the root.
-The trace keeps the graphs of its root and leaves only; lifting undoes
-each step once, rebuilding the graph and the tree of its node together
-from its children's.  An undone step checks only what it edits: the tree
-edges it adds must be edges of the rebuilt graph, the ones it removes
-must be in the tree, the tree keeps n - 1 edges and its weight meets the
-step's floor.  One tree_result call at the root checks the whole lifted
-tree, after one per leaf.
+A step edits the graph it is given in place and hands it on as its child,
+so a chain of steps changes one graph and only op3 makes a new one, for
+its second side; the trace keeps the graphs of its root, copied from the
+input, and its leaves only.  Lifting undoes each step once, rebuilding the
+graph and the tree of its node together from its children's.  An undone
+step checks only what it edits: the tree edges it adds must be edges of
+the rebuilt graph, the ones it removes must be in the tree, the tree keeps
+n - 1 edges and its weight meets the step's floor.  One tree_result call
+at the root checks the whole lifted tree, after one per leaf.
 """
 
 from __future__ import annotations
@@ -461,28 +463,28 @@ def _revalidate_strong(g: Graph, r: StrongReduction, sep: Separations | None) ->
 def apply_strong_reduction(
     g: Graph, r: StrongReduction, sep: Separations | None = None
 ) -> Graph:
-    """The graph after the step; sep is separations(g), computed when None."""
+    """Apply the step to g in place and return g; sep is separations(g), computed when None.
+
+    A step that raises leaves g part-edited, and the engine drops it.
+    """
     _revalidate_strong(g, r, sep)
-    h = g.copy()
+    order, size = g.n_alive(), g.edge_count()
     for u, v in r.removed_edges:
-        h.remove_edge(u, v)
+        g.remove_edge(u, v)
     for v in r.removed_vertices:
-        h.remove_vertex(v)
-    if not (
-        h.edge_count() < g.edge_count()
-        and h.n_alive() + h.edge_count() < g.n_alive() + g.edge_count()
-    ):
+        g.remove_vertex(v)
+    if not (g.edge_count() < size and g.n_alive() + g.edge_count() < order + size):
         raise InternalInvariant(f"{r.kind} did not shrink the graph")
-    # g is connected, so h is when the live ends of the removed edges still
-    # meet: op1's one end left is its support, op2's edge is no bridge of g
+    # g was connected, so it still is when the live ends of the removed edges
+    # meet: op1's one end left is its support, op2's edge was no bridge
     # (checked above), and op8, op9 and op10 keep a path among their witness
     if r.kind in ("op8", "op9", "op10"):
         within = {*r.witness[:2], *r.witness[2]} if r.kind == "op10" else set(r.witness)
-        fence = frozenset(y for x in within for y in h.adj[x]) - within
+        fence = frozenset(y for x in within for y in g.adj[x]) - within
         ends = {x for e in r.removed_edges for x in e}
-        if not ends <= set(component_of(h, min(ends), blocked=fence)):
+        if not ends <= set(component_of(g, min(ends), blocked=fence)):
             raise InternalInvariant(f"{r.kind} disconnected the graph")
-    return h
+    return g
 
 
 # -- weak reductions ------------------------------------------------------
@@ -664,28 +666,28 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
 
 
 def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
-    before = g.n_alive() + g.edge_count()
+    """Apply the step to g in place and return its parts: g, and op3's second side.
+
+    A step that raises leaves g part-edited, and the engine drops it.
+    """
+    order, size = g.n_alive(), g.edge_count()
     if r.kind == "op3":
         u1, u2 = r.bridge
         _check(g.has_edge(u1, u2), "bridge gone")
-        scratch = g.copy()
-        scratch.remove_edge(u1, u2)
-        comps = connected_components(scratch)
+        g.remove_edge(u1, u2)
         _check(
-            sorted(map(tuple, comps)) == sorted(map(tuple, r.sides)),
+            sorted(map(tuple, connected_components(g))) == sorted(map(tuple, r.sides)),
             "bridge sides changed",
         )
-        out = []
-        for keep in r.sides:
-            h = g.copy()
-            drop = set(g.alive_list()) - set(keep)
-            for x in sorted(drop):
+        # the sides are g's components now, so each part drops the other
+        out = [g, g.copy()]
+        for h, drop in zip(out, reversed(r.sides)):
+            for x in drop:
                 h.remove_vertex(x)
-            out.append(h)
     elif r.kind == "op4":
         s = r.peel
         _check(r.c == s.inner_opt - 1 + len(r.path), "constant is not the peels' sum")
-        rows, up = _rows_of(g)
+        rows, up = g.adj, g.alive
         v, k_comp = s.cut_vertex, s.component
         if not (0 <= v < len(up) and up[v]):
             raise StaleWitness(f"cut vertex {v} gone")
@@ -718,16 +720,15 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             rows.append([w])
             up.append(True)
             v = w
-        h = Graph(0)
-        h.write_rows(rows, up)
-        out = [h]
+        g.write_rows(rows, up)
+        out = [g]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
         _check(
             all(c[0] == r.contractions[0][0] for c in r.contractions),
             "the contractions of a run merge into more than one vertex",
         )
-        rows, up = _rows_of(g)
+        rows, up = g.adj, g.alive
         for u1, u2, o1, o2 in r.contractions:
             r1 = rows[u1]
             if u2 not in r1:
@@ -744,34 +745,30 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             up[u2] = False
             if o1 != o2:
                 add_edge_in(rows, up, u1, o2)
-        h = Graph(0)
-        h.write_rows(rows, up)
-        out = [h]
+        g.write_rows(rows, up)
+        out = [g]
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
     after = sum(h.n_alive() + h.edge_count() for h in out)
-    if after >= before:
+    if after >= order + size:
         raise InternalInvariant(f"{r.kind} did not shrink the graph")
-    if sum(h.n_alive() for h in out) > g.n_alive() or sum(
-        h.edge_count() for h in out
-    ) > g.edge_count():
+    if sum(h.n_alive() for h in out) > order or sum(h.edge_count() for h in out) > size:
         raise InternalInvariant(f"{r.kind} grew a coordinate")
     # every part is connected by the checks above: op3's sides are the
     # components of g minus the bridge, an op4 block is a component of
-    # h - v, so h minus the block stays connected, and the pendant hangs
+    # g - v, so g minus the block stays connected, and the pendant hangs
     # off v, and an op11 contraction keeps u1 joined to both o1 and o2
     return out
 
 
 # An op4 or op11 step edits the same few rows once per peel or
-# contraction.  Applying one sweeps private copies of the parent's rows
-# and alive mask, which the parent keeps, checking each peel or
-# contraction against them as the ones before it left them, and has
-# Graph.write_rows recount the graph once at the end.  Where a record
-# stands for Graph edits, the sweep makes them with the same checks and
-# messages (graph.add_edge_in, remove_edge_in and revive_in).  An op4 path
-# peel has no record but its cut vertex: apply checks its block {v, p} by
-# v's row instead of a _hangs search.
+# contraction.  Applying one sweeps the graph's own rows and alive mask,
+# checking each peel or contraction against them as the ones before it
+# left them, and has Graph.write_rows recount the graph once at the end.
+# Where a record stands for Graph edits, the sweep makes them with the
+# same checks and messages (graph.add_edge_in, remove_edge_in and
+# revive_in).  An op4 path peel has no record but its cut vertex: apply
+# checks its block {v, p} by v's row instead of a _hangs search.
 #
 # Undoing a step edits the rows of the child graph it rebuilds, which the
 # lift owns, by the step's net edit only, and hands Graph.write_rows the
@@ -798,11 +795,6 @@ def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: in
                 seen.add(y)
                 stack.append(y)
     return sorted(seen) == list(k_comp)
-
-
-def _rows_of(g: Graph) -> tuple[list[list[int]], list[bool]]:
-    """Private copies of g's rows and alive mask, for a sweep to edit."""
-    return list(map(list, g.adj)), list(g.alive)
 
 
 # -- fixpoint driver ------------------------------------------------------
@@ -1171,8 +1163,10 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     """Apply reductions until none fires, strong ones first at every step.
 
     Nodes are processed in index order, each with its graph; only the root
-    and the leaves keep theirs in the trace.  The root's lowpoint pass
-    rejects a disconnected input.  Any other node of at most 3 vertices is
+    and the leaves keep theirs in the trace.  The root keeps a copy of g,
+    and each step edits a second copy in place and hands it to its child,
+    so a reduce makes two copies plus one per op3 step.  The root's
+    lowpoint pass rejects a disconnected input.  Any other node of at most 3 vertices is
     a leaf with no lowpoint pass and no finder, except a triangle in
     refined mode, which op11 contracts.  No other rule fires under four
     vertices: op1 needs n > 3, op10's blocks have at most n - 3 vertices,
@@ -1192,7 +1186,7 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
     root = g.copy()
-    work = [(trace.add_node(root, None), root, None)]
+    work = [(trace.add_node(root, None), root.copy(), None)]
     while work:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
@@ -1204,12 +1198,12 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near)
         if r is not None:
-            child = apply_strong_reduction(h, r, sep)
+            apply_strong_reduction(h, r, sep)
             node.applied = r
             node.children = [trace.add_node(None, idx)]
             if near is not None:
-                near = near | _changed(h, child, r)
-            work.append((node.children[0], child, near))
+                near = near | _changed(h, r)
+            work.append((node.children[0], h, near))
             continue
         w = find_reduction(h, weak_kinds, sep)
         if w is None:
@@ -1219,19 +1213,19 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         node.applied = w
         node.children = [trace.add_node(None, idx) for _ in parts]
         for c, p in zip(node.children, parts):
-            work.append((c, p, _changed(h, p, w) if has_op10 else None))
+            work.append((c, p, _changed(p, w) if has_op10 else None))
     return trace
 
 
-def _changed(g: Graph, h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
-    """The vertices alive in h that r touches, h being a child of g by r.
+def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
+    """The vertices alive in h that r touches, h being a child graph r made.
 
-    They include every vertex of h whose adjacency row differs from g's or
-    whose id is new in h, so no row is compared.
+    They include every vertex of h whose adjacency row r changed or whose
+    id r made, so no row is compared.  op1's removed vertex is a pendant,
+    and its removed edge names its support.
     """
     if isinstance(r, StrongReduction):
         touched = {x for e in r.removed_edges for x in e}
-        touched.update(y for x in r.removed_vertices for y in g.adj[x])
     elif r.kind == "op3":
         touched = set(r.bridge)
     elif r.kind == "op4":

@@ -778,14 +778,15 @@ def replay(trace) -> list[Graph]:
 
     The trace keeps the graphs of its root and leaves only; this applies
     each node's step forward from the root, in index order, so every parent
-    is rebuilt before its children.
+    is rebuilt before its children.  A step edits the graph it is given, so
+    each is applied to a copy of its parent's, and every graph is kept.
     """
     graphs = {0: trace.nodes[0].graph}
     for node in trace.nodes:
         r = node.applied
         if r is None:
             continue
-        g = graphs[node.index]
+        g = graphs[node.index].copy()
         if isinstance(r, StrongReduction):
             parts = [apply_strong_reduction(g, r)]
         else:
@@ -939,11 +940,11 @@ def _check(cond: bool, msg: str) -> None:
 
 
 def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
-    """An op4 or op11 step applied one checked Graph edit at a time.
+    """An op4 or op11 step applied one checked Graph edit at a time, to a copy of g.
 
-    The engine makes these edits on private copies of the rows and writes
-    them back at once; this makes them through Graph's own methods, with
-    the same checks and messages in the same order.
+    The engine makes these edits on g's own rows and recounts them at once;
+    this makes them through Graph's own methods, with the same checks and
+    messages in the same order.
     """
     h = g.copy()
     if r.kind == "op4":
@@ -1046,10 +1047,12 @@ def check_runs_against_reference(monkeypatch, roots, modes=("simple", "refined")
     real_apply, real_undo = mist.reduce.apply_weak_reduction, mist.reduce._undo
 
     def apply(g, r):
+        if r.kind not in ("op4", "op11"):
+            return real_apply(g, r)
+        want = graph_state(reference_apply_run(g, r))  # on a copy, before g is edited
         parts = real_apply(g, r)
-        if r.kind in ("op4", "op11"):
-            assert [graph_state(h) for h in parts] == [graph_state(reference_apply_run(g, r))]
-            seen[f"{r.kind} apply"] += 1
+        assert [graph_state(h) for h in parts] == [want]
+        seen[f"{r.kind} apply"] += 1
         return parts
 
     def undo(r, parts):

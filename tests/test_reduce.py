@@ -1,5 +1,6 @@
 """Strong and weak reductions: firing conditions, safety, fixpoint traces."""
 
+import copy
 import inspect
 import itertools
 import operator
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import mist.graph
 import mist.reduce
-from mist import Graph, reduce_to_fixpoint
+from mist import Graph, reduce_to_fixpoint, run, verify_run
 from mist.errors import ArityMismatch, InternalInvariant, StaleWitness
 from mist.exact import opt_spanning_tree
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
@@ -40,6 +41,7 @@ from helpers import (
     bfs_tree,
     build_graph,
     check_runs_against_reference,
+    graph_state,
     naive_components,
     naive_op10,
     op4_peels,
@@ -92,7 +94,7 @@ def test_op1_drops_larger_pendant_twin():
     r = find_op1(g)
     assert r is not None and r.kind == "op1"
     assert r.removed_vertices == (2,)
-    h = apply_strong_reduction(g, r)
+    h = apply_strong_reduction(g.copy(), r)
     assert alive_edges(h) == (3, [(0, 1), (0, 3)])
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 1
 
@@ -110,7 +112,7 @@ def test_op2_removes_redundant_cycle_edge():
     assert r is not None and r.kind == "op2"
     assert r.removed_edges == ((0, 1),)
     assert r.removed_vertices == ()
-    h = apply_strong_reduction(g, r)
+    h = apply_strong_reduction(g.copy(), r)
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 4
 
 
@@ -126,7 +128,7 @@ def test_op8_removes_one_support_edge_of_a_twin_pair():
     assert r is not None and r.kind == "op8"
     assert r.removed_edges == ((1, 2),)
     assert r.witness == (0, 1, 2, 3)
-    h = apply_strong_reduction(g, r)
+    h = apply_strong_reduction(g.copy(), r)
     assert alive_edges(h) == (5, [(0, 2), (0, 3), (1, 3), (1, 4)])
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 3
 
@@ -141,7 +143,7 @@ def test_op9_trims_an_edge_when_three_twins_share_supports():
     r = find_op9(g)
     assert r is not None and r.kind == "op9"
     assert r.removed_edges == ((0, 2),)
-    h = apply_strong_reduction(g, r)
+    h = apply_strong_reduction(g.copy(), r)
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 3
 
 
@@ -155,7 +157,7 @@ def test_op10_straightens_a_small_separated_block():
     assert r is not None and r.kind == "op10"
     assert r.removed_edges == ((0, 3),)
     assert r.witness == (0, 1, (2, 3))
-    h = apply_strong_reduction(g, r)
+    h = apply_strong_reduction(g.copy(), r)
     assert alive_edges(h) == (6, [(0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (4, 5)])
     assert opt_spanning_tree(h).weight == opt_spanning_tree(g).weight == 4
 
@@ -308,7 +310,7 @@ def test_every_refined_step_names_each_vertex_whose_row_it_changed():
             g = graphs[node.index]
             for c in node.children:
                 h = graphs[c]
-                changed = mist.reduce._changed(g, h, r)
+                changed = mist.reduce._changed(h, r)
                 moved = {x for x in h.alive_list() if x >= g.vertex_count or h.adj[x] != g.adj[x]}
                 assert moved <= changed <= set(h.alive_list()), (g, r)
                 if r.kind == "op11":
@@ -352,11 +354,12 @@ def test_candidate_finders_match_the_whole_graph_scans_at_every_node(monkeypatch
 
 def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
     # op8 and op9 share the grouping their node's lowpoint pass carries;
-    # no graph is grouped twice, and every grouping is of a searched node
+    # no node's graph is grouped twice, and every grouping is of a searched
+    # node
     grouped = []
     real = mist.graph.twin_groups
     for module in (mist.graph, mist.reduce):
-        monkeypatch.setattr(module, "twin_groups", lambda h: grouped.append(h) or real(h))
+        monkeypatch.setattr(module, "twin_groups", lambda h: grouped.append(_node_of(h)) or real(h))
     roots = [gen_gnp(10, 0.3, seed) for seed in range(30)]
     roots += [gen_twins(n, n) for n in range(9, 40)] + [gen_sparse(200, 100, 1)]
     fired = Counter()
@@ -364,9 +367,9 @@ def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
     for g in roots:
         grouped.clear()
         trace = _assert_one_pass_per_node(monkeypatch, g, "refined")
-        states = [(h.alive, h.adj) for h in replay(trace)]
-        assert len({id(h) for h in grouped}) == len(grouped), g
-        assert all((h.alive, h.adj) in states for h in grouped), g
+        states = [_state(h) for h in replay(trace)]
+        assert len(set(grouped)) == len(grouped), g
+        assert all(state in states for _, state in grouped), g
         fired.update(n.applied.kind for n in trace.nodes if n.applied is not None)
         groupings += len(grouped)
     assert fired["op8"] > 0 and fired["op9"] > 0 and groupings > 100
@@ -636,15 +639,30 @@ def test_reduce_of_a_200_path_takes_three_nodes(monkeypatch, mode):
     assert len(trace.nodes) == 3
 
 
+def _state(h):
+    """h's alive mask and rows as they stand."""
+    return tuple(h.alive), tuple(map(tuple, h.adj))
+
+
+def _node_of(h):
+    """The trace node a search of h is for: h's id and its state then.
+
+    A step edits its node's graph in place and hands it to the child, so
+    one graph serves a chain of nodes, one state each.  The trace keeps
+    every graph the steps edit, so no two share an id.
+    """
+    return id(h), _state(h)
+
+
 def _assert_one_pass_per_node(monkeypatch, g, mode):
     # one pass for the root, for each node of four or more vertices and for
-    # a refined triangle, and none for any other node; the passes keep their
-    # graphs alive, so no two share an id
+    # a refined triangle, and none for any other node; no node is passed
+    # twice
     passed = []
     real_pass = mist.reduce.separations
 
     def counting_pass(h, *args, **kwargs):
-        passed.append(h)
+        passed.append(_node_of(h))
         return real_pass(h, *args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -657,8 +675,8 @@ def _assert_one_pass_per_node(monkeypatch, g, mode):
         or h.n_alive() >= 4
         or mode == "refined" and (h.n_alive(), h.edge_count()) == (3, 3)
     ]
-    assert len({id(h) for h in passed}) == len(passed) == len(searched)
-    assert [(h.alive, h.adj) for h in passed] == [(h.alive, h.adj) for h in searched]
+    assert len(set(passed)) == len(passed) == len(searched)
+    assert [state for _, state in passed] == [_state(h) for h in searched]
     return trace
 
 
@@ -777,7 +795,7 @@ def test_op3_splits_at_a_bridge_between_side_cutpoints():
     assert r.bridge == (2, 4)
     assert r.sides == ((0, 1, 2, 3), (4, 5, 6, 7))
     assert r.c == 0
-    parts = apply_weak_reduction(g, r)
+    parts = apply_weak_reduction(g.copy(), r)
     assert [alive_edges(p) for p in parts] == [
         (4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
         (4, [(4, 5), (4, 6), (4, 7), (5, 6)]),
@@ -869,7 +887,7 @@ def test_op4_replaces_a_hanging_component_with_a_pendant():
     assert peel.pendant == 5
     assert peel.inner_opt == 2
     assert r.c == 1
-    parts = apply_weak_reduction(g, r)
+    parts = apply_weak_reduction(g.copy(), r)
     assert len(parts) == 1
     assert alive_edges(parts[0]) == (4, [(2, 3), (2, 5), (3, 4)])
     total = opt_spanning_tree(parts[0]).weight + r.c
@@ -920,12 +938,12 @@ def test_op4_rechecks_every_peel_of_its_run():
     # the path peel at 5 in place of 4: 3's row is [4, 25], so {3, 25} does
     # not hang off 5 alone
     with pytest.raises(StaleWitness, match="hanging block at 5 changed"):
-        apply_weak_reduction(g, _with_record(r, "path", 1, 5))
+        apply_weak_reduction(g.copy(), _with_record(r, "path", 1, 5))
     # only the first peel stores its pendant; the path's follow from it
     with pytest.raises(StaleWitness, match="pendant id at 2 mismatch"):
-        apply_weak_reduction(g, r._replace(peel=r.peel._replace(pendant=30)))
+        apply_weak_reduction(g.copy(), r._replace(peel=r.peel._replace(pendant=30)))
     with pytest.raises(StaleWitness, match="constant"):
-        apply_weak_reduction(g, r._replace(c=r.c + 1))
+        apply_weak_reduction(g.copy(), r._replace(c=r.c + 1))
 
 
 def test_lift_fails_its_root_check_when_a_peel_is_dropped():
@@ -951,7 +969,7 @@ def test_op11_contracts_a_degree_two_edge():
     assert r is not None and r.kind == "op11"
     assert r.contractions == ((0, 1, 5, 2), (0, 2, 5, 3), (0, 3, 5, 4), (0, 4, 5, 5))
     assert r.c == 4
-    parts = apply_weak_reduction(g, r)
+    parts = apply_weak_reduction(g.copy(), r)
     assert len(parts) == 1
     assert alive_edges(parts[0]) == (2, [(0, 5)])
     total = opt_spanning_tree(parts[0]).weight + r.c
@@ -972,9 +990,9 @@ def test_op11_rechecks_every_contraction_of_its_run():
     run = list(r.contractions)
     run[1] = (0, 2, 7, 4)  # 2's outside neighbour is 3
     with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
-        apply_weak_reduction(g, r._replace(contractions=tuple(run)))
+        apply_weak_reduction(g.copy(), r._replace(contractions=tuple(run)))
     with pytest.raises(StaleWitness, match="constant is not the contraction count"):
-        apply_weak_reduction(g, r._replace(c=r.c + 1))
+        apply_weak_reduction(g.copy(), r._replace(c=r.c + 1))
 
 
 def test_an_op11_run_merges_into_one_vertex():
@@ -982,7 +1000,7 @@ def test_an_op11_run_merges_into_one_vertex():
     # and when undoing it
     g = cycle(8)
     r = find_op11(g)
-    (h,) = apply_weak_reduction(g, r)
+    (h,) = apply_weak_reduction(g.copy(), r)
     mixed = _with_record(r, "contractions", 1, (5, 6, 4, 7))
     with pytest.raises(StaleWitness, match="merge into more than one vertex"):
         apply_weak_reduction(g, mixed)
@@ -1227,6 +1245,44 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_reduce_copies_the_graph_twice_plus_once_per_op3_step(monkeypatch, mode):
+    # a step edits its node's graph in place: the trace's root keeps one
+    # copy of the input, the steps edit a second one, and op3 copies once
+    # more for its second side, however many steps there are
+    copies = Counter()
+    real = Graph.copy
+    monkeypatch.setattr(Graph, "copy", lambda self: copies.update(["copy"]) or real(self))
+    op3 = 0
+    for g in (gen_sparse(500, 250, 1), gen_path(200), gen_cycle(200), caterpillar(30)):
+        copies.clear()
+        trace = reduce_to_fixpoint(g, mode)
+        steps = Counter(n.applied.kind for n in trace.nodes if n.applied is not None)
+        assert copies["copy"] <= 2 + steps["op3"], (g, steps)
+        op3 += steps["op3"]
+    assert op3 > 0
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_run_leaves_its_input_and_the_reports_graph_as_they_were(mode):
+    # the steps edit the run's own copy, never the caller's graph or the
+    # root the report keeps, and replaying the trace step by step on copies
+    # from that root rebuilds every kept leaf graph exactly
+    roots = [caterpillar(12), gen_sparse(200, 100, 1), gen_theta(30), gen_path(40), gen_cycle(30)]
+    roots += [gen_gnp(10, 0.3, seed) for seed in range(10)]
+    kinds = Counter()
+    for g in roots:
+        before = copy.deepcopy(graph_state(g))
+        report = run(g, mode, keep_state=True)
+        assert verify_run(g, report).ok, g
+        graphs = replay(report.trace)
+        assert graph_state(g) == graph_state(report.graph) == before
+        for i in report.trace.leaves():
+            assert graph_state(report.trace.nodes[i].graph) == graph_state(graphs[i]), (g, i)
+        kinds.update(n.applied.kind for n in report.trace.nodes if n.applied is not None)
+    assert {"op1", "op2", "op3", "op4"} <= set(kinds), kinds
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_a_lift_checks_each_leaf_and_then_the_root_once(monkeypatch, mode):
     # every undone step checks only what it edits, so tree_result runs on
     # each leaf graph and then once on the root's, unless the root is a leaf
@@ -1288,7 +1344,7 @@ def test_undoing_a_path_makes_at_most_two_row_edits_per_peel():
     g = gen_path(200)
     r = reduce_to_fixpoint(g, "simple").nodes[0].applied
     assert r.kind == "op4" and len(r.path) > 180
-    (h,) = apply_weak_reduction(g, r)
+    (h,) = apply_weak_reduction(g.copy(), r)
     t = Lifted.of(h, bfs_tree(h))
     h.write_rows(_CountedRow(map(_CountedRow, h.adj)), h.alive)
     _CountedRow.edits = 0

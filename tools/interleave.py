@@ -28,9 +28,9 @@ a saving that only some operations make, which their median can hide.
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
 constant c, and the node's graph (alive vertices and edges) as that side's
-own apply_strong_reduction and apply_weak_reduction replay it from the
-root.  So two sides may store a step differently and still agree.  The
-replay runs after the timed part of the operation.
+own apply_strong_reduction and apply_weak_reduction replay it from a
+copy of the root's graph.  So two sides may store a step differently and
+still agree.  The replay runs after the timed part of the operation.
 
 --setup times imports instead of operations.  Each rep re-imports each
 tree's package from fresh module objects, as perfbench/run.py's set-up
@@ -116,9 +116,11 @@ def replay_steps(reduce, trace) -> list[tuple]:
     """What each trace node's step does, replayed with the reduce module given.
 
     Per node: parent, children, the step's kind and c (0 for a strong step,
-    None at a leaf), and the node's alive vertices and edges.
+    None at a leaf), and the node's alive vertices and edges.  A step may
+    edit the graph it is given in place, so the replay starts from a copy
+    of the root's, which the run's report holds.
     """
-    graphs = {0: trace.nodes[0].graph}
+    graphs = {0: trace.nodes[0].graph.copy()}
     steps = []
     for node in trace.nodes:
         g, r = graphs.pop(node.index), node.applied
