@@ -5,7 +5,7 @@ covers, and two cover-based approximation pipelines with verifiable
 guarantees (weight at least 3/4, respectively 13/17, of the best possible).
 """
 
-from .cover import Cover, compute_pi_pairs, preferred_tfpcc
+from .cover import Cover, compute_pi_pairs, max_tfpcc, preferred_tfpcc
 from .errors import (
     BadParams,
     DisconnectedInput,
@@ -19,7 +19,6 @@ from .errors import (
 from .exact import (
     TreeResult,
     hamiltonian_path_between,
-    max_tfpcc,
     opt_spanning_tree,
     tree_result,
 )

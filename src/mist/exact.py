@@ -7,30 +7,26 @@ return identical answers.  opt_spanning_tree skips what a certificate
 settles: a tree input is its own answer, the search stops once its best
 tree meets internal_bound, and its floor, the least weight wanted, cuts
 every subtree below it, so a proof that no tree beats a known weight w
-searches only for heavier trees.  max_tfpcc, the one maximum-cover
-solver, has no size cap: it solves at most TFPCC_RESOLVES 2-matchings,
-each in polynomial time.  spanning_fault, tree_result and the upper
-bounds internal_bound and cut_bound take polynomial time too.
+searches only for heavier trees.  spanning_fault, tree_result and the
+upper bounds internal_bound and cut_bound take polynomial time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress
+from bisect import bisect_left
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import (
     DisconnectedInput,
     InternalInvariant,
-    NonTermination,
     PreconditionViolated,
     SizeCapExceeded,
 )
-from .graph import Edge, Graph, norm_edge, separations
+from .graph import Edge, Graph, separations
 
 OST_CAP = 12  # largest order opt_spanning_tree searches exactly
 HAM_CAP = 10  # largest order hamiltonian_path_between searches
-TFPCC_RESOLVES = 200  # 2-matchings max_tfpcc may solve before giving up
 
 
 class TreeResult(NamedTuple):
@@ -337,211 +333,3 @@ def hamiltonian_path_between(g: Graph, u: int, v: int, within=None) -> list[int]
             nexts.pop()
             free.add(path.pop())
     return None
-
-
-def max_tfpcc(g: Graph, forced_leaves=()) -> list[Edge]:
-    """Edges of a maximum triangle-free path-cycle cover, ascending.
-
-    forced_leaves lists vertices whose cover degree must stay at most 1.
-    A maximum simple 2-matching with those degree caps (_two_matching) has
-    size U >= every such cover.  Every cover misses an edge of each
-    triangle, so a depth-first search that bans one edge of the first
-    triangle of each 2-matching it meets, and prunes every 2-matching
-    smaller than a target, finds a triangle-free one of the target size
-    exactly when a cover of that size exists.  The target starts at U and
-    drops by one whenever a search ends empty.  Solving more than
-    TFPCC_RESOLVES 2-matchings raises NonTermination.
-    """
-    cap = [2 if up else 0 for up in g.alive]
-    for v in forced_leaves:
-        if not g.is_alive(v):
-            raise PreconditionViolated(f"forced leaf {v} is not alive")
-        cap[v] = 1
-    solves = 0
-    target = None
-    while True:
-        bans = [frozenset()]
-        while bans:
-            banned = bans.pop()
-            solves += 1
-            if solves > TFPCC_RESOLVES:
-                raise NonTermination(
-                    f"no triangle-free cover found in {TFPCC_RESOLVES} 2-matchings"
-                )
-            edges = _two_matching(g.adj, cap, banned)
-            if target is None:
-                target = len(edges)
-            if len(edges) < target:
-                continue
-            tri = _first_triangle(edges)
-            if tri is None:
-                return edges
-            bans.extend(banned | {e} for e in reversed(tri))
-        target -= 1
-
-
-def _first_triangle(edges: list[Edge]) -> list[Edge] | None:
-    """The edges of the triangle through the first edge on one, or None."""
-    nbrs: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    for u, v in edges:
-        for w in nbrs[u]:
-            if w != v and w in nbrs[v]:
-                return sorted((norm_edge(u, w), (u, v), norm_edge(v, w)))
-    return None
-
-
-def _two_matching(adj: list[list[int]], cap: list[int], banned) -> list[Edge]:
-    """A maximum simple 2-matching of the rows adj, ascending: at most cap[v]
-    edges at each v, and none of the edges in banned.
-
-    Tutte's gadget has cap[v] copies of each vertex v and, for each edge
-    vw, two joined half-edges, one also joined to every copy of v and the
-    other to every copy of w (a banned edge's half-edges are joined only to
-    each other).  A maximum matching of the gadget that matches every
-    half-edge holds vw exactly when both of its half-edges are matched to
-    copies.  The gadget is searched from the rows: the copies of v are ids
-    copy[v] to copy[v + 1] - 1, the half-edge of v toward adj[v][j] is
-    half[v] + j, so a half-edge's partner is an offset plus a bisection.
-    The start, a greedy 2-matching taking edges by lowest degree sum with
-    every other half-edge matched to its partner, matches every half-edge,
-    and augmenting keeps them matched; one search from each exposed copy
-    then leaves no augmenting path (_augment).  When the greedy fills every
-    cap, no copy is exposed, so by Berge's lemma it is maximum as it stands
-    and is returned without building the gadget's matching (every cycle
-    takes this exit).
-    """
-    n = len(adj)
-    room = list(cap)
-    order = sorted(
-        (len(adj[v]) + len(adj[w]), v, w)
-        for v in range(n)
-        for w in adj[v]
-        if v < w and (v, w) not in banned
-    )
-    greedy = []
-    for _, v, w in order:
-        if room[v] and room[w]:
-            room[v] -= 1
-            room[w] -= 1
-            greedy.append((v, w))
-    if not any(room):
-        return sorted(greedy)
-    copy = list(accumulate(cap, initial=0))
-    ncopies = copy[-1]
-    half = list(accumulate(map(len, adj), initial=ncopies))
-    match = [-1] * half[-1]
-    room = list(cap)  # as in the greedy: the k-th edge at a takes copy copy[a] + cap[a] - k
-    for v, w in greedy:
-        for a, b in ((v, w), (w, v)):
-            room[a] -= 1
-            x, c = half[a] + bisect_left(adj[a], b), copy[a] + room[a]
-            match[x], match[c] = c, x
-    for v in range(n):
-        for j, w in enumerate(adj[v]):
-            x = half[v] + j
-            if match[x] < 0:
-                y = half[w] + bisect_left(adj[w], v)
-                match[x], match[y] = y, x
-
-    def nbrs(x):
-        if x < ncopies:
-            v = bisect_right(copy, x) - 1
-            h = half[v]
-            if not banned:
-                return range(h, h + len(adj[v]))
-            return [h + j for j, w in enumerate(adj[v]) if norm_edge(v, w) not in banned]
-        v = bisect_right(half, x) - 1
-        w = adj[v][x - half[v]]
-        mate = half[w] + bisect_left(adj[w], v)
-        if banned and norm_edge(v, w) in banned:
-            return (mate,)
-        return [*range(copy[v], copy[v + 1]), mate]
-
-    parent = [-1] * len(match)
-    base = list(range(len(match)))
-    for root in range(ncopies):
-        if match[root] < 0:
-            _augment(root, match, parent, base, nbrs)
-    return [
-        (v, w)
-        for v in range(n)
-        for j, w in enumerate(adj[v])
-        if v < w and match[half[v] + j] < ncopies
-    ]
-
-
-def _augment(root: int, match: list[int], parent: list[int], base: list[int], nbrs) -> None:
-    """Flip an augmenting path from the exposed vertex root, if there is one.
-
-    Edmonds' blossom search: a breadth-first alternating tree grows from
-    root, parent links the odd vertices back along it, and a blossom is
-    contracted by pointing the base of each of its vertices at the blossom's
-    base.  parent and base are -1 and the identity outside the search, and
-    only the entries of the vertices the tree reached are reset.
-    """
-    tree = [root]  # every vertex whose parent or base the search may set
-    even = {root}
-    queue = [root]
-    try:
-        for v in queue:  # grows as the tree does
-            for to in nbrs(v):
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or match[to] >= 0 and parent[match[to]] >= 0:
-                    b = _common_base(v, to, match, parent, base)
-                    bases: set[int] = set()
-                    _mark_blossom(v, b, to, match, parent, base, bases)
-                    _mark_blossom(to, b, v, match, parent, base, bases)
-                    for x in tree:
-                        if base[x] in bases:
-                            base[x] = b
-                            if x not in even:
-                                even.add(x)
-                                queue.append(x)
-                elif parent[to] < 0:
-                    parent[to] = v
-                    tree.append(to)
-                    if match[to] < 0:
-                        while to >= 0:
-                            v = parent[to]
-                            after = match[v]
-                            match[to], match[v] = v, to
-                            to = after
-                        return
-                    even.add(match[to])
-                    queue.append(match[to])
-                    tree.append(match[to])
-    finally:
-        for x in tree:
-            parent[x] = -1
-            base[x] = x
-
-
-def _common_base(a: int, b: int, match, parent, base) -> int:
-    """The base of the first blossom on both tree paths from a and b to the root."""
-    on_a = set()
-    while True:
-        a = base[a]
-        on_a.add(a)
-        if match[a] < 0:
-            break
-        a = parent[match[a]]
-    while True:
-        b = base[b]
-        if b in on_a:
-            return b
-        b = parent[match[b]]
-
-
-def _mark_blossom(v: int, b: int, child: int, match, parent, base, bases: set[int]) -> None:
-    """Walk from v up to the blossom base b, collecting the bases passed in
-    bases and linking the even vertices the walk meets back to child."""
-    while base[v] != b:
-        bases.add(base[v])
-        bases.add(base[match[v]])
-        parent[v] = child
-        child = match[v]
-        v = parent[match[v]]

@@ -181,20 +181,24 @@ def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
     """Rewrite to fixpoint; returns a new cover, input left untouched.
 
     The cover searches its components once per step: the list serves the
-    check after the step, the measure and the next step's finders.
+    check after the step, the measure and the next step's finders.  Each
+    cover is measured once: a step's measure after is the next one's before.
     """
     work = cover.copy()
     budget = step_budget(g)
     steps = 0
+    before = None
     while True:
         rw = find_cover_rewrite(work, g, mode)
         if rw is None:
             return work
-        before = measure(work, g)
+        if before is None:
+            before = measure(work, g)
         apply_rewrite(work, rw)
         after = measure(work, g)
         if not after > before:
             raise InternalInvariant(f"{rw.kind} did not raise the measure")
+        before = after
         steps += 1
         if steps > budget:
             raise NonTermination(f"more than {budget} rewrites")

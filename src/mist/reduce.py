@@ -691,7 +691,12 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
         v, k_comp = s.cut_vertex, s.component
         if not (0 <= v < len(up) and up[v]):
             raise StaleWitness(f"cut vertex {v} gone")
-        if v in k_comp or not _hangs(rows, up, k_comp, v):
+        start = k_comp[0]
+        if (
+            v in k_comp
+            or not (0 <= start < len(up) and up[start])
+            or component_of(g, start, frozenset((v,))) != list(k_comp)
+        ):
             raise StaleWitness(f"hanging block at {v} changed")
         p = len(rows)
         if s.pendant != p:
@@ -768,33 +773,11 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
 # Where a record stands for Graph edits, the sweep makes them with the
 # same checks and messages (graph.add_edge_in, remove_edge_in and
 # revive_in).  An op4 path peel has no record but its cut vertex: apply
-# checks its block {v, p} by v's row instead of a _hangs search.
+# checks its block {v, p} by v's row instead of a component_of search.
 #
 # Undoing a step edits the rows of the child graph it rebuilds, which the
 # lift owns, by the step's net edit only, and hands Graph.write_rows the
 # counts it kept (see _undo and _undo_peel).
-
-
-def _hangs(rows: list[list[int]], up: list[bool], k_comp: tuple[int, ...], v: int) -> bool:
-    """Whether k_comp, ascending, is a component of the graph minus v.
-
-    The search stops at the first vertex outside k_comp, so a peel's check
-    costs the block, not the rest of the graph.
-    """
-    start = k_comp[0]
-    if not (0 <= start < len(up) and up[start]):
-        return False
-    inside = set(k_comp)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in rows[stack.pop()]:
-            if y != v and y not in seen:
-                if y not in inside:
-                    return False
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen) == list(k_comp)
 
 
 # -- fixpoint driver ------------------------------------------------------
@@ -1164,15 +1147,16 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
 
     Nodes are processed in index order, each with its graph; only the root
     and the leaves keep theirs in the trace.  The root keeps a copy of g,
-    and each step edits a second copy in place and hands it to its child,
-    so a reduce makes two copies plus one per op3 step.  The root's
-    lowpoint pass rejects a disconnected input.  Any other node of at most 3 vertices is
-    a leaf with no lowpoint pass and no finder, except a triangle in
-    refined mode, which op11 contracts.  No other rule fires under four
-    vertices: op1 needs n > 3, op10's blocks have at most n - 3 vertices,
-    op8 and op9 need two twins beside their boundary pair, op4 a cut
-    vertex with a piece of 2 or more beside another piece, op3 a vertex of
-    degree 3, and op2 a cycle edge between two cut vertices.
+    and each step edits its node's graph in place (a step at the root, a
+    second copy): one copy, plus one if the root fires, plus one per op3.
+    The root's lowpoint pass rejects a disconnected input.  Any other node
+    of at most 3 vertices is a leaf with no lowpoint pass and no finder,
+    except a triangle in refined mode, which op11 contracts.  No other
+    rule fires under four vertices: op1 needs n > 3, op10's blocks have at
+    most n - 3 vertices, op8 and op9 need two twins beside their boundary
+    pair, op4 a cut vertex with a piece of 2 or more beside another piece,
+    op3 a vertex of degree 3, and op2 a cycle edge between two cut
+    vertices.
 
     In refined mode each node carries op10's worklist near: the vertices
     _changed since the nearest ancestor where op10 found nothing, or None
@@ -1186,7 +1170,7 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
     root = g.copy()
-    work = [(trace.add_node(root, None), root.copy(), None)]
+    work = [(trace.add_node(root, None), root, None)]
     while work:
         idx, h, near = work.pop(0)
         node = trace.nodes[idx]
@@ -1196,24 +1180,24 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         sep = separations(h)
         if idx == 0 and sep.parts > 1:
             raise DisconnectedInput("input graph is not connected")
-        r = find_reduction(h, strong_kinds, sep, near)
-        if r is not None:
+        r = find_reduction(h, strong_kinds, sep, near) or find_reduction(h, weak_kinds, sep)
+        if r is None:
+            node.graph = h
+            continue
+        if idx == 0:
+            h = h.copy()  # the trace keeps the root's graph as it is
+        node.applied = r
+        if isinstance(r, StrongReduction):
             apply_strong_reduction(h, r, sep)
-            node.applied = r
             node.children = [trace.add_node(None, idx)]
             if near is not None:
                 near = near | _changed(h, r)
             work.append((node.children[0], h, near))
             continue
-        w = find_reduction(h, weak_kinds, sep)
-        if w is None:
-            node.graph = h
-            continue
-        parts = apply_weak_reduction(h, w)
-        node.applied = w
+        parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
         for c, p in zip(node.children, parts):
-            work.append((c, p, _changed(p, w) if has_op10 else None))
+            work.append((c, p, _changed(p, r) if has_op10 else None))
     return trace
 
 

@@ -197,15 +197,11 @@ def build_tree_simple(cover: Cover, g: Graph) -> TreeResult:
 
 
 class TransformState:
-    __slots__ = (
-        "base_edges", "gamma", "gamma_prime", "stage1_added", "cover1", "cover2", "stats", "tree"
-    )
+    __slots__ = ("base_edges", "stage1_added", "cover1", "cover2", "stats", "tree")
 
     def __init__(
         self,
         base_edges: tuple[Edge, ...],
-        gamma: tuple[tuple[int, int], ...],
-        gamma_prime: tuple[tuple[int, int], ...],
         stage1_added: tuple[Edge, ...],
         cover1: Cover,
         cover2: Cover,
@@ -213,8 +209,6 @@ class TransformState:
         tree: TreeResult,
     ):
         self.base_edges = base_edges
-        self.gamma = gamma
-        self.gamma_prime = gamma_prime
         self.stage1_added = stage1_added
         self.cover1 = cover1
         self.cover2 = cover2
@@ -512,7 +506,7 @@ def run_transform(cover: Cover, g: Graph) -> TransformState:
     """
     base_edges = tuple(cover.edge_list())
     work = cover.copy()
-    gamma, gamma_prime, added = stage1_connect(work, g, base_edges)
+    _, _, added = stage1_connect(work, g, base_edges)
     cover1 = work.copy()
     infos = stage2_fixpoint(work, g, base_edges)
     cover2 = work.copy()
@@ -532,9 +526,7 @@ def run_transform(cover: Cover, g: Graph) -> TransformState:
             raise InternalInvariant(
                 f"tree weight {tree.weight} below floor {stats.tree_floor}"
             )
-    return TransformState(
-        base_edges, gamma, gamma_prime, added, cover1, cover2, stats, tree
-    )
+    return TransformState(base_edges, added, cover1, cover2, stats, tree)
 
 
 # -- structural checks on the stage-2 cover ---------------------------------

@@ -21,7 +21,9 @@ search with its cuts tested on entry to each node, whose node counts bound
 the search that tests them before descending; a cover built one checked
 add_edge at a time, as the reference for Cover's one-pass construction;
 and the 2-matching that always runs the blossom search, as the reference
-for the one that returns a greedy start which fills every cap.
+for the one that returns a greedy start which fills every cap; and
+max_tfpcc's ban loop on bare edge lists, with its own triangle search, as
+the reference for the one that reads triangles off a Cover's components.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -39,18 +41,20 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, combinations, permutations
 
+import mist.cover
 import mist.reduce
 from mist import Graph, norm_edge
 from mist.graph import component_of, connected_components, separations, twin_groups
-from mist.cover import Cover, PiPair, is_special, validate_tfpcc
+from mist.cover import Cover, PiPair, _augment, _two_matching, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
+    NonTermination,
     PreconditionViolated,
     SizeCapExceeded,
     StaleWitness,
 )
-from mist.exact import OST_CAP, TreeResult, _augment, tree_result
+from mist.exact import OST_CAP, TreeResult, tree_result
 from mist.reduce import (
     Peel,
     StrongReduction,
@@ -483,7 +487,7 @@ def per_edge_cover(g: Graph, edges) -> Cover:
 
 
 def search_always_two_matching(adj: list[list[int]], cap: list[int], banned) -> list[tuple[int, int]]:
-    """mist.exact._two_matching without its exit after a greedy start that
+    """mist.cover._two_matching without its exit after a greedy start that
     fills every cap: the start is always completed to a matching of Tutte's
     gadget and searched from every exposed copy."""
     n = len(adj)
@@ -537,9 +541,50 @@ def search_always_two_matching(adj: list[list[int]], cap: list[int], banned) -> 
     ]
 
 
+def edge_list_max_tfpcc(g: Graph, forced_leaves=()) -> list[tuple[int, int]]:
+    """mist.cover.max_tfpcc on bare edge lists: the same 2-matchings and
+    bans, each triangle found by first_triangle, and the edges returned."""
+    cap = [2 if up else 0 for up in g.alive]
+    for v in forced_leaves:
+        cap[v] = 1
+    budget = mist.cover.TFPCC_RESOLVES
+    solves = 0
+    target = None
+    while True:
+        bans = [frozenset()]
+        while bans:
+            banned = bans.pop()
+            solves += 1
+            if solves > budget:
+                raise NonTermination(f"no triangle-free cover found in {budget} 2-matchings")
+            edges = _two_matching(g.adj, cap, banned)
+            if target is None:
+                target = len(edges)
+            if len(edges) < target:
+                continue
+            tri = first_triangle(edges)
+            if tri is None:
+                return edges
+            bans.extend(banned | {e} for e in reversed(tri))
+        target -= 1
+
+
+def first_triangle(edges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """The edges of the triangle through the first edge on one, or None."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    for u, v in edges:
+        for w in nbrs[u]:
+            if w != v and w in nbrs[v]:
+                return sorted((norm_edge(u, w), (u, v), norm_edge(v, w)))
+    return None
+
+
 def reference_max_tfpcc(g: Graph, forced_leaves=(), cap: int = 16) -> Cover:
     """Maximum triangle-free path-cycle cover by branch and bound, an
-    oracle for mist.exact.max_tfpcc on graphs of up to cap vertices.
+    oracle for mist.cover.max_tfpcc on graphs of up to cap vertices.
 
     forced_leaves lists vertices whose cover degree must stay at most 1.
     Components track their size through union-find, so an edge closing a

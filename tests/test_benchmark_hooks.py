@@ -28,7 +28,7 @@ from spans import COUNTS, SPANS, Tracer  # noqa: E402
 UNCALLED = {"mist.graph:find_bridges", "mist.graph:find_cutpoints"}
 
 # targets the program no longer has, so their metrics read 0; the next
-# benchmark change should span mist.exact:max_tfpcc, the one cover solver,
+# benchmark change should span mist.cover:max_tfpcc, the one cover solver,
 # instead (see the FOUND line on exact.tfpcc in CHANGES.md), and then this
 # set must be empty
 REMOVED = {"mist.exact:max_tfpcc_exact"}

@@ -20,17 +20,15 @@ from mist.errors import (
     PreconditionViolated,
     SizeCapExceeded,
 )
+import mist.cover
 import mist.exact
-from mist.cover import Cover, validate_tfpcc
+from mist.cover import _augment, _two_matching, max_tfpcc, validate_tfpcc
 from mist.exact import (
     TreeResult,
-    _augment,
     _greedy_weight,
-    _two_matching,
     cut_bound,
     hamiltonian_path_between,
     internal_bound,
-    max_tfpcc,
     opt_spanning_tree,
     spanning_fault,
     tree_result,
@@ -45,6 +43,7 @@ from helpers import (
     brute_opt_tree,
     brute_tfpcc,
     build_graph,
+    edge_list_max_tfpcc,
     entry_cut_greedy_weight,
     entry_cut_opt_spanning_tree,
     induced_subgraph,
@@ -199,20 +198,20 @@ def test_ham_path_respects_cap():
 
 
 def test_tfpcc_triangle_drops_to_two_edges():
-    assert len(max_tfpcc(complete(3))) == 2
+    assert max_tfpcc(complete(3)).edge_count() == 2
 
 
 def test_tfpcc_c5_keeps_the_cycle():
-    assert max_tfpcc(cycle(5)) == cycle(5).edge_list()
+    assert max_tfpcc(cycle(5)).edge_list() == cycle(5).edge_list()
 
 
 def test_tfpcc_k4_four_cycle():
-    assert len(max_tfpcc(complete(4))) == 4
+    assert max_tfpcc(complete(4)).edge_count() == 4
     assert brute_tfpcc(4, complete(4).edge_list()) == 4
 
 
 def test_tfpcc_respects_forced_leaves():
-    c = Cover(cycle(5), max_tfpcc(cycle(5), forced_leaves=(0,)))
+    c = max_tfpcc(cycle(5), forced_leaves=(0,))
     assert c.degree(0) <= 1
     assert c.edge_count() == 4
 
@@ -220,7 +219,7 @@ def test_tfpcc_respects_forced_leaves():
 def test_tfpcc_matches_brute_force_exhaustively():
     for g in connected_graphs_up_to_iso(6):
         n, edges = g.n_alive(), g.edge_list()
-        assert len(max_tfpcc(g)) == brute_tfpcc(n, edges), g
+        assert max_tfpcc(g).edge_count() == brute_tfpcc(n, edges), g
 
 
 @st.composite
@@ -247,7 +246,7 @@ def test_opt_matches_brute_force(g):
 @given(connected_instances())
 def test_tfpcc_matches_brute_force(g):
     n, edges = g.n_alive(), g.edge_list()
-    assert len(max_tfpcc(g)) == brute_tfpcc(n, edges)
+    assert max_tfpcc(g).edge_count() == brute_tfpcc(n, edges)
 
 
 @settings(max_examples=40)
@@ -266,12 +265,12 @@ def test_ham_path_matches_permutation_oracle(g, pick):
 def test_tfpcc_never_below_opt_small():
     # the cover upper bound, checked on every class with up to 6 vertices
     for g in connected_graphs_up_to_iso(6):
-        assert len(max_tfpcc(g)) >= opt_spanning_tree(g).weight
+        assert max_tfpcc(g).edge_count() >= opt_spanning_tree(g).weight
 
 
 def test_tfpcc_shape_constraints():
     for g in connected_graphs_up_to_iso(5):
-        c = Cover(g, max_tfpcc(g))
+        c = max_tfpcc(g)
         for v in g.alive_list():
             assert c.degree(v) <= 2
         for comp in c.components():
@@ -290,9 +289,9 @@ def _caps(g, forced):
     return cap
 
 
-def _check_tfpcc(g, edges, forced):
-    """edges are host edges, within the degree caps, with no triangle."""
-    c = Cover(g, edges)  # refuses a non-edge
+def _check_tfpcc(g, c, forced):
+    """c is a cover of g, within the degree caps, with no triangle."""
+    assert c.graph is g  # Cover refuses a non-edge
     validate_tfpcc(c)
     assert all(c.degree(v) <= 1 for v in forced)
 
@@ -318,11 +317,11 @@ def _random_graphs_with_forced_leaves(count, seed):
 def test_max_tfpcc_matches_the_exact_search_with_forced_leaves():
     gaps = 0
     for g, forced in _random_graphs_with_forced_leaves(300, 46):
-        edges = max_tfpcc(g, forced_leaves=forced)
+        c = max_tfpcc(g, forced_leaves=forced)
         want = reference_max_tfpcc(g, forced_leaves=forced).edge_count()
-        assert len(edges) == want, (g, forced)
-        _check_tfpcc(g, edges, forced)
-        gaps += len(edges) < len(_two_matching(g.adj, _caps(g, forced), frozenset()))
+        assert c.edge_count() == want, (g, forced)
+        _check_tfpcc(g, c, forced)
+        gaps += c.edge_count() < len(_two_matching(g.adj, _caps(g, forced), frozenset()))
     assert gaps > 0  # some draws need the target lowered
 
 
@@ -361,11 +360,11 @@ def test_max_tfpcc_matches_an_integer_program_above_16_vertices():
     for _ in range(20):
         g = random_connected(rng.randint(17, 60), rng.choice((0.15, 0.3, 0.5)), rng)
         forced = _forced(g, rng)
-        edges = max_tfpcc(g, forced_leaves=forced)
-        _check_tfpcc(g, edges, forced)
-        assert len(edges) == _ilp_tfpcc(g, forced), (g, forced)
+        c = max_tfpcc(g, forced_leaves=forced)
+        _check_tfpcc(g, c, forced)
+        assert c.edge_count() == _ilp_tfpcc(g, forced), (g, forced)
         first = _two_matching(g.adj, _caps(g, forced), frozenset())
-        repaired += first != edges
+        repaired += first != c.edge_list()
     assert repaired > 0  # some first 2-matchings hold a triangle
 
 
@@ -410,7 +409,7 @@ def test_max_tfpcc_repairs_a_triangle_in_the_first_2_matching():
     g = build_graph(5, [(0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
     first = _two_matching(g.adj, _caps(g, ()), frozenset())
     assert first == [(0, 4), (1, 2), (1, 3), (2, 3)]
-    assert max_tfpcc(g) == [(0, 4), (1, 2), (2, 3), (3, 4)]
+    assert max_tfpcc(g).edge_list() == [(0, 4), (1, 2), (2, 3), (3, 4)]
 
 
 def test_max_tfpcc_lowers_its_target_when_every_ban_falls_short():
@@ -419,17 +418,53 @@ def test_max_tfpcc_lowers_its_target_when_every_ban_falls_short():
     # 0-1, gives the cover
     g = complete(3)
     assert len(_two_matching(g.adj, _caps(g, ()), frozenset())) == 3
-    assert max_tfpcc(g) == [(0, 2), (1, 2)]
+    assert max_tfpcc(g).edge_list() == [(0, 2), (1, 2)]
 
 
 def test_max_tfpcc_gives_up_after_its_re_solve_budget(monkeypatch):
     # K3 takes six 2-matchings: the first and its three bans at target 3,
     # then the first and its first ban at target 2
-    monkeypatch.setattr(mist.exact, "TFPCC_RESOLVES", 5)
+    monkeypatch.setattr(mist.cover, "TFPCC_RESOLVES", 5)
     with pytest.raises(NonTermination, match="in 5 2-matchings"):
         max_tfpcc(complete(3))
-    monkeypatch.setattr(mist.exact, "TFPCC_RESOLVES", 6)
-    assert len(max_tfpcc(complete(3))) == 2
+    monkeypatch.setattr(mist.cover, "TFPCC_RESOLVES", 6)
+    assert max_tfpcc(complete(3)).edge_count() == 2
+
+
+def _same_cover_or_give_up(g, forced):
+    """The edges max_tfpcc and the edge-list ban loop agree on, or None
+    when both give up."""
+    try:
+        want = edge_list_max_tfpcc(g, forced)
+    except NonTermination:
+        with pytest.raises(NonTermination):
+            max_tfpcc(g, forced)
+        return None
+    assert max_tfpcc(g, forced).edge_list() == want, (g, forced)
+    return want
+
+
+def test_max_tfpcc_bans_and_returns_what_the_edge_list_ban_loop_does(monkeypatch):
+    # a 2-matching's triangles are whole components, so the first 3-cycle
+    # of its Cover's components is the triangle through its first edge on
+    # one: the same bans, 2-matchings and cover, with and without forced
+    # leaves, on graphs that ban edges and graphs that lower the target;
+    # and, on a budget of two 2-matchings, the same graphs give up
+    rng = random.Random(50)
+    seen = Counter()
+    for _ in range(3000):
+        g = random_connected(rng.randint(5, 25), rng.choice((0.15, 0.2, 0.3, 0.5)), rng)
+        for forced in ((), _forced(g, rng)):
+            want = _same_cover_or_give_up(g, forced)
+            first = _two_matching(g.adj, _caps(g, forced), frozenset())
+            seen["banned"] += first != want
+            seen["lowered"] += len(first) > len(want)
+    assert seen["banned"] > 1000 and seen["lowered"] > 30, seen
+    monkeypatch.setattr(mist.cover, "TFPCC_RESOLVES", 2)
+    for _ in range(300):
+        g = random_connected(rng.randint(5, 25), rng.choice((0.15, 0.2, 0.3, 0.5)), rng)
+        seen[_same_cover_or_give_up(g, ()) is None] += 1
+    assert seen[True] > 15 and seen[False] > 200, seen
 
 
 # path_cover_from_tree: |E(cover)| >= w(tree) with every tree leaf kept

@@ -6,7 +6,9 @@ import tracemalloc
 
 import pytest
 
+import mist.cover
 import mist.pipeline
+import mist.preprocess
 from mist import Graph, run, solve_refined, solve_simple, verify_run
 from mist.errors import BadParams, DisconnectedInput, MistError, NonTermination
 from mist.exact import TreeResult, cut_bound, internal_bound, opt_spanning_tree, tree_result
@@ -209,6 +211,34 @@ def test_a_refined_leaf_searches_its_cover_once(cover_searches):
     # list serves preprocess, stage 1, its tree check and stage 2
     run(gen_gnp(12, 0.3, 5), "refined")
     assert len(cover_searches) == 1
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_cover_leaf_searches_its_first_cover_once(monkeypatch, cover_searches, mode):
+    # max_tfpcc reads triangles off the components of the cover it returns,
+    # and that one list serves preprocess's first finders and first measure
+    solve, measure = mist.cover.max_tfpcc, mist.preprocess.measure
+    firsts, searched = [], {}  # searched: leaf -> searches up to its first measure
+
+    def solved(g, forced_leaves=()):
+        cover_searches.clear()
+        firsts.append(solve(g, forced_leaves))
+        return firsts[-1]
+
+    def measured(c, g):
+        searched.setdefault(len(firsts) - 1, list(cover_searches))
+        return measure(c, g)
+
+    monkeypatch.setattr(mist.cover, "max_tfpcc", solved)
+    monkeypatch.setattr(mist.preprocess, "measure", measured)
+    for seed in range(60):
+        for n, p in ((12, 0.3), (16, 0.5), (20, 0.25)):
+            run(gen_gnp(n, p, seed), mode)
+    for leaf, found in searched.items():
+        first = firsts[leaf]
+        assert [c for c in found if c is first] == [first] == found[-1:]
+    banned = sum(len(found) > 1 for found in searched.values())
+    assert len(searched) > 15 and banned > 1, (len(searched), banned)
 
 
 def test_run_rejects_bad_inputs():

@@ -8,9 +8,8 @@ import pytest
 import mist
 import mist.preprocess as pp
 from mist import Graph, reduce_to_fixpoint, run
-from mist.cover import Cover, compute_pi_pairs, preferred_tfpcc
+from mist.cover import Cover, compute_pi_pairs, max_tfpcc, preferred_tfpcc
 from mist.errors import InternalInvariant
-from mist.exact import max_tfpcc
 from mist.generate import gen_gnp, gen_twins
 from mist.preprocess import (
     CoverRewrite,
@@ -159,7 +158,7 @@ def test_maximum_covers_never_gain_edges():
     for g in connected_graphs_up_to_iso(6):
         if g.n_alive() < 2:
             continue
-        assert not _could_grow(Cover(g, max_tfpcc(g)), g)
+        assert not _could_grow(max_tfpcc(g), g)
     steps = 0
     for g in _corpus():
         for leaf in run(g, "refined", keep_state=True).leaves:
@@ -209,7 +208,7 @@ def test_measure_rises_across_every_rewrite():
         rng = random.Random(seed)
         g = random_connected(rng.randint(5, 9), 0.3, rng)
         for mode in ("simple", "refined"):
-            c = Cover(g, max_tfpcc(g))
+            c = max_tfpcc(g)
             prev = measure(c, g)
             while True:
                 rw = find_cover_rewrite(c, g, mode)
@@ -240,7 +239,7 @@ def test_preprocess_returns_a_new_cover_of_equal_size():
     for seed in range(20):
         rng = random.Random(seed)
         g = random_connected(rng.randint(6, 10), 0.3, rng)
-        c = Cover(g, max_tfpcc(g))
+        c = max_tfpcc(g)
         snapshot = sorted(c.edge_list())
         for mode in ("simple", "refined"):
             pre = preprocess(c, g, mode)

@@ -1245,21 +1245,27 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
-def test_a_reduce_copies_the_graph_twice_plus_once_per_op3_step(monkeypatch, mode):
+def test_a_reduce_copies_the_graph_once_plus_once_if_the_root_fires_plus_once_per_op3_step(
+    monkeypatch, mode
+):
     # a step edits its node's graph in place: the trace's root keeps one
-    # copy of the input, the steps edit a second one, and op3 copies once
-    # more for its second side, however many steps there are
+    # copy of the input, the steps edit a second one, made only when a step
+    # fires at the root, and op3 copies once more for its second side,
+    # however many steps there are
     copies = Counter()
     real = Graph.copy
     monkeypatch.setattr(Graph, "copy", lambda self: copies.update(["copy"]) or real(self))
-    op3 = 0
-    for g in (gen_sparse(500, 250, 1), gen_path(200), gen_cycle(200), caterpillar(30)):
+    op3 = fired = 0
+    roots = (gen_sparse(500, 250, 1), gen_path(200), gen_cycle(200), caterpillar(30), gen_gnp(12, 0.5, 1))
+    for g in roots:
         copies.clear()
         trace = reduce_to_fixpoint(g, mode)
         steps = Counter(n.applied.kind for n in trace.nodes if n.applied is not None)
-        assert copies["copy"] <= 2 + steps["op3"], (g, steps)
+        root_fired = trace.nodes[0].applied is not None
+        assert copies["copy"] == 1 + root_fired + steps["op3"], (g, steps)
         op3 += steps["op3"]
-    assert op3 > 0
+        fired += root_fired
+    assert op3 > 0 and 0 < fired < len(roots)
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])

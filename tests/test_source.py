@@ -4,7 +4,8 @@ A module must use every name it imports (or re-export it in __all__), and
 every module-level private function must be referenced by some module of
 the package, so helpers left behind by a deletion show up here.  Imports
 sit at module level, never inside a function, and the exact oracles stand
-below the layers that use them: exact.py imports none of them.  Importing
+below the layers that use them: exact.py imports none of them.  The cover
+solver, in cover.py, imports nothing from exact.py.  Importing
 the package and its CLI loads neither dataclasses nor inspect, whose code
 generation and import cost every `mist` call would pay again.
 
@@ -107,18 +108,20 @@ def function_level_imports(trees) -> list[str]:
 ABOVE_EXACT = {"cover", "preprocess", "transform", "pipeline"}
 
 
+def imported_modules(tree) -> list[str]:
+    """The modules the module tree imports from, as written."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [a.name for a in node.names]
+    return out
+
+
 def upward_imports(trees, name="exact.py") -> list[str]:
     """The modules of ABOVE_EXACT that the module name imports from."""
-    out = []
-    for node in ast.walk(trees[name]):
-        if isinstance(node, ast.ImportFrom):
-            mods = [node.module] if node.module else [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            mods = [a.name for a in node.names]
-        else:
-            continue
-        out += [m for m in mods if m.rpartition(".")[2] in ABOVE_EXACT]
-    return out
+    return [m for m in imported_modules(trees[name]) if m.rpartition(".")[2] in ABOVE_EXACT]
 
 
 VERTEX_EDITS = {
@@ -196,6 +199,11 @@ def test_no_function_imports_a_module():
 
 def test_exact_imports_no_layer_above_it():
     assert upward_imports(_trees()) == []
+
+
+def test_the_cover_solver_imports_nothing_from_the_exact_oracles():
+    mods = imported_modules(_trees()["cover.py"])
+    assert "graph" in mods and [m for m in mods if m.rpartition(".")[2] == "exact"] == []
 
 
 def test_the_import_checks_catch_a_late_import_and_an_upward_one():
