@@ -1245,6 +1245,24 @@ def test_lift_rebuilds_the_graphs_only_the_root_and_leaves_keep(monkeypatch, mod
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_reduce_copies_the_graph_twice_plus_once_per_op3_step(monkeypatch, mode):
+    # a step edits its node's graph in place: the trace's root keeps one
+    # copy of the input, the steps edit a second one, and op3 copies once
+    # more for its second side, however many steps there are
+    copies = Counter()
+    real = Graph.copy
+    monkeypatch.setattr(Graph, "copy", lambda self: copies.update(["copy"]) or real(self))
+    op3 = 0
+    for g in (gen_sparse(500, 250, 1), gen_path(200), gen_cycle(200), caterpillar(30)):
+        copies.clear()
+        trace = reduce_to_fixpoint(g, mode)
+        steps = Counter(n.applied.kind for n in trace.nodes if n.applied is not None)
+        assert copies["copy"] <= 2 + steps["op3"], (g, steps)
+        op3 += steps["op3"]
+    assert op3 > 0
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_a_reduce_copies_the_graph_once_plus_once_if_the_root_fires_plus_once_per_op3_step(
     monkeypatch, mode
 ):
