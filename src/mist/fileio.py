@@ -14,15 +14,18 @@ from .graph import Graph, norm_edge
 def parse_graph(data: str | bytes) -> Graph:
     """The graph of a file; the first faulty line, in file order, raises.
 
-    A wrong edge count is reported before a repeated edge.  The edges are
-    collected first and the graph is built from them at once.
+    A wrong edge count is reported before a repeated edge.  Each edge is
+    appended to the rows of both its ends as it is read, and each row is
+    sorted once at the end.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", "replace")
     checked = data.isascii()  # else each line is checked in turn
     n = m = 0
     header_line = None
-    edges: set[tuple[int, int]] = set()
+    rows: list[list[int]] = []
+    seen: set[int] = set()  # each edge u < v read so far, as u * span + v
+    span = 0
     count = 0
     repeat = None  # the first repeated edge: (line, u, v)
     for line_no, raw in enumerate(data.splitlines(), start=1):
@@ -41,7 +44,8 @@ def parse_graph(data: str | bytes) -> Graph:
                 raise BadHeader(f"non-integer size in {line!r}", line_no) from None
             if n < 1 or m < 0:
                 raise BadHeader(f"sizes {n} {m} out of range", line_no)
-            header_line = line_no
+            header_line, span = line_no, n + 1
+            rows = [[] for _ in range(n)]
             continue
         if len(parts) != 3 or parts[0] != "e":
             raise BadEdgeLine(f"expected 'e <u> <v>', got {line!r}", line_no)
@@ -54,11 +58,13 @@ def parse_graph(data: str | bytes) -> Graph:
         if not (1 <= u <= n and 1 <= v <= n):
             raise IdOutOfRange(f"edge {u} {v} outside 1..{n}", line_no)
         count += 1
-        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        if e not in edges:
-            edges.add(e)
-        elif repeat is None:
-            repeat = (line_no, u, v)
+        seen.add(u * span + v if u < v else v * span + u)
+        if len(seen) < count:
+            if repeat is None:
+                repeat = (line_no, u, v)
+        else:
+            rows[u - 1].append(v - 1)
+            rows[v - 1].append(u - 1)
     if header_line is None:
         raise BadHeader("no 'p mist <n> <m>' line in file", 0)
     if count != m:
@@ -66,7 +72,9 @@ def parse_graph(data: str | bytes) -> Graph:
     if repeat is not None:
         line_no, u, v = repeat
         raise DuplicateEdge(f"edge {u} {v} appears twice", line_no)
-    return Graph(n, edges)
+    for row in rows:
+        row.sort()
+    return Graph.from_rows(rows, count)
 
 
 def emit_graph(g: Graph) -> str:

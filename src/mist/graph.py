@@ -53,6 +53,16 @@ class Graph:
         self._order = vertex_count  # alive vertices
         self._size = sum(map(len, adj)) // 2  # edges
 
+    @classmethod
+    def from_rows(cls, adj: list[list[int]], size: int) -> Graph:
+        """The graph with the rows adj, every vertex alive, and size edges.
+
+        The caller keeps the rows sorted and symmetric, with no repeats.
+        """
+        g = object.__new__(cls)
+        g.write_rows(adj, [True] * len(adj), (len(adj), size))
+        return g
+
     # -- basic queries ------------------------------------------------
 
     def is_alive(self, v: int) -> bool:
@@ -240,6 +250,10 @@ class TwinGroups:
 
 
 class Separations(NamedTuple):
+    """What separations(g) finds.  pieces' keys ascend, which the finders
+    read in order; reduce.carry_separations edits the bridge set and the
+    piece dict in place for a step's child and binds new twins to it."""
+
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g

@@ -12,12 +12,16 @@ in a trace forest so the leaf solutions can be lifted back to the root.
 A step edits the graph it is given in place and hands it on as its child,
 so a chain of steps changes one graph and only op3 makes a new one, for
 its second side; the trace keeps the graphs of its root, copied from the
-input, and its leaves only.  Lifting undoes each step once, rebuilding the
-graph and the tree of its node together from its children's.  An undone
-step checks only what it edits: the tree edges it adds must be edges of
-the rebuilt graph, the ones it removes must be in the tree, the tree keeps
-n - 1 edges and its weight meets the step's floor.  One tree_result call
-at the root checks the whole lifted tree, after one per leaf.
+input, and its leaves only.  The bridges and piece counts the finders
+read come from one lowpoint pass per searched node, except below op1,
+op3, op4 and op11, which change them only where they delete or add: those
+steps edit their node's and hand them on too.  Lifting undoes each step
+once, rebuilding the graph and the tree of its node together from its
+children's.  An undone step checks only what it edits: the tree edges it
+adds must be edges of the rebuilt graph, the ones it removes must be in
+the tree, the tree keeps n - 1 edges and its weight meets the step's
+floor.  One tree_result call at the root checks the whole lifted tree,
+after one per leaf.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .graph import (
     Edge,
     Graph,
     Separations,
+    TwinGroups,
     add_edge_in,
     component_of,
     connected_components,
@@ -90,9 +95,11 @@ class WeakReduction(NamedTuple):
 # -- strong reductions ----------------------------------------------------
 #
 # Every finder takes the graph, assumed connected, and optionally its
-# separations(g); the fixpoint driver computes that once for each trace
-# node it searches: the root, every node of four or more vertices, and in
-# refined mode a triangle (see reduce_to_fixpoint).
+# separations(g); the fixpoint driver has them for each trace node it
+# searches (the root, every node of four or more vertices, and in refined
+# mode a triangle): a child of op1, op3, op4 or op11 takes its parent's,
+# edited (carry_separations), and any other node makes one lowpoint pass
+# (see reduce_to_fixpoint).
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
 #
@@ -1149,7 +1156,10 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     and the leaves keep theirs in the trace.  The root keeps a copy of g,
     and each step edits its node's graph in place (a step at the root, a
     second copy): one copy, plus one if the root fires, plus one per op3.
-    The root's lowpoint pass rejects a disconnected input.  Any other node
+    The root's lowpoint pass rejects a disconnected input.  A child of
+    op1, op3, op4 or op11 makes none: carry_separations edits its parent's
+    separations for it, in place.  Every other node searched makes one, so
+    the passes are the searched nodes less those children.  Any other node
     of at most 3 vertices is a leaf with no lowpoint pass and no finder,
     except a triangle in refined mode, which op11 contracts.  No other
     rule fires under four vertices: op1 needs n > 3, op10's blocks have at
@@ -1170,14 +1180,15 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
     root = g.copy()
-    work = [(trace.add_node(root, None), root, None)]
+    work = [(trace.add_node(root, None), root, None, None)]
     while work:
-        idx, h, near = work.pop(0)
+        idx, h, near, sep = work.pop(0)
         node = trace.nodes[idx]
         if idx and h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds):
             node.graph = h
             continue
-        sep = separations(h)
+        if sep is None:
+            sep = separations(h)
         if idx == 0 and sep.parts > 1:
             raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near) or find_reduction(h, weak_kinds, sep)
@@ -1192,13 +1203,85 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             node.children = [trace.add_node(None, idx)]
             if near is not None:
                 near = near | _changed(h, r)
-            work.append((node.children[0], h, near))
+            # no step that carries its separations leaves a triangle, so a
+            # part of three vertices or fewer is a leaf and needs none
+            sep = carry_separations(sep, r, [h])[0] if h.n_alive() > 3 else None
+            work.append((node.children[0], h, near, sep))
             continue
         parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
-        for c, p in zip(node.children, parts):
-            work.append((c, p, _changed(p, r) if has_op10 else None))
+        if max(map(Graph.n_alive, parts)) > 3:
+            seps = carry_separations(sep, r, parts)
+        else:
+            seps = [None] * len(parts)
+        for c, p, s in zip(node.children, parts, seps):
+            work.append((c, p, _changed(p, r) if has_op10 else None, s))
     return trace
+
+
+def carry_separations(
+    sep: Separations, r: StrongReduction | WeakReduction, parts: list[Graph]
+) -> list[Separations | None]:
+    """The separations of each part r made, edited from sep, its node's; None
+    for each part of a step whose children make their own lowpoint pass.
+
+    op1, op3, op4 and op11 change bridges and piece counts only where they
+    delete or add; sep's bridge set and piece dict are edited in place, the
+    first part taking them, and every part gets its own twin grouping.
+    - op1 deletes the pendant u2: its entry and the bridge u2-v go, and
+      its support v loses the piece u2 was.
+    - op3 deletes the bridge and splits the rest by side, each side in its
+      own ascending order; each bridge end loses the piece the other side was.
+    - op4 replaces a block hanging off v by a pendant, which leaves every
+      other vertex with as many pieces: K's entries and edges go, and so
+      does each path peel's v with its bridge to w.  The last pendant,
+      above every other id, gets its bridge and a count of 1.
+    - op11 deletes u2 and keeps every count: the edges of a degree-2 run
+      are all bridges or none, so u1-o2 takes over u1-u2 and u2-o2, and a
+      closed triangle, which ends the run, leaves u1 a pendant, its edge
+      to o1 a bridge.
+    """
+    bridges, pieces = sep.bridges, sep.pieces
+    if r.kind == "op1":
+        u1, u2, v = r.witness
+        del pieces[u2]
+        pieces[v] -= 1
+        bridges.discard(norm_edge(u2, v))
+    elif r.kind == "op3":
+        u1, u2 = r.bridge
+        bridges.discard(r.bridge)
+        pieces[u1] -= 1
+        pieces[u2] -= 1
+        pieces2 = {x: pieces.pop(x) for x in r.sides[1]}  # the side is ascending
+        bridges2 = {e for e in bridges if e[0] in pieces2}
+        bridges -= bridges2
+        return [
+            Separations(bridges, pieces, sep.parts, TwinGroups(parts[0])),
+            Separations(bridges2, pieces2, sep.parts, TwinGroups(parts[1])),
+        ]
+    elif r.kind == "op4":
+        s = r.peel
+        cuts = (s.cut_vertex, *r.path)
+        for x in (*s.component, *cuts[:-1]):
+            del pieces[x]
+        bridges.difference_update(s.block_edges)
+        bridges.difference_update([(a, b) if a < b else (b, a) for a, b in zip(cuts, cuts[1:])])
+        bridges.add((cuts[-1], s.pendant + len(r.path)))  # the pendant's id is the largest
+        pieces[s.pendant + len(r.path)] = 1
+    elif r.kind == "op11":
+        # every edge at u1 the run contracts has the status of its first
+        u1, u2 = r.contractions[0][:2]
+        bridged = ((u1, u2) if u1 < u2 else (u2, u1)) in bridges
+        for u1, u2, o1, o2 in r.contractions:
+            del pieces[u2]
+            if bridged:
+                bridges.difference_update((norm_edge(u1, u2), norm_edge(u2, o2)))
+                bridges.add(norm_edge(u1, o2))
+        if o1 == o2:  # the last contraction closed a triangle
+            bridges.add(norm_edge(u1, o1))
+    else:
+        return [None] * len(parts)
+    return [Separations(bridges, pieces, sep.parts, TwinGroups(parts[0]))]
 
 
 def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 import mist
+import mist.cover
 import mist.reduce
 from mist import norm_edge
 from mist.generate import gen_sparse
@@ -33,7 +34,8 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
         assert re.fullmatch(
             r" *\w+: total \S+ s, solve p50 \S+ ms sum \S+ ms, reduce p50 \S+ ms sum \S+ ms, "
             r"lift p50 \S+ ms sum \S+ ms, leaf p50 \S+ ms sum \S+ ms, "
-            r"exact p50 \S+ ms sum \S+ ms, verify p50 \S+ ms sum \S+ ms",
+            r"exact p50 \S+ ms sum \S+ ms, verify p50 \S+ ms sum \S+ ms, "
+            r"\d+ lowpoint passes, \d+ cover component searches per rep",
             line,
         )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
@@ -93,6 +95,7 @@ def test_an_output_difference_stops_the_run():
         verify_run=mist.verify_run,
         reduce=mist.reduce,
         pipeline=mist.pipeline,
+        cover=mist.cover,
     )
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
     first = next(k for k, op in enumerate(corp.ops) if op.mode == "refined")
@@ -151,6 +154,25 @@ def test_the_leaf_time_is_the_part_of_the_solve_time_spent_solving_leaves():
     assert mist.pipeline._solve_leaf is solve_leaf
 
 
+def test_the_counts_are_the_passes_and_searches_of_run_and_verify_run(monkeypatch):
+    # each side counts the lowpoint passes and whole-cover component
+    # searches that run and verify_run make, the replay's not included;
+    # the wrappers are gone once the operation is over
+    corp = interleave.corpus_mod.build("chains", 3, 0.05)
+    reals = mist.reduce.separations, mist.cover.connected_components
+    times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 2)
+    assert diff is None
+    assert (mist.reduce.separations, mist.cover.connected_components) == reals
+    calls = [0, 0]
+    monkeypatch.setattr(mist.reduce, "separations", lambda g: calls.__setitem__(0, calls[0] + 1) or reals[0](g))
+    monkeypatch.setattr(mist.cover, "connected_components", lambda g: calls.__setitem__(1, calls[1] + 1) or reals[1](g))
+    for op in corp.ops:
+        g = mist.parse_graph(corp.instances[op.instance].text)
+        mist.verify_run(g, mist.run(g, op.mode, keep_state=True))
+    assert calls[0] > 0 and calls[1] > 0
+    assert times["parent"]["calls"] == times["change"]["calls"] == [2 * n for n in calls]
+
+
 def _drop_the_other_pendant(g, sep=None):
     # op1 keeps u2 and drops u1: the two are twins, so the tree, the bound
     # and the step's kind and c come out the same, but the child graph not
@@ -180,6 +202,7 @@ def test_a_step_that_changes_a_different_graph_stops_the_run():
         verify_run=mist.verify_run,
         reduce=mist.reduce,
         pipeline=mist.pipeline,
+        cover=mist.cover,
     )
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
     first = next(k for k, op in enumerate(corp.ops) if has_op1(op))

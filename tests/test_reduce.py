@@ -57,6 +57,9 @@ from helpers import (
 
 import random
 
+# the steps whose children take their parent's separations, edited
+CARRIED = ("op1", "op3", "op4", "op11")
+
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -656,8 +659,9 @@ def _node_of(h):
 
 def _assert_one_pass_per_node(monkeypatch, g, mode):
     # one pass for the root, for each node of four or more vertices and for
-    # a refined triangle, and none for any other node; no node is passed
-    # twice
+    # a refined triangle, except a child of op1, op3, op4 or op11, which
+    # gets its parent's, edited (carry_separations), and none for any
+    # other node; no node is passed twice
     passed = []
     real_pass = mist.reduce.separations
 
@@ -668,16 +672,82 @@ def _assert_one_pass_per_node(monkeypatch, g, mode):
     with monkeypatch.context() as m:
         m.setattr(mist.reduce, "separations", counting_pass)
         trace = reduce_to_fixpoint(g, mode)
+    nodes = trace.nodes
     searched = [
         h
         for i, h in enumerate(replay(trace))
         if i == 0
-        or h.n_alive() >= 4
-        or mode == "refined" and (h.n_alive(), h.edge_count()) == (3, 3)
+        or (h.n_alive() >= 4 or mode == "refined" and (h.n_alive(), h.edge_count()) == (3, 3))
+        and nodes[nodes[i].parent].applied.kind not in CARRIED
     ]
     assert len(set(passed)) == len(passed) == len(searched)
     assert [state for _, state in passed] == [_state(h) for h in searched]
     return trace
+
+
+def triangle_chain(k: int, gap: int) -> Graph:
+    """k triangles in a row, each joined to the next by a path of gap edges."""
+    edges, n = [], 0
+    for i in range(k):
+        a, b, c = n, n + 1, n + 2
+        edges += [(a, b), (b, c), (a, c)]
+        n += 3
+        if i < k - 1:
+            run = [c, *range(n, n + gap - 1), n + gap - 1]
+            edges += list(zip(run, run[1:]))
+            n += gap - 1
+    return build_graph(n, edges)
+
+
+def looped_clique(k: int, loop: int) -> Graph:
+    """The clique on 0..k-1 with a cycle of loop more vertices through each of its vertices."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    for i in range(k):
+        run = [i, *range(k + loop * i, k + loop * (i + 1)), i]
+        edges += list(zip(run, run[1:]))
+    return build_graph(k * (1 + loop), edges)
+
+
+def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
+    # an op1, op3, op4 or op11 step with a part the engine will search
+    # hands each part its parent's separations, edited: they equal a fresh
+    # lowpoint pass over the part in bridges, pieces (key order included),
+    # parts and twin groups
+    carried = Counter()
+    closed = 0  # op11 runs that close a triangle
+    real = mist.reduce.carry_separations
+
+    def checking(sep, r, parts):
+        nonlocal closed
+        out = real(sep, r, parts)
+        if r.kind not in CARRIED:
+            assert out == [None] * len(parts)
+            return out
+        for h, got in zip(parts, out):
+            want = separations(h)
+            assert got.bridges == want.bridges, (r, h)
+            assert list(got.pieces.items()) == list(want.pieces.items()), (r, h)
+            assert got.parts == want.parts == 1
+            assert list(got.twins) == list(want.twins)
+            carried[r.kind] += 1
+        closed += r.kind == "op11" and r.contractions[-1][2] == r.contractions[-1][3]
+        return out
+
+    monkeypatch.setattr(mist.reduce, "carry_separations", checking)
+    roots = [gen_gnp(n, p, seed) for n in (8, 11, 14) for p in (0.2, 0.35) for seed in range(6)]
+    roots += [family(n) for family in (gen_cycle, gen_path, gen_theta) for n in range(9, 49, 3)]
+    roots += [caterpillar(n) for n in (2, 4, 8, 20, 40)]
+    roots += [triangle_chain(k, gap) for k in (2, 4, 7) for gap in (1, 2, 5)]
+    roots += [looped_clique(k, loop) for k in (3, 4, 5) for loop in (9, 10, 13)]
+    roots += [gen_sparse(60, 15, seed) for seed in range(4)] + [gen_sparse(500, 250, 1)]
+    for g in roots:
+        if g.is_connected():
+            for mode in RULESETS:
+                reduce_to_fixpoint(g, mode)
+    # 27 closed runs and 98 op1, 140 op3, 234 op4 and 115 op11 steps when written
+    assert closed >= 20
+    minimum = {"op1": 60, "op3": 100, "op4": 150, "op11": 80}
+    assert all(carried[kind] >= minimum[kind] for kind in CARRIED), carried
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])

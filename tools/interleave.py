@@ -20,10 +20,14 @@ leaf, exact and verify times (the reduce time is the time run spends
 inside reduce_to_fixpoint, the lift time the time it spends inside
 ReductionTrace.lift_all, the leaf time the time it spends solving leaves
 in pipeline._solve_leaf, the exact time the time run and verify_run spend
-inside opt_spanning_tree, op4's searches within reduce included), then
-each rep's change/parent ratio of total time and the number of reps the
-change won, so one run shows whether it won nine reps in ten.  A sum shows
-a saving that only some operations make, which their median can hide.
+inside opt_spanning_tree, op4's searches within reduce included) and the
+number of lowpoint passes (mist.reduce.separations calls) and whole-cover
+component searches (mist.cover.connected_components calls) that run and
+verify_run make in one rep, then each rep's change/parent ratio of total
+time and the number of reps the change won, so one run shows whether it
+won nine reps in ten.  A sum shows a saving that only some operations
+make, which their median can hide, and the counts show a saved pass or
+search exactly, beside the times.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -59,6 +63,11 @@ import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
 LAYERS = ("solve", "reduce", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
+# the calls run_op counts, in its order: (module, function, what one call is)
+COUNTED = (
+    ("reduce", "separations", "lowpoint passes"),
+    ("cover", "connected_components", "cover component searches"),
+)
 
 
 def load(src: str, name: str):
@@ -149,23 +158,40 @@ def timed(owner, name: str, spent: list):
     return real
 
 
-def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, int, int]:
-    """The operation's outputs as text, and its solve, reduce, lift, leaf,
-    exact, verify and total times in ns.
+def counted(owner, name: str, calls: list):
+    """Wrap owner.name so each call adds 1 to calls[0]; return the original."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    setattr(owner, name, wrapper)
+    return real
+
+
+def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The operation's outputs as text; its solve, reduce, lift, leaf,
+    exact, verify and total times in ns; and its calls of each COUNTED
+    function.
 
     The total runs from parsing to the end of verify_run or the error.  The
     reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
     calls, the lift time by wrapping ReductionTrace.lift_all, the leaf time
     by wrapping mist.pipeline's _solve_leaf, and the exact time by wrapping
     the opt_spanning_tree that mist.reduce and mist.pipeline call, for the
-    operation.
+    operation.  The calls are counted by wrapping the function in the
+    module that calls it, for run and verify_run.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
+    owners = [getattr(mist, module) for module, _, _ in COUNTED]
     reduce, lift, leaf, exact = [0], [0], [0], [0]
+    calls = [[0] for _ in COUNTED]
     reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
     lift_all = timed(trace_cls, "lift_all", lift)
     solve_leaf = timed(pipeline, "_solve_leaf", leaf)
     searches = [timed(owner, "opt_spanning_tree", exact) for owner in (mist.reduce, pipeline)]
+    reals = [counted(o, name, n) for o, (_, name, _), n in zip(owners, COUNTED, calls)]
     start = t0 = t1 = time.perf_counter_ns()
     try:
         g = mist.parse_graph(text)
@@ -176,28 +202,36 @@ def run_op(mist, text: str, mode: str) -> tuple[str, int, int, int, int, int, in
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
         failed = f"! {type(exc).__name__}: {exc}"
-        return failed, t - t0, reduce[0], lift[0], leaf[0], exact[0], 0, t - start
+        spent = (t - t0, reduce[0], lift[0], leaf[0], exact[0], 0, t - start)
+        return failed, spent, tuple(n[0] for n in calls)
     finally:
         trace_cls.lift_all = lift_all
         pipeline.reduce_to_fixpoint = reduce_to_fixpoint
         pipeline._solve_leaf = solve_leaf
         mist.reduce.opt_spanning_tree, pipeline.opt_spanning_tree = searches
+        for o, (_, name, _), real in zip(owners, COUNTED, reals):
+            setattr(o, name, real)
     t2 = time.perf_counter_ns()
     try:
         steps = replay_steps(mist.reduce, report.trace)
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    return out, t1 - t0, reduce[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start
+    spent = (t1 - t0, reduce[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start)
+    return out, spent, tuple(n[0] for n in calls)
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
-    """Per-side times, and a description of the first output difference.
+    """Per-side times and counts, and a description of the first output difference.
 
     A side's reps list holds the total time of each rep, the last one cut
-    short at a difference.
+    short at a difference, and its calls list the calls of each COUNTED
+    function over all reps.
     """
-    times = {side: {"reps": [], **{layer: [] for layer in LAYERS}} for side in SIDES}
+    times = {
+        side: {"reps": [], "calls": [0] * len(COUNTED), **{layer: [] for layer in LAYERS}}
+        for side in SIDES
+    }
     flip = 0
     for _ in range(reps):
         for side in SIDES:
@@ -208,10 +242,12 @@ def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
             flip += 1
             outs = {}
             for side in order:
-                outs[side], *spent, total = run_op(mists[side], text, op.mode)
+                outs[side], (*spent, total), calls = run_op(mists[side], text, op.mode)
                 times[side]["reps"][-1] += total
                 for layer, ns in zip(LAYERS, spent):
                     times[side][layer].append(ns)
+                for i, n in enumerate(calls):
+                    times[side]["calls"][i] += n
             if outs["parent"] != outs["change"]:
                 return times, f"op {k} ({op.mode}): {outs['parent']!r} != {outs['change']!r}"
     return times, None
@@ -280,7 +316,10 @@ def main(argv=None) -> int:
             f"sum {sum(times[side][layer]) / 1e6:.1f} ms"
             for layer in LAYERS
         )
-        print(f"{side:>6}: total {totals[side] / 1e9:.3f} s, {', '.join(spent)}")
+        counts = (
+            f"{n / args.reps:.0f} {what}" for n, (_, _, what) in zip(times[side]["calls"], COUNTED)
+        )
+        print(f"{side:>6}: total {totals[side] / 1e9:.3f} s, {', '.join(spent)}, {', '.join(counts)} per rep")
     print(f"change/parent total: {totals['change'] / totals['parent']:.4f}")
     print_reps(times["parent"]["reps"], times["change"]["reps"])
     return 0
