@@ -10,12 +10,12 @@ time, and reads triangles off each Cover's components.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InternalInvariant, NonTermination, PreconditionViolated
-from .graph import Edge, Graph, component_of, connected_components, norm_edge, twin_groups
+from .graph import Edge, Graph, connected_components, norm_edge, twin_groups
 
 TFPCC_RESOLVES = 200  # 2-matchings max_tfpcc may solve before giving up
 
@@ -23,15 +23,10 @@ TFPCC_RESOLVES = 200  # 2-matchings max_tfpcc may solve before giving up
 class Cover(Graph):
     """Spanning subgraph of a host graph, over the host's vertex ids.
 
-    components() is built by one search of the whole cover and then kept,
-    and index() from it.  An edit marks the vertices it touches, and the
-    next read rebuilds only the components that held them, from the cover
-    rows: a new list, still ordered by smallest vertex, and the index
-    updated in place.  A copy shares the list, which no rebuild edits, and
-    builds its own index.
+    components() and index() are kept until the next edit; a copy shares them.
     """
 
-    __slots__ = ("graph", "_comps", "_index", "_touched")
+    __slots__ = ("graph", "_comps", "_index")
 
     def __init__(self, graph: Graph, edges=()):
         """The cover of graph with the given edges, each checked in list order
@@ -54,28 +49,24 @@ class Cover(Graph):
         self._order, self._size = graph.n_alive(), sum(map(len, adj)) // 2
         self.graph = graph
         self._comps = self._index = None
-        self._touched: set[int] = set()
 
     def add_edge(self, u: int, v: int) -> None:
         if not self.graph.has_edge(u, v):
             raise InternalInvariant(f"cover edge {u}-{v} is not a host edge")
         super().add_edge(u, v)
-        if self._comps is not None:
-            self._touched.update((u, v))
+        self._comps = self._index = None
 
     def remove_edge(self, u: int, v: int) -> None:
         super().remove_edge(u, v)
-        if self._comps is not None:
-            self._touched.update((u, v))
+        self._comps = self._index = None
 
     def remove_vertex(self, v: int) -> None:
-        super().remove_vertex(v)  # its edges go by remove_edge, which marks its neighbours
-        if self._comps is not None:
-            self._touched.add(v)
+        super().remove_vertex(v)  # an isolated v changes no edge
+        self._comps = self._index = None
 
     def copy(self) -> Cover:
         c = super().copy()  # rows, alive mask and counts: the cover's own
-        c.graph, c._comps, c._index, c._touched = self.graph, self._comps, None, set(self._touched)
+        c.graph, c._comps, c._index = self.graph, self._comps, self._index
         return c
 
     def __repr__(self):
@@ -84,122 +75,44 @@ class Cover(Graph):
     def components(self) -> list[CoverComponent]:
         """Connected components ordered by smallest vertex."""
         if self._comps is None:
-            self._comps = [self._component(c[0]) for c in connected_components(self)]
-        elif self._touched:
-            self._rebuild()
+            self._comps = [self._make_component(c) for c in connected_components(self)]
         return self._comps
 
     def index(self) -> dict[int, CoverComponent]:
         """Map every alive vertex to its component in components()."""
-        if self._index is None or self._touched:
-            comps = self.components()  # a rebuild updates the index it finds
-            if self._index is None:
-                self._index = {v: c for c in comps for v in c.vertices}
+        if self._index is None:
+            self._index = {v: c for c in self.components() for v in c.vertices}
         return self._index
 
-    def _rebuild(self) -> None:
-        """Rebuild the components that held a touched vertex.
-
-        An edit touches both ends of each edge it adds or removes and each
-        vertex it removes, so every other component keeps its vertices and
-        edges, and the new components lie within the old ones that held a
-        touched vertex.  Each is found from its smallest vertex.
-        """
-        touched, self._touched = self._touched, set()
-        at = self._index
-        if at is None:
-            at = {v: c for c in self._comps for v in c.vertices}
-        stale = {at[x].vertices[0]: at[x] for x in touched if x in at}
-        alive = self.alive
-        reached: set[int] = set()
-        new = []
-        for x in sorted(chain.from_iterable(c.vertices for c in stale.values())):
-            if alive[x] and x not in reached:
-                c = self._component(x)
-                reached.update(c.vertices)
-                new.append(c)
-                at.update(dict.fromkeys(c.vertices, c))
-        for x in touched:
-            if not alive[x]:
-                at.pop(x, None)
-        comps = [c for c in self._comps if c.vertices[0] not in stale]
-        for c in new:
-            insort(comps, c, key=_smallest)
-        self._comps, self._index = comps, at
-
-    def _component(self, x: int) -> CoverComponent:
-        """The component of x, its smallest vertex: a path or cycle read off
-        one walk, else a tree found by a search."""
-        c = self._chain(x)
-        return self._tree(component_of(self, x)) if c is None else c
-
-    def _chain(self, x: int) -> CoverComponent | None:
-        """The component of x, its smallest vertex, when it is a path or a
-        cycle, read off one walk from x; None when it has a vertex of
-        degree 3 or more.
-
-        A cycle's order starts at x and goes to its first neighbour, and a
-        path's starts at its smaller end.
-        """
-        adj = self.adj
-        row = adj[x]
-        if len(row) > 2:
-            return None
-        sides = []
-        for first in row:
-            side, prev, cur = [], x, first
-            while cur != x:
-                nbrs = adj[cur]
-                side.append(cur)
-                if len(nbrs) != 2:
-                    if len(nbrs) > 2:
-                        return None
-                    break  # an end
-                a, b = nbrs
-                prev, cur = cur, b if a == prev else a
-            else:  # back at x
-                order = (x, *side)
-                edges = [(a, b) if a < b else (b, a) for a, b in zip(order, side)]
-                edges.append((x, side[-1]))  # x is the smallest vertex
-                edges.sort()
-                vertices = tuple(sorted(order))
-                return CoverComponent(vertices, tuple(edges), "cycle", order, (), vertices)
-            sides.append(side)
-        # a path: x, or the end of one side, is its smaller end
-        if len(sides) == 2:
-            if sides[1][-1] < sides[0][-1]:
-                sides.reverse()
-            order = (*reversed(sides[0]), x, *sides[1])
-        else:
-            order = (x, *sides[0]) if sides else (x,)
-        edges = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:])]
-        edges.sort()
-        vertices = tuple(sorted(order))
-        if len(order) == 1:
-            return CoverComponent(vertices, (), "path", order, order, ())
-        ends = sorted((order[0], order[-1]))
-        internal = list(vertices)
-        del internal[bisect_left(vertices, ends[1])]  # the larger end first
-        del internal[bisect_left(vertices, ends[0])]
-        return CoverComponent(vertices, tuple(edges), "path", order, tuple(ends), tuple(internal))
-
-    def _tree(self, comp: list[int]) -> CoverComponent:
-        """The component whose vertices are comp, ascending, one of them of
-        degree 3 or more: a tree, unless it has too many edges."""
-        adj = self.adj
+    def _make_component(self, comp: list[int]) -> CoverComponent:
         vertices = tuple(comp)
-        edges = tuple((u, v) for u in vertices for v in adj[u] if u < v)
-        if len(edges) != len(vertices) - 1:
+        edges = tuple((u, v) for u in vertices for v in self.adj[u] if u < v)
+        nv, ne = len(vertices), len(edges)
+        degs = [len(self.adj[v]) for v in vertices]
+        leaves = tuple(v for v, d in zip(vertices, degs) if d <= 1)
+        internal = tuple(v for v, d in zip(vertices, degs) if d >= 2)
+        if ne == nv and all(d == 2 for d in degs):
+            kind = "cycle"
+            order = self._walk(vertices[0], nv)
+        elif ne == nv - 1:
+            kind = "path" if all(d <= 2 for d in degs) else "tree"
+            order = self._walk(leaves[0], nv) if kind == "path" else ()
+        else:
             raise InternalInvariant(
-                f"component {vertices} has {len(edges)} edges; not a path, cycle or tree"
+                f"component {vertices} has {ne} edges; not a path, cycle or tree"
             )
-        leaves = tuple(v for v in vertices if len(adj[v]) <= 1)
-        internal = tuple(v for v in vertices if len(adj[v]) >= 2)
-        return CoverComponent(vertices, edges, "tree", (), leaves, internal)
+        return CoverComponent(vertices, edges, kind, order, leaves, internal)
 
-
-def _smallest(c: CoverComponent) -> int:
-    return c.vertices[0]
+    def _walk(self, first: int, length: int) -> tuple[int, ...]:
+        """The first length vertices of a path or cycle walked from first: its
+        first neighbour, then at each vertex the neighbour not come from.
+        """
+        order, prev, cur = [first], -1, first
+        for _ in range(length - 1):
+            nbrs = self.adj[cur]
+            prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
+            order.append(cur)
+        return tuple(order)
 
 
 class CoverComponent(NamedTuple):
@@ -263,28 +176,14 @@ def path_is_dead(g: Graph, comp: CoverComponent) -> bool:
     return first_edge(g, comp.endpoints, lambda u: u not in inside) is None
 
 
-def validate_tfpcc(cover: Cover, near: set[int] | None = None) -> None:
-    """Raise unless the cover is a triangle-free path-cycle cover of its host.
-
-    With near, only the degrees of its vertices and the components that
-    hold them are checked, which finds the fault the whole check would
-    report first when the cover was one before edits of edges at near.
-    """
-    if near is None:
-        if cover.alive != cover.graph.alive:
-            raise InternalInvariant("cover does not span the alive vertices")
-        high = range(cover.vertex_count) if max(map(len, cover.adj), default=0) > 2 else ()
-    else:
-        high = sorted(near)
-    for v in high:
-        if len(cover.adj[v]) > 2:  # a dead vertex's row is empty
-            raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
-    if near is None:
-        comps = cover.components()
-    else:
-        at = cover.index()
-        comps = sorted({at[v].vertices[0]: at[v] for v in near}.values(), key=_smallest)
-    for comp in comps:
+def validate_tfpcc(cover: Cover) -> None:
+    """Raise unless the cover is a triangle-free path-cycle cover of its host."""
+    if cover.alive != cover.graph.alive:
+        raise InternalInvariant("cover does not span the alive vertices")
+    if max(map(len, cover.adj), default=0) > 2:  # a dead vertex's row is empty
+        v = next(v for v, row in enumerate(cover.adj) if len(row) > 2)
+        raise InternalInvariant(f"cover degree {cover.degree(v)} at {v}")
+    for comp in cover.components():
         if comp.kind == "tree" and comp.length > 0:
             raise InternalInvariant(f"non-path tree component {comp.vertices}")
         if comp.kind == "cycle" and comp.length < 4:

@@ -167,24 +167,22 @@ def find_cover_rewrite(cover: Cover, g: Graph, mode: str) -> CoverRewrite | None
 
 
 def apply_rewrite(cover: Cover, rw: CoverRewrite) -> None:
-    """Apply the rewrite, an exchange of edges, and check the components it touched."""
+    """Apply the rewrite, an exchange of edges, and check the result."""
     if len(rw.added) != len(rw.removed):
         raise InternalInvariant(f"{rw.kind} would change the cover size")
     for u, v in rw.removed:
         cover.remove_edge(u, v)
     for u, v in rw.added:
         cover.add_edge(u, v)
-    validate_tfpcc(cover, {x for e in (*rw.removed, *rw.added) for x in e})
+    validate_tfpcc(cover)
 
 
 def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
     """Rewrite to fixpoint; returns a new cover, input left untouched.
 
-    Each step checks the components it touched, and a rewritten result is
-    checked whole.  After a step the cover rebuilds only the components
-    the step touched, and that list serves the check, the measure and the
-    next step's finders.  Each cover is measured once: a step's measure
-    after is the next one's before.
+    The cover searches its components once per step: the list serves the
+    check after the step, the measure and the next step's finders.  Each
+    cover is measured once: a step's measure after is the next one's before.
     """
     work = cover.copy()
     budget = step_budget(g)
@@ -193,8 +191,6 @@ def preprocess(cover: Cover, g: Graph, mode: str) -> Cover:
     while True:
         rw = find_cover_rewrite(work, g, mode)
         if rw is None:
-            if steps:
-                validate_tfpcc(work)
             return work
         if before is None:
             before = measure(work, g)

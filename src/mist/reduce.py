@@ -1179,12 +1179,16 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     strong_kinds, weak_kinds = RULESETS[mode]
     has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
+
+    def is_leaf(h: Graph) -> bool:  # a node below the root that no finder searches
+        return h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds)
+
     root = g.copy()
     work = [(trace.add_node(root, None), root, None, None)]
     while work:
         idx, h, near, sep = work.pop(0)
         node = trace.nodes[idx]
-        if idx and h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds):
+        if idx and is_leaf(h):
             node.graph = h
             continue
         if sep is None:
@@ -1203,17 +1207,15 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             node.children = [trace.add_node(None, idx)]
             if near is not None:
                 near = near | _changed(h, r)
-            # no step that carries its separations leaves a triangle, so a
-            # part of three vertices or fewer is a leaf and needs none
-            sep = carry_separations(sep, r, [h])[0] if h.n_alive() > 3 else None
+            sep = None if is_leaf(h) else carry_separations(sep, r, [h])[0]
             work.append((node.children[0], h, near, sep))
             continue
         parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
-        if max(map(Graph.n_alive, parts)) > 3:
-            seps = carry_separations(sep, r, parts)
-        else:
+        if all(map(is_leaf, parts)):
             seps = [None] * len(parts)
+        else:
+            seps = carry_separations(sep, r, parts)
         for c, p, s in zip(node.children, parts, seps):
             work.append((c, p, _changed(p, r) if has_op10 else None, s))
     return trace

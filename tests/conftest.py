@@ -14,11 +14,10 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def cover_searches(monkeypatch):
-    """The graphs of every whole-cover component search made from now on.
+    """The graphs of every component search a cover makes from now on.
 
-    A cover keeps its component list, and after an edit rebuilds only the
-    components the edit touched, so counting Cover.components calls would
-    count kept lists too.
+    A cover keeps its component list until an edit, so counting
+    Cover.components calls would count kept lists too.
     """
     searched = []
     search = mist.cover.connected_components
@@ -26,14 +25,3 @@ def cover_searches(monkeypatch):
         mist.cover, "connected_components", lambda g: searched.append(g) or search(g)
     )
     return searched
-
-
-@pytest.fixture
-def cover_rebuilds(monkeypatch):
-    """The covers of every rebuild of touched components made from now on."""
-    rebuilt = []
-    rebuild = mist.cover.Cover._rebuild
-    monkeypatch.setattr(
-        mist.cover.Cover, "_rebuild", lambda c: rebuilt.append(c) or rebuild(c)
-    )
-    return rebuilt

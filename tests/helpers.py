@@ -23,9 +23,7 @@ add_edge at a time, as the reference for Cover's one-pass construction;
 and the 2-matching that always runs the blossom search, as the reference
 for the one that returns a greedy start which fills every cap; and
 max_tfpcc's ban loop on bare edge lists, with its own triangle search, as
-the reference for the one that reads triangles off a Cover's components;
-and the components of a cover classified from their degrees and edge
-counts, as the reference for the walks and rebuilds Cover makes.
+the reference for the one that reads triangles off a Cover's components.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
 adding or popping the last vertex id of a graph, and the subgraph induced
@@ -47,7 +45,7 @@ import mist.cover
 import mist.reduce
 from mist import Graph, norm_edge
 from mist.graph import component_of, connected_components, separations, twin_groups
-from mist.cover import Cover, CoverComponent, PiPair, _augment, _two_matching, is_special, validate_tfpcc
+from mist.cover import Cover, PiPair, _augment, _two_matching, is_special, validate_tfpcc
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
@@ -486,33 +484,6 @@ def per_edge_cover(g: Graph, edges) -> Cover:
     for u, v in edges:
         c.add_edge(u, v)
     return c
-
-
-def reference_components(c: Cover) -> list[CoverComponent]:
-    """c's components, classified from each one's degrees and edge count
-    and ordered by a walk, as the reference for Cover's walks and rebuilds."""
-    out = []
-    for comp in connected_components(c):
-        vertices = tuple(comp)
-        edges = tuple((u, v) for u in vertices for v in c.adj[u] if u < v)
-        degs = [len(c.adj[v]) for v in vertices]
-        leaves = tuple(v for v, d in zip(vertices, degs) if d <= 1)
-        internal = tuple(v for v, d in zip(vertices, degs) if d >= 2)
-        if len(edges) == len(vertices) and all(d == 2 for d in degs):
-            kind, first = "cycle", vertices[0]
-        elif len(edges) == len(vertices) - 1:
-            kind, first = ("path", leaves[0]) if all(d <= 2 for d in degs) else ("tree", None)
-        else:
-            raise InternalInvariant(f"component {vertices} is not a path, cycle or tree")
-        order = []
-        if first is not None:  # the first neighbour, then the one not come from
-            order, prev, cur = [first], -1, first
-            for _ in range(len(vertices) - 1):
-                nbrs = c.adj[cur]
-                prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
-                order.append(cur)
-        out.append(CoverComponent(vertices, edges, kind, tuple(order), leaves, internal))
-    return out
 
 
 def search_always_two_matching(adj: list[list[int]], cap: list[int], banned) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ import pytest
 import mist
 import mist.preprocess as pp
 from mist import Graph, reduce_to_fixpoint, run
-from mist.cover import Cover, compute_pi_pairs, max_tfpcc, preferred_tfpcc, validate_tfpcc
+from mist.cover import Cover, compute_pi_pairs, max_tfpcc, preferred_tfpcc
 from mist.errors import InternalInvariant
 from mist.generate import gen_gnp, gen_twins
 from mist.preprocess import (
@@ -202,51 +202,6 @@ def test_a_rewrite_that_changes_the_cover_size_is_refused():
     assert sorted(c.edge_list()) == [(0, 1), (2, 3)]
 
 
-@pytest.mark.parametrize(
-    "removed, added, message",
-    [
-        (((3, 4),), ((0, 2),), "cycle of length 3"),
-        (((5, 6),), ((1, 4),), "cover degree 3 at 1"),
-        (((0, 1),), ((0, 4),), "cover degree 3 at 4"),
-        (((0, 1), (5, 6)), ((3, 6), (4, 6)), "cover degree 3 at 4"),
-    ],
-    ids=["triangle", "two-high", "one-high", "cycle-and-high"],
-)
-def test_a_rewrite_is_checked_where_it_edits_as_the_whole_check_would(removed, added, message):
-    # the paths 0-1-2 and 3-4-5-6 on K7: apply_rewrite checks the touched
-    # vertices and components only, and raises what validate_tfpcc raises
-    # on the whole edited cover
-    g = build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
-    c = Cover(g, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
-    c.components()
-    whole = c.copy()
-    for e in removed:
-        whole.remove_edge(*e)
-    for e in added:
-        whole.add_edge(*e)
-    with pytest.raises(InternalInvariant, match=message):
-        validate_tfpcc(whole)
-    with pytest.raises(InternalInvariant, match=message):
-        apply_rewrite(c, CoverRewrite("op6", removed, added, ()))
-
-
-def test_preprocess_checks_each_step_where_it_edits_and_a_rewritten_result_whole(monkeypatch):
-    # the branch and bound's cover takes two steps; max_tfpcc's cover of a
-    # path takes none and is returned unchecked, as max_tfpcc built it
-    checked = []
-    validate = pp.validate_tfpcc
-    monkeypatch.setattr(
-        pp, "validate_tfpcc", lambda c, near=None: checked.append(near) or validate(c, near)
-    )
-    g = gen_gnp(11, 0.3, 23)
-    preprocess(reference_max_tfpcc(g), g, "simple")
-    assert len(checked) == 3 and checked[-1] is None and None not in checked[:2]
-    checked.clear()
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    preprocess(max_tfpcc(g), g, "simple")
-    assert checked == []
-
-
 def test_measure_rises_across_every_rewrite():
     fired = set()
     for seed in range(40):
@@ -267,11 +222,9 @@ def test_measure_rises_across_every_rewrite():
     assert fired  # the loop actually exercised some rewrites
 
 
-def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searches, cover_rebuilds):
-    # one component list per step serves the check, the measure and the
-    # next finders: the first is searched whole, each one after a step
-    # rebuilds what the step touched; the branch and bound's cover takes
-    # two steps, max_tfpcc's only one
+def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searches):
+    # one component list per step serves the measure and the next finders;
+    # the branch and bound's cover takes two steps, max_tfpcc's only one
     g = gen_gnp(11, 0.3, 23)
     cover = reference_max_tfpcc(g)
     cover_searches.clear()
@@ -279,7 +232,7 @@ def test_preprocess_searches_components_once_per_step(monkeypatch, cover_searche
     apply = pp.apply_rewrite
     monkeypatch.setattr(pp, "apply_rewrite", lambda c, rw: steps.append(rw) or apply(c, rw))
     preprocess(cover, g, "simple")
-    assert (len(cover_searches), len(cover_rebuilds), len(steps)) == (1, 2, 2)
+    assert (len(cover_searches), len(steps)) == (3, 2)
 
 
 def test_preprocess_returns_a_new_cover_of_equal_size():
