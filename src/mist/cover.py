@@ -374,10 +374,15 @@ def _augment(root: int, match: list[int], parent: list[int], base: list[int], nb
     Edmonds' blossom search: a breadth-first alternating tree grows from
     root, parent links the odd vertices back along it, and a blossom is
     contracted by pointing the base of each of its vertices at the blossom's
-    base.  parent and base are -1 and the identity outside the search, and
-    only the entries of the vertices the tree reached are reset.
+    base.  Each base keeps the list of the tree vertices it stands for, so
+    a contraction moves only the members of the bases it absorbs, and
+    queues those that turn even in the order they joined the tree (Gabow).
+    parent and base are -1 and the identity outside the search, and only
+    the entries of the vertices the tree reached are reset.
     """
     tree = [root]  # every vertex whose parent or base the search may set
+    joined = {root: 0}  # each tree vertex's index in tree
+    members = {root: [root]}  # each base's tree vertices
     even = {root}
     queue = [root]
     try:
@@ -390,14 +395,19 @@ def _augment(root: int, match: list[int], parent: list[int], base: list[int], nb
                     bases: set[int] = set()
                     _mark_blossom(v, b, to, match, parent, base, bases)
                     _mark_blossom(to, b, v, match, parent, base, bases)
-                    for x in tree:
-                        if base[x] in bases:
-                            base[x] = b
-                            if x not in even:
-                                even.add(x)
-                                queue.append(x)
+                    bases.discard(b)  # b's members are even, and stay b's
+                    moved = [x for c in bases for x in members.pop(c)]
+                    members[b] += moved
+                    for x in moved:
+                        base[x] = b
+                    turned = [x for x in moved if x not in even]
+                    turned.sort(key=joined.__getitem__)
+                    even.update(turned)
+                    queue += turned
                 elif parent[to] < 0:
                     parent[to] = v
+                    joined[to] = len(tree)
+                    members[to] = [to]
                     tree.append(to)
                     if match[to] < 0:
                         while to >= 0:
@@ -406,9 +416,12 @@ def _augment(root: int, match: list[int], parent: list[int], base: list[int], nb
                             match[to], match[v] = v, to
                             to = after
                         return
-                    even.add(match[to])
-                    queue.append(match[to])
-                    tree.append(match[to])
+                    w = match[to]
+                    even.add(w)
+                    queue.append(w)
+                    joined[w] = len(tree)
+                    members[w] = [w]
+                    tree.append(w)
     finally:
         for x in tree:
             parent[x] = -1

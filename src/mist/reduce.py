@@ -15,18 +15,21 @@ its second side; the trace keeps the graphs of its root, copied from the
 input, and its leaves only.  The bridges and piece counts the finders
 read come from one lowpoint pass per searched node, except below op1,
 op3, op4 and op11, which change them only where they delete or add: those
-steps edit their node's and hand them on too.  Lifting undoes each step
-once, rebuilding the graph and the tree of its node together from its
-children's.  An undone step checks only what it edits: the tree edges it
-adds must be edges of the rebuilt graph, the ones it removes must be in
-the tree, the tree keeps n - 1 edges and its weight meets the step's
-floor.  One tree_result call at the root checks the whole lifted tree,
-after one per leaf.
+steps edit their node's and hand them on too.  In refined mode the twin
+groups are read from all rows at the root alone: every step edits its
+node's grouping at the rows it changed and hands it on, to a fresh pass
+too.  Lifting undoes each step once, rebuilding the graph and the tree
+of its node together from its children's.  An undone step checks only
+what it edits: the tree edges it adds must be edges of the rebuilt
+graph, the ones it removes must be in the tree, the tree keeps n - 1
+edges and its weight meets the step's floor.  One tree_result call at
+the root checks the whole lifted tree, after one per leaf.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -106,9 +109,10 @@ class WeakReduction(NamedTuple):
 # Each finder reads only its candidates: op1 the rows of the vertices
 # whose removal leaves three or more pieces, op2 the rows of the cut
 # vertices, op8, op9 and op10 the twin grouping the node's separations
-# build on first use (one per node, shared), op4 the pieces of the cut
-# vertices that can hang a small one, op3 the bridges, and op10 the
-# vertices of degree 3 or more and the degree-2 runs next to them.
+# carry (shared; in refined mode grouped from all rows at the root, then
+# edited by each step for its child, see carry_twins), op4 the pieces of
+# the cut vertices that can hang a small one, op3 the bridges, and op10
+# the vertices of degree 3 or more and the degree-2 runs next to them.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
 # and reduce_to_fixpoint): the other finders' candidates cost less than the
@@ -190,7 +194,8 @@ def find_op10(
     component of g - {u, v} touching both.  Blocks are tried in (u, v,
     sorted K) order.  The path uses |K| + 1 edges, so only a block with an
     edge to spare in K + {u, v} can fire, and the path passes through every
-    vertex of K, so each has degree 2 to |K| + 1.
+    vertex of K, so each has degree 2 to |K| + 1.  No block of a tree has
+    one, so a graph with fewer edges than vertices is not searched.
 
     If every vertex of a block has degree 2, the block is a path with
     |K| + 1 edges at its vertices, so the spare edge is uv: K lies on a run
@@ -224,14 +229,26 @@ def find_op10(
     those start vertices are grown from.  Each run is walked once per
     search: a walk goes on past the vertices of near and next to near that
     it meets, and stops at a vertex an earlier walk has seen (_walk_run).
+    So each walk from one of them takes in, at once, the start vertices of
+    every one it saw: all of them on a run that qualifies, else each end
+    of the run within cap steps of one.
     """
     cap = min(6, g.n_alive() - 3)
-    if cap < 1:
-        return None
+    if cap < 1 or g.edge_count() < g.n_alive():
+        return None  # a tree: no block has an edge to spare
     adj = g.adj
     kind: dict[int, int] = {}
     marks: set[int] = set()  # the vertices of near and next to near
-    reach: dict[int, list] = {}  # the run ends within cap steps of each mark on a run
+
+    def walk(x):
+        # x's run, its ends and the kind of its vertices, kept in kind
+        run, (a, b) = _walk_run(adj, x, cap + 1, marks, kind)
+        if a is None or b is None or len(run) > cap + 1:
+            c = 0
+        else:
+            c = 2 if a == b or g.has_edge(a, b) else 1
+        kind.update(dict.fromkeys(run, c))
+        return run, a, b, c
 
     def classify(x):
         # 2 for a start vertex, 1 for another vertex a core may hold, else 0
@@ -241,15 +258,7 @@ def find_op10(
             if d != 2:
                 c = kind[x] = 2 if 3 <= d <= cap + 1 else 0
             else:
-                run, (a, b) = _walk_run(adj, x, cap + 1, marks, kind)
-                if a is None or b is None or len(run) > cap + 1:
-                    c = 0
-                else:
-                    c = 2 if a == b or g.has_edge(a, b) else 1
-                kind.update(dict.fromkeys(run, c))
-                for i, y in enumerate(run):
-                    if y in marks:
-                        reach[y] = [a if i < cap else None, b if len(run) - i <= cap else None]
+                c = walk(x)[3]
         return c
 
     starts = set()
@@ -266,16 +275,33 @@ def find_op10(
                     if 3 <= d <= cap + 1 or d == 2 and classify(y) == 2:
                         starts.add(y)
     else:
-        live = [x for x in near if g.alive[x]]
-        near_mask = _mask(live)
-        marks.update(y for x in live for y in (x, *adj[x]))
+        alive, near_mask = g.alive, 0
+        for x in near:
+            if alive[x]:
+                near_mask |= 1 << x
+                marks.add(x)
+                marks.update(adj[x])
         for x in marks:
-            if classify(x) == 2:
-                starts.add(x)
-            elif len(adj[x]) == 2:
-                # a block that can fire and holds x holds an end of x's run
-                # within cap steps, and that end is a start vertex
-                starts.update(e for e in reach[x] if e is not None and classify(e) == 2)
+            d = len(adj[x])
+            if d != 2:
+                if 3 <= d <= cap + 1:
+                    starts.add(x)
+            elif x not in kind:  # else an earlier walk saw x, and took in its run
+                run, a, b, c = walk(x)
+                if c == 2:
+                    starts.update(marks.intersection(run))
+                    continue
+                # a block that can fire and holds a mark on the run holds an
+                # end of the run within cap steps of it, and that end, of
+                # degree other than 2, is a start vertex (an end in marks
+                # is taken as a mark)
+                if a not in marks and a is not None and 3 <= len(adj[a]) <= cap + 1:
+                    if not marks.isdisjoint(run[:cap]):
+                        starts.add(a)
+                if b not in marks and b is not None and 3 <= len(adj[b]) <= cap + 1:
+                    if not marks.isdisjoint(run[-cap:]):
+                        starts.add(b)
+        marks.clear()  # the walks below need not pass near
     starts = sorted(starts)
     # neighbour masks of the vertices cores can hold, within cap - 1 of a start
     nb = {x: _mask(adj[x]) for x in starts}
@@ -710,10 +736,15 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             raise StaleWitness(f"pendant id at {v} mismatch")
         # K goes; v is its only neighbour outside it, and gains the
         # pendant, whose id is the largest
+        ends = 0  # the ends K's edges have in K
         for x in k_comp:
+            ends += len(rows[x])
             rows[x] = []
             up[x] = False
-        rows[v] = [y for y in rows[v] if y not in k_comp] + [p]
+        kept = [y for y in rows[v] if y not in k_comp]
+        left = order - len(k_comp) + 1  # the vertices and edges the sweep leaves
+        edges = size - (ends + len(rows[v]) - len(kept)) // 2 + 1
+        rows[v] = kept + [p]
         rows.append([v])
         up.append(True)
         for w in r.path:
@@ -725,6 +756,8 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             rest = rows[v][:-1]
             if w == v or w == p or rest and rest != [w]:
                 raise StaleWitness(f"hanging block at {w} changed")
+            left -= 1
+            edges -= len(rows[v]) - 1
             rows[v], rows[p] = [], []
             up[v] = up[p] = False
             p += 1
@@ -732,7 +765,7 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             rows.append([w])
             up.append(True)
             v = w
-        g.write_rows(rows, up)
+        g.write_rows(rows, up, (left, edges))
         out = [g]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
@@ -741,6 +774,7 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             "the contractions of a run merge into more than one vertex",
         )
         rows, up = g.adj, g.alive
+        edges = size  # the edges the sweep leaves
         for u1, u2, o1, o2 in r.contractions:
             r1 = rows[u1]
             if u2 not in r1:
@@ -757,7 +791,8 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             up[u2] = False
             if o1 != o2:
                 add_edge_in(rows, up, u1, o2)
-        g.write_rows(rows, up)
+            edges -= 1 + (o1 == o2)
+        g.write_rows(rows, up, (order - len(r.contractions), edges))
         out = [g]
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
@@ -776,7 +811,8 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
 # An op4 or op11 step edits the same few rows once per peel or
 # contraction.  Applying one sweeps the graph's own rows and alive mask,
 # checking each peel or contraction against them as the ones before it
-# left them, and has Graph.write_rows recount the graph once at the end.
+# left them, counts the vertices and edges each takes away or adds, and
+# hands Graph.write_rows those counts at the end.
 # Where a record stands for Graph edits, the sweep makes them with the
 # same checks and messages (graph.add_edge_in, remove_edge_in and
 # revive_in).  An op4 path peel has no record but its cut vertex: apply
@@ -1172,7 +1208,10 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     _changed since the nearest ancestor where op10 found nothing, or None
     while there is none.  A strong step adds what it changed (op10, the
     last strong rule, fired or was not searched); each part of a weak step
-    starts from what the step changed in it.
+    starts from what the step changed in it.  The root's twins are grouped
+    from all its rows, and every step edits its node's grouping for each
+    part (carry_twins), whose separations, carried or fresh, take it.
+    Simple mode reads no twins: each node has its own, never grouped.
     """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
@@ -1184,15 +1223,16 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         return h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds)
 
     root = g.copy()
-    work = [(trace.add_node(root, None), root, None, None)]
+    twins = TwinGroups(root, grouped=has_op10)
+    work = [(trace.add_node(root, None), root, None, None, twins)]
     while work:
-        idx, h, near, sep = work.pop(0)
+        idx, h, near, sep, twins = work.pop(0)
         node = trace.nodes[idx]
         if idx and is_leaf(h):
             node.graph = h
             continue
         if sep is None:
-            sep = separations(h)
+            sep = separations(h, twins)
         if idx == 0 and sep.parts > 1:
             raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near) or find_reduction(h, weak_kinds, sep)
@@ -1205,31 +1245,40 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         if isinstance(r, StrongReduction):
             apply_strong_reduction(h, r, sep)
             node.children = [trace.add_node(None, idx)]
-            if near is not None:
-                near = near | _changed(h, r)
-            sep = None if is_leaf(h) else carry_separations(sep, r, [h])[0]
-            work.append((node.children[0], h, near, sep))
+            twins = None
+            if has_op10:
+                changed = _changed(h, r)
+                if near is not None:  # op10 fired or was not searched
+                    near = near | changed
+                twins = carry_twins(sep.twins, r, [h], [changed])[0]
+            sep = None if is_leaf(h) else carry_separations(sep, r, [h], [twins])[0]
+            work.append((node.children[0], h, near, sep, twins))
             continue
         parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
+        if has_op10:
+            nears = [_changed(p, r) for p in parts]
+            twins = carry_twins(sep.twins, r, parts, nears)
+        else:
+            nears = twins = [None] * len(parts)
         if all(map(is_leaf, parts)):
             seps = [None] * len(parts)
         else:
-            seps = carry_separations(sep, r, parts)
-        for c, p, s in zip(node.children, parts, seps):
-            work.append((c, p, _changed(p, r) if has_op10 else None, s))
+            seps = carry_separations(sep, r, parts, twins)
+        work.extend(zip(node.children, parts, nears, seps, twins))
     return trace
 
 
 def carry_separations(
-    sep: Separations, r: StrongReduction | WeakReduction, parts: list[Graph]
+    sep: Separations, r: StrongReduction | WeakReduction, parts: list[Graph], twins: list[TwinGroups]
 ) -> list[Separations | None]:
     """The separations of each part r made, edited from sep, its node's; None
     for each part of a step whose children make their own lowpoint pass.
 
     op1, op3, op4 and op11 change bridges and piece counts only where they
     delete or add; sep's bridge set and piece dict are edited in place, the
-    first part taking them, and every part gets its own twin grouping.
+    first part taking them, and each part takes its twin grouping from
+    twins, or its own, ungrouped, where twins has None.
     - op1 deletes the pendant u2: its entry and the bridge u2-v go, and
       its support v loses the piece u2 was.
     - op3 deletes the bridge and splits the rest by side, each side in its
@@ -1258,8 +1307,8 @@ def carry_separations(
         bridges2 = {e for e in bridges if e[0] in pieces2}
         bridges -= bridges2
         return [
-            Separations(bridges, pieces, sep.parts, TwinGroups(parts[0])),
-            Separations(bridges2, pieces2, sep.parts, TwinGroups(parts[1])),
+            Separations(bridges, pieces, sep.parts, twins[0] or TwinGroups(parts[0])),
+            Separations(bridges2, pieces2, sep.parts, twins[1] or TwinGroups(parts[1])),
         ]
     elif r.kind == "op4":
         s = r.peel
@@ -1283,7 +1332,31 @@ def carry_separations(
             bridges.add(norm_edge(u1, o1))
     else:
         return [None] * len(parts)
-    return [Separations(bridges, pieces, sep.parts, TwinGroups(parts[0]))]
+    return [Separations(bridges, pieces, sep.parts, twins[0] or TwinGroups(parts[0]))]
+
+
+def carry_twins(
+    twins: TwinGroups, r: StrongReduction | WeakReduction, parts: list[Graph], changed: list[set[int]]
+) -> list[TwinGroups]:
+    """The twin grouping of each part r made, edited from twins, its node's.
+
+    changed holds, per part, _changed(part, r).  A part's rows differ from
+    the node's only there and at the vertices r deletes, so the grouping is
+    edited at those alone (TwinGroups.regroup), the deleted ones handed
+    over unlisted, as they are read only when some vertex is grouped.  op3's bridge lies on no
+    4-cycle, so no twin group spans its sides: the second side's groups
+    move to the second part whole.
+    """
+    if r.kind == "op3":
+        side2 = twins.split(parts[1])
+        return [twins.regroup(parts[0], changed[0]), side2.regroup(parts[1], changed[1])]
+    if isinstance(r, StrongReduction):
+        gone = r.removed_vertices
+    elif r.kind == "op4":
+        gone = chain(r.peel.component, (r.peel.cut_vertex,), r.path)  # the last cut vertex is changed
+    else:
+        gone = (u2 for _, u2, _, _ in r.contractions)
+    return [twins.regroup(parts[0], changed[0], gone)]
 
 
 def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
@@ -1291,7 +1364,10 @@ def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
 
     They include every vertex of h whose adjacency row r changed or whose
     id r made, so no row is compared.  op1's removed vertex is a pendant,
-    and its removed edge names its support.
+    and its removed edge names its support.  An op11 run changes no alive
+    row but u1's and its neighbours' in h: each contraction deletes u2 and
+    joins u2's outside neighbour o2 to u1, and an o2 that a later
+    contraction merges is dead in h.
     """
     if isinstance(r, StrongReduction):
         touched = {x for e in r.removed_edges for x in e}
@@ -1301,5 +1377,6 @@ def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
         # every cut vertex but the last, and every pendant but the last, is dead in h
         touched = {r.path[-1] if r.path else r.peel.cut_vertex, r.peel.pendant + len(r.path)}
     else:
-        touched = {x for record in r.contractions for x in record}
+        u1 = r.contractions[0][0]
+        return {u1, *h.adj[u1]}
     return {x for x in touched if h.is_alive(x)}

@@ -159,13 +159,15 @@ def _open_cycles_and_join(work: Cover, g: Graph) -> TreeResult:
     """Open the cover's cycles one by one along host edges, then join the rest.
 
     The cover searches its components again after each opened cycle.  A
-    cover that is one spanning cycle loses its smallest edge.
+    cover that is one spanning cycle loses its smallest edge, which leaves
+    a Hamiltonian path, the tree, with no search.
     """
     while cycles := [c for c in work.components() if c.kind == "cycle"]:
-        at = work.index()
         if len(work.components()) == 1:  # one spanning cycle, which no edge leaves
             work.remove_edge(*cycles[0].edges[0])
-        elif edge := _cycle_exit(g, cycles, at):
+            return tree_result(g, work.edge_list())
+        at = work.index()
+        if edge := _cycle_exit(g, cycles, at):
             _link(work, at, *edge)
         else:
             raise InternalInvariant("cycle with no way out in a connected graph")

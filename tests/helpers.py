@@ -45,7 +45,16 @@ import mist.cover
 import mist.reduce
 from mist import Graph, norm_edge
 from mist.graph import component_of, connected_components, separations, twin_groups
-from mist.cover import Cover, PiPair, _augment, _two_matching, is_special, validate_tfpcc
+from mist.cover import (
+    Cover,
+    PiPair,
+    _augment,
+    _common_base,
+    _mark_blossom,
+    _two_matching,
+    is_special,
+    validate_tfpcc,
+)
 from mist.errors import (
     DisconnectedInput,
     InternalInvariant,
@@ -539,6 +548,48 @@ def search_always_two_matching(adj: list[list[int]], cap: list[int], banned) -> 
         for j, w in enumerate(adj[v])
         if v < w and match[half[v] + j] < ncopies
     ]
+
+
+def tree_scan_augment(root: int, match: list[int], parent: list[int], base: list[int], nbrs) -> None:
+    """mist.cover._augment as it was before each base kept its members: after
+    each contraction it scans the whole search tree for the vertices whose
+    base the blossom absorbed, and queues those that turn even in tree order."""
+    tree = [root]
+    even = {root}
+    queue = [root]
+    try:
+        for v in queue:
+            for to in nbrs(v):
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or match[to] >= 0 and parent[match[to]] >= 0:
+                    b = _common_base(v, to, match, parent, base)
+                    bases: set[int] = set()
+                    _mark_blossom(v, b, to, match, parent, base, bases)
+                    _mark_blossom(to, b, v, match, parent, base, bases)
+                    for x in tree:
+                        if base[x] in bases:
+                            base[x] = b
+                            if x not in even:
+                                even.add(x)
+                                queue.append(x)
+                elif parent[to] < 0:
+                    parent[to] = v
+                    tree.append(to)
+                    if match[to] < 0:
+                        while to >= 0:
+                            v = parent[to]
+                            after = match[v]
+                            match[to], match[v] = v, to
+                            to = after
+                        return
+                    even.add(match[to])
+                    queue.append(match[to])
+                    tree.append(match[to])
+    finally:
+        for x in tree:
+            parent[x] = -1
+            base[x] = x
 
 
 def edge_list_max_tfpcc(g: Graph, forced_leaves=()) -> list[tuple[int, int]]:

@@ -33,7 +33,7 @@ from mist.exact import (
     spanning_fault,
     tree_result,
 )
-from mist.generate import gen_cycle, gen_gnp, gen_path
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_twins
 from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
@@ -55,6 +55,7 @@ from helpers import (
     reference_max_tfpcc,
     reference_opt_spanning_tree,
     search_always_two_matching,
+    tree_scan_augment,
     tree_vertices,
 )
 
@@ -400,6 +401,72 @@ def test_the_blossom_search_contracts_both_sides_of_a_blossom():
     assert match.count(-1) == 0  # a perfect matching, of 5 edges
     assert all(match[v] in adj[v] and match[match[v]] == v for v in range(10))
     assert parent == [-1] * 10 and base == list(range(10))
+
+
+def _dense_graphs(rng):
+    """Seeded G(n, p) graphs dense enough for blossoms, n 15-40."""
+    return [gen_gnp(rng.randint(15, 40), rng.choice((0.3, 0.5, 0.7)), seed) for seed in range(120)]
+
+
+def test_blossom_members_give_the_matchings_of_the_whole_tree_scan(monkeypatch):
+    # each base keeps its tree vertices, so a contraction moves only those
+    # of the bases it absorbs and queues the ones that turn even in the
+    # order they joined the tree; every 2-matching is the one the search
+    # that scans the whole tree after each contraction finds, with and
+    # without forced-leaf caps and bans
+    rng = random.Random(53)
+    contractions = [0]
+    common_base = mist.cover._common_base
+    monkeypatch.setattr(
+        mist.cover, "_common_base", lambda *a: contractions.__setitem__(0, contractions[0] + 1) or common_base(*a)
+    )
+    runs = 0
+    for g in _bounded_graphs() + _dense_graphs(rng):
+        edges = g.edge_list()
+        for cap in (_caps(g, ()), _caps(g, _forced(g, rng))):
+            for banned in (frozenset(), frozenset(rng.sample(edges, min(len(edges), 3)))):
+                got = _two_matching(g.adj, cap, banned)
+                with monkeypatch.context() as m:
+                    m.setattr(mist.cover, "_augment", tree_scan_augment)
+                    assert got == _two_matching(g.adj, cap, banned), (g, cap, banned)
+                runs += 1
+    assert runs > 1000 and contractions[0] > 20000, (runs, contractions)
+
+
+def test_a_blossom_search_moves_about_one_member_per_tree_vertex(monkeypatch):
+    # a vertex moves each time a blossom with a new base absorbs its own,
+    # where the whole-tree scan visited every tree vertex at each
+    # contraction: on dense graphs, with forced-leaf caps, and on a cover
+    # solve of gen_twins, no search moves more members than the gadget has
+    # vertices plus the blossoms it contracts, though searches that fail
+    # contract a hundred or more
+    real = mist.cover._augment
+    common_base = mist.cover._common_base
+    searches = []
+
+    class Moves(list):
+        moved = contracted = 0
+
+        def __setitem__(self, i, x):
+            self.moved += x != i  # the reset when the search ends writes i
+            super().__setitem__(i, x)
+
+    def counting(root, match, parent, base, nbrs):
+        counted = Moves(base)
+        with monkeypatch.context() as m:
+            m.setattr(mist.cover, "_common_base", lambda *a: setattr(counted, "contracted", counted.contracted + 1) or common_base(*a))
+            real(root, match, parent, counted, nbrs)
+        base[:] = counted
+        searches.append((counted.moved, counted.contracted, len(match)))
+
+    monkeypatch.setattr(mist.cover, "_augment", counting)
+    rng = random.Random(59)
+    for g in _dense_graphs(rng):
+        _two_matching(g.adj, _caps(g, _forced(g, rng)), frozenset())
+    max_tfpcc(gen_twins(60, 1))
+    assert all(moved <= size + contracted for moved, contracted, size in searches), searches
+    assert max(contracted for _, contracted, _ in searches) >= 100
+    assert sum(moved > 0 for moved, _, _ in searches) > 100
 
 
 def test_max_tfpcc_repairs_a_triangle_in_the_first_2_matching():

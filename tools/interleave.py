@@ -21,13 +21,14 @@ inside reduce_to_fixpoint, the lift time the time it spends inside
 ReductionTrace.lift_all, the leaf time the time it spends solving leaves
 in pipeline._solve_leaf, the exact time the time run and verify_run spend
 inside opt_spanning_tree, op4's searches within reduce included) and the
-number of lowpoint passes (mist.reduce.separations calls) and whole-cover
+number of lowpoint passes (mist.reduce.separations calls), twin groupings
+read from all rows (mist.graph.twin_groups calls) and whole-cover
 component searches (mist.cover.connected_components calls) that run and
 verify_run make in one rep, then each rep's change/parent ratio of total
 time and the number of reps the change won, so one run shows whether it
 won nine reps in ten.  A sum shows a saving that only some operations
-make, which their median can hide, and the counts show a saved pass or
-search exactly, beside the times.
+make, which their median can hide, and the counts show a saved pass,
+grouping or search exactly, beside the times.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -66,6 +67,7 @@ LAYERS = ("solve", "reduce", "lift", "leaf", "exact", "verify")  # the times run
 # the calls run_op counts, in its order: (module, function, what one call is)
 COUNTED = (
     ("reduce", "separations", "lowpoint passes"),
+    ("graph", "twin_groups", "twin groupings"),
     ("cover", "connected_components", "cover component searches"),
 )
 
