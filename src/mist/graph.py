@@ -11,7 +11,7 @@ it changes, so n_alive and edge_count take constant time.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalInvariant
@@ -235,110 +235,39 @@ def connected_components(g: Graph, blocked: frozenset[int] = frozenset()) -> lis
 
 
 class TwinGroups:
-    """twin_groups(g), kept as g is edited.
+    """twin_groups(g), grouped when first iterated.  Valid while g is unchanged."""
 
-    The groups are read from all of g's rows when first iterated, unless
-    regroup has bound them to g from the groups of the graph g was edited
-    from.  The groups of two or more are kept by neighbourhood, with the
-    neighbourhood of each member, and sorted when iterated after an edit.
-    """
+    __slots__ = ("_g", "_groups")
 
-    __slots__ = ("_g", "_groups", "_key", "_sorted")
-
-    def __init__(self, g: Graph, grouped: bool = False):
-        """g's grouping, read from its rows now if grouped, else when first iterated."""
+    def __init__(self, g: Graph):
         self._g = g
-        self._groups: dict[Edge, list[int]] | None = None
-        self._key: dict[int, Edge] | None = None  # each grouped vertex's neighbourhood
-        self._sorted: list[tuple[Edge, list[int]]] | None = None
-        if grouped:
-            self._group()
-
-    def _group(self) -> None:
-        self._sorted = twin_groups(self._g)
-        self._groups = dict(self._sorted)
-        self._key = {x: key for key, group in self._sorted for x in group}
+        self._groups: list[tuple[Edge, list[int]]] | None = None
 
     def __iter__(self):
-        if self._sorted is None:
-            if self._groups is None:
-                self._group()
-            else:
-                self._sorted = sorted(self._groups.items())
-        return iter(self._sorted)
-
-    def regroup(self, g: Graph, changed, gone=()) -> TwinGroups:
-        """Bind the grouping to g, edited from its graph's rows at changed and gone.
-
-        changed must hold every alive vertex whose row differs in g, and
-        gone every vertex deleted; gone is read only when some vertex is
-        grouped.  Each leaves its group, and each of degree 2 in g joins its
-        twins, found in the row of its first neighbour.  An ungrouped
-        grouping stays so: g's is read when first iterated.  Returns self.
-        """
-        self._g = g
-        groups = self._groups
-        if groups is None:
-            return self
-        key_of, adj = self._key, g.adj
-        if key_of:  # else no group holds a vertex that could leave it
-            for x in chain(changed, gone):
-                key = key_of.pop(x, None)
-                if key is not None:
-                    group = groups[key]
-                    group.remove(x)
-                    if len(group) == 1:
-                        del groups[key], key_of[group[0]]
-        for x in changed:
-            row = adj[x]
-            if len(row) == 2 and x not in key_of:
-                a, b = row
-                group = [y for y in adj[a] if len(adj[y]) == 2 and adj[y][1] == b]
-                if len(group) > 1:  # a's row ascends, so the group does
-                    key = (a, b)
-                    groups[key] = group
-                    key_of.update(dict.fromkeys(group, key))
-        self._sorted = None
-        return self
-
-    def split(self, g: Graph) -> TwinGroups:
-        """Move the groups of g's alive vertices into a grouping bound to g.
-
-        Every group must lie wholly alive or wholly dead in g.
-        """
-        out = TwinGroups(g)
-        if self._groups is not None:
-            alive, key_of = g.alive, self._key
-            out._groups, out._key = {}, {}
-            for key, group in list(self._groups.items()):
-                if alive[group[0]]:
-                    out._groups[key] = self._groups.pop(key)
-                    out._key.update((x, key_of.pop(x)) for x in group)
-            self._sorted = None
-        return out
+        if self._groups is None:
+            self._groups = twin_groups(self._g)
+        return iter(self._groups)
 
 
 class Separations(NamedTuple):
     """What separations(g) finds.  pieces' keys ascend, which the finders
     read in order; reduce.carry_separations edits the bridge set and the
-    piece dict in place for a step's child, and reduce.carry_twins the
-    twin grouping."""
+    piece dict in place for a step's child and binds new twins to it."""
 
     bridges: set[Edge]
     pieces: dict[int, int]  # pieces[v]: number of components of g - v
     parts: int  # number of components of g
-    twins: TwinGroups  # twin_groups(g), kept as g is edited
+    twins: TwinGroups  # twin_groups(g), grouped when first iterated
 
 
-def separations(g: Graph, twins: TwinGroups | None = None) -> Separations:
+def separations(g: Graph) -> Separations:
     """Bridges and, for every vertex v, the component count of g - v.
 
     One iterative Hopcroft-Tarjan lowpoint traversal.  Removing v cuts off
     each DFS child c with low[c] >= disc[v], whose subtree is then a
     component of its own; the rest of v's component is one more piece
-    unless v is the root of its DFS tree.  The twin groups come along: g's
-    own, ungrouped, when twins is None, so the finders that read them share
-    one grouping per graph.
+    unless v is the root of its DFS tree.  The twin groups come along
+    unbuilt, so the finders that read them share one grouping per graph.
     """
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
@@ -378,7 +307,7 @@ def separations(g: Graph, twins: TwinGroups | None = None) -> Separations:
                     if low[u] > disc[parent]:
                         bridges.add(norm_edge(parent, u))
     pieces = {v: parts + cuts[v] for v in g.alive_list()}
-    return Separations(bridges, pieces, parts, TwinGroups(g) if twins is None else twins)
+    return Separations(bridges, pieces, parts, TwinGroups(g))
 
 
 def find_bridges(g: Graph) -> set[Edge]:

@@ -15,21 +15,18 @@ its second side; the trace keeps the graphs of its root, copied from the
 input, and its leaves only.  The bridges and piece counts the finders
 read come from one lowpoint pass per searched node, except below op1,
 op3, op4 and op11, which change them only where they delete or add: those
-steps edit their node's and hand them on too.  In refined mode the twin
-groups are read from all rows at the root alone: every step edits its
-node's grouping at the rows it changed and hands it on, to a fresh pass
-too.  Lifting undoes each step once, rebuilding the graph and the tree
-of its node together from its children's.  An undone step checks only
-what it edits: the tree edges it adds must be edges of the rebuilt
-graph, the ones it removes must be in the tree, the tree keeps n - 1
-edges and its weight meets the step's floor.  One tree_result call at
-the root checks the whole lifted tree, after one per leaf.
+steps edit their node's and hand them on too.  Lifting undoes each step
+once, rebuilding the graph and the tree of its node together from its
+children's.  An undone step checks only what it edits: the tree edges it
+adds must be edges of the rebuilt graph, the ones it removes must be in
+the tree, the tree keeps n - 1 edges and its weight meets the step's
+floor.  One tree_result call at the root checks the whole lifted tree,
+after one per leaf.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import ArityMismatch, BadParams, DisconnectedInput, InternalInvariant, StaleWitness
@@ -109,10 +106,9 @@ class WeakReduction(NamedTuple):
 # Each finder reads only its candidates: op1 the rows of the vertices
 # whose removal leaves three or more pieces, op2 the rows of the cut
 # vertices, op8, op9 and op10 the twin grouping the node's separations
-# carry (shared; in refined mode grouped from all rows at the root, then
-# edited by each step for its child, see carry_twins), op4 the pieces of
-# the cut vertices that can hang a small one, op3 the bridges, and op10
-# the vertices of degree 3 or more and the degree-2 runs next to them.
+# build on first use (one per node, shared), op4 the pieces of the cut
+# vertices that can hang a small one, op3 the bridges, and op10 the
+# vertices of degree 3 or more and the degree-2 runs next to them.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
 # and reduce_to_fixpoint): the other finders' candidates cost less than the
@@ -1208,10 +1204,7 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     _changed since the nearest ancestor where op10 found nothing, or None
     while there is none.  A strong step adds what it changed (op10, the
     last strong rule, fired or was not searched); each part of a weak step
-    starts from what the step changed in it.  The root's twins are grouped
-    from all its rows, and every step edits its node's grouping for each
-    part (carry_twins), whose separations, carried or fresh, take it.
-    Simple mode reads no twins: each node has its own, never grouped.
+    starts from what the step changed in it.
     """
     if mode not in RULESETS:
         raise BadParams(f"unknown mode {mode!r}")
@@ -1223,16 +1216,15 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         return h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds)
 
     root = g.copy()
-    twins = TwinGroups(root, grouped=has_op10)
-    work = [(trace.add_node(root, None), root, None, None, twins)]
+    work = [(trace.add_node(root, None), root, None, None)]
     while work:
-        idx, h, near, sep, twins = work.pop(0)
+        idx, h, near, sep = work.pop(0)
         node = trace.nodes[idx]
         if idx and is_leaf(h):
             node.graph = h
             continue
         if sep is None:
-            sep = separations(h, twins)
+            sep = separations(h)
         if idx == 0 and sep.parts > 1:
             raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near) or find_reduction(h, weak_kinds, sep)
@@ -1245,40 +1237,31 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
         if isinstance(r, StrongReduction):
             apply_strong_reduction(h, r, sep)
             node.children = [trace.add_node(None, idx)]
-            twins = None
-            if has_op10:
-                changed = _changed(h, r)
-                if near is not None:  # op10 fired or was not searched
-                    near = near | changed
-                twins = carry_twins(sep.twins, r, [h], [changed])[0]
-            sep = None if is_leaf(h) else carry_separations(sep, r, [h], [twins])[0]
-            work.append((node.children[0], h, near, sep, twins))
+            if near is not None:
+                near = near | _changed(h, r)
+            sep = None if is_leaf(h) else carry_separations(sep, r, [h])[0]
+            work.append((node.children[0], h, near, sep))
             continue
         parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
-        if has_op10:
-            nears = [_changed(p, r) for p in parts]
-            twins = carry_twins(sep.twins, r, parts, nears)
-        else:
-            nears = twins = [None] * len(parts)
         if all(map(is_leaf, parts)):
             seps = [None] * len(parts)
         else:
-            seps = carry_separations(sep, r, parts, twins)
-        work.extend(zip(node.children, parts, nears, seps, twins))
+            seps = carry_separations(sep, r, parts)
+        for c, p, s in zip(node.children, parts, seps):
+            work.append((c, p, _changed(p, r) if has_op10 else None, s))
     return trace
 
 
 def carry_separations(
-    sep: Separations, r: StrongReduction | WeakReduction, parts: list[Graph], twins: list[TwinGroups]
+    sep: Separations, r: StrongReduction | WeakReduction, parts: list[Graph]
 ) -> list[Separations | None]:
     """The separations of each part r made, edited from sep, its node's; None
     for each part of a step whose children make their own lowpoint pass.
 
     op1, op3, op4 and op11 change bridges and piece counts only where they
     delete or add; sep's bridge set and piece dict are edited in place, the
-    first part taking them, and each part takes its twin grouping from
-    twins, or its own, ungrouped, where twins has None.
+    first part taking them, and every part gets its own twin grouping.
     - op1 deletes the pendant u2: its entry and the bridge u2-v go, and
       its support v loses the piece u2 was.
     - op3 deletes the bridge and splits the rest by side, each side in its
@@ -1307,8 +1290,8 @@ def carry_separations(
         bridges2 = {e for e in bridges if e[0] in pieces2}
         bridges -= bridges2
         return [
-            Separations(bridges, pieces, sep.parts, twins[0] or TwinGroups(parts[0])),
-            Separations(bridges2, pieces2, sep.parts, twins[1] or TwinGroups(parts[1])),
+            Separations(bridges, pieces, sep.parts, TwinGroups(parts[0])),
+            Separations(bridges2, pieces2, sep.parts, TwinGroups(parts[1])),
         ]
     elif r.kind == "op4":
         s = r.peel
@@ -1332,31 +1315,7 @@ def carry_separations(
             bridges.add(norm_edge(u1, o1))
     else:
         return [None] * len(parts)
-    return [Separations(bridges, pieces, sep.parts, twins[0] or TwinGroups(parts[0]))]
-
-
-def carry_twins(
-    twins: TwinGroups, r: StrongReduction | WeakReduction, parts: list[Graph], changed: list[set[int]]
-) -> list[TwinGroups]:
-    """The twin grouping of each part r made, edited from twins, its node's.
-
-    changed holds, per part, _changed(part, r).  A part's rows differ from
-    the node's only there and at the vertices r deletes, so the grouping is
-    edited at those alone (TwinGroups.regroup), the deleted ones handed
-    over unlisted, as they are read only when some vertex is grouped.  op3's bridge lies on no
-    4-cycle, so no twin group spans its sides: the second side's groups
-    move to the second part whole.
-    """
-    if r.kind == "op3":
-        side2 = twins.split(parts[1])
-        return [twins.regroup(parts[0], changed[0]), side2.regroup(parts[1], changed[1])]
-    if isinstance(r, StrongReduction):
-        gone = r.removed_vertices
-    elif r.kind == "op4":
-        gone = chain(r.peel.component, (r.peel.cut_vertex,), r.path)  # the last cut vertex is changed
-    else:
-        gone = (u2 for _, u2, _, _ in r.contractions)
-    return [twins.regroup(parts[0], changed[0], gone)]
+    return [Separations(bridges, pieces, sep.parts, TwinGroups(parts[0]))]
 
 
 def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:

@@ -433,7 +433,7 @@ def test_blossom_members_give_the_matchings_of_the_whole_tree_scan(monkeypatch):
     assert runs > 1000 and contractions[0] > 20000, (runs, contractions)
 
 
-def test_a_blossom_search_moves_about_one_member_per_tree_vertex(monkeypatch):
+def test_a_blossom_search_moves_at_most_the_gadget_size_plus_its_contractions(monkeypatch):
     # a vertex moves each time a blossom with a new base absorbs its own,
     # where the whole-tree scan visited every tree vertex at each
     # contraction: on dense graphs, with forced-leaf caps, and on a cover

@@ -33,7 +33,7 @@ from mist.reduce import (
     find_op11,
     find_reduction,
 )
-from mist.graph import separations, twin_groups
+from mist.graph import separations
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
@@ -356,9 +356,9 @@ def test_candidate_finders_match_the_whole_graph_scans_at_every_node(monkeypatch
 
 
 def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
-    # op8, op9 and op10 share the grouping their node's separations carry;
-    # the root's is grouped from all its rows, and every step edits its
-    # node's for the child (carry_twins), so no other node's is
+    # op8 and op9 share the grouping their node's lowpoint pass carries;
+    # no node's graph is grouped twice, and every grouping is of a searched
+    # node
     grouped = []
     real = mist.graph.twin_groups
     for module in (mist.graph, mist.reduce):
@@ -370,10 +370,12 @@ def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
     for g in roots:
         grouped.clear()
         trace = _assert_one_pass_per_node(monkeypatch, g, "refined")
-        assert [state for _, state in grouped] == [_state(trace.nodes[0].graph)], g
+        states = [_state(h) for h in replay(trace)]
+        assert len(set(grouped)) == len(grouped), g
+        assert all(state in states for _, state in grouped), g
         fired.update(n.applied.kind for n in trace.nodes if n.applied is not None)
         groupings += len(grouped)
-    assert fired["op8"] > 0 and fired["op9"] > 0 and groupings == len(roots)
+    assert fired["op8"] > 0 and fired["op9"] > 0 and groupings > 100
 
 
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
@@ -706,19 +708,6 @@ def looped_clique(k: int, loop: int) -> Graph:
     return build_graph(k * (1 + loop), edges)
 
 
-def twin_blobs(k: int) -> Graph:
-    """Two copies, joined by a bridge between their hubs, of a hub with k
-    blobs: each blob is a twin pair between x and y, each joined to the hub
-    by a path of two vertices."""
-    edges = []
-    for hub in (0, 1 + 8 * k):
-        for b in range(hub + 1, hub + 1 + 8 * k, 8):
-            a1, a2, x, t1, t2, y, b2, b1 = range(b, b + 8)
-            edges += [(hub, a1), (a1, a2), (a2, x), (x, t1), (x, t2), (t1, y), (t2, y)]
-            edges += [(y, b2), (b2, b1), (b1, hub)]
-    return build_graph(2 + 16 * k, edges + [(0, 1 + 8 * k)])
-
-
 def _carry_roots():
     """Connected roots whose reduces take every step kind, op11 runs that
     close triangles and op3 splits included."""
@@ -728,7 +717,6 @@ def _carry_roots():
     roots += [triangle_chain(k, gap) for k in (2, 4, 7) for gap in (1, 2, 5)]
     roots += [looped_clique(k, loop) for k in (3, 4, 5) for loop in (9, 10, 13)]
     roots += [gen_sparse(60, 15, seed) for seed in range(4)] + [gen_sparse(500, 250, 1)]
-    roots += [twin_blobs(k) for k in (2, 3)]
     return [g for g in roots if g.is_connected()]
 
 
@@ -741,9 +729,9 @@ def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
     closed = 0  # op11 runs that close a triangle
     real = mist.reduce.carry_separations
 
-    def checking(sep, r, parts, twins):
+    def checking(sep, r, parts):
         nonlocal closed
-        out = real(sep, r, parts, twins)
+        out = real(sep, r, parts)
         if r.kind not in CARRIED:
             assert out == [None] * len(parts)
             return out
@@ -767,57 +755,7 @@ def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
     assert all(carried[kind] >= minimum[kind] for kind in CARRIED), carried
 
 
-def test_carried_twin_groups_equal_a_fresh_grouping_at_every_child(monkeypatch):
-    # every refined step edits its node's twin grouping for each part it
-    # makes (carry_twins); the edited grouping equals twin_groups of the
-    # part, keys, groups and member order, at children of every step kind.
-    # Some edit groups a vertex the step touched with one it did not, and
-    # some op3 split moves groups to its second side
-    edited = Counter()
-    mixed = []  # (the touched members, the group) of each group that mixes
-    split = 0
-    real = mist.reduce.carry_twins
-
-    def checking(twins, r, parts, changed):
-        nonlocal split
-        grouped = [group for _, group in twins]  # the node's, before the step
-        out = real(twins, r, parts, changed)
-        for h, got, touched in zip(parts, out, changed):
-            want = twin_groups(h)
-            assert list(got) == want, (r, h)
-            mixed.extend((sorted(set(group) & touched), group) for _, group in want if set(group) & touched and set(group) - touched)
-            edited[r.kind] += 1
-        split += r.kind == "op3" and any(group in grouped for _, group in out[1])
-        return out
-
-    monkeypatch.setattr(mist.reduce, "carry_twins", checking)
-    for g in _carry_roots():
-        reduce_to_fixpoint(g, "refined")
-    assert len(mixed) > 20 and split > 0, (len(mixed), split)
-    # a theta whose arms contract one at a time: the run that reaches the
-    # hubs last turns 25 into a twin of 2 and 14, which it does not touch
-    mixed.clear()
-    reduce_to_fixpoint(gen_theta(36), "refined")
-    assert ([25], [2, 14, 25]) in mixed
-    # 60 op1, 107 op2, 18 op8, 16 op9, 40 op10, 74 op3, 237 op4 and 141
-    # op11 children when written
-    minimum = {"op1": 40, "op2": 80, "op8": 10, "op9": 10, "op10": 30, "op3": 60, "op4": 180, "op11": 100}
-    assert all(edited[kind] >= minimum[kind] for kind in minimum), edited
-
-
-def test_a_refined_chains_corpus_groups_the_twins_from_all_rows_once_per_root(monkeypatch):
-    # cycles, thetas and paths of 24 to 48 vertices, run and verified in
-    # refined mode: only each root's grouping reads all rows
-    grouped = []
-    real = mist.graph.twin_groups
-    monkeypatch.setattr(mist.graph, "twin_groups", lambda h: grouped.append(h) or real(h))
-    roots = [family(n) for family in (gen_cycle, gen_theta, gen_path) for n in range(24, 49)]
-    for g in roots:
-        verify_run(g, run(g, "refined", keep_state=True))
-    assert [h.edge_list() for h in grouped] == [g.edge_list() for g in roots]
-
-
-def test_op4_and_op11_steps_keep_the_counts_of_their_child(monkeypatch):
+def test_op4_and_op11_steps_keep_the_counts_of_their_child():
     # applying an op4 or op11 step hands Graph.write_rows the vertices and
     # edges it counted as it swept: at every child they are the recount
     steps = Counter()
