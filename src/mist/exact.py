@@ -87,12 +87,13 @@ def internal_bound(g: Graph) -> int:
     """n - max(2, F), an upper bound on the internal vertices of any
     spanning tree of g, where F counts the vertices of degree <= 1: each
     is a leaf of every spanning tree, and a tree on n >= 3 vertices has at
-    least two leaves.  0 when n <= 2.
+    least two leaves.  0 when n <= 2.  F is counted from the rows, a dead
+    vertex's row being empty.
     """
     n = g.n_alive()
     if n <= 2:
         return 0
-    return n - max(2, sum(1 for v in g.alive_list() if g.degree(v) <= 1))
+    return n - max(2, sum(len(row) < 2 for row in g.adj) - (g.vertex_count - n))
 
 
 def cut_bound(g: Graph) -> int:

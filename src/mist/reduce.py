@@ -570,9 +570,12 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     Pendant ids are the ones single steps would assign.  Such a path peel
     is recorded by w alone, appended to the step's path: K' + {w} is the
     path p-v-w, a tree, so with the new pendant at w its only spanning tree
-    has v and w internal, and the peel adds 1 to c.
+    has v and w internal, and the peel adds 1 to c.  The run is walked in
+    g: past the first peel, v is the only neighbour of w the run removed,
+    so w's neighbours left are {p, w'} when its row is [v, w'], and only a
+    w past v + 1 can have another vertex left below it.
     """
-    adj, n = g.adj, g.n_alive()
+    adj, up, n = g.adj, g.alive, g.n_alive()
     for v, k in (sep or separations(g)).pieces.items():  # the keys ascend
         if k >= 2 and (n - k <= 8 or sum(len(adj[u]) == 1 for u in adj[v]) != k - 1):
             k_comp = _small_piece(adj, v)
@@ -581,23 +584,19 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     else:
         return None
     kv = {v, *k_comp}
-    block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
+    block = tuple((x, y) for x in sorted(kv) for y in adj[x] if y > x and y in kv)
     peel = _peel(v, tuple(k_comp), g.vertex_count, block)
-    path = []
-    gone = set(k_comp)  # vertices of g the run has removed
-    left = g.n_alive() - len(k_comp) + 1
-    low = 0  # every vertex of g below low is gone but v
-    while left > 10:
-        rest = [x for x in g.adj[v] if x not in gone]
-        if len(rest) != 1:
-            break
+    path, gone = [], set(k_comp)
+    low, left = 0, n - len(k_comp) + 1  # every vertex below low is gone but v
+    rest = [x for x in adj[v] if x not in gone] if left > 10 else ()  # but the pendant
+    while left > 10 and len(rest) == 1:
         w = rest[0]
-        if w < v or any(g.alive[x] and x not in gone for x in range(low, w) if x != v):
+        if w < v or w > low and any(up[x] and x not in gone for x in range(low, w) if x != v):
             break
-        gone.add(v)
-        low = w
         path.append(w)
-        v, left = w, left - 1
+        row = adj[w]
+        rest = (row[1] if row[0] == v else row[0],) if len(row) == 2 else ()
+        v, low, left = w, w + 1, left - 1
     return WeakReduction("op4", peel.inner_opt - 1 + len(path), 1, peel=peel, path=tuple(path))
 
 
@@ -727,52 +726,48 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             or component_of(g, start, frozenset((v,))) != list(k_comp)
         ):
             raise StaleWitness(f"hanging block at {v} changed")
-        p = len(rows)
+        n = p = len(rows)
         if s.pendant != p:
             raise StaleWitness(f"pendant id at {v} mismatch")
-        # K goes; v is its only neighbour outside it, and gains the
-        # pendant, whose id is the largest
+        # K goes; v is its only neighbour outside it
         ends = 0  # the ends K's edges have in K
         for x in k_comp:
             ends += len(rows[x])
             rows[x] = []
             up[x] = False
-        kept = [y for y in rows[v] if y not in k_comp]
-        left = order - len(k_comp) + 1  # the vertices and edges the sweep leaves
-        edges = size - (ends + len(rows[v]) - len(kept)) // 2 + 1
-        rows[v] = kept + [p]
-        rows.append([v])
-        up.append(True)
+        kept = [y for y in rows[v] if y not in k_comp]  # v's row but its pendant
+        edges = size - (ends + len(rows[v]) - len(kept)) // 2 + 1  # the edges left
         for w in r.path:
-            # v's row ends with its pendant p, whose row is [v], so {v, p}
-            # is a component of the graph minus w exactly when w is neither
-            # and v has no neighbour besides w and p
-            if not (0 <= w < len(up) and up[w]):
+            # {v, p} is a component of the graph minus w exactly when w is
+            # neither and v has no neighbour besides w and its pendant p;
+            # the pendants before p are dead, the ids past it unmade
+            if not (0 <= w < n and up[w] or w == p):
                 raise StaleWitness(f"cut vertex {w} gone")
-            rest = rows[v][:-1]
-            if w == v or w == p or rest and rest != [w]:
+            if w == v or w == p or kept and kept != [w]:
                 raise StaleWitness(f"hanging block at {w} changed")
-            left -= 1
-            edges -= len(rows[v]) - 1
-            rows[v], rows[p] = [], []
-            up[v] = up[p] = False
-            p += 1
-            rows[w] = [y for y in rows[w] if y != v] + [p]
-            rows.append([w])
-            up.append(True)
-            v = w
-        g.write_rows(rows, up, (left, edges))
+            edges -= len(kept)
+            rows[v] = []
+            up[v] = False
+            kept = rows[w][:]
+            if v in kept:
+                kept.remove(v)
+            v, p = w, p + 1
+        rows[v] = kept + [p]  # the last pendant's id is the largest
+        rows += [[] for _ in r.path] + [[v]]  # every pendant but the last is dead
+        up += [False] * len(r.path) + [True]
+        g.write_rows(rows, up, (order - len(k_comp) + 1 - len(r.path), edges))
         out = [g]
     elif r.kind == "op11":
         _check(r.c == len(r.contractions), "constant is not the contraction count")
+        u1 = r.contractions[0][0]
         _check(
-            all(c[0] == r.contractions[0][0] for c in r.contractions),
+            all(c[0] == u1 for c in r.contractions),
             "the contractions of a run merge into more than one vertex",
         )
         rows, up = g.adj, g.alive
-        edges = size  # the edges the sweep leaves
-        for u1, u2, o1, o2 in r.contractions:
-            r1 = rows[u1]
+        r1 = rows[u1]
+        edges = size  # the edges left
+        for _, u2, o1, o2 in r.contractions:
             if u2 not in r1:
                 raise StaleWitness(f"contracted edge {u1}-{u2} gone")
             r2 = rows[u2]
@@ -780,14 +775,24 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
                 raise StaleWitness(f"degrees at {u1}-{u2} changed")
             if o1 not in r1 or o2 not in r2:
                 raise StaleWitness(f"outside neighbors of {u1}-{u2} changed")
-            # u2 goes with its edges, then u1 and o2 are joined unless o1 is o2
-            for y in r2:
-                rows[y].remove(u2)
+            # u2 goes with its edges, then u1 joins o2 unless o1 is o2: o2,
+            # u2's other neighbour, swaps u2 for u1 in its row in place
+            r1.remove(u2)
             rows[u2] = []
             up[u2] = False
-            if o1 != o2:
-                add_edge_in(rows, up, u1, o2)
+            ro = rows[o2]
+            if o1 == o2:
+                ro.remove(u2)
+            elif o2 == u1 or o2 in r1:
+                add_edge_in(rows, up, u1, o2)  # a join that fails: let it raise
+            else:
+                ro[ro.index(u2)] = u1
+                r1.append(o2)
             edges -= 1 + (o1 == o2)
+        # only u1's row and its neighbours', which took u1 for u2, can be out of order
+        r1.sort()
+        for x in r1:
+            rows[x].sort()
         g.write_rows(rows, up, (order - len(r.contractions), edges))
         out = [g]
     else:
@@ -804,19 +809,14 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
     return out
 
 
-# An op4 or op11 step edits the same few rows once per peel or
-# contraction.  Applying one sweeps the graph's own rows and alive mask,
-# checking each peel or contraction against them as the ones before it
-# left them, counts the vertices and edges each takes away or adds, and
-# hands Graph.write_rows those counts at the end.
-# Where a record stands for Graph edits, the sweep makes them with the
-# same checks and messages (graph.add_edge_in, remove_edge_in and
-# revive_in).  An op4 path peel has no record but its cut vertex: apply
-# checks its block {v, p} by v's row instead of a component_of search.
-#
-# Undoing a step edits the rows of the child graph it rebuilds, which the
-# lift owns, by the step's net edit only, and hands Graph.write_rows the
-# counts it kept (see _undo and _undo_peel).
+# An op4 or op11 step stands for Graph edits per peel or contraction that
+# the next one partly undoes, so applying and undoing it make only its net
+# edit, on the rows and alive mask of the graph at hand, and hand
+# Graph.write_rows the vertex and edge counts they kept (see _undo_peel
+# and _undo_run).  Applying checks each record in order against the rows
+# as the single edits would have left them, with their messages; an op4
+# path peel, recorded by its cut vertex w alone, by v's row kept aside, not
+# by a component_of search.
 
 
 # -- fixpoint driver ------------------------------------------------------
@@ -1080,10 +1080,11 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
     o1 is o2, so undone one at a time each would join u1 to u2, only for
     the contraction before it to take that edge out again when it puts its
     own u2 there.  Every contraction merges into the run's one u1, so the
-    sweep keeps only u1's row and tree neighbours, checking each
+    sweep keeps only u1's row and tree neighbours aside, checking each
     contraction against them with the messages of the Graph edits it
     stands for (remove u1-o2 unless o1 is o2, revive u2, add u1-u2 and
-    u2-o2), and writes each row it touched once, at the end.
+    u2-o2).  Each u2 gets its row at once, and o2's row takes u2 in place;
+    u1's row and each o2's are sorted once, at the end.
     """
     h, edges, deg = t.graph, t.edges, t.deg
     rows, up = h.adj, h.alive
@@ -1095,7 +1096,7 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
     t1 = [x for x in r1 if ((u1, x) if u1 < x else (x, u1)) in edges]  # its tree neighbours
     for x in t1:
         edges.remove((u1, x) if u1 < x else (x, u1))
-    work: dict[int, list[int]] = {}  # the other rows the run touched, unsorted
+    work = []  # each o2, whose row takes u2 in place
     weight, size = t.weight, h.edge_count() + 2 * len(run)
     for _, u2, o1, o2 in reversed(run):
         if o1 != o2:
@@ -1108,14 +1109,13 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
             add_edge_in(rows, up, u1, u2)  # a join that fails: let the Graph edits
             add_edge_in(rows, up, u2, o2)  # raise, on rows the failed lift drops
         r1.append(u2)
-        work[u2] = [u1, o2]
-        ro = work.get(o2)
-        if ro is None:
-            ro = work[o2] = rows[o2][:]
+        rows[u2] = [u1, o2] if u1 < o2 else [o2, u1]
+        ro = rows[o2]
         if o1 != o2:
             ro[ro.index(u1)] = u2
         else:
             ro.append(u2)
+        work.append(o2)
         # the tree: u2 takes u1's tree edge to o2, if there is one, and joins u1
         if o2 in t1:
             t1[t1.index(o2)] = u2
@@ -1130,9 +1130,8 @@ def _undo_run(t: Lifted, run: tuple[tuple[int, int, int, int], ...]) -> None:
     edges.update([(u1, x) if u1 < x else (x, u1) for x in t1])
     r1.sort()
     rows[u1] = r1
-    for x, row in work.items():
-        row.sort()
-        rows[x] = row
+    for x in work:
+        rows[x].sort()
     h.write_rows(rows, up, (h.n_alive() + len(run), size))
     t.weight = weight
 

@@ -33,7 +33,7 @@ from mist.exact import (
     spanning_fault,
     tree_result,
 )
-from mist.generate import gen_cycle, gen_gnp, gen_path, gen_twins
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
 from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
@@ -741,6 +741,22 @@ def test_a_floor_one_above_opt_searches_no_more_than_a_floor_at_opt():
 )
 def test_internal_bound_counts_two_leaves_or_every_low_degree_vertex(g, bound):
     assert internal_bound(g) == bound
+
+
+def test_internal_bound_reads_no_dead_id_as_a_leaf():
+    # the bound counts F from the rows, where a dead id's row is empty: on
+    # reduced leaf graphs with dead ids it equals a count over the alive
+    # vertices, and one leaf has more than two of degree <= 1
+    lows = []
+    for g in (gen_path(30), gen_theta(30), gen_sparse(60, 6, 1), gen_sparse(40, 20, 2)):
+        for mode in ("simple", "refined"):
+            trace = reduce_to_fixpoint(g, mode)
+            for h in (trace.nodes[i].graph for i in trace.leaves()):
+                n = h.n_alive()
+                if h.vertex_count > n:
+                    lows.append(sum(h.degree(v) <= 1 for v in h.alive_list()))
+                    assert internal_bound(h) == (0 if n <= 2 else n - max(2, lows[-1]))
+    assert len(lows) == 13 and max(lows) == 5
 
 
 def _masks(g):

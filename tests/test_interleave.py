@@ -33,7 +33,7 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
     for line in out[1:3]:
         assert re.fullmatch(
             r" *\w+: total \S+ s, solve p50 \S+ ms sum \S+ ms, reduce p50 \S+ ms sum \S+ ms, "
-            r"lift p50 \S+ ms sum \S+ ms, leaf p50 \S+ ms sum \S+ ms, "
+            r"apply p50 \S+ ms sum \S+ ms, lift p50 \S+ ms sum \S+ ms, leaf p50 \S+ ms sum \S+ ms, "
             r"exact p50 \S+ ms sum \S+ ms, verify p50 \S+ ms sum \S+ ms, "
             r"\d+ lowpoint passes, \d+ twin groupings, \d+ cover component searches per rep",
             line,
@@ -111,17 +111,23 @@ def test_an_output_difference_stops_the_run():
 
 def test_the_reduce_and_lift_times_are_parts_of_the_solve_time():
     # run's reduce_to_fixpoint and lift_all are timed apart, each inside
-    # its solve time; the wrappers are gone once the operation is over
+    # its solve time, and the steps' applies inside the reduce time; the
+    # wrappers are gone once the operation is over
     corp = interleave.corpus_mod.build("chains", 3, 0.05)
     reduce_to_fixpoint, lift_all = mist.pipeline.reduce_to_fixpoint, mist.reduce.ReductionTrace.lift_all
+    applies = mist.reduce.apply_strong_reduction, mist.reduce.apply_weak_reduction
     times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 1)
     assert diff is None
     for t in times.values():
-        assert len(t["reduce"]) == len(corp.ops)
-        for solve, reduce, lift in zip(t["solve"], t["reduce"], t["lift"]):
+        assert len(t["reduce"]) == len(t["apply"]) == len(corp.ops)
+        for solve, reduce, apply, lift in zip(t["solve"], t["reduce"], t["apply"], t["lift"]):
             assert 0 < reduce and 0 < lift and reduce + lift < solve
+            assert 0 <= apply < reduce
+        # refined mode contracts every chain, and simple mode peels every path
+        assert sum(apply > 0 for apply in t["apply"]) == len(corp.ops) * 2 // 3
     assert mist.pipeline.reduce_to_fixpoint is reduce_to_fixpoint
     assert mist.reduce.ReductionTrace.lift_all is lift_all
+    assert (mist.reduce.apply_strong_reduction, mist.reduce.apply_weak_reduction) == applies
 
 
 def test_the_exact_time_is_the_time_spent_in_the_oracle_by_run_and_verify_run():

@@ -46,6 +46,7 @@ from helpers import (
     naive_op10,
     op4_peels,
     random_connected,
+    reference_apply_run,
     reference_find_op1,
     reference_find_op2,
     reference_find_op4,
@@ -1136,6 +1137,80 @@ def test_op4_undo_pops_only_a_live_last_id():
     h.remove_vertex(add_vertex(h))
     with pytest.raises(InternalInvariant, match="vertex 38 already dead"):
         mist.reduce._undo(r, [Lifted.of(h, t)])
+
+
+def _apply_outcome(apply, g, r):
+    """What applying r to a copy of g gives: the graph's state, or the error's class and message."""
+    try:
+        out = apply(g.copy(), r)
+    except (StaleWitness, InternalInvariant) as exc:
+        return type(exc), str(exc)
+    return graph_state(out[0] if isinstance(out, list) else out)
+
+
+def _tampered_op4_paths(g, r):
+    """r with each path record in turn replaced by the next vertex along
+    the path, dead ids, the live pendant's id and the previous record."""
+    cuts, p = (r.peel.cut_vertex, *r.path), r.peel.pendant
+    for i, w in enumerate(r.path):
+        along = [y for y in g.adj[w] if y != cuts[i]]
+        for x in (*along, r.peel.component[0], p + i - 1 if i else p + 1, p + i, cuts[i]):
+            yield _with_record(r, "path", i, x)
+
+
+def _tampered_op11_runs(g, r):
+    """r with one field of each contraction in turn (u2, o1 or o2) replaced
+    by the next vertex along and by a dead id, and each contraction
+    replaced by the one before it."""
+    run = r.contractions
+    for i, (u1, u2, o1, o2) in enumerate(run):
+        dead = run[0][1] if i else g.vertex_count  # merged by the first contraction, or no id
+        for field, x, before in ((1, u2, u1), (2, o1, u1), (3, o2, u2)):
+            for y in (*[y for y in g.adj[x] if y != before][:1], dead):
+                record = list(run[i])
+                record[field] = y
+                yield _with_record(r, "contractions", i, tuple(record))
+        if i:
+            yield _with_record(r, "contractions", i, run[i - 1])
+
+
+def test_op4_and_op11_applies_match_the_per_edit_loops_on_every_tampered_record():
+    # every record of a long op4 path and of long op11 runs, tampered one
+    # at a time: applying the step raises what the checked Graph edits one
+    # at a time raise, with the same message, or leaves the same graph;
+    # the theta's ids are shuffled too, so u1 can land out of order in a row
+    g = path(60)
+    steps = [(g, find_op4(g))]
+    g = cycle(60)
+    steps.append((g, find_op11(g)))
+    theta = gen_theta(61)
+    ids = list(range(61))
+    random.Random(5).shuffle(ids)
+    for g in (theta, build_graph(61, [(ids[u], ids[v]) for u, v in theta.edge_list()])):
+        trace = reduce_to_fixpoint(g, "refined")
+        steps += [
+            (h, node.applied)
+            for node, h in zip(trace.nodes, replay(trace))
+            if node.applied is not None and node.applied.kind == "op11"
+        ]
+    outcomes = Counter()
+    for g, r in steps:
+        tamper = _tampered_op4_paths if r.kind == "op4" else _tampered_op11_runs
+        for t in (r, *tamper(g, r)):
+            want = _apply_outcome(reference_apply_run, g, t)
+            assert _apply_outcome(apply_weak_reduction, g, t) == want, t
+            outcomes[r.kind, want[0] if isinstance(want[0], type) else "applied"] += 1
+    assert [len(r.path or r.contractions) for _, r in steps] == [49, 58, 19, 19, 18, 19, 18, 19]
+    # every tampered record is refused; at the cycle's last contraction,
+    # which closes a triangle, an o1 set to u2 and an o2 set to u1 pass the
+    # row checks and fail the join u1-o2 (a duplicate edge, a self loop)
+    assert outcomes == {
+        ("op4", "applied"): 1,
+        ("op4", StaleWitness): 245,
+        ("op11", "applied"): 7,
+        ("op11", StaleWitness): 1181,
+        ("op11", InternalInvariant): 2,
+    }
 
 
 def test_lift_fails_its_root_check_when_a_contraction_is_dropped():

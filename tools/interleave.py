@@ -15,18 +15,19 @@ sides alike; separate benchmark runs on a shared host can differ by 10 %,
 more than a change of a few per cent.  Any difference in the outputs (the
 tree, the upper bound, the trace steps, the verify checks and opt, or the
 error raised) stops the run with exit status 1.  Otherwise it prints, for
-each side, the total time and the median and summed solve, reduce, lift,
-leaf, exact and verify times (the reduce time is the time run spends
-inside reduce_to_fixpoint, the lift time the time it spends inside
-ReductionTrace.lift_all, the leaf time the time it spends solving leaves
-in pipeline._solve_leaf, the exact time the time run and verify_run spend
-inside opt_spanning_tree, op4's searches within reduce included) and the
-number of lowpoint passes (mist.reduce.separations calls), twin groupings
-read from all rows (mist.graph.twin_groups calls) and whole-cover
-component searches (mist.cover.connected_components calls) that run and
-verify_run make in one rep, then each rep's change/parent ratio of total
-time and the number of reps the change won, so one run shows whether it
-won nine reps in ten.  A sum shows a saving that only some operations
+each side, the total time and the median and summed solve, reduce, apply,
+lift, leaf, exact and verify times (the reduce time is the time run spends
+inside reduce_to_fixpoint, the apply time the part of it spent applying
+steps, in mist.reduce's apply_strong_reduction and apply_weak_reduction,
+the lift time the time it spends inside ReductionTrace.lift_all, the leaf
+time the time it spends solving leaves in pipeline._solve_leaf, the exact
+time the time run and verify_run spend inside opt_spanning_tree, op4's
+searches within reduce included) and the number of lowpoint passes
+(mist.reduce.separations calls), twin groupings read from all rows
+(mist.graph.twin_groups calls) and whole-cover component searches
+(mist.cover.connected_components calls) that run and verify_run make in
+one rep, then each rep's change/parent ratio of total time and the number
+of reps the change won, so one run shows whether it won nine reps in ten.  A sum shows a saving that only some operations
 make, which their median can hide, and the counts show a saved pass,
 grouping or search exactly, beside the times.
 
@@ -63,7 +64,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
-LAYERS = ("solve", "reduce", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
+LAYERS = ("solve", "reduce", "apply", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
 # the calls run_op counts, in its order: (module, function, what one call is)
 COUNTED = (
     ("reduce", "separations", "lowpoint passes"),
@@ -173,23 +174,26 @@ def counted(owner, name: str, calls: list):
 
 
 def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """The operation's outputs as text; its solve, reduce, lift, leaf,
-    exact, verify and total times in ns; and its calls of each COUNTED
+    """The operation's outputs as text; its solve, reduce, apply, lift,
+    leaf, exact, verify and total times in ns; and its calls of each COUNTED
     function.
 
     The total runs from parsing to the end of verify_run or the error.  The
     reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
-    calls, the lift time by wrapping ReductionTrace.lift_all, the leaf time
-    by wrapping mist.pipeline's _solve_leaf, and the exact time by wrapping
-    the opt_spanning_tree that mist.reduce and mist.pipeline call, for the
-    operation.  The calls are counted by wrapping the function in the
+    calls, the apply time by wrapping the apply_strong_reduction and
+    apply_weak_reduction that reduce_to_fixpoint calls (run's, not the
+    replay's), the lift time by wrapping ReductionTrace.lift_all, the leaf
+    time by wrapping mist.pipeline's _solve_leaf, and the exact time by
+    wrapping the opt_spanning_tree that mist.reduce and mist.pipeline call,
+    for the operation.  The calls are counted by wrapping the function in the
     module that calls it, for run and verify_run.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
     owners = [getattr(mist, module) for module, _, _ in COUNTED]
-    reduce, lift, leaf, exact = [0], [0], [0], [0]
+    reduce, apply, lift, leaf, exact = [0], [0], [0], [0], [0]
     calls = [[0] for _ in COUNTED]
     reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
+    applies = [timed(mist.reduce, f"apply_{kind}_reduction", apply) for kind in ("strong", "weak")]
     lift_all = timed(trace_cls, "lift_all", lift)
     solve_leaf = timed(pipeline, "_solve_leaf", leaf)
     searches = [timed(owner, "opt_spanning_tree", exact) for owner in (mist.reduce, pipeline)]
@@ -204,11 +208,12 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
     except Exception as exc:  # compared across the sides like any output
         t = time.perf_counter_ns()
         failed = f"! {type(exc).__name__}: {exc}"
-        spent = (t - t0, reduce[0], lift[0], leaf[0], exact[0], 0, t - start)
+        spent = (t - t0, reduce[0], apply[0], lift[0], leaf[0], exact[0], 0, t - start)
         return failed, spent, tuple(n[0] for n in calls)
     finally:
         trace_cls.lift_all = lift_all
         pipeline.reduce_to_fixpoint = reduce_to_fixpoint
+        mist.reduce.apply_strong_reduction, mist.reduce.apply_weak_reduction = applies
         pipeline._solve_leaf = solve_leaf
         mist.reduce.opt_spanning_tree, pipeline.opt_spanning_tree = searches
         for o, (_, name, _), real in zip(owners, COUNTED, reals):
@@ -219,7 +224,7 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
     except Exception as exc:  # a step its own side cannot replay
         steps = f"! replay {type(exc).__name__}: {exc}"
     out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
-    spent = (t1 - t0, reduce[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start)
+    spent = (t1 - t0, reduce[0], apply[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start)
     return out, spent, tuple(n[0] for n in calls)
 
 
