@@ -342,3 +342,47 @@ def twin_groups(g: Graph) -> list[tuple[Edge, list[int]]]:
             groups.setdefault(tuple(row), []).append(v)
     return sorted([item for item in groups.items() if len(item[1]) > 1])
 
+
+def has_short_cycle(g: Graph, limit: int) -> bool:
+    """Whether g, connected, has a cycle of at most limit edges.
+
+    A breadth-first search to depth limit // 2 from a vertex r of a
+    shortest cycle C meets an edge that closes a cycle of at most len(C)
+    edges: C's vertices lie as far from r in g as along C, else a shortcut
+    would close a shorter cycle, so the edge opposite r on C, or one of the
+    two at its opposite vertex, joins no vertex to its parent.  Every edge
+    met that does so closes a cycle within the two tree paths from r to its
+    ends (Itai and Rodeh, "Finding a minimum circuit in a graph", SIAM J.
+    Comput. 1978).  A cycle through no vertex of degree 3 or more is a
+    whole component, so the searches start at those vertices only, and g
+    without one is a path or a cycle.
+    """
+    if g.edge_count() < g.n_alive():
+        return False  # a tree
+    adj = g.adj
+    reach = limit // 2
+    searched = False
+    for r, row in enumerate(adj):
+        if len(row) < 3:
+            continue
+        searched = True
+        parent = dict.fromkeys(row, r)
+        parent[r] = r
+        level = row
+        # scanning depth d closes cycles of at most 2 * d + 2 edges
+        for _ in range(reach - 1):
+            nxt = []
+            for x in level:
+                p = parent[x]
+                for y in adj[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        nxt.append(y)
+                    elif y != p:
+                        return True
+            level = nxt
+        if limit % 2:  # an edge within depth reach closes 2 * reach + 1
+            last = set(level)
+            if any(y in last for x in level for y in adj[x]):
+                return True
+    return not searched and g.n_alive() <= limit

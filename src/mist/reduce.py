@@ -40,6 +40,7 @@ from .graph import (
     component_of,
     connected_components,
     find,
+    has_short_cycle,
     norm_edge,
     remove_edge_in,
     revive_in,
@@ -108,7 +109,9 @@ class WeakReduction(NamedTuple):
 # vertices, op8, op9 and op10 the twin grouping the node's separations
 # build on first use (one per node, shared), op4 the pieces of the cut
 # vertices that can hang a small one, op3 the bridges, and op10 the
-# vertices of degree 3 or more and the degree-2 runs next to them.
+# vertices of degree 3 or more and the degree-2 runs next to them.  A site
+# of op8, op9 or op10 closes a short cycle, so find_reduction searches for
+# none of them, and groups no twins, at a node without one.
 #
 # op10 alone also takes near, the refined driver's worklist (see find_op10
 # and reduce_to_fixpoint): the other finders' candidates cost less than the
@@ -191,7 +194,10 @@ def find_op10(
     sorted K) order.  The path uses |K| + 1 edges, so only a block with an
     edge to spare in K + {u, v} can fire, and the path passes through every
     vertex of K, so each has degree 2 to |K| + 1.  No block of a tree has
-    one, so a graph with fewer edges than vertices is not searched.
+    one, so a graph with fewer edges than vertices is not searched.  More
+    generally, K + {u, v} then has |K| + 2 vertices and at least as many
+    edges, so it holds a cycle of at most cap + 2 edges: find_reduction
+    passes op10 over on a graph without one (has_short_cycle).
 
     If every vertex of a block has degree 2, the block is a path with
     |K| + 1 edges at its vertices, so the spare edge is uv: K lies on a run
@@ -483,9 +489,21 @@ def _revalidate_strong(g: Graph, r: StrongReduction, sep: Separations | None) ->
         u, v, k_comp = r.witness
         _check(g.is_alive(u) and g.is_alive(v), f"boundary {u} or {v} gone")
         _check(g.is_alive(k_comp[0]), f"block vertex {k_comp[0]} gone")
-        block = component_of(g, k_comp[0], blocked=frozenset((u, v)))
+        # one walk over K's rows: the component of g - {u, v} from k_comp[0],
+        # as component_of finds it, and the boundary vertices next to it (a
+        # start at u or v lies in it, not next to it)
+        adj, seen = g.adj, {u, v, k_comp[0]}
+        block, touched = [k_comp[0]], set()
+        for x in block:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    block.append(y)
+                elif y == u or y == v:
+                    touched.add(y)
+        block.sort()
         _check(block == list(k_comp), "separated block changed")
-        touched = {y for x in block for y in g.adj[x]} - set(block)
+        touched.discard(k_comp[0])
         _check(touched == {u, v}, f"block neighbourhood is not exactly {{{u}, {v}}}")
 
 
@@ -506,12 +524,19 @@ def apply_strong_reduction(
         raise InternalInvariant(f"{r.kind} did not shrink the graph")
     # g was connected, so it still is when the live ends of the removed edges
     # meet: op1's one end left is its support, op2's edge was no bridge
-    # (checked above), and op8, op9 and op10 keep a path among their witness
-    if r.kind in ("op8", "op9", "op10"):
+    # (checked above), and op8, op9 and op10 keep a path among their witness,
+    # which the checks above fence off from the rest but at u1, u2 (u, v)
+    if r.kind in _CYCLE_RULES:
         within = {*r.witness[:2], *r.witness[2]} if r.kind == "op10" else set(r.witness)
-        fence = frozenset(y for x in within for y in g.adj[x]) - within
         ends = {x for e in r.removed_edges for x in e}
-        if not ends <= set(component_of(g, min(ends), blocked=fence)):
+        reached = [min(ends)]
+        within.discard(reached[0])
+        for x in reached:
+            for y in g.adj[x]:
+                if y in within:
+                    within.remove(y)
+                    reached.append(y)
+        if not ends.issubset(reached):
             raise InternalInvariant(f"{r.kind} disconnected the graph")
     return g
 
@@ -831,6 +856,7 @@ _FINDERS = {
     "op4": find_op4,
     "op11": find_op11,
 }
+_CYCLE_RULES = ("op8", "op9", "op10")  # the rules whose sites close a short cycle
 
 
 def find_reduction(
@@ -838,9 +864,17 @@ def find_reduction(
 ) -> StrongReduction | WeakReduction | None:
     """First reduction of the given kinds that fires, in the order given.
 
-    near is op10's worklist; see find_op10.
+    near is op10's worklist; see find_op10.  op8, op9 and op10 each need a
+    cycle of at most max(4, cap + 2) edges, cap = min(6, n - 3) (see
+    find_op10), so they are passed over without a search, and without a
+    twin grouping, when the search reaches op8 and g has none.
     """
+    short = True
     for k in kinds:
+        if k == "op8":
+            short = has_short_cycle(g, max(4, min(6, g.n_alive() - 3) + 2))
+        if not short and k in _CYCLE_RULES:
+            continue
         r = _FINDERS[k](g, sep, near) if k == "op10" else _FINDERS[k](g, sep)
         if r is not None:
             return r

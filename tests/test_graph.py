@@ -1,5 +1,6 @@
 """Graph container, bridges, cut-points, induced subgraphs."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,8 +12,10 @@ from mist.graph import (
     component_of,
     find_bridges,
     find_cutpoints,
+    has_short_cycle,
     separations,
 )
+from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta
 
 from graphgen import ALL_COUNTS, CONNECTED_COUNTS, _classes, connected_graphs_up_to_iso
 from helpers import (
@@ -280,3 +283,34 @@ def test_isomorphism_classes_match_the_known_counts():
     assert [len(_classes(n)) for n in range(1, 8)] == list(ALL_COUNTS)
     sizes = [g.n_alive() for g in connected_graphs_up_to_iso(7)]
     assert [sizes.count(n) for n in range(1, 8)] == list(CONNECTED_COUNTS)
+
+
+def _girth(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.alive_list())
+    h.add_edges_from(g.edge_list())
+    return nx.girth(h)
+
+
+def test_the_short_cycle_test_agrees_with_the_girth():
+    # every connected graph on up to 7 vertices, seeded G(n, p), the chain
+    # families (C3, C4 and C5, whose cycles pass through no vertex of degree
+    # 3, among them) and sparse trees with a few chords; a graph with dead
+    # ids, as reduce leaves them, too
+    graphs = list(connected_graphs_up_to_iso(7))
+    graphs += [gen_gnp(n, p, seed) for n in range(8, 17) for p in (0.15, 0.3) for seed in range(8)]
+    graphs += [f(n) for n in range(3, 31) for f in (gen_cycle, gen_path)]
+    graphs += [gen_theta(n) for n in range(5, 31)]
+    graphs += [gen_sparse(n, k, n) for n in range(20, 201, 20) for k in (1, 3, n // 10)]
+    shrunk = gen_sparse(60, 6, 1)
+    for v in [v for v in shrunk.alive_list() if shrunk.degree(v) == 1]:
+        shrunk.remove_vertex(v)
+    assert shrunk.is_connected() and shrunk.n_alive() < 50
+    graphs.append(shrunk)
+    seen = set()
+    for g in graphs:
+        girth = _girth(g)
+        for limit in range(4, 9):
+            assert has_short_cycle(g, limit) == (girth <= limit), (g, limit)
+            seen.add((limit, girth <= limit))
+    assert len(seen) == 10  # each limit both finds and misses a cycle

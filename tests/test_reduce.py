@@ -379,6 +379,62 @@ def test_a_refined_reduce_groups_the_twins_at_most_once_per_node(monkeypatch):
     assert fired["op8"] > 0 and fired["op9"] > 0 and groupings > 100
 
 
+def test_a_node_without_a_short_cycle_has_no_op8_op9_or_op10_site(monkeypatch):
+    # at every node of a refined trace with no cycle of at most
+    # max(4, cap + 2) edges, cap = min(6, n - 3), the three finders find
+    # nothing when called directly; the driver tests the nodes it searches
+    # up to op8 with that limit, and passes over many
+    rng = random.Random(36)
+    roots = [f(n) for n in range(9, 61, 3) for f in (gen_cycle, gen_theta, gen_path)]
+    roots += [gen_gnp(rng.randint(8, 10), 0.3, seed) for seed in range(200)]
+    roots += _op10_roots() + [gen_sparse(n, n // 2, n) for n in range(20, 201, 20)]
+    real = mist.reduce.has_short_cycle
+    limits = []
+    monkeypatch.setattr(
+        mist.reduce, "has_short_cycle", lambda g, limit: limits.append((g.n_alive(), limit)) or real(g, limit)
+    )
+    misses = fired = 0
+    for root in roots:
+        trace = reduce_to_fixpoint(root, "refined")
+        fired += sum(n.applied is not None and n.applied.kind in ("op8", "op9", "op10") for n in trace.nodes)
+        for g in replay(trace):
+            if real(g, max(4, min(6, g.n_alive() - 3) + 2)):
+                continue
+            misses += 1
+            sep = separations(g)
+            assert find_op8(g, sep) is None and find_op9(g, sep) is None, g
+            assert find_op10(g, sep, None) is None, g
+    assert all(limit == max(4, min(6, n - 3) + 2) for n, limit in limits)
+    assert misses > 1000 and fired > 500 and len(limits) > 1500
+
+
+def test_a_refined_reduce_of_the_chains_searches_op8_to_op10_only_beside_a_short_cycle(monkeypatch):
+    # on cycles, thetas and paths of 24 to 48 vertices most searched nodes
+    # have no short cycle: those take no twin grouping and no op8, op9 or
+    # op10 search, and the lowpoint passes stay as they were
+    calls = Counter()
+
+    def counting(key, real):
+        return lambda *args: calls.update([key]) or real(*args)
+
+    for k in ("op8", "op9", "op10"):
+        monkeypatch.setitem(mist.reduce._FINDERS, k, counting(k, mist.reduce._FINDERS[k]))
+    monkeypatch.setattr(mist.graph, "twin_groups", counting("grouped", mist.graph.twin_groups))
+    monkeypatch.setattr(mist.reduce, "separations", counting("passes", mist.reduce.separations))
+    roots = [f(n) for f in (gen_cycle, gen_theta, gen_path) for n in range(24, 49, 4)]
+
+    def tally():
+        calls.clear()
+        for g in roots:
+            reduce_to_fixpoint(g, "refined")
+        return dict(calls)
+
+    tested = tally()
+    monkeypatch.setattr(mist.reduce, "has_short_cycle", lambda g, limit: True)
+    assert tally() == {"passes": 35, "grouped": 63, "op8": 63, "op9": 56, "op10": 49}
+    assert tested == {"passes": 35, "grouped": 21, "op8": 21, "op9": 14, "op10": 7}
+
+
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
     # every search the engine makes, with its near set and without, finds
     # what the pair scan finds; on the long-run family some witnesses reach
@@ -824,8 +880,10 @@ def test_no_rule_but_op11_on_a_triangle_fires_under_four_vertices(mode):
         ([(0, 2), (2, 3)], (0, 1, (2, 3)), "boundary"),
         ([(0, 1), (1, 3)], (0, 1, (2, 3)), "block vertex 2"),
         ([(0, 2), (0, 1), (1, 3)], (0, 1, (2,)), "neighbourhood"),
+        # a block that starts at its boundary vertex 0 is not next to 0
+        ([(0, 2), (1, 2), (0, 1), (1, 3)], (0, 1, (0, 2)), "neighbourhood"),
     ],
-    ids=["boundary-dead", "block-dead", "one-sided"],
+    ids=["boundary-dead", "block-dead", "one-sided", "holds-a-boundary"],
 )
 def test_op10_revalidation_names_what_changed(edges, witness, message):
     g = build_graph(4, edges)

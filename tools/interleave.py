@@ -24,7 +24,8 @@ time the time it spends solving leaves in pipeline._solve_leaf, the exact
 time the time run and verify_run spend inside opt_spanning_tree, op4's
 searches within reduce included) and the number of lowpoint passes
 (mist.reduce.separations calls), twin groupings read from all rows
-(mist.graph.twin_groups calls) and whole-cover component searches
+(mist.graph.twin_groups calls), op10 searches (calls of
+mist.reduce._FINDERS["op10"]) and whole-cover component searches
 (mist.cover.connected_components calls) that run and verify_run make in
 one rep, then each rep's change/parent ratio of total time and the number
 of reps the change won, so one run shows whether it won nine reps in ten.  A sum shows a saving that only some operations
@@ -65,10 +66,12 @@ import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
 LAYERS = ("solve", "reduce", "apply", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
-# the calls run_op counts, in its order: (module, function, what one call is)
+# the calls run_op counts, in its order: (module, or dict in a module,
+# function or key, what one call is)
 COUNTED = (
     ("reduce", "separations", "lowpoint passes"),
     ("graph", "twin_groups", "twin groupings"),
+    ("reduce._FINDERS", "op10", "op10 searches"),
     ("cover", "connected_components", "cover component searches"),
 )
 
@@ -161,15 +164,24 @@ def timed(owner, name: str, spent: list):
     return real
 
 
+def put(owner, name: str, value) -> None:
+    """Set owner.name, or owner[name] when owner is a dict, to value."""
+    if isinstance(owner, dict):
+        owner[name] = value
+    else:
+        setattr(owner, name, value)
+
+
 def counted(owner, name: str, calls: list):
-    """Wrap owner.name so each call adds 1 to calls[0]; return the original."""
-    real = getattr(owner, name)
+    """Wrap owner.name, or owner[name] when owner is a dict, so each call
+    adds 1 to calls[0]; return the original."""
+    real = owner[name] if isinstance(owner, dict) else getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    setattr(owner, name, wrapper)
+    put(owner, name, wrapper)
     return real
 
 
@@ -189,7 +201,12 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
     module that calls it, for run and verify_run.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
-    owners = [getattr(mist, module) for module, _, _ in COUNTED]
+    owners = []
+    for path, _, _ in COUNTED:
+        owner = mist
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        owners.append(owner)
     reduce, apply, lift, leaf, exact = [0], [0], [0], [0], [0]
     calls = [[0] for _ in COUNTED]
     reduce_to_fixpoint = timed(pipeline, "reduce_to_fixpoint", reduce)
@@ -217,7 +234,7 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
         pipeline._solve_leaf = solve_leaf
         mist.reduce.opt_spanning_tree, pipeline.opt_spanning_tree = searches
         for o, (_, name, _), real in zip(owners, COUNTED, reals):
-            setattr(o, name, real)
+            put(o, name, real)
     t2 = time.perf_counter_ns()
     try:
         steps = replay_steps(mist.reduce, report.trace)
