@@ -14,10 +14,12 @@ so a chain of steps changes one graph and only op3 makes a new one, for
 its second side; the trace keeps the graphs of its root, copied from the
 input, and its leaves only.  The bridges and piece counts the finders
 read come from one lowpoint pass per searched node, except below op1,
-op3, op4 and op11, which change them only where they delete or add: those
-steps edit their node's and hand them on too.  Lifting undoes each step
-once, rebuilding the graph and the tree of its node together from its
-children's.  An undone step checks only what it edits: the tree edges it
+op3, op4, op9 and op11, which change them only where they delete or add:
+those steps edit their node's and hand them on too.  An op4 step peels a
+pendant path down to its last piece and an op11 step contracts every
+degree-2 run, as the single steps of the next nodes would.  Lifting undoes
+each step once, rebuilding the graph and the tree of its node together
+from its children's.  An undone step checks only what it edits: the tree edges it
 adds must be edges of the rebuilt graph, the ones it removes must be in
 the tree, the tree keeps n - 1 edges and its weight meets the step's
 floor.  One tree_result call at the root checks the whole lifted tree,
@@ -65,8 +67,8 @@ class StrongReduction(NamedTuple):
 class Peel(NamedTuple):
     """One op4 replacement: the block K hanging off v becomes a pendant at v.
 
-    Only a step's first peel is kept as a Peel; the path peels after it are
-    implied by their cut vertices (WeakReduction.path).
+    A step keeps its first peel and its last piece as Peels; the path peels
+    between them are implied by their cut vertices (WeakReduction.path).
     """
 
     cut_vertex: int
@@ -85,12 +87,14 @@ class WeakReduction(NamedTuple):
     sides: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     # op4: the first peel, then the cut vertex w_i of each path peel after
     # it; w_i peels {w_(i-1), p + i - 1} with the pendant p + i, where w_0
-    # and p are the first peel's cut vertex and pendant
+    # and p are the first peel's cut vertex and pendant; last, when the path
+    # ends at 10 vertices, peels the rest off the last cut vertex
     peel: Peel | None = None
     path: tuple[int, ...] | None = None
-    # op11: (u1, u2, o1, o2) per contraction, in order; u2 merges into u1,
-    # the same u1 for every contraction of the step
-    contractions: tuple[tuple[int, int, int, int], ...] | None = None
+    last: Peel | None = None
+    # op11: the runs, in order, each its (u1, u2, o1, o2) per contraction,
+    # in order; u2 merges into u1, the same u1 for every contraction of a run
+    runs: tuple[tuple[tuple[int, int, int, int], ...], ...] | None = None
 
 
 # -- strong reductions ----------------------------------------------------
@@ -98,7 +102,7 @@ class WeakReduction(NamedTuple):
 # Every finder takes the graph, assumed connected, and optionally its
 # separations(g); the fixpoint driver has them for each trace node it
 # searches (the root, every node of four or more vertices, and in refined
-# mode a triangle): a child of op1, op3, op4 or op11 takes its parent's,
+# mode a triangle): a child of op1, op3, op4, op9 or op11 takes its parent's,
 # edited (carry_separations), and any other node makes one lowpoint pass
 # (see reduce_to_fixpoint).
 # In a connected graph, "g - u has a component without w" holds exactly
@@ -599,6 +603,17 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
     g: past the first peel, v is the only neighbour of w the run removed,
     so w's neighbours left are {p, w'} when its row is [v, w'], and only a
     w past v + 1 can have another vertex left below it.
+
+    A path that stops because 10 vertices are left, at a last cut vertex v
+    whose neighbours are exactly {p, x}, takes one more peel: the rest R of
+    g - v besides p, of 8 vertices, peeled off v with a pendant, its own
+    Peel (WeakReduction.last).  That is again what find_reduction would
+    return at the next node.  No strong rule and no op3 fires there, as
+    above: v has one pendant, x being no pendant in a connected R of 8.
+    v is the lowest alive id, every vertex below the last w being gone, so
+    it is the first cut vertex searched, and as n - pieces[v] = 10 - 2 is
+    at most 8 it is not skipped; g - v is p and R, so its first piece of
+    2-8 is R.  The peel leaves p-v and the new pendant, a leaf.
     """
     adj, up, n = g.adj, g.alive, g.n_alive()
     for v, k in (sep or separations(g)).pieces.items():  # the keys ascend
@@ -608,9 +623,7 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
                 break
     else:
         return None
-    kv = {v, *k_comp}
-    block = tuple((x, y) for x in sorted(kv) for y in adj[x] if y > x and y in kv)
-    peel = _peel(v, tuple(k_comp), g.vertex_count, block)
+    peel = _peel(v, tuple(k_comp), g.vertex_count, _block(adj, v, k_comp))
     path, gone = [], set(k_comp)
     low, left = 0, n - len(k_comp) + 1  # every vertex below low is gone but v
     rest = [x for x in adj[v] if x not in gone] if left > 10 else ()  # but the pendant
@@ -622,7 +635,18 @@ def find_op4(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
         row = adj[w]
         rest = (row[1] if row[0] == v else row[0],) if len(row) == 2 else ()
         v, low, left = w, w + 1, left - 1
-    return WeakReduction("op4", peel.inner_opt - 1 + len(path), 1, peel=peel, path=tuple(path))
+    last = None
+    if path and left <= 10 and len(rest) == 1:
+        k_comp = component_of(g, rest[0], frozenset((v,)))
+        last = _peel(v, tuple(k_comp), g.vertex_count + len(path) + 1, _block(adj, v, k_comp))
+    c = peel.inner_opt - 1 + len(path) + (last.inner_opt - 1 if last else 0)
+    return WeakReduction("op4", c, 1, peel=peel, path=tuple(path), last=last)
+
+
+def _block(adj: list[list[int]], v: int, k_comp) -> tuple[Edge, ...]:
+    """The edges of G[K + {v}], K = k_comp, in order."""
+    kv = {v, *k_comp}
+    return tuple((x, y) for x in sorted(kv) for y in adj[x] if y > x and y in kv)
 
 
 def _small_piece(adj: list[list[int]], v: int) -> list[int] | None:
@@ -673,31 +697,50 @@ def _peel(v: int, k_comp: tuple[int, ...], pendant: int, block: tuple[Edge, ...]
 
 
 def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
-    """Contract a run of degree-2 edges along one chain.
+    """Contract the runs of degree-2 edges, one chain each.
 
-    One step is k paper-op11 contractions, each with c = 1, so c = k.  The
-    first merges u2 into u1, where (u1, u2) is the first edge whose
-    endpoints both have degree 2, so u2 is u1's lowest-id degree-2
-    neighbour.  While u1 has degree 2, its lowest-id degree-2 neighbour is
-    merged into it again.  A contraction changes no degree unless it
-    closes a triangle, which leaves u1 at degree 1 and ends the run, so
-    each is the edge a search of the contracted graph would pick first;
-    other rules are tried only between steps.  Each contraction records its
-    merged pair and its outside pair (o1, o2), the other neighbours of u1
-    and u2.
+    A run is k paper-op11 contractions, each with c = 1, and a step's c
+    sums its runs'.  A run's first contraction merges u2 into u1, where
+    (u1, u2) is the first edge whose endpoints both have degree 2, so u2 is
+    u1's lowest-id degree-2 neighbour.  While u1 has degree 2, its
+    lowest-id degree-2 neighbour is merged into it again.  A contraction
+    changes no degree unless it closes a triangle, which leaves u1 at
+    degree 1 and ends the run, so each is the edge a search of the
+    contracted graph would pick first.  Each contraction records its merged
+    pair and its outside pair (o1, o2), the other neighbours of u1 and u2.
 
-    The run is walked in g: u1's two current neighbours a < b are kept with
+    A run that closes no triangle contracts its whole chain of degree-2
+    vertices into u1, the lowest id on it, and leaves every other vertex
+    its degree: u1's neighbours have degrees other than 2, and no other
+    row of degree 2 changes.  So the first edge of the contracted graph
+    with both endpoints at degree 2 is the first one of g past u1 outside
+    the runs taken, and the step goes on with that run, as successive
+    single-run steps would.  Other rules are tried only between steps.  A
+    run that closes a triangle ends the step: its o1 loses a degree.
+
+    A run is walked in g: u1's two current neighbours a < b are kept with
     the vertex each was reached from (u1 itself, or the run vertex merged
     before it), and a merged vertex's outside neighbour is its other
     neighbour in g.
     """
     adj = g.adj
+    runs, merged = [], set()
     for u1, row in enumerate(adj):  # a dead vertex's row is empty
-        if len(row) == 2 and (len(adj[row[0]]) == 2 or len(adj[row[1]]) == 2):
-            break
-    else:
+        if len(row) != 2 or len(adj[row[0]]) != 2 and len(adj[row[1]]) != 2 or u1 in merged:
+            continue
+        run = _walk_op11(adj, u1)
+        runs.append(run)
+        if run[-1][2] == run[-1][3]:
+            break  # a triangle closed
+        merged.update([c[1] for c in run])
+    if not runs:
         return None
-    a, b = row
+    return WeakReduction("op11", sum(map(len, runs)), 1, runs=tuple(runs))
+
+
+def _walk_op11(adj: list[list[int]], u1: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The contractions of the run from u1, walked in the rows adj."""
+    a, b = adj[u1]
     from_a = from_b = u1
     run = []
     while True:
@@ -715,7 +758,7 @@ def find_op11(g: Graph, sep: Separations | None = None) -> WeakReduction | None:
             a, from_a = o2, a
         else:
             a, from_a, b, from_b = b, from_b, o2, a
-    return WeakReduction("op11", len(run), 1, contractions=tuple(run))
+    return tuple(run)
 
 
 def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
@@ -738,87 +781,17 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
             for x in drop:
                 h.remove_vertex(x)
     elif r.kind == "op4":
-        s = r.peel
-        _check(r.c == s.inner_opt - 1 + len(r.path), "constant is not the peels' sum")
-        rows, up = g.adj, g.alive
-        v, k_comp = s.cut_vertex, s.component
-        if not (0 <= v < len(up) and up[v]):
-            raise StaleWitness(f"cut vertex {v} gone")
-        start = k_comp[0]
-        if (
-            v in k_comp
-            or not (0 <= start < len(up) and up[start])
-            or component_of(g, start, frozenset((v,))) != list(k_comp)
-        ):
-            raise StaleWitness(f"hanging block at {v} changed")
-        n = p = len(rows)
-        if s.pendant != p:
-            raise StaleWitness(f"pendant id at {v} mismatch")
-        # K goes; v is its only neighbour outside it
-        ends = 0  # the ends K's edges have in K
-        for x in k_comp:
-            ends += len(rows[x])
-            rows[x] = []
-            up[x] = False
-        kept = [y for y in rows[v] if y not in k_comp]  # v's row but its pendant
-        edges = size - (ends + len(rows[v]) - len(kept)) // 2 + 1  # the edges left
-        for w in r.path:
-            # {v, p} is a component of the graph minus w exactly when w is
-            # neither and v has no neighbour besides w and its pendant p;
-            # the pendants before p are dead, the ids past it unmade
-            if not (0 <= w < n and up[w] or w == p):
-                raise StaleWitness(f"cut vertex {w} gone")
-            if w == v or w == p or kept and kept != [w]:
-                raise StaleWitness(f"hanging block at {w} changed")
-            edges -= len(kept)
-            rows[v] = []
-            up[v] = False
-            kept = rows[w][:]
-            if v in kept:
-                kept.remove(v)
-            v, p = w, p + 1
-        rows[v] = kept + [p]  # the last pendant's id is the largest
-        rows += [[] for _ in r.path] + [[v]]  # every pendant but the last is dead
-        up += [False] * len(r.path) + [True]
-        g.write_rows(rows, up, (order - len(k_comp) + 1 - len(r.path), edges))
+        peels = (r.peel,) if r.last is None else (r.peel, r.last)
+        c = sum(s.inner_opt - 1 for s in peels) + len(r.path)
+        _check(r.c == c, "constant is not the peels' sum")
+        _peel_in(g, r.peel, r.path)
+        if r.last is not None:
+            _peel_in(g, r.last, ())
         out = [g]
     elif r.kind == "op11":
-        _check(r.c == len(r.contractions), "constant is not the contraction count")
-        u1 = r.contractions[0][0]
-        _check(
-            all(c[0] == u1 for c in r.contractions),
-            "the contractions of a run merge into more than one vertex",
-        )
-        rows, up = g.adj, g.alive
-        r1 = rows[u1]
-        edges = size  # the edges left
-        for _, u2, o1, o2 in r.contractions:
-            if u2 not in r1:
-                raise StaleWitness(f"contracted edge {u1}-{u2} gone")
-            r2 = rows[u2]
-            if len(r1) != 2 or len(r2) != 2:
-                raise StaleWitness(f"degrees at {u1}-{u2} changed")
-            if o1 not in r1 or o2 not in r2:
-                raise StaleWitness(f"outside neighbors of {u1}-{u2} changed")
-            # u2 goes with its edges, then u1 joins o2 unless o1 is o2: o2,
-            # u2's other neighbour, swaps u2 for u1 in its row in place
-            r1.remove(u2)
-            rows[u2] = []
-            up[u2] = False
-            ro = rows[o2]
-            if o1 == o2:
-                ro.remove(u2)
-            elif o2 == u1 or o2 in r1:
-                add_edge_in(rows, up, u1, o2)  # a join that fails: let it raise
-            else:
-                ro[ro.index(u2)] = u1
-                r1.append(o2)
-            edges -= 1 + (o1 == o2)
-        # only u1's row and its neighbours', which took u1 for u2, can be out of order
-        r1.sort()
-        for x in r1:
-            rows[x].sort()
-        g.write_rows(rows, up, (order - len(r.contractions), edges))
+        _check(r.c == sum(map(len, r.runs)), "constant is not the contraction count")
+        for run in r.runs:
+            _contract_in(g, run)
         out = [g]
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
@@ -835,13 +808,99 @@ def apply_weak_reduction(g: Graph, r: WeakReduction) -> list[Graph]:
 
 
 # An op4 or op11 step stands for Graph edits per peel or contraction that
-# the next one partly undoes, so applying and undoing it make only its net
-# edit, on the rows and alive mask of the graph at hand, and hand
-# Graph.write_rows the vertex and edge counts they kept (see _undo_peel
-# and _undo_run).  Applying checks each record in order against the rows
-# as the single edits would have left them, with their messages; an op4
-# path peel, recorded by its cut vertex w alone, by v's row kept aside, not
-# by a component_of search.
+# the next one partly undoes, so applying and undoing an op4 peel with the
+# path after it, or an op11 run, make only its net edit, on the rows and
+# alive mask of the graph at hand, and hand Graph.write_rows the vertex and
+# edge counts they kept (see _undo_peel and _undo_run); an op4 step's last
+# piece and an op11 step's runs are applied and undone one at a time.
+# Applying checks each record in order against the rows as the single
+# edits would have left them, with their messages; an op4 path peel,
+# recorded by its cut vertex w alone, by v's row kept aside, not by a
+# component_of search.
+
+
+def _peel_in(g: Graph, s: Peel, path: tuple[int, ...]) -> None:
+    """Apply the peel s and the path peels after it to g, as their net edit."""
+    rows, up = g.adj, g.alive
+    order, size = g.n_alive(), g.edge_count()
+    v, k_comp = s.cut_vertex, s.component
+    if not (0 <= v < len(up) and up[v]):
+        raise StaleWitness(f"cut vertex {v} gone")
+    start = k_comp[0]
+    if (
+        v in k_comp
+        or not (0 <= start < len(up) and up[start])
+        or component_of(g, start, frozenset((v,))) != list(k_comp)
+    ):
+        raise StaleWitness(f"hanging block at {v} changed")
+    n = p = len(rows)
+    if s.pendant != p:
+        raise StaleWitness(f"pendant id at {v} mismatch")
+    # K goes; v is its only neighbour outside it
+    ends = 0  # the ends K's edges have in K
+    for x in k_comp:
+        ends += len(rows[x])
+        rows[x] = []
+        up[x] = False
+    kept = [y for y in rows[v] if y not in k_comp]  # v's row but its pendant
+    edges = size - (ends + len(rows[v]) - len(kept)) // 2 + 1  # the edges left
+    for w in path:
+        # {v, p} is a component of the graph minus w exactly when w is
+        # neither and v has no neighbour besides w and its pendant p;
+        # the pendants before p are dead, the ids past it unmade
+        if not (0 <= w < n and up[w] or w == p):
+            raise StaleWitness(f"cut vertex {w} gone")
+        if w == v or w == p or kept and kept != [w]:
+            raise StaleWitness(f"hanging block at {w} changed")
+        edges -= len(kept)
+        rows[v] = []
+        up[v] = False
+        kept = rows[w][:]
+        if v in kept:
+            kept.remove(v)
+        v, p = w, p + 1
+    rows[v] = kept + [p]  # the last pendant's id is the largest
+    rows += [[] for _ in path] + [[v]]  # every pendant but the last is dead
+    up += [False] * len(path) + [True]
+    g.write_rows(rows, up, (order - len(k_comp) + 1 - len(path), edges))
+
+
+def _contract_in(g: Graph, run: tuple[tuple[int, int, int, int], ...]) -> None:
+    """Apply the op11 run to g, as its net edit."""
+    u1 = run[0][0]
+    _check(
+        all(c[0] == u1 for c in run), "the contractions of a run merge into more than one vertex"
+    )
+    rows, up = g.adj, g.alive
+    r1 = rows[u1]
+    edges = g.edge_count()  # the edges left
+    for _, u2, o1, o2 in run:
+        if u2 not in r1:
+            raise StaleWitness(f"contracted edge {u1}-{u2} gone")
+        r2 = rows[u2]
+        if len(r1) != 2 or len(r2) != 2:
+            raise StaleWitness(f"degrees at {u1}-{u2} changed")
+        if o1 not in r1 or o2 not in r2:
+            raise StaleWitness(f"outside neighbors of {u1}-{u2} changed")
+        # u2 goes with its edges, then u1 joins o2 unless o1 is o2: o2,
+        # u2's other neighbour, swaps u2 for u1 in its row in place
+        r1.remove(u2)
+        rows[u2] = []
+        up[u2] = False
+        ro = rows[o2]
+        if o1 == o2:
+            ro.remove(u2)
+        elif o2 == u1 or o2 in r1:
+            add_edge_in(rows, up, u1, o2)  # a join that fails: let it raise
+        else:
+            ro[ro.index(u2)] = u1
+            r1.append(o2)
+        edges -= 1 + (o1 == o2)
+    # only u1's row and its neighbours', which took u1 for u2, can be out of order
+    r1.sort()
+    for x in r1:
+        rows[x].sort()
+    g.write_rows(rows, up, (g.n_alive() - len(run), edges))
 
 
 # -- fixpoint driver ------------------------------------------------------
@@ -1024,9 +1083,12 @@ def _undo(r: StrongReduction | WeakReduction, parts: list[Lifted]) -> Lifted:
         t.weight += t2.weight
         _add_tree_edges(t, (r.bridge,))
     elif r.kind == "op4":
+        if r.last is not None:
+            _undo_peel(t, r.last, ())
         _undo_peel(t, r.peel, r.path)
     elif r.kind == "op11":
-        _undo_run(t, r.contractions)
+        for run in reversed(r.runs):
+            _undo_run(t, run)
     else:
         raise InternalInvariant(f"unknown weak reduction {r.kind}")
     _check_size(t)
@@ -1222,7 +1284,7 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     and each step edits its node's graph in place (a step at the root, a
     second copy): one copy, plus one if the root fires, plus one per op3.
     The root's lowpoint pass rejects a disconnected input.  A child of
-    op1, op3, op4 or op11 makes none: carry_separations edits its parent's
+    op1, op3, op4, op9 or op11 makes none: carry_separations edits its parent's
     separations for it, in place.  Every other node searched makes one, so
     the passes are the searched nodes less those children.  Any other node
     of at most 3 vertices is a leaf with no lowpoint pass and no finder,
@@ -1292,8 +1354,8 @@ def carry_separations(
     """The separations of each part r made, edited from sep, its node's; None
     for each part of a step whose children make their own lowpoint pass.
 
-    op1, op3, op4 and op11 change bridges and piece counts only where they
-    delete or add; sep's bridge set and piece dict are edited in place, the
+    op1, op3, op4, op9 and op11 change bridges and piece counts only where
+    they delete or add; sep's bridge set and piece dict are edited in place, the
     first part taking them, and every part gets its own twin grouping.
     - op1 deletes the pendant u2: its entry and the bridge u2-v go, and
       its support v loses the piece u2 was.
@@ -1302,10 +1364,14 @@ def carry_separations(
     - op4 replaces a block hanging off v by a pendant, which leaves every
       other vertex with as many pieces: K's entries and edges go, and so
       does each path peel's v with its bridge to w.  The last pendant,
-      above every other id, gets its bridge and a count of 1.
+      above every other id, gets its bridge and a count of 1.  A step
+      with a last piece leaves a leaf, v and two pendants, which takes none.
+    - op9 deletes u2-u3, which leaves u3 a pendant at u1: u1-u3 becomes a
+      bridge and u1 gains the piece u3 is, while u4 and u5 keep every
+      other cycle through u1 and u2.
     - op11 deletes u2 and keeps every count: the edges of a degree-2 run
       are all bridges or none, so u1-o2 takes over u1-u2 and u2-o2, and a
-      closed triangle, which ends the run, leaves u1 a pendant, its edge
+      closed triangle, which ends the step, leaves u1 a pendant, its edge
       to o1 a bridge.
     """
     bridges, pieces = sep.bridges, sep.pieces
@@ -1314,6 +1380,10 @@ def carry_separations(
         del pieces[u2]
         pieces[v] -= 1
         bridges.discard(norm_edge(u2, v))
+    elif r.kind == "op9":
+        u1, u2, u3 = r.witness[:3]
+        bridges.add(norm_edge(u1, u3))
+        pieces[u1] += 1
     elif r.kind == "op3":
         u1, u2 = r.bridge
         bridges.discard(r.bridge)
@@ -1336,14 +1406,15 @@ def carry_separations(
         bridges.add((cuts[-1], s.pendant + len(r.path)))  # the pendant's id is the largest
         pieces[s.pendant + len(r.path)] = 1
     elif r.kind == "op11":
-        # every edge at u1 the run contracts has the status of its first
-        u1, u2 = r.contractions[0][:2]
-        bridged = ((u1, u2) if u1 < u2 else (u2, u1)) in bridges
-        for u1, u2, o1, o2 in r.contractions:
-            del pieces[u2]
-            if bridged:
-                bridges.difference_update((norm_edge(u1, u2), norm_edge(u2, o2)))
-                bridges.add(norm_edge(u1, o2))
+        for run in r.runs:
+            # every edge at u1 the run contracts has the status of its first
+            u1, u2 = run[0][:2]
+            bridged = ((u1, u2) if u1 < u2 else (u2, u1)) in bridges
+            for u1, u2, o1, o2 in run:
+                del pieces[u2]
+                if bridged:
+                    bridges.difference_update((norm_edge(u1, u2), norm_edge(u2, o2)))
+                    bridges.add(norm_edge(u1, o2))
         if o1 == o2:  # the last contraction closed a triangle
             bridges.add(norm_edge(u1, o1))
     else:
@@ -1359,16 +1430,23 @@ def _changed(h: Graph, r: StrongReduction | WeakReduction) -> set[int]:
     and its removed edge names its support.  An op11 run changes no alive
     row but u1's and its neighbours' in h: each contraction deletes u2 and
     joins u2's outside neighbour o2 to u1, and an o2 that a later
-    contraction merges is dead in h.
+    contraction merges is dead in h; a step's set is the union over its
+    runs.
     """
     if isinstance(r, StrongReduction):
         touched = {x for e in r.removed_edges for x in e}
     elif r.kind == "op3":
         touched = set(r.bridge)
     elif r.kind == "op4":
-        # every cut vertex but the last, and every pendant but the last, is dead in h
+        # every cut vertex but the last, and every pendant but the last two, is dead in h
         touched = {r.path[-1] if r.path else r.peel.cut_vertex, r.peel.pendant + len(r.path)}
+        if r.last is not None:
+            touched.add(r.last.pendant)
     else:
-        u1 = r.contractions[0][0]
-        return {u1, *h.adj[u1]}
+        touched = set()
+        for run in r.runs:
+            u1 = run[0][0]
+            touched.add(u1)
+            touched.update(h.adj[u1])
+        return touched
     return {x for x in touched if h.is_alive(x)}

@@ -12,11 +12,15 @@ the per-edit op4 and op11 loops, which apply and undo a run one checked
 Graph edit at a time, as the reference for the engine's one-write sweeps;
 and the op4 and op11 finders written the plain way, as the reference for
 the engine's compact op4 records and walked op11 runs: op4 builds every
-peel as a Peel (the first through the library's _peel) from the
-components of g - v for every v, and op11 re-derives each contraction from the set of
-vertices merged so far; and the op1, op2, op8 and op9 finders written as
-whole-graph scans, as the reference for the finders that read only their
-candidates (op2 and op8 over the library's separations); and the exact
+peel as a Peel (the first and the last through the library's _peel) from
+the components of g - v for every v, and op11 re-derives each contraction
+from the set of vertices merged so far and each run on the graph the runs
+before it left; and the op4 and op11 finders as they were when a step
+stopped at 10 vertices and took one run, cut from the library's, as the
+single steps the library's batched ones stand for; and the op1, op2,
+op8 and op9 finders written as whole-graph scans, as the reference for
+the finders that read only their candidates (op2 and op8 over the
+library's separations); and the exact
 search with its cuts tested on entry to each node, whose node counts bound
 the search that tests them before descending; a cover built one checked
 add_edge at a time, as the reference for Cover's one-pass construction;
@@ -892,7 +896,8 @@ def replay(trace) -> list[Graph]:
 
 
 def op4_peels(r: WeakReduction) -> list[Peel]:
-    """The peels an op4 step stands for: its first peel, then one per path vertex.
+    """The peels an op4 step stands for: its first peel, one per path
+    vertex, then its last piece, if it has one.
 
     The path peel at w_i takes {w_(i-1), p + i - 1} off w_i with the pendant
     p + i, its block the path (p + i - 1)-w_(i-1)-w_i and its own inner tree.
@@ -903,7 +908,21 @@ def op4_peels(r: WeakReduction) -> list[Peel]:
         block = (norm_edge(v, w), (v, p))
         peels.append(Peel(w, (v, p), p + 1, block, 2, block))
         v, p = w, p + 1
-    return peels
+    return peels if r.last is None else [*peels, r.last]
+
+
+def single_run_find_op11(g: Graph, sep=None) -> WeakReduction | None:
+    """op11 one run per step, as it was before a step took every run: the
+    library's step cut down to its first run, which is walked alone."""
+    r = mist.reduce.find_op11(g, sep)
+    return r and r._replace(c=len(r.runs[0]), runs=r.runs[:1])
+
+
+def ten_left_find_op4(g: Graph, sep=None) -> WeakReduction | None:
+    """op4 with a path that stops at 10 vertices left, as it was before a
+    step took its last piece: the library's step without that piece."""
+    r = mist.reduce.find_op4(g, sep)
+    return r and r._replace(c=r.c - (r.last.inner_opt - 1 if r.last else 0), last=None)
 
 
 def reference_find_op4(g: Graph) -> list[Peel] | None:
@@ -912,8 +931,11 @@ def reference_find_op4(g: Graph) -> list[Peel] | None:
     The first peel is at the first cut vertex v with a piece of 2-8
     vertices, and takes the first such piece; the run goes on at w while
     v's neighbours left are the last pendant and w, w > v, every other
-    vertex below w is gone and more than 10 vertices are left.  The cut
-    vertices and their pieces are read off a search of g - v for every v.
+    vertex below w is gone and more than 10 vertices are left.  A path
+    that stops because 10 vertices are left, at a cut vertex whose only
+    neighbour besides its pendant is x, ends with the peel of the piece of
+    x.  The cut vertices and their pieces are read off a search of g - v
+    for every v.
     """
     for v in g.alive_list():
         pieces = connected_components(g, frozenset((v,)))
@@ -940,6 +962,12 @@ def reference_find_op4(g: Graph) -> list[Peel] | None:
         block = ((v, w), (v, p))
         peels.append(Peel(w, (v, p), p + 1, block, 2, block))
         v, p, left = w, p + 1, left - 1
+    rest = [x for x in g.adj[v] if x not in gone]
+    if len(peels) > 1 and left <= 10 and len(rest) == 1:
+        (k_comp,) = [k for k in connected_components(g, frozenset((v,))) if rest[0] in k]
+        kv = {v, *k_comp}
+        block = tuple((x, y) for x in sorted(kv) for y in g.adj[x] if y > x and y in kv)
+        peels.append(_peel(v, tuple(k_comp), p + 1, block))
     return peels
 
 
@@ -1001,33 +1029,46 @@ def reference_find_op9(g: Graph) -> StrongReduction | None:
     return None
 
 
-def reference_find_op11(g: Graph) -> tuple[tuple[int, int, int, int], ...] | None:
-    """The contractions of find_op11's step on g, re-derived from a gone set.
+def reference_find_op11(g: Graph) -> tuple[tuple[tuple[int, int, int, int], ...], ...] | None:
+    """The runs of find_op11's step on g, each re-derived from a gone set
+    on the graph the runs before it left.
 
-    The run starts at the first edge whose ends both have degree 2 and,
+    A run starts at the first edge whose ends both have degree 2 and,
     while u1 has two neighbours, merges its lowest-id degree-2 neighbour u2
     into it; o1 is u1's other neighbour and o2 u2's neighbour besides u1
-    and the vertices merged before.
+    and the vertices merged before.  Each run is contracted on a copy of g,
+    one Graph edit at a time, and the next is searched from the first
+    vertex, until none is left or a run closes a triangle.
     """
-    adj = g.adj
-    for u1, row in enumerate(adj):
-        if len(row) == 2 and (len(adj[row[0]]) == 2 or len(adj[row[1]]) == 2):
+    h = g.copy()
+    runs = []
+    while True:
+        adj = h.adj
+        for u1, row in enumerate(adj):
+            if len(row) == 2 and (len(adj[row[0]]) == 2 or len(adj[row[1]]) == 2):
+                break
+        else:
             break
-    else:
-        return None
-    gone: set[int] = set()
-    run = []
-    while len(row) == 2:
-        live = [x for x in row if len(adj[x]) == 2]
-        if not live:
+        gone: set[int] = set()
+        run = []
+        while len(row) == 2:
+            live = [x for x in row if len(adj[x]) == 2]
+            if not live:
+                break
+            u2 = live[0]
+            o1 = row[1] if row[0] == u2 else row[0]
+            o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
+            run.append((u1, u2, o1, o2))
+            gone.add(u2)
+            row = sorted({o1, o2})
+        runs.append(tuple(run))
+        for _, u2, o1, o2 in run:
+            h.remove_vertex(u2)
+            if o1 != o2:
+                h.add_edge(u1, o2)
+        if o1 == o2:
             break
-        u2 = live[0]
-        o1 = row[1] if row[0] == u2 else row[0]
-        o2 = next(x for x in adj[u2] if x != u1 and x not in gone)
-        run.append((u1, u2, o1, o2))
-        gone.add(u2)
-        row = sorted({o1, o2})
-    return tuple(run)
+    return tuple(runs) or None
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -1060,8 +1101,8 @@ def reference_apply_run(g: Graph, r: WeakReduction) -> Graph:
                 h.remove_vertex(x)
             h.add_edge(v, add_vertex(h))
     elif r.kind == "op11":
-        _check(r.c == len(r.contractions), "constant is not the contraction count")
-        for u1, u2, o1, o2 in r.contractions:
+        _check(r.c == sum(map(len, r.runs)), "constant is not the contraction count")
+        for u1, u2, o1, o2 in (c for run in r.runs for c in run):
             _check(h.has_edge(u1, u2), f"contracted edge {u1}-{u2} gone")
             _check(h.degree(u1) == 2 and h.degree(u2) == 2, f"degrees at {u1}-{u2} changed")
             _check(
@@ -1097,7 +1138,7 @@ def reference_undo_run(r: WeakReduction, h: Graph, edges: set) -> tuple[Graph, T
             for u, v in s.block_edges:
                 h.add_edge(u, v)
     elif r.kind == "op11":
-        for u1, u2, o1, o2 in reversed(r.contractions):
+        for u1, u2, o1, o2 in reversed([c for run in r.runs for c in run]):
             swap = norm_edge(u1, o2)
             if swap in edges:
                 edges.remove(swap)

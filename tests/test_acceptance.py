@@ -40,13 +40,15 @@ from helpers import (
     path_cover_from_tree,
     random_tree,
     replay,
+    single_run_find_op11,
+    ten_left_find_op4,
 )
 
 RANDOM_COUNT = 2000
 
 # sha256 over the outcome lines of every survey run; a change that keeps the
 # solver's behaviour must reproduce it exactly
-SURVEY_DIGEST = "06d60f4c98c345fd3d2629c48444590f3c9bbc054cbc24efc7dd34614cd26b8c"
+SURVEY_DIGEST = "f8ffd66a7d8b537545ab1698fd19a06c516500452bbf8b4de5fd2552429539a1"
 
 # sha256 over the covers of every refined cover leaf (initial, preprocessed,
 # after stage 1 and after stage 2), their component counters, and every
@@ -303,7 +305,7 @@ def test_cores_above_the_exact_cover_cap_solve_and_verify_in_both_modes():
 def _first_contraction_only(g, sep=None):
     """op11 cut down to the first contraction of its run: the single-edge rule."""
     r = find_op11(g, sep)
-    return r and r._replace(c=1, contractions=r.contractions[:1])
+    return r and r._replace(c=1, runs=(r.runs[0][:1],))
 
 
 def _refined_outcome(g, op11):
@@ -318,9 +320,10 @@ def _refined_outcome(g, op11):
 
 
 def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
-    # a run contracts the chain the single-edge rule would contract one node
-    # at a time, unless another rule fires partway along it; the trees may
-    # then differ, never the weight, the bound or the verdict
+    # a step contracts the chains the single-edge rule would contract one
+    # node at a time, unless another rule fires partway along one or
+    # between two; the trees may then differ, never the weight, the bound
+    # or the verdict
     chains = [
         (f"{family.__name__}-{n}", family(n))
         for n in range(9, 61)
@@ -347,7 +350,7 @@ def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
         len(chains) + len(others),
         bad,
     )
-    assert trees_differ == 54
+    assert trees_differ == 57
 
 
 # -- op4 runs against single peels -----------------------------------------
@@ -356,7 +359,7 @@ def test_op11_runs_keep_weights_bounds_and_verdicts_of_single_contractions():
 def _first_peel_only(g, sep=None):
     """op4 cut down to the first peel of its run: one block per step."""
     r = find_op4(g, sep)
-    return r and r._replace(c=r.peel.inner_opt - 1, path=())
+    return r and r._replace(c=r.peel.inner_opt - 1, path=(), last=None)
 
 
 def _outcome(g, mode, op4):
@@ -405,6 +408,80 @@ def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
     _report("op4 runs keep trees, bounds and checks", 2 * len(chains + others), bad)
     # every path from 12 vertices on, and 10 others, get a run of peels
     assert sum(k > 1 for k in longest.values()) == 59
+
+
+# -- batched op4 and op11 steps against single steps -----------------------
+
+# Refined runs whose single-step engine fires op4, op8 or op10 between two
+# runs of one batched op11 step, so the batched trace leaves the
+# single-step graphs there; the runs of _BATCH_MOVED_TREES also end at
+# another tree, of the same weight.
+_BATCH_MOVED_TREES = {
+    "gnp-12-59", "gnp-12-699", "gnp-12-884", "gnp-12-964", "gnp-12-1004", "gnp-11-1388",
+    "gnp-12-1529", "gnp-11-1868",
+}
+_BATCH_LEFT_TRACES = _BATCH_MOVED_TREES | {
+    "gnp-12-219", "gnp-11-433", "gnp-12-449", "gnp-12-609", "gnp-12-784", "gnp-12-974",
+    "gnp-12-1299", "gnp-11-1508", "gnp-11-1613", "gnp-11-1858", "gnp-12-1984", "sparse-50-2",
+}
+
+
+def _stepped(g, mode, single):
+    """A run's tree, bound, checks (leaf numbers aside) and opt, and the
+    graph of every trace node, with single op4 and op11 steps or batched ones."""
+    with pytest.MonkeyPatch.context() as m:
+        if single:
+            m.setitem(mist.reduce._FINDERS, "op4", ten_left_find_op4)
+            m.setitem(mist.reduce._FINDERS, "op11", single_run_find_op11)
+        try:
+            report = run(g, mode, keep_state=True)
+        except MistError as exc:
+            return (type(exc).__name__, None, None, None), []
+    opt, checks = _verdict(verify_run(g, report))
+    checks = [(re.sub(r"^leaf\d+-", "leaf-", name), ok, detail) for name, ok, detail in checks]
+    graphs = [(h.alive, h.adj) for h in replay(report.trace)]
+    return (report.tree, report.upper_bound, checks, opt), graphs
+
+
+def _in_order(part, whole) -> bool:
+    """Whether part's items appear in whole, in order."""
+    rest = iter(whole)
+    return all(x in rest for x in part)
+
+
+def test_batched_op4_and_op11_steps_keep_the_outcomes_of_single_steps():
+    # an op4 step that also takes its last piece, and an op11 step that
+    # takes every run, do what the single steps of the next nodes would,
+    # unless another rule fires between two runs; the tree may then move,
+    # never its weight, the bound or the checks
+    chains = [
+        (f"{family.__name__}-{n}", family(n))
+        for n in range(9, 61)
+        for family in (gen_cycle, gen_theta, gen_path)
+    ]
+    others = list(_corpus()) + [
+        (f"sparse-{n}-{seed}", gen_sparse(n, n // 10, seed))
+        for n in range(20, 81, 5)
+        for seed in range(3)
+    ]
+    bad, moved, left = [], set(), set()
+    for name, g in chains + others:
+        for mode in ("simple", "refined"):
+            (single, single_graphs), (batched, graphs) = (_stepped(g, mode, s) for s in (True, False))
+            weights = [getattr(out[0], "weight", out[0]) for out in (single, batched)]
+            if single[1:] != batched[1:] or weights[0] != weights[1]:
+                bad.append(f"{name}/{mode}")
+            if single[0] != batched[0]:
+                moved.add(f"{name}/{mode}")
+            if not _in_order(graphs, single_graphs):
+                left.add(f"{name}/{mode}")
+    _report(
+        f"batched steps keep weight, bound and checks ({len(moved)} trees move)",
+        2 * len(chains + others),
+        bad,
+    )
+    assert moved == {f"{name}/refined" for name in _BATCH_MOVED_TREES}
+    assert left == {f"{name}/refined" for name in _BATCH_LEFT_TRACES}
 
 
 def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_the_survey_corpus(monkeypatch):

@@ -35,7 +35,8 @@ def test_a_tree_timed_against_itself_agrees_on_every_output(capsys):
             r" *\w+: total \S+ s, solve p50 \S+ ms sum \S+ ms, reduce p50 \S+ ms sum \S+ ms, "
             r"apply p50 \S+ ms sum \S+ ms, lift p50 \S+ ms sum \S+ ms, leaf p50 \S+ ms sum \S+ ms, "
             r"exact p50 \S+ ms sum \S+ ms, verify p50 \S+ ms sum \S+ ms, "
-            r"\d+ lowpoint passes, \d+ twin groupings, \d+ op10 searches, \d+ cover component searches per rep",
+            r"\d+ trace nodes, \d+ lowpoint passes, \d+ twin groupings, \d+ op10 searches, "
+            r"\d+ cover component searches per rep",
             line,
         )
     ratios, won = re.fullmatch(r"change/parent per rep: (\S+ \S+) \(change won (\d) of 2\)", out[4]).groups()
@@ -162,13 +163,13 @@ def test_the_leaf_time_is_the_part_of_the_solve_time_spent_solving_leaves():
 
 
 def test_the_counts_are_the_passes_and_searches_of_run_and_verify_run(monkeypatch):
-    # each side counts the lowpoint passes, twin groupings from all rows, op10
-    # searches and whole-cover component searches that run and verify_run
-    # make, the replay's not included; the wrappers are gone once the
-    # operation is over
-    corp = interleave.corpus_mod.build("chains", 3, 0.05)
-    owners = (mist.reduce, mist.graph, mist.reduce._FINDERS, mist.cover)
-    names = ("separations", "twin_groups", "op10", "connected_components")
+    # each side counts the trace nodes, lowpoint passes, twin groupings from
+    # all rows, op10 searches and whole-cover component searches that run
+    # and verify_run make, the replay's not included; the wrappers are gone
+    # once the operation is over
+    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+    owners = (mist.reduce.ReductionTrace, mist.reduce, mist.graph, mist.reduce._FINDERS, mist.cover)
+    names = ("add_node", "separations", "twin_groups", "op10", "connected_components")
 
     def current():
         return tuple(o[name] if isinstance(o, dict) else getattr(o, name) for o, name in zip(owners, names))
@@ -177,7 +178,7 @@ def test_the_counts_are_the_passes_and_searches_of_run_and_verify_run(monkeypatc
     times, diff = interleave.interleave({"parent": mist, "change": mist}, corp, 2)
     assert diff is None
     assert current() == reals
-    calls = [0, 0, 0, 0]
+    calls = [0] * len(names)
 
     def counting(i):
         return lambda *args: calls.__setitem__(i, calls[i] + 1) or reals[i](*args)

@@ -70,12 +70,12 @@ def test_refined_solves_a_long_path_exactly():
     assert vr.ok and vr.opt == 7
 
 
-def test_a_refined_run_of_a_2000_path_spans_it_in_three_trace_nodes():
-    # op4 peels the path down to 10 vertices in one step, so the trace
-    # stays short and the lift linear at any length
+def test_a_refined_run_of_a_2000_path_spans_it_in_two_trace_nodes():
+    # op4 peels the path down to 10 vertices and then its last piece in one
+    # step, so the trace stays short and the lift linear at any length
     g = gen_path(2000)
     report = run(g, "refined", keep_state=True)
-    assert len(report.trace.nodes) == 3
+    assert len(report.trace.nodes) == 2
     assert report.tree.weight == report.upper_bound == 1998
     checks = {c.name: c.ok for c in verify_run(g, report).checks}
     assert checks["tree-spans-input"] and checks["weight-below-upper-bound"]

@@ -4,6 +4,7 @@ import copy
 import inspect
 import itertools
 import operator
+import re
 import sys
 from collections import Counter
 
@@ -59,7 +60,7 @@ from helpers import (
 import random
 
 # the steps whose children take their parent's separations, edited
-CARRIED = ("op1", "op3", "op4", "op11")
+CARRIED = ("op1", "op3", "op4", "op9", "op11")
 
 
 def cycle(n):
@@ -318,7 +319,9 @@ def test_every_refined_step_names_each_vertex_whose_row_it_changed():
                 moved = {x for x in h.alive_list() if x >= g.vertex_count or h.adj[x] != g.adj[x]}
                 assert moved <= changed <= set(h.alive_list()), (g, r)
                 if r.kind == "op11":
-                    unchanged_o1 += sum(o1 in changed and o1 not in moved for _, _, o1, _ in r.contractions)
+                    unchanged_o1 += sum(
+                        o1 in changed and o1 not in moved for run in r.runs for _, _, o1, _ in run
+                    )
     assert all(fired[k] > 0 for kinds in RULESETS["refined"] for k in kinds), fired
     assert unchanged_o1 > 0
 
@@ -411,7 +414,9 @@ def test_a_node_without_a_short_cycle_has_no_op8_op9_or_op10_site(monkeypatch):
 def test_a_refined_reduce_of_the_chains_searches_op8_to_op10_only_beside_a_short_cycle(monkeypatch):
     # on cycles, thetas and paths of 24 to 48 vertices most searched nodes
     # have no short cycle: those take no twin grouping and no op8, op9 or
-    # op10 search, and the lowpoint passes stay as they were
+    # op10 search, and the lowpoint passes stay as they were.  A theta's
+    # one op11 step leaves three twins, so op9 fires before op10 is reached,
+    # and no op10 search is left
     calls = Counter()
 
     def counting(key, real):
@@ -431,8 +436,8 @@ def test_a_refined_reduce_of_the_chains_searches_op8_to_op10_only_beside_a_short
 
     tested = tally()
     monkeypatch.setattr(mist.reduce, "has_short_cycle", lambda g, limit: True)
-    assert tally() == {"passes": 35, "grouped": 63, "op8": 63, "op9": 56, "op10": 49}
-    assert tested == {"passes": 35, "grouped": 21, "op8": 21, "op9": 14, "op10": 7}
+    assert tally() == {"passes": 28, "grouped": 42, "op8": 42, "op9": 35, "op10": 28}
+    assert tested == {"passes": 28, "grouped": 14, "op8": 14, "op9": 7}
 
 
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
@@ -443,7 +448,7 @@ def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch
     rng = random.Random(50)
     roots = [f(n) for n in range(9, 61, 4) for f in (gen_cycle, gen_theta, gen_path)]
     roots += [gen_sparse(n, n // 2, n) for n in range(20, 81, 10)] + _long_run_roots()
-    roots += [gen_gnp(rng.randint(8, 10), 0.3, seed) for seed in range(200)]
+    roots += [gen_gnp(rng.randint(8, 10), 0.3, seed) for seed in range(250)]
     real = mist.reduce.find_op10
     searches = []
 
@@ -580,6 +585,8 @@ def test_op10_near_search_starts_from_the_run_ends_within_cap_of_near(monkeypatc
     try:
         for g in _near_roots(order=6) + _long_run_roots():
             reduce_to_fixpoint(g, "refined")
+        for n in range(81, 121):
+            reduce_to_fixpoint(gen_sparse(n, n // 2, n), "refined")
         for g in hangs:
             for near in itertools.combinations(range(1, g.vertex_count), 2):
                 find_op10(g, near=set(near))
@@ -681,22 +688,25 @@ def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family)
     assert searches == []
 
 
-@pytest.mark.parametrize("family, nodes", [(gen_cycle, 2), (gen_theta, 7)])
+@pytest.mark.parametrize("family, nodes", [(gen_cycle, 2), (gen_theta, 5)])
 def test_refined_reduce_of_a_200_chain_takes_a_few_nodes(monkeypatch, family, nodes):
-    # op11 contracts a whole degree-2 run in one step
+    # op11 contracts every degree-2 run in one step: the theta's three
+    # paths, then op9, op8 and op4 leave a leaf
     trace = _assert_one_pass_per_node(monkeypatch, family(200), "refined")
     assert len(trace.nodes) == nodes
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
-def test_reduce_of_a_200_path_takes_three_nodes(monkeypatch, mode):
-    # one op4 step peels the path down to 10 vertices, a second cuts off the
-    # 8-vertex end piece, and the 3-path left is the leaf; the first step
-    # keeps one Peel and the 189 cut vertices of its path
+def test_reduce_of_a_200_path_takes_two_nodes(monkeypatch, mode):
+    # one op4 step peels the path down to 10 vertices and then cuts off the
+    # 8-vertex end piece, and the 3-path left is the leaf; the step keeps
+    # its first Peel, the 189 cut vertices of its path and the end piece's
+    # Peel
     trace = _assert_one_pass_per_node(monkeypatch, gen_path(200), mode)
-    assert [len(op4_peels(node.applied)) for node in trace.nodes[:2]] == [190, 1]
-    assert [len(node.applied.path) for node in trace.nodes[:2]] == [189, 0]
-    assert len(trace.nodes) == 3
+    r = trace.nodes[0].applied
+    assert len(op4_peels(r)) == 191 and len(r.path) == 189
+    assert r.last.cut_vertex == 191 and r.last.component == tuple(range(192, 200))
+    assert len(trace.nodes) == 2
 
 
 def _state(h):
@@ -716,7 +726,7 @@ def _node_of(h):
 
 def _assert_one_pass_per_node(monkeypatch, g, mode):
     # one pass for the root, for each node of four or more vertices and for
-    # a refined triangle, except a child of op1, op3, op4 or op11, which
+    # a refined triangle, except a child of op1, op3, op4, op9 or op11, which
     # gets its parent's, edited (carry_separations), and none for any
     # other node; no node is passed twice
     passed = []
@@ -765,20 +775,31 @@ def looped_clique(k: int, loop: int) -> Graph:
     return build_graph(k * (1 + loop), edges)
 
 
+def bundle(k: int, length: int) -> Graph:
+    """k paths of length inner vertices each between the hubs 0 and 1."""
+    edges, n = [], 2
+    for _ in range(k):
+        run = [0, *range(n, n + length), 1]
+        edges += list(zip(run, run[1:]))
+        n += length
+    return build_graph(n, edges)
+
+
 def _carry_roots():
     """Connected roots whose reduces take every step kind, op11 runs that
-    close triangles and op3 splits included."""
+    close triangles, op3 splits and op9 steps in a row included."""
     roots = [gen_gnp(n, p, seed) for n in (8, 11, 14) for p in (0.2, 0.35) for seed in range(6)]
     roots += [family(n) for family in (gen_cycle, gen_path, gen_theta) for n in range(9, 49, 3)]
     roots += [caterpillar(n) for n in (2, 4, 8, 20, 40)]
     roots += [triangle_chain(k, gap) for k in (2, 4, 7) for gap in (1, 2, 5)]
-    roots += [looped_clique(k, loop) for k in (3, 4, 5) for loop in (9, 10, 13)]
+    roots += [looped_clique(k, loop) for k in (3, 4, 5, 6, 7) for loop in (9, 10, 13)]
+    roots += [bundle(k, length) for k in range(3, 8) for length in (1, 2, 3, 6)]
     roots += [gen_sparse(60, 15, seed) for seed in range(4)] + [gen_sparse(500, 250, 1)]
     return [g for g in roots if g.is_connected()]
 
 
 def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
-    # an op1, op3, op4 or op11 step with a part the engine will search
+    # an op1, op3, op4, op9 or op11 step with a part the engine will search
     # hands each part its parent's separations, edited: they equal a fresh
     # lowpoint pass over the part in bridges, pieces (key order included),
     # parts and twin groups
@@ -799,16 +820,16 @@ def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
             assert got.parts == want.parts == 1
             assert list(got.twins) == list(want.twins)
             carried[r.kind] += 1
-        closed += r.kind == "op11" and r.contractions[-1][2] == r.contractions[-1][3]
+        closed += r.kind == "op11" and r.runs[-1][-1][2] == r.runs[-1][-1][3]
         return out
 
     monkeypatch.setattr(mist.reduce, "carry_separations", checking)
     for g in _carry_roots():
         for mode in RULESETS:
             reduce_to_fixpoint(g, mode)
-    # 27 closed runs and 98 op1, 140 op3, 234 op4 and 115 op11 steps when written
+    # 60 closed runs and 165 op1, 140 op3, 229 op4, 35 op9 and 102 op11 steps when written
     assert closed >= 20
-    minimum = {"op1": 60, "op3": 100, "op4": 150, "op11": 80}
+    minimum = {"op1": 60, "op3": 100, "op4": 150, "op9": 20, "op11": 80}
     assert all(carried[kind] >= minimum[kind] for kind in CARRIED), carried
 
 
@@ -1044,19 +1065,26 @@ def test_op4_replaces_a_hanging_component_with_a_pendant():
 
 def test_op4_peels_a_path_down_to_ten_vertices_in_one_step():
     # the peels single steps would make: {0, 1} off 2, then each new
-    # pendant with the last cut vertex off the next path vertex
+    # pendant with the last cut vertex off the next path vertex down to
+    # ten vertices, then the last piece, the other 8, off 15
     g = path(24)
     r = find_op4(g)
     assert r.path == tuple(range(3, 16))
     peels = op4_peels(r)
     assert [(s.cut_vertex, s.component, s.pendant) for s in peels] == [
         (2, (0, 1), 24)
-    ] + [(v, (v - 1, v + 21), v + 22) for v in range(3, 16)]
+    ] + [(v, (v - 1, v + 21), v + 22) for v in range(3, 16)] + [(15, tuple(range(16, 24)), 38)]
     assert [s.block_edges for s in peels[1:3]] == [((2, 3), (2, 24)), ((3, 4), (3, 25))]
-    assert all(s.inner_tree == s.block_edges and s.inner_opt == 2 for s in peels)
-    assert r.c == 14
-    (h,) = apply_weak_reduction(g, r)
+    assert all(s.inner_tree == s.block_edges for s in peels)
+    assert [s.inner_opt for s in peels] == [2] * 14 + [8]
+    assert r.c == 21
+    (h,) = apply_weak_reduction(g.copy(), r)
+    assert alive_edges(h) == (3, [(15, 37), (15, 38)])
+    # the run's own step, at 10 vertices, and the next node's peel
+    single = r._replace(c=14, last=None)
+    (h,) = apply_weak_reduction(g, single)
     assert alive_edges(h) == (10, sorted([(15, 37)] + [(v, v + 1) for v in range(15, 23)]))
+    assert find_op4(h) == WeakReduction("op4", 7, 1, peel=r.last, path=())
 
 
 def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
@@ -1071,7 +1099,7 @@ def test_an_op4_step_searches_the_components_of_g_minus_v_once(monkeypatch):
     monkeypatch.setattr(mist.reduce, "connected_components", lambda *a: searches.append(a))
     for g, v, peels in (
         (build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2, 1),
-        (path(24), 2, 14),
+        (path(24), 2, 15),
     ):
         searches.clear()
         r = find_op4(g)
@@ -1097,7 +1125,7 @@ def test_op4_rechecks_every_peel_of_its_run():
 def test_lift_fails_its_root_check_when_a_peel_is_dropped():
     trace = reduce_to_fixpoint(path(24), "simple")
     r = trace.nodes[0].applied
-    assert r.kind == "op4" and len(op4_peels(r)) == 14
+    assert r.kind == "op4" and len(op4_peels(r)) == 15
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
     assert trace.lift_all(leaf_trees).weight == 22
     # the second peel becomes the first, the rest of the path kept
@@ -1115,7 +1143,7 @@ def test_op11_contracts_a_degree_two_edge():
     g = cycle(6)
     r = find_op11(g)
     assert r is not None and r.kind == "op11"
-    assert r.contractions == ((0, 1, 5, 2), (0, 2, 5, 3), (0, 3, 5, 4), (0, 4, 5, 5))
+    assert r.runs == (((0, 1, 5, 2), (0, 2, 5, 3), (0, 3, 5, 4), (0, 4, 5, 5)),)
     assert r.c == 4
     parts = apply_weak_reduction(g.copy(), r)
     assert len(parts) == 1
@@ -1128,17 +1156,15 @@ def test_op11_needs_both_endpoints_at_degree_two():
     # the middle edge of a 4-path qualifies, and the run stops there since
     # both outside neighbours are pendant; no star edge ever does
     r = find_op11(path(4))
-    assert r is not None and r.contractions == ((1, 2, 0, 3),)
+    assert r is not None and r.runs == (((1, 2, 0, 3),),)
     assert find_op11(build_graph(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
 def test_op11_rechecks_every_contraction_of_its_run():
     g = cycle(8)
     r = find_op11(g)
-    run = list(r.contractions)
-    run[1] = (0, 2, 7, 4)  # 2's outside neighbour is 3
     with pytest.raises(StaleWitness, match="outside neighbors of 0-2"):
-        apply_weak_reduction(g.copy(), r._replace(contractions=tuple(run)))
+        apply_weak_reduction(g.copy(), _with_contraction(r, 0, 1, (0, 2, 7, 4)))  # 2's is 3
     with pytest.raises(StaleWitness, match="constant is not the contraction count"):
         apply_weak_reduction(g.copy(), r._replace(c=r.c + 1))
 
@@ -1149,7 +1175,7 @@ def test_an_op11_run_merges_into_one_vertex():
     g = cycle(8)
     r = find_op11(g)
     (h,) = apply_weak_reduction(g.copy(), r)
-    mixed = _with_record(r, "contractions", 1, (5, 6, 4, 7))
+    mixed = _with_contraction(r, 0, 1, (5, 6, 4, 7))
     with pytest.raises(StaleWitness, match="merge into more than one vertex"):
         apply_weak_reduction(g, mixed)
     with pytest.raises(InternalInvariant, match="merge into more than one vertex"):
@@ -1162,19 +1188,26 @@ def _with_record(r, field, i, record):
     return r._replace(**{field: tuple(records)})
 
 
+def _with_contraction(r, k, i, record):
+    """r with contraction i of its run k replaced by record."""
+    run = list(r.runs[k])
+    run[i] = record
+    return _with_record(r, "runs", k, tuple(run))
+
+
 def test_op11_rechecks_each_middle_contraction_against_the_rows_so_far():
     # after two contractions 0's row is [3, 7], so 5 is no longer next to it
     g = cycle(8)
     r = find_op11(g)
     with pytest.raises(StaleWitness, match="contracted edge 0-5 gone"):
-        apply_weak_reduction(g, _with_record(r, "contractions", 2, (0, 5, 7, 6)))
+        apply_weak_reduction(g, _with_contraction(r, 0, 2, (0, 5, 7, 6)))
     # the chord's end 2 has degree 3: the run goes round the other way, and
     # a second contraction that takes 2 in is stale
     g = build_graph(9, [(i, (i + 1) % 8) for i in range(8)] + [(2, 8)])
     r = find_op11(g)
-    assert r.contractions[:2] == ((0, 1, 7, 2), (0, 7, 2, 6))
+    assert r.runs[0][:2] == ((0, 1, 7, 2), (0, 7, 2, 6))
     with pytest.raises(StaleWitness, match="degrees at 0-2 changed"):
-        apply_weak_reduction(g, _with_record(r, "contractions", 1, (0, 2, 7, 3)))
+        apply_weak_reduction(g, _with_contraction(r, 0, 1, (0, 2, 7, 3)))
 
 
 def test_op4_rechecks_each_middle_cut_vertex_against_the_rows_so_far():
@@ -1186,14 +1219,14 @@ def test_op4_rechecks_each_middle_cut_vertex_against_the_rows_so_far():
 
 
 def test_op4_undo_pops_only_a_live_last_id():
-    # the child gets a dead id 38 above its last pendant 37: undoing the
-    # last path peel removes the edge 15-37, then finds the last id dead
+    # the child gets a dead id 39 above its last pendant 38: undoing the
+    # last piece removes the edge 15-38, then finds the last id dead
     g = path(24)
     r = find_op4(g)
     (h,) = apply_weak_reduction(g, r)
     t = bfs_tree(h)
     h.remove_vertex(add_vertex(h))
-    with pytest.raises(InternalInvariant, match="vertex 38 already dead"):
+    with pytest.raises(InternalInvariant, match="vertex 39 already dead"):
         mist.reduce._undo(r, [Lifted.of(h, t)])
 
 
@@ -1208,28 +1241,38 @@ def _apply_outcome(apply, g, r):
 
 def _tampered_op4_paths(g, r):
     """r with each path record in turn replaced by the next vertex along
-    the path, dead ids, the live pendant's id and the previous record."""
+    the path, dead ids, the live pendant's id and the previous record, and
+    its last piece moved to the cut vertex before, given the pendant before
+    or cut to all but its first vertex."""
     cuts, p = (r.peel.cut_vertex, *r.path), r.peel.pendant
     for i, w in enumerate(r.path):
         along = [y for y in g.adj[w] if y != cuts[i]]
         for x in (*along, r.peel.component[0], p + i - 1 if i else p + 1, p + i, cuts[i]):
             yield _with_record(r, "path", i, x)
+    s = r.last
+    for last in (
+        s._replace(cut_vertex=cuts[-2]),
+        s._replace(pendant=s.pendant - 1),
+        s._replace(component=s.component[1:]),
+    ):
+        yield r._replace(last=last)
 
 
 def _tampered_op11_runs(g, r):
-    """r with one field of each contraction in turn (u2, o1 or o2) replaced
-    by the next vertex along and by a dead id, and each contraction
-    replaced by the one before it."""
-    run = r.contractions
-    for i, (u1, u2, o1, o2) in enumerate(run):
-        dead = run[0][1] if i else g.vertex_count  # merged by the first contraction, or no id
-        for field, x, before in ((1, u2, u1), (2, o1, u1), (3, o2, u2)):
-            for y in (*[y for y in g.adj[x] if y != before][:1], dead):
-                record = list(run[i])
-                record[field] = y
-                yield _with_record(r, "contractions", i, tuple(record))
-        if i:
-            yield _with_record(r, "contractions", i, run[i - 1])
+    """r with one field of each contraction of each run in turn (u2, o1 or
+    o2) replaced by the next vertex along and by a dead id, and each
+    contraction replaced by the one before it."""
+    for k, run in enumerate(r.runs):
+        for i, (u1, u2, o1, o2) in enumerate(run):
+            # merged by the run's first contraction, or no id
+            dead = run[0][1] if i else g.vertex_count
+            for field, x, before in ((1, u2, u1), (2, o1, u1), (3, o2, u2)):
+                for y in (*[y for y in g.adj[x] if y != before][:1], dead):
+                    record = list(run[i])
+                    record[field] = y
+                    yield _with_contraction(r, k, i, tuple(record))
+            if i:
+                yield _with_contraction(r, k, i, run[i - 1])
 
 
 def test_op4_and_op11_applies_match_the_per_edit_loops_on_every_tampered_record():
@@ -1258,14 +1301,16 @@ def test_op4_and_op11_applies_match_the_per_edit_loops_on_every_tampered_record(
             want = _apply_outcome(reference_apply_run, g, t)
             assert _apply_outcome(apply_weak_reduction, g, t) == want, t
             outcomes[r.kind, want[0] if isinstance(want[0], type) else "applied"] += 1
-    assert [len(r.path or r.contractions) for _, r in steps] == [49, 58, 19, 19, 18, 19, 18, 19]
+    assert [len(r.path) if r.kind == "op4" else tuple(map(len, r.runs)) for _, r in steps] == [
+        49, (58,), (19, 19, 18), (19, 18, 19)
+    ]
     # every tampered record is refused; at the cycle's last contraction,
     # which closes a triangle, an o1 set to u2 and an o2 set to u1 pass the
     # row checks and fail the join u1-o2 (a duplicate edge, a self loop)
     assert outcomes == {
         ("op4", "applied"): 1,
-        ("op4", StaleWitness): 245,
-        ("op11", "applied"): 7,
+        ("op4", StaleWitness): 248,
+        ("op11", "applied"): 3,
         ("op11", StaleWitness): 1181,
         ("op11", InternalInvariant): 2,
     }
@@ -1277,18 +1322,49 @@ def test_lift_fails_its_root_check_when_a_contraction_is_dropped():
     assert r.kind == "op11" and r.c == 8
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
     assert trace.lift_all(leaf_trees).weight == 8
-    trace.nodes[0].applied = r._replace(
-        c=r.c - 1, contractions=r.contractions[1:]
-    )
+    trace.nodes[0].applied = r._replace(c=r.c - 1, runs=(r.runs[0][1:],))
     with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
         trace.lift_all(leaf_trees)
+
+
+def test_lift_fails_its_root_check_when_a_later_run_drops_a_contraction():
+    # the theta's three paths are contracted in one step; the second run
+    # loses its first contraction, and every tree still spans its graph
+    trace = reduce_to_fixpoint(gen_theta(20), "refined")
+    r = trace.nodes[0].applied
+    assert r.kind == "op11" and tuple(map(len, r.runs)) == (5, 5, 5)
+    leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
+    assert trace.lift_all(leaf_trees).weight == 18
+    trace.nodes[0].applied = _with_record(r, "runs", 1, r.runs[1][1:])._replace(c=r.c - 1)
+    with pytest.raises(InternalInvariant, match="did not rebuild the input graph"):
+        trace.lift_all(leaf_trees)
+
+
+def test_a_stale_record_in_a_later_run_raises_the_single_run_message():
+    # each run of a step is checked against the rows the runs before it
+    # left, with the message a step of that run alone raises there: here
+    # the second run's records name another outside vertex, merge the next
+    # vertex along or name a vertex the first run merged
+    g = gen_theta(20)
+    r = find_op11(g)
+    first = r._replace(c=len(r.runs[0]), runs=r.runs[:1])
+    merged = r.runs[0][0][1]
+    for i, (u1, u2, o1, o2) in enumerate(r.runs[1]):
+        for record in ((u1, u2, o2, o2), (u1, o2, o1, o2), (u1, u2, o1, merged)):
+            tampered = _with_contraction(r, 1, i, record)
+            (h,) = apply_weak_reduction(g.copy(), first)
+            alone = tampered._replace(c=len(r.runs[1]), runs=tampered.runs[1:2])
+            with pytest.raises(StaleWitness) as want:
+                apply_weak_reduction(h, alone)
+            with pytest.raises(StaleWitness, match=f"^{re.escape(str(want.value))}$"):
+                apply_weak_reduction(g.copy(), tampered)
 
 
 def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_chains(monkeypatch):
     roots = [f(n) for n in range(4, 61) for f in (gen_path, gen_cycle)]
     roots += [gen_theta(n) for n in range(5, 61)]
     seen = check_runs_against_reference(monkeypatch, roots)
-    assert seen == {"op4 apply": 270, "op4 undo": 270, "op11 apply": 219, "op11 undo": 219}
+    assert seen == {"op4 apply": 172, "op4 undo": 172, "op11 apply": 112, "op11 undo": 112}
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
@@ -1323,10 +1399,10 @@ def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
                 assert op4_peels(r) == reference_find_op4(h), (name, n)
                 tally["path peels"] += len(r.path)
             elif r is not None and r.kind == "op11":
-                assert r.contractions == reference_find_op11(h), (name, n)
+                assert r.runs == reference_find_op11(h), (name, n)
             tally[r and r.kind] += 1
     assert (steps["op4"], steps["path peels"], steps["op11"]) == {
-        "simple": (1413, 17977, 0), "refined": (1612, 17977, 782)
+        "simple": (1221, 17977, 0), "refined": (1420, 17977, 395)
     }[mode]
     assert (pendant_steps["op4"], pendant_steps["path peels"], pendant_steps["op11"]) == (2379, 0, 0)
 
@@ -1584,9 +1660,10 @@ class _CountedRow(list):
 def test_undoing_a_path_makes_at_most_two_row_edits_per_peel():
     # one peel at a time, a path peel would also take out, pop and put back
     # its pendant edge and id; the net edit revives each cut vertex on its
-    # own row and joins it to the next, and the rest is the last pendant
-    # (2 edits for its edge, 1 for its id and 1 for the ids below it) and
-    # the first peel's block edges (2 each)
+    # own row and joins it to the next, and the rest is the last piece's
+    # and the path's last pendant (2 edits for its edge, 1 for its id and
+    # 1 for the ids below it, each) and block edges (2 each), the first
+    # peel's block edges making the path's
     g = gen_path(200)
     r = reduce_to_fixpoint(g, "simple").nodes[0].applied
     assert r.kind == "op4" and len(r.path) > 180
@@ -1595,7 +1672,8 @@ def test_undoing_a_path_makes_at_most_two_row_edits_per_peel():
     h.write_rows(_CountedRow(map(_CountedRow, h.adj)), h.alive)
     _CountedRow.edits = 0
     assert mist.reduce._undo(r, [t]).graph == g
-    assert _CountedRow.edits <= 2 * len(r.path) + 4 + 2 * len(r.peel.block_edges)
+    blocks = len(r.peel.block_edges) + len(r.last.block_edges)
+    assert _CountedRow.edits <= 2 * len(r.path) + 8 + 2 * blocks
 
 
 def _lift_tampered(
@@ -1660,8 +1738,9 @@ def _rejoin_last_contraction(o2):
     # first; with o1 and o2 both made o2 it revives 8 and joins it to 0 and
     # then to o2, no edge 0-o2 being looked up first
     def tamper(r):
-        assert r.contractions[-1] == (0, 8, 9, 9)
-        return {"contractions": (*r.contractions[:-1], (0, 8, o2, o2))}
+        (run,) = r.runs
+        assert run[-1] == (0, 8, 9, 9)
+        return {"runs": ((*run[:-1], (0, 8, o2, o2)),)}
 
     return tamper
 
@@ -1714,10 +1793,8 @@ def _move_a_middle_path_vertex(r):
 def _merge_a_live_vertex(r):
     # contraction 4 is (0, 5, 9, 6); by the time it is undone, 7 is alive
     # again, so reviving it in 5's place is refused
-    assert r.contractions[4] == (0, 5, 9, 6)
-    run = list(r.contractions)
-    run[4] = (0, 7, 9, 6)
-    return {"contractions": tuple(run)}
+    assert r.runs[0][4] == (0, 5, 9, 6)
+    return {"runs": _with_contraction(r, 0, 4, (0, 7, 9, 6)).runs}
 
 
 @pytest.mark.parametrize(
@@ -1756,8 +1833,8 @@ _BLOCK_AT_5 = [(0, 8), (1, 5), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8), (3, 7), (
 @pytest.mark.parametrize(
     "g, mode, index, kind, tamper, match",
     [
-        (gen_theta(12), "refined", 1, "op11", lambda r: {"c": r.c + 1},
-         "op11 lift fell below its floor"),
+        (build_graph(14, gen_theta(12).edge_list() + [(0, 12), (0, 13)]), "refined", 1, "op11",
+         lambda r: {"c": r.c + 1}, "op11 lift fell below its floor"),
         (build_graph(10, _PENDANT_AT_9), "simple", 1, "op1", _restore_between_the_pendants,
          "tree edge 4-10 is not a graph edge"),
         (build_graph(10, _BLOCK_AT_5), "simple", 3, "op4", _inner_tree_with_a_cycle,

@@ -22,15 +22,17 @@ steps, in mist.reduce's apply_strong_reduction and apply_weak_reduction,
 the lift time the time it spends inside ReductionTrace.lift_all, the leaf
 time the time it spends solving leaves in pipeline._solve_leaf, the exact
 time the time run and verify_run spend inside opt_spanning_tree, op4's
-searches within reduce included) and the number of lowpoint passes
+searches within reduce included) and the number of trace nodes
+(mist.reduce.ReductionTrace.add_node calls, all run's), lowpoint passes
 (mist.reduce.separations calls), twin groupings read from all rows
 (mist.graph.twin_groups calls), op10 searches (calls of
 mist.reduce._FINDERS["op10"]) and whole-cover component searches
 (mist.cover.connected_components calls) that run and verify_run make in
 one rep, then each rep's change/parent ratio of total time and the number
-of reps the change won, so one run shows whether it won nine reps in ten.  A sum shows a saving that only some operations
-make, which their median can hide, and the counts show a saved pass,
-grouping or search exactly, beside the times.
+of reps the change won, so one run shows whether it won nine reps in ten.
+A sum shows a saving that only some operations make, which their median
+can hide, and the counts show a saved trace node, pass, grouping or
+search exactly, beside the times.
 
 A trace step is compared by what it does, not by how its record is
 written: for every node, its parent and children, the step's kind and
@@ -66,9 +68,10 @@ import corpus as corpus_mod  # noqa: E402
 
 SIDES = ("parent", "change")
 LAYERS = ("solve", "reduce", "apply", "lift", "leaf", "exact", "verify")  # the times run_op reports, in its order
-# the calls run_op counts, in its order: (module, or dict in a module,
-# function or key, what one call is)
+# the calls run_op counts, in its order: (module, class or dict in a
+# module, function or key, what one call is)
 COUNTED = (
+    ("reduce.ReductionTrace", "add_node", "trace nodes"),
     ("reduce", "separations", "lowpoint passes"),
     ("graph", "twin_groups", "twin groupings"),
     ("reduce._FINDERS", "op10", "op10 searches"),
@@ -198,7 +201,8 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
     time by wrapping mist.pipeline's _solve_leaf, and the exact time by
     wrapping the opt_spanning_tree that mist.reduce and mist.pipeline call,
     for the operation.  The calls are counted by wrapping the function in the
-    module that calls it, for run and verify_run.
+    module that calls it, or the method on its class, for run and
+    verify_run.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
     owners = []
