@@ -1,12 +1,12 @@
 """End-to-end solvers.
 
-A run reduces the input to a trace of irreducible leaves, solves each
-leaf (exactly when small enough, through a path-cycle cover otherwise),
-and lifts the leaf trees back through the trace.  verify_run replays a
-retained run against the structural predicates and, when the pieces are
-small enough, against the exact optimum, certified by the run's own tree
-where it meets the leaf bound or the cut-vertex bound and searched for
-otherwise.
+A run reduces the input to a trace of leaves, solves each leaf (a tree
+as its one spanning tree, any other leaf exactly when small enough and
+through a path-cycle cover otherwise), and lifts the leaf trees back
+through the trace.  verify_run replays a retained run against the
+structural predicates and, when the pieces are small enough, against the
+exact optimum, certified by the run's own tree where it meets the leaf
+bound or the cut-vertex bound and searched for otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .cover import Cover, compute_pi_pairs, preferred_tfpcc
 from .errors import BadParams, InternalInvariant
 from .exact import (
-    OST_CAP, TreeResult, cut_bound, internal_bound, opt_spanning_tree, spanning_fault
+    OST_CAP, TreeResult, cut_bound, internal_bound, opt_spanning_tree, spanning_fault, tree_result
 )
 from .graph import Graph
 from .preprocess import (
@@ -37,7 +37,7 @@ from .transform import (
 )
 
 
-BASE_ORDER = 8  # leaves up to this order are solved exactly
+BASE_ORDER = 8  # leaves up to this order are solved exactly, trees at any order
 
 
 class LeafSolve:
@@ -96,9 +96,10 @@ class RunReport:
 
 
 def _solve_leaf(h: Graph, idx: int, mode: str, keep: bool) -> LeafSolve:
+    if h.edge_count() == h.n_alive() - 1:  # a tree: its one spanning tree
+        return LeafSolve(idx, h, "exact", tree_result(h, h.edge_list()), 0)
     if h.n_alive() <= BASE_ORDER:
-        t = opt_spanning_tree(h)
-        return LeafSolve(idx, h, "exact", t, 0)
+        return LeafSolve(idx, h, "exact", opt_spanning_tree(h), 0)
     pairs = tuple(compute_pi_pairs(h)) if mode == "refined" else ()
     cover0 = preferred_tfpcc(h, pairs)
     e0 = cover0.edge_count()

@@ -9,21 +9,23 @@ trees of the parts, gaining at least c internal vertices.
 
 reduce_to_fixpoint applies these until none fires, recording every step
 in a trace forest so the leaf solutions can be lifted back to the root.
-A step edits the graph it is given in place and hands it on as its child,
-so a chain of steps changes one graph and only op3 makes a new one, for
-its second side; the trace keeps the graphs of its root, copied from the
-input, and its leaves only.  The bridges and piece counts the finders
+A step edits the graph it is given in place and hands it on as its
+child, so a chain of steps changes one graph and only op3 makes a new
+one, for its second side; the trace keeps the graphs of its root, copied
+from the input, and its leaves only.  A node whose graph is a tree is a
+leaf, its one spanning tree the answer, as is any other node of at most
+3 vertices in simple mode.  The bridges and piece counts the finders
 read come from one lowpoint pass per searched node, except below op1,
 op3, op4, op9 and op11, which change them only where they delete or add:
 those steps edit their node's and hand them on too.  An op4 step peels a
 pendant path down to its last piece and an op11 step contracts every
-degree-2 run, as the single steps of the next nodes would.  Lifting undoes
-each step once, rebuilding the graph and the tree of its node together
-from its children's.  An undone step checks only what it edits: the tree edges it
-adds must be edges of the rebuilt graph, the ones it removes must be in
-the tree, the tree keeps n - 1 edges and its weight meets the step's
-floor.  One tree_result call at the root checks the whole lifted tree,
-after one per leaf.
+degree-2 run, as the single steps of the next nodes would.  Lifting
+undoes each step once, rebuilding the graph and the tree of its node
+together from its children's.  An undone step checks only what it edits:
+the tree edges it adds must be edges of the rebuilt graph, the ones it
+removes must be in the tree, the tree keeps n - 1 edges and its weight
+meets the step's floor.  One tree_result call at the root checks the
+whole lifted tree, after one per leaf.
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ class WeakReduction(NamedTuple):
 #
 # Every finder takes the graph, assumed connected, and optionally its
 # separations(g); the fixpoint driver has them for each trace node it
-# searches (the root, every node of four or more vertices, and in refined
-# mode a triangle): a child of op1, op3, op4, op9 or op11 takes its parent's,
-# edited (carry_separations), and any other node makes one lowpoint pass
-# (see reduce_to_fixpoint).
+# searches (the root, and every node that is no leaf: no tree, and in
+# simple mode of four or more vertices): a child of op1, op3, op4, op9 or
+# op11 takes its parent's, edited (carry_separations), and any other node
+# makes one lowpoint pass (see reduce_to_fixpoint).
 # In a connected graph, "g - u has a component without w" holds exactly
 # when u is a cut vertex, that is when g - u has at least two pieces.
 #
@@ -1276,6 +1278,12 @@ def _check_size(t: Lifted) -> None:
         raise InternalInvariant(f"{len(t.edges)} edges for {n} vertices")
 
 
+def is_leaf(h: Graph, mode: str) -> bool:
+    """Whether the connected graph h is a trace leaf, which no finder searches:
+    h is a tree, or in simple mode has at most 3 vertices."""
+    return h.edge_count() == h.n_alive() - 1 or mode == "simple" and h.n_alive() <= 3
+
+
 def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     """Apply reductions until none fires, strong ones first at every step.
 
@@ -1283,17 +1291,28 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     and the leaves keep theirs in the trace.  The root keeps a copy of g,
     and each step edits its node's graph in place (a step at the root, a
     second copy): one copy, plus one if the root fires, plus one per op3.
-    The root's lowpoint pass rejects a disconnected input.  A child of
-    op1, op3, op4, op9 or op11 makes none: carry_separations edits its parent's
-    separations for it, in place.  Every other node searched makes one, so
-    the passes are the searched nodes less those children.  Any other node
-    of at most 3 vertices is a leaf with no lowpoint pass and no finder,
-    except a triangle in refined mode, which op11 contracts.  No other
-    rule fires under four vertices: op1 needs n > 3, op10's blocks have at
-    most n - 3 vertices, op8 and op9 need two twins beside their boundary
-    pair, op4 a cut vertex with a piece of 2 or more beside another piece,
-    op3 a vertex of degree 3, and op2 a cycle edge between two cut
-    vertices.
+    The root's lowpoint pass rejects a disconnected input; only after it
+    may the root be a leaf.  A child of op1, op3, op4, op9 or op11 makes
+    none: carry_separations edits its parent's separations for it, in
+    place.  Every other node searched makes one, so the passes are the
+    searched nodes less those children.  A leaf (is_leaf) gets no lowpoint
+    pass below the root and no finder.
+
+    A tree is a leaf of any size.  Every node below the root is connected,
+    so n - 1 edges make it a tree, and a tree has exactly one spanning
+    tree: itself, with its weight as its bound.  The steps it would take
+    cannot change either.  On a tree op1 and op2 preserve the optimum; op3's
+    c = 0 is exact, as both ends of its bridge have degree 3 or more and
+    stay internal on both sides; op4's c = inner_opt - 1 is exact, the one
+    tree of K + {v} and the pendant counting v once; and so is each of
+    op11's contractions, c = 1 for one degree-2, so internal, vertex.
+    Nor does any other node under four vertices fire a rule, except a
+    triangle in refined mode, which op11 contracts: op1 needs n > 3, op10's
+    blocks have at most n - 3 vertices, op8 and op9 need two twins beside
+    their boundary pair, op4 a cut vertex with a piece of 2 or more beside
+    another piece, op3 a vertex of degree 3, and op2 a cycle edge between
+    two cut vertices.  So in simple mode every node of at most 3 vertices
+    is a leaf too.
 
     In refined mode each node carries op10's worklist near: the vertices
     _changed since the nearest ancestor where op10 found nothing, or None
@@ -1307,21 +1326,20 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
     has_op10 = "op10" in strong_kinds
     trace = ReductionTrace(mode)
 
-    def is_leaf(h: Graph) -> bool:  # a node below the root that no finder searches
-        return h.n_alive() <= 3 and (h.edge_count() < 3 or "op11" not in weak_kinds)
-
     root = g.copy()
     work = [(trace.add_node(root, None), root, None, None)]
     while work:
         idx, h, near, sep = work.pop(0)
         node = trace.nodes[idx]
-        if idx and is_leaf(h):
+        if not idx:
+            sep = separations(h)
+            if sep.parts > 1:
+                raise DisconnectedInput("input graph is not connected")
+        if is_leaf(h, mode):
             node.graph = h
             continue
         if sep is None:
             sep = separations(h)
-        if idx == 0 and sep.parts > 1:
-            raise DisconnectedInput("input graph is not connected")
         r = find_reduction(h, strong_kinds, sep, near) or find_reduction(h, weak_kinds, sep)
         if r is None:
             node.graph = h
@@ -1334,12 +1352,12 @@ def reduce_to_fixpoint(g: Graph, mode: str) -> ReductionTrace:
             node.children = [trace.add_node(None, idx)]
             if near is not None:
                 near = near | _changed(h, r)
-            sep = None if is_leaf(h) else carry_separations(sep, r, [h])[0]
+            sep = None if is_leaf(h, mode) else carry_separations(sep, r, [h])[0]
             work.append((node.children[0], h, near, sep))
             continue
         parts = apply_weak_reduction(h, r)
         node.children = [trace.add_node(None, idx) for _ in parts]
-        if all(map(is_leaf, parts)):
+        if all(is_leaf(p, mode) for p in parts):
             seps = [None] * len(parts)
         else:
             seps = carry_separations(sep, r, parts)

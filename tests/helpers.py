@@ -28,10 +28,13 @@ and the 2-matching that always runs the blossom search, as the reference
 for the one that returns a greedy start which fills every cap; and
 max_tfpcc's ban loop on bare edge lists, with its own triangle search, as
 the reference for the one that reads triangles off a Cover's components.
+The leaf rule from before a tree of any size was a leaf, for
+reduce.is_leaf, is the reference for the one that stops at trees.
 Some helpers serve tests only: twin pairs of graphs that break
 compute_pi_pairs' preconditions, the path cover of a thinned tree,
-adding or popping the last vertex id of a graph, and the subgraph induced
-on a vertex set.
+adding or popping the last vertex id of a graph, a cycle added through a
+vertex, caterpillars and lollipops, and the subgraph induced on a vertex
+set.
 The digest helpers at the end pin whole runs so that a refactor can be
 checked to keep every tree, bound and error unchanged.
 """
@@ -871,6 +874,49 @@ def random_connected(n: int, p: float, rng: random.Random) -> Graph:
             if not g.has_edge(u, v) and rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def with_cycle(g: Graph, v: int, k: int) -> Graph:
+    """g with a cycle of k vertices through v added, its k - 1 new vertices
+    numbered after g's."""
+    n = g.vertex_count
+    ring = [v, *range(n, n + k - 1)]
+    return Graph(n + k - 1, g.edge_list() + list(zip(ring, ring[1:] + ring[:1])))
+
+
+def caterpillar(n: int, knotted: bool = False) -> Graph:
+    """The path 0..n-1 with a leg of 1 + i % 3 vertices hanging off each
+    vertex i; knotted, each leg of 2 or more vertices ends in a triangle,
+    its last vertex joined to the one two back."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    top = n
+    for i in range(n):
+        leg = list(range(top, top + 1 + i % 3))
+        edges += list(zip([i, *leg], leg))
+        if knotted and len(leg) >= 2:
+            edges.append(([i, *leg][-3], leg[-1]))
+        top += len(leg)
+    return build_graph(top, edges)
+
+
+def lollipop(n: int, k: int) -> Graph:
+    """The path 0..n-1 with its last k vertices closed into a cycle: a tail
+    of n - k vertices on a k-cycle, no tree, so the engine reduces it.
+
+    In simple mode a cycle of at most 8 vertices ends the tail's op4 path
+    with a last piece.  In refined mode a cycle of 9 or more is left alone
+    by op8, op9 and op10, so op4 peels the tail there too.
+    """
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(n - k, n - 1)])
+
+
+def small_leaf_rule(h: Graph, mode: str) -> bool:
+    """reduce.is_leaf as it was before a tree of any size was a leaf: a
+    node of at most 3 vertices, but for a refined triangle, which op11
+    contracts.  The engine asks it at the root too, where it changes
+    nothing: no rule fires on those graphs there either.
+    """
+    return h.n_alive() <= 3 and (h.edge_count() < 3 or mode == "simple")
 
 
 def replay(trace) -> list[Graph]:

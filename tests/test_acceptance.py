@@ -33,7 +33,9 @@ from mist.transform import check_stage2_structure
 
 from graphgen import connected_graphs_up_to_iso
 from helpers import (
+    caterpillar,
     check_runs_against_reference,
+    lollipop,
     op4_peels,
     outcome_digest,
     outcome_line,
@@ -41,6 +43,7 @@ from helpers import (
     random_tree,
     replay,
     single_run_find_op11,
+    small_leaf_rule,
     ten_left_find_op4,
 )
 
@@ -382,12 +385,16 @@ def _outcome(g, mode, op4):
 
 def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
     # a run is exactly the peels single steps would make, so no run differs,
-    # not even in the reductions it makes
+    # not even in the reductions it makes.  A path is a leaf, so the tails
+    # end in a triangle, which simple mode peels with the tail, or in a
+    # 9-cycle, which refined mode keeps too
     chains = [
         (f"{family.__name__}-{n}", family(n))
         for n in range(9, 61)
-        for family in (gen_cycle, gen_theta, gen_path)
+        for family in (gen_cycle, gen_theta)
     ]
+    chains += [(f"lollipop-{n}-3", lollipop(n, 3)) for n in range(9, 61)]
+    chains += [(f"lollipop-{n}-9", lollipop(n, 9)) for n in range(21, 61, 3)]
     others = list(_corpus()) + [
         (f"sparse-{n}-{seed}", gen_sparse(n, n // 10, seed))
         for n in range(20, 81, 5)
@@ -406,8 +413,8 @@ def test_op4_runs_keep_the_trees_bounds_and_checks_of_single_peels():
             if _outcome(g, mode, _first_peel_only) != _outcome(g, mode, counting):
                 bad.append(f"{name}/{mode}")
     _report("op4 runs keep trees, bounds and checks", 2 * len(chains + others), bad)
-    # every path from 12 vertices on, and 10 others, get a run of peels
-    assert sum(k > 1 for k in longest.values()) == 59
+    # every lollipop from 12 vertices on, and 3 others, get a run of peels
+    assert sum(k > 1 for k in longest.values()) == 66
 
 
 # -- batched op4 and op11 steps against single steps -----------------------
@@ -482,6 +489,60 @@ def test_batched_op4_and_op11_steps_keep_the_outcomes_of_single_steps():
     )
     assert moved == {f"{name}/refined" for name in _BATCH_MOVED_TREES}
     assert left == {f"{name}/refined" for name in _BATCH_LEFT_TRACES}
+
+
+# -- tree leaves against the small-leaf rule -------------------------------
+
+
+def _leaf_rule_outcome(g, mode, rule):
+    """A run's tree, bound, opt and checks, leaf numbers aside, and how
+    many of its leaves are trees of 4 or more vertices, with the leaf rule
+    given."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mist.reduce, "is_leaf", rule)
+        try:
+            report = run(g, mode, keep_state=True)
+        except MistError as exc:
+            return (type(exc).__name__,), 0
+    opt, checks = _verdict(verify_run(g, report))
+    checks = [(re.sub(r"^leaf\d+-", "leaf-", name), ok, detail) for name, ok, detail in checks]
+    trees = sum(h.edge_count() == h.n_alive() - 1 >= 3 for h in (leaf.graph for leaf in report.leaves))
+    return (report.tree, report.upper_bound, opt, checks), trees
+
+
+def test_tree_leaves_keep_the_trees_bounds_and_checks_of_the_small_leaf_rule():
+    # a tree is its own only spanning tree, and every rule is exact on it,
+    # so stopping at a tree changes no tree, bound, opt or check: trees
+    # and lollipops, the survey and sparse graphs, both modes
+    rng = random.Random(38)
+    graphs = list(_corpus())
+    graphs += [(f"tree-{n}", random_tree(n, rng)) for n in range(4, 61)]
+    graphs += [(f"caterpillar-{n}", caterpillar(n)) for n in range(2, 21)]
+    graphs += [(f"lollipop-{n}-{k}", lollipop(n, k)) for n in range(12, 41, 7) for k in (3, 4, 9)]
+    graphs += [(f"sparse-{n}", gen_sparse(n, n // 10, n)) for n in range(20, 81, 10)]
+    bad, dropped = [], []
+    trees = Counter()
+    for name, g in graphs:
+        for mode in ("simple", "refined"):
+            (small, small_made), (tree, made) = (
+                _leaf_rule_outcome(g, mode, rule) for rule in (small_leaf_rule, mist.reduce.is_leaf)
+            )
+            trees["small", mode] += small_made
+            trees["tree", mode] += made
+            if small == tree:
+                continue
+            same = len(small) == len(tree) > 1 and (tree[0], *tree[2:]) == (small[0], *small[2:])
+            if same and tree[1] < small[1]:
+                dropped.append(f"{name}/{mode}")  # the same tree, opt and checks under a lower bound
+            else:
+                bad.append(f"{name}/{mode}")
+    _report(f"tree leaves keep trees, bounds and checks ({len(dropped)} bounds drop)", 2 * len(graphs), bad)
+    assert dropped == []
+    # the small-leaf rule makes no tree leaf of 4 or more vertices
+    assert dict(trees) == {
+        ("small", "simple"): 0, ("small", "refined"): 0,
+        ("tree", "simple"): 577, ("tree", "refined"): 1586,
+    }
 
 
 def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_the_survey_corpus(monkeypatch):

@@ -174,6 +174,17 @@ def test_non_ascii_input_exits_with_one(tmp_path, capsys):
     assert err.startswith("error: line 1:")
 
 
+def test_a_disconnected_input_with_a_trees_edge_count_exits_with_one(tmp_path, capsys):
+    # a triangle beside a 3-path has n - 1 edges but is no tree
+    path = tmp_path / "apart.mist"
+    path.write_text("p mist 6 5\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\n")
+    for algo in ("simple", "refined"):
+        code = cli.main(["solve", "--algo", algo, "--in", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: DisconnectedInput: input graph is not connected\n"
+
+
 def test_generator_failures_exit_with_one(capsys):
     code = cli.main(["gen", "--family", "cycle", "--n", "2"])
     err = capsys.readouterr().err

@@ -33,7 +33,7 @@ from mist.exact import (
     spanning_fault,
     tree_result,
 )
-from mist.generate import gen_cycle, gen_gnp, gen_path, gen_sparse, gen_theta, gen_twins
+from mist.generate import gen_cycle, gen_gnp, gen_sparse, gen_theta, gen_twins
 from mist.reduce import _peel, reduce_to_fixpoint
 
 from graphgen import connected_graphs_up_to_iso
@@ -47,6 +47,7 @@ from helpers import (
     entry_cut_greedy_weight,
     entry_cut_opt_spanning_tree,
     induced_subgraph,
+    lollipop,
     naive_components,
     op4_peels,
     path_cover_from_tree,
@@ -644,10 +645,11 @@ def test_op4_blocks_without_a_search_get_the_searched_tree():
         assert (s.inner_tree, s.inner_opt) == (
             tuple(e for e in t.edges if pend not in e), t.weight
         ), sub
+    # a path is a leaf, so the peeled tails end in a triangle
     peels = [
         s
         for n in range(12, 40)
-        for node in reduce_to_fixpoint(gen_path(n), "simple").nodes
+        for node in reduce_to_fixpoint(lollipop(n, 3), "simple").nodes
         if node.applied is not None
         for s in op4_peels(node.applied)
     ]
@@ -748,7 +750,7 @@ def test_internal_bound_reads_no_dead_id_as_a_leaf():
     # reduced leaf graphs with dead ids it equals a count over the alive
     # vertices, and one leaf has more than two of degree <= 1
     lows = []
-    for g in (gen_path(30), gen_theta(30), gen_sparse(60, 6, 1), gen_sparse(40, 20, 2)):
+    for g in (lollipop(30, 9), gen_theta(30), gen_sparse(60, 6, 1), gen_sparse(40, 20, 2)):
         for mode in ("simple", "refined"):
             trace = reduce_to_fixpoint(g, mode)
             for h in (trace.nodes[i].graph for i in trace.leaves()):

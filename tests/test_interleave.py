@@ -18,6 +18,7 @@ from mist.reduce import StrongReduction, find_op1
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import interleave  # noqa: E402
+from helpers import replay, small_leaf_rule  # noqa: E402
 
 SRC = str(ROOT / "src")
 
@@ -124,8 +125,9 @@ def test_the_reduce_and_lift_times_are_parts_of_the_solve_time():
         for solve, reduce, apply, lift in zip(t["solve"], t["reduce"], t["apply"], t["lift"]):
             assert 0 < reduce and 0 < lift and reduce + lift < solve
             assert 0 <= apply < reduce
-        # refined mode contracts every chain, and simple mode peels every path
-        assert sum(apply > 0 for apply in t["apply"]) == len(corp.ops) * 2 // 3
+        # refined mode contracts every cycle and theta; a path is a tree, a
+        # leaf with no step, and simple mode takes no step on the others
+        assert sum(apply > 0 for apply in t["apply"]) == len(corp.ops) // 3
     assert mist.pipeline.reduce_to_fixpoint is reduce_to_fixpoint
     assert mist.reduce.ReductionTrace.lift_all is lift_all
     assert (mist.reduce.apply_strong_reduction, mist.reduce.apply_weak_reduction) == applies
@@ -206,19 +208,15 @@ def _drop_the_other_pendant(g, sep=None):
     return StrongReduction("op1", (u1,), (e,), (e,), (u2, u1, v))
 
 
-def test_a_step_that_changes_a_different_graph_stops_the_run():
-    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+def _changed_run(patch):
+    """A side whose run applies patch(m) to a MonkeyPatch m for the run."""
 
     def run(g, mode, keep_state=False):
         with pytest.MonkeyPatch.context() as m:
-            m.setitem(mist.reduce._FINDERS, "op1", _drop_the_other_pendant)
+            patch(m)
             return mist.run(g, mode, keep_state)
 
-    def has_op1(op):
-        report = mist.run(mist.parse_graph(corp.instances[op.instance].text), op.mode, True)
-        return any(n.applied is not None and n.applied.kind == "op1" for n in report.trace.nodes)
-
-    changed = SimpleNamespace(
+    return SimpleNamespace(
         parse_graph=mist.parse_graph,
         run=run,
         verify_run=mist.verify_run,
@@ -227,16 +225,34 @@ def test_a_step_that_changes_a_different_graph_stops_the_run():
         graph=mist.graph,
         cover=mist.cover,
     )
+
+
+def test_a_step_that_changes_a_different_graph_is_timed_when_the_outcomes_agree():
+    # the traces are not compared: a side whose op1 steps leave other
+    # graphs, with every tree, bound and check the same, runs to the end
+    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+    changed = _changed_run(lambda m: m.setitem(mist.reduce._FINDERS, "op1", _drop_the_other_pendant))
     times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
-    first = next(k for k, op in enumerate(corp.ops) if has_op1(op))
-    op = corp.ops[first]
-    assert diff.startswith(f"op {first} ({op.mode}): ")
-    # only the replayed graphs tell the two apart
-    g = mist.parse_graph(corp.instances[op.instance].text)
-    reports = [mist.run(g, op.mode, True), run(g, op.mode, True)]
-    assert len({(r.tree, r.upper_bound) for r in reports}) == 1
-    steps = [interleave.replay_steps(mist.reduce, r.trace) for r in reports]
-    assert [s[:4] for s in steps[0]] == [s[:4] for s in steps[1]] and steps[0] != steps[1]
+    assert diff is None and len(times["change"]["solve"]) == len(corp.ops)
+    differ = 0
+    for op in corp.ops:
+        g = mist.parse_graph(corp.instances[op.instance].text)
+        reports = [mist.run(g, op.mode, True), changed.run(g, op.mode, True)]
+        assert len({(r.tree, r.upper_bound) for r in reports}) == 1
+        graphs = [[(h.alive_list(), h.edge_list()) for h in replay(r.trace)] for r in reports]
+        differ += graphs[0] != graphs[1]
+    assert differ > 0
+
+
+def test_sides_with_traces_of_different_shapes_agree_and_count_their_trace_nodes():
+    # a side that searches trees down to 3 vertices makes more trace nodes,
+    # and checks numbered by other leaves, for the same outcomes
+    corp = interleave.corpus_mod.build("gate", 3, 0.01)
+    changed = _changed_run(lambda m: m.setattr(mist.reduce, "is_leaf", small_leaf_rule))
+    times, diff = interleave.interleave({"parent": mist, "change": changed}, corp, 1)
+    assert diff is None
+    nodes = {side: t["calls"][0] for side, t in times.items()}
+    assert nodes["parent"] < nodes["change"]
 
 
 def test_setup_refuses_trees_in_different_bytecode_states(tmp_path):

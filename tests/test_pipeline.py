@@ -14,7 +14,7 @@ from mist.errors import BadParams, DisconnectedInput, MistError, NonTermination
 from mist.exact import TreeResult, cut_bound, internal_bound, opt_spanning_tree, tree_result
 from mist.generate import gen_cycle, gen_gnp, gen_path, gen_theta, gen_twins
 
-from helpers import build_graph, outcome_digest, outcome_line
+from helpers import build_graph, caterpillar, lollipop, outcome_digest, outcome_line, random_tree
 
 # sha256 over the outcome lines of every chain-family run below; a change to
 # the reduction engine that keeps its behaviour must reproduce it exactly
@@ -30,12 +30,12 @@ def cyc(n):
 
 
 def test_simple_solves_a_path_exactly():
+    # a tree is a leaf: its one spanning tree, with no step
     g = build_graph(7, pedges(7))
     report = run(g, "simple", keep_state=True)
     assert report.tree.weight == 5
     assert report.upper_bound == 5
-    kinds = [n.applied.kind for n in report.trace.nodes if n.applied]
-    assert kinds == ["op4"]
+    assert len(report.trace.nodes) == 1 and report.leaves[0].method == "exact"
     vr = verify_run(g, report)
     assert vr.ok and vr.opt == 5
     assert [c.name for c in vr.checks] == [
@@ -70,15 +70,17 @@ def test_refined_solves_a_long_path_exactly():
     assert vr.ok and vr.opt == 7
 
 
-def test_a_refined_run_of_a_2000_path_spans_it_in_two_trace_nodes():
-    # op4 peels the path down to 10 vertices and then its last piece in one
-    # step, so the trace stays short and the lift linear at any length
-    g = gen_path(2000)
-    report = run(g, "refined", keep_state=True)
-    assert len(report.trace.nodes) == 2
-    assert report.tree.weight == report.upper_bound == 1998
-    checks = {c.name: c.ok for c in verify_run(g, report).checks}
-    assert checks["tree-spans-input"] and checks["weight-below-upper-bound"]
+def test_a_refined_run_of_a_2000_path_spans_it_in_one_trace_node():
+    # a tree is a leaf of any size, solved as its one spanning tree, with
+    # no size cap; a tail on a triangle is peeled down to 10 vertices and
+    # then its last piece in one op4 step, so the trace stays short and
+    # the lift linear at any length
+    for g, mode, nodes in ((gen_path(2000), "refined", 1), (lollipop(2000, 3), "simple", 2)):
+        report = run(g, mode, keep_state=True)
+        assert len(report.trace.nodes) == nodes
+        assert report.tree.weight == report.upper_bound == 1998
+        checks = {c.name: c.ok for c in verify_run(g, report).checks}
+        assert checks["tree-spans-input"] and checks["weight-below-upper-bound"]
 
 
 def test_refined_handles_the_triple_twin_instance():
@@ -249,6 +251,23 @@ def test_run_rejects_bad_inputs():
         run(Graph(0), "simple")
     with pytest.raises(DisconnectedInput):
         run(build_graph(4, [(0, 1), (2, 3)]), "simple")
+    # n - 1 edges, a triangle beside a 3-path: no tree, so no leaf
+    for mode in ("simple", "refined"):
+        with pytest.raises(DisconnectedInput):
+            run(build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), mode)
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_a_200_vertex_tree_is_one_leaf_of_any_shape(mode):
+    # a tree root is its own leaf, solved as its one spanning tree, with no
+    # size cap: a random tree and a caterpillar of 200 vertices
+    for g in (random_tree(200, random.Random(200)), caterpillar(67)):
+        assert g.n_alive() == 200 and g.edge_count() == 199
+        report = run(g, mode, keep_state=True)
+        assert len(report.trace.nodes) == 1 and [leaf.method for leaf in report.leaves] == ["exact"]
+        assert report.tree.edges == tuple(g.edge_list())
+        assert report.tree.weight == report.upper_bound == 200 - len(report.tree.leaves)
+        assert verify_run(g, report).ok
 
 
 def test_a_simple_18_cycle_solves_and_verifies():

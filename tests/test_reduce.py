@@ -41,8 +41,10 @@ from helpers import (
     add_vertex,
     bfs_tree,
     build_graph,
+    caterpillar,
     check_runs_against_reference,
     graph_state,
+    lollipop,
     naive_components,
     naive_op10,
     op4_peels,
@@ -55,6 +57,7 @@ from helpers import (
     reference_find_op9,
     reference_find_op11,
     replay,
+    with_cycle,
 )
 
 import random
@@ -76,15 +79,22 @@ def pendant_cycle(n):
     return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)])
 
 
-def caterpillar(n):
-    """The path 0..n-1 with a leg of 1 + i % 3 vertices hanging off each vertex i."""
-    edges = [(i, i + 1) for i in range(n - 1)]
-    top = n
+def legged_cycle(n):
+    """The cycle 0..2n-1 with a leg of 1 + i % 3 vertices hanging off each
+    even vertex 2i, so that no cycle edge joins two cut vertices."""
+    edges = [(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+    top = 2 * n
     for i in range(n):
         leg = list(range(top, top + 1 + i % 3))
-        edges += list(zip([i, *leg], leg))
+        edges += list(zip([2 * i, *leg], leg))
         top += len(leg)
     return build_graph(top, edges)
+
+
+def ringed_caterpillar(n):
+    """caterpillar(n) with a 9-cycle through each end of its spine, so that
+    no rule leaves a tree until op3 splits the spine."""
+    return with_cycle(with_cycle(caterpillar(n), 0, 9), n - 1, 9)
 
 
 def alive_edges(g):
@@ -386,11 +396,13 @@ def test_a_node_without_a_short_cycle_has_no_op8_op9_or_op10_site(monkeypatch):
     # at every node of a refined trace with no cycle of at most
     # max(4, cap + 2) edges, cap = min(6, n - 3), the three finders find
     # nothing when called directly; the driver tests the nodes it searches
-    # up to op8 with that limit, and passes over many
+    # up to op8 with that limit, and passes over many.  Trees are leaves,
+    # so the tails and spines hang off 9-cycles
     rng = random.Random(36)
-    roots = [f(n) for n in range(9, 61, 3) for f in (gen_cycle, gen_theta, gen_path)]
+    roots = [f(n) for n in range(9, 61, 3) for f in (gen_cycle, gen_theta, lambda n: lollipop(n + 9, 9))]
     roots += [gen_gnp(rng.randint(8, 10), 0.3, seed) for seed in range(200)]
     roots += _op10_roots() + [gen_sparse(n, n // 2, n) for n in range(20, 201, 20)]
+    roots += [ringed_caterpillar(n) for n in range(2, 41, 2)]
     real = mist.reduce.has_short_cycle
     limits = []
     monkeypatch.setattr(
@@ -416,7 +428,8 @@ def test_a_refined_reduce_of_the_chains_searches_op8_to_op10_only_beside_a_short
     # have no short cycle: those take no twin grouping and no op8, op9 or
     # op10 search, and the lowpoint passes stay as they were.  A theta's
     # one op11 step leaves three twins, so op9 fires before op10 is reached,
-    # and no op10 search is left
+    # and no op10 search is left.  A path is a leaf at its root, which makes
+    # only its lowpoint pass, and op8 leaves a theta a tree, another leaf
     calls = Counter()
 
     def counting(key, real):
@@ -436,8 +449,8 @@ def test_a_refined_reduce_of_the_chains_searches_op8_to_op10_only_beside_a_short
 
     tested = tally()
     monkeypatch.setattr(mist.reduce, "has_short_cycle", lambda g, limit: True)
-    assert tally() == {"passes": 28, "grouped": 42, "op8": 42, "op9": 35, "op10": 28}
-    assert tested == {"passes": 28, "grouped": 14, "op8": 14, "op9": 7}
+    assert tally() == {"passes": 21, "grouped": 28, "op8": 28, "op9": 21, "op10": 14}
+    assert tested == {"passes": 21, "grouped": 14, "op8": 14, "op9": 7}
 
 
 def test_op10_matches_the_pair_scan_on_every_search_of_a_refined_run(monkeypatch):
@@ -688,21 +701,27 @@ def test_refined_reduce_of_a_long_chain_counts_its_searches(monkeypatch, family)
     assert searches == []
 
 
-@pytest.mark.parametrize("family, nodes", [(gen_cycle, 2), (gen_theta, 5)])
+@pytest.mark.parametrize("family, nodes", [(gen_cycle, 2), (gen_theta, 4)])
 def test_refined_reduce_of_a_200_chain_takes_a_few_nodes(monkeypatch, family, nodes):
     # op11 contracts every degree-2 run in one step: the theta's three
-    # paths, then op9, op8 and op4 leave a leaf
+    # paths, then op9 and op8 leave a tree, a leaf
     trace = _assert_one_pass_per_node(monkeypatch, family(200), "refined")
     assert len(trace.nodes) == nodes
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
-def test_reduce_of_a_200_path_takes_two_nodes(monkeypatch, mode):
-    # one op4 step peels the path down to 10 vertices and then cuts off the
-    # 8-vertex end piece, and the 3-path left is the leaf; the step keeps
-    # its first Peel, the 189 cut vertices of its path and the end piece's
-    # Peel
+def test_reduce_of_a_200_path_takes_one_node(monkeypatch, mode):
+    # a tree is a leaf: the root makes its lowpoint pass, and no step
     trace = _assert_one_pass_per_node(monkeypatch, gen_path(200), mode)
+    assert len(trace.nodes) == 1 and trace.nodes[0].applied is None
+
+
+def test_reduce_of_a_200_lollipop_takes_two_nodes(monkeypatch):
+    # one op4 step peels the tail down to 10 vertices and then cuts off the
+    # 8-vertex end piece, which holds the triangle, and the 3-path left is
+    # the leaf; the step keeps its first Peel, the 189 cut vertices of its
+    # path and the end piece's Peel
+    trace = _assert_one_pass_per_node(monkeypatch, lollipop(200, 3), "simple")
     r = trace.nodes[0].applied
     assert len(op4_peels(r)) == 191 and len(r.path) == 189
     assert r.last.cut_vertex == 191 and r.last.component == tuple(range(192, 200))
@@ -726,9 +745,10 @@ def _node_of(h):
 
 def _assert_one_pass_per_node(monkeypatch, g, mode):
     # one pass for the root, for each node of four or more vertices and for
-    # a refined triangle, except a child of op1, op3, op4, op9 or op11, which
-    # gets its parent's, edited (carry_separations), and none for any
-    # other node; no node is passed twice
+    # a refined triangle, except a tree, which is a leaf, and a child of
+    # op1, op3, op4, op9 or op11, which gets its parent's, edited
+    # (carry_separations), and none for any other node; no node is passed
+    # twice
     passed = []
     real_pass = mist.reduce.separations
 
@@ -744,7 +764,7 @@ def _assert_one_pass_per_node(monkeypatch, g, mode):
         h
         for i, h in enumerate(replay(trace))
         if i == 0
-        or (h.n_alive() >= 4 or mode == "refined" and (h.n_alive(), h.edge_count()) == (3, 3))
+        or h.edge_count() >= h.n_alive() and (h.n_alive() >= 4 or mode == "refined")
         and nodes[nodes[i].parent].applied.kind not in CARRIED
     ]
     assert len(set(passed)) == len(passed) == len(searched)
@@ -789,8 +809,11 @@ def _carry_roots():
     """Connected roots whose reduces take every step kind, op11 runs that
     close triangles, op3 splits and op9 steps in a row included."""
     roots = [gen_gnp(n, p, seed) for n in (8, 11, 14) for p in (0.2, 0.35) for seed in range(6)]
-    roots += [family(n) for family in (gen_cycle, gen_path, gen_theta) for n in range(9, 49, 3)]
-    roots += [caterpillar(n) for n in (2, 4, 8, 20, 40)]
+    roots += [family(n) for family in (gen_cycle, gen_theta) for n in range(9, 49, 3)]
+    # trees are leaves: the tails, spines and legs hang off cycles
+    roots += [lollipop(n + 9, 9) for n in range(9, 49, 3)]
+    roots += [ringed_caterpillar(n) for n in (2, 4, 8, 20, 40)]
+    roots += [caterpillar(n, knotted=True) for n in (2, 4, 8, 20, 40)]
     roots += [triangle_chain(k, gap) for k in (2, 4, 7) for gap in (1, 2, 5)]
     roots += [looped_clique(k, loop) for k in (3, 4, 5, 6, 7) for loop in (9, 10, 13)]
     roots += [bundle(k, length) for k in range(3, 8) for length in (1, 2, 3, 6)]
@@ -827,7 +850,7 @@ def test_carried_separations_equal_a_fresh_pass_at_every_child(monkeypatch):
     for g in _carry_roots():
         for mode in RULESETS:
             reduce_to_fixpoint(g, mode)
-    # 60 closed runs and 165 op1, 140 op3, 229 op4, 35 op9 and 102 op11 steps when written
+    # 60 closed runs and 137 op1, 224 op3, 224 op4, 35 op9 and 102 op11 steps when written
     assert closed >= 20
     minimum = {"op1": 60, "op3": 100, "op4": 150, "op9": 20, "op11": 80}
     assert all(carried[kind] >= minimum[kind] for kind in CARRIED), carried
@@ -859,14 +882,19 @@ def test_op2_and_op8_steps_reuse_their_nodes_lowpoint_pass(monkeypatch, mode):
 
 
 def test_large_sparse_reduces_leave_no_rule_for_a_full_search():
-    # the engine's near searches must not stop early: at every leaf, a search
-    # of the whole graph finds no reduction either
+    # the engine's near searches must not stop early: at every leaf but a
+    # tree, which is a leaf unsearched, a search of the whole graph finds
+    # no reduction either
     strong, weak = RULESETS["refined"]
-    for g in (gen_cycle(200), gen_sparse(500, 250, 1)):
+    searched = 0
+    for g in [gen_cycle(200), gen_sparse(500, 250, 1)] + [gen_sparse(200, 100, seed) for seed in range(2, 6)]:
         trace = reduce_to_fixpoint(g, "refined")
         for i in trace.leaves():
             leaf = trace.nodes[i].graph
-            assert find_reduction(leaf, strong + weak, separations(leaf), None) is None
+            if leaf.edge_count() >= leaf.n_alive():
+                assert find_reduction(leaf, strong + weak, separations(leaf), None) is None
+                searched += 1
+    assert searched == 5
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
@@ -940,13 +968,15 @@ def test_a_strong_step_that_disconnects_its_witness_is_rejected(edges, r):
 
 
 def test_lift_strong_restores_removed_vertices():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    # the twin pendants 10 and 11 at 0 on a 10-cycle, no tree, whose one
+    # pendant left leaves no piece of 2-8 vertices for op4
+    g = build_graph(12, [(i, (i + 1) % 10) for i in range(10)] + [(0, 10), (0, 11)])
     tr = reduce_to_fixpoint(g, "simple")
     assert [n.applied.kind for n in tr.nodes if n.applied is not None] == ["op1"]
     lifted = tr.lift_all({i: opt_spanning_tree(tr.nodes[i].graph) for i in tr.leaves()})
     assert lifted.weight == opt_spanning_tree(g).weight
     endpoints = [v for e in lifted.edges for v in e]
-    assert endpoints.count(2) == 1  # the dropped twin reattaches as a leaf
+    assert endpoints.count(11) == 1  # the dropped twin reattaches as a leaf
 
 
 # ------------------------------------------------------------------ weak ops
@@ -1123,7 +1153,7 @@ def test_op4_rechecks_every_peel_of_its_run():
 
 
 def test_lift_fails_its_root_check_when_a_peel_is_dropped():
-    trace = reduce_to_fixpoint(path(24), "simple")
+    trace = reduce_to_fixpoint(lollipop(24, 3), "simple")
     r = trace.nodes[0].applied
     assert r.kind == "op4" and len(op4_peels(r)) == 15
     leaf_trees = {i: opt_spanning_tree(trace.nodes[i].graph) for i in trace.leaves()}
@@ -1361,37 +1391,38 @@ def test_a_stale_record_in_a_later_run_raises_the_single_run_message():
 
 
 def test_op4_and_op11_sweeps_match_the_per_edit_loops_on_chains(monkeypatch):
-    roots = [f(n) for n in range(4, 61) for f in (gen_path, gen_cycle)]
+    # a path is a leaf: its tail on a 9-cycle runs op4 in both modes
+    roots = [f(n) for n in range(4, 61) for f in (lambda n: lollipop(n + 9, 9), gen_cycle)]
     roots += [gen_theta(n) for n in range(5, 61)]
     seen = check_runs_against_reference(monkeypatch, roots)
-    assert seen == {"op4 apply": 172, "op4 undo": 172, "op11 apply": 112, "op11 undo": 112}
+    assert seen == {"op4 apply": 228, "op4 undo": 228, "op11 apply": 112, "op11 undo": 112}
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined"])
 def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
     # every op4 step stands for the peels the reference finder builds one
     # Peel each, and every op11 step holds the reference finder's records;
-    # a path keeps one Peel per op4 step however long its run
-    roots = [("path", n, gen_path(n)) for n in range(4, 201)]
+    # a tail keeps one Peel per op4 step however long its run.  A path is
+    # a leaf, so the tails hang off 9-cycles
+    roots = [("lollipop", n, lollipop(n + 9, 9)) for n in range(4, 201)]
     roots += [("cycle", n, gen_cycle(n)) for n in range(4, 201)]
     roots += [("theta", n, gen_theta(n)) for n in range(5, 201)]
     roots += [("twins", n, gen_twins(n, n)) for n in range(9, 61)]
     roots += [("sparse", n, gen_sparse(n, n // 10, n)) for n in range(20, 301, 10)]
-    # a pendant at every cycle vertex, where find_op4 searches no cut
-    # vertex of a root of more than 10 vertices, and legs of 1-3 vertices,
-    # where it searches only some; their steps are counted apart
-    pendants = [("pendant cycle", n, pendant_cycle(n)) for n in range(3, 61)]
-    pendants += [("caterpillar", n, caterpillar(n)) for n in range(2, 61)]
-    roots += pendants
+    # legs of 1-3 vertices at every other vertex of a cycle, where
+    # find_op4 searches no cut vertex with a single pendant on a root of
+    # more than 10 vertices, and only some others; their steps are counted
+    # apart
+    roots += [("legged cycle", n, legged_cycle(n)) for n in range(2, 61)]
     built = []
     real_peel = mist.reduce.Peel
     monkeypatch.setattr(mist.reduce, "Peel", lambda *a: built.append(a) or real_peel(*a))
     steps, pendant_steps = Counter(), Counter()
     for name, n, g in roots:
-        tally = pendant_steps if name in ("pendant cycle", "caterpillar") else steps
+        tally = pendant_steps if name == "legged cycle" else steps
         built.clear()
         trace = reduce_to_fixpoint(g, mode)
-        if (name, n) == ("path", 200):
+        if (name, n) == ("lollipop", 200):
             assert len(built) == 2
         for node, h in zip(trace.nodes, replay(trace)):
             r = node.applied
@@ -1402,14 +1433,26 @@ def test_op4_and_op11_steps_match_the_reference_finders(monkeypatch, mode):
                 assert r.runs == reference_find_op11(h), (name, n)
             tally[r and r.kind] += 1
     assert (steps["op4"], steps["path peels"], steps["op11"]) == {
-        "simple": (1221, 17977, 0), "refined": (1420, 17977, 395)
+        "simple": (413, 19700, 0), "refined": (403, 19700, 395)
     }[mode]
-    assert (pendant_steps["op4"], pendant_steps["path peels"], pendant_steps["op11"]) == (2379, 0, 0)
+    assert (pendant_steps["op4"], pendant_steps["path peels"], pendant_steps["op11"]) == {
+        "simple": (1200, 0, 0), "refined": (1199, 0, 0)
+    }[mode]
 
 
-@pytest.mark.parametrize("family, mode", [(gen_cycle, "refined"), (gen_path, "simple"), (gen_path, "refined")])
+@pytest.mark.parametrize(
+    "family, mode",
+    [
+        (gen_cycle, "refined"),
+        (gen_path, "simple"),
+        (gen_path, "refined"),
+        pytest.param(lambda n: lollipop(n, 3), "simple", id="lollipop-3-simple"),
+        pytest.param(lambda n: lollipop(n, 9), "refined", id="lollipop-9-refined"),
+    ],
+)
 def test_reduce_and_lift_make_as_many_graph_edits_for_a_longer_chain(monkeypatch, family, mode):
-    # a run is written with one Graph.write_rows call, however long it is
+    # a run is written with one Graph.write_rows call, however long it is;
+    # a path is a leaf, which makes none, and a tail on a cycle one op4 run
     counts = Counter()
     for name in ("add_edge", "remove_edge", "remove_vertex"):
 
@@ -1589,7 +1632,7 @@ def test_a_run_leaves_its_input_and_the_reports_graph_as_they_were(mode):
     # the steps edit the run's own copy, never the caller's graph or the
     # root the report keeps, and replaying the trace step by step on copies
     # from that root rebuilds every kept leaf graph exactly
-    roots = [caterpillar(12), gen_sparse(200, 100, 1), gen_theta(30), gen_path(40), gen_cycle(30)]
+    roots = [ringed_caterpillar(12), gen_sparse(200, 100, 1), gen_theta(30), lollipop(40, 9), gen_cycle(30)]
     roots += [gen_gnp(10, 0.3, seed) for seed in range(10)]
     kinds = Counter()
     for g in roots:
@@ -1664,7 +1707,7 @@ def test_undoing_a_path_makes_at_most_two_row_edits_per_peel():
     # and the path's last pendant (2 edits for its edge, 1 for its id and
     # 1 for the ids below it, each) and block edges (2 each), the first
     # peel's block edges making the path's
-    g = gen_path(200)
+    g = lollipop(200, 3)
     r = reduce_to_fixpoint(g, "simple").nodes[0].applied
     assert r.kind == "op4" and len(r.path) > 180
     (h,) = apply_weak_reduction(g.copy(), r)
@@ -1751,20 +1794,20 @@ _BRIDGED_TRIANGLES = [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4
 @pytest.mark.parametrize(
     "g, mode, kind, tamper, exc, match",
     [
-        (path(24), "simple", "op4", lambda r: {"c": r.c + 1}, InternalInvariant,
+        (lollipop(24, 3), "simple", "op4", lambda r: {"c": r.c + 1}, InternalInvariant,
          "block lift must gain exactly c"),
         (cycle(24), "refined", "op11", lambda r: {"c": r.c + 1}, InternalInvariant,
          "op11 lift fell below its floor"),
         (build_graph(8, _BRIDGED_TRIANGLES), "simple", "op3", lambda r: {"c": r.c + 1},
          InternalInvariant, "op3 lift fell below its floor"),
-        (path(24), "simple", "op4", lambda r: {"parts": 2}, ArityMismatch,
+        (lollipop(24, 3), "simple", "op4", lambda r: {"parts": 2}, ArityMismatch,
          "op4 expects 2 subtrees, got 1"),
-        (path(11), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
+        (lollipop(11, 3), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
          "pendant edge missing from subtree"),
-        (path(24), "simple", "op4", _move_last_path_vertex, InternalInvariant,
+        (lollipop(24, 3), "simple", "op4", _move_last_path_vertex, InternalInvariant,
          "pendant edge missing from subtree"),
         # the first path peel takes {7, 24} off 3, and 7 is alive again by then
-        (path(24), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
+        (lollipop(24, 3), "simple", "op4", _move_first_cut_vertex, InternalInvariant,
          "vertex 7 is not dead and bare"),
         (cycle(10), "refined", "op11", _rejoin_last_contraction(0), InternalInvariant,
          "duplicate edge 8-0"),
@@ -1800,7 +1843,7 @@ def _merge_a_live_vertex(r):
 @pytest.mark.parametrize(
     "g, mode, kind, tamper, match",
     [
-        (path(24), "simple", "op4", _move_a_middle_path_vertex, "vertex 8 is not dead and bare"),
+        (lollipop(24, 3), "simple", "op4", _move_a_middle_path_vertex, "vertex 8 is not dead and bare"),
         (cycle(10), "refined", "op11", _merge_a_live_vertex, "vertex 7 is not dead and bare"),
     ],
     ids=["op4-revive", "op11-revive"],
@@ -1899,3 +1942,15 @@ def test_fixpoint_rejects_a_disconnected_graph_up_front(mode):
 
     with pytest.raises(DisconnectedInput):
         reduce_to_fixpoint(build_graph(4, [(0, 1), (2, 3)]), mode)
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_fixpoint_rejects_a_disconnected_graph_with_a_trees_edge_count(mode):
+    # a triangle beside a 3-path has n - 1 edges, yet is no tree: the root's
+    # lowpoint pass rejects it before the leaf rule is asked
+    from mist.errors import DisconnectedInput
+
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    assert g.edge_count() == g.n_alive() - 1
+    with pytest.raises(DisconnectedInput, match="input graph is not connected"):
+        reduce_to_fixpoint(g, mode)

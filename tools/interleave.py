@@ -12,9 +12,9 @@ generator, emitted as text and solved in both modes.  Each (parse_graph,
 run with keep_state=True, verify_run) runs alternately on the two, the
 order flipped on every operation, so a drift in host speed falls on both
 sides alike; separate benchmark runs on a shared host can differ by 10 %,
-more than a change of a few per cent.  Any difference in the outputs (the
-tree, the upper bound, the trace steps, the verify checks and opt, or the
-error raised) stops the run with exit status 1.  Otherwise it prints, for
+more than a change of a few per cent.  Any difference in the outcomes (the
+tree, the upper bound, the verify checks, leaf numbers aside, and opt, or
+the error raised) stops the run with exit status 1.  Otherwise it prints, for
 each side, the total time and the median and summed solve, reduce, apply,
 lift, leaf, exact and verify times (the reduce time is the time run spends
 inside reduce_to_fixpoint, the apply time the part of it spent applying
@@ -34,12 +34,11 @@ A sum shows a saving that only some operations make, which their median
 can hide, and the counts show a saved trace node, pass, grouping or
 search exactly, beside the times.
 
-A trace step is compared by what it does, not by how its record is
-written: for every node, its parent and children, the step's kind and
-constant c, and the node's graph (alive vertices and edges) as that side's
-own apply_strong_reduction and apply_weak_reduction replay it from a
-copy of the root's graph.  So two sides may store a step differently and
-still agree.  The replay runs after the timed part of the operation.
+The trace itself is not compared: two sides that take different steps,
+or store a step differently, agree when their outcomes do, and each
+side's trace nodes are printed beside its times.  A check's name holds
+the number of its leaf's trace node, which a different trace renumbers,
+so that number is left out.
 
 --setup times imports instead of operations.  Each rep re-imports each
 tree's package from fresh module objects, as perfbench/run.py's set-up
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import re
 import statistics
 import sys
 import time
@@ -130,28 +130,6 @@ def print_reps(parent: list, change: list) -> None:
     )
 
 
-def replay_steps(reduce, trace) -> list[tuple]:
-    """What each trace node's step does, replayed with the reduce module given.
-
-    Per node: parent, children, the step's kind and c (0 for a strong step,
-    None at a leaf), and the node's alive vertices and edges.  A step may
-    edit the graph it is given in place, so the replay starts from a copy
-    of the root's, which the run's report holds.
-    """
-    graphs = {0: trace.nodes[0].graph.copy()}
-    steps = []
-    for node in trace.nodes:
-        g, r = graphs.pop(node.index), node.applied
-        kind = None if r is None else r.kind
-        c = None if r is None else getattr(r, "c", 0)
-        steps.append((node.parent, node.children, kind, c, g.alive_list(), g.edge_list()))
-        if isinstance(r, reduce.StrongReduction):
-            graphs[node.children[0]] = reduce.apply_strong_reduction(g, r)
-        elif r is not None:
-            graphs.update(zip(node.children, reduce.apply_weak_reduction(g, r)))
-    return steps
-
-
 def timed(owner, name: str, spent: list):
     """Wrap owner.name so each call adds its ns to spent[0]; return the original."""
     real = getattr(owner, name)
@@ -189,20 +167,19 @@ def counted(owner, name: str, calls: list):
 
 
 def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """The operation's outputs as text; its solve, reduce, apply, lift,
+    """The operation's outcome as text; its solve, reduce, apply, lift,
     leaf, exact, verify and total times in ns; and its calls of each COUNTED
     function.
 
     The total runs from parsing to the end of verify_run or the error.  The
-    reduce time is read by wrapping the reduce_to_fixpoint that mist.pipeline
-    calls, the apply time by wrapping the apply_strong_reduction and
-    apply_weak_reduction that reduce_to_fixpoint calls (run's, not the
-    replay's), the lift time by wrapping ReductionTrace.lift_all, the leaf
-    time by wrapping mist.pipeline's _solve_leaf, and the exact time by
-    wrapping the opt_spanning_tree that mist.reduce and mist.pipeline call,
-    for the operation.  The calls are counted by wrapping the function in the
-    module that calls it, or the method on its class, for run and
-    verify_run.
+    reduce time is read by wrapping the reduce_to_fixpoint that
+    mist.pipeline calls, the apply time by wrapping the
+    apply_strong_reduction and apply_weak_reduction that reduce_to_fixpoint
+    calls, the lift time by wrapping ReductionTrace.lift_all, the leaf time
+    by wrapping mist.pipeline's _solve_leaf, and the exact time by wrapping
+    the opt_spanning_tree that mist.reduce and mist.pipeline call, for the
+    operation.  The calls are counted by wrapping the function in the module
+    that calls it, or the method on its class, for run and verify_run.
     """
     trace_cls, pipeline = mist.reduce.ReductionTrace, mist.pipeline
     owners = []
@@ -226,7 +203,7 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
         report = mist.run(g, mode, keep_state=True)
         t1 = time.perf_counter_ns()
         vr = mist.verify_run(g, report)
-    except Exception as exc:  # compared across the sides like any output
+    except Exception as exc:  # compared across the sides like any outcome
         t = time.perf_counter_ns()
         failed = f"! {type(exc).__name__}: {exc}"
         spent = (t - t0, reduce[0], apply[0], lift[0], leaf[0], exact[0], 0, t - start)
@@ -240,17 +217,14 @@ def run_op(mist, text: str, mode: str) -> tuple[str, tuple[int, ...], tuple[int,
         for o, (_, name, _), real in zip(owners, COUNTED, reals):
             put(o, name, real)
     t2 = time.perf_counter_ns()
-    try:
-        steps = replay_steps(mist.reduce, report.trace)
-    except Exception as exc:  # a step its own side cannot replay
-        steps = f"! replay {type(exc).__name__}: {exc}"
-    out = repr((report.tree, report.upper_bound, steps, vr.checks, vr.opt))
+    checks = [(re.sub(r"^leaf\d+-", "leaf-", c.name), c.ok, c.detail) for c in vr.checks]
+    out = repr((report.tree, report.upper_bound, checks, vr.opt))
     spent = (t1 - t0, reduce[0], apply[0], lift[0], leaf[0], exact[0], t2 - t1, t2 - start)
     return out, spent, tuple(n[0] for n in calls)
 
 
 def interleave(mists, corp, reps: int) -> tuple[dict, str | None]:
-    """Per-side times and counts, and a description of the first output difference.
+    """Per-side times and counts, and a description of the first outcome difference.
 
     A side's reps list holds the total time of each rep, the last one cut
     short at a difference, and its calls list the calls of each COUNTED
@@ -334,7 +308,7 @@ def main(argv=None) -> int:
         print_reps(imports["parent"], imports["change"])
         return 0
     if diff is not None:
-        print(f"outputs differ: {diff}")
+        print(f"outcomes differ: {diff}")
         return 1
     print(f"{title}: {len(corp.ops)} ops x {args.reps}")
     totals = {side: sum(times[side]["reps"]) for side in SIDES}
